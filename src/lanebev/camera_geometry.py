@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DegenerateConfiguration,
@@ -267,15 +268,6 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     bilinear interpolation; samples outside the source are 0.
     `out_size` is (width, height).  Accepts (H, W) or (H, W, C) arrays.
     """
-    img = np.asarray(image, dtype=float)
-    if img.ndim == 2:
-        return _warp_channels(img[:, :, None], h, out_size)[:, :, 0]
-    if img.ndim == 3:
-        return _warp_channels(img, h, out_size)
-    raise ValueError(f"image must be 2-D or 3-D, got shape {img.shape}")
-
-
-def _warp_channels(img: np.ndarray, h: Homography, out_size: tuple[int, int]) -> np.ndarray:
     out_w, out_h = out_size
     try:
         hinv = np.linalg.inv(h.matrix)
@@ -287,35 +279,44 @@ def _warp_channels(img: np.ndarray, h: Homography, out_size: tuple[int, int]) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / w
         sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / w
-    bad = ~np.isfinite(sx) | ~np.isfinite(sy)
-    sx[bad] = -1.0
-    sy[bad] = -1.0
-    return bilinear_sample(img, sx, sy)
+    return bilinear_sample(image, sx, sy)
+
+
+def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]) -> sparse.csr_array:
+    """Sparse bilinear sampling operator over a row-major flattened source.
+
+    Row i holds the bilinear weights of the point (sx[i], sy[i]) (column,
+    row) on its four neighbour pixels of an (H, W) source, stored in the
+    order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1).  Neighbours
+    outside the source are not stored, so samples fade to 0 at the border
+    like a constant-0 border in OpenCV; non-finite points give a zero row.
+    """
+    src_h, src_w = src_shape
+    sx, sy = np.ravel(sx), np.ravel(sy)
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    xi = x0[:, None] + [0, 1, 0, 1]
+    yi = y0[:, None] + [0, 0, 1, 1]
+    # NaN fails every comparison and +-inf one of them, so non-finite
+    # points keep no neighbour and their inf - inf weights are dropped.
+    keep = (xi >= 0) & (xi < src_w) & (yi >= 0) & (yi < src_h)
+    with np.errstate(invalid="ignore"):
+        fx = sx - x0
+        fy = sy - y0
+        weights = np.column_stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
+    cols = (yi * src_w + xi)[keep].astype(np.int64)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_array((weights[keep], cols, indptr), shape=(len(sx), src_h * src_w))
 
 
 def bilinear_sample(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample (H, W, C) image at real coordinates with a zero constant border.
+    """Sample an (H, W) or (H, W, C) image at real coordinates (sx, sy).
 
-    Out-of-bounds neighbor pixels contribute 0, so samples fade to black at
-    the border exactly like a constant-0 border in OpenCV.
+    The result has the shape of sx followed by the image's channel axis, if
+    any; weights are those of bilinear_operator.
     """
-    src_h, src_w = img.shape[:2]
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    fx = sx - x0
-    fy = sy - y0
-
-    out = np.zeros(sx.shape + (img.shape[2],), dtype=img.dtype)
-    for dx, dy, wgt in (
-        (0, 0, (1 - fx) * (1 - fy)),
-        (1, 0, fx * (1 - fy)),
-        (0, 1, (1 - fx) * fy),
-        (1, 1, fx * fy),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        inside = (xi >= 0) & (xi < src_w) & (yi >= 0) & (yi < src_h)
-        vals = np.zeros_like(out)
-        vals[inside] = img[yi[inside], xi[inside]]
-        out += vals * wgt[:, :, None]
-    return out
+    img = np.asarray(img, dtype=float)
+    if img.ndim not in (2, 3):
+        raise ValueError(f"image must be 2-D or 3-D, got shape {img.shape}")
+    op = bilinear_operator(sx, sy, img.shape[:2])
+    return (op @ img.reshape(op.shape[1], -1)).reshape(np.shape(sx) + img.shape[2:])

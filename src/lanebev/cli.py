@@ -111,7 +111,7 @@ def _fail_usage(parser, msg: str) -> int:
     return 2
 
 
-def _need(args, parser, *names) -> bool:
+def _need(args, *names) -> bool:
     for name in names:
         if getattr(args, name.replace("-", "_")) is None:
             return False
@@ -146,7 +146,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # --- subcommand handlers ---
 
 def _cmd_homography(args, parser) -> int:
-    if not _need(args, parser, "src", "dst"):
+    if not _need(args, "src", "dst"):
         return _fail_usage(parser, "homography requires --src and --dst")
     src = data_io.load_rig(_resolve(args.src))
     dst = data_io.load_rig(_resolve(args.dst))
@@ -159,7 +159,7 @@ def _cmd_homography(args, parser) -> int:
 
 
 def _cmd_warp(args, parser) -> int:
-    if not _need(args, parser, "image", "h", "out"):
+    if not _need(args, "image", "h", "out"):
         return _fail_usage(parser, "warp requires --image, --h and --out")
     img = data_io.read_pnm(_resolve(args.image))
     h = data_io.load_homography(_resolve(args.h))
@@ -198,7 +198,7 @@ def _unstack_prediction(stack: np.ndarray) -> GridTensors:
 
 
 def _cmd_encode(args, parser) -> int:
-    if not _need(args, parser, "scene", "out_dir"):
+    if not _need(args, "scene", "out_dir"):
         return _fail_usage(parser, "encode requires --scene and --out-dir")
     scene = data_io.load_scene(_resolve(args.scene))
     spec = _load_spec(args)
@@ -216,7 +216,7 @@ def _cmd_encode(args, parser) -> int:
 
 
 def _cmd_decode(args, parser) -> int:
-    if not _need(args, parser, "pred", "out"):
+    if not _need(args, "pred", "out"):
         return _fail_usage(parser, "decode requires --pred and --out")
     stack = data_io.read_tensor(_resolve(args.pred)).astype(float)
     pred = _unstack_prediction(stack)
@@ -247,7 +247,7 @@ def _load_lane_frames(pred_path: Path, gt_path: Path):
 
 
 def _cmd_eval(args, parser) -> int:
-    if not _need(args, parser, "pred", "gt"):
+    if not _need(args, "pred", "gt"):
         return _fail_usage(parser, "eval requires --pred and --gt")
     cfg = EvalConfig()
     if args.config:
@@ -271,7 +271,7 @@ def _scene_params_from_dict(data: dict) -> SceneParams:
 
 
 def _cmd_synth(args, parser) -> int:
-    if not _need(args, parser, "out"):
+    if not _need(args, "out"):
         return _fail_usage(parser, "synth requires --out")
     data = {}
     if args.params:
@@ -284,7 +284,7 @@ def _cmd_synth(args, parser) -> int:
 
 
 def _cmd_fit_vrm(args, parser) -> int:
-    if not _need(args, parser, "samples", "out"):
+    if not _need(args, "samples", "out"):
         return _fail_usage(parser, "fit-vrm requires --samples and --out")
     root = _resolve(args.samples)
     fv_files = sorted(Path(root).glob("fv_*.bldt"))
@@ -345,7 +345,7 @@ def _svg_plot(lanes: list[Lane3D], spec: GridSpec) -> str:
 
 
 def _cmd_plot(args, parser) -> int:
-    if not _need(args, parser, "lanes", "out"):
+    if not _need(args, "lanes", "out"):
         return _fail_usage(parser, "plot requires --lanes and --out")
     lanes = data_io.load_lanes(_resolve(args.lanes))
     Path(args.out).write_text(_svg_plot(lanes, _load_spec(args)))

@@ -321,7 +321,7 @@ def write_pnm(image: np.ndarray, path: str | Path) -> None:
 
 
 def read_pnm(path: str | Path) -> np.ndarray:
-    """Read binary PGM/PPM into a [0, 1] float array."""
+    """Read binary PGM/PPM (8- or 16-bit samples) into a [0, 1] float array."""
     blob = Path(path).read_bytes()
     if blob[:2] not in (b"P5", b"P6"):
         raise ValueError(f"{path}: only binary PGM (P5) / PPM (P6) supported")
@@ -340,7 +340,14 @@ def read_pnm(path: str | Path) -> np.ndarray:
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..65535")
     channels = 3 if blob[:2] == b"P6" else 1
-    raw = np.frombuffer(blob, dtype=np.uint8, count=width * height * channels, offset=pos)
+    # Samples above 255 take two bytes, most significant first (Netpbm).
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    count = width * height * channels
+    if len(blob) - pos < count * dtype.itemsize:
+        raise ValueError(f"{path}: pixel data truncated, {count * dtype.itemsize} bytes expected, {len(blob) - pos} found")
+    raw = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     img = raw.reshape((height, width, channels)).astype(float) / float(maxval)
     return img[:, :, 0] if channels == 1 else img

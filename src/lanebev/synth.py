@@ -145,9 +145,6 @@ def render_ground_pattern(
     the camera give 0.  `out_size` is (width, height), default the rig's.
     """
     pat = np.asarray(pattern, dtype=float)
-    squeeze = pat.ndim == 2
-    if squeeze:
-        pat = pat[:, :, None]
     w, h = out_size if out_size is not None else rig.image_size
 
     intr = rig.intrinsics
@@ -166,18 +163,14 @@ def render_ground_pattern(
     # t equals the camera-frame depth because the ray direction has unit
     # camera z; only strictly positive depths hit the ground ahead.
     valid = np.isfinite(t) & (t > 1e-9)
-    t = np.where(valid, t, 0.0)
+    t = np.where(valid, t, np.nan)
     gx = center[0] + t * d_road[:, :, 0]
     gy = center[1] + t * d_road[:, :, 1]
 
     rows_p, cols_p = pat.shape[:2]
     ix = (gx - spec.x_min) / (spec.x_max - spec.x_min) * rows_p - 0.5
     iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
-    ix[~valid] = -10.0
-    iy[~valid] = -10.0
-
-    out = bilinear_sample(pat, iy, ix)  # pattern axes: row = x, col = y
-    return out[:, :, 0] if squeeze else out
+    return bilinear_sample(pat, iy, ix)  # pattern axes: row = x, col = y
 
 
 def checkerboard(

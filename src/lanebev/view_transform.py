@@ -5,8 +5,9 @@ flattened front-view features, producing flattened BEV features: the
 function class of a bias-free single linear layer over flattened pixels.
 Two constructions are provided: an analytic one that samples front-view
 features at the camera projection of each BEV cell center (inverse
-perspective mapping), and a least-squares fit from (front-view, BEV)
-feature pairs.  A pyramid concatenates per-scale results along channels.
+perspective mapping), stored sparse, and a dense least-squares fit from
+(front-view, BEV) feature pairs.  A pyramid concatenates per-scale results
+along channels.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .camera_geometry import CameraRig
+from .camera_geometry import CameraRig, bilinear_operator
 from .errors import InsufficientRank, ShapeMismatch
 from .lane_grid import GridSpec
 
@@ -47,14 +49,16 @@ class FeatureTensor:
 
 @dataclass
 class ViewRelationMap:
-    """Dense (HW_bev, HW_fv) operator between flattened feature planes."""
+    """(HW_bev, HW_fv) operator between flattened feature planes: a dense
+    ndarray (fitted maps) or a scipy.sparse matrix (IPM sampling maps)."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | sparse.sparray
     fv_shape: tuple[int, int]
     bev_shape: tuple[int, int]
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        if not sparse.issparse(self.matrix):
+            self.matrix = np.asarray(self.matrix, dtype=float)
         self.fv_shape = tuple(int(v) for v in self.fv_shape)
         self.bev_shape = tuple(int(v) for v in self.bev_shape)
         expect = (self.bev_shape[0] * self.bev_shape[1], self.fv_shape[0] * self.fv_shape[1])
@@ -108,17 +112,9 @@ def build_ipm_sampling_map(
         uf = uvw[:, 0] / uvw[:, 2] / scale
         vf = uvw[:, 1] / uvw[:, 2] / scale
 
-    matrix = np.zeros((s1 * s2, fv_h * fv_w))
     usable = front & (uf >= 0) & (uf <= fv_w - 1) & (vf >= 0) & (vf <= fv_h - 1)
-    for row in np.nonzero(usable)[0]:
-        x0 = int(np.floor(uf[row]))
-        y0 = int(np.floor(vf[row]))
-        ax = uf[row] - x0
-        ay = vf[row] - y0
-        for dx, dy, wgt in ((0, 0, (1 - ax) * (1 - ay)), (1, 0, ax * (1 - ay)), (0, 1, (1 - ax) * ay), (1, 1, ax * ay)):
-            if wgt == 0.0:
-                continue
-            matrix[row, (y0 + dy) * fv_w + (x0 + dx)] = wgt
+    matrix = bilinear_operator(np.where(usable, uf, np.nan), np.where(usable, vf, np.nan), fv_shape)
+    matrix.eliminate_zeros()
     return ViewRelationMap(matrix=matrix, fv_shape=(fv_h, fv_w), bev_shape=(s1, s2))
 
 

@@ -242,6 +242,16 @@ class TestWarpImage:
         assert out.shape == (30, 20, 3)
         assert np.array_equal(out, img)
 
+    def test_horizon_in_view_gives_zero(self, rng):
+        # H^-1 has third row (0, -1, 1), so w = 1 - v vanishes on output
+        # row 1 and the source coordinate there is inf (or 0/0 at u = 0)
+        h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, -10.0]]))
+        assert np.array_equal(np.linalg.inv(h.matrix)[2], [0.0, -1.0, 1.0])
+        out = warp_image(1.0 + rng.random((40, 60)), h, (60, 40))
+        assert np.all(out[1] == 0.0)
+        assert np.all(np.isfinite(out))
+        assert np.any(out[0] > 0.0)
+
     def test_singular_homography_rejected(self):
         with pytest.raises(SingularHomography):
             Homography(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))

@@ -231,3 +231,25 @@ class TestPnm:
         img = data_io.read_pnm(path)
         assert img.shape == (2, 2)
         assert img[1, 1] == 1.0
+
+    def test_16_bit_samples_are_big_endian(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n\xff\xff\x80\x00")
+        img = data_io.read_pnm(path)
+        assert img.shape == (1, 2)
+        assert img[0, 0] == 1.0
+        assert img[0, 1] == 32768.0 / 65535.0
+
+    @pytest.mark.parametrize("maxval", [b"0", b"65536"])
+    def test_maxval_out_of_range_names_file(self, tmp_path, maxval):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(b"P5\n1 1\n" + maxval + b"\n\x00\x00")
+        with pytest.raises(ValueError, match="img.pgm.*maxval"):
+            data_io.read_pnm(path)
+
+    @pytest.mark.parametrize("header, pixels", [(b"P5\n2 2\n255\n", 3), (b"P6\n2 1\n1023\n", 11)])
+    def test_truncated_pixels_name_file(self, tmp_path, header, pixels):
+        path = tmp_path / "img.pnm"
+        path.write_bytes(header + b"\x01" * pixels)
+        with pytest.raises(ValueError, match="img.pnm.*truncated"):
+            data_io.read_pnm(path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lanebev.errors import InsufficientRank, ShapeMismatch
 from lanebev.lane_grid import GridSpec
@@ -22,7 +23,7 @@ class TestBuildIpmSamplingMap:
         rig = canonical_rig()
         bev_spec = GridSpec(x_min=49.0, x_max=51.0, y_min=-5.0, y_max=-3.0, cell=0.5)
         vrm = build_ipm_sampling_map(rig, fv_shape=(576, 1024), scale=1, bev_spec=bev_spec, bev_shape=(1, 1))
-        row = vrm.matrix[0]
+        row = vrm.matrix.toarray()[0]
         nz = np.nonzero(row)[0]
         assert len(nz) == 1
         assert row[nz[0]] == 1.0
@@ -32,7 +33,7 @@ class TestBuildIpmSamplingMap:
         rig = canonical_rig()
         bev_spec = GridSpec(x_min=-11.0, x_max=-9.0, y_min=-1.0, y_max=1.0, cell=0.5)
         vrm = build_ipm_sampling_map(rig, fv_shape=(18, 32), scale=32, bev_spec=bev_spec, bev_shape=(2, 2))
-        assert np.all(vrm.matrix == 0.0)
+        assert np.all(vrm.matrix.toarray() == 0.0)
 
     def test_rows_partition_unity_or_vanish(self):
         vrm = build_ipm_sampling_map(canonical_rig(), fv_shape=(18, 32), scale=32, bev_shape=(50, 10))
@@ -40,7 +41,13 @@ class TestBuildIpmSamplingMap:
         nonzero = sums > 0
         assert nonzero.any()
         assert np.abs(sums[nonzero] - 1.0).max() < 1e-12
-        assert np.all(vrm.matrix >= 0.0)
+        assert np.all(vrm.matrix.toarray() >= 0.0)
+
+    def test_map_is_sparse_with_at_most_four_weights_per_row(self):
+        vrm = build_ipm_sampling_map(canonical_rig(), fv_shape=(72, 128), scale=8, bev_shape=(200, 40))
+        assert sparse.issparse(vrm.matrix) and vrm.matrix.format == "csr"
+        assert np.diff(vrm.matrix.indptr).max() <= 4
+        assert vrm.matrix.nnz > 0
 
 
 class TestApplyVrm:
@@ -152,6 +159,16 @@ class TestApplyPyramid:
         lhs = run(2.0 * a32 + 3.0 * b32, 2.0 * a64 + 3.0 * b64)
         rhs = 2.0 * run(a32, a64) + 3.0 * run(b32, b64)
         assert np.abs(lhs - rhs).max() < 1e-10
+
+    def test_sparse_ipm_and_dense_fitted_maps_match_all_dense(self, rng):
+        spec = PyramidSpec(scales=(32, 64), bev_shape=(50, 10))
+        ipm = build_ipm_sampling_map(canonical_rig(), fv_shape=(18, 32), scale=32, bev_shape=(50, 10))
+        fitted = self._map(rng, 500, 9 * 16, (9, 16), (50, 10))
+        features = {32: FeatureTensor(rng.random((18, 32, 3)), scale=32), 64: FeatureTensor(rng.random((9, 16, 3)), scale=64)}
+        dense_ipm = ViewRelationMap(matrix=ipm.matrix.toarray(), fv_shape=ipm.fv_shape, bev_shape=ipm.bev_shape)
+        mixed = apply_pyramid({32: ipm, 64: fitted}, features, spec).data
+        dense = apply_pyramid({32: dense_ipm, 64: fitted}, features, spec).data
+        assert np.abs(mixed - dense).max() < 1e-12
 
     def test_missing_scale(self, rng):
         m32 = self._map(rng, 6, 12, (3, 4), (2, 3))
