@@ -138,18 +138,21 @@ class Homography:
         return q[:, :2] / q[:, 2:3]
 
 
+def _ground_to_image(rig: CameraRig, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Homogeneous pixels (N, 3) and camera-frame depths (N,) of the
+    road-frame ground points (x, y, 0)."""
+    p_road = np.column_stack([x, y, np.zeros_like(x)])
+    p_cam = p_road @ rig.extrinsics.rotation.T + rig.extrinsics.translation
+    return p_cam @ rig.intrinsics.matrix.T, p_cam[:, 2]
+
+
 def project_ground_point(rig: CameraRig, x: float, y: float) -> tuple[float, float]:
     """Project road-frame ground point (x, y, 0) to pixel coordinates.
 
     Raises DegenerateDepth if the point's camera-frame depth is <= 1e-9.
     The result may lie outside the image bounds; callers decide what to do.
     """
-    p_cam = rig.extrinsics.rotation @ np.array([x, y, 0.0]) + rig.extrinsics.translation
-    depth = p_cam[2]
-    if depth <= _MIN_DEPTH:
-        raise DegenerateDepth(f"ground point ({x}, {y}) has depth {depth:.3g}")
-    uvw = rig.intrinsics.matrix @ p_cam
-    return uvw[0] / uvw[2], uvw[1] / uvw[2]
+    return tuple(project_ground_points(rig, [(x, y)])[0])
 
 
 def project_ground_points(rig: CameraRig, points_xy: np.ndarray) -> np.ndarray:
@@ -158,13 +161,10 @@ def project_ground_points(rig: CameraRig, points_xy: np.ndarray) -> np.ndarray:
     Same contract as project_ground_point, raised on the first bad depth.
     """
     pts = np.atleast_2d(np.asarray(points_xy, dtype=float))
-    p_road = np.column_stack([pts, np.zeros(len(pts))])
-    p_cam = p_road @ rig.extrinsics.rotation.T + rig.extrinsics.translation
-    depths = p_cam[:, 2]
+    uvw, depths = _ground_to_image(rig, pts[:, 0], pts[:, 1])
     if np.any(depths <= _MIN_DEPTH):
         bad = pts[int(np.argmin(depths))]
         raise DegenerateDepth(f"ground point ({bad[0]}, {bad[1]}) has depth {depths.min():.3g}")
-    uvw = p_cam @ rig.intrinsics.matrix.T
     return uvw[:, :2] / uvw[:, 2:3]
 
 

@@ -9,6 +9,7 @@ schema with --schema.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,6 +28,8 @@ from .synth import SceneParams, generate_scene
 from .view_transform import FeatureTensor, fit_vrm_least_squares
 
 DATA_DIR_ENV = "LANEBEV_DATA_DIR"
+
+_GRID_JSON = "grid JSON: {x_min,x_max,y_min,y_max,cell}"
 
 _SCHEMAS = {
     "homography": {
@@ -47,7 +50,7 @@ _SCHEMAS = {
     "encode": {
         "inputs": {
             "--scene": "scene JSON: {camera:{...}, lanes:[{id,points:[[x,y,z],...]}], scene_tag}",
-            "--spec": "grid JSON: {x_min,x_max,y_min,y_max,cell}",
+            "--spec": _GRID_JSON,
         },
         "outputs": {
             "--out-dir": "confidence.bldt, offset.bldt, height.bldt, instance.bldt (s1 x s2 tensors)",
@@ -57,7 +60,7 @@ _SCHEMAS = {
     "decode": {
         "inputs": {
             "--pred": "stacked prediction tensor (s1, s2, 3+D): [confidence, embedding..., offset, height]",
-            "--spec": "grid JSON",
+            "--spec": _GRID_JSON,
             "--params": "decode JSON: {s_threshold,d_gap,min_points,fit_degree}",
         },
         "outputs": {
@@ -93,12 +96,13 @@ _SCHEMAS = {
         "outputs": {"stdout": "per-loss max relative error vs finite differences; exit 1 if any >= 1e-5"},
     },
     "plot": {
-        "inputs": {"--lanes": "lanes JSON", "--spec": "grid JSON for the axes box"},
+        "inputs": {"--lanes": "lanes JSON", "--spec": _GRID_JSON},
         "outputs": {"--out": "static SVG, one polyline per lane in BEV axes"},
     },
     "pipeline": {
         "inputs": {
-            "--seed/--n-lanes/--curvature/--hill/--jitter-deg/--jitter-m/--embed-dim": "scene and oracle parameters"
+            "--seed/--n-lanes/--curvature/--hill/--jitter-deg/--jitter-m/--embed-dim": "scene and oracle parameters",
+            "--spec": _GRID_JSON,
         },
         "outputs": {"--out or stdout": "eval report JSON of the synth -> encode -> ideal -> decode -> eval roundtrip"},
     },
@@ -129,10 +133,11 @@ def _resolve(path: str) -> Path:
     return p
 
 
-def _load_spec(args) -> GridSpec:
-    if getattr(args, "spec", None):
-        return data_io.load_gridspec(_resolve(args.spec))
-    return GridSpec()
+def _load_config(cls, path: str | None):
+    """`cls()` when no path is given, else the config JSON file read by data_io.from_dict."""
+    if not path:
+        return cls()
+    return data_io.from_dict(cls, json.loads(_resolve(path).read_text()))
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -201,7 +206,7 @@ def _cmd_encode(args, parser) -> int:
     if not _need(args, "scene", "out_dir"):
         return _fail_usage(parser, "encode requires --scene and --out-dir")
     scene = data_io.load_scene(_resolve(args.scene))
-    spec = _load_spec(args)
+    spec = _load_config(GridSpec, args.spec)
     gt = encode_lanes(scene.lanes, spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,10 +225,8 @@ def _cmd_decode(args, parser) -> int:
         return _fail_usage(parser, "decode requires --pred and --out")
     stack = data_io.read_tensor(_resolve(args.pred)).astype(float)
     pred = _unstack_prediction(stack)
-    spec = _load_spec(args)
-    params = DecodeParams()
-    if args.params:
-        params = data_io.decode_params_from_dict(json.loads(Path(_resolve(args.params)).read_text()))
+    spec = _load_config(GridSpec, args.spec)
+    params = _load_config(DecodeParams, args.params)
     instances = decode_grid(pred, spec, params)
     fits = fit_lanes(instances, params)
     lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
@@ -249,36 +252,20 @@ def _load_lane_frames(pred_path: Path, gt_path: Path):
 def _cmd_eval(args, parser) -> int:
     if not _need(args, "pred", "gt"):
         return _fail_usage(parser, "eval requires --pred and --gt")
-    cfg = EvalConfig()
-    if args.config:
-        cfg = data_io.eval_config_from_dict(json.loads(Path(_resolve(args.config)).read_text()))
+    cfg = _load_config(EvalConfig, args.config)
     frames = _load_lane_frames(_resolve(args.pred), _resolve(args.gt))
     result = evaluate_frames(frames, cfg)
     _emit(result.to_dict(), args.report)
     return 0
 
 
-def _scene_params_from_dict(data: dict) -> SceneParams:
-    return SceneParams(
-        n_lanes=data.get("n_lanes", 4),
-        lane_spacing=data.get("lane_spacing", 3.5),
-        curvature=tuple(data.get("curvature", (0.0, 0.0))),
-        hill_amplitude=data.get("hill_amplitude", 0.0),
-        hill_wavelength=data.get("hill_wavelength", 60.0),
-        camera_jitter=tuple(data.get("camera_jitter", (0.0, 0.0))),
-        seed=data.get("seed", 0),
-    )
-
-
 def _cmd_synth(args, parser) -> int:
     if not _need(args, "out"):
         return _fail_usage(parser, "synth requires --out")
-    data = {}
-    if args.params:
-        data = json.loads(Path(_resolve(args.params)).read_text())
+    params = _load_config(SceneParams, args.params)
     if args.seed is not None:
-        data["seed"] = args.seed
-    scene = generate_scene(_scene_params_from_dict(data))
+        params = dataclasses.replace(params, seed=args.seed)
+    scene = generate_scene(params)
     data_io.save_scene(scene, args.out)
     return 0
 
@@ -348,7 +335,7 @@ def _cmd_plot(args, parser) -> int:
     if not _need(args, "lanes", "out"):
         return _fail_usage(parser, "plot requires --lanes and --out")
     lanes = data_io.load_lanes(_resolve(args.lanes))
-    Path(args.out).write_text(_svg_plot(lanes, _load_spec(args)))
+    Path(args.out).write_text(_svg_plot(lanes, _load_config(GridSpec, args.spec)))
     return 0
 
 
@@ -363,7 +350,7 @@ def _cmd_pipeline(args, parser) -> int:
         seed=args.seed,
     )
     scene = generate_scene(params)
-    spec = _load_spec(args)
+    spec = _load_config(GridSpec, args.spec)
     gt = encode_lanes(scene.lanes, spec)
     ideal = ideal_prediction(gt, spec, embed_dim=args.embed_dim)
     instances = decode_grid(ideal, spec, DecodeParams())
@@ -458,10 +445,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.handler(args, args.subparser)
-    except LaneBevError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (LaneBevError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
 

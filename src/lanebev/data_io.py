@@ -8,17 +8,22 @@ Binary tensor layout (extension .bldt), all multi-byte integers little-endian:
     next 4*ndim dims, uint32 each
     payload     float32 little-endian, row-major, 4 * prod(dims) bytes
 
-JSON schemas for cameras, grids, lanes, scenes and homographies live here
-so every CLI subcommand shares one source of truth.  OpenLane-style frame
-annotations are parsed into road-frame scene records; the frame's 4x4
-extrinsic maps camera coordinates to the road frame and lane points are
-stored camera-frame as 3xN arrays, matching the public per-frame layout.
+JSON schemas for cameras, lanes, scenes and homographies live here so
+every CLI subcommand shares one source of truth; the config files (grid,
+decode, eval and scene parameters) are read by `from_dict`, whose keys and
+defaults are the dataclass fields.  OpenLane-style frame annotations are
+parsed into road-frame scene records; the frame's 4x4 extrinsic maps
+camera coordinates to the road frame and lane points are stored
+camera-frame as 3xN arrays, matching the public per-frame layout.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +31,15 @@ import numpy as np
 from .camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics
 from .errors import (
     BadMagic,
+    ConfigError,
     MalformedJson,
     MissingField,
     NonOrthonormalRotation,
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .lane_grid import GridSpec, Lane3D
-from .metrics import EvalConfig
-from .postproc import DecodeParams, FittedLane
+from .lane_grid import Lane3D
+from .postproc import FittedLane
 from .synth import SceneRecord
 
 MAGIC = b"BLDT"
@@ -71,14 +76,14 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if len(blob) < header_end:
         raise TruncatedPayload(f"{path}: dims cut short")
     dims = struct.unpack_from(f"<{ndim}I", blob, 7)
-    expected = 4 * int(np.prod(dims))
+    expected = 4 * math.prod(dims)
     payload = blob[header_end:]
     if len(payload) != expected:
         raise TruncatedPayload(f"{path}: payload {len(payload)} bytes, expected {expected}")
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
-# --- camera / grid / homography JSON ---
+# --- camera / homography JSON ---
 
 def rig_to_dict(rig: CameraRig) -> dict:
     return {
@@ -120,20 +125,6 @@ def save_rig(rig: CameraRig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(rig_to_dict(rig), indent=2) + "\n")
 
 
-def gridspec_from_dict(data: dict) -> GridSpec:
-    return GridSpec(
-        x_min=data.get("x_min", 3.0),
-        x_max=data.get("x_max", 103.0),
-        y_min=data.get("y_min", -10.0),
-        y_max=data.get("y_max", 10.0),
-        cell=data.get("cell", 0.5),
-    )
-
-
-def load_gridspec(path: str | Path) -> GridSpec:
-    return gridspec_from_dict(json.loads(Path(path).read_text()))
-
-
 def save_homography(h: Homography, path: str | Path) -> None:
     Path(path).write_text(json.dumps({"matrix": h.matrix.tolist()}, indent=2) + "\n")
 
@@ -142,22 +133,40 @@ def load_homography(path: str | Path) -> Homography:
     return Homography(np.asarray(json.loads(Path(path).read_text())["matrix"], dtype=float))
 
 
-def decode_params_from_dict(data: dict) -> DecodeParams:
-    return DecodeParams(
-        s_threshold=data.get("s_threshold", 0.5),
-        d_gap=data.get("d_gap", 1.5),
-        min_points=data.get("min_points", 4),
-        fit_degree=data.get("fit_degree", 3),
-    )
+# --- config dataclasses (GridSpec, DecodeParams, EvalConfig, SceneParams) ---
+
+def _finite_number(value) -> bool:
+    """True for an int or float (not bool) within the float range; NaN and inf fail."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
-def eval_config_from_dict(data: dict) -> EvalConfig:
-    return EvalConfig(
-        sample_xs=tuple(data.get("sample_xs", tuple(float(x) for x in range(3, 103, 5)))),
-        match_threshold=data.get("match_threshold", 1.5),
-        match_ratio=data.get("match_ratio", 0.75),
-        near_limit=data.get("near_limit", 40.0),
-    )
+def from_dict(cls, data):
+    """Build the config dataclass `cls` from a parsed JSON object, strictly.
+
+    The keys are the field names of `cls`; a missing key takes the field's
+    default.  Where the default is a number the value must be a finite int
+    or float (not bool); where it is a tuple, a list (or tuple) of finite
+    numbers, which becomes a tuple.  Other values pass through.  The class's
+    own checks run in `cls(**kwargs)`.  Raises ConfigError naming the class
+    and the key.
+    """
+    name = cls.__name__
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {type(data).__name__}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in defaults:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+        default = defaults[key]
+        if isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)) or not all(map(_finite_number, value)):
+                raise ConfigError(f"{name}.{key}: expected a list of finite numbers, got {value!r}")
+            value = tuple(value)
+        elif _finite_number(default) and not _finite_number(value):
+            raise ConfigError(f"{name}.{key}: expected a finite number, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 # --- lanes JSON ---

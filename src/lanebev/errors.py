@@ -87,3 +87,9 @@ class MissingField(FrameParseError):
 
 class NonOrthonormalRotation(FrameParseError):
     """Frame extrinsic rotation fails the orthonormality check."""
+
+
+# --- configuration files ---
+
+class ConfigError(LaneBevError):
+    """A config file is not a JSON object, or has an unknown key or a value of the wrong type."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManyInstances
+from .errors import NonFiniteInput, TooManyInstances
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class GridSpec:
             if span <= 0:
                 raise ValueError(f"{name} extent is empty: [{lo}, {hi}]")
             n = span / self.cell
-            if abs(n - round(n)) > 1e-9:
+            if not np.isfinite(n) or abs(n - round(n)) > 1e-9:
                 raise ValueError(f"{name} extent {span} is not an integer multiple of cell {self.cell}")
 
     @property
@@ -59,7 +59,10 @@ class GridSpec:
 
 @dataclass
 class Lane3D:
-    """Polyline of (x, y, z) road-frame points, sorted and deduplicated on x."""
+    """Polyline of finite (x, y, z) road-frame points, sorted and deduplicated on x.
+
+    Raises NonFiniteInput on a NaN or infinite coordinate.
+    """
 
     points: np.ndarray
     id: int = 0
@@ -68,6 +71,8 @@ class Lane3D:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be (N, 3), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise NonFiniteInput("points hold NaN or infinite values")
         order = np.argsort(pts[:, 0], kind="stable")
         pts = pts[order]
         keep = np.ones(len(pts), dtype=bool)
@@ -96,6 +101,8 @@ class GridTensors:
 
     `instance` (int, 0 = background) is present on the encoding side;
     `embedding` (s1 x s2 x D) on the prediction side.  Either may be None.
+    Raises NonFiniteInput, naming the tensor, when confidence, offset or
+    height holds NaN or infinity; decode_grid checks the embedding.
     """
 
     confidence: np.ndarray
@@ -112,6 +119,9 @@ class GridTensors:
             raise ValueError(f"confidence must be 2-D, got {conf.shape}")
         if off.shape != conf.shape or hgt.shape != conf.shape:
             raise ValueError("confidence, offset and height must share one shape")
+        for name, arr in (("confidence", conf), ("offset", off), ("height", hgt)):
+            if not np.isfinite(arr).all():
+                raise NonFiniteInput(f"{name} holds NaN or infinite values")
         if conf.min() < 0.0 or conf.max() > 1.0:
             raise ValueError("confidence values must lie in [0, 1]")
         if self.instance is not None:

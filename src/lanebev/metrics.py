@@ -15,7 +15,7 @@ frames before ratios are formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -79,18 +79,7 @@ class EvalResult:
     n_gt: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "f_score": self.f_score,
-            "precision": self.precision,
-            "recall": self.recall,
-            "x_err_near": self.x_err_near,
-            "x_err_far": self.x_err_far,
-            "z_err_near": self.z_err_near,
-            "z_err_far": self.z_err_far,
-            "tp": self.tp,
-            "n_pred": self.n_pred,
-            "n_gt": self.n_gt,
-        }
+        return asdict(self)
 
 
 def resample_lane(lane: Lane3D, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -207,9 +196,7 @@ class _ErrorSums:
 
 def evaluate(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Single-frame evaluation; see module docstring for the protocol."""
-    sums = _ErrorSums()
-    sums.add_matching(match_lanes(preds, gts, cfg), cfg)
-    return sums.result()
+    return evaluate_frames([(preds, gts)], cfg)
 
 
 def evaluate_frames(

@@ -44,6 +44,9 @@ class SceneParams:
             raise ValueError(f"lane_spacing must be positive, got {self.lane_spacing}")
         if self.hill_wavelength <= 0:
             raise ValueError(f"hill_wavelength must be positive, got {self.hill_wavelength}")
+        for name in ("curvature", "camera_jitter"):
+            if np.shape(getattr(self, name)) != (2,):
+                raise ValueError(f"{name} must be a pair, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .camera_geometry import CameraRig, bilinear_operator
+from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
 from .errors import InsufficientRank, ShapeMismatch
 from .lane_grid import GridSpec
-
-_MIN_DEPTH = 1e-9
 
 
 @dataclass
@@ -102,12 +100,8 @@ def build_ipm_sampling_map(
     gx = bev_spec.x_min + (rr.reshape(-1) + 0.5) * cell_x
     gy = bev_spec.y_min + (cc.reshape(-1) + 0.5) * cell_y
 
-    rig_r = virtual_rig.extrinsics.rotation
-    rig_t = virtual_rig.extrinsics.translation
-    p_cam = np.column_stack([gx, gy, np.zeros_like(gx)]) @ rig_r.T + rig_t
-    depth = p_cam[:, 2]
+    uvw, depth = _ground_to_image(virtual_rig, gx, gy)
     front = depth > _MIN_DEPTH
-    uvw = p_cam @ virtual_rig.intrinsics.matrix.T
     with np.errstate(divide="ignore", invalid="ignore"):
         uf = uvw[:, 0] / uvw[:, 2] / scale
         vf = uvw[:, 1] / uvw[:, 2] / scale

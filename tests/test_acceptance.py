@@ -198,7 +198,7 @@ def test_criterion_6_decode_speed_and_determinism():
     pred = ideal_prediction(gt, spec, embed_dim=8)
     params = DecodeParams()
 
-    decode_grid(pred, spec, params)  # warmup (JIT compile + caches)
+    decode_grid(pred, spec, params)  # warmup, not timed
     times = []
     for _ in range(100):
         t0 = time.perf_counter()

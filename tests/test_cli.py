@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from lanebev import data_io
 from lanebev.cli import main
+from lanebev.lane_grid import GridSpec
+from lanebev.metrics import EvalConfig
+from lanebev.postproc import DecodeParams
 from lanebev.synth import SceneParams, canonical_rig, checkerboard, generate_scene, jittered_rig, render_ground_pattern
 
 
@@ -55,6 +60,41 @@ class TestUsageErrors:
         assert "error" in payload and "message" in payload
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize(
+        "command, flag, config, named",
+        [
+            ("decode", "--params", {"dgap": 0.1}, "dgap"),
+            ("pipeline", "--spec", {"cel": 1.0}, "cel"),
+            ("eval", "--config", {"match_treshold": 0.1}, "match_treshold"),
+            ("synth", "--params", {"nlanes": 6}, "nlanes"),
+            ("decode", "--params", {"min_points": "4"}, "min_points"),
+            ("decode", "--params", {"d_gap": None}, "d_gap"),
+            ("pipeline", "--spec", {"cell": "0.5"}, "cell"),
+            ("eval", "--config", {"sample_xs": 5}, "sample_xs"),
+            ("synth", "--params", {"curvature": 0.001}, "curvature"),
+            ("synth", "--params", [1, 2], "SceneParams"),
+        ],
+    )
+    def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, named):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        pred, gt = tmp_path / "pred.bldt", tmp_path / "gt.json"
+        data_io.write_tensor(np.zeros((200, 40, 4), dtype=np.float32), pred)
+        data_io.save_lanes(generate_scene(SceneParams(n_lanes=2, seed=1)).lanes, gt)
+        inputs = {
+            "decode": ["--pred", str(pred), "--out", str(tmp_path / "lanes.json")],
+            "eval": ["--pred", str(gt), "--gt", str(gt)],
+            "synth": ["--out", str(tmp_path / "scene.json")],
+            "pipeline": [],
+        }[command]
+        code, out, err = run(capsys, command, *inputs, flag, str(config_path))
+        assert code == 1
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert named in payload["message"]
+
 
 class TestSchemas:
     @pytest.mark.parametrize(
@@ -66,6 +106,25 @@ class TestSchemas:
         assert code == 0
         schema = json.loads(out)
         assert "inputs" in schema and "outputs" in schema
+
+    @pytest.mark.parametrize(
+        "command, flag, cls",
+        [
+            ("encode", "--spec", GridSpec),
+            ("decode", "--spec", GridSpec),
+            ("plot", "--spec", GridSpec),
+            ("pipeline", "--spec", GridSpec),
+            ("decode", "--params", DecodeParams),
+            ("eval", "--config", EvalConfig),
+            ("synth", "--params", SceneParams),
+        ],
+    )
+    def test_config_schema_names_every_field(self, capsys, command, flag, cls):
+        code, out, _ = run(capsys, command, "--schema")
+        assert code == 0
+        text = json.loads(out)["inputs"][flag]
+        missing = [f.name for f in dataclasses.fields(cls) if not re.search(rf"\b{f.name}\b", text)]
+        assert missing == []
 
 
 class TestFileWorkflow:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 from lanebev import data_io
 from lanebev.errors import (
     BadMagic,
+    ConfigError,
+    LaneBevError,
     MalformedJson,
     MissingField,
     NonOrthonormalRotation,
     TruncatedPayload,
     UnsupportedVersion,
 )
-from lanebev.lane_grid import Lane3D
+from lanebev.lane_grid import GridSpec, Lane3D
+from lanebev.metrics import EvalConfig
 from lanebev.postproc import DecodeParams, LaneInstance, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, generate_scene
 
@@ -90,6 +94,79 @@ class TestTensorFormat:
         path.write_bytes(b"BLDT" + struct.pack("<H", 1) + b"\x05")
         with pytest.raises(TruncatedPayload):
             data_io.read_tensor(path)
+
+    def test_dims_whose_product_wraps_int64(self, tmp_path):
+        # 65536**4 = 2**64 wraps to 0 in int64 and would match an empty payload
+        path = tmp_path / "x.bldt"
+        path.write_bytes(b"BLDT" + struct.pack("<H", 1) + b"\x04" + struct.pack("<4I", *[65536] * 4))
+        with pytest.raises(TruncatedPayload):
+            data_io.read_tensor(path)
+
+
+CONFIG_CLASSES = [GridSpec, DecodeParams, EvalConfig, SceneParams]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestConfigFromDict:
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES)
+    def test_defaults_come_from_the_dataclass(self, cls):
+        assert data_io.from_dict(cls, {}) == cls()
+        assert data_io.from_dict(cls, dataclasses.asdict(cls())) == cls()
+        assert data_io.from_dict(cls, json.loads(json.dumps(dataclasses.asdict(cls())))) == cls()
+
+    def test_values_override_defaults(self):
+        cfg = data_io.from_dict(EvalConfig, {"sample_xs": [5, 10.5], "near_limit": 20})
+        assert cfg == EvalConfig(sample_xs=(5.0, 10.5), near_limit=20)
+        assert data_io.from_dict(SceneParams, {"curvature": [-1e-4, 1e-4]}).curvature == (-1e-4, 1e-4)
+
+    @pytest.mark.parametrize(
+        "cls, data, key",
+        [
+            (DecodeParams, {"dgap": 0.1}, "dgap"),
+            (GridSpec, {"cel": 1.0}, "cel"),
+            (EvalConfig, {"match_treshold": 0.1}, "match_treshold"),
+            (SceneParams, {"nlanes": 6}, "nlanes"),
+            (DecodeParams, {"min_points": "4"}, "min_points"),
+            (DecodeParams, {"d_gap": None}, "d_gap"),
+            (DecodeParams, {"d_gap": float("nan")}, "d_gap"),
+            (GridSpec, {"cell": "0.5"}, "cell"),
+            (GridSpec, {"x_max": float("inf")}, "x_max"),
+            (EvalConfig, {"sample_xs": 5}, "sample_xs"),
+            (EvalConfig, {"sample_xs": [3.0, None]}, "sample_xs"),
+            (SceneParams, {"curvature": 0.001}, "curvature"),
+            (SceneParams, {"seed": True}, "seed"),
+            (SceneParams, {"seed": 10**400}, "seed"),
+        ],
+    )
+    def test_unknown_key_or_wrong_type_names_the_key(self, cls, data, key):
+        with pytest.raises(ConfigError, match=f"{cls.__name__}.*{key}"):
+            data_io.from_dict(cls, data)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="SceneParams"):
+            data_io.from_dict(SceneParams, [1, 2])
+
+    def test_dataclass_checks_still_run(self):
+        with pytest.raises(ValueError, match="camera_jitter"):
+            data_io.from_dict(SceneParams, {"camera_jitter": [1.0]})
+        with pytest.raises(ValueError, match="s_threshold"):
+            data_io.from_dict(DecodeParams, {"s_threshold": 1.5})
+
+    @given(cls=st.sampled_from(CONFIG_CLASSES), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_raises_only_domain_errors(self, cls, data):
+        keys = st.sampled_from([f.name for f in dataclasses.fields(cls)]) | st.text(max_size=4)
+        value = data.draw(JSON_VALUES | st.dictionaries(keys, JSON_VALUES, max_size=4))
+        try:
+            cfg = data_io.from_dict(cls, value)
+        except (LaneBevError, ValueError):
+            return
+        assert isinstance(cfg, cls)
 
 
 class TestCameraJson:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanebev.errors import TooManyInstances
+from lanebev.errors import NonFiniteInput, TooManyInstances
 from lanebev.lane_grid import (
     GridSpec,
     GridTensors,
@@ -28,6 +28,8 @@ class TestGridSpec:
     def test_non_multiple_extent_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(x_min=0.0, x_max=10.3, cell=0.5)
+        with pytest.raises(ValueError):  # the extent overflows to inf cells
+            GridSpec(x_min=-1e308, x_max=1e308)
 
     def test_bad_cell_rejected(self):
         with pytest.raises(ValueError):
@@ -43,6 +45,11 @@ class TestLane3D:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             Lane3D(points=np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (4.0, np.nan, 0.0), (4.0, 0.0, np.inf)])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(NonFiniteInput, match="points"):
+            Lane3D(points=np.array([[3.0, 0.0, 0.0], bad, [5.0, 0.0, 0.0]]))
 
 
 class TestEncodeLanes:
@@ -208,6 +215,13 @@ class TestGridTensors:
                 height=np.zeros((2, 2)),
                 instance=inst,
             )
+
+    @pytest.mark.parametrize("field, value", [("confidence", np.nan), ("offset", np.inf), ("height", -np.inf)])
+    def test_non_finite_channel_rejected(self, field, value):
+        channels = {name: np.zeros((2, 2)) for name in ("confidence", "offset", "height")}
+        channels[field][1, 0] = value
+        with pytest.raises(NonFiniteInput, match=field):
+            GridTensors(**channels)
 
     def test_shape_consistency_validated(self):
         with pytest.raises(ValueError):

@@ -80,6 +80,11 @@ class TestGenerateScene:
             SceneParams(n_lanes=-1)
         with pytest.raises(ValueError):
             SceneParams(hill_wavelength=0.0)
+        for not_a_pair in (0.001, (0.001,), (0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="curvature"):
+                SceneParams(curvature=not_a_pair)
+            with pytest.raises(ValueError, match="camera_jitter"):
+                SceneParams(camera_jitter=not_a_pair)
 
 
 def downscaled(rig, factor):
