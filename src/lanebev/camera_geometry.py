@@ -35,6 +35,7 @@ from .errors import (
     DegenerateDepth,
     EmptyInput,
     MixedImageSizes,
+    NonFiniteInput,
     SingularHomography,
 )
 
@@ -56,6 +57,9 @@ class Intrinsics:
     skew: float = 0.0
 
     def __post_init__(self):
+        for name, v in self.__dict__.items():
+            if not np.isfinite(v):
+                raise NonFiniteInput(f"{name} must be finite, got {v}")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
@@ -82,6 +86,9 @@ class Extrinsics:
         t = np.asarray(self.translation, dtype=float).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
+        for name, v in (("rotation", r), ("translation", t)):
+            if not np.isfinite(v).all():
+                raise NonFiniteInput(f"{name} holds NaN or infinite values")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
@@ -120,6 +127,8 @@ class Homography:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"homography must be 3x3, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonFiniteInput("homography matrix holds NaN or infinite values")
         if abs(m[2, 2]) < 1e-12:
             raise SingularHomography("matrix[2][2] is zero; cannot normalize")
         m = m / m[2, 2]

@@ -34,6 +34,7 @@ from .errors import (
     ConfigError,
     MalformedJson,
     MissingField,
+    NonFiniteInput,
     NonOrthonormalRotation,
     TruncatedPayload,
     UnsupportedVersion,
@@ -144,11 +145,12 @@ def from_dict(cls, data):
     """Build the config dataclass `cls` from a parsed JSON object, strictly.
 
     The keys are the field names of `cls`; a missing key takes the field's
-    default.  Where the default is a number the value must be a finite int
-    or float (not bool); where it is a tuple, a list (or tuple) of finite
-    numbers, which becomes a tuple.  Other values pass through.  The class's
-    own checks run in `cls(**kwargs)`.  Raises ConfigError naming the class
-    and the key.
+    default.  Where the default is a float the value must be a finite int
+    or float, and where it is an int, an int within the float range (bool
+    is refused for both); where it is a tuple, a list (or tuple) of finite
+    numbers, which becomes a tuple.  Other values pass through.  The
+    class's own checks run in `cls(**kwargs)`.  Raises ConfigError naming
+    the class and the key.
     """
     name = cls.__name__
     if not isinstance(data, dict):
@@ -165,6 +167,8 @@ def from_dict(cls, data):
             value = tuple(value)
         elif _finite_number(default) and not _finite_number(value):
             raise ConfigError(f"{name}.{key}: expected a finite number, got {value!r}")
+        elif type(default) is int and isinstance(value, float):
+            raise ConfigError(f"{name}.{key}: expected an integer, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -228,26 +232,41 @@ def save_scene(scene: SceneRecord, path: str | Path) -> None:
 
 # --- OpenLane-style frames ---
 
+def _float_array(value, name: str) -> np.ndarray:
+    """`value` as a finite float array; raises MissingField or NonFiniteInput naming `name`."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MissingField(f"{name} is not numeric: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} holds NaN or infinite values")
+    return arr
+
+
 def parse_openlane_frame(json_text: str) -> SceneRecord:
     """Parse one OpenLane-layout frame annotation into a road-frame scene.
 
     Required fields: "intrinsic" (3x3), "extrinsic" (4x4, camera to road),
     "lane_lines" (list of {"xyz": 3xN camera-frame points, optional
-    "visibility", "category"}).  Points keep their full extent; clipping to
-    the grid is the encoder's job.  Visibility flags are preserved on the
-    parse result but not interpreted here.
+    "visibility", "category"}); optional "image_size" (two positive ints).
+    Points keep their full extent; clipping to the grid is the encoder's
+    job.  Visibility flags are preserved on the parse result but not
+    interpreted here.  Every bad input raises a LaneBevError naming the
+    field; a lane needs 2 points with distinct x.
     """
     try:
         data = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise MalformedJson(str(exc)) from exc
+    if not isinstance(data, dict):
+        raise MissingField(f"frame must be a JSON object, got {type(data).__name__}")
 
     for key in ("intrinsic", "extrinsic", "lane_lines"):
         if key not in data:
             raise MissingField(f"frame is missing '{key}'")
 
-    intrinsic = np.asarray(data["intrinsic"], dtype=float)
-    extrinsic = np.asarray(data["extrinsic"], dtype=float)
+    intrinsic = _float_array(data["intrinsic"], "intrinsic")
+    extrinsic = _float_array(data["extrinsic"], "extrinsic")
     if intrinsic.shape != (3, 3):
         raise MissingField(f"intrinsic must be 3x3, got {intrinsic.shape}")
     if abs(np.linalg.det(intrinsic)) < 1e-12:
@@ -257,31 +276,35 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     rot_c2r = extrinsic[:3, :3]
     if np.max(np.abs(rot_c2r.T @ rot_c2r - np.eye(3))) > 1e-6:
         raise NonOrthonormalRotation("extrinsic rotation fails orthonormality within 1e-6")
+    size = data.get("image_size", [1024, 576])
+    if not (isinstance(size, list) and len(size) == 2 and all(type(v) is int and v > 0 for v in size)):
+        raise MissingField(f"image_size must be two positive integers, got {size!r}")
+    if not isinstance(data["lane_lines"], list):
+        raise MissingField(f"lane_lines must be a list, got {type(data['lane_lines']).__name__}")
 
     # road->camera rig from the camera->road extrinsic
     rotation = rot_c2r.T
     translation = -rotation @ extrinsic[:3, 3]
-    rig = CameraRig(
-        intrinsics=Intrinsics(
-            fx=intrinsic[0, 0],
-            fy=intrinsic[1, 1],
-            cx=intrinsic[0, 2],
-            cy=intrinsic[1, 2],
-            skew=intrinsic[0, 1],
-        ),
-        extrinsics=Extrinsics(rotation=rotation, translation=translation),
-        image_size=tuple(data.get("image_size", (1024, 576))),
-    )
+    try:
+        intrinsics = Intrinsics(
+            fx=intrinsic[0, 0], fy=intrinsic[1, 1], cx=intrinsic[0, 2], cy=intrinsic[1, 2], skew=intrinsic[0, 1]
+        )
+        rig = CameraRig(intrinsics, Extrinsics(rotation=rotation, translation=translation), tuple(size))
+    except ValueError as exc:  # a focal length <= 0, or a rotation off by more than 1e-9 or with det -1
+        raise MissingField(f"intrinsic or extrinsic: {exc}") from exc
 
     lanes = []
     for i, entry in enumerate(data["lane_lines"]):
-        if "xyz" not in entry:
-            raise MissingField(f"lane_lines[{i}] is missing 'xyz'")
-        xyz = np.asarray(entry["xyz"], dtype=float)
+        if not isinstance(entry, dict) or "xyz" not in entry:
+            raise MissingField(f"lane_lines[{i}] must be an object with 'xyz'")
+        xyz = _float_array(entry["xyz"], f"lane_lines[{i}].xyz")
         if xyz.ndim != 2 or xyz.shape[0] != 3:
             raise MissingField(f"lane_lines[{i}].xyz must be 3xN, got {xyz.shape}")
         p_road = (extrinsic[:3, :3] @ xyz + extrinsic[:3, 3:4]).T
-        lanes.append(Lane3D(points=p_road, id=i + 1))
+        try:
+            lanes.append(Lane3D(points=p_road, id=i + 1))
+        except ValueError as exc:  # fewer than 2 distinct x
+            raise MissingField(f"lane_lines[{i}]: {exc}") from exc
     return SceneRecord(rig=rig, lanes=lanes, scene_tag=str(data.get("file_path", "")))
 
 

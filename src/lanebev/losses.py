@@ -10,17 +10,19 @@ The 3D head losses over the s1 x s2 grid:
 
 plus the front-view auxiliaries: pixelwise segmentation BCE and the same
 discriminative loss on 2D embeddings.  Offset and height only count cells
-with a positive ground-truth confidence.  All reductions are plain sums in
-row-major order, so values are bit-stable.
+with a positive ground-truth confidence.  All reductions run in a fixed
+order, so values are bit-stable across runs.
 
 Every loss returns (value, gradient-with-respect-to-its-raw-input); the
-gradients are exact derivatives of the clamped forward computations and
-are verified against central finite differences in the test suite.
+gradients are exact derivatives of the clamped forward computations.
+`run_gradient_suite` (`lanebev losscheck`) checks them against central
+finite differences; the embedding loss and that check's hinge-kink guard
+share one cluster pass, `_cluster_geometry`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import ShapeMismatch
 from .lane_grid import GridTensors
 
 _P_CLAMP = 1e-7
+_EMBED_DIM = 4  # embedding width of the gradient self-check batches
 
 
 @dataclass
@@ -170,6 +173,33 @@ def height_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
     return value, grad
 
 
+def _sum_per_cluster(member: np.ndarray, values: np.ndarray, c_count: int) -> np.ndarray:
+    """(C, D) sums of the (F, D) rows of `values` per cluster, added in row order."""
+    d = values.shape[1]
+    bins = (member[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(bins, weights=values.ravel(), minlength=c_count * d).reshape(c_count, d)
+
+
+def _cluster_geometry(flat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Group the (N, D) embeddings `flat` by their (N,) labels (> 0) in one pass.
+
+    Returns, for C clusters and F labelled cells: the cells' (F,) flat
+    indices, their (F,) cluster indices (in increasing label order), the
+    (C,) member counts, the (F, D) offsets from each cell to its cluster
+    mean and their (F,) lengths, and the (C, C, D) differences of the means
+    (a minus b) and their (C, C) lengths.  The means are summed in cell
+    order, as `mean(axis=0)` over each cluster's members sums them.
+    """
+    cells = np.flatnonzero(labels > 0)
+    ids, member = np.unique(labels[cells], return_inverse=True)
+    e = flat[cells]
+    counts = np.bincount(member, minlength=len(ids))
+    centers = _sum_per_cluster(member, e, len(ids)) / counts[:, None]
+    offset = centers[member] - e
+    delta = centers[:, None, :] - centers[None, :, :]
+    return cells, member, counts, offset, np.sqrt((offset**2).sum(axis=1)), delta, np.sqrt((delta**2).sum(axis=2))
+
+
 def embed_loss(
     embedding: np.ndarray,
     instance: np.ndarray,
@@ -182,7 +212,8 @@ def embed_loss(
 
     C is the number of instances with label > 0; the gradient accounts for
     the dependence of each cluster mean on its members.  C <= 1 gives
-    push = 0; C = 0 gives value 0.
+    push = 0; C = 0 gives value 0.  Coincident centers (|mu_a - mu_b| = 0)
+    count in the push value but give it no gradient.
     """
     emb = np.asarray(embedding, dtype=float)
     inst = np.asarray(instance)
@@ -190,58 +221,32 @@ def embed_loss(
         raise ShapeMismatch(f"embedding {emb.shape} vs instance {inst.shape}")
 
     flat = emb.reshape(-1, emb.shape[2])
-    labels = inst.reshape(-1)
-    ids = np.unique(labels)
-    ids = ids[ids > 0]
-    c_count = len(ids)
+    cells, member, counts, offset, dist, delta, pair = _cluster_geometry(flat, inst.reshape(-1))
+    c_count = len(counts)
+    n = counts[member]
+    h = np.maximum(0.0, dist - margins.delta_v)
+    value = float((np.bincount(member, weights=h**2, minlength=c_count) / counts).sum()) / max(c_count, 1)
+    hg = np.zeros_like(offset)
+    active = h > 0
+    hg[active] = h[active, None] * (offset[active] / dist[active, None])
+    hsum = _sum_per_cluster(member, hg, c_count)
+    cell_grad = (2.0 / (c_count * n))[:, None] * (hsum[member] / n[:, None] - hg)
+
+    # C(C-1) ordered pairs; C <= 1 has none
+    norm = 1.0 / max(c_count * (c_count - 1), 1)
+    m = 2.0 * margins.delta_d - pair
+    hinged = (m > 0.0) & ~np.eye(c_count, dtype=bool)
+    value += norm * float((m[hinged] ** 2).sum())
+    moving = hinged & (pair > 0.0)
+    coef = np.zeros_like(m)
+    coef[moving] = 2.0 * m[moving] / pair[moving]
+    # d push / d mu_a = -2 sum_b (2 m_ab / |delta_ab|) delta_ab, both orders of each pair
+    gmu = -2.0 * (coef[:, :, None] * delta).sum(axis=1)
+    cell_grad += norm * gmu[member] / n[:, None]
+
     grad = np.zeros_like(flat)
-    if c_count == 0:
-        return 0.0, grad.reshape(emb.shape)
-
-    centers = np.zeros((c_count, emb.shape[2]))
-    counts = np.zeros(c_count, dtype=int)
-    value = 0.0
-    members = []
-    for ci, k in enumerate(ids):
-        idx = np.nonzero(labels == k)[0]
-        members.append(idx)
-        e = flat[idx]
-        mu = e.mean(axis=0)
-        centers[ci] = mu
-        counts[ci] = len(idx)
-
-        diff = mu - e
-        d = np.sqrt((diff**2).sum(axis=1))
-        h = np.maximum(0.0, d - margins.delta_v)
-        value += (h**2).sum() / len(idx) / c_count
-
-        active = h > 0
-        g = np.zeros_like(diff)
-        g[active] = diff[active] / d[active, None]
-        hg = h[:, None] * g
-        grad[idx] += (2.0 / (c_count * len(idx))) * (hg.sum(axis=0)[None, :] / len(idx) - hg)
-
-    if c_count >= 2:
-        norm = 1.0 / (c_count * (c_count - 1))
-        gmu = np.zeros_like(centers)
-        for a in range(c_count):
-            for b in range(c_count):
-                if a == b:
-                    continue
-                delta = centers[a] - centers[b]
-                dist = float(np.sqrt((delta**2).sum()))
-                m = 2.0 * margins.delta_d - dist
-                if m <= 0.0:
-                    continue
-                value += norm * m * m
-                if dist > 0.0:
-                    push = (2.0 * m / dist) * delta
-                    gmu[a] -= push
-                    gmu[b] += push
-        for ci in range(c_count):
-            grad[members[ci]] += norm * gmu[ci] / counts[ci]
-
-    return float(value), grad.reshape(emb.shape)
+    grad[cells] = cell_grad
+    return value, grad.reshape(emb.shape)
 
 
 def seg_loss_2d(raw_seg: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
@@ -314,38 +319,20 @@ def _random_gt(rng: np.random.Generator, shape: tuple[int, int], n_inst: int) ->
 
 
 def _hinge_kink_near(emb, inst, margins, tol=1e-4) -> bool:
-    flat = emb.reshape(-1, emb.shape[2])
-    labels = inst.reshape(-1)
-    ids = np.unique(labels)
-    ids = ids[ids > 0]
-    mus = []
-    for k in ids:
-        e = flat[labels == k]
-        mu = e.mean(axis=0)
-        mus.append(mu)
-        d = np.sqrt(((mu - e) ** 2).sum(axis=1))
-        if np.any(np.abs(d - margins.delta_v) < tol):
-            return True
-    for a in range(len(mus)):
-        for b in range(a + 1, len(mus)):
-            dist = np.sqrt(((mus[a] - mus[b]) ** 2).sum())
-            if abs(2.0 * margins.delta_d - dist) < tol:
-                return True
-    return False
+    _, _, _, _, dist, _, pair = _cluster_geometry(emb.reshape(-1, emb.shape[2]), inst.reshape(-1))
+    return bool(
+        np.any(np.abs(dist - margins.delta_v) < tol)
+        or np.any(np.abs(2.0 * margins.delta_d - pair[~np.eye(len(pair), dtype=bool)]) < tol)
+    )
 
 
-def run_gradient_suite(
-    seed: int = 0,
-    batches: int = 20,
-    shape: tuple[int, int] = (10, 8),
-    embed_dim: int = 4,
-    step: float = 1e-5,
-) -> dict[str, float]:
+def run_gradient_suite(seed: int = 0, batches: int = 20, shape: tuple[int, int] = (10, 8)) -> dict[str, float]:
     """Compare every analytic gradient against central finite differences
     on random batches; returns the max relative error per loss.
 
-    Embedding batches whose hinge arguments sit within 1e-4 of a kink are
-    resampled, since the loss is not differentiable there.
+    Each batch checks one table row per loss.  Embedding batches whose
+    hinge arguments sit within 1e-4 of a kink are resampled, since the loss
+    is not differentiable there.
     """
     rng = np.random.default_rng(seed)
     margins = EmbedMargins()
@@ -356,53 +343,24 @@ def run_gradient_suite(
         pred = PredictionBatch(
             raw_confidence=rng.normal(size=shape),
             raw_offset=rng.normal(size=shape),
-            embedding=rng.normal(size=shape + (embed_dim,)),
+            embedding=rng.normal(size=shape + (_EMBED_DIM,)),
             height=rng.normal(size=shape),
         )
-
-        _, grad = conf_loss(pred, gt)
-        fd = finite_difference_gradient(
-            lambda a: binary_cross_entropy(a, gt.confidence)[0], pred.raw_confidence, step
-        )
-        worst["conf"] = max(worst["conf"], _rel_error(grad, fd))
-
-        def off_f(a, _gt=gt):
-            p = PredictionBatch(pred.raw_confidence, a, pred.embedding, pred.height)
-            return offset_loss(p, _gt)[0]
-
-        worst["offset"] = max(
-            worst["offset"],
-            _rel_error(offset_loss(pred, gt)[1], finite_difference_gradient(off_f, pred.raw_offset, step)),
-        )
-
-        def hgt_f(a, _gt=gt):
-            p = PredictionBatch(pred.raw_confidence, pred.raw_offset, pred.embedding, a)
-            return height_loss(p, _gt)[0]
-
-        worst["height"] = max(
-            worst["height"],
-            _rel_error(height_loss(pred, gt)[1], finite_difference_gradient(hgt_f, pred.height, step)),
-        )
-
         emb = pred.embedding
         while _hinge_kink_near(emb, gt.instance, margins):
-            emb = rng.normal(size=shape + (embed_dim,))
-        worst["embed"] = max(
-            worst["embed"],
-            _rel_error(
-                embed_loss(emb, gt.instance, margins)[1],
-                finite_difference_gradient(lambda a: embed_loss(a, gt.instance, margins)[0], emb, step),
-            ),
-        )
-
+            emb = rng.normal(size=shape + (_EMBED_DIM,))
         seg_mask = (rng.random(size=shape) < 0.3).astype(float)
         raw_seg = rng.normal(size=shape)
-        worst["seg2d"] = max(
-            worst["seg2d"],
-            _rel_error(
-                seg_loss_2d(raw_seg, seg_mask)[1],
-                finite_difference_gradient(lambda a: seg_loss_2d(a, seg_mask)[0], raw_seg, step),
-            ),
+
+        table = (
+            ("conf", lambda a: binary_cross_entropy(a, gt.confidence), pred.raw_confidence),
+            ("offset", lambda a: offset_loss(replace(pred, raw_offset=a), gt), pred.raw_offset),
+            ("height", lambda a: height_loss(replace(pred, height=a), gt), pred.height),
+            ("embed", lambda a: embed_loss(a, gt.instance, margins), emb),
+            ("seg2d", lambda a: seg_loss_2d(a, seg_mask), raw_seg),
         )
+        for name, loss, x in table:
+            fd = finite_difference_gradient(lambda a: loss(a)[0], x)
+            worst[name] = max(worst[name], _rel_error(loss(x)[1], fd))
 
     return worst

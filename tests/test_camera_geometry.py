@@ -17,6 +17,7 @@ from lanebev.errors import (
     DegenerateDepth,
     EmptyInput,
     MixedImageSizes,
+    NonFiniteInput,
     SingularHomography,
 )
 from lanebev.synth import canonical_rig
@@ -270,6 +271,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             # orthonormal but det -1
             Extrinsics(rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Intrinsics(fx=np.nan, fy=1.0, cx=0.0, cy=0.0), "fx"),
+            (lambda: Intrinsics(fx=1.0, fy=np.inf, cx=0.0, cy=0.0), "fy"),
+            (lambda: Intrinsics(fx=1.0, fy=1.0, cx=np.nan, cy=0.0), "cx"),
+            (lambda: Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=np.inf), "cy"),
+            (lambda: Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, skew=-np.inf), "skew"),
+            (lambda: Extrinsics(rotation=np.full((3, 3), np.nan), translation=np.zeros(3)), "rotation"),
+            (lambda: Extrinsics(rotation=np.eye(3), translation=[0.0, np.nan, 0.0]), "translation"),
+            (lambda: Homography(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), "matrix"),
+            (lambda: Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.inf]])), "matrix"),
+        ],
+    )
+    def test_non_finite_field_rejected(self, build, field):
+        with pytest.raises(NonFiniteInput, match=field):
+            build()
 
     def test_homography_normalized(self):
         h = Homography(2.0 * np.eye(3))

@@ -73,6 +73,9 @@ class TestUsageErrors:
             ("eval", "--config", {"sample_xs": 5}, "sample_xs"),
             ("synth", "--params", {"curvature": 0.001}, "curvature"),
             ("synth", "--params", [1, 2], "SceneParams"),
+            ("synth", "--params", {"n_lanes": 2.5}, "n_lanes"),
+            ("synth", "--params", {"seed": 1.5}, "seed"),
+            ("decode", "--params", {"fit_degree": 2.5}, "fit_degree"),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, named):

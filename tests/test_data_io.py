@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -14,6 +15,7 @@ from lanebev.errors import (
     LaneBevError,
     MalformedJson,
     MissingField,
+    NonFiniteInput,
     NonOrthonormalRotation,
     TruncatedPayload,
     UnsupportedVersion,
@@ -141,6 +143,8 @@ class TestConfigFromDict:
             (SceneParams, {"curvature": 0.001}, "curvature"),
             (SceneParams, {"seed": True}, "seed"),
             (SceneParams, {"seed": 10**400}, "seed"),
+            (SceneParams, {"n_lanes": 2.5}, "n_lanes"),
+            (DecodeParams, {"fit_degree": 2.0}, "fit_degree"),
         ],
     )
     def test_unknown_key_or_wrong_type_names_the_key(self, cls, data, key):
@@ -277,6 +281,82 @@ class TestOpenLaneFrames:
         }
         with pytest.raises(MissingField):
             data_io.parse_openlane_frame(json.dumps(frame))
+
+
+def minimal_frame(**fields):
+    frame = {
+        "intrinsic": canonical_rig().intrinsics.matrix.tolist(),
+        "extrinsic": np.eye(4).tolist(),
+        "lane_lines": [{"xyz": [[1.0, 2.0], [0.0, 0.1], [0.0, 0.0]]}],
+    }
+    frame.update(fields)
+    return frame
+
+
+def square(n):
+    row = st.lists(st.floats() | st.integers(), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+class TestOpenLaneFrameBoundary:
+    @pytest.mark.parametrize(
+        "frame, named",
+        [
+            (5, "frame"),
+            (minimal_frame(lane_lines=5), "lane_lines"),
+            (minimal_frame(lane_lines="xyz"), "lane_lines"),
+            (minimal_frame(lane_lines=[5]), "lane_lines[0]"),
+            (minimal_frame(lane_lines=["xyz"]), "lane_lines[0]"),
+            (minimal_frame(intrinsic="K"), "intrinsic"),
+            (minimal_frame(intrinsic={"fx": 1000.0}), "intrinsic"),
+            (minimal_frame(extrinsic=[[1.0, 0.0], [0.0]]), "extrinsic"),
+            (minimal_frame(extrinsic=[[10**400] * 4] * 4), "extrinsic"),
+            (minimal_frame(lane_lines=[{"xyz": [["a", "b"], [0.0, 0.1], [0.0, 0.0]]}]), "lane_lines[0].xyz"),
+            (minimal_frame(lane_lines=[{"xyz": [[1.0, 1.0], [0.0, 0.1], [0.0, 0.0]]}]), "lane_lines[0]"),
+            (minimal_frame(lane_lines=[{"xyz": [[], [], []]}]), "lane_lines[0]"),
+            (minimal_frame(image_size=5), "image_size"),
+            (minimal_frame(image_size=[1024.5, 576]), "image_size"),
+            (minimal_frame(intrinsic=np.diag([-1000.0, 1000.0, 1.0]).tolist()), "intrinsic"),
+            (minimal_frame(extrinsic=np.diag([1.0, 1.0, -1.0, 1.0]).tolist()), "extrinsic"),
+        ],
+    )
+    def test_bad_value_raises_missing_field_naming_it(self, frame, named):
+        with pytest.raises(MissingField, match=re.escape(named)):
+            data_io.parse_openlane_frame(json.dumps(frame))
+
+    def test_non_finite_value_names_the_field(self):
+        with pytest.raises(NonFiniteInput, match="intrinsic"):
+            data_io.parse_openlane_frame(json.dumps(minimal_frame(intrinsic=[[float("nan")] * 3] * 3)))
+
+    @given(text=st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text_raises_only_domain_errors(self, text):
+        try:
+            data_io.parse_openlane_frame(text)
+        except LaneBevError:
+            pass
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_values_under_the_keys_raise_only_domain_errors(self, data):
+        xyz = JSON_VALUES | st.lists(st.lists(st.floats(), max_size=3), max_size=3)
+        lane = JSON_VALUES | st.fixed_dictionaries({"xyz": xyz})
+        signed_identities = st.sampled_from([np.diag(d).tolist() for d in ([1, 1, -1, 1], [1, -1, -1, 1])])
+        choices = {
+            "intrinsic": JSON_VALUES | square(3),
+            "extrinsic": JSON_VALUES | square(4) | signed_identities,
+            "lane_lines": JSON_VALUES | st.lists(lane, max_size=3),
+            "image_size": JSON_VALUES,
+        }
+        frame = minimal_frame()
+        for key, values in choices.items():
+            if data.draw(st.booleans(), label=f"replace {key}"):
+                frame[key] = data.draw(values, label=key)
+        try:
+            scene = data_io.parse_openlane_frame(json.dumps(frame))
+        except LaneBevError:
+            return
+        assert all(isinstance(lane, Lane3D) for lane in scene.lanes)
 
 
 class TestPnm:

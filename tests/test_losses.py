@@ -205,6 +205,77 @@ class TestEmbedLoss:
         with pytest.raises(ShapeMismatch):
             embed_loss(rng.normal(size=(4, 4, 2)), np.zeros((5, 4), dtype=int))
 
+    @pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2, 3), (0, 2, 5, 9), (3, 4, 100)])
+    def test_matches_plain_per_cluster_loop(self, rng, labels):
+        margins = EmbedMargins(delta_v=0.3, delta_d=1.2)
+        for _ in range(10):
+            inst = rng.choice(labels, size=(6, 5))
+            emb = rng.normal(scale=rng.choice([0.2, 1.0, 3.0]), size=(6, 5, int(rng.integers(1, 6))))
+            value, grad = embed_loss(emb, inst, margins)
+            ref_value, ref_grad = reference_embed_loss(emb, inst, margins)
+            assert abs(value - ref_value) <= 1e-12 * max(ref_value, 1e-300)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * max(np.abs(ref_grad).max(), 1e-300)
+
+    def test_coincident_centers_count_in_value_without_gradient(self):
+        margins = EmbedMargins()
+        inst = np.zeros(SHAPE, dtype=int)
+        inst[:4], inst[4:8] = 1, 2
+        emb = np.zeros(SHAPE + (DIM,))
+        emb[:4] = emb[4:8] = np.linspace(-0.1, 0.1, SHAPE[1] * DIM).reshape(SHAPE[1], DIM)
+        value, grad = embed_loss(emb, inst, margins)
+        # pull is 0 (every member within delta_v); push: 1/(2*1) * two ordered pairs * (2 delta_d)^2
+        assert value == (2.0 * margins.delta_d) ** 2
+        assert np.all(grad == 0.0)
+        assert reference_embed_loss(emb, inst, margins)[0] == value
+
+    def test_one_member_cluster_and_skipped_ids(self, rng):
+        margins = EmbedMargins(delta_v=0.2, delta_d=1.0)
+        consecutive = rng.integers(0, 3, size=SHAPE)
+        consecutive[0, 0] = 3  # the only member of cluster 3
+        skipped = np.choose(consecutive, [0, 2, 5, 40])
+        emb = rng.normal(size=SHAPE + (DIM,))
+        value, grad = embed_loss(emb, skipped, margins)
+        same_value, same_grad = embed_loss(emb, consecutive, margins)
+        assert value == same_value and np.array_equal(grad, same_grad)
+        ref_value, ref_grad = reference_embed_loss(emb, skipped, margins)
+        assert abs(value - ref_value) <= 1e-12 * ref_value
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+        assert np.any(grad[0, 0] != 0.0)
+
+
+def reference_embed_loss(emb, inst, margins):
+    """The documented pull-push loss as a plain loop over clusters, members and
+    ordered pairs; kept independent of the library's vectorised pass."""
+    flat = emb.reshape(-1, emb.shape[2])
+    labels = inst.reshape(-1)
+    members = [np.flatnonzero(labels == k) for k in np.unique(labels) if k > 0]
+    c = len(members)
+    mus = [flat[idx].mean(axis=0) for idx in members]
+    value = 0.0
+    grad = np.zeros_like(flat)
+    for idx, mu in zip(members, mus):
+        n = len(idx)
+        for i in idx:
+            d = np.linalg.norm(mu - flat[i])
+            hinge = max(0.0, d - margins.delta_v)
+            value += hinge**2 / (n * c)
+            if hinge > 0.0:
+                g = 2.0 * hinge / (n * c) * (mu - flat[i]) / d  # d/d mu of the term
+                grad[idx] += g / n
+                grad[i] -= g
+    for a in range(c):
+        for b in range(c):
+            if a == b:
+                continue
+            dist = np.linalg.norm(mus[a] - mus[b])
+            hinge = max(0.0, 2.0 * margins.delta_d - dist)
+            value += hinge**2 / (c * (c - 1))
+            if hinge > 0.0 and dist > 0.0:
+                g = -2.0 * hinge / (c * (c - 1)) * (mus[a] - mus[b]) / dist  # d/d mu_a of the term
+                grad[members[a]] += g / len(members[a])
+                grad[members[b]] -= g / len(members[b])
+    return value, grad.reshape(emb.shape)
+
 
 def _kink_near(emb, inst, margins, tol=1e-4):
     flat = emb.reshape(-1, emb.shape[2])
