@@ -45,6 +45,11 @@ DEFAULT_GROUND_POINTS = ((3.0, -5.0), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0))
 
 _MIN_DEPTH = 1e-9
 
+# Points per block in bilinear_sample.  A block's temporaries fit in cache
+# and the allocator reuses them, where image-sized ones would fault in
+# fresh pages on every call.
+_SAMPLE_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class Intrinsics:
@@ -274,7 +279,8 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     """Inverse-warp an image by a homography, like cv2.warpPerspective.
 
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
-    bilinear interpolation; samples outside the source are 0.
+    bilinear interpolation (bilinear_sample, which gathers the neighbours
+    without building an operator); samples outside the source are 0.
     `out_size` is (width, height).  Accepts (H, W) or (H, W, C) arrays.
     """
     out_w, out_h = out_size
@@ -291,6 +297,19 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     return bilinear_sample(image, sx, sy)
 
 
+def _bilinear_taps(sx: np.ndarray, sy: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Floors x0, y0 of the points (sx, sy) and their four bilinear weights
+    in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1)."""
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
+    with np.errstate(invalid="ignore"):
+        fx = sx - x0
+        fy = sy - y0
+        gx = 1 - fx
+        gy = 1 - fy
+        return x0, y0, (gx * gy, fx * gy, gx * fy, fx * fy)
+
+
 def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]) -> sparse.csr_array:
     """Sparse bilinear sampling operator over a row-major flattened source.
 
@@ -302,30 +321,50 @@ def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]
     """
     src_h, src_w = src_shape
     sx, sy = np.ravel(sx), np.ravel(sy)
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
+    x0, y0, weights = _bilinear_taps(sx, sy)
     xi = x0[:, None] + [0, 1, 0, 1]
     yi = y0[:, None] + [0, 0, 1, 1]
     # NaN fails every comparison and +-inf one of them, so non-finite
     # points keep no neighbour and their inf - inf weights are dropped.
     keep = (xi >= 0) & (xi < src_w) & (yi >= 0) & (yi < src_h)
-    with np.errstate(invalid="ignore"):
-        fx = sx - x0
-        fy = sy - y0
-        weights = np.column_stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy])
-    cols = (yi * src_w + xi)[keep].astype(np.int64)
+    cols = (yi[keep] * src_w + xi[keep]).astype(np.int64)
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return sparse.csr_array((weights[keep], cols, indptr), shape=(len(sx), src_h * src_w))
+    return sparse.csr_array((np.column_stack(weights)[keep], cols, indptr), shape=(len(sx), src_h * src_w))
 
 
 def bilinear_sample(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
     """Sample an (H, W) or (H, W, C) image at real coordinates (sx, sy).
 
     The result has the shape of sx followed by the image's channel axis, if
-    any; weights are those of bilinear_operator.
+    any, and equals bilinear_operator(sx, sy, (H, W)) @ img bit for bit
+    without building the operator: the four neighbours are gathered from a
+    zero-padded copy of the image and their weighted values are added from
+    0.0 in the operator's storage order, as scipy's CSR product adds them.
+    A neighbour outside the source reads the pad and adds +0.0; a point
+    with no neighbour inside, or a non-finite one, gives 0.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim not in (2, 3):
         raise ValueError(f"image must be 2-D or 3-D, got shape {img.shape}")
-    op = bilinear_operator(sx, sy, img.shape[:2])
-    return (op @ img.reshape(op.shape[1], -1)).reshape(np.shape(sx) + img.shape[2:])
+    src_h, src_w = img.shape[:2]
+    pad_w = src_w + 2
+    padded = np.zeros((src_h + 2, pad_w) + img.shape[2:])
+    padded[1:-1, 1:-1] = img
+    flat = padded.reshape((src_h + 2) * pad_w, -1)
+
+    px, py = np.ravel(sx), np.ravel(sy)
+    out = np.zeros((px.size, flat.shape[1]))
+    for lo in range(0, px.size, _SAMPLE_BLOCK):
+        block = slice(lo, lo + _SAMPLE_BLOCK)
+        x0, y0, weights = _bilinear_taps(px[block], py[block])
+        # NaN fails every comparison and +-inf one of them; where() drops
+        # the index of such a point, which may be inf - inf.
+        inside = (x0 >= -1) & (x0 <= src_w - 1) & (y0 >= -1) & (y0 <= src_h - 1)
+        with np.errstate(invalid="ignore"):
+            base = np.where(inside, (y0 + 1) * pad_w + (x0 + 1), 0).astype(np.intp)
+        acc = out[block]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for w, step in zip(weights, (0, 1, pad_w, pad_w + 1)):
+                acc += w[:, None] * np.take(flat, base + step, axis=0)
+        acc[~inside] = 0.0
+    return out.reshape(np.shape(sx) + img.shape[2:])

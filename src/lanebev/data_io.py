@@ -28,10 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics
+from .camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, _nearest_rotation
 from .errors import (
     BadMagic,
     ConfigError,
+    ImageFormatError,
     MalformedJson,
     MissingField,
     NonFiniteInput,
@@ -282,8 +283,12 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     if not isinstance(data["lane_lines"], list):
         raise MissingField(f"lane_lines must be a list, got {type(data['lane_lines']).__name__}")
 
-    # road->camera rig from the camera->road extrinsic
+    # road->camera rig from the camera->road extrinsic.  A rotation written
+    # to 7 digits is orthonormal only to about 1e-7, so the rig takes the
+    # nearest rotation; a reflection is left for Extrinsics to refuse.
     rotation = rot_c2r.T
+    if np.linalg.det(rotation) > 0:
+        rotation = _nearest_rotation(rotation)
     translation = -rotation @ extrinsic[:3, 3]
     try:
         intrinsics = Intrinsics(
@@ -353,33 +358,44 @@ def write_pnm(image: np.ndarray, path: str | Path) -> None:
 
 
 def read_pnm(path: str | Path) -> np.ndarray:
-    """Read binary PGM/PPM (8- or 16-bit samples) into a [0, 1] float array."""
+    """Read binary PGM/PPM (8- or 16-bit samples) into a [0, 1] float array.
+
+    Raises ImageFormatError naming the file on a bad magic number, a
+    missing or non-numeric header field, a maxval outside 1..65535 and
+    truncated pixel data.
+    """
     blob = Path(path).read_bytes()
     if blob[:2] not in (b"P5", b"P6"):
-        raise ValueError(f"{path}: only binary PGM (P5) / PPM (P6) supported")
+        raise ImageFormatError(f"{path}: only binary PGM (P5) / PPM (P6) supported")
     fields = []
     pos = 2
-    while len(fields) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if blob[pos : pos + 1] == b"#":
+    for name in ("width", "height", "maxval"):
+        while True:
+            while pos < len(blob) and blob[pos : pos + 1].isspace():
+                pos += 1
+            if blob[pos : pos + 1] != b"#":
+                break
             while pos < len(blob) and blob[pos] != 0x0A:
                 pos += 1
-            continue
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(blob[start:pos]))
+        token = blob[start:pos]
+        if not (token.isdigit() and len(token) <= 20):
+            raise ImageFormatError(f"{path}: header {name} {token[:20]!r} is not an integer of 1 to 20 digits")
+        fields.append(int(token))
+    if pos == len(blob):
+        raise ImageFormatError(f"{path}: header truncated, no whitespace after maxval")
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if not 1 <= maxval <= 65535:
-        raise ValueError(f"{path}: maxval {maxval} outside 1..65535")
+        raise ImageFormatError(f"{path}: maxval {maxval} outside 1..65535")
     channels = 3 if blob[:2] == b"P6" else 1
     # Samples above 255 take two bytes, most significant first (Netpbm).
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     count = width * height * channels
     if len(blob) - pos < count * dtype.itemsize:
-        raise ValueError(f"{path}: pixel data truncated, {count * dtype.itemsize} bytes expected, {len(blob) - pos} found")
+        raise ImageFormatError(f"{path}: pixel data truncated, {count * dtype.itemsize} bytes expected, {len(blob) - pos} found")
     raw = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
     img = raw.reshape((height, width, channels)).astype(float) / float(maxval)
     return img[:, :, 0] if channels == 1 else img

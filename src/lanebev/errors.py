@@ -42,7 +42,8 @@ class NonFiniteInput(LaneBevError):
 
 
 class TooManyInstances(LaneBevError):
-    """More lane instances than the embedding dimension can separate."""
+    """More lane instances than the embedding dimension can separate, or than
+    the embedding loss takes."""
 
 
 class InsufficientRank(LaneBevError):
@@ -69,6 +70,12 @@ class UnsupportedVersion(TensorFormatError):
 
 class TruncatedPayload(TensorFormatError):
     """Payload length does not match the declared dimensions."""
+
+
+# --- images ---
+
+class ImageFormatError(LaneBevError, ValueError):
+    """A PGM/PPM file has a bad magic number, header or pixel payload."""
 
 
 # --- dataset parsing ---

@@ -26,11 +26,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, TooManyInstances
 from .lane_grid import GridTensors
 
 _P_CLAMP = 1e-7
 _EMBED_DIM = 4  # embedding width of the gradient self-check batches
+# Most distinct instance ids embed_loss takes: its pair terms hold C x C x D
+# arrays, and a lane grid holds a handful of instances.
+_MAX_INSTANCES = 256
 
 
 @dataclass
@@ -192,6 +195,8 @@ def _cluster_geometry(flat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     """
     cells = np.flatnonzero(labels > 0)
     ids, member = np.unique(labels[cells], return_inverse=True)
+    if len(ids) > _MAX_INSTANCES:
+        raise TooManyInstances(f"{len(ids)} instance ids, at most {_MAX_INSTANCES} are supported")
     e = flat[cells]
     counts = np.bincount(member, minlength=len(ids))
     centers = _sum_per_cluster(member, e, len(ids)) / counts[:, None]
@@ -213,7 +218,9 @@ def embed_loss(
     C is the number of instances with label > 0; the gradient accounts for
     the dependence of each cluster mean on its members.  C <= 1 gives
     push = 0; C = 0 gives value 0.  Coincident centers (|mu_a - mu_b| = 0)
-    count in the push value but give it no gradient.
+    count in the push value but give it no gradient.  Raises
+    TooManyInstances when C exceeds 256, which bounds the C x C x D pair
+    temporaries (about 12 MB at D = 8).
     """
     emb = np.asarray(embedding, dtype=float)
     inst = np.asarray(instance)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanebev.camera_geometry import (
     CameraRig,
     Extrinsics,
     Homography,
     Intrinsics,
+    bilinear_operator,
+    bilinear_sample,
     compute_homography,
     mean_virtual_camera,
     project_ground_point,
@@ -258,6 +262,90 @@ class TestWarpImage:
             Homography(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
         with pytest.raises(SingularHomography):
             Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+def operator_product(img, sx, sy):
+    """bilinear_operator(sx, sy, (H, W)) @ img, shaped like bilinear_sample's result."""
+    img = np.asarray(img, dtype=float)
+    op = bilinear_operator(sx, sy, img.shape[:2])
+    return (op @ img.reshape(op.shape[1], -1)).reshape(np.shape(sx) + img.shape[2:])
+
+
+def assert_same_bytes(img, sx, sy):
+    got = bilinear_sample(img, sx, sy)
+    want = operator_product(img, sx, sy)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()  # the CSR sum starts at +0.0
+    return got
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+
+
+class TestBilinearSampler:
+    @pytest.mark.parametrize("kind", ["gray", "rgb", "negative", "signed_zero"])
+    def test_matches_operator_product_bytes(self, rng, kind):
+        h, w = 37, 53
+        img = {
+            "gray": lambda: rng.random((h, w)),
+            "rgb": lambda: rng.random((h, w, 3)),
+            "negative": lambda: -rng.random((h, w)) - 1e-3,
+            "signed_zero": lambda: rng.choice([-0.0, 0.0, -1.0, 0.5], size=(h, w, 2)),
+        }[kind]()
+        # 150 x 120 points run the sampler over more than one block
+        sx = rng.uniform(-3.0, w + 2.0, (150, 120))
+        sy = rng.uniform(-3.0, h + 2.0, (150, 120))
+        sx[::7] = np.round(sx[::7])
+        sy[::5] = np.round(sy[::5])
+        assert_same_bytes(img, sx, sy)
+
+    def test_border_far_and_non_finite_points(self, rng):
+        h, w = 6, 9
+        img = rng.random((h, w)) - 0.5
+        xs = np.array([-1.5, -1.0, -0.5, 0.0, w - 1.0, w - 0.5, float(w), w - 1e-9] + SPECIAL)
+        ys = np.array([-1.5, -1.0, -0.5, 0.0, h - 1.0, h - 0.5, float(h), h - 1e-9] + SPECIAL)
+        sx, sy = np.meshgrid(xs, ys)
+        out = assert_same_bytes(img, sx, sy)
+        finite = np.isfinite(sx) & np.isfinite(sy) & (np.abs(sx) < 1e300) & (np.abs(sy) < 1e300)
+        assert np.all(out[~finite] == 0.0)
+        # floor -1 reaches the first pixel and floor W-1 the last one; floors -2 and W reach none
+        assert out[3, 3] == img[0, 0] and out[3, 2] == 0.5 * img[0, 0] and out[2, 2] == 0.25 * img[0, 0]
+        assert out[4, 4] == img[h - 1, w - 1] and out[5, 5] == 0.25 * img[h - 1, w - 1]
+        assert out[0, 0] == 0.0 and out[6, 6] == 0.0
+
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        channels=st.sampled_from([(), (1,), (2,)]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_operator_product(self, shape, channels, data):
+        h, w = shape
+        size = h * w * int(np.prod(channels))
+        img = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)))
+        n = data.draw(st.integers(1, 12))
+        coord = lambda hi: st.floats(-3.0, hi + 2.0) | st.sampled_from(SPECIAL)  # noqa: E731
+        sx = np.array(data.draw(st.lists(coord(w), min_size=n, max_size=n)))
+        sy = np.array(data.draw(st.lists(coord(h), min_size=n, max_size=n)))
+        assert_same_bytes(img.reshape(shape + channels), sx, sy)
+
+    def test_hand_computed_operator(self):
+        # (0.25, 0.5) interior; (2.5, 1) has its right neighbours outside;
+        # (-0.5, -0.5) keeps only pixel (0, 0); NaN keeps nothing; (1, 1) is a node
+        sx = np.array([0.25, 2.5, -0.5, np.nan, 1.0])
+        sy = np.array([0.5, 1.0, -0.5, 1.0, 1.0])
+        op = bilinear_operator(sx, sy, (3, 3))
+        assert op.shape == (5, 9)
+        assert op.indptr.tolist() == [0, 4, 6, 7, 7, 11]
+        assert op.indices.tolist() == [0, 1, 3, 4, 5, 8, 0, 4, 5, 7, 8]
+        assert op.data.tolist() == [0.375, 0.125, 0.375, 0.125, 0.5, 0.0, 0.25, 1.0, 0.0, 0.0, 0.0]
+        out = assert_same_bytes(np.arange(9.0).reshape(3, 3), sx, sy)
+        assert out.tolist() == [1.75, 2.5, 0.0, 0.0, 4.0]
+
+    def test_rejects_non_image(self):
+        with pytest.raises(ValueError, match="2-D or 3-D"):
+            bilinear_sample(np.zeros(4), np.zeros(2), np.zeros(2))
 
 
 class TestTypes:

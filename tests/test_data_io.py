@@ -12,6 +12,7 @@ from lanebev import data_io
 from lanebev.errors import (
     BadMagic,
     ConfigError,
+    ImageFormatError,
     LaneBevError,
     MalformedJson,
     MissingField,
@@ -103,6 +104,20 @@ class TestTensorFormat:
         path.write_bytes(b"BLDT" + struct.pack("<H", 1) + b"\x04" + struct.pack("<4I", *[65536] * 4))
         with pytest.raises(TruncatedPayload):
             data_io.read_tensor(path)
+
+    @given(
+        prefix=st.sampled_from([b"", b"BLDT", b"BLDT\x01\x00", b"BLDT\x01\x00\x01", b"BLDT\x01\x00\x02"]),
+        tail=st.binary(max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_raise_only_domain_errors(self, prefix, tail, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bldt") / "t.bldt"
+        path.write_bytes(prefix + tail)
+        try:
+            arr = data_io.read_tensor(path)
+        except LaneBevError:
+            return
+        assert arr.dtype == np.float32 and 1 <= arr.ndim <= 4
 
 
 CONFIG_CLASSES = [GridSpec, DecodeParams, EvalConfig, SceneParams]
@@ -244,6 +259,16 @@ class TestOpenLaneFrames:
             assert np.abs(got.points - want.points).max() < 1e-9
         assert np.abs(back.rig.extrinsics.rotation - scene.rig.extrinsics.rotation).max() < 1e-9
         assert np.abs(back.rig.extrinsics.translation - scene.rig.extrinsics.translation).max() < 1e-9
+
+    def test_rotation_written_to_7_digits_parses(self):
+        scene, text = self.make_frame_text()
+        frame = json.loads(text)
+        frame["extrinsic"] = [[float(f"{v:.7g}") for v in row] for row in frame["extrinsic"]]
+        rounded = np.array(frame["extrinsic"])[:3, :3]
+        assert np.abs(rounded.T @ rounded - np.eye(3)).max() > 1e-9  # Extrinsics alone would refuse it
+        back = data_io.parse_openlane_frame(json.dumps(frame))
+        assert np.abs(back.rig.extrinsics.rotation - scene.rig.extrinsics.rotation).max() < 1e-6
+        assert np.abs(back.rig.extrinsics.translation - scene.rig.extrinsics.translation).max() < 1e-6
 
     def test_malformed_json(self):
         with pytest.raises(MalformedJson):
@@ -410,3 +435,41 @@ class TestPnm:
         path.write_bytes(header + b"\x01" * pixels)
         with pytest.raises(ValueError, match="img.pnm.*truncated"):
             data_io.read_pnm(path)
+
+    @pytest.mark.parametrize(
+        "blob, field",
+        [
+            (b"P3\n1 1\n255\n\x00", "P5"),
+            (b"", "P5"),
+            (b"P5\nxx 1\n255\n\x00", "width"),
+            (b"P5\n1 1.5\n255\n\x00", "height"),
+            (b"P5\n1 -1\n255\n\x00", "height"),
+            (b"P5\n-1 1\n255\n\x00", "width"),
+            (b"P5\n+1 1\n255\n\x00", "width"),
+            (b"P5\n1 1\n", "maxval"),
+            (b"P5\n1 1 # no maxval", "maxval"),
+            (b"P6\n1 1\n1e3\n\x00", "maxval"),
+            (b"P5\n" + b"9" * 5000 + b" 1\n255\n", "width"),
+            (b"P5\n0 0\n255", "no whitespace after maxval"),
+            (b"P5\n1 1\n255\n", "truncated"),
+        ],
+    )
+    def test_bad_header_raises_image_format_error(self, tmp_path, blob, field):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ImageFormatError, match=f"img.pgm.*{re.escape(field)}"):
+            data_io.read_pnm(path)
+
+    @given(
+        prefix=st.sampled_from([b"", b"P5", b"P6", b"P5\n2 2\n", b"P6 1 1 65535\n", b"P5\n# c\n1 1\n255\n"]),
+        tail=st.binary(max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_raise_only_domain_errors(self, prefix, tail, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pnm") / "img.pnm"
+        path.write_bytes(prefix + tail)
+        try:
+            img = data_io.read_pnm(path)
+        except LaneBevError:
+            return
+        assert img.ndim in (2, 3) and np.all((img >= 0.0) & (img <= 1.0))

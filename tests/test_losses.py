@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lanebev.errors import ShapeMismatch
+from lanebev.errors import ShapeMismatch, TooManyInstances
 from lanebev.lane_grid import GridTensors
 from lanebev.losses import (
     EmbedMargins,
@@ -241,6 +241,17 @@ class TestEmbedLoss:
         assert abs(value - ref_value) <= 1e-12 * ref_value
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
         assert np.any(grad[0, 0] != 0.0)
+
+    @pytest.mark.parametrize("first_id", [1, 1000])
+    def test_instance_limit(self, rng, first_id):
+        emb = rng.normal(size=(16, 17, 2))
+        inst = np.zeros((16, 17), dtype=int)
+        inst.flat[:256] = np.arange(first_id, first_id + 256)
+        value, grad = embed_loss(emb, inst)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        inst.flat[256] = first_id + 256
+        with pytest.raises(TooManyInstances, match="257"):
+            embed_loss(emb, inst)
 
 
 def reference_embed_loss(emb, inst, margins):
