@@ -201,8 +201,37 @@ def load_lanes(path: str | Path) -> list[Lane3D]:
     return lanes_from_dict(json.loads(Path(path).read_text()))
 
 
+def _layout(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """Encoded JSON `items` as json.dumps(..., indent=2) lays out a list (or object) `depth` spaces in."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 2)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
+
+
+def _numbers(values: list) -> list[str]:
+    """Each number as json.dumps writes it, from one call to the C encoder."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
 def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | None = None) -> None:
-    Path(path).write_text(json.dumps(lanes_to_dict(lanes, fits), indent=2) + "\n")
+    """Write the lanes JSON: byte-identical to json.dumps(lanes_to_dict(lanes, fits), indent=2) + "\n".
+
+    With `indent`, json.dumps runs CPython's pure-Python encoder; here each
+    lane's numbers go through the C encoder and only the fixed schema's
+    newlines and indents are written in Python.
+    """
+    entries = []
+    for i, lane in enumerate(lanes):
+        nums = _numbers(lane.points.ravel().tolist())
+        rows = [_layout(nums[j : j + 3], 8) for j in range(0, len(nums), 3)]
+        fields = [f'"id": {int(lane.id)}', '"points": ' + _layout(rows, 6)]
+        if fits is not None:
+            fit = fits[i]
+            coeffs = {"y_coeffs": fit.y_coeffs.tolist(), "z_coeffs": fit.z_coeffs.tolist(), "x_range": list(fit.x_range)}
+            fields.append('"fit": ' + _layout([f'"{key}": ' + _layout(_numbers(v), 8) for key, v in coeffs.items()], 6, "{}"))
+        entries.append(_layout(fields, 4, "{}"))
+    Path(path).write_text('{\n  "lanes": ' + _layout(entries, 2) + "\n}\n")
 
 
 # --- scene records ---

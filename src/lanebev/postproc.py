@@ -8,13 +8,18 @@ mean; otherwise it opens a new center.  Points are never reassigned once
 clustered, so results depend on the documented scan order and are
 bit-reproducible.
 
-The scan runs in numpy on blocks of cells: a block is decided against the
-centers as they stood at its start, and a decision is accepted only where
-distance bounds (center movement inside the block plus a rounding bound)
-make it certain.  A cell whose decision is close goes through the
-published per-cell step on the exact running means.  Assignments and
-cluster sizes are therefore those of the published scan on every input;
-embeddings of confident cells must be finite.
+The scan runs in numpy on blocks of cells.  A block whose cells all lie
+well inside d_gap of their nearest centers is certain at once, because
+no center can move farther than the farthest cell that joins it.  Any
+other block is decided tentatively against the centers as they stood at
+its start, then again against the running centers those decisions give;
+the prefix where both agree is accepted, and so is the first cell where
+they differ, since its running centers are exact.  A decision counts only
+where a rounding bound makes it certain; a cell whose decision is that
+close goes through the published per-cell step on the exact running
+means.  Assignments and cluster sizes are therefore those of the
+published scan on every input; embeddings of confident cells must be
+finite.
 
 Retained cells are converted to road-frame coordinates using the lateral
 offset and the height channel, small clusters are dropped, and each lane
@@ -34,7 +39,7 @@ from .lane_grid import GridSpec, GridTensors
 
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_BLOCK, _MAX_BLOCK = 4, 1024  # cells decided per numpy block
-_MAX_BLOCK_FLOATS = 2**18  # cap on block cells * centers * dim, i.e. on the block's memory
+_MAX_BLOCK_FLOATS = 2**18  # cap on block cells * centers (or columns) * dim, i.e. on the block's memory
 
 
 @dataclass(frozen=True)
@@ -106,34 +111,90 @@ def _rounding_bound(vals: np.ndarray) -> float:
     return 8.0 * _UNIT_ROUNDOFF * scale * (n + dim + 4) + 1e-150
 
 
-def _certified_prefix(blk, centers, counts, d_gap, eta):
-    """Decide a block of cells against the centers as they stood at its start.
+def _decide_block(blk, sums, k, d_gap, eta):
+    """Decide a block of cells, in scan order, against their running centers.
 
-    Returns (p, near, joins, opens): the first p cells certainly join their
-    nearest center `near`; `joins` is the (len(blk), k) one-hot of each
-    cell's tentative join; `opens` says whether cell p certainly opens a new
-    center.
+    `blk` holds the cells as (value, 1) rows and `sums` each center's member
+    sum and count; k centers exist at the block's start.  When every cell
+    lies well inside d_gap of its nearest center, the whole block is
+    certain at once: no center moves farther than the farthest cell that
+    joins it.  Otherwise each cell is first decided tentatively against the
+    k centers as they stood at the start: its nearest center, or, when none
+    is within d_gap, a new center, shared with the tentative opener before
+    it when the two are within d_gap, so a new lane's cells share one
+    column.  One cumsum over those decisions gives every cell the running
+    centers of the columns the block touches, and each cell is decided
+    again against them, opening a center counting as one more center at
+    distance d_gap.  A decision is certain when the rounding bound
+    separates the winner from every other choice.  While the decisions
+    before a cell are right its running centers are exact, so the prefix
+    where both decisions agree is decided, and so is the first cell where
+    they differ, unless its decision is not certain.
+
+    Returns (q, tcol, cols, upto, last): the first q cells join tcol[:q]
+    (new centers numbered from k in creation order), and `upto` holds the
+    sums and counts of the columns `cols` after them.  `last` is None when
+    q is the whole block, else cell q's decision: a center, -1 to open one,
+    or -2 when only the published step can decide it.
     """
-    diff = blk[:, None, :] - centers[None, :, :]
+    dim = blk.shape[1] - 1
+    b = len(blk)
+    rows = np.arange(b)
+    diff = blk[:, None, :dim] - sums[None, :k, :dim] / sums[:k, dim:]
     dist = np.sqrt(np.einsum("bkd,bkd->bk", diff, diff))
-    rows = np.arange(len(blk))
-    near = dist.argmin(axis=1)
-    joins = (near[:, None] == np.arange(len(centers))) & (dist[rows, near] < d_gap)[:, None]
-    # a center moves by at most cnt / (m + cnt) * (farthest of its cnt new members)
-    # while the block's earlier cells join it
-    before = np.cumsum(joins, axis=0) - joins
-    reach = np.maximum.accumulate(np.where(joins, dist + eta, 0.0), axis=0)
-    reach[1:] = reach[:-1]
-    reach[0] = 0.0
-    slack = before / (counts + before) * reach + eta
-    lower = dist - slack
-    upper = dist[rows, near] + slack[rows, near]
-    others = lower.copy()
-    others[rows, near] = np.inf
-    certain = (upper < d_gap) & (upper < others.min(axis=1))
-    p = len(blk) if certain.all() else int(certain.argmin())
-    opens = p < len(blk) and bool((lower[p] >= d_gap).all())
-    return p, near, joins, opens
+    if k:
+        tcol = dist.argmin(axis=1)
+        near = dist[rows, tcol]
+        reach = float(near.max()) + eta  # no center moves farther inside the block
+        if 2.0 * reach < d_gap:  # nothing opens, and the whole block may be certain
+            dist[rows, tcol] = np.inf
+            if (near + reach + eta < dist[rows, dist.argmin(axis=1)] - reach - eta).all():
+                return b, tcol, np.arange(k), sums[:k] + (tcol[:, None] == np.arange(k)).T @ blk, None
+            dist[rows, tcol] = near
+        opener = (near >= d_gap).nonzero()[0]
+    else:
+        tcol = np.zeros(b, dtype=np.int64)
+        opener = rows
+    expected = tcol.copy()  # the tentative decisions, with `width` for a cell that opens
+    width = k
+    if len(opener):
+        w = blk[opener, :dim]
+        step = w[1:] - w[:-1]
+        first = np.ones(len(opener), dtype=bool)
+        first[1:] = np.einsum("od,od->o", step, step) >= d_gap * d_gap
+        new = first.cumsum()
+        width = k + int(new[-1])
+        expected[opener] = tcol[opener] = k - 1 + new
+        expected[opener[first]] = width
+    cols = np.bincount(tcol, minlength=width).nonzero()[0]
+    if b * len(cols) * (dim + 1) > _MAX_BLOCK_FLOATS:
+        b = max(1, _MAX_BLOCK_FLOATS // (len(cols) * (dim + 1)))
+        blk, dist, tcol, expected, rows = blk[:b], dist[:b], tcol[:b], expected[:b], rows[:b]
+        cols = np.bincount(tcol, minlength=width).nonzero()[0]
+    # run[i]: sums and counts of the touched columns before cell i
+    run = np.zeros((b + 1, len(cols), dim + 1))
+    run[0] = sums[cols]
+    run[rows + 1, cols.searchsorted(tcol)] = blk
+    np.cumsum(run, axis=0, out=run)
+    count = run[:-1, :, dim]
+    diff = run[:-1, :, :dim] / np.maximum(count, 1.0)[:, :, None]
+    diff -= blk[:, None, :dim]
+    moved = np.sqrt(np.einsum("bcd,bcd->bc", diff, diff))
+    moved[count == 0] = np.inf  # a new column before its first cell
+    d = np.full((b, width + 1), np.inf)  # a cut block may not reach every new column
+    d[:, :k] = dist
+    d[:, cols] = moved
+    d[:, width] = d_gap
+    win = d.argmin(axis=1)
+    near = d[rows, win]
+    d[rows, win] = np.inf
+    certain = near + eta < d[rows, d.argmin(axis=1)] - eta
+    agree = certain & (win == expected)
+    if agree.all():
+        return b, tcol, cols, run[b], None
+    q = int(agree.argmin())
+    last = -2 if not certain[q] else -1 if win[q] == width else int(win[q])
+    return q, tcol, cols, run[q], last
 
 
 def _fold(vals, assign, exact, folded, start, stop):
@@ -166,57 +227,52 @@ def _cluster_scan(vals: np.ndarray, d_gap: float) -> tuple[np.ndarray, np.ndarra
     The published scan visits the values in order: the nearest existing
     center wins if strictly closer than d_gap (ties keep the earlier center)
     and moves to the running mean of its members; otherwise the value opens
-    a new center.  Here blocks of values are decided at once in numpy
-    against the centers as they stood at the block's start, kept as a sum
-    and a count.  A decision is accepted only when it is certain: the
-    distance intervals, widened by how far each center can move inside the
-    block and by the rounding bound, must separate the winner from every
-    other center and from d_gap.  The next block starts at the first
-    uncertain value; a value that is uncertain even at the start of its
-    block, where no center has moved, goes through the published per-cell
-    step against the exact running means.  Those are kept up to date
-    incrementally and each block is at most twice the previous one's
-    progress, so the worst case stays O(n * k * dim).  Values must be
-    finite.  Returns (assign, counts): each value's center and each
-    center's size, centers numbered in creation order.
+    a new center.  Here blocks of values are decided at once in numpy (see
+    _decide_block), centers kept as a sum and a count.  A block whose values
+    all sit well inside d_gap of their nearest centers is certain at once;
+    any other block decides its values tentatively against the centers as
+    they stood at its start, then again against the running centers those
+    decisions give, and accepts the prefix where both agree plus the first
+    value where they differ.  A decision is accepted only when the rounding
+    bound makes it certain; a value whose decision is that close goes
+    through the published per-cell step against the exact running means,
+    which are kept up to date incrementally.  Each block decides at least
+    one value, holds at most twice the previous block's progress and keeps
+    its tensors under _MAX_BLOCK_FLOATS, so the work is
+    O(n * (k + _MAX_BLOCK) * dim) for k centers.  Values must be finite.
+    Returns (assign, counts): each value's center and each center's size,
+    centers numbered in creation order.
     """
     n, dim = vals.shape
+    cells = np.ones((n, dim + 1))  # each value, then a 1 for the count
+    cells[:, :dim] = vals
     assign = np.empty(n, dtype=np.int64)
-    sums = np.empty((n, dim))
-    counts = np.zeros(n, dtype=np.int64)
+    sums = np.zeros((n, dim + 1))  # per center: the sum of its members, then their count
     exact = np.empty((n, dim))  # published running means, up to date with cells < synced
     folded = np.zeros(n, dtype=np.int64)
     eta = _rounding_bound(vals)
     k = pos = synced = 0
     block = _MIN_BLOCK
     while pos < n:
-        blk = vals[pos : pos + block]
-        p, opens = 0, True
-        if k:
-            p, near, joins, opens = _certified_prefix(blk, sums[:k] / counts[:k, None], counts[:k], d_gap, eta)
-            if p:
-                assign[pos : pos + p] = near[:p]
-                sums[:k] += joins[:p].T @ blk[:p]
-                counts[:k] += joins[:p].sum(axis=0)
-                pos += p
-        if p == 0 or opens:
-            value = vals[pos]
-            if not opens:
+        q, tcol, cols, upto, last = _decide_block(cells[pos : pos + block], sums, k, d_gap, eta)
+        assign[pos : pos + q] = tcol[:q]
+        sums[cols] = upto
+        k = max(k, int(tcol[:q].max(initial=-1)) + 1)
+        pos += q
+        if last is not None:
+            if last == -2:
                 _fold(vals, assign, exact, folded, synced, pos)
                 synced = pos
-                c = _exact_step(value, exact[:k], d_gap)
-                opens = c < 0
-            if opens:
-                c = k
+                last = _exact_step(vals[pos], exact[:k], d_gap)
+            if last < 0:
+                last = k
                 k += 1
-                sums[c] = 0.0
-            assign[pos] = c
-            sums[c] += value
-            counts[c] += 1
+            assign[pos] = last
+            sums[last] += cells[pos]
             pos += 1
-            p += 1
-        block = min(max(2 * p, _MIN_BLOCK), _MAX_BLOCK, max(1, _MAX_BLOCK_FLOATS // max(1, k * dim)))
-    return assign, counts[:k]
+            q += 1
+        block = min(max(2 * q, _MIN_BLOCK), _MAX_BLOCK, max(1, _MAX_BLOCK_FLOATS // max(1, k * dim)))
+    return assign, sums[:k, dim].astype(np.int64)
 
 
 def decode_grid(
@@ -255,14 +311,10 @@ def decode_grid(
     ys = spec.y_min + (cols + 0.5 + off) * spec.cell
     zs = pred.height[rows, cols]
 
-    instances = []
-    for cid in range(len(counts)):
-        member = assign == cid
-        if counts[cid] < params.min_points:
-            continue
-        pts = np.column_stack([xs[member], ys[member], zs[member]])
-        instances.append(LaneInstance(cluster_id=cid, points=pts))
-    return instances
+    # one stable sort groups the cells by cluster, each group in scan order
+    points = np.column_stack([xs, ys, zs])[np.argsort(assign, kind="stable")]
+    groups = np.split(points, np.cumsum(counts)[:-1])
+    return [LaneInstance(cluster_id=cid, points=pts) for cid, pts in enumerate(groups) if len(pts) >= params.min_points]
 
 
 def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from lanebev.errors import (
 )
 from lanebev.lane_grid import GridSpec, Lane3D
 from lanebev.metrics import EvalConfig
-from lanebev.postproc import DecodeParams, LaneInstance, fit_lanes
+from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, generate_scene
 
 
@@ -221,6 +221,28 @@ class TestLanesJson:
         assert set(data["lanes"][0]["fit"]) == {"y_coeffs", "z_coeffs", "x_range"}
         back = data_io.load_lanes(path)
         assert np.allclose(back[0].points, lanes[0].points)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_lanes=st.integers(0, 6),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        with_fits=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_file_text_is_json_dumps_indent_2(self, seed, n_lanes, scale, with_fits, tmp_path_factory):
+        r = np.random.default_rng(seed)
+        lanes, fits = [], []
+        for _ in range(n_lanes):
+            pts = r.normal(size=(int(r.integers(2, 40)), 3)) * scale
+            pts[r.random(pts.shape) < 0.1] = -0.0
+            pts[:, 0] = np.arange(len(pts)) * scale
+            lanes.append(Lane3D(points=pts, id=int(r.integers(0, 301))))
+            degree = int(r.integers(0, 4))
+            fits.append(FittedLane(r.normal(size=degree + 1) * scale, r.normal(size=degree + 1), (0.0, float(pts[-1, 0]))))
+        fits = fits if with_fits else None
+        path = tmp_path_factory.mktemp("lanes") / "lanes.json"
+        data_io.save_lanes(lanes, path, fits)
+        assert path.read_text() == json.dumps(data_io.lanes_to_dict(lanes, fits), indent=2) + "\n"
 
 
 class TestSceneJson:

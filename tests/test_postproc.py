@@ -3,11 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanebev import postproc
 from lanebev.errors import DegenerateAbscissae, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
+from lanebev.metrics import evaluate
 from lanebev.postproc import DecodeParams, LaneInstance, _cluster_scan, decode_grid, fit_lanes
+from lanebev.synth import SceneParams, generate_scene
 
 
 def straight_lane(y, lane_id=1):
@@ -68,6 +72,80 @@ def scan_matches_replay(values, d_gap):
     assert assign.tolist() == [cid for _, _, cid, _ in assignments]
     assert counts.tolist() == [num for _, num in centers]
     return assign
+
+
+def criterion6_values(sigma):
+    """Scan-order embeddings of acceptance criterion 6's grid (6 lanes, D = 8) plus N(0, sigma) noise."""
+    scene = generate_scene(SceneParams(n_lanes=6, lane_spacing=3.0, camera_jitter=(0.0, 0.0), seed=77))
+    spec = GridSpec()
+    pred = ideal_prediction(encode_lanes(scene.lanes, spec), spec, embed_dim=8)
+    keep = np.argwhere(pred.confidence.T >= DecodeParams().s_threshold)
+    vals = pred.embedding[keep[:, 1], keep[:, 0]]
+    return vals + np.random.default_rng(6).normal(0.0, sigma, vals.shape)
+
+
+@st.composite
+def scan_inputs(draw):
+    """(values, d_gap): Gaussian clusters, half-integer lattices or repeated values."""
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 150))
+    dim = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["gaussian", "lattice", "repeated"]))
+    if kind == "lattice":
+        # exact ties and distances of exactly d_gap are common
+        return r.integers(-3, 4, size=(n, dim)) * 0.5, draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    centers = r.normal(size=(draw(st.integers(1, 8)), dim)) * 3.0
+    labels = r.integers(0, len(centers), n)
+    if draw(st.booleans()):
+        labels.sort()  # one run per cluster, as a lane's cells come in scan order
+    if kind == "repeated":
+        return centers[labels], 1.5
+    return centers[labels] + r.normal(size=(n, dim)) * draw(st.sampled_from([0.3, 0.4, 1.0])), 1.5
+
+
+class TestClusterScanMatchesReplay:
+    @given(case=scan_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_inputs(self, case):
+        values, d_gap = case
+        scan_matches_replay(values, d_gap)
+
+    def test_center_drift_flips_a_block_start_decision(self):
+        # 0.9 pulls the first center to 0.3, so 1.1 joins it although the
+        # second center was the nearer one when their block began
+        values = [[0.0], [2.0], [0.0], [2.0], [0.9], [1.1]]
+        assert scan_matches_replay(values, 2.0).tolist() == [0, 1, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.4, 1.0])
+    def test_noisy_criterion6_grid(self, sigma):
+        scan_matches_replay(criterion6_values(sigma), DecodeParams().d_gap)
+
+
+class TestClusterScanBlocks:
+    """Blocks are counted, not timed: a block decides its opens and re-decides its close calls itself."""
+
+    def blocks(self, values):
+        with mock.patch.object(postproc, "_decide_block", wraps=postproc._decide_block) as block:
+            _cluster_scan(values, DecodeParams().d_gap)
+        return block.call_count
+
+    def test_clean_criterion6_grid_keeps_long_blocks(self):
+        assert self.blocks(criterion6_values(0.0)) <= 10
+
+    def test_opens_do_not_end_blocks(self):
+        values = criterion6_values(1.0)
+        _, counts = _cluster_scan(values, DecodeParams().d_gap)
+        assert len(counts) > 900  # nearly every cell opens a center
+        assert self.blocks(values) <= 100
+
+    @pytest.mark.parametrize("cap", [2**6, 2**9, 2**12])
+    def test_blocks_cut_to_the_memory_cap_match_replay(self, cap):
+        # twelve clusters in runs: with a small cap, blocks that touch many
+        # columns are cut short of their new lanes' first cells
+        r = np.random.default_rng(3)
+        values = r.normal(size=(12, 4))[np.sort(r.integers(0, 12, 400))] * 3.0 + r.normal(size=(400, 4)) * 0.2
+        with mock.patch.object(postproc, "_MAX_BLOCK_FLOATS", cap):
+            scan_matches_replay(values, 1.5)
 
 
 class TestClusterScanExactStep:
@@ -316,3 +394,26 @@ class TestDecodeParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             DecodeParams(**kwargs)
+
+
+class TestOracleRoundtrip:
+    @pytest.mark.filterwarnings("ignore:lane_spacing")
+    @given(
+        n_lanes=st.integers(1, 6),
+        bend=st.floats(0.0, 1.0),
+        hill=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_ideal_grid_decodes_to_f1(self, n_lanes, bend, hill, seed):
+        # the benchmark workloads' scenes: lanes 3.5 m apart, curvature capped so
+        # the outermost lane stays on the grid
+        spec = GridSpec()
+        outer = (n_lanes - 1) / 2.0 * 3.5
+        c_max = bend * min(3e-4, (spec.y_max - spec.cell - outer) / spec.x_max**2)
+        scene = generate_scene(SceneParams(n_lanes=n_lanes, curvature=(-c_max, c_max), hill_amplitude=hill, seed=seed))
+        pred = ideal_prediction(encode_lanes(scene.lanes, spec), spec, embed_dim=8)
+        instances = decode_grid(pred, spec)
+        assert len(fit_lanes(instances)) == n_lanes
+        lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
+        assert evaluate(lanes, scene.lanes).f_score == 1.0
