@@ -166,16 +166,15 @@ def _cmd_homography(args, parser) -> int:
 def _cmd_warp(args, parser) -> int:
     if not _need(args, "image", "h", "out"):
         return _fail_usage(parser, "warp requires --image, --h and --out")
-    img = data_io.read_pnm(_resolve(args.image))
-    h = data_io.load_homography(_resolve(args.h))
+    out_size = None
     if args.size:
         w, s, hgt = args.size.partition("x")
-        if not s:
-            return _fail_usage(parser, "--size must look like 1024x576")
+        if not (s and w.isdecimal() and hgt.isdecimal() and int(w) > 0 and int(hgt) > 0):
+            return _fail_usage(parser, f"--size must be two positive integers like 1024x576, got {args.size!r}")
         out_size = (int(w), int(hgt))
-    else:
-        out_size = (img.shape[1], img.shape[0])
-    data_io.write_pnm(warp_image(img, h, out_size), args.out)
+    img = data_io.read_pnm(_resolve(args.image))
+    h = data_io.load_homography(_resolve(args.h))
+    data_io.write_pnm(warp_image(img, h, out_size or (img.shape[1], img.shape[0])), args.out)
     return 0
 
 

@@ -191,10 +191,29 @@ def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> 
 
 
 def lanes_from_dict(data: dict) -> list[Lane3D]:
-    return [
-        Lane3D(points=np.asarray(entry["points"], dtype=float), id=int(entry.get("id", i + 1)))
-        for i, entry in enumerate(data["lanes"])
-    ]
+    """Lanes from a parsed lanes JSON object; a lane without an id takes its 1-based position.
+
+    Raises MissingField naming the field (such as lanes[2].id) when the
+    layout or a value is unusable, and NonFiniteInput on NaN or infinite
+    points.
+    """
+    if not isinstance(data, dict):
+        raise MissingField(f"lanes JSON must be an object, got {type(data).__name__}")
+    if not isinstance(data.get("lanes"), list):
+        raise MissingField(f"lanes must be a list, got {type(data.get('lanes')).__name__}")
+    lanes = []
+    for i, entry in enumerate(data["lanes"]):
+        if not isinstance(entry, dict) or "points" not in entry:
+            raise MissingField(f"lanes[{i}] must be an object with 'points'")
+        lane_id = entry.get("id", i + 1)
+        if type(lane_id) is not int or not -(2**63) <= lane_id < 2**63:
+            raise MissingField(f"lanes[{i}].id must be a 64-bit integer, got {lane_id!r}")
+        points = _float_array(entry["points"], f"lanes[{i}].points")
+        try:
+            lanes.append(Lane3D(points=points, id=lane_id))
+        except ValueError as exc:  # not (N, 3), or fewer than 2 distinct x
+            raise MissingField(f"lanes[{i}].points: {exc}") from exc
+    return lanes
 
 
 def load_lanes(path: str | Path) -> list[Lane3D]:
@@ -245,11 +264,20 @@ def scene_to_dict(scene: SceneRecord) -> dict:
 
 
 def scene_from_dict(data: dict) -> SceneRecord:
-    return SceneRecord(
-        rig=rig_from_dict(data["camera"]),
-        lanes=lanes_from_dict({"lanes": data["lanes"]}),
-        scene_tag=data.get("scene_tag", ""),
-    )
+    """The scene of a parsed scene JSON object; raises MissingField naming the field."""
+    if not isinstance(data, dict):
+        raise MissingField(f"scene JSON must be an object, got {type(data).__name__}")
+    for key in ("camera", "lanes"):
+        if key not in data:
+            raise MissingField(f"scene is missing '{key}'")
+    try:
+        rig = rig_from_dict(data["camera"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingField(f"camera: {type(exc).__name__}: {exc}") from exc
+    scene_tag = data.get("scene_tag", "")
+    if not isinstance(scene_tag, str):
+        raise MissingField(f"scene_tag must be a string, got {type(scene_tag).__name__}")
+    return SceneRecord(rig=rig, lanes=lanes_from_dict({"lanes": data["lanes"]}), scene_tag=scene_tag)
 
 
 def load_scene(path: str | Path) -> SceneRecord:

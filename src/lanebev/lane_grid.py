@@ -152,41 +152,37 @@ def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensor
     linear interpolation.  The hit cell gets confidence 1, the lane id,
     the lateral offset from the cell center in [-0.5, 0.5) cell units and
     the interpolated height.  Samples outside the grid are dropped.  When
-    two lanes land in one cell the one nearer the cell center wins (ties
-    go to the lower lane id).
+    lanes share a cell, one stable sort on the key (cell, |offset|, id)
+    picks the winner: the sample nearest the cell center, then the lower
+    lane id, then the lane earlier in the list.
     """
+    ids = np.array([lane.id for lane in lanes], dtype=int)
+    if np.any(ids <= 0):
+        raise ValueError(f"lane ids must be positive to encode, got {ids[ids <= 0][0]}")
     s1, s2 = spec.shape
+    xs = spec.row_centers()
+    # every lane at every row center; NaN off its x-span, so no cell takes it
+    y = np.array([np.interp(xs, lane.x, lane.y, left=np.nan, right=np.nan) for lane in lanes]).reshape(-1, s1)
+    z = np.array([np.interp(xs, lane.x, lane.z) for lane in lanes]).reshape(-1, s1)
+    frac = (y - spec.y_min) / spec.cell
+    k, rows = np.nonzero((frac >= 0) & (frac < s2))  # lane-major: the samples in list order
+    frac = frac[k, rows]
+    cols = np.floor(frac).astype(int)
+    offset = frac - cols - 0.5  # in [-0.5, 0.5) by construction
+    cell = rows * s2 + cols
+
+    order = np.lexsort((ids[k], np.abs(offset), cell))
+    _, first = np.unique(cell[order], return_index=True)
+    win = order[first]
+    r, c = rows[win], cols[win]
     conf = np.zeros((s1, s2))
     off = np.zeros((s1, s2))
     hgt = np.zeros((s1, s2))
     inst = np.zeros((s1, s2), dtype=int)
-    # |offset| of the current occupant, used for nearest-to-center wins
-    claim = np.full((s1, s2), np.inf)
-
-    xs = spec.row_centers()
-    for lane in lanes:
-        if lane.id <= 0:
-            raise ValueError(f"lane ids must be positive to encode, got {lane.id}")
-        covered = (xs >= lane.x[0]) & (xs <= lane.x[-1])
-        rows = np.nonzero(covered)[0]
-        if len(rows) == 0:
-            continue
-        y = np.interp(xs[rows], lane.x, lane.y)
-        z = np.interp(xs[rows], lane.x, lane.z)
-        frac = (y - spec.y_min) / spec.cell
-        cols = np.floor(frac).astype(int)
-        inside = (cols >= 0) & (cols < s2)
-        offsets = frac - cols - 0.5  # in [-0.5, 0.5) by construction
-
-        for r, c, o, zz in zip(rows[inside], cols[inside], offsets[inside], z[inside]):
-            better = abs(o) < claim[r, c] or (abs(o) == claim[r, c] and lane.id < inst[r, c])
-            if inst[r, c] == 0 or better:
-                conf[r, c] = 1.0
-                off[r, c] = o
-                hgt[r, c] = zz
-                inst[r, c] = lane.id
-                claim[r, c] = abs(o)
-
+    conf[r, c] = 1.0
+    off[r, c] = offset[win]
+    hgt[r, c] = z[k[win], r]
+    inst[r, c] = ids[k[win]]
     return GridTensors(confidence=conf, offset=off, height=hgt, instance=inst)
 
 

@@ -3,7 +3,9 @@
 Lanes are resampled by linear interpolation at fixed forward positions
 (default every 5 m from 3 m to 98 m).  Prediction/ground-truth pairs are
 matched one-to-one by the Hungarian algorithm on the mean pointwise
-lateral-vertical distance over co-valid samples.  A matched pair is a true
+lateral-vertical distance over co-valid samples; the (P, G) costs and the
+per-pair co-valid masks come from one broadcast of the (P, N) prediction
+samples against the (G, N) ground-truth samples.  A matched pair is a true
 positive when at least `match_ratio` of the ground-truth lane's valid
 samples lie within `match_threshold`.  Lateral ("x error") and height
 ("z error") statistics are means of absolute differences over the true
@@ -15,7 +17,8 @@ frames before ratios are formed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from itertools import product
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,13 +36,16 @@ class EvalConfig:
     near_limit: float = 40.0
 
     def __post_init__(self):
-        if list(self.sample_xs) != sorted(self.sample_xs):
-            raise ValueError("sample_xs must be sorted ascending")
+        xs = tuple(float(x) for x in self.sample_xs)
+        if not xs or not all(a < b for a, b in zip(xs, xs[1:])):
+            raise ValueError(f"sample_xs must be non-empty and strictly ascending, got {xs}")
         if not 0.0 < self.match_ratio <= 1.0:
             raise ValueError(f"match_ratio must be in (0, 1], got {self.match_ratio}")
-        if self.match_threshold <= 0:
+        if not self.match_threshold > 0:
             raise ValueError(f"match_threshold must be positive, got {self.match_threshold}")
-        object.__setattr__(self, "sample_xs", tuple(float(x) for x in self.sample_xs))
+        if not np.isfinite(self.near_limit):
+            raise ValueError(f"near_limit must be finite, got {self.near_limit}")
+        object.__setattr__(self, "sample_xs", xs)
 
 
 @dataclass
@@ -96,6 +102,15 @@ def resample_lane(lane: Lane3D, xs) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([xs, y, z]), valid
 
 
+def _resample_all(lanes: list[Lane3D], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """resample_lane of every lane, stacked: points (L, N, 3) and valid (L, N)."""
+    points = np.zeros((len(lanes), len(xs), 3))
+    valid = np.zeros((len(lanes), len(xs)), dtype=bool)
+    for k, lane in enumerate(lanes):
+        points[k], valid[k] = resample_lane(lane, xs)
+    return points, valid
+
+
 def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> Matching:
     """Optimal one-to-one assignment of predictions to ground truth.
 
@@ -104,94 +119,33 @@ def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalCo
     are infeasible and never become true positives.
     """
     xs = np.asarray(cfg.sample_xs)
-    rp = [resample_lane(lane, xs) for lane in preds]
-    rg = [resample_lane(lane, xs) for lane in gts]
+    pred_pts, pred_valid = _resample_all(preds, xs)
+    gt_pts, gt_valid = _resample_all(gts, xs)
+    both = pred_valid[:, None] & gt_valid[None]  # (P, G, N)
+    diff = pred_pts[:, None] - gt_pts[None]  # (P, G, N, 3); the x column is 0
+    d = np.sqrt(diff[..., 1] ** 2 + diff[..., 2] ** 2)
+    n_both = both.sum(axis=2)
+    cost = np.full(n_both.shape, _INFEASIBLE)
+    np.divide(np.where(both, d, 0.0).sum(axis=2), n_both, out=cost, where=n_both > 0)
 
-    cost = np.full((len(preds), len(gts)), _INFEASIBLE)
-    dists = {}
-    for i, (pp, pv) in enumerate(rp):
-        for j, (gp, gv) in enumerate(rg):
-            both = pv & gv
-            d = np.sqrt((pp[:, 1] - gp[:, 1]) ** 2 + (pp[:, 2] - gp[:, 2]) ** 2)
-            dists[i, j] = (both, d)
-            if both.any():
-                cost[i, j] = float(d[both].mean())
-
-    pairs = []
-    if len(preds) and len(gts):
-        rows, cols = linear_sum_assignment(cost)
-        for i, j in zip(rows, cols):
-            if cost[i, j] >= _INFEASIBLE:
-                continue
-            both, d = dists[i, j]
-            gt_valid = rg[j][1]
-            n_close = int(((d <= cfg.match_threshold) & both).sum())
-            is_tp = gt_valid.any() and n_close / int(gt_valid.sum()) >= cfg.match_ratio
-            pp, gp = rp[i][0], rg[j][0]
-            pairs.append(
-                MatchedPair(
-                    pred_index=i,
-                    gt_index=j,
-                    cost=cost[i, j],
-                    is_tp=is_tp,
-                    covalid=both,
-                    y_diff=np.abs(pp[:, 1] - gp[:, 1]),
-                    z_diff=np.abs(pp[:, 2] - gp[:, 2]),
-                )
-            )
-    return Matching(pairs=pairs, n_pred=len(preds), n_gt=len(gts))
-
-
-@dataclass
-class _ErrorSums:
-    """Micro-aggregation state: counts plus error sums per distance bucket."""
-
-    tp: int = 0
-    n_pred: int = 0
-    n_gt: int = 0
-    sums: np.ndarray = field(default_factory=lambda: np.zeros(4))  # xn, xf, zn, zf
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=int))
-
-    def add_matching(self, matching: Matching, cfg: EvalConfig):
-        xs = np.asarray(cfg.sample_xs)
-        near = xs <= cfg.near_limit
-        self.tp += matching.tp
-        self.n_pred += matching.n_pred
-        self.n_gt += matching.n_gt
-        for pair in matching.pairs:
-            if not pair.is_tp:
-                continue
-            for k, (diff, mask) in enumerate(
-                (
-                    (pair.y_diff, pair.covalid & near),
-                    (pair.y_diff, pair.covalid & ~near),
-                    (pair.z_diff, pair.covalid & near),
-                    (pair.z_diff, pair.covalid & ~near),
-                )
-            ):
-                self.sums[k] += diff[mask].sum()
-                self.counts[k] += int(mask.sum())
-
-    def result(self) -> EvalResult:
-        if self.n_pred == 0 and self.n_gt == 0:
-            precision = recall = 1.0
-        else:
-            precision = self.tp / self.n_pred if self.n_pred else 0.0
-            recall = self.tp / self.n_gt if self.n_gt else 0.0
-        f = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        errs = [float(s / c) if c else None for s, c in zip(self.sums, self.counts)]
-        return EvalResult(
-            f_score=f,
-            precision=precision,
-            recall=recall,
-            x_err_near=errs[0],
-            x_err_far=errs[1],
-            z_err_near=errs[2],
-            z_err_far=errs[3],
-            tp=self.tp,
-            n_pred=self.n_pred,
-            n_gt=self.n_gt,
+    rows, cols = linear_sum_assignment(cost)
+    keep = cost[rows, cols] < _INFEASIBLE
+    rows, cols = rows[keep], cols[keep]
+    n_close = ((d[rows, cols] <= cfg.match_threshold) & both[rows, cols]).sum(axis=1)
+    is_tp = n_close / gt_valid[cols].sum(axis=1) >= cfg.match_ratio
+    pairs = [
+        MatchedPair(
+            pred_index=i,
+            gt_index=j,
+            cost=cost[i, j],
+            is_tp=tp,
+            covalid=both[i, j],
+            y_diff=np.abs(diff[i, j, :, 1]),
+            z_diff=np.abs(diff[i, j, :, 2]),
         )
+        for i, j, tp in zip(rows, cols, is_tp.tolist())
+    ]
+    return Matching(pairs=pairs, n_pred=len(preds), n_gt=len(gts))
 
 
 def evaluate(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -204,8 +158,41 @@ def evaluate_frames(
     cfg: EvalConfig = EvalConfig(),
 ) -> EvalResult:
     """Micro-averaged evaluation over (preds, gts) frames: true-positive,
-    prediction and ground-truth counts are summed before computing ratios."""
-    sums = _ErrorSums()
+    prediction and ground-truth counts and the error sums per distance
+    bucket are summed before the ratios are formed."""
+    near = np.asarray(cfg.sample_xs) <= cfg.near_limit
+    tp = n_pred = n_gt = 0
+    sums = np.zeros(4)  # x near, x far, z near, z far
+    counts = np.zeros(4, dtype=int)
     for preds, gts in frames:
-        sums.add_matching(match_lanes(preds, gts, cfg), cfg)
-    return sums.result()
+        matching = match_lanes(preds, gts, cfg)
+        tp += matching.tp
+        n_pred += matching.n_pred
+        n_gt += matching.n_gt
+        for pair in matching.pairs:
+            if not pair.is_tp:
+                continue
+            masks = (pair.covalid & near, pair.covalid & ~near)
+            for k, (diff, mask) in enumerate(product((pair.y_diff, pair.z_diff), masks)):
+                sums[k] += diff[mask].sum()
+                counts[k] += int(mask.sum())
+
+    if n_pred == 0 and n_gt == 0:
+        precision = recall = 1.0
+    else:
+        precision = tp / n_pred if n_pred else 0.0
+        recall = tp / n_gt if n_gt else 0.0
+    f = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    errs = [float(s / c) if c else None for s, c in zip(sums, counts)]
+    return EvalResult(
+        f_score=f,
+        precision=precision,
+        recall=recall,
+        x_err_near=errs[0],
+        x_err_far=errs[1],
+        z_err_near=errs[2],
+        z_err_far=errs[3],
+        tp=tp,
+        n_pred=n_pred,
+        n_gt=n_gt,
+    )

@@ -98,6 +98,41 @@ class TestUsageErrors:
         assert payload["error"] == "ConfigError"
         assert named in payload["message"]
 
+    @pytest.mark.parametrize(
+        "command, bad, named",
+        [
+            ("eval", [1], "lanes JSON"),
+            ("eval", {"lanes": 5}, "lanes"),
+            ("eval", {"lanes": [{"id": None, "points": [[3.0, 0.0, 0.0], [9.0, 0.0, 0.0]]}]}, "lanes[0].id"),
+            ("eval", {"lanes": [{"id": 1.5, "points": [[3.0, 0.0, 0.0], [9.0, 0.0, 0.0]]}]}, "lanes[0].id"),
+            ("eval", {"lanes": [{"id": 1, "points": [[3.0, 0.0], [9.0, 0.0]]}]}, "lanes[0].points"),
+            ("encode", [], "scene JSON"),
+            ("encode", {"camera": {}, "lanes": []}, "camera"),
+        ],
+    )
+    def test_bad_lanes_or_scene_exits_1_naming_the_field(self, capsys, tmp_path, command, bad, named):
+        bad_path, gt = tmp_path / "bad.json", tmp_path / "gt.json"
+        bad_path.write_text(json.dumps(bad))
+        data_io.save_lanes(generate_scene(SceneParams(n_lanes=2, seed=1)).lanes, gt)
+        inputs = {
+            "eval": ["--pred", str(bad_path), "--gt", str(gt)],
+            "encode": ["--scene", str(bad_path), "--out-dir", str(tmp_path / "enc")],
+        }[command]
+        code, out, err = run(capsys, command, *inputs)
+        assert code == 1
+        assert out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MissingField"
+        assert named in payload["message"]
+
+    @pytest.mark.parametrize("size", ["-5x3", "0x0", "1024x", "x576", "1024x-1", "12.5x3"])
+    def test_warp_size_must_be_two_positive_integers(self, capsys, tmp_path, size):
+        out = tmp_path / "out.pgm"
+        code, _, err = run(capsys, "warp", "--image", "in.pgm", "--h", "h.json", "--out", str(out), f"--size={size}")
+        assert code == 2
+        assert "--size" in err.splitlines()[0]
+        assert not out.exists()
+
 
 class TestSchemas:
     @pytest.mark.parametrize(

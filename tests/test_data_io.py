@@ -244,6 +244,18 @@ class TestLanesJson:
         data_io.save_lanes(lanes, path, fits)
         assert path.read_text() == json.dumps(data_io.lanes_to_dict(lanes, fits), indent=2) + "\n"
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_raises_only_domain_errors(self, data):
+        points = JSON_VALUES | st.lists(st.lists(st.floats() | st.integers(), max_size=4), max_size=4)
+        entry = JSON_VALUES | st.fixed_dictionaries({"points": points}, optional={"id": JSON_VALUES})
+        value = data.draw(JSON_VALUES | st.fixed_dictionaries({"lanes": JSON_VALUES | st.lists(entry, max_size=3)}))
+        try:
+            lanes = data_io.lanes_from_dict(json.loads(json.dumps(value)))
+        except LaneBevError:
+            return
+        assert all(isinstance(lane, Lane3D) for lane in lanes)
+
 
 class TestSceneJson:
     def test_roundtrip(self, tmp_path):

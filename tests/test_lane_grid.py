@@ -18,6 +18,37 @@ def straight_lane(y, lane_id=1, x0=3.0, x1=103.0, z=0.0):
     return Lane3D(points=np.array([[x0, y, z], [x1, y, z]]), id=lane_id)
 
 
+# 20 x 8 cells, so that lanes share cells often
+SMALL_GRID = GridSpec(x_min=0.0, x_max=10.0, y_min=-2.0, y_max=2.0, cell=0.5)
+# quarter cells reaching 0.5 m past either side: a straight lane's offset is
+# -0.5, -0.25, 0 or 0.25, so two lanes in a cell often tie on |offset|
+QUARTER_CELL_Y = st.integers(-20, 20).map(lambda k: k * 0.125)
+HEIGHT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def lane_sets(draw):
+    """0-6 lanes with ids 1-3, many straight, some reaching past the grid,
+    some repeating an earlier lane's x-y course at another height, as it is
+    or mirrored about its cells' centers (the same |offset|, other sign)."""
+    lanes = []
+    for _ in range(draw(st.integers(0, 6))):
+        if lanes and draw(st.booleans()):
+            points = draw(st.sampled_from(lanes)).points.copy()
+            points[:, 2] = draw(HEIGHT)
+            if draw(st.booleans()):
+                cells = np.floor((points[:, 1] - SMALL_GRID.y_min) / SMALL_GRID.cell)
+                points[:, 1] = 2.0 * (SMALL_GRID.y_min + (cells + 0.5) * SMALL_GRID.cell) - points[:, 1]
+        else:
+            x0 = draw(st.integers(-8, 40)) * 0.25
+            x1 = x0 + draw(st.integers(1, 48)) * 0.25
+            y0 = draw(QUARTER_CELL_Y)
+            y1 = y0 if draw(st.booleans()) else draw(QUARTER_CELL_Y)
+            points = np.array([[x0, y0, draw(HEIGHT)], [x1, y1, draw(HEIGHT)]])
+        lanes.append(Lane3D(points=points, id=draw(st.integers(1, 3))))
+    return lanes
+
+
 class TestGridSpec:
     def test_defaults_give_200_by_40(self):
         spec = GridSpec()
@@ -152,6 +183,16 @@ class TestEncodeLanes:
         assert np.all(gt.offset[~on] == 0.0)
 
 
+    @given(lanes=lane_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_reference(self, lanes):
+        for order in (lanes, lanes[::-1]):
+            got = encode_lanes(order, SMALL_GRID)
+            want = reference_encode_lanes(order, SMALL_GRID)
+            for name in ("confidence", "offset", "height", "instance"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
 class TestSimplexVertices:
     def test_pairwise_unit_distances(self):
         for n, dim in [(2, 4), (3, 4), (5, 4), (7, 8)]:
@@ -226,3 +267,33 @@ class TestGridTensors:
     def test_shape_consistency_validated(self):
         with pytest.raises(ValueError):
             GridTensors(confidence=np.zeros((2, 2)), offset=np.zeros((2, 3)), height=np.zeros((2, 2)))
+
+
+def reference_encode_lanes(lanes, spec):
+    """The documented claim rule as a plain loop over every lane's hit cells:
+    a sample takes a cell that is empty, or held by a sample farther from the
+    cell center, or equally far with a higher lane id."""
+    s1, s2 = spec.shape
+    conf = np.zeros((s1, s2))
+    off = np.zeros((s1, s2))
+    hgt = np.zeros((s1, s2))
+    inst = np.zeros((s1, s2), dtype=int)
+    claim = np.full((s1, s2), np.inf)
+    xs = spec.row_centers()
+    for lane in lanes:
+        rows = np.nonzero((xs >= lane.x[0]) & (xs <= lane.x[-1]))[0]
+        y = np.interp(xs[rows], lane.x, lane.y)
+        z = np.interp(xs[rows], lane.x, lane.z)
+        frac = (y - spec.y_min) / spec.cell
+        cols = np.floor(frac).astype(int)
+        inside = (cols >= 0) & (cols < s2)
+        offsets = frac - cols - 0.5
+        for r, c, o, zz in zip(rows[inside], cols[inside], offsets[inside], z[inside]):
+            better = abs(o) < claim[r, c] or (abs(o) == claim[r, c] and lane.id < inst[r, c])
+            if inst[r, c] == 0 or better:
+                conf[r, c] = 1.0
+                off[r, c] = o
+                hgt[r, c] = zz
+                inst[r, c] = lane.id
+                claim[r, c] = abs(o)
+    return GridTensors(confidence=conf, offset=off, height=hgt, instance=inst)

@@ -1,8 +1,13 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from lanebev.lane_grid import Lane3D
-from lanebev.metrics import EvalConfig, evaluate, evaluate_frames, match_lanes, resample_lane
+from lanebev.metrics import EvalConfig, MatchedPair, Matching, evaluate, evaluate_frames, match_lanes, resample_lane
 
 
 def lane(y0, slope=0.0, x0=3.0, x1=103.0, z=0.0, lane_id=1, n=60):
@@ -15,6 +20,24 @@ def shifted(lanes, dy=0.0, dz=0.0):
         Lane3D(points=lane.points + np.array([0.0, dy, dz]), id=lane.id)
         for lane in lanes
     ]
+
+
+COORD = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@st.composite
+def lane_lists(draw, base=()):
+    """0-4 lanes of 2-4 points over random x spans (some disjoint from the
+    others), half of them copies of a `base` lane moved by a random shift."""
+    lanes = []
+    for _ in range(draw(st.integers(0, 4))):
+        if base and draw(st.booleans()):
+            lanes.append(shifted([draw(st.sampled_from(base))], dy=draw(COORD) / 4.0, dz=draw(COORD) / 20.0)[0])
+            continue
+        x = draw(st.lists(st.floats(0.0, 110.0), min_size=2, max_size=4, unique=True))
+        points = [[xi, draw(COORD), draw(COORD) / 5.0] for xi in x]
+        lanes.append(Lane3D(points=np.array(points), id=len(lanes) + 1))
+    return lanes
 
 
 class TestResampleLane:
@@ -56,6 +79,36 @@ class TestMatchLanes:
         assert m.pairs[0].is_tp  # 0.1 <= 1.5 threshold
         tight = match_lanes(pred, gts, EvalConfig(match_threshold=0.05))
         assert tight.tp == 0
+
+    def test_tp_ratio_is_a_division(self):
+        # 7 of the 25 valid samples are close: 7 / 25 >= 0.28 holds, while
+        # 7 >= 0.28 * 25 (= 7.000000000000001) would not
+        cfg = EvalConfig(sample_xs=tuple(float(x) for x in range(25)), match_threshold=1.0, match_ratio=0.28)
+        gt = lane(0.0, x0=0.0, x1=24.0, n=25)
+        pred = Lane3D(points=np.array([[0.0, 0.0, 0.0], [6.0, 0.0, 0.0], [7.0, 2.0, 0.0], [24.0, 2.0, 0.0]]), id=1)
+        m = match_lanes([pred], [gt], cfg)
+        assert m.tp == 1
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_reference(self, data):
+        gts = data.draw(lane_lists(), label="gts")
+        preds = data.draw(lane_lists(base=gts), label="preds")
+        cfg = EvalConfig(
+            match_threshold=data.draw(st.sampled_from([0.3, 1.5])),
+            match_ratio=data.draw(st.sampled_from([0.5, 0.7, 0.75, 1.0])),
+        )
+        want, cost = reference_match_lanes(preds, gts, cfg)
+        totals = sorted(sum(cost[i, j] for i, j in pairs) for pairs in assignments(*cost.shape))
+        assume(len(totals) < 2 or totals[1] - totals[0] > 1e-9)
+        got = match_lanes(preds, gts, cfg)
+        assert [(p.pred_index, p.gt_index, p.is_tp) for p in got.pairs] == [
+            (p.pred_index, p.gt_index, p.is_tp) for p in want.pairs
+        ]
+        for g, w in zip(got.pairs, want.pairs):
+            assert abs(g.cost - w.cost) <= 1e-12 * w.cost
+            for name in ("covalid", "y_diff", "z_diff"):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), name
 
     def test_no_covalid_samples_is_infeasible(self):
         gt = lane(0.0, x0=3.0, x1=40.0)
@@ -169,3 +222,60 @@ class TestEvalConfig:
             EvalConfig(match_ratio=0.0)
         with pytest.raises(ValueError):
             EvalConfig(match_threshold=0.0)
+        with pytest.raises(ValueError):
+            EvalConfig(match_threshold=float("nan"))
+        with pytest.raises(ValueError):
+            EvalConfig(sample_xs=())
+        with pytest.raises(ValueError):
+            EvalConfig(sample_xs=(3.0, 8.0, 8.0))
+        with pytest.raises(ValueError):
+            EvalConfig(near_limit=float("nan"))
+        with pytest.raises(ValueError):
+            EvalConfig(near_limit=float("inf"))
+
+
+def assignments(n_rows, n_cols):
+    """Every way to pair min(n_rows, n_cols) rows with distinct columns, as (row, col) lists."""
+    if n_rows <= n_cols:
+        return [list(zip(range(n_rows), cols)) for cols in permutations(range(n_cols), n_rows)]
+    return [list(zip(rows, range(n_cols))) for rows in permutations(range(n_rows), n_cols)]
+
+
+def reference_match_lanes(preds, gts, cfg):
+    """The matching protocol as a plain loop over every prediction-truth pair;
+    returns the Matching and the cost matrix."""
+    xs = np.asarray(cfg.sample_xs)
+    rp = [resample_lane(lane, xs) for lane in preds]
+    rg = [resample_lane(lane, xs) for lane in gts]
+    cost = np.full((len(preds), len(gts)), 1e12)
+    dists = {}
+    for i, (pp, pv) in enumerate(rp):
+        for j, (gp, gv) in enumerate(rg):
+            both = pv & gv
+            d = np.sqrt((pp[:, 1] - gp[:, 1]) ** 2 + (pp[:, 2] - gp[:, 2]) ** 2)
+            dists[i, j] = (both, d)
+            if both.any():
+                cost[i, j] = float(d[both].mean())
+    pairs = []
+    if len(preds) and len(gts):
+        rows, cols = linear_sum_assignment(cost)
+        for i, j in zip(rows, cols):
+            if cost[i, j] >= 1e12:
+                continue
+            both, d = dists[i, j]
+            gt_valid = rg[j][1]
+            n_close = int(((d <= cfg.match_threshold) & both).sum())
+            is_tp = gt_valid.any() and n_close / int(gt_valid.sum()) >= cfg.match_ratio
+            pp, gp = rp[i][0], rg[j][0]
+            pairs.append(
+                MatchedPair(
+                    pred_index=i,
+                    gt_index=j,
+                    cost=cost[i, j],
+                    is_tp=is_tp,
+                    covalid=both,
+                    y_diff=np.abs(pp[:, 1] - gp[:, 1]),
+                    z_diff=np.abs(pp[:, 2] - gp[:, 2]),
+                )
+            )
+    return Matching(pairs=pairs, n_pred=len(preds), n_gt=len(gts)), cost
