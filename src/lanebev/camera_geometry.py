@@ -45,9 +45,10 @@ DEFAULT_GROUND_POINTS = ((3.0, -5.0), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0))
 
 _MIN_DEPTH = 1e-9
 
-# Points per block in bilinear_sample.  A block's temporaries fit in cache
-# and the allocator reuses them, where image-sized ones would fault in
-# fresh pages on every call.
+# Output points per block in the sampler kernel (_sample_rows), rounded
+# down to whole output rows and at least one row.  A block's coordinates
+# and taps fit in cache and the allocator reuses them, where image-sized
+# ones would fault in fresh pages on every call.
 _SAMPLE_BLOCK = 16384
 
 
@@ -137,6 +138,8 @@ class Homography:
         if abs(m[2, 2]) < 1e-12:
             raise SingularHomography("matrix[2][2] is zero; cannot normalize")
         m = m / m[2, 2]
+        if not np.isfinite(m).all():
+            raise NonFiniteInput("homography matrix overflows when normalized by matrix[2][2]")
         if abs(np.linalg.det(m)) < 1e-12:
             raise SingularHomography("homography matrix is singular")
         object.__setattr__(self, "matrix", m)
@@ -279,8 +282,9 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     """Inverse-warp an image by a homography, like cv2.warpPerspective.
 
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
-    bilinear interpolation (bilinear_sample, which gathers the neighbours
-    without building an operator); samples outside the source are 0.
+    bilinear interpolation; samples outside the source are 0.  The source
+    coordinates are made one row block at a time and sampled by the same
+    kernel as bilinear_sample, so no image-sized coordinate array is built.
     `out_size` is (width, height).  Accepts (H, W) or (H, W, C) arrays.
     """
     out_w, out_h = out_size
@@ -289,12 +293,17 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     except np.linalg.LinAlgError as exc:  # pragma: no cover - Homography validates
         raise SingularHomography(str(exc)) from exc
 
-    uu, vv = np.meshgrid(np.arange(out_w, dtype=float), np.arange(out_h, dtype=float))
-    w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / w
-        sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / w
-    return bilinear_sample(image, sx, sy)
+    uu = np.arange(out_w, dtype=float)
+
+    def coords(v):
+        vv = v[:, None]
+        w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / w
+            sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / w
+        return sx, sy
+
+    return _sample_rows(image, (out_h, out_w), coords)
 
 
 def _bilinear_taps(sx: np.ndarray, sy: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
@@ -337,11 +346,32 @@ def bilinear_sample(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarr
 
     The result has the shape of sx followed by the image's channel axis, if
     any, and equals bilinear_operator(sx, sy, (H, W)) @ img bit for bit
-    without building the operator: the four neighbours are gathered from a
-    zero-padded copy of the image and their weighted values are added from
-    0.0 in the operator's storage order, as scipy's CSR product adds them.
-    A neighbour outside the source reads the pad and adds +0.0; a point
-    with no neighbour inside, or a non-finite one, gives 0.
+    without building the operator (see _sample_rows, which this runs with
+    every point as one output row).
+    """
+    px, py = np.ravel(sx), np.ravel(sy)
+
+    def coords(v):
+        points = slice(int(v[0]), int(v[0]) + len(v))
+        return px[points], py[points]
+
+    out = _sample_rows(img, (px.size, 1), coords)
+    return out.reshape(np.shape(sx) + out.shape[2:])
+
+
+def _sample_rows(img: np.ndarray, out_hw: tuple[int, int], coords) -> np.ndarray:
+    """Bilinearly sample an (H, W) or (H, W, C) image into an (out_h, out_w)
+    grid of points, one block of whole output rows at a time.
+
+    coords(v) gets the block's row indices v as floats and returns the
+    source coordinates (sx, sy) of its points, each of shape
+    (len(v), out_w).  The four neighbours are gathered from a zero-padded
+    copy of the image and their weighted values are added from 0.0 in
+    bilinear_operator's storage order, as scipy's CSR product adds them, so
+    the result equals the operator product bit for bit.  A neighbour
+    outside the source reads the pad and adds +0.0; a point with no
+    neighbour inside, or a non-finite one, gives 0.  A block with no point
+    inside the source is not gathered, and its rows stay +0.0.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim not in (2, 3):
@@ -352,19 +382,26 @@ def bilinear_sample(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarr
     padded[1:-1, 1:-1] = img
     flat = padded.reshape((src_h + 2) * pad_w, -1)
 
-    px, py = np.ravel(sx), np.ravel(sy)
-    out = np.zeros((px.size, flat.shape[1]))
-    for lo in range(0, px.size, _SAMPLE_BLOCK):
-        block = slice(lo, lo + _SAMPLE_BLOCK)
-        x0, y0, weights = _bilinear_taps(px[block], py[block])
+    out_h, out_w = out_hw
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in out_hw):
+        raise ValueError(f"output height and width must be non-negative integers, got {out_h!r} and {out_w!r}")
+    out = np.zeros((out_h * out_w, flat.shape[1]))
+    step = max(1, _SAMPLE_BLOCK // max(out_w, 1))
+    for lo in range(0, out_h, step):
+        v = np.arange(lo, min(lo + step, out_h), dtype=float)
+        sx, sy = coords(v)
+        x0, y0, weights = _bilinear_taps(np.ravel(sx), np.ravel(sy))
         # NaN fails every comparison and +-inf one of them; where() drops
         # the index of such a point, which may be inf - inf.
         inside = (x0 >= -1) & (x0 <= src_w - 1) & (y0 >= -1) & (y0 <= src_h - 1)
+        if not inside.any():
+            continue
         with np.errstate(invalid="ignore"):
             base = np.where(inside, (y0 + 1) * pad_w + (x0 + 1), 0).astype(np.intp)
-        acc = out[block]
+        acc = out[lo * out_w : (lo + len(v)) * out_w]
         with np.errstate(invalid="ignore", over="ignore"):
-            for w, step in zip(weights, (0, 1, pad_w, pad_w + 1)):
-                acc += w[:, None] * np.take(flat, base + step, axis=0)
-        acc[~inside] = 0.0
-    return out.reshape(np.shape(sx) + img.shape[2:])
+            for w, offset in zip(weights, (0, 1, pad_w, pad_w + 1)):
+                acc += w[:, None] * np.take(flat, base + offset, axis=0)
+        if not inside.all():
+            acc[~inside] = 0.0
+    return out.reshape((out_h, out_w) + img.shape[2:])

@@ -105,18 +105,27 @@ def rig_to_dict(rig: CameraRig) -> dict:
 
 
 def rig_from_dict(data: dict) -> CameraRig:
-    intr = data["intrinsics"]
-    extr = data["extrinsics"]
-    return CameraRig(
-        intrinsics=Intrinsics(
-            fx=intr["fx"], fy=intr["fy"], cx=intr["cx"], cy=intr["cy"], skew=intr.get("skew", 0.0)
-        ),
-        extrinsics=Extrinsics(
-            rotation=np.asarray(extr["rotation"], dtype=float),
-            translation=np.asarray(extr["translation"], dtype=float),
-        ),
-        image_size=tuple(data["image_size"]),
-    )
+    """The rig of a parsed camera JSON object.
+
+    Raises MissingField naming the field (such as intrinsics.fx) when it is
+    absent or unusable, and NonFiniteInput on NaN or infinite values.
+    """
+    return _rig_at(data, "")
+
+
+def _rig_at(data, at: str) -> CameraRig:
+    """rig_from_dict, naming each field after the key path `at` (such as "camera.")."""
+    data = _json_object(data, at[:-1] or "camera JSON")
+    intr = {"skew": 0.0, **_json_object(data.get("intrinsics"), at + "intrinsics")}
+    k = {key: float(_float_field(intr, key, f"{at}intrinsics.{key}")) for key in ("fx", "fy", "cx", "cy", "skew")}
+    extr = _json_object(data.get("extrinsics"), at + "extrinsics")
+    rotation = _float_field(extr, "rotation", f"{at}extrinsics.rotation", (3, 3))
+    translation = _float_field(extr, "translation", f"{at}extrinsics.translation", (3,))
+    size = _image_size(data.get("image_size"), at + "image_size")
+    try:
+        return CameraRig(Intrinsics(**k), Extrinsics(rotation=rotation, translation=translation), size)
+    except ValueError as exc:  # a focal length <= 0, or a rotation off by more than 1e-9 or with det -1
+        raise MissingField(f"{at}intrinsics or extrinsics: {exc}") from exc
 
 
 def load_rig(path: str | Path) -> CameraRig:
@@ -132,7 +141,35 @@ def save_homography(h: Homography, path: str | Path) -> None:
 
 
 def load_homography(path: str | Path) -> Homography:
-    return Homography(np.asarray(json.loads(Path(path).read_text())["matrix"], dtype=float))
+    """The homography of a JSON file {"matrix": 3x3 numbers}.
+
+    Raises MissingField naming the field when it is absent or unusable, and
+    NonFiniteInput or SingularHomography on a matrix that is not one.
+    """
+    data = _json_object(json.loads(Path(path).read_text()), "homography JSON")
+    return Homography(_float_field(data, "matrix", "matrix", (3, 3)))
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise MissingField(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _float_field(data: dict, key: str, name: str, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """data[key] as a finite float array of `shape`; raises MissingField or NonFiniteInput naming `name`."""
+    if key not in data:
+        raise MissingField(f"{name} is missing")
+    arr = _float_array(data[key], name)
+    if arr.shape != shape:
+        raise MissingField(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
+def _image_size(value, name: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int and v > 0 for v in value)):
+        raise MissingField(f"{name} must be two positive integers, got {value!r}")
+    return tuple(value)
 
 
 # --- config dataclasses (GridSpec, DecodeParams, EvalConfig, SceneParams) ---
@@ -197,8 +234,7 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
     layout or a value is unusable, and NonFiniteInput on NaN or infinite
     points.
     """
-    if not isinstance(data, dict):
-        raise MissingField(f"lanes JSON must be an object, got {type(data).__name__}")
+    _json_object(data, "lanes JSON")
     if not isinstance(data.get("lanes"), list):
         raise MissingField(f"lanes must be a list, got {type(data.get('lanes')).__name__}")
     lanes = []
@@ -265,15 +301,11 @@ def scene_to_dict(scene: SceneRecord) -> dict:
 
 def scene_from_dict(data: dict) -> SceneRecord:
     """The scene of a parsed scene JSON object; raises MissingField naming the field."""
-    if not isinstance(data, dict):
-        raise MissingField(f"scene JSON must be an object, got {type(data).__name__}")
+    _json_object(data, "scene JSON")
     for key in ("camera", "lanes"):
         if key not in data:
             raise MissingField(f"scene is missing '{key}'")
-    try:
-        rig = rig_from_dict(data["camera"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MissingField(f"camera: {type(exc).__name__}: {exc}") from exc
+    rig = _rig_at(data["camera"], "camera.")
     scene_tag = data.get("scene_tag", "")
     if not isinstance(scene_tag, str):
         raise MissingField(f"scene_tag must be a string, got {type(scene_tag).__name__}")
@@ -316,8 +348,7 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
         data = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise MalformedJson(str(exc)) from exc
-    if not isinstance(data, dict):
-        raise MissingField(f"frame must be a JSON object, got {type(data).__name__}")
+    _json_object(data, "frame")
 
     for key in ("intrinsic", "extrinsic", "lane_lines"):
         if key not in data:
@@ -334,9 +365,7 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     rot_c2r = extrinsic[:3, :3]
     if np.max(np.abs(rot_c2r.T @ rot_c2r - np.eye(3))) > 1e-6:
         raise NonOrthonormalRotation("extrinsic rotation fails orthonormality within 1e-6")
-    size = data.get("image_size", [1024, 576])
-    if not (isinstance(size, list) and len(size) == 2 and all(type(v) is int and v > 0 for v in size)):
-        raise MissingField(f"image_size must be two positive integers, got {size!r}")
+    size = _image_size(data.get("image_size", [1024, 576]), "image_size")
     if not isinstance(data["lane_lines"], list):
         raise MissingField(f"lane_lines must be a list, got {type(data['lane_lines']).__name__}")
 
@@ -351,7 +380,7 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
         intrinsics = Intrinsics(
             fx=intrinsic[0, 0], fy=intrinsic[1, 1], cx=intrinsic[0, 2], cy=intrinsic[1, 2], skew=intrinsic[0, 1]
         )
-        rig = CameraRig(intrinsics, Extrinsics(rotation=rotation, translation=translation), tuple(size))
+        rig = CameraRig(intrinsics, Extrinsics(rotation=rotation, translation=translation), size)
     except ValueError as exc:  # a focal length <= 0, or a rotation off by more than 1e-9 or with det -1
         raise MissingField(f"intrinsic or extrinsic: {exc}") from exc
 
@@ -418,8 +447,8 @@ def read_pnm(path: str | Path) -> np.ndarray:
     """Read binary PGM/PPM (8- or 16-bit samples) into a [0, 1] float array.
 
     Raises ImageFormatError naming the file on a bad magic number, a
-    missing or non-numeric header field, a maxval outside 1..65535 and
-    truncated pixel data.
+    missing or non-numeric header field, a maxval outside 1..65535,
+    truncated pixel data and a sample above maxval.
     """
     blob = Path(path).read_bytes()
     if blob[:2] not in (b"P5", b"P6"):
@@ -454,5 +483,7 @@ def read_pnm(path: str | Path) -> np.ndarray:
     if len(blob) - pos < count * dtype.itemsize:
         raise ImageFormatError(f"{path}: pixel data truncated, {count * dtype.itemsize} bytes expected, {len(blob) - pos} found")
     raw = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
+    if count and raw.max() > maxval:
+        raise ImageFormatError(f"{path}: sample above maxval {maxval}: {raw.max()}")
     img = raw.reshape((height, width, channels)).astype(float) / float(maxval)
     return img[:, :, 0] if channels == 1 else img

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .lane_grid import Lane3D
 
@@ -127,6 +126,8 @@ def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalCo
     n_both = both.sum(axis=2)
     cost = np.full(n_both.shape, _INFEASIBLE)
     np.divide(np.where(both, d, 0.0).sum(axis=2), n_both, out=cost, where=n_both > 0)
+
+    from scipy.optimize import linear_sum_assignment  # about 0.4 s to import; only matching needs it
 
     rows, cols = linear_sum_assignment(cost)
     keep = cost[rows, cols] < _INFEASIBLE

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera_geometry import CameraRig, Extrinsics, Intrinsics, bilinear_sample
+from .camera_geometry import CameraRig, Extrinsics, Intrinsics, _sample_rows
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -145,35 +145,41 @@ def render_ground_pattern(
     Every output pixel's ray is intersected with the z = 0 plane and the
     pattern (rows = forward x over the spec extent, columns = lateral y) is
     sampled bilinearly there.  Rays that do not hit the ground in front of
-    the camera give 0.  `out_size` is (width, height), default the rig's.
+    the camera give 0.  The rays are cast one row block at a time by the
+    sampler's kernel, and a block with no ray on the pattern, such as the
+    sky above the horizon, is not sampled.  `out_size` is (width, height),
+    default the rig's.
     """
     pat = np.asarray(pattern, dtype=float)
     w, h = out_size if out_size is not None else rig.image_size
 
     intr = rig.intrinsics
-    uu, vv = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    yn = (vv - intr.cy) / intr.fy
-    xn = (uu - intr.cx - intr.skew * yn) / intr.fx
-    d_cam = np.stack([xn, yn, np.ones_like(xn)], axis=-1)
-
     rot_t = rig.extrinsics.rotation.T
-    d_road = d_cam @ rot_t.T
     center = rig.extrinsics.camera_center
-
-    dz = d_road[:, :, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = -center[2] / dz
-    # t equals the camera-frame depth because the ray direction has unit
-    # camera z; only strictly positive depths hit the ground ahead.
-    valid = np.isfinite(t) & (t > 1e-9)
-    t = np.where(valid, t, np.nan)
-    gx = center[0] + t * d_road[:, :, 0]
-    gy = center[1] + t * d_road[:, :, 1]
-
     rows_p, cols_p = pat.shape[:2]
-    ix = (gx - spec.x_min) / (spec.x_max - spec.x_min) * rows_p - 0.5
-    iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
-    return bilinear_sample(pat, iy, ix)  # pattern axes: row = x, col = y
+    uu = np.arange(w, dtype=float)
+
+    def coords(v):
+        yn = (v[:, None] - intr.cy) / intr.fy
+        xn = (uu - intr.cx - intr.skew * yn) / intr.fx
+        d_cam = np.stack([xn, np.broadcast_to(yn, xn.shape), np.ones_like(xn)], axis=-1)
+        d_road = d_cam @ rot_t.T
+
+        dz = d_road[:, :, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -center[2] / dz
+        # t equals the camera-frame depth because the ray direction has unit
+        # camera z; only strictly positive depths hit the ground ahead.
+        valid = np.isfinite(t) & (t > 1e-9)
+        t = np.where(valid, t, np.nan)
+        gx = center[0] + t * d_road[:, :, 0]
+        gy = center[1] + t * d_road[:, :, 1]
+
+        ix = (gx - spec.x_min) / (spec.x_max - spec.x_min) * rows_p - 0.5
+        iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
+        return iy, ix  # pattern axes: row = x, col = y
+
+    return _sample_rows(pat, (h, w), coords)
 
 
 def checkerboard(

@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lanebev
 from lanebev import data_io
 from lanebev.cli import main
 from lanebev.lane_grid import GridSpec
@@ -117,6 +122,34 @@ class TestUsageErrors:
         inputs = {
             "eval": ["--pred", str(bad_path), "--gt", str(gt)],
             "encode": ["--scene", str(bad_path), "--out-dir", str(tmp_path / "enc")],
+        }[command]
+        code, out, err = run(capsys, command, *inputs)
+        assert code == 1
+        assert out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MissingField"
+        assert named in payload["message"]
+
+    @pytest.mark.parametrize(
+        "command, bad, named",
+        [
+            ("homography", [], "camera JSON"),
+            ("homography", {"intrinsics": {}, "extrinsics": [], "image_size": [4, 4]}, "intrinsics.fx"),
+            ("homography", {**data_io.rig_to_dict(canonical_rig()), "extrinsics": []}, "extrinsics"),
+            ("homography", {**data_io.rig_to_dict(canonical_rig()), "image_size": "1024x576"}, "image_size"),
+            ("warp", [], "homography JSON"),
+            ("warp", {"homography": np.eye(3).tolist()}, "matrix"),
+            ("warp", {"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "last"]}, "matrix"),
+        ],
+    )
+    def test_bad_camera_or_homography_exits_1_naming_the_field(self, capsys, tmp_path, command, bad, named):
+        bad_path, cam, image = tmp_path / "bad.json", tmp_path / "cam.json", tmp_path / "in.pgm"
+        bad_path.write_text(json.dumps(bad))
+        data_io.save_rig(canonical_rig(), cam)
+        data_io.write_pnm(np.zeros((4, 6)), image)
+        inputs = {
+            "homography": ["--src", str(bad_path), "--dst", str(cam)],
+            "warp": ["--image", str(image), "--h", str(bad_path), "--out", str(tmp_path / "out.pgm")],
         }[command]
         code, out, err = run(capsys, command, *inputs)
         assert code == 1
@@ -299,3 +332,12 @@ class TestDataDirEnv:
         code, out, _ = run(capsys, "homography", "--src", "cam.json", "--dst", "cam.json")
         assert code == 0
         assert np.abs(np.asarray(json.loads(out)["matrix"]) - np.eye(3)).max() < 1e-9
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize takes about 0.4 s to import and only lane matching uses it
+    src = str(Path(lanebev.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, lanebev.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanebev import data_io
@@ -18,6 +18,7 @@ from lanebev.errors import (
     MissingField,
     NonFiniteInput,
     NonOrthonormalRotation,
+    SingularHomography,
     TruncatedPayload,
     UnsupportedVersion,
 )
@@ -188,6 +189,9 @@ class TestConfigFromDict:
         assert isinstance(cfg, cls)
 
 
+DROP = object()  # a field removed from the JSON object
+
+
 class TestCameraJson:
     def test_roundtrip(self, tmp_path):
         rig = canonical_rig()
@@ -205,6 +209,93 @@ class TestCameraJson:
         data = json.loads(path.read_text())
         assert set(data) == {"intrinsics", "extrinsics", "image_size"}
         assert set(data["intrinsics"]) == {"fx", "fy", "cx", "cy", "skew"}
+
+    def test_skew_defaults_to_zero(self):
+        data = data_io.rig_to_dict(canonical_rig())
+        del data["intrinsics"]["skew"]
+        assert data_io.rig_from_dict(data).intrinsics == canonical_rig().intrinsics
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            ((), [], "camera JSON"),
+            (("intrinsics",), DROP, "intrinsics"),
+            (("intrinsics",), [], "intrinsics"),
+            (("intrinsics", "fx"), DROP, "intrinsics.fx"),
+            (("intrinsics", "fx"), "wide", "intrinsics.fx"),
+            (("intrinsics", "cy"), [288.0], "intrinsics.cy"),
+            (("intrinsics", "fy"), -1.0, "intrinsics or extrinsics"),
+            (("extrinsics", "rotation"), [[1.0, 0.0], [0.0, 1.0]], "extrinsics.rotation"),
+            (("extrinsics", "rotation"), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "row"], "extrinsics.rotation"),
+            (("extrinsics", "rotation"), np.diag([1.0, 1.0, -1.0]).tolist(), "intrinsics or extrinsics"),
+            (("extrinsics", "translation"), {"x": 0.0}, "extrinsics.translation"),
+            (("image_size",), [1024], "image_size"),
+            (("image_size",), [1024.0, 576.0], "image_size"),
+            (("image_size",), [True, 576], "image_size"),
+        ],
+    )
+    def test_bad_field_raises_missing_field_naming_it(self, path, value, named):
+        data = data_io.rig_to_dict(canonical_rig())
+        if not path:
+            data = value
+        else:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        with pytest.raises(MissingField, match=re.escape(named)):
+            data_io.rig_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "value, error, named",
+        [
+            ([], MissingField, "homography JSON"),
+            ({}, MissingField, "matrix"),
+            ({"matrix": None}, NonFiniteInput, "matrix"),
+            ({"matrix": "eye"}, MissingField, "matrix"),
+            ({"matrix": [[1.0, 0.0], [0.0, 1.0]]}, MissingField, "matrix"),
+            ({"matrix": [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]]}, NonFiniteInput, "overflows"),
+            ({"matrix": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}, SingularHomography, "singular"),
+        ],
+    )
+    def test_bad_homography_file_names_the_field(self, tmp_path, value, error, named):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(value))
+        with pytest.raises(error, match=named):
+            data_io.load_homography(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_raises_only_domain_errors(self, data):
+        # Any JSON value, or a valid camera with one field replaced by one
+        value = data_io.rig_to_dict(canonical_rig())
+        section = data.draw(st.sampled_from([(), ("intrinsics",), ("extrinsics",)]))
+        where = value[section[0]] if section else value
+        where[data.draw(st.sampled_from(sorted(where)))] = data.draw(JSON_VALUES)
+        value = data.draw(st.sampled_from([value, data.draw(JSON_VALUES)]))
+        try:
+            rig = data_io.rig_from_dict(value)
+        except LaneBevError:
+            return
+        assert rig.image_size == tuple(value["image_size"])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_homography_json_raises_only_domain_errors(self, data, tmp_path_factory):
+        # Any JSON value, alone or as the matrix, or a matrix with one entry replaced by one
+        matrix = np.eye(3).tolist()
+        matrix[data.draw(st.integers(0, 2))][data.draw(st.integers(0, 2))] = data.draw(JSON_VALUES)
+        value = data.draw(JSON_VALUES)
+        path = tmp_path_factory.mktemp("h") / "h.json"
+        path.write_text(json.dumps(data.draw(st.sampled_from([value, {"matrix": value}, {"matrix": matrix}]))))
+        try:
+            h = data_io.load_homography(path)
+        except LaneBevError:
+            return
+        assert h.matrix.shape == (3, 3) and np.isfinite(h.matrix).all()
 
 
 class TestLanesJson:
@@ -486,6 +577,8 @@ class TestPnm:
             (b"P5\n" + b"9" * 5000 + b" 1\n255\n", "width"),
             (b"P5\n0 0\n255", "no whitespace after maxval"),
             (b"P5\n1 1\n255\n", "truncated"),
+            (b"P5\n2 2\n1\t\x00\x00\x00\x02", "sample above maxval"),
+            (b"P6\n1 1\n300\n\x00\x00\x01\x2d\x00\x00", "sample above maxval"),
         ],
     )
     def test_bad_header_raises_image_format_error(self, tmp_path, blob, field):
@@ -498,6 +591,7 @@ class TestPnm:
         prefix=st.sampled_from([b"", b"P5", b"P6", b"P5\n2 2\n", b"P6 1 1 65535\n", b"P5\n# c\n1 1\n255\n"]),
         tail=st.binary(max_size=40),
     )
+    @example(prefix=b"P5\n2 2\n", tail=b"1\t\x00\x00\x00\x02")  # a sample of 2 above maxval 1
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_raise_only_domain_errors(self, prefix, tail, tmp_path_factory):
         path = tmp_path_factory.mktemp("pnm") / "img.pnm"
