@@ -26,9 +26,9 @@ one camera to the pixels of another camera observing the same ground point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DegenerateConfiguration,
@@ -38,6 +38,9 @@ from .errors import (
     NonFiniteInput,
     SingularHomography,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Default ground anchor points (meters) for homography estimation: corners
 # of a 100 m x 10 m box centered on the forward axis, inside the BEV range.
@@ -95,7 +98,9 @@ class Extrinsics:
         for name, v in (("rotation", r), ("translation", t)):
             if not np.isfinite(v).all():
                 raise NonFiniteInput(f"{name} holds NaN or infinite values")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or NaN, refused next
+            off = np.max(np.abs(r.T @ r - np.eye(3)))
+        if not off <= 1e-9:
             raise ValueError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise ValueError("rotation determinant is not +1 within 1e-9")
@@ -137,7 +142,8 @@ class Homography:
             raise NonFiniteInput("homography matrix holds NaN or infinite values")
         if abs(m[2, 2]) < 1e-12:
             raise SingularHomography("matrix[2][2] is zero; cannot normalize")
-        m = m / m[2, 2]
+        with np.errstate(over="ignore"):  # an overflow is refused on the next line
+            m = m / m[2, 2]
         if not np.isfinite(m).all():
             raise NonFiniteInput("homography matrix overflows when normalized by matrix[2][2]")
         if abs(np.linalg.det(m)) < 1e-12:
@@ -288,10 +294,7 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     `out_size` is (width, height).  Accepts (H, W) or (H, W, C) arrays.
     """
     out_w, out_h = out_size
-    try:
-        hinv = np.linalg.inv(h.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - Homography validates
-        raise SingularHomography(str(exc)) from exc
+    hinv = np.linalg.inv(h.matrix)  # Homography refuses |det| < 1e-12
 
     uu = np.arange(out_w, dtype=float)
 
@@ -328,6 +331,8 @@ def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]
     outside the source are not stored, so samples fade to 0 at the border
     like a constant-0 border in OpenCV; non-finite points give a zero row.
     """
+    from scipy import sparse  # about 0.25 s to import; only the IPM maps need it
+
     src_h, src_w = src_shape
     sx, sy = np.ravel(sx), np.ravel(sy)
     x0, y0, weights = _bilinear_taps(sx, sy)

@@ -157,7 +157,7 @@ def _cmd_homography(args, parser) -> int:
     dst = data_io.load_rig(_resolve(args.dst))
     points = None
     if args.points and args.points != "default":
-        points = json.loads(Path(_resolve(args.points)).read_text())
+        points = data_io.load_ground_points(_resolve(args.points))
     h = compute_homography(src, dst, points)
     _emit({"matrix": h.matrix.tolist()}, args.out)
     return 0

@@ -8,10 +8,12 @@ Binary tensor layout (extension .bldt), all multi-byte integers little-endian:
     next 4*ndim dims, uint32 each
     payload     float32 little-endian, row-major, 4 * prod(dims) bytes
 
-JSON schemas for cameras, lanes, scenes and homographies live here so
-every CLI subcommand shares one source of truth; the config files (grid,
-decode, eval and scene parameters) are read by `from_dict`, whose keys and
-defaults are the dataclass fields.  OpenLane-style frame annotations are
+JSON schemas for cameras, lanes, scenes, homographies and ground anchors
+live here so every CLI subcommand shares one source of truth; the config
+files (grid, decode, eval and scene parameters) are read by `from_dict`,
+whose keys and defaults are the dataclass fields.  Every file follows one
+number rule (`_json_number_type`): a number is a JSON int or float, and a
+string, boolean or null is refused.  OpenLane-style frame annotations are
 parsed into road-frame scene records; the frame's 4x4 extrinsic maps
 camera coordinates to the road frame and lane points are stored
 camera-frame as 3xN arrays, matching the public per-frame layout.
@@ -24,6 +26,8 @@ import json
 import math
 import struct
 import sys
+from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +89,61 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
-# --- camera / homography JSON ---
+# --- JSON values: one number rule, one array reader ---
+
+def _json_number_type(t: type) -> bool:
+    """The one rule for a number in any file lanebev reads: an int or a
+    float.  bool is refused although it is an int; so are str and None."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _floats(value, name: str, shape: tuple[int | None, ...] = ()) -> np.ndarray:
+    """A parsed JSON value as a finite float array of `shape` (None matches any length).
+
+    Raises MissingField naming `name` when the value is missing or null, is
+    not a rectangular nest of lists, holds a leaf that is not a JSON number
+    or has another shape; NonFiniteInput on NaN or infinite numbers.
+    """
+    if value is None:
+        raise MissingField(f"{name} is missing or null")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MissingField(f"{name} is not a rectangular array of numbers: {exc}") from exc
+    # asarray reads "3" as 3.0, true as 1.0 and null as NaN, and a float
+    # array does not tell a bool from a number; so check the leaves' types,
+    # one C-level pass over the value nested arr.ndim deep.
+    leaves = [value]
+    for _ in range(arr.ndim):
+        leaves = chain.from_iterable(leaves)
+    bad = [t.__name__ for t in set(map(type, leaves)) if not _json_number_type(t)]
+    if bad:
+        raise MissingField(f"{name} must hold only JSON numbers, got {', '.join(sorted(bad))}")
+    if len(arr.shape) != len(shape) or any(n not in (None, got) for got, n in zip(arr.shape, shape)):
+        want = ", ".join("N" if n is None else str(n) for n in shape)
+        raise MissingField(f"{name} must have shape ({want}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} holds NaN or infinite values")
+    return arr
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise MissingField(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+@contextmanager
+def _naming(name: str):
+    """Raise a constructor's own ValueError (a focal length <= 0, a
+    reflection, fewer than 2 distinct x) as MissingField naming `name`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise MissingField(f"{name}: {exc}") from exc
+
+
+# --- camera / homography / ground anchor JSON ---
 
 def rig_to_dict(rig: CameraRig) -> dict:
     return {
@@ -117,15 +175,13 @@ def _rig_at(data, at: str) -> CameraRig:
     """rig_from_dict, naming each field after the key path `at` (such as "camera.")."""
     data = _json_object(data, at[:-1] or "camera JSON")
     intr = {"skew": 0.0, **_json_object(data.get("intrinsics"), at + "intrinsics")}
-    k = {key: float(_float_field(intr, key, f"{at}intrinsics.{key}")) for key in ("fx", "fy", "cx", "cy", "skew")}
+    k = {key: float(_floats(intr.get(key), f"{at}intrinsics.{key}")) for key in ("fx", "fy", "cx", "cy", "skew")}
     extr = _json_object(data.get("extrinsics"), at + "extrinsics")
-    rotation = _float_field(extr, "rotation", f"{at}extrinsics.rotation", (3, 3))
-    translation = _float_field(extr, "translation", f"{at}extrinsics.translation", (3,))
+    rotation = _floats(extr.get("rotation"), f"{at}extrinsics.rotation", (3, 3))
+    translation = _floats(extr.get("translation"), f"{at}extrinsics.translation", (3,))
     size = _image_size(data.get("image_size"), at + "image_size")
-    try:
+    with _naming(f"{at}intrinsics or extrinsics"):
         return CameraRig(Intrinsics(**k), Extrinsics(rotation=rotation, translation=translation), size)
-    except ValueError as exc:  # a focal length <= 0, or a rotation off by more than 1e-9 or with det -1
-        raise MissingField(f"{at}intrinsics or extrinsics: {exc}") from exc
 
 
 def load_rig(path: str | Path) -> CameraRig:
@@ -147,23 +203,17 @@ def load_homography(path: str | Path) -> Homography:
     NonFiniteInput or SingularHomography on a matrix that is not one.
     """
     data = _json_object(json.loads(Path(path).read_text()), "homography JSON")
-    return Homography(_float_field(data, "matrix", "matrix", (3, 3)))
+    return Homography(_floats(data.get("matrix"), "matrix", (3, 3)))
 
 
-def _json_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise MissingField(f"{name} must be a JSON object, got {type(value).__name__}")
-    return value
+def load_ground_points(path: str | Path) -> np.ndarray:
+    """The (N, 2) road-frame ground anchors (meters) of a JSON file [[x, y], ...].
 
-
-def _float_field(data: dict, key: str, name: str, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """data[key] as a finite float array of `shape`; raises MissingField or NonFiniteInput naming `name`."""
-    if key not in data:
-        raise MissingField(f"{name} is missing")
-    arr = _float_array(data[key], name)
-    if arr.shape != shape:
-        raise MissingField(f"{name} must have shape {shape}, got {arr.shape}")
-    return arr
+    Raises MissingField naming "ground points" when the file does not hold
+    a list of number pairs, and NonFiniteInput on NaN or infinite values;
+    compute_homography then needs at least 4 anchors.
+    """
+    return _floats(json.loads(Path(path).read_text()), "ground points", (None, 2))
 
 
 def _image_size(value, name: str) -> tuple[int, int]:
@@ -175,8 +225,8 @@ def _image_size(value, name: str) -> tuple[int, int]:
 # --- config dataclasses (GridSpec, DecodeParams, EvalConfig, SceneParams) ---
 
 def _finite_number(value) -> bool:
-    """True for an int or float (not bool) within the float range; NaN and inf fail."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    """True for a JSON number (see _json_number_type) within the float range; NaN and inf fail."""
+    return _json_number_type(type(value)) and abs(value) <= sys.float_info.max
 
 
 def from_dict(cls, data):
@@ -239,16 +289,13 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
         raise MissingField(f"lanes must be a list, got {type(data.get('lanes')).__name__}")
     lanes = []
     for i, entry in enumerate(data["lanes"]):
-        if not isinstance(entry, dict) or "points" not in entry:
-            raise MissingField(f"lanes[{i}] must be an object with 'points'")
+        entry = _json_object(entry, f"lanes[{i}]")
         lane_id = entry.get("id", i + 1)
         if type(lane_id) is not int or not -(2**63) <= lane_id < 2**63:
             raise MissingField(f"lanes[{i}].id must be a 64-bit integer, got {lane_id!r}")
-        points = _float_array(entry["points"], f"lanes[{i}].points")
-        try:
+        points = _floats(entry.get("points"), f"lanes[{i}].points", (None, 3))
+        with _naming(f"lanes[{i}].points"):
             lanes.append(Lane3D(points=points, id=lane_id))
-        except ValueError as exc:  # not (N, 3), or fewer than 2 distinct x
-            raise MissingField(f"lanes[{i}].points: {exc}") from exc
     return lanes
 
 
@@ -302,14 +349,11 @@ def scene_to_dict(scene: SceneRecord) -> dict:
 def scene_from_dict(data: dict) -> SceneRecord:
     """The scene of a parsed scene JSON object; raises MissingField naming the field."""
     _json_object(data, "scene JSON")
-    for key in ("camera", "lanes"):
-        if key not in data:
-            raise MissingField(f"scene is missing '{key}'")
-    rig = _rig_at(data["camera"], "camera.")
+    rig = _rig_at(data.get("camera"), "camera.")
     scene_tag = data.get("scene_tag", "")
     if not isinstance(scene_tag, str):
         raise MissingField(f"scene_tag must be a string, got {type(scene_tag).__name__}")
-    return SceneRecord(rig=rig, lanes=lanes_from_dict({"lanes": data["lanes"]}), scene_tag=scene_tag)
+    return SceneRecord(rig=rig, lanes=lanes_from_dict({"lanes": data.get("lanes")}), scene_tag=scene_tag)
 
 
 def load_scene(path: str | Path) -> SceneRecord:
@@ -321,17 +365,6 @@ def save_scene(scene: SceneRecord, path: str | Path) -> None:
 
 
 # --- OpenLane-style frames ---
-
-def _float_array(value, name: str) -> np.ndarray:
-    """`value` as a finite float array; raises MissingField or NonFiniteInput naming `name`."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MissingField(f"{name} is not numeric: {exc}") from exc
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name} holds NaN or infinite values")
-    return arr
-
 
 def parse_openlane_frame(json_text: str) -> SceneRecord:
     """Parse one OpenLane-layout frame annotation into a road-frame scene.
@@ -349,25 +382,21 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     except json.JSONDecodeError as exc:
         raise MalformedJson(str(exc)) from exc
     _json_object(data, "frame")
-
-    for key in ("intrinsic", "extrinsic", "lane_lines"):
-        if key not in data:
-            raise MissingField(f"frame is missing '{key}'")
-
-    intrinsic = _float_array(data["intrinsic"], "intrinsic")
-    extrinsic = _float_array(data["extrinsic"], "extrinsic")
-    if intrinsic.shape != (3, 3):
-        raise MissingField(f"intrinsic must be 3x3, got {intrinsic.shape}")
-    if abs(np.linalg.det(intrinsic)) < 1e-12:
-        raise MissingField("intrinsic matrix is not invertible")
-    if extrinsic.shape != (4, 4):
-        raise MissingField(f"extrinsic must be 4x4, got {extrinsic.shape}")
+    intrinsic = _floats(data.get("intrinsic"), "intrinsic", (3, 3))
+    extrinsic = _floats(data.get("extrinsic"), "extrinsic", (4, 4))
     rot_c2r = extrinsic[:3, :3]
-    if np.max(np.abs(rot_c2r.T @ rot_c2r - np.eye(3))) > 1e-6:
+    # Huge entries overflow to inf or NaN here, and both checks refuse those.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(intrinsic)
+        off = np.max(np.abs(rot_c2r.T @ rot_c2r - np.eye(3)))
+    if not abs(det) >= 1e-12:
+        raise MissingField("intrinsic matrix is not invertible")
+    if not off <= 1e-6:
         raise NonOrthonormalRotation("extrinsic rotation fails orthonormality within 1e-6")
     size = _image_size(data.get("image_size", [1024, 576]), "image_size")
-    if not isinstance(data["lane_lines"], list):
-        raise MissingField(f"lane_lines must be a list, got {type(data['lane_lines']).__name__}")
+    lane_lines = data.get("lane_lines")
+    if not isinstance(lane_lines, list):
+        raise MissingField(f"lane_lines must be a list, got {type(lane_lines).__name__}")
 
     # road->camera rig from the camera->road extrinsic.  A rotation written
     # to 7 digits is orthonormal only to about 1e-7, so the rig takes the
@@ -376,26 +405,18 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     if np.linalg.det(rotation) > 0:
         rotation = _nearest_rotation(rotation)
     translation = -rotation @ extrinsic[:3, 3]
-    try:
+    with _naming("intrinsic or extrinsic"):
         intrinsics = Intrinsics(
             fx=intrinsic[0, 0], fy=intrinsic[1, 1], cx=intrinsic[0, 2], cy=intrinsic[1, 2], skew=intrinsic[0, 1]
         )
         rig = CameraRig(intrinsics, Extrinsics(rotation=rotation, translation=translation), size)
-    except ValueError as exc:  # a focal length <= 0, or a rotation off by more than 1e-9 or with det -1
-        raise MissingField(f"intrinsic or extrinsic: {exc}") from exc
 
     lanes = []
-    for i, entry in enumerate(data["lane_lines"]):
-        if not isinstance(entry, dict) or "xyz" not in entry:
-            raise MissingField(f"lane_lines[{i}] must be an object with 'xyz'")
-        xyz = _float_array(entry["xyz"], f"lane_lines[{i}].xyz")
-        if xyz.ndim != 2 or xyz.shape[0] != 3:
-            raise MissingField(f"lane_lines[{i}].xyz must be 3xN, got {xyz.shape}")
+    for i, entry in enumerate(lane_lines):
+        xyz = _floats(_json_object(entry, f"lane_lines[{i}]").get("xyz"), f"lane_lines[{i}].xyz", (3, None))
         p_road = (extrinsic[:3, :3] @ xyz + extrinsic[:3, 3:4]).T
-        try:
+        with _naming(f"lane_lines[{i}]"):
             lanes.append(Lane3D(points=p_road, id=i + 1))
-        except ValueError as exc:  # fewer than 2 distinct x
-            raise MissingField(f"lane_lines[{i}]: {exc}") from exc
     return SceneRecord(rig=rig, lanes=lanes, scene_tag=str(data.get("file_path", "")))
 
 

@@ -12,14 +12,18 @@ along channels.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
 from .errors import InsufficientRank, ShapeMismatch
 from .lane_grid import GridSpec
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass
@@ -55,7 +59,9 @@ class ViewRelationMap:
     bev_shape: tuple[int, int]
 
     def __post_init__(self):
-        if not sparse.issparse(self.matrix):
+        # A sparse matrix can only exist once scipy.sparse is imported.
+        scipy_sparse = sys.modules.get("scipy.sparse")
+        if scipy_sparse is None or not scipy_sparse.issparse(self.matrix):
             self.matrix = np.asarray(self.matrix, dtype=float)
         self.fv_shape = tuple(int(v) for v in self.fv_shape)
         self.bev_shape = tuple(int(v) for v in self.bev_shape)

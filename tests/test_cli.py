@@ -158,6 +158,42 @@ class TestUsageErrors:
         assert payload["error"] == "MissingField"
         assert named in payload["message"]
 
+    @pytest.mark.parametrize(
+        "points",
+        [{"x": 1}, None, [["3", -5], [3, 5], [103, -5], [103, 5]]],
+        ids=["object", "null", "string"],
+    )
+    def test_bad_anchors_file_exits_1_naming_it(self, capsys, tmp_path, points):
+        cam, bad_path = tmp_path / "cam.json", tmp_path / "points.json"
+        data_io.save_rig(canonical_rig(), cam)
+        bad_path.write_text(json.dumps(points))
+        code, out, err = run(capsys, "homography", "--src", str(cam), "--dst", str(cam), "--points", str(bad_path))
+        assert code == 1
+        assert out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MissingField"
+        assert "ground points" in payload["message"]
+
+    @pytest.mark.parametrize("command, error", [("warp", "NonFiniteInput"), ("homography", "MissingField")])
+    def test_overflow_prints_one_json_line_on_stderr(self, tmp_path, command, error):
+        # A fresh process, so that a RuntimeWarning would reach stderr
+        image, cam = tmp_path / "in.pgm", tmp_path / "cam.json"
+        data_io.write_pnm(np.zeros((4, 6)), image)
+        huge_rotation = data_io.rig_to_dict(canonical_rig())
+        huge_rotation["extrinsics"]["rotation"][0][0] = 1e200
+        cam.write_text(json.dumps(huge_rotation))
+        (tmp_path / "h.json").write_text(json.dumps({"matrix": [[1e308, 0, 0], [0, 1, 0], [0, 0, 1e-10]]}))
+        argv = {
+            "warp": ["--image", str(image), "--h", str(tmp_path / "h.json"), "--out", str(tmp_path / "out.pgm")],
+            "homography": ["--src", str(cam), "--dst", str(cam)],
+        }[command]
+        done = subprocess.run(
+            [sys.executable, "-m", "lanebev.cli", command, *argv], capture_output=True, text=True, env=package_env()
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert json.loads(done.stderr)["error"] == error
+
     @pytest.mark.parametrize("size", ["-5x3", "0x0", "1024x", "x576", "1024x-1", "12.5x3"])
     def test_warp_size_must_be_two_positive_integers(self, capsys, tmp_path, size):
         out = tmp_path / "out.pgm"
@@ -334,10 +370,15 @@ class TestDataDirEnv:
         assert np.abs(np.asarray(json.loads(out)["matrix"]) - np.eye(3)).max() < 1e-9
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize takes about 0.4 s to import and only lane matching uses it
+def package_env():
+    """The environment of a fresh process that imports this lanebev."""
     src = str(Path(lanebev.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, lanebev.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.sparse and scipy.optimize take about 0.25 s and 0.4 s to import;
+    # only the IPM maps and lane matching use them
+    code = "import sys, lanebev.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), check=True)
     assert done.stdout.strip() == "[]"

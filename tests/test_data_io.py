@@ -24,6 +24,7 @@ from lanebev.errors import (
 )
 from lanebev.lane_grid import GridSpec, Lane3D
 from lanebev.metrics import EvalConfig
+from lanebev.camera_geometry import compute_homography
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, generate_scene
 
@@ -254,7 +255,7 @@ class TestCameraJson:
         [
             ([], MissingField, "homography JSON"),
             ({}, MissingField, "matrix"),
-            ({"matrix": None}, NonFiniteInput, "matrix"),
+            ({"matrix": None}, MissingField, "matrix"),
             ({"matrix": "eye"}, MissingField, "matrix"),
             ({"matrix": [[1.0, 0.0], [0.0, 1.0]]}, MissingField, "matrix"),
             ({"matrix": [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]]}, NonFiniteInput, "overflows"),
@@ -507,6 +508,138 @@ class TestOpenLaneFrameBoundary:
         except LaneBevError:
             return
         assert all(isinstance(lane, Lane3D) for lane in scene.lanes)
+
+
+def with_leaf(value, path, leaf):
+    """A deep copy of the JSON value `value` with the entry at `path` replaced by `leaf`."""
+    value = json.loads(json.dumps(value))
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = leaf
+    return value
+
+
+def load_json_file(load, value, tmp_path):
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps(value))
+    return load(path)
+
+
+ANCHORS = [[3.0, -5.0], [3.0, 5.0], [103.0, -5.0], [103.0, 5.0]]
+
+# Each boundary: (name, load(value with the leaf put in), the field its
+# error names, the integral number the base value holds at the leaf)
+NUMBER_BOUNDARIES = [
+    (
+        "rig intrinsics.fx",
+        lambda v, tmp: data_io.rig_from_dict(with_leaf(data_io.rig_to_dict(canonical_rig()), ("intrinsics", "fx"), v)),
+        "intrinsics.fx",
+        1000,
+    ),
+    (
+        "rotation entry",
+        lambda v, tmp: data_io.rig_from_dict(
+            with_leaf(data_io.rig_to_dict(canonical_rig()), ("extrinsics", "rotation", 1, 2), v)
+        ),
+        "extrinsics.rotation",
+        -1,
+    ),
+    (
+        "homography matrix entry",
+        lambda v, tmp: load_json_file(data_io.load_homography, {"matrix": with_leaf(np.eye(3).tolist(), (0, 2), v)}, tmp),
+        "matrix",
+        0,
+    ),
+    (
+        "lane point",
+        lambda v, tmp: data_io.lanes_from_dict({"lanes": [{"id": 1, "points": [[3.0, v, 0.0], [9.0, 0.0, 0.0]]}]}),
+        "lanes[0].points",
+        0,
+    ),
+    (
+        "OpenLane intrinsic entry",
+        lambda v, tmp: data_io.parse_openlane_frame(json.dumps(with_leaf(minimal_frame(), ("intrinsic", 0, 2), v))),
+        "intrinsic",
+        512,
+    ),
+    (
+        "OpenLane xyz entry",
+        lambda v, tmp: data_io.parse_openlane_frame(
+            json.dumps(with_leaf(minimal_frame(), ("lane_lines", 0, "xyz", 1, 0), v))
+        ),
+        "lane_lines[0].xyz",
+        0,
+    ),
+    (
+        "anchors file",
+        lambda v, tmp: load_json_file(data_io.load_ground_points, with_leaf(ANCHORS, (2, 1), v), tmp),
+        "ground points",
+        -5,
+    ),
+]
+
+NOT_NUMBERS = ["1000", True, False, None, {}, [1000.0, 1000.0]]
+
+
+class TestOneNumberRule:
+    @pytest.mark.parametrize("leaf", NOT_NUMBERS, ids=["string", "true", "false", "null", "object", "ragged"])
+    @pytest.mark.parametrize("boundary, load, named, number", NUMBER_BOUNDARIES, ids=[b[0] for b in NUMBER_BOUNDARIES])
+    def test_non_number_leaf_is_refused_at_every_boundary(self, boundary, load, named, number, leaf, tmp_path):
+        with pytest.raises(MissingField, match=re.escape(named)):
+            load(leaf, tmp_path)
+        with pytest.raises(ConfigError, match="GridSpec.cell"):
+            data_io.from_dict(GridSpec, {"cell": leaf})
+
+    @pytest.mark.parametrize("boundary, load, named, number", NUMBER_BOUNDARIES, ids=[b[0] for b in NUMBER_BOUNDARIES])
+    def test_ints_and_floats_are_both_numbers(self, boundary, load, named, number, tmp_path):
+        load(number, tmp_path)
+        load(float(number), tmp_path)
+
+    def test_anchors_file_loads_as_pairs(self, tmp_path):
+        points = load_json_file(data_io.load_ground_points, [[3, -5], [3.5, 5]], tmp_path)
+        assert points.dtype == float and points.tolist() == [[3.0, -5.0], [3.5, 5.0]]
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_anchors_json_raises_only_domain_errors(self, data, tmp_path_factory):
+        # Any JSON value, or the default anchors with one entry replaced by one
+        anchors = with_leaf(ANCHORS, (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 1))), data.draw(JSON_VALUES))
+        value = data.draw(st.sampled_from([anchors, data.draw(JSON_VALUES)]))
+        path = tmp_path_factory.mktemp("anchors") / "points.json"
+        path.write_text(json.dumps(value))
+        try:
+            h = compute_homography(canonical_rig(), canonical_rig(), data_io.load_ground_points(path))
+        except LaneBevError:
+            return
+        assert np.isfinite(h.matrix).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "load, error",
+        [
+            (
+                lambda tmp: load_json_file(
+                    data_io.load_homography, {"matrix": [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]]}, tmp
+                ),
+                NonFiniteInput,
+            ),
+            (
+                lambda tmp: data_io.parse_openlane_frame(json.dumps(minimal_frame(extrinsic=(np.eye(4) * 1e200).tolist()))),
+                NonOrthonormalRotation,
+            ),
+            (
+                lambda tmp: data_io.rig_from_dict(
+                    with_leaf(data_io.rig_to_dict(canonical_rig()), ("extrinsics", "rotation", 0, 0), 1e200)
+                ),
+                MissingField,
+            ),
+        ],
+        ids=["homography", "OpenLane extrinsic", "camera rotation"],
+    )
+    def test_overflow_is_refused_without_a_warning(self, load, error, tmp_path):
+        with pytest.raises(error):
+            load(tmp_path)
 
 
 class TestPnm:
