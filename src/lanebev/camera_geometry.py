@@ -364,7 +364,7 @@ def bilinear_sample(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarr
     return out.reshape(np.shape(sx) + out.shape[2:])
 
 
-def _sample_rows(img: np.ndarray, out_hw: tuple[int, int], coords) -> np.ndarray:
+def _sample_rows(img: np.ndarray, out_hw: tuple[int, int], coords, rows: tuple[int, int] | None = None) -> np.ndarray:
     """Bilinearly sample an (H, W) or (H, W, C) image into an (out_h, out_w)
     grid of points, one block of whole output rows at a time.
 
@@ -377,6 +377,11 @@ def _sample_rows(img: np.ndarray, out_hw: tuple[int, int], coords) -> np.ndarray
     outside the source reads the pad and adds +0.0; a point with no
     neighbour inside, or a non-finite one, gives 0.  A block with no point
     inside the source is not gathered, and its rows stay +0.0.
+
+    rows, if given, is a half-open range [lo, hi) of output rows that the
+    caller knows to hold every point inside the source.  It is clamped to
+    [0, out_h) once out_hw is known to be valid; coords is called only for
+    the rows in it, and the rows outside it stay +0.0.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim not in (2, 3):
@@ -390,10 +395,11 @@ def _sample_rows(img: np.ndarray, out_hw: tuple[int, int], coords) -> np.ndarray
     out_h, out_w = out_hw
     if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in out_hw):
         raise ValueError(f"output height and width must be non-negative integers, got {out_h!r} and {out_w!r}")
+    first, end = (0, out_h) if rows is None else (min(max(r, 0), out_h) for r in rows)
     out = np.zeros((out_h * out_w, flat.shape[1]))
     step = max(1, _SAMPLE_BLOCK // max(out_w, 1))
-    for lo in range(0, out_h, step):
-        v = np.arange(lo, min(lo + step, out_h), dtype=float)
+    for lo in range(first, end, step):
+        v = np.arange(lo, min(lo + step, end), dtype=float)
         sx, sy = coords(v)
         x0, y0, weights = _bilinear_taps(np.ravel(sx), np.ravel(sy))
         # NaN fails every comparison and +-inf one of them; where() drops

@@ -192,10 +192,6 @@ def save_rig(rig: CameraRig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(rig_to_dict(rig), indent=2) + "\n")
 
 
-def save_homography(h: Homography, path: str | Path) -> None:
-    Path(path).write_text(json.dumps({"matrix": h.matrix.tolist()}, indent=2) + "\n")
-
-
 def load_homography(path: str | Path) -> Homography:
     """The homography of a JSON file {"matrix": 3x3 numbers}.
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera_geometry import CameraRig, Extrinsics, Intrinsics, _sample_rows
+from .camera_geometry import CameraRig, Extrinsics, Intrinsics, _sample_rows, project_ground_points
+from .errors import DegenerateDepth
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -146,9 +147,21 @@ def render_ground_pattern(
     pattern (rows = forward x over the spec extent, columns = lateral y) is
     sampled bilinearly there.  Rays that do not hit the ground in front of
     the camera give 0.  The rays are cast one row block at a time by the
-    sampler's kernel, and a block with no ray on the pattern, such as the
-    sky above the horizon, is not sampled.  `out_size` is (width, height),
-    default the rig's.
+    sampler's kernel, and a block with no ray on the pattern is not
+    sampled.  `out_size` is (width, height), default the rig's.
+
+    Rays are cast only for the rows of the pattern's ground footprint.  The
+    sampler keeps a point only if its floors fall inside the pattern, so
+    only ground points in the spec extent widened by half a pattern pixel
+    on each side can add to the output.  When all four corners of that
+    rectangle lie in front of the camera, so does all of it, and its image
+    is the convex quad of the projected corners.  A row more than one row
+    above or below the quad's rows then gathers nothing, stays +0.0 and
+    casts no rays: the sky, and the ground beyond the pattern's far edge.
+    The one-row margin keeps the output the same bytes as casting every
+    row, because it is many orders of magnitude wider than the rounding
+    that separates the projected corners from the cast rays.  If a corner
+    is behind the camera, every row is cast.
     """
     pat = np.asarray(pattern, dtype=float)
     w, h = out_size if out_size is not None else rig.image_size
@@ -179,7 +192,30 @@ def render_ground_pattern(
         iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
         return iy, ix  # pattern axes: row = x, col = y
 
-    return _sample_rows(pat, (h, w), coords)
+    return _sample_rows(pat, (h, w), coords, _footprint_rows(rig, spec, (rows_p, cols_p)))
+
+
+def _footprint_rows(rig: CameraRig, spec: GridSpec, pattern_hw: tuple[int, int]) -> tuple[int, int] | None:
+    """The rows [lo, hi) that render_ground_pattern casts for a pattern of
+    pattern_hw pixels over the spec extent: the rows of its widened extent's
+    projected corners, one row of margin above and below, or None (every
+    row) for an empty pattern, a corner behind the camera or a corner that
+    projects to no finite pixel."""
+    rows_p, cols_p = pattern_hw
+    if rows_p == 0 or cols_p == 0:
+        return None
+    half_x = 0.5 * (spec.x_max - spec.x_min) / rows_p
+    half_y = 0.5 * (spec.y_max - spec.y_min) / cols_p
+    xs = (spec.x_min - half_x, spec.x_max + half_x)
+    ys = (spec.y_min - half_y, spec.y_max + half_y)
+    corners = [(x, y) for x in xs for y in ys]
+    try:
+        v = project_ground_points(rig, corners)[:, 1]
+    except DegenerateDepth:
+        return None
+    if not np.isfinite(v).all():
+        return None
+    return int(np.floor(v.min())) - 1, int(np.ceil(v.max())) + 2
 
 
 def checkerboard(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from lanebev import camera_geometry
+from lanebev import camera_geometry, synth
 from lanebev.camera_geometry import (
     CameraRig,
     Homography,
@@ -23,9 +23,10 @@ from lanebev.camera_geometry import (
     bilinear_sample,
     compute_homography,
     mean_virtual_camera,
+    project_ground_points,
     warp_image,
 )
-from lanebev.errors import NonFiniteInput, SingularHomography
+from lanebev.errors import DegenerateDepth, NonFiniteInput, SingularHomography
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import canonical_rig, checkerboard, jittered_rig, render_ground_pattern
 
@@ -143,6 +144,12 @@ class TestRenderRowBlocks:
     @example(  # every row above the horizon: nothing is gathered
         block=5, out_size=(16, 9), horizon=30.0, jitter=(0.0, 0.0), pattern_shape=(4, 4), channels=(), seed=1
     )
+    @example(  # the footprint's rows [1, 28) sit strictly inside the image's 29
+        block=64, out_size=(48, 29), horizon=-0.5, jitter=(4.0, 0.5), pattern_shape=(400, 40), channels=(3,), seed=23
+    )
+    @example(  # the footprint lies wholly below the image: no row is cast, all +0.0
+        block=5, out_size=(48, 29), horizon=40.0, jitter=(0.0, 0.0), pattern_shape=(50, 10), channels=(), seed=1
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_whole_image_render(self, block, out_size, horizon, jitter, pattern_shape, channels, seed):
         rng = np.random.default_rng(seed)
@@ -172,6 +179,69 @@ class TestRenderRowBlocks:
             render_ground_pattern(canonical_rig(), np.ones((5, 4)), GridSpec(), out_size)
         with pytest.raises(ValueError, match="non-negative integers"):
             warp_image(np.ones((5, 4)), Homography(), out_size)
+
+
+def render_cast_rows(rig, pattern, spec, out_size):
+    """The render, and the output rows whose rays it cast, in call order."""
+    cast = []
+    sample_rows = synth._sample_rows
+
+    def spy(img, out_hw, coords, *args):
+        def spied_coords(v):
+            cast.extend(int(r) for r in v)
+            return coords(v)
+
+        return sample_rows(img, out_hw, spied_coords, *args)
+
+    with mock.patch.object(synth, "_sample_rows", spy):
+        return render_ground_pattern(rig, pattern, spec, out_size), cast
+
+
+class TestRenderFootprintRows:
+    def test_fleet_rig_casts_no_row_above_the_far_edge(self):
+        spec, size = GridSpec(), (1024, 576)
+        rig = jittered_rig(np.random.default_rng([1]), 2.0, 0.2)
+        pattern = checkerboard(spec, square_x=20.0, square_y=4.0, px_per_cell=2)
+        got, cast = render_cast_rows(rig, pattern, spec, size)
+        half_x = 0.5 * (spec.x_max - spec.x_min) / pattern.shape[0]
+        half_y = 0.5 * (spec.y_max - spec.y_min) / pattern.shape[1]
+        far_edge = [(spec.x_max + half_x, spec.y_min - half_y), (spec.x_max + half_x, spec.y_max + half_y)]
+        far_row = project_ground_points(rig, far_edge)[:, 1].min()
+        assert 200 < far_row < 400  # the far edge is mid-image, so the rows above it are culled
+        assert cast == list(range(int(np.floor(far_row)) - 1, size[1]))
+        assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, spec, size))
+
+    def test_footprint_behind_the_camera_casts_every_row(self):
+        spec, size = GridSpec(x_min=-10.0, x_max=90.0), (256, 144)
+        rig = scaled_rig(canonical_rig(), size)
+        pattern = checkerboard(spec, square_x=20.0, square_y=4.0, px_per_cell=2)
+        with pytest.raises(DegenerateDepth):
+            project_ground_points(rig, [(spec.x_min, 0.0)])
+        got, cast = render_cast_rows(rig, pattern, spec, size)
+        assert cast == list(range(size[1]))
+        assert got.any()
+        assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, spec, size))
+
+    @given(
+        block=BLOCKS,
+        out_size=st.tuples(st.integers(0, 48), st.integers(0, 29)),
+        horizon=st.floats(-5.0, 40.0),
+        jitter=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 0.5)),
+        pattern_shape=st.tuples(st.integers(20, 400), st.integers(1, 40)),
+        channels=CHANNELS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_culled_rows_match_whole_image_render(self, block, out_size, horizon, jitter, pattern_shape, channels, seed):
+        # Patterns of 20 rows or more put the widened near edge at x >= 0.5 m,
+        # in front of the camera for most draws, so mostly only the
+        # footprint's rows are cast.
+        rng = np.random.default_rng(seed)
+        rig = scaled_rig(jittered_rig(rng, *jitter), (max(out_size[0], 1), max(out_size[1], 1)), cy=horizon)
+        pattern = rng.normal(size=pattern_shape + channels)
+        with mock.patch.object(camera_geometry, "_SAMPLE_BLOCK", block):
+            got = render_ground_pattern(rig, pattern, GridSpec(), out_size)
+        assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, GridSpec(), out_size))
 
 
 # SHA-256 over the renders of the four seed-1 fleet rigs and their virtual
