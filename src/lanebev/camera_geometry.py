@@ -182,13 +182,16 @@ def project_ground_points(rig: CameraRig, points_xy: np.ndarray) -> np.ndarray:
     """Vectorized projection of (N, 2) ground points; returns (N, 2) pixels.
 
     Same contract as project_ground_point, raised on the first bad depth.
+    A point too far away for a float pixel projects to inf or NaN, without
+    a warning.
     """
     pts = np.atleast_2d(np.asarray(points_xy, dtype=float))
-    uvw, depths = _ground_to_image(rig, pts[:, 0], pts[:, 1])
-    if np.any(depths <= _MIN_DEPTH):
-        bad = pts[int(np.argmin(depths))]
-        raise DegenerateDepth(f"ground point ({bad[0]}, {bad[1]}) has depth {depths.min():.3g}")
-    return uvw[:, :2] / uvw[:, 2:3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        uvw, depths = _ground_to_image(rig, pts[:, 0], pts[:, 1])
+        if np.any(depths <= _MIN_DEPTH):
+            bad = pts[int(np.argmin(depths))]
+            raise DegenerateDepth(f"ground point ({bad[0]}, {bad[1]}) has depth {depths.min():.3g}")
+        return uvw[:, :2] / uvw[:, 2:3]
 
 
 def _nearest_rotation(m: np.ndarray) -> np.ndarray:
@@ -226,8 +229,11 @@ def mean_virtual_camera(rigs: list[CameraRig]) -> CameraRig:
 
 def _conditioning_transform(pts: np.ndarray) -> np.ndarray:
     """Hartley normalization: centroid to origin, mean distance sqrt(2)."""
-    centroid = pts.mean(axis=0)
-    dist = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # pixels beyond the float range are refused next
+        centroid = pts.mean(axis=0)
+        dist = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
+    if not np.isfinite(dist):
+        raise DegenerateConfiguration("projected points lie too far apart for float arithmetic")
     if dist < 1e-12:
         raise DegenerateConfiguration("all projected points coincide")
     s = np.sqrt(2.0) / dist

@@ -2,8 +2,15 @@
 
 Exit codes: 0 success, 1 domain error (single-line JSON on stderr),
 2 usage error.  Outputs contain no timestamps, so a fixed config and seed
-reproduce byte-identical files.  Every subcommand prints its input/output
-schema with --schema.
+reproduce byte-identical files.  Every subcommand prints its
+input/output schema with --schema.
+
+`_COMMANDS` declares every subcommand once: its handler and its flags.  A
+flag holds its name, whether it names an input or an output, whether it is
+required, its schema text and its argparse type and default.  The parser,
+each subcommand's --schema (one key per flag, plus "stdout" for a command
+that always prints there) and the required-flag check that runs before the
+handler are all read from that table.
 """
 
 from __future__ import annotations
@@ -13,13 +20,14 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
 
 from . import data_io
 from .camera_geometry import compute_homography, warp_image
-from .errors import LaneBevError
+from .errors import EmptyInput, LaneBevError, MissingField, ShapeMismatch
 from .lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from .losses import run_gradient_suite
 from .metrics import EvalConfig, evaluate, evaluate_frames
@@ -30,96 +38,40 @@ from .view_transform import FeatureTensor, fit_vrm_least_squares
 DATA_DIR_ENV = "LANEBEV_DATA_DIR"
 
 _GRID_JSON = "grid JSON: {x_min,x_max,y_min,y_max,cell}"
+_STACK = "stacked prediction tensor (s1, s2, 3+D): [confidence, embedding..., offset, height]"
+_CAMERA_JSON = (
+    "camera JSON: {intrinsics:{fx,fy,cx,cy,skew}, extrinsics:{rotation:3x3, translation:[3]}, image_size:[w,h]}"
+)
+_SCENE_PARAMS = (
+    "scene params JSON: "
+    "{n_lanes,lane_spacing,curvature:[lo,hi],hill_amplitude,hill_wavelength,camera_jitter:[deg,m],seed}"
+)
+_REPORT = "eval report JSON: {f_score,precision,recall,x_err_near,x_err_far,z_err_near,z_err_far,tp,n_pred,n_gt}"
 
-_SCHEMAS = {
-    "homography": {
-        "inputs": {
-            "--src/--dst": "camera JSON: {intrinsics:{fx,fy,cx,cy,skew}, extrinsics:{rotation:3x3, translation:[3]}, image_size:[w,h]}",
-            "--points": "'default' or JSON file [[x,y],...] of ground anchors (meters)",
-        },
-        "outputs": {"--out or stdout": '{"matrix": [[3x3]]} mapping src pixels to dst pixels'},
-    },
-    "warp": {
-        "inputs": {
-            "--image": "binary PGM/PPM",
-            "--h": 'homography JSON {"matrix": [[3x3]]}',
-            "--size": "output WxH (default: input size)",
-        },
-        "outputs": {"--out": "binary PGM/PPM, inverse-warped with zero border"},
-    },
-    "encode": {
-        "inputs": {
-            "--scene": "scene JSON: {camera:{...}, lanes:[{id,points:[[x,y,z],...]}], scene_tag}",
-            "--spec": _GRID_JSON,
-        },
-        "outputs": {
-            "--out-dir": "confidence.bldt, offset.bldt, height.bldt, instance.bldt (s1 x s2 tensors)",
-            "--ideal-pred": "optional stacked prediction tensor (s1, s2, 3+D): [confidence, embedding..., offset, height]",
-        },
-    },
-    "decode": {
-        "inputs": {
-            "--pred": "stacked prediction tensor (s1, s2, 3+D): [confidence, embedding..., offset, height]",
-            "--spec": _GRID_JSON,
-            "--params": "decode JSON: {s_threshold,d_gap,min_points,fit_degree}",
-        },
-        "outputs": {
-            "--out": '{"lanes":[{"id",points:[[x,y,z],...],"fit":{y_coeffs,z_coeffs,x_range}}]}'
-        },
-    },
-    "eval": {
-        "inputs": {
-            "--pred/--gt": "lanes JSON (or two directories of matching filenames)",
-            "--config": "eval JSON: {sample_xs,match_threshold,match_ratio,near_limit}",
-        },
-        "outputs": {
-            "--report or stdout": "{f_score,precision,recall,x_err_near,x_err_far,z_err_near,z_err_far,tp,n_pred,n_gt}"
-        },
-    },
-    "synth": {
-        "inputs": {
-            "--params": "scene params JSON: {n_lanes,lane_spacing,curvature:[lo,hi],hill_amplitude,hill_wavelength,camera_jitter:[deg,m],seed}",
-            "--seed": "overrides the seed from --params",
-        },
-        "outputs": {"--out": "scene JSON (see encode --scene)"},
-    },
-    "fit-vrm": {
-        "inputs": {
-            "--samples": "directory of paired tensors fv_NNN.bldt / bev_NNN.bldt, each (H, W, C)",
-            "--ridge": "Tikhonov weight (0 requires a determined system)",
-            "--scale": "downsample factor tag recorded in the sidecar (default 32)",
-        },
-        "outputs": {"--out": "dense map tensor (HW_bev, HW_fv) plus JSON sidecar with shapes and scale"},
-    },
-    "losscheck": {
-        "inputs": {"--seed/--batches": "gradient-suite RNG seed and batch count"},
-        "outputs": {"stdout": "per-loss max relative error vs finite differences; exit 1 if any >= 1e-5"},
-    },
-    "plot": {
-        "inputs": {"--lanes": "lanes JSON", "--spec": _GRID_JSON},
-        "outputs": {"--out": "static SVG, one polyline per lane in BEV axes"},
-    },
-    "pipeline": {
-        "inputs": {
-            "--seed/--n-lanes/--curvature/--hill/--jitter-deg/--jitter-m/--embed-dim": "scene and oracle parameters",
-            "--spec": _GRID_JSON,
-        },
-        "outputs": {"--out or stdout": "eval report JSON of the synth -> encode -> ideal -> decode -> eval roundtrip"},
-    },
-}
+
+@dataclasses.dataclass(frozen=True)
+class _Flag:
+    """One option of a subcommand, declared once for argparse, --schema and the required check."""
+
+    name: str
+    text: str
+    output: bool = False
+    required: bool = False
+    type: Callable[[str], object] | None = None
+    default: object = None
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    handler: Callable[[argparse.Namespace, argparse.ArgumentParser], int]
+    flags: tuple[_Flag, ...]
+    stdout: str | None = None  # what the command always prints, with no flag naming it
 
 
 def _fail_usage(parser, msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     parser.print_usage(sys.stderr)
     return 2
-
-
-def _need(args, *names) -> bool:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            return False
-    return True
 
 
 def _resolve(path: str) -> Path:
@@ -151,8 +103,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # --- subcommand handlers ---
 
 def _cmd_homography(args, parser) -> int:
-    if not _need(args, "src", "dst"):
-        return _fail_usage(parser, "homography requires --src and --dst")
     src = data_io.load_rig(_resolve(args.src))
     dst = data_io.load_rig(_resolve(args.dst))
     points = None
@@ -164,8 +114,6 @@ def _cmd_homography(args, parser) -> int:
 
 
 def _cmd_warp(args, parser) -> int:
-    if not _need(args, "image", "h", "out"):
-        return _fail_usage(parser, "warp requires --image, --h and --out")
     out_size = None
     if args.size:
         w, s, hgt = args.size.partition("x")
@@ -192,7 +140,7 @@ def _stack_prediction(pred: GridTensors) -> np.ndarray:
 
 def _unstack_prediction(stack: np.ndarray) -> GridTensors:
     if stack.ndim != 3 or stack.shape[2] < 4:
-        raise LaneBevError(f"stacked prediction must be (s1, s2, 3+D), got {stack.shape}")
+        raise ShapeMismatch(f"stacked prediction must be (s1, s2, 3+D), got {stack.shape}")
     return GridTensors(
         confidence=np.clip(stack[:, :, 0], 0.0, 1.0),
         embedding=stack[:, :, 1:-2],
@@ -202,8 +150,6 @@ def _unstack_prediction(stack: np.ndarray) -> GridTensors:
 
 
 def _cmd_encode(args, parser) -> int:
-    if not _need(args, "scene", "out_dir"):
-        return _fail_usage(parser, "encode requires --scene and --out-dir")
     scene = data_io.load_scene(_resolve(args.scene))
     spec = _load_config(GridSpec, args.spec)
     gt = encode_lanes(scene.lanes, spec)
@@ -220,8 +166,6 @@ def _cmd_encode(args, parser) -> int:
 
 
 def _cmd_decode(args, parser) -> int:
-    if not _need(args, "pred", "out"):
-        return _fail_usage(parser, "decode requires --pred and --out")
     stack = data_io.read_tensor(_resolve(args.pred)).astype(float)
     pred = _unstack_prediction(stack)
     spec = _load_config(GridSpec, args.spec)
@@ -235,7 +179,7 @@ def _cmd_decode(args, parser) -> int:
 
 def _load_lane_frames(pred_path: Path, gt_path: Path):
     if pred_path.is_dir() != gt_path.is_dir():
-        raise LaneBevError("eval --pred and --gt must both be files or both directories")
+        raise ShapeMismatch("eval --pred and --gt must both be files or both directories")
     if not pred_path.is_dir():
         return [(data_io.load_lanes(pred_path), data_io.load_lanes(gt_path))]
     frames = []
@@ -244,13 +188,11 @@ def _load_lane_frames(pred_path: Path, gt_path: Path):
         preds = data_io.load_lanes(pred_file) if pred_file.exists() else []
         frames.append((preds, data_io.load_lanes(gt_file)))
     if not frames:
-        raise LaneBevError(f"no *.json ground-truth frames under {gt_path}")
+        raise EmptyInput(f"no *.json ground-truth frames under {gt_path}")
     return frames
 
 
 def _cmd_eval(args, parser) -> int:
-    if not _need(args, "pred", "gt"):
-        return _fail_usage(parser, "eval requires --pred and --gt")
     cfg = _load_config(EvalConfig, args.config)
     frames = _load_lane_frames(_resolve(args.pred), _resolve(args.gt))
     result = evaluate_frames(frames, cfg)
@@ -259,8 +201,6 @@ def _cmd_eval(args, parser) -> int:
 
 
 def _cmd_synth(args, parser) -> int:
-    if not _need(args, "out"):
-        return _fail_usage(parser, "synth requires --out")
     params = _load_config(SceneParams, args.params)
     if args.seed is not None:
         params = dataclasses.replace(params, seed=args.seed)
@@ -270,17 +210,15 @@ def _cmd_synth(args, parser) -> int:
 
 
 def _cmd_fit_vrm(args, parser) -> int:
-    if not _need(args, "samples", "out"):
-        return _fail_usage(parser, "fit-vrm requires --samples and --out")
     root = _resolve(args.samples)
     fv_files = sorted(Path(root).glob("fv_*.bldt"))
     if not fv_files:
-        raise LaneBevError(f"no fv_*.bldt samples under {root}")
+        raise EmptyInput(f"no fv_*.bldt samples under {root}")
     samples = []
     for fv_file in fv_files:
         bev_file = fv_file.with_name(fv_file.name.replace("fv_", "bev_", 1))
         if not bev_file.exists():
-            raise LaneBevError(f"missing BEV pair for {fv_file.name}")
+            raise MissingField(f"missing BEV pair for {fv_file.name}")
         samples.append(
             (
                 FeatureTensor(data_io.read_tensor(fv_file).astype(float), scale=args.scale),
@@ -289,14 +227,8 @@ def _cmd_fit_vrm(args, parser) -> int:
         )
     vrm = fit_vrm_least_squares(samples, ridge=args.ridge)
     data_io.write_tensor(vrm.matrix, args.out)
-    sidecar = Path(args.out).with_suffix(".json")
-    sidecar.write_text(
-        json.dumps(
-            {"fv_shape": list(vrm.fv_shape), "bev_shape": list(vrm.bev_shape), "scale": args.scale},
-            indent=2,
-        )
-        + "\n"
-    )
+    sidecar = {"fv_shape": list(vrm.fv_shape), "bev_shape": list(vrm.bev_shape), "scale": args.scale}
+    _emit(sidecar, str(Path(args.out).with_suffix(".json")))
     return 0
 
 
@@ -331,8 +263,6 @@ def _svg_plot(lanes: list[Lane3D], spec: GridSpec) -> str:
 
 
 def _cmd_plot(args, parser) -> int:
-    if not _need(args, "lanes", "out"):
-        return _fail_usage(parser, "plot requires --lanes and --out")
     lanes = data_io.load_lanes(_resolve(args.lanes))
     Path(args.out).write_text(_svg_plot(lanes, _load_config(GridSpec, args.spec)))
     return 0
@@ -359,91 +289,123 @@ def _cmd_pipeline(args, parser) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lanebev", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler):
+
+_COMMANDS = {
+    "homography": _Command(_cmd_homography, (
+        _Flag("--src", f"source {_CAMERA_JSON}", required=True),
+        _Flag("--dst", f"destination {_CAMERA_JSON}", required=True),
+        _Flag("--points", "'default' or JSON file [[x,y],...] of ground anchors (meters)", default="default"),
+        _Flag("--out", '{"matrix": [[3x3]]} mapping src pixels to dst pixels; stdout when absent', output=True),
+    )),
+    "warp": _Command(_cmd_warp, (
+        _Flag("--image", "binary PGM/PPM", required=True),
+        _Flag("--h", 'homography JSON {"matrix": [[3x3]]}', required=True),
+        _Flag("--out", "binary PGM/PPM, inverse-warped with zero border", output=True, required=True),
+        _Flag("--size", "output WxH such as 1024x576; the input size when absent"),
+    )),
+    "encode": _Command(_cmd_encode, (
+        _Flag("--scene", "scene JSON: {camera:{...}, lanes:[{id,points:[[x,y,z],...]}], scene_tag}", required=True),
+        _Flag("--spec", _GRID_JSON),
+        _Flag("--out-dir", "confidence, offset, height and instance .bldt (s1 x s2)", output=True, required=True),
+        _Flag("--ideal-pred", f"optional {_STACK}", output=True),
+        _Flag("--embed-dim", "embedding width D of --ideal-pred", type=int, default=4),
+    )),
+    "decode": _Command(_cmd_decode, (
+        _Flag("--pred", _STACK, required=True),
+        _Flag("--spec", _GRID_JSON),
+        _Flag("--params", "decode JSON: {s_threshold,d_gap,min_points,fit_degree}"),
+        _Flag("--out", "lanes JSON: {lanes:[{id,points:[[x,y,z],...],fit:{y_coeffs,z_coeffs,x_range}}]}", output=True,
+              required=True),
+    )),
+    "eval": _Command(_cmd_eval, (
+        _Flag("--pred", "predicted lanes JSON, or a directory of them named as in --gt", required=True),
+        _Flag("--gt", "ground-truth lanes JSON, or a directory of *.json frames", required=True),
+        _Flag("--config", "eval JSON: {sample_xs,match_threshold,match_ratio,near_limit}"),
+        _Flag("--report", f"{_REPORT}; stdout when absent", output=True),
+    )),
+    "synth": _Command(_cmd_synth, (
+        _Flag("--params", _SCENE_PARAMS),
+        _Flag("--seed", "overrides the seed from --params", type=int),
+        _Flag("--out", "scene JSON (see encode --scene)", output=True, required=True),
+    )),
+    "fit-vrm": _Command(_cmd_fit_vrm, (
+        _Flag("--samples", "directory of paired tensors fv_NNN.bldt / bev_NNN.bldt, each (H, W, C)", required=True),
+        _Flag("--ridge", "Tikhonov weight (0 requires a determined system)", type=float, default=0.0),
+        _Flag("--scale", "downsample factor tag recorded in the sidecar", type=int, default=32),
+        _Flag("--out", "dense map tensor (HW_bev, HW_fv), and its shapes and scale in a .json sidecar", output=True,
+              required=True),
+    )),
+    "losscheck": _Command(_cmd_losscheck, (
+        _Flag("--seed", "gradient-suite RNG seed", type=int, default=0),
+        _Flag("--batches", "number of random batches, at least 1", type=int, default=20),
+    ), stdout="per-loss max relative error vs finite differences; exit 1 if any >= 1e-5"),
+    "plot": _Command(_cmd_plot, (
+        _Flag("--lanes", "lanes JSON", required=True),
+        _Flag("--spec", _GRID_JSON),
+        _Flag("--out", "static SVG, one polyline per lane in BEV axes", output=True, required=True),
+    )),
+    "pipeline": _Command(_cmd_pipeline, (
+        _Flag("--seed", "scene seed", type=int, default=0),
+        _Flag("--n-lanes", "number of lanes", type=int, default=4),
+        _Flag("--lane-spacing", "lateral lane spacing (meters)", type=float, default=3.5),
+        _Flag("--curvature", "curvature drawn from [-c, c] (1/meters)", type=float, default=0.0),
+        _Flag("--hill", "hill amplitude (meters)", type=float, default=0.0),
+        _Flag("--hill-wavelength", "hill wavelength (meters)", type=float, default=60.0),
+        _Flag("--jitter-deg", "camera rotation jitter (degrees)", type=float, default=0.0),
+        _Flag("--jitter-m", "camera translation jitter (meters)", type=float, default=0.0),
+        _Flag("--embed-dim", "embedding width D of the oracle prediction", type=int, default=8),
+        _Flag("--spec", _GRID_JSON),
+        _Flag("--out", f"{_REPORT} for the synth -> encode -> ideal -> decode -> eval roundtrip; stdout when absent",
+              output=True),
+    )),
+}
+
+
+def _schema(command: _Command) -> dict:
+    schema = {"inputs": {}, "outputs": {}}
+    for flag in command.flags:
+        note = "; required" if flag.required else "" if flag.default is None else f"; default {flag.default!r}"
+        schema["outputs" if flag.output else "inputs"][flag.name] = flag.text + note
+    if command.stdout:
+        schema["outputs"]["stdout"] = command.stdout
+    return schema
+
+
+def _missing_required(name: str, command: _Command, args) -> str | None:
+    """The usage message when a required flag is absent: it names every required flag."""
+    required = [flag.name for flag in command.flags if flag.required]
+    if all(getattr(args, flag[2:].replace("-", "_")) is not None for flag in required):
+        return None
+    listed = required[0] if len(required) == 1 else ", ".join(required[:-1]) + " and " + required[-1]
+    return f"{name} requires {listed}"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # --help shows the docstring up to its notes on the table
+    parser = argparse.ArgumentParser(prog="lanebev", description=__doc__.partition("\n\n`_COMMANDS`")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--schema", action="store_true", help="print the JSON schema of this subcommand")
-        p.set_defaults(handler=handler, subparser=p)
-        return p
-
-    p = add("homography", _cmd_homography)
-    p.add_argument("--src")
-    p.add_argument("--dst")
-    p.add_argument("--points", default="default")
-    p.add_argument("--out")
-
-    p = add("warp", _cmd_warp)
-    p.add_argument("--image")
-    p.add_argument("--h")
-    p.add_argument("--out")
-    p.add_argument("--size")
-
-    p = add("encode", _cmd_encode)
-    p.add_argument("--scene")
-    p.add_argument("--spec")
-    p.add_argument("--out-dir")
-    p.add_argument("--ideal-pred")
-    p.add_argument("--embed-dim", type=int, default=4)
-
-    p = add("decode", _cmd_decode)
-    p.add_argument("--pred")
-    p.add_argument("--spec")
-    p.add_argument("--params")
-    p.add_argument("--out")
-
-    p = add("eval", _cmd_eval)
-    p.add_argument("--pred")
-    p.add_argument("--gt")
-    p.add_argument("--config")
-    p.add_argument("--report")
-
-    p = add("synth", _cmd_synth)
-    p.add_argument("--params")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("fit-vrm", _cmd_fit_vrm)
-    p.add_argument("--samples")
-    p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--scale", type=int, default=32)
-    p.add_argument("--out")
-
-    p = add("losscheck", _cmd_losscheck)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batches", type=int, default=20)
-
-    p = add("plot", _cmd_plot)
-    p.add_argument("--lanes")
-    p.add_argument("--spec")
-    p.add_argument("--out")
-
-    p = add("pipeline", _cmd_pipeline)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-lanes", type=int, default=4)
-    p.add_argument("--lane-spacing", type=float, default=3.5)
-    p.add_argument("--curvature", type=float, default=0.0)
-    p.add_argument("--hill", type=float, default=0.0)
-    p.add_argument("--hill-wavelength", type=float, default=60.0)
-    p.add_argument("--jitter-deg", type=float, default=0.0)
-    p.add_argument("--jitter-m", type=float, default=0.0)
-    p.add_argument("--embed-dim", type=int, default=8)
-    p.add_argument("--spec")
-    p.add_argument("--out")
-
+        for flag in command.flags:
+            p.add_argument(flag.name, type=flag.type, default=flag.default)
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = _COMMANDS[args.command]
     if args.schema:
-        sys.stdout.write(json.dumps(_SCHEMAS[args.command], indent=2) + "\n")
+        _emit(_schema(command), None)
         return 0
+    missing = _missing_required(args.command, command, args)
+    if missing:
+        return _fail_usage(args.subparser, missing)
     try:
-        return args.handler(args, args.subparser)
+        return command.handler(args, args.subparser)
     except (LaneBevError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1

@@ -339,8 +339,11 @@ def run_gradient_suite(seed: int = 0, batches: int = 20, shape: tuple[int, int] 
 
     Each batch checks one table row per loss.  Embedding batches whose
     hinge arguments sit within 1e-4 of a kink are resampled, since the loss
-    is not differentiable there.
+    is not differentiable there.  At least one batch is required, since no
+    batch would check nothing and still pass.
     """
+    if batches < 1:
+        raise ValueError(f"batches must be at least 1, got {batches}")
     rng = np.random.default_rng(seed)
     margins = EmbedMargins()
     worst = {k: 0.0 for k in ("conf", "offset", "height", "embed", "seg2d")}

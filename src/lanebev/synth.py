@@ -179,7 +179,7 @@ def render_ground_pattern(
         d_road = d_cam @ rot_t.T
 
         dz = d_road[:, :, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = -center[2] / dz
         # t equals the camera-frame depth because the ray direction has unit
         # camera z; only strictly positive depths hit the ground ahead.

@@ -183,6 +183,22 @@ class TestComputeHomography:
         with pytest.raises(DegenerateDepth):
             compute_homography(src, dst, [(-50.0, -5.0), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0)])
 
+    # A 1e200 m lateral anchor's pixel squares past the float range while
+    # conditioning, a 3.6e305 m far one projects to an infinite pixel, and two
+    # near 1.7e305 m give finite pixels whose sum overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "anchors",
+        [
+            [(3.0, 1e200), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0)],
+            [(3.6e305, -5.0), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0)],
+            [(1.0, 1.7e305), (1.0, 1.6e305), (103.0, -5.0), (103.0, 5.0)],
+        ],
+    )
+    def test_anchors_beyond_float_pixels_are_refused_without_warning(self, anchors):
+        with pytest.raises(DegenerateConfiguration):
+            compute_homography(canonical_rig(), canonical_rig(), anchors)
+
 
 def checkerboard_image(h=128, w=160, square=16):
     yy, xx = np.meshgrid(np.arange(h) // square, np.arange(w) // square, indexing="ij")

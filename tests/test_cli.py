@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import lanebev
 from lanebev import data_io
-from lanebev.cli import main
+from lanebev.cli import build_parser, main
 from lanebev.lane_grid import GridSpec
 from lanebev.metrics import EvalConfig
 from lanebev.postproc import DecodeParams
@@ -382,3 +383,101 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, lanebev.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), check=True)
     assert done.stdout.strip() == "[]"
+
+
+# The first stderr line of each subcommand run with no flags, as the
+# per-handler guards printed it before the command table replaced them
+USAGE_MESSAGES = {
+    "homography": "error: homography requires --src and --dst",
+    "warp": "error: warp requires --image, --h and --out",
+    "encode": "error: encode requires --scene and --out-dir",
+    "decode": "error: decode requires --pred and --out",
+    "eval": "error: eval requires --pred and --gt",
+    "synth": "error: synth requires --out",
+    "fit-vrm": "error: fit-vrm requires --samples and --out",
+    "plot": "error: plot requires --lanes and --out",
+}
+
+
+def parsed_options():
+    """Each subcommand's option strings, without --help and --schema."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help", "--schema"}
+        for name, p in sub.choices.items()
+    }
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize(
+        "command, argv",
+        [(command, []) for command in USAGE_MESSAGES] + [("warp", ["--image", "in.pgm", "--out", "out.pgm"])],
+    )
+    def test_missing_required_flag_names_every_required_flag(self, capsys, command, argv):
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert lines[0] == USAGE_MESSAGES[command]
+        assert lines[1].startswith(f"usage: lanebev {command} [-h] [--schema]")
+
+    def test_every_parsed_flag_is_in_its_schema(self, capsys):
+        undocumented = {}
+        for command, options in parsed_options().items():
+            code, out, _ = run(capsys, command, "--schema")
+            assert code == 0
+            schema = json.loads(out)
+            missing = options - set(schema["inputs"]) - set(schema["outputs"])
+            if missing:
+                undocumented[command] = sorted(missing)
+        assert undocumented == {}
+
+    def test_schema_keys_are_declared_flags_or_stdout(self, capsys):
+        for command, options in parsed_options().items():
+            code, out, _ = run(capsys, command, "--schema")
+            schema = json.loads(out)
+            assert set(schema) == {"inputs", "outputs"}
+            assert set(schema["inputs"]) <= options
+            assert set(schema["outputs"]) <= options | {"stdout"}
+
+
+class TestNamedErrors:
+    def one_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        return json.loads(err)
+
+    def test_prediction_that_is_not_a_stack(self, capsys, tmp_path):
+        pred = tmp_path / "pred.bldt"
+        data_io.write_tensor(np.zeros((200, 40), dtype=np.float32), pred)
+        payload = self.one_error(capsys, "decode", "--pred", str(pred), "--out", str(tmp_path / "lanes.json"))
+        assert payload["error"] == "ShapeMismatch"
+        assert "(200, 40)" in payload["message"]
+
+    def test_eval_file_against_directory(self, capsys, tmp_path):
+        gt = tmp_path / "gt.json"
+        data_io.save_lanes(generate_scene(SceneParams(n_lanes=2, seed=1)).lanes, gt)
+        payload = self.one_error(capsys, "eval", "--pred", str(gt), "--gt", str(tmp_path))
+        assert payload["error"] == "ShapeMismatch"
+
+    def test_eval_directory_without_frames(self, capsys, tmp_path):
+        payload = self.one_error(capsys, "eval", "--pred", str(tmp_path), "--gt", str(tmp_path))
+        assert payload["error"] == "EmptyInput"
+        assert str(tmp_path) in payload["message"]
+
+    def test_fit_vrm_without_samples(self, capsys, tmp_path):
+        payload = self.one_error(capsys, "fit-vrm", "--samples", str(tmp_path), "--out", str(tmp_path / "map.bldt"))
+        assert payload["error"] == "EmptyInput"
+        assert str(tmp_path) in payload["message"]
+
+    def test_fit_vrm_sample_without_bev_pair(self, capsys, tmp_path):
+        data_io.write_tensor(np.zeros((3, 4, 2), dtype=np.float32), tmp_path / "fv_000.bldt")
+        payload = self.one_error(capsys, "fit-vrm", "--samples", str(tmp_path), "--out", str(tmp_path / "map.bldt"))
+        assert payload["error"] == "MissingField"
+        assert "fv_000.bldt" in payload["message"]
+
+    @pytest.mark.parametrize("batches", ["0", "-1"])
+    def test_losscheck_without_batches(self, capsys, batches):
+        payload = self.one_error(capsys, "losscheck", "--batches", batches)
+        assert payload["error"] == "ValueError"
+        assert "batches" in payload["message"]

@@ -13,6 +13,7 @@ from lanebev.losses import (
     embed_loss,
     height_loss,
     offset_loss,
+    run_gradient_suite,
     seg_loss_2d,
     sigmoid,
     total_loss,
@@ -376,3 +377,9 @@ class TestInvariants:
         assert sigmoid(np.array([-800.0]))[0] == 0.0
         assert sigmoid(np.array([800.0]))[0] == 1.0
         assert sigmoid(np.array([0.0]))[0] == 0.5
+
+
+@pytest.mark.parametrize("batches", [0, -1])
+def test_gradient_suite_refuses_no_batches(batches):
+    with pytest.raises(ValueError, match="batches"):
+        run_gradient_suite(batches=batches)

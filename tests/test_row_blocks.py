@@ -8,6 +8,7 @@ below holds their SHA-256 as the whole-image versions computed it.
 """
 
 import hashlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -54,7 +55,7 @@ def reference_render_ground_pattern(rig, pattern, spec=GridSpec(), out_size=None
     d_road = d_cam @ rot_t.T
     center = rig.extrinsics.camera_center
     dz = d_road[:, :, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = -center[2] / dz
     valid = np.isfinite(t) & (t > 1e-9)
     t = np.where(valid, t, np.nan)
@@ -221,6 +222,23 @@ class TestRenderFootprintRows:
         assert cast == list(range(size[1]))
         assert got.any()
         assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, spec, size))
+
+    def test_subnormal_ray_depth_renders_without_warning(self):
+        # cy = 1e-310 makes row 0's ray direction z subnormal, so -center_z / dz
+        # overflows to inf; that ray is dropped, and the render must not warn
+        spec = GridSpec(x_min=-10.0)
+        rig = CameraRig(
+            intrinsics=Intrinsics(fx=1000.0, fy=1000.0, cx=512.0, cy=1e-310),
+            extrinsics=canonical_rig().extrinsics,
+            image_size=(64, 8),
+        )
+        pattern = checkerboard(spec, square_x=20.0, square_y=4.0, px_per_cell=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, cast = render_cast_rows(rig, pattern, spec, rig.image_size)
+            want = reference_render_ground_pattern(rig, pattern, spec)
+        assert cast == list(range(rig.image_size[1]))
+        assert_same_bytes(got, want)
 
     @given(
         block=BLOCKS,
