@@ -36,7 +36,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import EvalConfig, EvalResult, evaluate, evaluate_frames, match_lanes, resample_lane
-from .postproc import DecodeParams, FittedLane, LaneInstance, decode_grid, fit_lanes
+from .postproc import DecodeParams, FittedLane, LaneInstance, decode_grid, decode_lanes, fit_lanes
 from .synth import SceneParams, SceneRecord, canonical_rig, generate_scene, render_ground_pattern
 from .view_transform import (
     FeatureTensor,
@@ -78,6 +78,7 @@ __all__ = [
     "compute_homography",
     "conf_loss",
     "decode_grid",
+    "decode_lanes",
     "embed_loss",
     "encode_lanes",
     "evaluate",

@@ -31,7 +31,7 @@ from .errors import EmptyInput, LaneBevError, MissingField, ShapeMismatch
 from .lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from .losses import run_gradient_suite
 from .metrics import EvalConfig, evaluate, evaluate_frames
-from .postproc import DecodeParams, decode_grid, fit_lanes
+from .postproc import DecodeParams, decode_lanes
 from .synth import SceneParams, generate_scene
 from .view_transform import FeatureTensor, fit_vrm_least_squares
 
@@ -170,9 +170,7 @@ def _cmd_decode(args, parser) -> int:
     pred = _unstack_prediction(stack)
     spec = _load_config(GridSpec, args.spec)
     params = _load_config(DecodeParams, args.params)
-    instances = decode_grid(pred, spec, params)
-    fits = fit_lanes(instances, params)
-    lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
+    lanes, fits = decode_lanes(pred, spec, params)
     data_io.save_lanes(lanes, args.out, fits)
     return 0
 
@@ -282,8 +280,7 @@ def _cmd_pipeline(args, parser) -> int:
     spec = _load_config(GridSpec, args.spec)
     gt = encode_lanes(scene.lanes, spec)
     ideal = ideal_prediction(gt, spec, embed_dim=args.embed_dim)
-    instances = decode_grid(ideal, spec, DecodeParams())
-    preds = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
+    preds, _ = decode_lanes(ideal, spec)
     result = evaluate(preds, scene.lanes)
     _emit(result.to_dict(), args.out)
     return 0

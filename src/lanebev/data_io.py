@@ -55,9 +55,16 @@ VERSION = 1
 # --- binary tensors ---
 
 def write_tensor(array: np.ndarray, path: str | Path) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    """Store `array` as little-endian float32.  Raises NonFiniteInput, and
+    writes nothing, when a finite value lies beyond the float32 range."""
+    src = np.asarray(array)
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(src, dtype="<f4")
     if not 1 <= arr.ndim <= 4:
         raise ValueError(f"tensor rank must be 1..4, got {arr.ndim}")
+    overflowed = int(np.isfinite(src[np.isinf(arr)]).sum())
+    if overflowed:
+        raise NonFiniteInput(f"{path}: {overflowed} finite value(s) beyond the float32 range")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))

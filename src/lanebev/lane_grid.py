@@ -57,10 +57,21 @@ class GridSpec:
         return self.y_min + (np.arange(self.cols) + 0.5) * self.cell
 
 
+def _first_per_x(x: np.ndarray) -> np.ndarray:
+    """Index of the first entry, in input order, of each distinct value of x, by increasing x.
+
+    This is the one same-x rule: a lane keeps one point per abscissa, and
+    on a decoded lane, whose points are in scan order, that is the cell of
+    each grid row with the lowest column.
+    """
+    return np.unique(x, return_index=True)[1]
+
+
 @dataclass
 class Lane3D:
-    """Polyline of finite (x, y, z) road-frame points, sorted and deduplicated on x.
+    """Polyline of finite (x, y, z) road-frame points, sorted on x.
 
+    Points that share an x keep the first in input order (_first_per_x).
     Raises NonFiniteInput on a NaN or infinite coordinate.
     """
 
@@ -73,11 +84,7 @@ class Lane3D:
             raise ValueError(f"points must be (N, 3), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise NonFiniteInput("points hold NaN or infinite values")
-        order = np.argsort(pts[:, 0], kind="stable")
-        pts = pts[order]
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = np.diff(pts[:, 0]) > 0
-        pts = pts[keep]
+        pts = pts[_first_per_x(pts[:, 0])]
         if len(pts) < 2:
             raise ValueError("a lane needs at least 2 points with distinct x")
         self.points = pts

@@ -22,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from .errors import EmptyInput
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -160,7 +161,10 @@ def evaluate_frames(
 ) -> EvalResult:
     """Micro-averaged evaluation over (preds, gts) frames: true-positive,
     prediction and ground-truth counts and the error sums per distance
-    bucket are summed before the ratios are formed."""
+    bucket are summed before the ratios are formed.  Raises EmptyInput when
+    there are no frames; one frame with no lanes on either side scores 1."""
+    if not frames:
+        raise EmptyInput("evaluate_frames needs at least one frame")
     near = np.asarray(cfg.sample_xs) <= cfg.near_limit
     tp = n_pred = n_gt = 0
     sums = np.zeros(4)  # x near, x far, z near, z far

@@ -22,9 +22,13 @@ published scan on every input; embeddings of confident cells must be
 finite.
 
 Retained cells are converted to road-frame coordinates using the lateral
-offset and the height channel, small clusters are dropped, and each lane
-is fitted with least-squares polynomials y(x), z(x) on abscissae rescaled
-to [-1, 1].
+offset and the height channel, and small clusters are dropped.  A decoded
+lane holds one key point per grid row: where a cluster has several cells
+in one row, the first in scan order (the lowest column) is kept, by the
+same-x rule of lane_grid.Lane3D.  decode_lanes turns the clusters into
+lanes, dropping any cluster whose cells span fewer than 2 rows, and fits
+each lane with least-squares polynomials y(x), z(x) on abscissae rescaled
+to [-1, 1], from exactly the points the lane keeps.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAbscissae, NonFiniteInput, ShapeMismatch
-from .lane_grid import GridSpec, GridTensors
+from .lane_grid import GridSpec, GridTensors, Lane3D, _first_per_x
 
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_BLOCK, _MAX_BLOCK = 4, 1024  # cells decided per numpy block
@@ -325,14 +329,19 @@ def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
 
 
 def fit_lanes(instances: list[LaneInstance], params: DecodeParams = DecodeParams()) -> list[FittedLane]:
-    """Fit y(x) and z(x) per instance, degree capped at n_points - 1.
+    """Fit y(x) and z(x) per instance on one point per grid row.
 
-    The abscissa is affinely mapped to [-1, 1] for conditioning; see
-    FittedLane for the recorded transform.
+    The points fitted are those the instance's Lane3D keeps: the first in
+    scan order of each distinct x, taken in scan order.  The degree is
+    capped at the number of distinct x (grid rows) - 1.  The abscissa is
+    affinely mapped to [-1, 1] for conditioning; see FittedLane for the
+    recorded transform.  Raises DegenerateAbscissae when an instance spans
+    fewer than 2 distinct x.
     """
     fits = []
     for inst in instances:
-        x = inst.points[:, 0]
+        pts = inst.points[np.sort(_first_per_x(inst.points[:, 0]))]
+        x = pts[:, 0]
         lo, hi = float(x.min()), float(x.max())
         if hi - lo < 1e-12:
             raise DegenerateAbscissae(f"cluster {inst.cluster_id} has all x equal to {lo}")
@@ -340,9 +349,26 @@ def fit_lanes(instances: list[LaneInstance], params: DecodeParams = DecodeParams
         degree = min(params.fit_degree, len(x) - 1)
         fits.append(
             FittedLane(
-                y_coeffs=fit_polynomial(t, inst.points[:, 1], degree),
-                z_coeffs=fit_polynomial(t, inst.points[:, 2], degree),
+                y_coeffs=fit_polynomial(t, pts[:, 1], degree),
+                z_coeffs=fit_polynomial(t, pts[:, 2], degree),
                 x_range=(lo, hi),
             )
         )
     return fits
+
+
+def decode_lanes(
+    pred: GridTensors,
+    spec: GridSpec = GridSpec(),
+    params: DecodeParams = DecodeParams(),
+) -> tuple[list[Lane3D], list[FittedLane]]:
+    """Decode `pred` into lanes and their fits, one key point per grid row.
+
+    Runs decode_grid, then drops every cluster whose cells span fewer than
+    2 grid rows, since such a cluster cannot be a lane.  Each remaining
+    cluster becomes Lane3D(id=cluster_id + 1), keeping the first cell in
+    scan order of each row, and fit_lanes fits exactly those points.
+    """
+    instances = [inst for inst in decode_grid(pred, spec, params) if np.ptp(inst.points[:, 0]) > 0]
+    lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
+    return lanes, fit_lanes(instances, params)

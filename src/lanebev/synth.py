@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera_geometry import CameraRig, Extrinsics, Intrinsics, _sample_rows, project_ground_points
+from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _sample_rows, project_ground_points
 from .errors import DegenerateDepth
 from .lane_grid import GridSpec, Lane3D
 
@@ -182,8 +182,8 @@ def render_ground_pattern(
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = -center[2] / dz
         # t equals the camera-frame depth because the ray direction has unit
-        # camera z; only strictly positive depths hit the ground ahead.
-        valid = np.isfinite(t) & (t > 1e-9)
+        # camera z; only depths above _MIN_DEPTH hit the ground ahead.
+        valid = np.isfinite(t) & (t > _MIN_DEPTH)
         t = np.where(valid, t, np.nan)
         gx = center[0] + t * d_road[:, :, 0]
         gy = center[1] + t * d_road[:, :, 1]

@@ -6,6 +6,7 @@ measured numbers.
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -263,3 +264,9 @@ def test_criterion_8_format_stability(tmp_path):
     assert worst < 1e-9
     report("criterion 8 format stability", time.perf_counter() - t0,
            f"1000 tensor roundtrips bit-exact, frame roundtrip err {worst:.1e} m")
+
+
+def test_stray_warnings_fail_the_suite():
+    # pyproject.toml turns every warning into an error, so a warning no test expects fails tier-1
+    with pytest.raises(UserWarning):
+        warnings.warn("stray", UserWarning)

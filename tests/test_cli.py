@@ -267,6 +267,17 @@ class TestFileWorkflow:
         assert code == 0
         assert json.loads(report.read_text())["f_score"] == 1.0
 
+    def test_decode_drops_a_one_row_cluster(self, capsys, tmp_path):
+        stack = np.zeros((200, 40, 5), dtype=np.float32)  # confidence, 2-D embedding, offset, height
+        stack[:, 5, 0] = 1.0  # a lane down column 5
+        stack[50, 30:34, 0] = 1.0  # four cells in one row, far from it in embedding
+        stack[50, 30:34, 1] = 10.0
+        pred = tmp_path / "pred.bldt"
+        data_io.write_tensor(stack, pred)
+        lanes = tmp_path / "lanes.json"
+        assert run(capsys, "decode", "--pred", str(pred), "--out", str(lanes)) == (0, "", "")
+        assert [lane["id"] for lane in json.loads(lanes.read_text())["lanes"]] == [1]
+
     def test_eval_directory_mode(self, capsys, tmp_path):
         scene = generate_scene(SceneParams(n_lanes=2, seed=9))
         pred_dir = tmp_path / "pred"

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,22 @@ class TestTensorFormat:
         back = data_io.read_tensor(path)
         assert back.dtype == np.float32
         assert np.array_equal(back, arr)
+
+    @pytest.mark.parametrize("big", [1e39, -1e39])
+    def test_finite_value_beyond_float32_range_raises(self, tmp_path, big):
+        path = tmp_path / "big.bldt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match=re.escape(str(path))):
+                data_io.write_tensor(np.array([1.0, big]), path)
+        assert not path.exists()
+
+    def test_float32_extremes_and_non_finite_values_keep_their_bytes(self, tmp_path):
+        f32 = np.finfo(np.float32)
+        arr = np.array([f32.max, -f32.max, f32.tiny, np.inf, -np.inf, np.nan], dtype=np.float32)
+        path = tmp_path / "edge.bldt"
+        data_io.write_tensor(arr.astype(float), path)
+        assert path.read_bytes()[11:] == arr.astype("<f4").tobytes()
 
     def test_write_read_write_is_byte_identical(self, tmp_path, rng):
         arr = rng.normal(size=(7, 3, 2)).astype(np.float32)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from lanebev.errors import EmptyInput
 from lanebev.lane_grid import Lane3D
 from lanebev.metrics import EvalConfig, MatchedPair, Matching, evaluate, evaluate_frames, match_lanes, resample_lane
 
@@ -206,6 +207,16 @@ class TestAggregation:
         frames = [(shifted(gts, dy=0.1), gts), (shifted(gts, dy=0.3), gts)]
         res = evaluate_frames(frames)
         assert abs(res.x_err_near - 0.2) < 1e-9  # equal point counts: plain mean
+
+
+    def test_no_frames_raise(self):
+        with pytest.raises(EmptyInput):
+            evaluate_frames([])
+
+    def test_one_frame_without_lanes_scores_one(self):
+        res = evaluate([], [])
+        assert (res.f_score, res.precision, res.recall) == (1.0, 1.0, 1.0)
+        assert res.tp == res.n_pred == res.n_gt == 0
 
 
 class TestEvalConfig:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lanebev import postproc
+from lanebev import data_io, postproc
 from lanebev.errors import DegenerateAbscissae, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import evaluate
-from lanebev.postproc import DecodeParams, LaneInstance, _cluster_scan, decode_grid, fit_lanes
+from lanebev.postproc import DecodeParams, LaneInstance, _cluster_scan, decode_grid, decode_lanes, fit_lanes
 from lanebev.synth import SceneParams, generate_scene
+
+from test_acceptance import _acceptance_scenes
 
 
 def straight_lane(y, lane_id=1):
@@ -377,6 +379,84 @@ class TestFitLanes:
         pts = np.array([[2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 2.0, 0.0], [2.0, 3.0, 0.0]])
         with pytest.raises(DegenerateAbscissae):
             fit_lanes([LaneInstance(cluster_id=0, points=pts)])
+
+
+def cells_prediction(cells, spec=GridSpec(), dim=2):
+    """Prediction with confidence 1 on `cells`, a list of (row, col, embedding), zero offsets
+    and a height of row + col / 8 on every cell."""
+    conf = np.zeros(spec.shape)
+    emb = np.zeros(spec.shape + (dim,))
+    for r, c, e in cells:
+        conf[r, c] = 1.0
+        emb[r, c] = e
+    rows, cols = np.indices(spec.shape)
+    return GridTensors(confidence=conf, offset=np.zeros(spec.shape), height=rows + cols / 8, embedding=emb)
+
+
+class TestDecodeLanes:
+    def test_five_cells_in_two_rows_fit_the_two_kept_points(self):
+        pred = cells_prediction([(10, c, (0.0, 0.0)) for c in (10, 11, 12)] + [(20, c, (0.0, 0.0)) for c in (10, 11)])
+        lanes, fits = decode_lanes(pred)
+        assert len(lanes) == len(fits) == 1
+        lane, fit = lanes[0], fits[0]
+        assert lane.id == 1
+        assert np.array_equal(lane.points, [[8.25, -4.75, 11.25], [13.25, -4.75, 21.25]])  # column 10 of each row
+        assert len(fit.y_coeffs) == len(fit.z_coeffs) == 2  # degree 1
+        assert np.abs(fit.y(lane.x) - lane.y).max() < 1e-12
+        assert np.abs(fit.z(lane.x) - lane.z).max() < 1e-12
+        assert fit.x_range == (8.25, 13.25)
+
+    def test_one_row_cluster_is_dropped(self):
+        lane_cells = [(r, 5, (0.0, 0.0)) for r in range(200)]
+        blob = [(50, c, (10.0, 0.0)) for c in range(30, 34)]
+        pred = cells_prediction(lane_cells + blob)
+        assert [inst.cluster_id for inst in decode_grid(pred)] == [0, 1]
+        lanes, fits = decode_lanes(pred)
+        assert [lane.id for lane in lanes] == [1]
+        assert len(fits) == 1 and len(lanes[0].points) == 200
+
+    @pytest.mark.filterwarnings("ignore:lane_spacing")
+    def test_acceptance_scenes_match_the_hand_assembly(self, tmp_path):
+        spec, params = GridSpec(), DecodeParams()
+        for scene_params in _acceptance_scenes():
+            pred = ideal_prediction(encode_lanes(generate_scene(scene_params).lanes, spec), spec, embed_dim=8)
+            instances = decode_grid(pred, spec, params)
+            hand = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
+            data_io.save_lanes(hand, tmp_path / "hand.json", fit_lanes(instances, params))
+            lanes, fits = decode_lanes(pred, spec, params)
+            data_io.save_lanes(lanes, tmp_path / "lanes.json", fits)
+            assert (tmp_path / "lanes.json").read_bytes() == (tmp_path / "hand.json").read_bytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_blobs=st.integers(1, 4),
+        s_threshold=st.floats(0.3, 0.9),
+        fit_degree=st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_point_per_row_and_fit_on_those_points(self, seed, n_blobs, s_threshold, fit_degree):
+        # few rows and many columns, so clusters often hold several cells per row
+        spec = GridSpec(x_min=3.0, x_max=7.0, y_min=-3.0, y_max=3.0, cell=0.5)
+        params = DecodeParams(s_threshold=s_threshold, min_points=2, fit_degree=fit_degree)
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(0.0, 3.0, (n_blobs, 2))
+        pred = GridTensors(
+            confidence=rng.random(spec.shape),
+            offset=rng.uniform(-0.5, 0.5, spec.shape),
+            height=rng.normal(0.0, 1.0, spec.shape),
+            embedding=centers[rng.integers(n_blobs, size=spec.shape)] + rng.normal(0.0, 0.3, spec.shape + (2,)),
+        )
+        lanes, fits = decode_lanes(pred, spec, params)
+        rows = {inst.cluster_id + 1: len(np.unique(inst.points[:, 0])) for inst in decode_grid(pred, spec, params)}
+        assert [lane.id for lane in lanes] == [cid for cid, n in rows.items() if n >= 2]
+        for lane, fit in zip(lanes, fits, strict=True):
+            assert len(lane.points) == rows[lane.id]
+            assert fit.x_range == (lane.x[0], lane.x[-1])
+            assert len(fit.y_coeffs) - 1 <= min(params.fit_degree, rows[lane.id] - 1)
+            # the same fit, up to rounding, as one of the lane's own points in x order
+            (own,) = fit_lanes([LaneInstance(cluster_id=lane.id - 1, points=lane.points)], params)
+            assert np.allclose(fit.y_coeffs, own.y_coeffs, rtol=1e-9, atol=1e-9)
+            assert np.allclose(fit.z_coeffs, own.z_coeffs, rtol=1e-9, atol=1e-9)
 
 
 class TestDecodeParams:

@@ -134,6 +134,14 @@ class TestRenderGroundPattern:
         img = render_ground_pattern(rig, np.ones((50, 10)), GridSpec(), (1024, 576))
         assert np.all(img[:280] == 0.0)  # sky rows sit above the horizon
 
+    def test_depth_gate_is_the_camera_geometry_constant(self, monkeypatch):
+        from lanebev import camera_geometry, synth
+
+        assert synth._MIN_DEPTH is camera_geometry._MIN_DEPTH
+        rig = downscaled(canonical_rig(), 4)
+        monkeypatch.setattr(synth, "_MIN_DEPTH", 1e9)  # no ground point is that far ahead
+        assert not render_ground_pattern(rig, np.ones((50, 10)), GridSpec(), (256, 144)).any()
+
     def test_two_path_consistency_small(self):
         # render through A, warp by H(A->B), compare with direct render through B
         rng = np.random.default_rng(17)
