@@ -89,7 +89,7 @@ def _load_config(cls, path: str | None):
     """`cls()` when no path is given, else the config JSON file read by data_io.from_dict."""
     if not path:
         return cls()
-    return data_io.from_dict(cls, json.loads(_resolve(path).read_text()))
+    return data_io.from_dict(cls, data_io._read_json(_resolve(path)))
 
 
 def _emit(payload: dict, out_path: str | None) -> None:

@@ -11,9 +11,11 @@ Binary tensor layout (extension .bldt), all multi-byte integers little-endian:
 JSON schemas for cameras, lanes, scenes, homographies and ground anchors
 live here so every CLI subcommand shares one source of truth; the config
 files (grid, decode, eval and scene parameters) are read by `from_dict`,
-whose keys and defaults are the dataclass fields.  Every file follows one
-number rule (`_json_number_type`): a number is a JSON int or float, and a
-string, boolean or null is refused.  OpenLane-style frame annotations are
+whose keys and defaults are the dataclass fields.  Every JSON file is read
+by one reader (`_read_json`): UTF-8 text holding one JSON value, or
+MalformedJson naming the file.  Every file follows one number rule
+(`_json_number_type`): a number is a JSON int or float, and a string,
+boolean or null is refused.  OpenLane-style frame annotations are
 parsed into road-frame scene records; the frame's 4x4 extrinsic maps
 camera coordinates to the road frame and lane points are stored
 camera-frame as 3xN arrays, matching the public per-frame layout.
@@ -41,6 +43,7 @@ from .errors import (
     MissingField,
     NonFiniteInput,
     NonOrthonormalRotation,
+    ShapeMismatch,
     TruncatedPayload,
     UnsupportedVersion,
 )
@@ -96,7 +99,22 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
 
 
-# --- JSON values: one number rule, one array reader ---
+# --- JSON values: one reader, one number rule, one array reader ---
+
+def _parse_json(text: str | bytes, name: str):
+    """The JSON value of `text`, or of UTF-8 bytes.  Raises MalformedJson naming
+    `name` on bytes that are not UTF-8, text that is not JSON and nesting too
+    deep for the parser."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedJson(f"{name}: {exc}") from exc
+
+
+def _read_json(path: str | Path):
+    """The JSON value of the UTF-8 file at `path` (see _parse_json)."""
+    return _parse_json(Path(path).read_bytes(), str(path))
+
 
 def _json_number_type(t: type) -> bool:
     """The one rule for a number in any file lanebev reads: an int or a
@@ -192,7 +210,7 @@ def _rig_at(data, at: str) -> CameraRig:
 
 
 def load_rig(path: str | Path) -> CameraRig:
-    return rig_from_dict(json.loads(Path(path).read_text()))
+    return rig_from_dict(_read_json(path))
 
 
 def save_rig(rig: CameraRig, path: str | Path) -> None:
@@ -205,7 +223,7 @@ def load_homography(path: str | Path) -> Homography:
     Raises MissingField naming the field when it is absent or unusable, and
     NonFiniteInput or SingularHomography on a matrix that is not one.
     """
-    data = _json_object(json.loads(Path(path).read_text()), "homography JSON")
+    data = _json_object(_read_json(path), "homography JSON")
     return Homography(_floats(data.get("matrix"), "matrix", (3, 3)))
 
 
@@ -216,7 +234,7 @@ def load_ground_points(path: str | Path) -> np.ndarray:
     a list of number pairs, and NonFiniteInput on NaN or infinite values;
     compute_homography then needs at least 4 anchors.
     """
-    return _floats(json.loads(Path(path).read_text()), "ground points", (None, 2))
+    return _floats(_read_json(path), "ground points", (None, 2))
 
 
 def _image_size(value, name: str) -> tuple[int, int]:
@@ -266,7 +284,14 @@ def from_dict(cls, data):
 
 # --- lanes JSON ---
 
+def _check_fits(lanes: list[Lane3D], fits: list[FittedLane] | None) -> None:
+    if fits is not None and len(fits) != len(lanes):
+        raise ShapeMismatch(f"{len(fits)} fit(s) for {len(lanes)} lane(s)")
+
+
 def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> dict:
+    """The lanes JSON object; `fits`, when given, holds one fit per lane (else ShapeMismatch)."""
+    _check_fits(lanes, fits)
     out = []
     for i, lane in enumerate(lanes):
         entry = {"id": int(lane.id), "points": lane.points.tolist()}
@@ -303,7 +328,7 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
 
 
 def load_lanes(path: str | Path) -> list[Lane3D]:
-    return lanes_from_dict(json.loads(Path(path).read_text()))
+    return lanes_from_dict(_read_json(path))
 
 
 def _layout(items: list[str], depth: int, brackets: str = "[]") -> str:
@@ -324,8 +349,10 @@ def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | N
 
     With `indent`, json.dumps runs CPython's pure-Python encoder; here each
     lane's numbers go through the C encoder and only the fixed schema's
-    newlines and indents are written in Python.
+    newlines and indents are written in Python.  Raises ShapeMismatch, and
+    writes nothing, unless `fits` is None or holds one fit per lane.
     """
+    _check_fits(lanes, fits)
     entries = []
     for i, lane in enumerate(lanes):
         nums = _numbers(lane.points.ravel().tolist())
@@ -360,7 +387,7 @@ def scene_from_dict(data: dict) -> SceneRecord:
 
 
 def load_scene(path: str | Path) -> SceneRecord:
-    return scene_from_dict(json.loads(Path(path).read_text()))
+    return scene_from_dict(_read_json(path))
 
 
 def save_scene(scene: SceneRecord, path: str | Path) -> None:
@@ -380,11 +407,7 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     interpreted here.  Every bad input raises a LaneBevError naming the
     field; a lane needs 2 points with distinct x.
     """
-    try:
-        data = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(str(exc)) from exc
-    _json_object(data, "frame")
+    data = _json_object(_parse_json(json_text, "frame"), "frame")
     intrinsic = _floats(data.get("intrinsic"), "intrinsic", (3, 3))
     extrinsic = _floats(data.get("extrinsic"), "extrinsic", (4, 4))
     rot_c2r = extrinsic[:3, :3]
@@ -453,8 +476,11 @@ def export_openlane_frame(scene: SceneRecord, file_path: str = "") -> str:
 # --- PGM / PPM images ---
 
 def write_pnm(image: np.ndarray, path: str | Path) -> None:
-    """Write a [0, 1] float image as binary PGM (2-D) or PPM (3-D, 3 channels)."""
+    """Write a [0, 1] float image as binary PGM (2-D) or PPM (3-D, 3 channels).
+    Raises NonFiniteInput naming the file, and writes nothing, on NaN or infinity."""
     img = np.asarray(image, dtype=float)
+    if not np.isfinite(img).all():
+        raise NonFiniteInput(f"{path}: image holds NaN or infinite values")
     data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
     if data.ndim == 2:
         header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n"

@@ -57,22 +57,14 @@ class GridSpec:
         return self.y_min + (np.arange(self.cols) + 0.5) * self.cell
 
 
-def _first_per_x(x: np.ndarray) -> np.ndarray:
-    """Index of the first entry, in input order, of each distinct value of x, by increasing x.
-
-    This is the one same-x rule: a lane keeps one point per abscissa, and
-    on a decoded lane, whose points are in scan order, that is the cell of
-    each grid row with the lowest column.
-    """
-    return np.unique(x, return_index=True)[1]
-
-
 @dataclass
 class Lane3D:
     """Polyline of finite (x, y, z) road-frame points, sorted on x.
 
-    Points that share an x keep the first in input order (_first_per_x).
-    Raises NonFiniteInput on a NaN or infinite coordinate.
+    Points that share an x keep the first in input order.  This is the one
+    same-x rule: on a decoded lane, whose points are in scan order, it
+    keeps the cell of each grid row with the lowest column.  Raises
+    NonFiniteInput on a NaN or infinite coordinate.
     """
 
     points: np.ndarray
@@ -84,7 +76,7 @@ class Lane3D:
             raise ValueError(f"points must be (N, 3), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise NonFiniteInput("points hold NaN or infinite values")
-        pts = pts[_first_per_x(pts[:, 0])]
+        pts = pts[np.unique(pts[:, 0], return_index=True)[1]]  # the first index of each x, by increasing x
         if len(pts) < 2:
             raise ValueError("a lane needs at least 2 points with distinct x")
         self.points = pts

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooManyInstances
+from .errors import NonFiniteInput, ShapeMismatch, TooManyInstances
 from .lane_grid import GridTensors
 
 _P_CLAMP = 1e-7
@@ -38,7 +38,11 @@ _MAX_INSTANCES = 256
 
 @dataclass
 class PredictionBatch:
-    """Raw (pre-activation) head outputs aligned with one grid."""
+    """Raw (pre-activation) head outputs aligned with one grid.
+
+    Raises ShapeMismatch when the shapes disagree, and NonFiniteInput,
+    naming the field, when a tensor holds NaN or infinity.
+    """
 
     raw_confidence: np.ndarray
     raw_offset: np.ndarray
@@ -57,6 +61,9 @@ class PredictionBatch:
             raise ShapeMismatch("raw_offset and height must match raw_confidence")
         if self.embedding.ndim != 3 or self.embedding.shape[:2] != s:
             raise ShapeMismatch(f"embedding must be (s1, s2, D), got {self.embedding.shape}")
+        for name in ("raw_confidence", "raw_offset", "embedding", "height"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NonFiniteInput(f"{name} holds NaN or infinite values")
 
     def activate(self) -> GridTensors:
         """Apply the head activations, yielding decodable grid tensors."""

@@ -26,9 +26,9 @@ offset and the height channel, and small clusters are dropped.  A decoded
 lane holds one key point per grid row: where a cluster has several cells
 in one row, the first in scan order (the lowest column) is kept, by the
 same-x rule of lane_grid.Lane3D.  decode_lanes turns the clusters into
-lanes, dropping any cluster whose cells span fewer than 2 rows, and fits
-each lane with least-squares polynomials y(x), z(x) on abscissae rescaled
-to [-1, 1], from exactly the points the lane keeps.
+lanes, dropping any cluster whose cells span fewer than 2 rows.  Every fit
+is made from a Lane3D: y(x) and z(x) through its points, sorted on x, on
+abscissae rescaled to [-1, 1], in one joint least-squares solve.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateAbscissae, NonFiniteInput, ShapeMismatch
-from .lane_grid import GridSpec, GridTensors, Lane3D, _first_per_x
+from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
 _MIN_BLOCK, _MAX_BLOCK = 4, 1024  # cells decided per numpy block
@@ -321,39 +321,33 @@ def decode_grid(
     return [LaneInstance(cluster_id=cid, points=pts) for cid, pts in enumerate(groups) if len(pts) >= params.min_points]
 
 
-def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
-    """Least-squares polynomial coefficients (increasing powers) of y over x."""
-    v = np.polynomial.polynomial.polyvander(x, degree)
-    coeffs, _, _, _ = np.linalg.lstsq(v, y, rcond=None)
-    return coeffs
+def _fit_lane(lane: Lane3D, degree: int) -> FittedLane:
+    """Least-squares y(x) and z(x) through the lane's points in one solve, on
+    t in [-1, 1] over its x range; the degree is capped at len(points) - 1."""
+    lo, hi = float(lane.x[0]), float(lane.x[-1])
+    t = (2.0 * lane.x - (lo + hi)) / (hi - lo)
+    v = np.polynomial.polynomial.polyvander(t, min(degree, len(t) - 1))
+    coeffs = np.linalg.lstsq(v, lane.points[:, 1:], rcond=None)[0]
+    return FittedLane(y_coeffs=coeffs[:, 0], z_coeffs=coeffs[:, 1], x_range=(lo, hi))
 
 
 def fit_lanes(instances: list[LaneInstance], params: DecodeParams = DecodeParams()) -> list[FittedLane]:
     """Fit y(x) and z(x) per instance on one point per grid row.
 
-    The points fitted are those the instance's Lane3D keeps: the first in
-    scan order of each distinct x, taken in scan order.  The degree is
-    capped at the number of distinct x (grid rows) - 1.  The abscissa is
-    affinely mapped to [-1, 1] for conditioning; see FittedLane for the
-    recorded transform.  Raises DegenerateAbscissae when an instance spans
-    fewer than 2 distinct x.
+    Each instance is fitted as its Lane3D: the first point in scan order of
+    each distinct x, sorted on x, in one joint solve.  The degree is capped
+    at the number of distinct x (grid rows) - 1.  The abscissa is affinely
+    mapped to [-1, 1] for conditioning; see FittedLane for the recorded
+    transform.  Raises DegenerateAbscissae when an instance spans fewer
+    than 2 distinct x.
     """
     fits = []
     for inst in instances:
-        pts = inst.points[np.sort(_first_per_x(inst.points[:, 0]))]
-        x = pts[:, 0]
-        lo, hi = float(x.min()), float(x.max())
-        if hi - lo < 1e-12:
+        x = inst.points[:, 0]
+        lo = float(x.min())
+        if x.max() - lo < 1e-12:
             raise DegenerateAbscissae(f"cluster {inst.cluster_id} has all x equal to {lo}")
-        t = (2.0 * x - (lo + hi)) / (hi - lo)
-        degree = min(params.fit_degree, len(x) - 1)
-        fits.append(
-            FittedLane(
-                y_coeffs=fit_polynomial(t, pts[:, 1], degree),
-                z_coeffs=fit_polynomial(t, pts[:, 2], degree),
-                x_range=(lo, hi),
-            )
-        )
+        fits.append(_fit_lane(Lane3D(points=inst.points), params.fit_degree))
     return fits
 
 
@@ -367,8 +361,8 @@ def decode_lanes(
     Runs decode_grid, then drops every cluster whose cells span fewer than
     2 grid rows, since such a cluster cannot be a lane.  Each remaining
     cluster becomes Lane3D(id=cluster_id + 1), keeping the first cell in
-    scan order of each row, and fit_lanes fits exactly those points.
+    scan order of each row, and is fitted from it, bit for bit as fit_lanes.
     """
     instances = [inst for inst in decode_grid(pred, spec, params) if np.ptp(inst.points[:, 0]) > 0]
     lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
-    return lanes, fit_lanes(instances, params)
+    return lanes, [_fit_lane(lane, params.fit_degree) for lane in lanes]

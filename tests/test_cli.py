@@ -13,16 +13,23 @@ import pytest
 import lanebev
 from lanebev import data_io
 from lanebev.cli import build_parser, main
-from lanebev.lane_grid import GridSpec
+from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
 from lanebev.metrics import EvalConfig
-from lanebev.postproc import DecodeParams
+from lanebev.postproc import DecodeParams, decode_grid, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, checkerboard, generate_scene, jittered_rig, render_ground_pattern
+from test_postproc import noisy_prediction
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_prediction(pred, path):
+    """Store grid tensors `pred` in the stacked layout that `decode --pred` reads."""
+    layers = [pred.confidence[:, :, None], pred.embedding, pred.offset[:, :, None], pred.height[:, :, None]]
+    data_io.write_tensor(np.concatenate(layers, axis=2), path)
 
 
 class TestPipeline:
@@ -195,6 +202,28 @@ class TestUsageErrors:
         assert len(done.stderr.splitlines()) == 1
         assert json.loads(done.stderr)["error"] == error
 
+    @pytest.mark.parametrize("text", [b"{", b'{"lanes": []}\xff', b"[" * 100_000 + b"]" * 100_000], ids=["cut", "latin-1", "deep"])
+    @pytest.mark.parametrize("flag", ["eval --pred", "encode --scene", "homography --src", "homography --points", "synth --params"])
+    def test_malformed_json_file_exits_1_naming_it(self, capsys, tmp_path, flag, text):
+        bad_path, cam, gt = tmp_path / "bad.json", tmp_path / "cam.json", tmp_path / "gt.json"
+        bad_path.write_bytes(text)
+        data_io.save_rig(canonical_rig(), cam)
+        data_io.save_lanes(generate_scene(SceneParams(n_lanes=2, seed=1)).lanes, gt)
+        command = flag.split()[0]
+        inputs = {
+            "eval --pred": ["--pred", str(bad_path), "--gt", str(gt)],
+            "encode --scene": ["--scene", str(bad_path), "--out-dir", str(tmp_path / "enc")],
+            "homography --src": ["--src", str(bad_path), "--dst", str(cam)],
+            "homography --points": ["--src", str(cam), "--dst", str(cam), "--points", str(bad_path)],
+            "synth --params": ["--params", str(bad_path), "--out", str(tmp_path / "scene.json")],
+        }[flag]
+        code, out, err = run(capsys, command, *inputs)
+        assert code == 1
+        assert out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "MalformedJson"
+        assert str(bad_path) in payload["message"]
+
     @pytest.mark.parametrize("size", ["-5x3", "0x0", "1024x", "x576", "1024x-1", "12.5x3"])
     def test_warp_size_must_be_two_positive_integers(self, capsys, tmp_path, size):
         out = tmp_path / "out.pgm"
@@ -266,6 +295,22 @@ class TestFileWorkflow:
         code, _, _ = run(capsys, "eval", "--pred", str(lanes), "--gt", str(gt), "--report", str(report))
         assert code == 0
         assert json.loads(report.read_text())["f_score"] == 1.0
+
+    @pytest.mark.filterwarnings("ignore:lane_spacing")
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_decode_of_noisy_tensors_matches_the_hand_assembly(self, capsys, tmp_path, seed):
+        write_prediction(noisy_prediction(seed), tmp_path / "pred.bldt")
+        cli_lanes = tmp_path / "cli.json"
+        assert run(capsys, "decode", "--pred", str(tmp_path / "pred.bldt"), "--out", str(cli_lanes)) == (0, "", "")
+        stack = data_io.read_tensor(tmp_path / "pred.bldt").astype(float)
+        stored = GridTensors(
+            confidence=np.clip(stack[:, :, 0], 0.0, 1.0), embedding=stack[:, :, 1:-2], offset=stack[:, :, -2], height=stack[:, :, -1]
+        )
+        instances = decode_grid(stored)
+        assert any(len(np.unique(inst.points[:, 0])) < len(inst.points) for inst in instances)  # rows with several cells
+        lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
+        data_io.save_lanes(lanes, tmp_path / "hand.json", fit_lanes(instances))
+        assert cli_lanes.read_bytes() == (tmp_path / "hand.json").read_bytes()
 
     def test_decode_drops_a_one_row_cluster(self, capsys, tmp_path):
         stack = np.zeros((200, 40, 5), dtype=np.float32)  # confidence, 2-D embedding, offset, height
@@ -394,6 +439,23 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, lanebev.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.filterwarnings("ignore:lane_spacing")
+@pytest.mark.parametrize("command", ["pipeline", "decode"])
+def test_cli_runs_clean_with_warnings_as_errors(tmp_path, command):
+    # pytest's filterwarnings does not reach a child process; -W error makes
+    # any warning there fail the command, and -X dev adds resource warnings
+    write_prediction(noisy_prediction(5), tmp_path / "pred.bldt")
+    argv = {
+        "pipeline": ["--seed", "7", "--n-lanes", "4", "--out", str(tmp_path / "report.json")],
+        "decode": ["--pred", str(tmp_path / "pred.bldt"), "--out", str(tmp_path / "lanes.json")],
+    }[command]
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "lanebev.cli", command, *argv],
+        capture_output=True, text=True, env=package_env(),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 # The first stderr line of each subcommand run with no flags, as the

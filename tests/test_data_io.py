@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lanebev import data_io
+from lanebev import cli, data_io
 from lanebev.errors import (
     BadMagic,
     ConfigError,
@@ -19,6 +19,7 @@ from lanebev.errors import (
     MissingField,
     NonFiniteInput,
     NonOrthonormalRotation,
+    ShapeMismatch,
     SingularHomography,
     TruncatedPayload,
     UnsupportedVersion,
@@ -331,6 +332,17 @@ class TestLanesJson:
         back = data_io.load_lanes(path)
         assert np.allclose(back[0].points, lanes[0].points)
 
+    @pytest.mark.parametrize("n_fits", [0, 1, 3])
+    def test_fits_must_pair_with_lanes(self, tmp_path, n_fits):
+        x = np.linspace(3.0, 60.0, 12)
+        lanes = [Lane3D(points=np.column_stack([x, 0.05 * x + k, 0.01 * x]), id=k + 1) for k in range(2)]
+        fit = fit_lanes([LaneInstance(cluster_id=0, points=lanes[0].points)])[0]
+        with pytest.raises(ShapeMismatch, match=f"{n_fits} fit"):
+            data_io.lanes_to_dict(lanes, [fit] * n_fits)
+        with pytest.raises(ShapeMismatch, match=f"{n_fits} fit"):
+            data_io.save_lanes(lanes, tmp_path / "lanes.json", [fit] * n_fits)
+        assert not (tmp_path / "lanes.json").exists()
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_lanes=st.integers(0, 6),
@@ -464,6 +476,31 @@ def minimal_frame(**fields):
 def square(n):
     row = st.lists(st.floats() | st.integers(), min_size=n, max_size=n)
     return st.lists(row, min_size=n, max_size=n)
+
+
+JSON_FILE_READERS = {
+    "load_rig": data_io.load_rig,
+    "load_homography": data_io.load_homography,
+    "load_ground_points": data_io.load_ground_points,
+    "load_lanes": data_io.load_lanes,
+    "load_scene": data_io.load_scene,
+    "config": lambda path: cli._load_config(GridSpec, str(path)),
+}
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+class TestOneJsonReader:
+    @pytest.mark.parametrize("blob", [b"{", b'{"lanes": []}\xff', DEEP.encode()], ids=["cut", "latin-1", "deep"])
+    @pytest.mark.parametrize("reader", list(JSON_FILE_READERS))
+    def test_malformed_file_raises_malformed_json_naming_it(self, tmp_path, reader, blob):
+        path = tmp_path / "bad.json"
+        path.write_bytes(blob)
+        with pytest.raises(MalformedJson, match=re.escape(str(path))):
+            JSON_FILE_READERS[reader](path)
+
+    def test_openlane_frame_nested_too_deep(self):
+        with pytest.raises(MalformedJson, match="frame"):
+            data_io.parse_openlane_frame(DEEP)
 
 
 class TestOpenLaneFrameBoundary:
@@ -696,6 +733,15 @@ class TestPnm:
         assert img.shape == (1, 2)
         assert img[0, 0] == 1.0
         assert img[0, 1] == 32768.0 / 65535.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_raises_and_writes_nothing(self, tmp_path, bad):
+        img = np.full((4, 6, 3), 0.5)
+        img[2, 3, 1] = bad
+        path = tmp_path / "img.ppm"
+        with pytest.raises(NonFiniteInput, match="img.ppm"):
+            data_io.write_pnm(img, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("maxval", [b"0", b"65536"])
     def test_maxval_out_of_range_names_file(self, tmp_path, maxval):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lanebev.errors import ShapeMismatch, TooManyInstances
+from lanebev.errors import NonFiniteInput, ShapeMismatch, TooManyInstances
 from lanebev.lane_grid import GridTensors
 from lanebev.losses import (
     EmbedMargins,
@@ -325,6 +325,15 @@ class TestSegLoss2D:
 
 
 class TestTotalLoss:
+    @pytest.mark.parametrize("field", ["raw_confidence", "raw_offset", "embedding", "height"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_raises_naming_the_field(self, rng, field, bad):
+        pred = random_pred(rng)
+        arrays = {name: getattr(pred, name).copy() for name in ("raw_confidence", "raw_offset", "embedding", "height")}
+        arrays[field].flat[3] = bad
+        with pytest.raises(NonFiniteInput, match=field):
+            PredictionBatch(**arrays)
+
     def test_single_weight_equals_component(self, rng):
         gt = random_gt(rng)
         pred = random_pred(rng)

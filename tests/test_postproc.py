@@ -381,6 +381,66 @@ class TestFitLanes:
             fit_lanes([LaneInstance(cluster_id=0, points=pts)])
 
 
+def reference_fit(inst, degree):
+    """The earlier fit, kept as the reference: the first cell of each row in
+    scan order, then one lstsq for y and another for z."""
+    pts = inst.points[np.sort(np.unique(inst.points[:, 0], return_index=True)[1])]
+    x = pts[:, 0]
+    lo, hi = float(x.min()), float(x.max())
+    v = np.polynomial.polynomial.polyvander((2.0 * x - (lo + hi)) / (hi - lo), min(degree, len(x) - 1))
+    y_coeffs = np.linalg.lstsq(v, pts[:, 1], rcond=None)[0]
+    z_coeffs = np.linalg.lstsq(v, pts[:, 2], rcond=None)[0]
+    return y_coeffs, z_coeffs, (lo, hi)
+
+
+def noisy_prediction(seed, spec=GridSpec()):
+    """A prediction like the benchmark's noisy frames: a seeded 4-lane scene's
+    ideal grid (D = 8) with embedding noise of sigma 0.4, about 2% confident
+    background cells and small offset and height noise."""
+    rng = np.random.default_rng(seed)
+    scene = generate_scene(SceneParams(n_lanes=4, curvature=(-2e-4, 2e-4), hill_amplitude=1.0, seed=seed))
+    gt = encode_lanes(scene.lanes, spec)
+    ideal = ideal_prediction(gt, spec, embed_dim=8)
+    lane = gt.instance > 0
+    logits = np.where(lane, rng.normal(2.0, 1.5, lane.shape), rng.normal(-3.0, 1.5, lane.shape))
+    return GridTensors(
+        confidence=1.0 / (1.0 + np.exp(-logits)),
+        offset=np.clip(gt.offset + rng.normal(0.0, 0.05, lane.shape), -0.49, 0.49),
+        height=gt.height + rng.normal(0.0, 0.02, lane.shape),
+        embedding=ideal.embedding + rng.normal(0.0, 0.4, ideal.embedding.shape),
+    )
+
+
+class TestFitMatchesReference:
+    # One joint solve on x-sorted points moves fits by at most 4.5e-13 m on
+    # the benchmark's frames; the tolerance is fixed at about 2,000 times that.
+    def assert_fits_match(self, instances, degree):
+        fits = fit_lanes(instances, DecodeParams(fit_degree=degree))
+        assert len(fits) == len(instances)
+        for inst, fit in zip(instances, fits):
+            y_coeffs, z_coeffs, x_range = reference_fit(inst, degree)
+            assert fit.x_range == x_range
+            assert np.allclose(fit.y_coeffs, y_coeffs, rtol=1e-9, atol=1e-9)
+            assert np.allclose(fit.z_coeffs, z_coeffs, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:lane_spacing")
+    def test_acceptance_scenes(self):
+        spec = GridSpec()
+        for scene_params in _acceptance_scenes():
+            pred = ideal_prediction(encode_lanes(generate_scene(scene_params).lanes, spec), spec, embed_dim=8)
+            self.assert_fits_match(decode_grid(pred, spec), 3)
+
+    @pytest.mark.filterwarnings("ignore:lane_spacing")
+    @pytest.mark.parametrize("degree", [1, 3, 5])
+    def test_noisy_grids(self, degree):
+        shared_rows = 0
+        for seed in range(6):
+            instances = decode_grid(noisy_prediction(seed))
+            shared_rows += sum(len(np.unique(inst.points[:, 0])) < len(inst.points) for inst in instances)
+            self.assert_fits_match(instances, degree)
+        assert shared_rows > 0  # some clusters hold several cells in one row
+
+
 def cells_prediction(cells, spec=GridSpec(), dim=2):
     """Prediction with confidence 1 on `cells`, a list of (row, col, embedding), zero offsets
     and a height of row + col / 8 on every cell."""
