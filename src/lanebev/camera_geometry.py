@@ -25,6 +25,7 @@ one camera to the pixels of another camera observing the same ground point.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -146,7 +147,9 @@ class Homography:
             m = m / m[2, 2]
         if not np.isfinite(m).all():
             raise NonFiniteInput("homography matrix overflows when normalized by matrix[2][2]")
-        if abs(np.linalg.det(m)) < 1e-12:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # subnormal pivots; refused next
+            det = np.linalg.det(m)
+        if not abs(det) >= 1e-12:
             raise SingularHomography("homography matrix is singular")
         object.__setattr__(self, "matrix", m)
 
@@ -154,11 +157,16 @@ class Homography:
         return Homography(np.linalg.inv(self.matrix))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map (N, 2) pixel points through the homography."""
+        """Map (N, 2) pixel points through the homography.
+
+        A point mapped to infinity (w = 0) gives inf or NaN, without a
+        warning, as do points too far away for a float pixel.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ph = np.column_stack([pts, np.ones(len(pts))])
-        q = ph @ self.matrix.T
-        return q[:, :2] / q[:, 2:3]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = ph @ self.matrix.T
+            return q[:, :2] / q[:, 2:3]
 
 
 def _ground_to_image(rig: CameraRig, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,6 +306,15 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     coordinates are made one row block at a time and sampled by the same
     kernel as bilinear_sample, so no image-sized coordinate array is built.
     `out_size` is (width, height).  Accepts (H, W) or (H, W, C) arrays.
+
+    Only the output rows that can reach the source's non-zero rows [r0, r1)
+    are cast (see _sample_rows): a point gathers from them only if it lies
+    in the rectangle [-1, W] x [r0 - 1, r1] of source pixels.  When H gives
+    all four of its corners a w of one sign, w has that sign over the whole
+    rectangle, and the rectangle's image is the convex quad of the mapped
+    corners; the rows outside the quad's rows and a row of margin on each
+    side gather nothing, so they stay +0.0 and cost nothing.  Otherwise,
+    or if a corner maps to no finite row, every row is cast.
     """
     out_w, out_h = out_size
     hinv = np.linalg.inv(h.matrix)  # Homography refuses |det| < 1e-12
@@ -306,26 +323,45 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
 
     def coords(v):
         vv = v[:, None]
-        w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # A point beyond the float range, or at w = 0, is non-finite and samples 0.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
             sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / w
             sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / w
         return sx, sy
 
-    return _sample_rows(image, (out_h, out_w), coords)
+    def rows(r0, r1):
+        corners = np.array([(x, y, 1.0) for x in (-1.0, np.shape(image)[1]) for y in (r0 - 1.0, r1)])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite row casts every row
+            _, qv, qw = h.matrix @ corners.T
+            v = qv / qw
+        return _corner_rows(v) if (qw > 0).all() or (qw < 0).all() else None
+
+    return _sample_rows(image, (out_h, out_w), coords, rows)
 
 
-def _bilinear_taps(sx: np.ndarray, sy: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Floors x0, y0 of the points (sx, sy) and their four bilinear weights
-    in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1)."""
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
+def _corner_rows(v: np.ndarray) -> tuple[int, int] | None:
+    """The output rows [lo, hi) that a source region can reach, given the
+    rows v of its corners' images when its image is their convex quad: the
+    quad's rows and one row of margin above and below, or None (every row)
+    if a corner maps to no finite row.  The margin keeps the output the same
+    bytes as casting every row, because it is many orders of magnitude
+    wider than the rounding that separates the mapped corners from the
+    source coordinates that the cast rows compute."""
+    if not np.isfinite(v).all():
+        return None
+    return int(np.floor(v.min())) - 1, int(np.ceil(v.max())) + 2
+
+
+def _bilinear_weights(sx: np.ndarray, sy: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four bilinear weights of the points (sx, sy) whose floors are x0,
+    y0, in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1)."""
     with np.errstate(invalid="ignore"):
         fx = sx - x0
         fy = sy - y0
         gx = 1 - fx
         gy = 1 - fy
-        return x0, y0, (gx * gy, fx * gy, gx * fy, fx * fy)
+        return gx * gy, fx * gy, gx * fy, fx * fy
 
 
 def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]) -> sparse.csr_array:
@@ -341,7 +377,8 @@ def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]
 
     src_h, src_w = src_shape
     sx, sy = np.ravel(sx), np.ravel(sy)
-    x0, y0, weights = _bilinear_taps(sx, sy)
+    x0, y0 = np.floor(sx), np.floor(sy)
+    weights = _bilinear_weights(sx, sy, x0, y0)
     xi = x0[:, None] + [0, 1, 0, 1]
     yi = y0[:, None] + [0, 0, 1, 1]
     # NaN fails every comparison and +-inf one of them, so non-finite
@@ -370,7 +407,12 @@ def bilinear_sample(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarr
     return out.reshape(np.shape(sx) + out.shape[2:])
 
 
-def _sample_rows(img: np.ndarray, out_hw: tuple[int, int], coords, rows: tuple[int, int] | None = None) -> np.ndarray:
+def _sample_rows(
+    img: np.ndarray,
+    out_hw: tuple[int, int],
+    coords,
+    rows: Callable[[int, int], tuple[int, int] | None] | None = None,
+) -> np.ndarray:
     """Bilinearly sample an (H, W) or (H, W, C) image into an (out_h, out_w)
     grid of points, one block of whole output rows at a time.
 
@@ -379,45 +421,65 @@ def _sample_rows(img: np.ndarray, out_hw: tuple[int, int], coords, rows: tuple[i
     (len(v), out_w).  The four neighbours are gathered from a zero-padded
     copy of the image and their weighted values are added from 0.0 in
     bilinear_operator's storage order, as scipy's CSR product adds them, so
-    the result equals the operator product bit for bit.  A neighbour
-    outside the source reads the pad and adds +0.0; a point with no
-    neighbour inside, or a non-finite one, gives 0.  A block with no point
-    inside the source is not gathered, and its rows stay +0.0.
+    the result equals the operator product bit for bit.
 
-    rows, if given, is a half-open range [lo, hi) of output rows that the
-    caller knows to hold every point inside the source.  It is clamped to
-    [0, out_h) once out_hw is known to be valid; coords is called only for
-    the rows in it, and the rows outside it stay +0.0.
+    Only the band [r0, r1) of source rows is gathered: the rows that hold
+    any value other than +-0.0 (NaN and +-inf count as non-zero).  It is
+    padded with one zero row and column on each side.  A point is gathered
+    only if its floor column lies in [-1, W - 1] and its floor row in
+    [r0 - 1, r1 - 1]; any other point, or a non-finite one, gives +0.0.
+    That is exact: inside the source the weights are finite and >= 0, so a
+    neighbour outside the band adds +0.0 to a sum that starts at +0.0, and
+    a point whose neighbours all lie outside it is +0.0 either way.  A
+    block is not gathered when no point's floor row lies in the band's
+    range, which is tested before the taps are formed; its rows stay +0.0.
+    An all-zero source gathers nothing and calls neither coords nor rows.
+
+    rows, if given, is called once as rows(r0, r1) and returns a half-open
+    range [lo, hi) of output rows that holds every point whose floors lie
+    in the ranges above, or None for every row.  The range is clamped to
+    [0, out_h); coords is called only for the rows in it, and the rows
+    outside it stay +0.0.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim not in (2, 3):
         raise ValueError(f"image must be 2-D or 3-D, got shape {img.shape}")
-    src_h, src_w = img.shape[:2]
-    pad_w = src_w + 2
-    padded = np.zeros((src_h + 2, pad_w) + img.shape[2:])
-    padded[1:-1, 1:-1] = img
-    flat = padded.reshape((src_h + 2) * pad_w, -1)
-
     out_h, out_w = out_hw
     if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in out_hw):
         raise ValueError(f"output height and width must be non-negative integers, got {out_h!r} and {out_w!r}")
-    first, end = (0, out_h) if rows is None else (min(max(r, 0), out_h) for r in rows)
-    out = np.zeros((out_h * out_w, flat.shape[1]))
+    out = np.zeros((out_h * out_w, int(np.prod(img.shape[2:]))))
+    nonzero = np.flatnonzero(img.any(axis=tuple(range(1, img.ndim))))
+    if nonzero.size == 0:
+        return out.reshape((out_h, out_w) + img.shape[2:])
+
+    r0, r1 = int(nonzero[0]), int(nonzero[-1]) + 1
+    src_w = img.shape[1]
+    pad_w = src_w + 2
+    padded = np.zeros((r1 - r0 + 2, pad_w) + img.shape[2:])
+    padded[1:-1, 1:-1] = img[r0:r1]
+    flat = padded.reshape(len(padded) * pad_w, -1)
+
+    span = None if rows is None else rows(r0, r1)
+    first, end = (0, out_h) if span is None else (min(max(r, 0), out_h) for r in span)
     step = max(1, _SAMPLE_BLOCK // max(out_w, 1))
     for lo in range(first, end, step):
         v = np.arange(lo, min(lo + step, end), dtype=float)
-        sx, sy = coords(v)
-        x0, y0, weights = _bilinear_taps(np.ravel(sx), np.ravel(sy))
+        sx, sy = (np.ravel(a) for a in coords(v))
         # NaN fails every comparison and +-inf one of them; where() drops
         # the index of such a point, which may be inf - inf.
-        inside = (x0 >= -1) & (x0 <= src_w - 1) & (y0 >= -1) & (y0 <= src_h - 1)
+        y0 = np.floor(sy)
+        inside = (y0 >= r0 - 1) & (y0 <= r1 - 1)
+        if not inside.any():
+            continue
+        x0 = np.floor(sx)
+        inside &= (x0 >= -1) & (x0 <= src_w - 1)
         if not inside.any():
             continue
         with np.errstate(invalid="ignore"):
-            base = np.where(inside, (y0 + 1) * pad_w + (x0 + 1), 0).astype(np.intp)
+            base = np.where(inside, (y0 - (r0 - 1)) * pad_w + (x0 + 1), 0).astype(np.intp)
         acc = out[lo * out_w : (lo + len(v)) * out_w]
         with np.errstate(invalid="ignore", over="ignore"):
-            for w, offset in zip(weights, (0, 1, pad_w, pad_w + 1)):
+            for w, offset in zip(_bilinear_weights(sx, sy, x0, y0), (0, 1, pad_w, pad_w + 1)):
                 acc += w[:, None] * np.take(flat, base + offset, axis=0)
         if not inside.all():
             acc[~inside] = 0.0

@@ -61,9 +61,7 @@ class PredictionBatch:
             raise ShapeMismatch("raw_offset and height must match raw_confidence")
         if self.embedding.ndim != 3 or self.embedding.shape[:2] != s:
             raise ShapeMismatch(f"embedding must be (s1, s2, D), got {self.embedding.shape}")
-        for name in ("raw_confidence", "raw_offset", "embedding", "height"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise NonFiniteInput(f"{name} holds NaN or infinite values")
+        _require_finite(self, ("raw_confidence", "raw_offset", "embedding", "height"))
 
     def activate(self) -> GridTensors:
         """Apply the head activations, yielding decodable grid tensors."""
@@ -106,18 +104,53 @@ class EmbedMargins:
 
 @dataclass
 class FrontViewPrediction:
-    """Front-view auxiliary head output: segmentation logits and embeddings."""
+    """Front-view auxiliary head output: (H, W) segmentation logits and
+    (H, W, D) embeddings.
+
+    Raises ShapeMismatch when the shapes disagree, and NonFiniteInput,
+    naming the field, when a tensor holds NaN or infinity.
+    """
 
     raw_seg: np.ndarray
     embedding: np.ndarray
 
+    def __post_init__(self):
+        self.raw_seg = np.asarray(self.raw_seg, dtype=float)
+        self.embedding = np.asarray(self.embedding, dtype=float)
+        if self.raw_seg.ndim != 2:
+            raise ShapeMismatch(f"raw_seg must be 2-D, got {self.raw_seg.shape}")
+        if self.embedding.ndim != 3 or self.embedding.shape[:2] != self.raw_seg.shape:
+            raise ShapeMismatch(f"embedding must be (H, W, D) over raw_seg {self.raw_seg.shape}, got {self.embedding.shape}")
+        _require_finite(self, ("raw_seg", "embedding"))
+
 
 @dataclass
 class FrontViewTruth:
-    """Front-view supervision: {0,1} lane mask and instance labels."""
+    """Front-view supervision: (H, W) {0,1} lane mask and instance labels.
+
+    Raises ShapeMismatch when the shapes disagree, and NonFiniteInput,
+    naming the field, when a tensor holds NaN or infinity.
+    """
 
     mask: np.ndarray
     instance: np.ndarray
+
+    def __post_init__(self):
+        self.mask = np.asarray(self.mask, dtype=float)
+        self.instance = np.asarray(self.instance)
+        if self.mask.ndim != 2:
+            raise ShapeMismatch(f"mask must be 2-D, got {self.mask.shape}")
+        if self.instance.shape != self.mask.shape:
+            raise ShapeMismatch(f"instance {self.instance.shape} vs mask {self.mask.shape}")
+        _require_finite(self, ("mask", "instance"))
+
+
+def _require_finite(tensors, names: tuple[str, ...]):
+    """Raise NonFiniteInput naming the first of the named fields of tensors
+    that holds NaN or infinity."""
+    for name in names:
+        if not np.isfinite(getattr(tensors, name)).all():
+            raise NonFiniteInput(f"{name} holds NaN or infinite values")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -16,10 +16,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _sample_rows, project_ground_points
+from .camera_geometry import (
+    _MIN_DEPTH,
+    CameraRig,
+    Extrinsics,
+    Intrinsics,
+    _corner_rows,
+    _sample_rows,
+    project_ground_points,
+)
 from .errors import DegenerateDepth
 from .lane_grid import GridSpec, Lane3D
 
@@ -150,18 +159,19 @@ def render_ground_pattern(
     sampler's kernel, and a block with no ray on the pattern is not
     sampled.  `out_size` is (width, height), default the rig's.
 
-    Rays are cast only for the rows of the pattern's ground footprint.  The
-    sampler keeps a point only if its floors fall inside the pattern, so
-    only ground points in the spec extent widened by half a pattern pixel
-    on each side can add to the output.  When all four corners of that
-    rectangle lie in front of the camera, so does all of it, and its image
-    is the convex quad of the projected corners.  A row more than one row
-    above or below the quad's rows then gathers nothing, stays +0.0 and
-    casts no rays: the sky, and the ground beyond the pattern's far edge.
-    The one-row margin keeps the output the same bytes as casting every
-    row, because it is many orders of magnitude wider than the rounding
-    that separates the projected corners from the cast rays.  If a corner
-    is behind the camera, every row is cast.
+    Rays are cast only for the rows of the ground footprint of the
+    pattern's non-zero rows [r0, r1) (see _sample_rows).  The sampler
+    gathers a point only if its floors fall in the pattern pixels
+    [-1, cols] x [r0 - 1, r1 - 1], so only ground points in the rectangle
+    of pattern pixels [-1, cols] x [r0 - 1, r1] can add to the output: the
+    spec extent widened by half a pattern pixel on each side, for a pattern
+    with no zero row.  When all four corners of that rectangle lie in front
+    of the camera, so does all of it, and its image is the convex quad of
+    the projected corners.  The rows outside the quad's rows and a row of
+    margin on each side (camera_geometry._corner_rows, the rule warp_image
+    culls by too) gather nothing, stay +0.0 and cast no rays: the sky, and
+    the ground beyond the pattern's far edge.  If a corner is behind the
+    camera, every row is cast.
     """
     pat = np.asarray(pattern, dtype=float)
     w, h = out_size if out_size is not None else rig.image_size
@@ -192,30 +202,28 @@ def render_ground_pattern(
         iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
         return iy, ix  # pattern axes: row = x, col = y
 
-    return _sample_rows(pat, (h, w), coords, _footprint_rows(rig, spec, (rows_p, cols_p)))
+    return _sample_rows(pat, (h, w), coords, partial(_footprint_rows, rig, spec, (rows_p, cols_p)))
 
 
-def _footprint_rows(rig: CameraRig, spec: GridSpec, pattern_hw: tuple[int, int]) -> tuple[int, int] | None:
+def _footprint_rows(
+    rig: CameraRig, spec: GridSpec, pattern_hw: tuple[int, int], r0: int, r1: int
+) -> tuple[int, int] | None:
     """The rows [lo, hi) that render_ground_pattern casts for a pattern of
-    pattern_hw pixels over the spec extent: the rows of its widened extent's
-    projected corners, one row of margin above and below, or None (every
-    row) for an empty pattern, a corner behind the camera or a corner that
-    projects to no finite pixel."""
+    pattern_hw pixels over the spec extent whose non-zero rows are [r0, r1):
+    _corner_rows of the projected corners of the band's widened rectangle,
+    or None (every row) for a corner behind the camera."""
     rows_p, cols_p = pattern_hw
-    if rows_p == 0 or cols_p == 0:
-        return None
-    half_x = 0.5 * (spec.x_max - spec.x_min) / rows_p
-    half_y = 0.5 * (spec.y_max - spec.y_min) / cols_p
-    xs = (spec.x_min - half_x, spec.x_max + half_x)
-    ys = (spec.y_min - half_y, spec.y_max + half_y)
+    dx = (spec.x_max - spec.x_min) / rows_p
+    dy = (spec.y_max - spec.y_min) / cols_p
+    # Pattern pixel index i is the ground coordinate min + (i + 0.5) * step.
+    xs = (spec.x_min + (r0 - 0.5) * dx, spec.x_min + (r1 + 0.5) * dx)
+    ys = (spec.y_min - 0.5 * dy, spec.y_max + 0.5 * dy)
     corners = [(x, y) for x in xs for y in ys]
     try:
         v = project_ground_points(rig, corners)[:, 1]
     except DegenerateDepth:
         return None
-    if not np.isfinite(v).all():
-        return None
-    return int(np.floor(v.min())) - 1, int(np.ceil(v.max())) + 2
+    return _corner_rows(v)
 
 
 def checkerboard(

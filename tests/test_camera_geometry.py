@@ -394,6 +394,15 @@ class TestTypes:
         with pytest.raises(NonFiniteInput, match=field):
             build()
 
+    @pytest.mark.filterwarnings("error")
+    def test_homography_maps_a_point_at_infinity_without_warning(self):
+        h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+        with np.errstate(all="warn"):
+            out = h.apply([(-1.0, 0.0), (-1.0, 2.0), (1.0, 2.0)])
+        assert np.isneginf(out[0, 0]) and np.isnan(out[0, 1])
+        assert np.isneginf(out[1, 0]) and np.isposinf(out[1, 1])
+        assert out[2].tolist() == [0.5, 1.0]
+
     def test_homography_normalized(self):
         h = Homography(2.0 * np.eye(3))
         assert h.matrix[2, 2] == 1.0

@@ -334,6 +334,34 @@ class TestTotalLoss:
         with pytest.raises(NonFiniteInput, match=field):
             PredictionBatch(**arrays)
 
+    @pytest.mark.parametrize("field", ["raw_seg", "embedding", "mask", "instance"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_front_view_raises_naming_the_field(self, rng, field, bad):
+        arrays = {
+            "raw_seg": rng.normal(size=(6, 7)),
+            "embedding": rng.normal(size=(6, 7, 3)),
+            "mask": (rng.random((6, 7)) < 0.3).astype(float),
+            "instance": rng.integers(0, 3, size=(6, 7)).astype(float),
+        }
+        arrays[field].flat[3] = bad
+        with pytest.raises(NonFiniteInput, match=field):
+            FrontViewPrediction(raw_seg=arrays["raw_seg"], embedding=arrays["embedding"])
+            FrontViewTruth(mask=arrays["mask"], instance=arrays["instance"])
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: FrontViewPrediction(raw_seg=np.zeros(6), embedding=np.zeros((6, 1, 3))), "raw_seg"),
+            (lambda: FrontViewPrediction(raw_seg=np.zeros((6, 7)), embedding=np.zeros((6, 7))), "embedding"),
+            (lambda: FrontViewPrediction(raw_seg=np.zeros((6, 7)), embedding=np.zeros((7, 6, 3))), "embedding"),
+            (lambda: FrontViewTruth(mask=np.zeros((6, 7, 1)), instance=np.zeros((6, 7, 1))), "mask"),
+            (lambda: FrontViewTruth(mask=np.zeros((6, 7)), instance=np.zeros((6, 8))), "instance"),
+        ],
+    )
+    def test_front_view_shapes_are_checked(self, build, field):
+        with pytest.raises(ShapeMismatch, match=field):
+            build()
+
     def test_single_weight_equals_component(self, rng):
         gt = random_gt(rng)
         pred = random_pred(rng)

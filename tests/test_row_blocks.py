@@ -1,10 +1,12 @@
-"""Render and warp, one row block at a time, against their whole-image forms.
+"""Render and warp, one row block at a time, against whole-image references.
 
-`reference_warp_image` and `reference_render_ground_pattern` are the
-whole-image versions that built every coordinate array at the output's
-size before sampling.  The row-block versions must give the same bytes for
-any block size, output size, horizon and channel count, and the fleet pin
-below holds their SHA-256 as the whole-image versions computed it.
+`reference_warp_image` and `reference_render_ground_pattern` build every
+coordinate array at the output's size and sample it with the CSR product
+bilinear_operator(sx, sy, (H, W)) @ image, which shares no code with the
+row-block kernel beyond the weight formula.  Render and warp must give the
+same bytes for any block size, output size, horizon, channel count and
+band of zero source rows, and the fleet pin below holds their SHA-256 as
+the whole-image code computed it.
 """
 
 import hashlib
@@ -21,7 +23,6 @@ from lanebev.camera_geometry import (
     CameraRig,
     Homography,
     Intrinsics,
-    bilinear_sample,
     compute_homography,
     mean_virtual_camera,
     project_ground_points,
@@ -30,17 +31,18 @@ from lanebev.camera_geometry import (
 from lanebev.errors import DegenerateDepth, NonFiniteInput, SingularHomography
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import canonical_rig, checkerboard, jittered_rig, render_ground_pattern
+from test_camera_geometry import operator_product
 
 
 def reference_warp_image(image, h, out_size):
     out_w, out_h = out_size
     hinv = np.linalg.inv(h.matrix)
     uu, vv = np.meshgrid(np.arange(out_w, dtype=float), np.arange(out_h, dtype=float))
-    w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
         sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / w
         sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / w
-    return bilinear_sample(image, sx, sy)
+    return operator_product(image, sx, sy)
 
 
 def reference_render_ground_pattern(rig, pattern, spec=GridSpec(), out_size=None):
@@ -64,7 +66,7 @@ def reference_render_ground_pattern(rig, pattern, spec=GridSpec(), out_size=None
     rows_p, cols_p = pat.shape[:2]
     ix = (gx - spec.x_min) / (spec.x_max - spec.x_min) * rows_p - 0.5
     iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
-    return bilinear_sample(pat, iy, ix)
+    return operator_product(pat, iy, ix)
 
 
 def assert_same_bytes(got, want):
@@ -182,20 +184,26 @@ class TestRenderRowBlocks:
             warp_image(np.ones((5, 4)), Homography(), out_size)
 
 
-def render_cast_rows(rig, pattern, spec, out_size):
-    """The render, and the output rows whose rays it cast, in call order."""
+def cast_rows(module, sampler, *args):
+    """sampler(*args), and the output rows whose source coordinates it
+    computed through module._sample_rows, in call order."""
     cast = []
-    sample_rows = synth._sample_rows
+    sample_rows = module._sample_rows
 
-    def spy(img, out_hw, coords, *args):
+    def spy(img, out_hw, coords, *rest):
         def spied_coords(v):
             cast.extend(int(r) for r in v)
             return coords(v)
 
-        return sample_rows(img, out_hw, spied_coords, *args)
+        return sample_rows(img, out_hw, spied_coords, *rest)
 
-    with mock.patch.object(synth, "_sample_rows", spy):
-        return render_ground_pattern(rig, pattern, spec, out_size), cast
+    with mock.patch.object(module, "_sample_rows", spy):
+        return sampler(*args), cast
+
+
+def render_cast_rows(rig, pattern, spec, out_size):
+    """The render, and the output rows whose rays it cast, in call order."""
+    return cast_rows(synth, render_ground_pattern, rig, pattern, spec, out_size)
 
 
 class TestRenderFootprintRows:
@@ -246,20 +254,111 @@ class TestRenderFootprintRows:
         horizon=st.floats(-5.0, 40.0),
         jitter=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 0.5)),
         pattern_shape=st.tuples(st.integers(20, 400), st.integers(1, 40)),
+        zero_rows=st.tuples(st.integers(0, 400), st.integers(0, 400)),
         channels=CHANNELS,
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_culled_rows_match_whole_image_render(self, block, out_size, horizon, jitter, pattern_shape, channels, seed):
+    def test_culled_rows_match_whole_image_render(
+        self, block, out_size, horizon, jitter, pattern_shape, zero_rows, channels, seed
+    ):
         # Patterns of 20 rows or more put the widened near edge at x >= 0.5 m,
         # in front of the camera for most draws, so mostly only the
-        # footprint's rows are cast.
+        # footprint's rows are cast.  The pattern rows outside [lo, hi) are
+        # zero, so the footprint is that of the band between them.
         rng = np.random.default_rng(seed)
         rig = scaled_rig(jittered_rig(rng, *jitter), (max(out_size[0], 1), max(out_size[1], 1)), cy=horizon)
         pattern = rng.normal(size=pattern_shape + channels)
+        lo, hi = sorted(min(r, pattern_shape[0]) for r in zero_rows)
+        pattern[:lo] = 0.0
+        pattern[hi:] = 0.0
         with mock.patch.object(camera_geometry, "_SAMPLE_BLOCK", block):
             got = render_ground_pattern(rig, pattern, GridSpec(), out_size)
         assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, GridSpec(), out_size))
+
+
+SPECIAL = [np.nan, np.inf, -np.inf]
+
+
+class TestWarpCull:
+    @given(
+        block=BLOCKS,
+        out_size=st.tuples(st.integers(0, 40), st.integers(0, 23)),
+        src_hw=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+        band=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+        negative_zero=st.booleans(),
+        specials=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29), st.sampled_from(SPECIAL)), max_size=3),
+        channels=CHANNELS,
+        affine=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        perspective=st.tuples(st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(  # all-zero source: nothing is gathered
+        block=64, out_size=(30, 20), src_hw=(20, 30), band=(7, 7), negative_zero=True, specials=[], channels=(),
+        affine=[0.0] * 6, perspective=(0.0, 0.0), seed=1,
+    )
+    @example(  # a one-row source, shifted to output row 5
+        block=5, out_size=(30, 20), src_hw=(1, 30), band=(0, 1), negative_zero=False, specials=[], channels=(3,),
+        affine=[0.0, 0.0, 0.0, 0.0, 0.0, 5.0], perspective=(0.0, 0.0), seed=1,
+    )
+    @example(  # band [5, 20): corners at source rows 4 and 20 have w = 0.6 and -1, so every row is cast
+        block=64, out_size=(30, 20), src_hw=(30, 30), band=(5, 20), negative_zero=True, specials=[(25, 3, np.inf)],
+        channels=(), affine=[0.0] * 6, perspective=(0.0, -0.1), seed=1,
+    )
+    @example(  # near-singular H: det about 1e-11, so H^-1 holds entries about 1e11
+        block=64, out_size=(40, 23), src_hw=(20, 30), band=(4, 15), negative_zero=False, specials=[(9, 9, np.nan)],
+        channels=(1,), affine=[0.0, 1.0, 0.0, 1.0, 1e-11, 0.0], perspective=(0.0, 0.0), seed=1,
+    )
+    @example(  # w at row 0 of the output is subnormal, so its sy overflows: those points sample 0
+        block=1, out_size=(2, 1), src_hw=(11, 1), band=(0, 11), negative_zero=False, specials=[], channels=(),
+        affine=[0.0, 0.0, 0.0, 8.733723325072875e-308, -1.0, 1.0], perspective=(0.0, -0.09375), seed=0,
+    )
+    @example(  # a subnormal entry: the singular H is refused without a warning from its determinant
+        block=1, out_size=(0, 0), src_hw=(1, 1), band=(0, 0), negative_zero=False, specials=[], channels=(),
+        affine=[0.0, 0.0, 0.0, 0.0, -1.0, 0.0], perspective=(0.0, 1.1125369292536007e-308), seed=0,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_operator_product(
+        self, block, out_size, src_hw, band, negative_zero, specials, channels, affine, perspective, seed
+    ):
+        # Rows outside [lo, hi) hold +-0.0 and are not gathered; a NaN or
+        # +-inf pixel there widens the band to its row.
+        rng = np.random.default_rng(seed)
+        image = rng.normal(size=src_hw + channels)
+        lo, hi = sorted(min(b, src_hw[0]) for b in band)
+        zero = -0.0 if negative_zero else 0.0
+        image[:lo] = zero
+        image[hi:] = zero
+        for r, c, value in specials:
+            image[r % src_hw[0], c % src_hw[1]] = value
+        matrix = np.eye(3)
+        matrix[:2] += np.reshape(affine, (2, 3)) * [1.0, 1.0, 10.0]
+        matrix[2, :2] = perspective
+        try:
+            h = Homography(matrix)
+        except (SingularHomography, NonFiniteInput):
+            reject()
+        with mock.patch.object(camera_geometry, "_SAMPLE_BLOCK", block):
+            got = warp_image(image, h, out_size)
+        assert_same_bytes(got, reference_warp_image(image, h, out_size))
+
+    def test_fleet_warp_casts_only_the_footprint_rows(self):
+        size = (1024, 576)
+        rng = np.random.default_rng([1])
+        rigs = [jittered_rig(rng, 2.0, 0.2) for _ in range(4)]
+        h = compute_homography(rigs[0], mean_virtual_camera(rigs))
+        pattern = checkerboard(GridSpec(), square_x=20.0, square_y=4.0, px_per_cell=2)
+        image = render_ground_pattern(rigs[0], pattern, GridSpec(), size)
+        nonzero = np.flatnonzero(image.any(axis=1))
+        r0, r1 = nonzero[0], nonzero[-1] + 1
+        assert 250 < r0 < 350  # the render's rows above the pattern's far edge are zero
+        got, cast = cast_rows(camera_geometry, warp_image, image, h, size)
+        v = h.apply([(x, y) for x in (-1.0, size[0]) for y in (r0 - 1.0, r1)])[:, 1]
+        assert cast == list(range(int(np.floor(v.min())) - 1, min(int(np.ceil(v.max())) + 2, size[1])))
+        assert 250 < len(cast) < 320  # about half of the 576 rows
+        want = reference_warp_image(image, h, size)
+        assert_same_bytes(got, want)
+        assert want[cast[0] : cast[-1] + 1].any() and not want[: cast[0]].any()
 
 
 # SHA-256 over the renders of the four seed-1 fleet rigs and their virtual
