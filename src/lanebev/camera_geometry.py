@@ -37,6 +37,7 @@ from .errors import (
     EmptyInput,
     MixedImageSizes,
     NonFiniteInput,
+    ShapeMismatch,
     SingularHomography,
 )
 
@@ -302,55 +303,67 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     """Inverse-warp an image by a homography, like cv2.warpPerspective.
 
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
-    bilinear interpolation; samples outside the source are 0.  The source
-    coordinates are made one row block at a time and sampled by the same
-    kernel as bilinear_sample, so no image-sized coordinate array is built.
-    `out_size` is (width, height).  Accepts (H, W) or (H, W, C) arrays.
+    bilinear interpolation; samples outside the source are 0.  `out_size`
+    is (width, height).  Accepts (H, W) or (H, W, C) arrays; any other
+    raises ShapeMismatch naming `image`.  The sampler and its row rule are
+    _homography_sample's, which synth.render_ground_pattern shares.
+    """
+    img = np.asarray(image, dtype=float)
+    if img.ndim not in (2, 3):
+        raise ShapeMismatch(f"image must be 2-D or 3-D, got shape {img.shape}")
+    return _homography_sample(img, h.matrix, np.linalg.inv(h.matrix), out_size)  # Homography refuses |det| < 1e-12
 
-    Only the output rows that can reach the source's non-zero rows [r0, r1)
-    are cast (see _sample_rows): a point gathers from them only if it lies
-    in the rectangle [-1, W] x [r0 - 1, r1] of source pixels.  When H gives
-    all four of its corners a w of one sign, w has that sign over the whole
-    rectangle, and the rectangle's image is the convex quad of the mapped
-    corners; the rows outside the quad's rows and a row of margin on each
-    side gather nothing, so they stay +0.0 and cost nothing.  Otherwise,
-    or if a corner maps to no finite row, every row is cast.
+
+def _homography_sample(
+    img: np.ndarray, h: np.ndarray, hinv: np.ndarray, out_size: tuple[int, int], max_w: float | None = None
+) -> np.ndarray:
+    """Sample an (H, W) or (H, W, C) image at hinv @ (u, v, 1) for each pixel
+    (u, v) of an out_size (width, height) grid, where the 3x3 matrix h maps
+    source pixels to output pixels and hinv is its inverse (NaN for none).
+
+    The source coordinates are made one row block at a time by _sample_rows,
+    so no image-sized coordinate array is built; a point beyond the float
+    range or at w = 0 is non-finite and samples +0.0.  If max_w is given,
+    only the points whose w lies in (0, max_w) are sampled and any other,
+    NaN included, is +0.0: for a ground-plane H, w is 1 / depth, so that is
+    a depth gate.
+
+    One row rule: only the output rows that can reach the source's non-zero
+    rows [r0, r1) are cast (see _sample_rows).  A point gathers from them
+    only if it lies in the rectangle [-1, W] x [r0 - 1, r1] of source
+    pixels.  When h gives all four of its corners a w of one sign, w has
+    that sign over the whole rectangle, and the rectangle's image is the
+    convex quad of the mapped corners; the rows outside the quad's rows and
+    a row of margin on each side gather nothing, so they stay +0.0 and cost
+    nothing.  Otherwise, or if a corner maps to no finite row, every row is
+    cast.  The margin keeps the output the same bytes as casting every row,
+    because it is many orders of magnitude wider than the rounding that
+    separates the mapped corners from the source coordinates that the cast
+    rows compute.  The gate only zeroes points, so it keeps the rule exact.
     """
     out_w, out_h = out_size
-    hinv = np.linalg.inv(h.matrix)  # Homography refuses |det| < 1e-12
-
     uu = np.arange(out_w, dtype=float)
 
     def coords(v):
         vv = v[:, None]
-        # A point beyond the float range, or at w = 0, is non-finite and samples 0.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
+            if max_w is not None:
+                w = np.where((w > 0) & (w < max_w), w, np.nan)
             sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / w
             sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / w
         return sx, sy
 
     def rows(r0, r1):
-        corners = np.array([(x, y, 1.0) for x in (-1.0, np.shape(image)[1]) for y in (r0 - 1.0, r1)])
+        corners = np.array([(x, y, 1.0) for x in (-1.0, img.shape[1]) for y in (r0 - 1.0, r1)])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a non-finite row casts every row
-            _, qv, qw = h.matrix @ corners.T
+            _, qv, qw = h @ corners.T
             v = qv / qw
-        return _corner_rows(v) if (qw > 0).all() or (qw < 0).all() else None
+        if not ((qw > 0).all() or (qw < 0).all()) or not np.isfinite(v).all():
+            return None
+        return int(np.floor(v.min())) - 1, int(np.ceil(v.max())) + 2
 
-    return _sample_rows(image, (out_h, out_w), coords, rows)
-
-
-def _corner_rows(v: np.ndarray) -> tuple[int, int] | None:
-    """The output rows [lo, hi) that a source region can reach, given the
-    rows v of its corners' images when its image is their convex quad: the
-    quad's rows and one row of margin above and below, or None (every row)
-    if a corner maps to no finite row.  The margin keeps the output the same
-    bytes as casting every row, because it is many orders of magnitude
-    wider than the rounding that separates the mapped corners from the
-    source coordinates that the cast rows compute."""
-    if not np.isfinite(v).all():
-        return None
-    return int(np.floor(v.min())) - 1, int(np.ceil(v.max())) + 2
+    return _sample_rows(img, (out_h, out_w), coords, rows)
 
 
 def _bilinear_weights(sx: np.ndarray, sy: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -389,24 +402,6 @@ def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]
     return sparse.csr_array((np.column_stack(weights)[keep], cols, indptr), shape=(len(sx), src_h * src_w))
 
 
-def bilinear_sample(img: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """Sample an (H, W) or (H, W, C) image at real coordinates (sx, sy).
-
-    The result has the shape of sx followed by the image's channel axis, if
-    any, and equals bilinear_operator(sx, sy, (H, W)) @ img bit for bit
-    without building the operator (see _sample_rows, which this runs with
-    every point as one output row).
-    """
-    px, py = np.ravel(sx), np.ravel(sy)
-
-    def coords(v):
-        points = slice(int(v[0]), int(v[0]) + len(v))
-        return px[points], py[points]
-
-    out = _sample_rows(img, (px.size, 1), coords)
-    return out.reshape(np.shape(sx) + out.shape[2:])
-
-
 def _sample_rows(
     img: np.ndarray,
     out_hw: tuple[int, int],
@@ -421,7 +416,10 @@ def _sample_rows(
     (len(v), out_w).  The four neighbours are gathered from a zero-padded
     copy of the image and their weighted values are added from 0.0 in
     bilinear_operator's storage order, as scipy's CSR product adds them, so
-    the result equals the operator product bit for bit.
+    the result equals the operator product bit for bit.  Every tap is
+    gathered at one flat index per point from a view of the padded image
+    shifted by the tap's offset, with indices clipped, so no index array is
+    built per tap.
 
     Only the band [r0, r1) of source rows is gathered: the rows that hold
     any value other than +-0.0 (NaN and +-inf count as non-zero).  It is
@@ -465,8 +463,8 @@ def _sample_rows(
     for lo in range(first, end, step):
         v = np.arange(lo, min(lo + step, end), dtype=float)
         sx, sy = (np.ravel(a) for a in coords(v))
-        # NaN fails every comparison and +-inf one of them; where() drops
-        # the index of such a point, which may be inf - inf.
+        # NaN fails every comparison and +-inf one of them, so such a point
+        # is never inside.
         y0 = np.floor(sy)
         inside = (y0 >= r0 - 1) & (y0 <= r1 - 1)
         if not inside.any():
@@ -475,12 +473,15 @@ def _sample_rows(
         inside &= (x0 >= -1) & (x0 <= src_w - 1)
         if not inside.any():
             continue
-        with np.errstate(invalid="ignore"):
-            base = np.where(inside, (y0 - (r0 - 1)) * pad_w + (x0 + 1), 0).astype(np.intp)
         acc = out[lo * out_w : (lo + len(v)) * out_w]
+        # An outside point's index (perhaps cast from inf - inf) is clipped,
+        # and whatever it gathers is zeroed below.
         with np.errstate(invalid="ignore", over="ignore"):
+            base = ((y0 - (r0 - 1)) * pad_w + (x0 + 1)).astype(np.intp)
             for w, offset in zip(_bilinear_weights(sx, sy, x0, y0), (0, 1, pad_w, pad_w + 1)):
-                acc += w[:, None] * np.take(flat, base + offset, axis=0)
+                tap = np.take(flat[offset:], base, axis=0, mode="clip")
+                tap *= w[:, None]
+                acc += tap
         if not inside.all():
             acc[~inside] = 0.0
     return out.reshape((out_h, out_w) + img.shape[2:])

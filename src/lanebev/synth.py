@@ -16,20 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .camera_geometry import (
-    _MIN_DEPTH,
-    CameraRig,
-    Extrinsics,
-    Intrinsics,
-    _corner_rows,
-    _sample_rows,
-    project_ground_points,
-)
-from .errors import DegenerateDepth
+from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _homography_sample
+from .errors import ShapeMismatch
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -150,80 +141,40 @@ def render_ground_pattern(
     spec: GridSpec = GridSpec(),
     out_size: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Render a BEV pattern as seen from the rig, by exact ray-plane casting.
+    """Render a BEV pattern as seen from the rig: a homography warp of the pattern.
 
-    Every output pixel's ray is intersected with the z = 0 plane and the
-    pattern (rows = forward x over the spec extent, columns = lateral y) is
-    sampled bilinearly there.  Rays that do not hit the ground in front of
-    the camera give 0.  The rays are cast one row block at a time by the
-    sampler's kernel, and a block with no ray on the pattern is not
-    sampled.  `out_size` is (width, height), default the rig's.
-
-    Rays are cast only for the rows of the ground footprint of the
-    pattern's non-zero rows [r0, r1) (see _sample_rows).  The sampler
-    gathers a point only if its floors fall in the pattern pixels
-    [-1, cols] x [r0 - 1, r1 - 1], so only ground points in the rectangle
-    of pattern pixels [-1, cols] x [r0 - 1, r1] can add to the output: the
-    spec extent widened by half a pattern pixel on each side, for a pattern
-    with no zero row.  When all four corners of that rectangle lie in front
-    of the camera, so does all of it, and its image is the convex quad of
-    the projected corners.  The rows outside the quad's rows and a row of
-    margin on each side (camera_geometry._corner_rows, the rule warp_image
-    culls by too) gather nothing, stay +0.0 and cast no rays: the sky, and
-    the ground beyond the pattern's far edge.  If a corner is behind the
-    camera, every row is cast.
+    The pattern's rows run along forward x over the spec extent and its
+    columns along lateral y: pattern pixel (column c, row r) sits at the
+    ground point (x_min + (r + 0.5) * dx, y_min + (c + 0.5) * dy).  Call
+    that affine map P^-1.  The z = 0 plane reaches the image through
+    G = K [r1 r2 t], so H = G P^-1 maps pattern pixels to image pixels, and
+    every output pixel (u, v) samples the pattern bilinearly at
+    P G^-1 @ (u, v, 1) with warp_image's sampler and row rule
+    (camera_geometry._homography_sample): only the rows that can reach the
+    pattern's non-zero rows are cast, so the sky and the ground beyond the
+    far edge cost nothing.  The w of that point is 1 / depth of the ground
+    point on the pixel's ray, so only points with 0 < w < 1 / _MIN_DEPTH,
+    on the ground ahead of the camera, are sampled; any other gives +0.0,
+    and so does every pixel when the camera centre lies on the ground plane
+    (G is singular).  `out_size` is (width, height), default the rig's.  A
+    pattern that is not 2-D or 3-D raises ShapeMismatch naming `pattern`.
     """
     pat = np.asarray(pattern, dtype=float)
-    w, h = out_size if out_size is not None else rig.image_size
-
-    intr = rig.intrinsics
-    rot_t = rig.extrinsics.rotation.T
-    center = rig.extrinsics.camera_center
-    rows_p, cols_p = pat.shape[:2]
-    uu = np.arange(w, dtype=float)
-
-    def coords(v):
-        yn = (v[:, None] - intr.cy) / intr.fy
-        xn = (uu - intr.cx - intr.skew * yn) / intr.fx
-        d_cam = np.stack([xn, np.broadcast_to(yn, xn.shape), np.ones_like(xn)], axis=-1)
-        d_road = d_cam @ rot_t.T
-
-        dz = d_road[:, :, 2]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = -center[2] / dz
-        # t equals the camera-frame depth because the ray direction has unit
-        # camera z; only depths above _MIN_DEPTH hit the ground ahead.
-        valid = np.isfinite(t) & (t > _MIN_DEPTH)
-        t = np.where(valid, t, np.nan)
-        gx = center[0] + t * d_road[:, :, 0]
-        gy = center[1] + t * d_road[:, :, 1]
-
-        ix = (gx - spec.x_min) / (spec.x_max - spec.x_min) * rows_p - 0.5
-        iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
-        return iy, ix  # pattern axes: row = x, col = y
-
-    return _sample_rows(pat, (h, w), coords, partial(_footprint_rows, rig, spec, (rows_p, cols_p)))
-
-
-def _footprint_rows(
-    rig: CameraRig, spec: GridSpec, pattern_hw: tuple[int, int], r0: int, r1: int
-) -> tuple[int, int] | None:
-    """The rows [lo, hi) that render_ground_pattern casts for a pattern of
-    pattern_hw pixels over the spec extent whose non-zero rows are [r0, r1):
-    _corner_rows of the projected corners of the band's widened rectangle,
-    or None (every row) for a corner behind the camera."""
-    rows_p, cols_p = pattern_hw
-    dx = (spec.x_max - spec.x_min) / rows_p
-    dy = (spec.y_max - spec.y_min) / cols_p
-    # Pattern pixel index i is the ground coordinate min + (i + 0.5) * step.
-    xs = (spec.x_min + (r0 - 0.5) * dx, spec.x_min + (r1 + 0.5) * dx)
-    ys = (spec.y_min - 0.5 * dy, spec.y_max + 0.5 * dy)
-    corners = [(x, y) for x in xs for y in ys]
+    if pat.ndim not in (2, 3):
+        raise ShapeMismatch(f"pattern must be 2-D or 3-D, got shape {pat.shape}")
+    # An empty pattern samples nothing; max() keeps its steps finite.
+    dx = (spec.x_max - spec.x_min) / max(pat.shape[0], 1)
+    dy = (spec.y_max - spec.y_min) / max(pat.shape[1], 1)
+    to_ground = np.array([[0.0, dx, spec.x_min + 0.5 * dx], [dy, 0.0, spec.y_min + 0.5 * dy], [0.0, 0.0, 1.0]])
+    rot = rig.extrinsics.rotation
+    g = rig.intrinsics.matrix @ np.column_stack([rot[:, 0], rot[:, 1], rig.extrinsics.translation])
     try:
-        v = project_ground_points(rig, corners)[:, 1]
-    except DegenerateDepth:
-        return None
-    return _corner_rows(v)
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:  # the camera centre lies on the ground plane
+        ginv = np.full((3, 3), np.nan)
+    hinv = np.linalg.inv(to_ground) @ ginv
+    size = out_size if out_size is not None else rig.image_size
+    return _homography_sample(pat, g @ to_ground, hinv, size, 1.0 / _MIN_DEPTH)
 
 
 def checkerboard(

@@ -8,8 +8,8 @@ from lanebev.camera_geometry import (
     Extrinsics,
     Homography,
     Intrinsics,
+    _sample_rows,
     bilinear_operator,
-    bilinear_sample,
     compute_homography,
     mean_virtual_camera,
     project_ground_point,
@@ -280,15 +280,29 @@ class TestWarpImage:
             Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
+def sample_points(img, sx, sy):
+    """The row-block kernel _sample_rows run with every point (sx, sy) as one
+    output row; the result has the shape of sx followed by the image's
+    channel axis, if any."""
+    px, py = np.ravel(sx), np.ravel(sy)
+
+    def coords(v):
+        points = slice(int(v[0]), int(v[0]) + len(v))
+        return px[points], py[points]
+
+    out = _sample_rows(img, (px.size, 1), coords)
+    return out.reshape(np.shape(sx) + out.shape[2:])
+
+
 def operator_product(img, sx, sy):
-    """bilinear_operator(sx, sy, (H, W)) @ img, shaped like bilinear_sample's result."""
+    """bilinear_operator(sx, sy, (H, W)) @ img, shaped like sample_points' result."""
     img = np.asarray(img, dtype=float)
     op = bilinear_operator(sx, sy, img.shape[:2])
     return (op @ img.reshape(op.shape[1], -1)).reshape(np.shape(sx) + img.shape[2:])
 
 
 def assert_same_bytes(img, sx, sy):
-    got = bilinear_sample(img, sx, sy)
+    got = sample_points(img, sx, sy)
     want = operator_product(img, sx, sy)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -361,7 +375,7 @@ class TestBilinearSampler:
 
     def test_rejects_non_image(self):
         with pytest.raises(ValueError, match="2-D or 3-D"):
-            bilinear_sample(np.zeros(4), np.zeros(2), np.zeros(2))
+            sample_points(np.zeros(4), np.zeros(2), np.zeros(2))
 
 
 class TestTypes:

@@ -6,7 +6,9 @@ bilinear_operator(sx, sy, (H, W)) @ image, which shares no code with the
 row-block kernel beyond the weight formula.  Render and warp must give the
 same bytes for any block size, output size, horizon, channel count and
 band of zero source rows, and the fleet pin below holds their SHA-256 as
-the whole-image code computed it.
+the whole-image code computed it.  The render is a ground-plane homography
+warp; `raycast_render_ground_pattern` casts each pixel's ray instead, and
+the render must agree with it to within the rounding of the two paths.
 """
 
 import hashlib
@@ -18,9 +20,10 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from lanebev import camera_geometry, synth
+from lanebev import camera_geometry
 from lanebev.camera_geometry import (
     CameraRig,
+    Extrinsics,
     Homography,
     Intrinsics,
     compute_homography,
@@ -28,7 +31,7 @@ from lanebev.camera_geometry import (
     project_ground_points,
     warp_image,
 )
-from lanebev.errors import DegenerateDepth, NonFiniteInput, SingularHomography
+from lanebev.errors import DegenerateDepth, NonFiniteInput, ShapeMismatch, SingularHomography
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import canonical_rig, checkerboard, jittered_rig, render_ground_pattern
 from test_camera_geometry import operator_product
@@ -46,6 +49,32 @@ def reference_warp_image(image, h, out_size):
 
 
 def reference_render_ground_pattern(rig, pattern, spec=GridSpec(), out_size=None):
+    """The render as one whole-image homography: every pixel samples the
+    pattern at hinv @ (u, v, 1), hinv = P G^-1, where G = K [r1 r2 t] maps
+    the ground plane to the image and P maps ground metres to pattern
+    pixels; only points with 0 < w < 1 / 1e-9 (depth above 1e-9) sample."""
+    pat = np.asarray(pattern, dtype=float)
+    w, h = out_size if out_size is not None else rig.image_size
+    rows_p, cols_p = pat.shape[:2]
+    dx = (spec.x_max - spec.x_min) / rows_p
+    dy = (spec.y_max - spec.y_min) / cols_p
+    to_ground = np.array([[0.0, dx, spec.x_min + 0.5 * dx], [dy, 0.0, spec.y_min + 0.5 * dy], [0.0, 0.0, 1.0]])
+    rot = rig.extrinsics.rotation
+    g = rig.intrinsics.matrix @ np.column_stack([rot[:, 0], rot[:, 1], rig.extrinsics.translation])
+    hinv = np.linalg.inv(to_ground) @ np.linalg.inv(g)
+    uu, vv = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wh = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
+        wh = np.where((wh > 0) & (wh < 1.0 / 1e-9), wh, np.nan)
+        sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / wh
+        sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / wh
+    return operator_product(pat, sx, sy)
+
+
+def raycast_render_ground_pattern(rig, pattern, spec=GridSpec(), out_size=None):
+    """The render by exact ray-plane casting: every pixel's ray is cut with
+    the z = 0 plane, and the pattern is sampled there if the hit lies ahead
+    of the camera at a depth above 1e-9."""
     pat = np.asarray(pattern, dtype=float)
     w, h = out_size if out_size is not None else rig.image_size
     intr = rig.intrinsics
@@ -67,6 +96,24 @@ def reference_render_ground_pattern(rig, pattern, spec=GridSpec(), out_size=None
     ix = (gx - spec.x_min) / (spec.x_max - spec.x_min) * rows_p - 0.5
     iy = (gy - spec.y_min) / (spec.y_max - spec.y_min) * cols_p - 0.5
     return operator_product(pat, iy, ix)
+
+
+# The render and the ray cast form each sample's pattern coordinates by
+# different float arithmetic, so they differ by rounding, which this bounds
+# before any measurement.  A coordinate that can gather is at most
+# max(rows, cols) + 1 pixels; each path forms it in about 30 operations of
+# relative error 2^-53, and the ray-plane cut scales the relative error of
+# the ray direction by range / height, at most about 105 m / 1 m here; a
+# bilinear sample moves by at most 2 * max|pattern| per pixel of each of
+# its two coordinates.  So C = 4 * 32 * 128 = 2^14.  The largest move
+# measured on the full-size fleet frames of seeds 1 and 1001 is 2.9e-12,
+# against a bound of 7.3e-10 there.
+RAYCAST_C = 2**14
+
+
+def raycast_tolerance(pattern):
+    pattern = np.asarray(pattern)
+    return RAYCAST_C * 2.0**-53 * (max(pattern.shape[:2]) + 1) * np.abs(pattern).max()
 
 
 def assert_same_bytes(got, want):
@@ -176,6 +223,18 @@ class TestRenderRowBlocks:
             warped = warp_image(pattern, Homography(), out_size)
             assert_same_bytes(warped, reference_warp_image(pattern, Homography(), out_size))
 
+    @pytest.mark.parametrize("shape", [(0, 4), (5, 0), (0, 0, 3)])
+    def test_empty_pattern_renders_nothing(self, shape):
+        got = render_ground_pattern(scaled_rig(canonical_rig(), (64, 36)), np.zeros(shape), GridSpec(), (64, 36))
+        assert_same_bytes(got, np.zeros((36, 64) + shape[2:]))
+
+    @pytest.mark.parametrize("shape", [(5,), (), (2, 2, 2, 2)])
+    def test_image_that_is_not_2d_or_3d_names_its_field(self, shape):
+        with pytest.raises(ShapeMismatch, match="pattern must be 2-D or 3-D"):
+            render_ground_pattern(canonical_rig(), np.ones(shape))
+        with pytest.raises(ShapeMismatch, match="image must be 2-D or 3-D"):
+            warp_image(np.ones(shape), Homography(), (4, 3))
+
     @pytest.mark.parametrize("out_size", [(-1, 5), (5, -1), (4.0, 3)])
     def test_bad_output_size_is_refused(self, out_size):
         with pytest.raises(ValueError, match="non-negative integers"):
@@ -202,8 +261,8 @@ def cast_rows(module, sampler, *args):
 
 
 def render_cast_rows(rig, pattern, spec, out_size):
-    """The render, and the output rows whose rays it cast, in call order."""
-    return cast_rows(synth, render_ground_pattern, rig, pattern, spec, out_size)
+    """The render, and the output rows whose coordinates it cast, in call order."""
+    return cast_rows(camera_geometry, render_ground_pattern, rig, pattern, spec, out_size)
 
 
 class TestRenderFootprintRows:
@@ -232,8 +291,9 @@ class TestRenderFootprintRows:
         assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, spec, size))
 
     def test_subnormal_ray_depth_renders_without_warning(self):
-        # cy = 1e-310 makes row 0's ray direction z subnormal, so -center_z / dz
-        # overflows to inf; that ray is dropped, and the render must not warn
+        # cy = 1e-310 makes row 0's ray direction z subnormal, so its w is
+        # subnormal and its coordinates overflow; that point gives 0, and the
+        # render must not warn
         spec = GridSpec(x_min=-10.0)
         rig = CameraRig(
             intrinsics=Intrinsics(fx=1000.0, fy=1000.0, cx=512.0, cy=1e-310),
@@ -275,6 +335,78 @@ class TestRenderFootprintRows:
         with mock.patch.object(camera_geometry, "_SAMPLE_BLOCK", block):
             got = render_ground_pattern(rig, pattern, GridSpec(), out_size)
         assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, GridSpec(), out_size))
+
+
+def rig_centred_at(center, size=(256, 144)):
+    """The canonical rig's view on a size sensor, with its centre moved to center."""
+    rig = scaled_rig(canonical_rig(), size)
+    rot = rig.extrinsics.rotation
+    return CameraRig(rig.intrinsics, Extrinsics(rotation=rot, translation=-rot @ np.asarray(center)), size)
+
+
+class TestRenderAgainstRayCast:
+    @given(
+        out_size=st.tuples(st.integers(0, 48), st.integers(0, 29)),
+        horizon=st.floats(-5.0, 40.0),
+        jitter=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 0.5)),
+        pattern_shape=st.tuples(st.integers(1, 400), st.integers(1, 40)),
+        channels=CHANNELS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_raycast_within_rounding(self, out_size, horizon, jitter, pattern_shape, channels, seed):
+        rng = np.random.default_rng(seed)
+        rig = scaled_rig(jittered_rig(rng, *jitter), (max(out_size[0], 1), max(out_size[1], 1)), cy=horizon)
+        pattern = rng.normal(size=pattern_shape + channels)
+        got = render_ground_pattern(rig, pattern, GridSpec(), out_size)
+        want = raycast_render_ground_pattern(rig, pattern, GridSpec(), out_size)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= raycast_tolerance(pattern)
+
+    @pytest.mark.parametrize("seed", [1, 1001])
+    def test_fleet_matches_raycast_within_rounding(self, seed):
+        size = (1024, 576)
+        rng = np.random.default_rng([seed])
+        rigs = [jittered_rig(rng, 2.0, 0.2) for _ in range(4)]
+        pattern = checkerboard(GridSpec(), square_x=20.0, square_y=4.0, px_per_cell=2)
+        for rig in rigs + [mean_virtual_camera(rigs)]:
+            got = render_ground_pattern(rig, pattern, GridSpec(), size)
+            want = raycast_render_ground_pattern(rig, pattern, GridSpec(), size)
+            assert np.array_equal(got != 0.0, want != 0.0)
+            assert np.abs(got - want).max() <= raycast_tolerance(pattern)
+
+    def test_camera_below_the_ground_sees_it_from_below(self):
+        # From c_z = -1.5 the rays that rise hit the ground ahead: the rows
+        # above the horizon show the pattern, the rows below it nothing.
+        spec = GridSpec()
+        rig = rig_centred_at((0.0, 0.0, -1.5))
+        pattern = checkerboard(spec, square_x=20.0, square_y=4.0, px_per_cell=2) + 0.5
+        got = render_ground_pattern(rig, pattern, spec)
+        want = raycast_render_ground_pattern(rig, pattern, spec)
+        assert got[:72].any() and not got[72:].any()
+        tol = raycast_tolerance(pattern)
+        assert np.abs(got - want).max() <= tol
+        # Only a pixel on the pattern's edge, where the sample fades to 0
+        # and a rounding can zero it, may be zero in one render alone.
+        assert np.array_equal(np.abs(got) > tol, np.abs(want) > tol)
+
+    @pytest.mark.parametrize(
+        "center",
+        [(0.0, 0.0, 0.0), (20.0, 3.0, 0.0), (0.0, 0.0, -0.0), (0.0, 0.0, 1e-310), (20.0, 3.0, 1e-310), (0.0, 0.0, -5e-324)],
+    )
+    def test_camera_on_the_ground_plane_renders_nothing(self, center):
+        # A centre on z = 0 makes G singular, and one a subnormal height above
+        # or below it makes every ground point ahead nearer than 1e-9: no ray
+        # meets the ground ahead, even where the pattern lies under the camera.
+        spec = GridSpec(x_min=-10.0)
+        rig = rig_centred_at(center)
+        pattern = checkerboard(spec, square_x=20.0, square_y=4.0, px_per_cell=2) + 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = render_ground_pattern(rig, pattern, spec)
+            want = raycast_render_ground_pattern(rig, pattern, spec)
+        assert_same_bytes(got, np.zeros((144, 256)))
+        assert_same_bytes(want, np.zeros((144, 256)))
 
 
 SPECIAL = [np.nan, np.inf, -np.inf]
@@ -363,8 +495,9 @@ class TestWarpCull:
 
 # SHA-256 over the renders of the four seed-1 fleet rigs and their virtual
 # camera, then the warps of the four renders to the virtual camera, all at
-# 256x144 with the benchmark's checkerboard, as the whole-image code made them.
-FLEET_SHA256 = "ec2048ae6e8ee28e753ee6b9da300e86dbde8c262ac8ac1b7745a10776ad9a63"
+# 256x144 with the benchmark's checkerboard, as the whole-image code made them
+# (reference_render_ground_pattern and reference_warp_image).
+FLEET_SHA256 = "e3a7c85ad4cd0dfe00c97ff27cad503cb84794dbb64f9e612024edfb77ced91b"
 
 
 def test_fleet_front_view_is_pinned():
