@@ -304,9 +304,10 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
 
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
     bilinear interpolation; samples outside the source are 0.  `out_size`
-    is (width, height).  Accepts (H, W) or (H, W, C) arrays; any other
-    raises ShapeMismatch naming `image`.  The sampler and its row rule are
-    _homography_sample's, which synth.render_ground_pattern shares.
+    is (width, height), two non-negative integers; any other raises
+    ShapeMismatch naming `out_size`.  Accepts (H, W) or (H, W, C) arrays;
+    any other raises ShapeMismatch naming `image`.  The sampler and its row
+    rule are _homography_sample's, which synth.render_ground_pattern shares.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim not in (2, 3):
@@ -438,13 +439,17 @@ def _sample_rows(
     in the ranges above, or None for every row.  The range is clamped to
     [0, out_h); coords is called only for the rows in it, and the rows
     outside it stay +0.0.
+
+    An image that is not 2-D or 3-D, or an output size that is not two
+    non-negative integers, raises ShapeMismatch naming `image` or
+    `out_size`.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim not in (2, 3):
-        raise ValueError(f"image must be 2-D or 3-D, got shape {img.shape}")
+        raise ShapeMismatch(f"image must be 2-D or 3-D, got shape {img.shape}")
     out_h, out_w = out_hw
     if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in out_hw):
-        raise ValueError(f"output height and width must be non-negative integers, got {out_h!r} and {out_w!r}")
+        raise ShapeMismatch(f"out_size must be non-negative integers (width, height), got ({out_w!r}, {out_h!r})")
     out = np.zeros((out_h * out_w, int(np.prod(img.shape[2:]))))
     nonzero = np.flatnonzero(img.any(axis=tuple(range(1, img.ndim))))
     if nonzero.size == 0:

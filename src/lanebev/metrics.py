@@ -2,10 +2,15 @@
 
 Lanes are resampled by linear interpolation at fixed forward positions
 (default every 5 m from 3 m to 98 m).  Prediction/ground-truth pairs are
-matched one-to-one by the Hungarian algorithm on the mean pointwise
+matched one-to-one by a minimum-cost assignment on the mean pointwise
 lateral-vertical distance over co-valid samples; the (P, G) costs and the
 per-pair co-valid masks come from one broadcast of the (P, N) prediction
-samples against the (G, N) ground-truth samples.  A matched pair is a true
+samples against the (G, N) ground-truth samples.  The assignment is the
+shortest augmenting path method of Crouse ("On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016), which scipy's
+linear_sum_assignment runs, ported here with every rule that breaks ties
+(_assign); it takes O(min(P, G)^2 * max(P, G)) interpreted steps, and a
+frame holds a few ground-truth lanes.  A matched pair is a true
 positive when at least `match_ratio` of the ground-truth lane's valid
 samples lie within `match_threshold`.  Lateral ("x error") and height
 ("z error") statistics are means of absolute differences over the true
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import product
+from math import inf
 
 import numpy as np
 
@@ -128,9 +134,7 @@ def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalCo
     cost = np.full(n_both.shape, _INFEASIBLE)
     np.divide(np.where(both, d, 0.0).sum(axis=2), n_both, out=cost, where=n_both > 0)
 
-    from scipy.optimize import linear_sum_assignment  # about 0.4 s to import; only matching needs it
-
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assign(cost)
     keep = cost[rows, cols] < _INFEASIBLE
     rows, cols = rows[keep], cols[keep]
     n_close = ((d[rows, cols] <= cfg.match_threshold) & both[rows, cols]).sum(axis=1)
@@ -148,6 +152,72 @@ def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalCo
         for i, j, tp in zip(rows, cols, is_tp.tolist())
     ]
     return Matching(pairs=pairs, n_pred=len(preds), n_gt=len(gts))
+
+
+def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost one-to-one assignment of a (R, C) cost matrix: the row
+    and column indices (int64) of min(R, C) pairs, sorted by row.
+
+    Crouse's shortest augmenting path, with the rules of scipy's
+    linear_sum_assignment, so both return the same pairs, ties included: a
+    matrix with fewer columns than rows is solved transposed, the unvisited
+    columns are scanned from a reversed list with swap-remove, and a column
+    that ties the lowest reduced cost wins if it is unassigned.  A matrix
+    with no assignment of finite cost raises ValueError, as scipy does.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    c = (cost.T if transpose else cost).tolist()
+    nr = len(c)
+    nc = len(c[0]) if nr else 0
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        spc, in_tree, done = [inf] * nc, [False] * nr, [False] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            in_tree[i] = True
+            ci, ui, index, lowest = c[i], u[i], -1, inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            done[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(nr):
+            if in_tree[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if done[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        rows, cols = [col4row[k] for k in order], order
+    else:
+        rows, cols = list(range(nr)), col4row
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
 def evaluate(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> EvalResult:

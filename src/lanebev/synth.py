@@ -156,8 +156,10 @@ def render_ground_pattern(
     point on the pixel's ray, so only points with 0 < w < 1 / _MIN_DEPTH,
     on the ground ahead of the camera, are sampled; any other gives +0.0,
     and so does every pixel when the camera centre lies on the ground plane
-    (G is singular).  `out_size` is (width, height), default the rig's.  A
-    pattern that is not 2-D or 3-D raises ShapeMismatch naming `pattern`.
+    (G is singular).  `out_size` is (width, height), default the rig's; a
+    size that is not two non-negative integers raises ShapeMismatch naming
+    `out_size`.  A pattern that is not 2-D or 3-D raises ShapeMismatch
+    naming `pattern`.
     """
     pat = np.asarray(pattern, dtype=float)
     if pat.ndim not in (2, 3):

@@ -132,8 +132,11 @@ def apply_pyramid(
     features: dict[int, FeatureTensor],
     spec: PyramidSpec = PyramidSpec(),
 ) -> FeatureTensor:
-    """Per-scale apply_vrm, concatenated along channels in spec order."""
-    outs = []
+    """Per-scale apply_vrm, concatenated along channels in spec order.
+
+    Each scale's product is written into its channel slice of one
+    preallocated (s1, s2, sum of channels) output.
+    """
     for scale in spec.scales:
         if scale not in maps or scale not in features:
             raise ShapeMismatch(f"missing map or features for scale {scale}")
@@ -141,8 +144,13 @@ def apply_pyramid(
             raise ShapeMismatch(
                 f"map for scale {scale} outputs {maps[scale].bev_shape}, spec wants {spec.bev_shape}"
             )
-        outs.append(apply_vrm(maps[scale], features[scale]).data)
-    return FeatureTensor(data=np.concatenate(outs, axis=2), scale=min(spec.scales))
+    out = np.empty(spec.bev_shape + (sum(features[scale].channels for scale in spec.scales),))
+    start = 0
+    for scale in spec.scales:
+        bev = apply_vrm(maps[scale], features[scale]).data
+        out[..., start : start + bev.shape[2]] = bev
+        start += bev.shape[2]
+    return FeatureTensor(data=out, scale=min(spec.scales))
 
 
 def fit_vrm_least_squares(

@@ -22,6 +22,7 @@ from lanebev.errors import (
     EmptyInput,
     MixedImageSizes,
     NonFiniteInput,
+    ShapeMismatch,
     SingularHomography,
 )
 from lanebev.synth import canonical_rig
@@ -374,7 +375,7 @@ class TestBilinearSampler:
         assert out.tolist() == [1.75, 2.5, 0.0, 0.0, 4.0]
 
     def test_rejects_non_image(self):
-        with pytest.raises(ValueError, match="2-D or 3-D"):
+        with pytest.raises(ShapeMismatch, match="image must be 2-D or 3-D"):
             sample_points(np.zeros(4), np.zeros(2), np.zeros(2))
 
 

@@ -434,11 +434,29 @@ def package_env():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.sparse and scipy.optimize take about 0.25 s and 0.4 s to import;
-    # only the IPM maps and lane matching use them
+    # scipy.sparse takes about 0.25 s to import and only the IPM maps use it
     code = "import sys, lanebev.cli; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=package_env(), check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["pipeline", "eval"])
+def test_lane_commands_leave_scipy_optimize_unloaded(tmp_path, command):
+    # lane matching is metrics._assign; scipy.optimize would add about 0.3-0.6 s
+    # and 27 MB to every process that evaluates lanes
+    gt = tmp_path / "gt.json"
+    data_io.save_lanes([Lane3D(points=[[3.0, 0.0, 0.0], [50.0, 0.2, 0.0]], id=1)], gt)
+    argv = {
+        "pipeline": ["pipeline", "--seed", "3", "--out", str(tmp_path / "report.json")],
+        "eval": ["eval", "--pred", str(gt), "--gt", str(gt), "--report", str(tmp_path / "report.json")],
+    }[command]
+    code = (
+        "import sys; from lanebev.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=package_env(), check=True)
+    assert done.stdout.strip() == "0 []"
+    assert json.loads((tmp_path / "report.json").read_text())["f_score"] == 1.0
 
 
 @pytest.mark.filterwarnings("ignore:lane_spacing")

@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from lanebev.errors import EmptyInput
 from lanebev.lane_grid import Lane3D
-from lanebev.metrics import EvalConfig, MatchedPair, Matching, evaluate, evaluate_frames, match_lanes, resample_lane
+from lanebev.metrics import (
+    EvalConfig,
+    MatchedPair,
+    Matching,
+    _assign,
+    evaluate,
+    evaluate_frames,
+    match_lanes,
+    resample_lane,
+)
 
 
 def lane(y0, slope=0.0, x0=3.0, x1=103.0, z=0.0, lane_id=1, n=60):
@@ -117,6 +127,55 @@ class TestMatchLanes:
         m = match_lanes([pred], [gt])
         assert m.pairs == []
         assert m.tp == 0
+
+
+# Cost cells: random floats, small integers that tie often, and a mix of
+# finite costs with the 1e12 that marks a pair with no co-valid samples
+COST_CELLS = {
+    "floats": st.floats(-1e3, 1e3, allow_nan=False),
+    "ties": st.sampled_from([0.0, 1.0, 2.0]),
+    "infeasible": st.sampled_from([1e12, 1e12, 0.0, 1.0]) | st.floats(0.0, 10.0),
+}
+
+
+def assert_same_assignment(cost):
+    want = linear_sum_assignment(cost)
+    got = _assign(cost)
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+class TestAssign:
+    """_assign is scipy.optimize.linear_sum_assignment's algorithm with its
+    tie rules, so the two return the same pairs on any cost matrix."""
+
+    @given(data=st.data(), shape=st.tuples(st.integers(0, 12), st.integers(0, 12)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy(self, data, shape):
+        kind = data.draw(st.sampled_from(sorted(COST_CELLS) + ["all_equal"]))
+        if kind == "all_equal":
+            cost = np.full(shape, data.draw(st.floats(-1e3, 1e3, allow_nan=False) | st.just(1e12)))
+        else:
+            cost = data.draw(hnp.arrays(float, shape, elements=COST_CELLS[kind]))
+        assert_same_assignment(cost)
+
+    @pytest.mark.parametrize("shape", [(40, 6), (6, 40), (12, 300)])
+    def test_matches_scipy_on_wide_and_tall(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            assert_same_assignment(rng.random(shape))
+            assert_same_assignment(rng.integers(0, 3, shape).astype(float))
+            assert_same_assignment(np.where(rng.random(shape) < 0.5, 1e12, rng.random(shape)))
+        assert_same_assignment(np.full(shape, 1e12))
+
+    def test_constant_cost_is_the_identity(self):
+        rows, cols = _assign(np.zeros((3, 5)))
+        assert rows.tolist() == [0, 1, 2] and cols.tolist() == [0, 1, 2]
+
+    def test_row_of_infinite_costs_is_infeasible(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            _assign(np.array([[np.inf, np.inf], [1.0, 2.0]]))
 
 
 class TestEvaluate:

@@ -237,9 +237,9 @@ class TestRenderRowBlocks:
 
     @pytest.mark.parametrize("out_size", [(-1, 5), (5, -1), (4.0, 3)])
     def test_bad_output_size_is_refused(self, out_size):
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ShapeMismatch, match="out_size must be non-negative integers"):
             render_ground_pattern(canonical_rig(), np.ones((5, 4)), GridSpec(), out_size)
-        with pytest.raises(ValueError, match="non-negative integers"):
+        with pytest.raises(ShapeMismatch, match="out_size must be non-negative integers"):
             warp_image(np.ones((5, 4)), Homography(), out_size)
 
 
