@@ -69,11 +69,8 @@ def write_tensor(array: np.ndarray, path: str | Path) -> None:
     if overflowed:
         raise NonFiniteInput(f"{path}: {overflowed} finite value(s) beyond the float32 range")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", VERSION))
-        fh.write(struct.pack("<B", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(MAGIC + struct.pack(f"<HB{arr.ndim}I", VERSION, arr.ndim, *arr.shape))
+        fh.write(arr.data)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
@@ -93,10 +90,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise TruncatedPayload(f"{path}: dims cut short")
     dims = struct.unpack_from(f"<{ndim}I", blob, 7)
     expected = 4 * math.prod(dims)
-    payload = blob[header_end:]
-    if len(payload) != expected:
-        raise TruncatedPayload(f"{path}: payload {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    if len(blob) - header_end != expected:
+        raise TruncatedPayload(f"{path}: payload {len(blob) - header_end} bytes, expected {expected}")
+    return np.frombuffer(blob, dtype="<f4", offset=header_end).reshape(dims).copy()
 
 
 # --- JSON values: one reader, one number rule, one array reader ---
@@ -344,20 +340,31 @@ def _numbers(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ") if values else []
 
 
+# One point row of the lanes file; json.dumps writes a finite float as its repr.
+_POINT_ROW = _layout(["%r"] * 3, 8)
+
+
 def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | None = None) -> None:
     """Write the lanes JSON: byte-identical to json.dumps(lanes_to_dict(lanes, fits), indent=2) + "\n".
 
     With `indent`, json.dumps runs CPython's pure-Python encoder; here each
-    lane's numbers go through the C encoder and only the fixed schema's
-    newlines and indents are written in Python.  Raises ShapeMismatch, and
-    writes nothing, unless `fits` is None or holds one fit per lane.
+    lane's points are written by one %-format of a row template, the fit
+    coefficients by the C encoder, and only the fixed schema's newlines and
+    indents in Python.  Raises ShapeMismatch, and writes nothing, unless
+    `fits` is None or holds one fit per lane, or when a lane's points are
+    not (N, 3); NonFiniteInput, naming the lane, on NaN or infinite points
+    (json.dumps would write NaN or Infinity, which load_lanes refuses).
     """
     _check_fits(lanes, fits)
     entries = []
     for i, lane in enumerate(lanes):
-        nums = _numbers(lane.points.ravel().tolist())
-        rows = [_layout(nums[j : j + 3], 8) for j in range(0, len(nums), 3)]
-        fields = [f'"id": {int(lane.id)}', '"points": ' + _layout(rows, 6)]
+        pts = lane.points
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ShapeMismatch(f"lanes[{i}].points must be (N, 3), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise NonFiniteInput(f"lanes[{i}].points holds NaN or infinite values")
+        points = _layout([_POINT_ROW] * len(pts), 6) % tuple(pts.ravel().tolist())
+        fields = [f'"id": {int(lane.id)}', '"points": ' + points]
         if fits is not None:
             fit = fits[i]
             coeffs = {"y_coeffs": fit.y_coeffs.tolist(), "z_coeffs": fit.z_coeffs.tolist(), "x_range": list(fit.x_range)}

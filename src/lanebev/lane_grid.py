@@ -76,7 +76,14 @@ class Lane3D:
             raise ValueError(f"points must be (N, 3), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise NonFiniteInput("points hold NaN or infinite values")
-        pts = pts[np.unique(pts[:, 0], return_index=True)[1]]  # the first index of each x, by increasing x
+        x = pts[:, 0]
+        if (x[1:] > x[:-1]).all():
+            pts = pts.copy()  # never alias the caller's array
+        else:
+            # The first index of each x, by increasing x, as np.unique(return_index=True) picks it.
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            pts = pts[order[np.concatenate(([True], xs[1:] != xs[:-1]))]]
         if len(pts) < 2:
             raise ValueError("a lane needs at least 2 points with distinct x")
         self.points = pts

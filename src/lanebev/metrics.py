@@ -121,18 +121,22 @@ def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalCo
     """Optimal one-to-one assignment of predictions to ground truth.
 
     Pair cost is the mean over co-valid samples of the Euclidean distance
-    in the lateral-vertical (y, z) plane; pairs with no co-valid samples
-    are infeasible and never become true positives.
+    in the lateral-vertical (y, z) plane; pairs with no co-valid samples,
+    and pairs so far apart that the cost overflows, are infeasible and
+    never become true positives.
     """
     xs = np.asarray(cfg.sample_xs)
     pred_pts, pred_valid = _resample_all(preds, xs)
     gt_pts, gt_valid = _resample_all(gts, xs)
     both = pred_valid[:, None] & gt_valid[None]  # (P, G, N)
-    diff = pred_pts[:, None] - gt_pts[None]  # (P, G, N, 3); the x column is 0
-    d = np.sqrt(diff[..., 1] ** 2 + diff[..., 2] ** 2)
     n_both = both.sum(axis=2)
     cost = np.full(n_both.shape, _INFEASIBLE)
-    np.divide(np.where(both, d, 0.0).sum(axis=2), n_both, out=cost, where=n_both > 0)
+    # Lanes about 1e154 m apart overflow to inf here; such a pair is infeasible.
+    with np.errstate(over="ignore"):
+        diff = pred_pts[:, None] - gt_pts[None]  # (P, G, N, 3); the x column is 0
+        d = np.sqrt(diff[..., 1] ** 2 + diff[..., 2] ** 2)
+        np.divide(np.where(both, d, 0.0).sum(axis=2), n_both, out=cost, where=n_both > 0)
+    cost[~np.isfinite(cost)] = _INFEASIBLE
 
     rows, cols = _assign(cost)
     keep = cost[rows, cols] < _INFEASIBLE

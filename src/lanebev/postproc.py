@@ -321,13 +321,20 @@ def decode_grid(
     return [LaneInstance(cluster_id=cid, points=pts) for cid, pts in enumerate(groups) if len(pts) >= params.min_points]
 
 
+def _vander(t: np.ndarray, degree: int) -> np.ndarray:
+    """The (len(t), degree + 1) Vandermonde matrix [1, t, t**2, ...], bit for
+    bit as polyvander builds it: each power is the one before times t."""
+    v = np.ones((len(t), degree + 1))
+    v[:, 1:] = t[:, None]
+    return np.cumprod(v, axis=1)
+
+
 def _fit_lane(lane: Lane3D, degree: int) -> FittedLane:
     """Least-squares y(x) and z(x) through the lane's points in one solve, on
     t in [-1, 1] over its x range; the degree is capped at len(points) - 1."""
     lo, hi = float(lane.x[0]), float(lane.x[-1])
     t = (2.0 * lane.x - (lo + hi)) / (hi - lo)
-    v = np.polynomial.polynomial.polyvander(t, min(degree, len(t) - 1))
-    coeffs = np.linalg.lstsq(v, lane.points[:, 1:], rcond=None)[0]
+    coeffs = np.linalg.lstsq(_vander(t, min(degree, len(t) - 1)), lane.points[:, 1:], rcond=None)[0]
     return FittedLane(y_coeffs=coeffs[:, 0], z_coeffs=coeffs[:, 1], x_range=(lo, hi))
 
 

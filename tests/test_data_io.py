@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -24,11 +25,15 @@ from lanebev.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from lanebev.lane_grid import GridSpec, Lane3D
+from lanebev.lane_grid import GridSpec, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import EvalConfig
 from lanebev.camera_geometry import compute_homography
-from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, fit_lanes
+from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, decode_lanes, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, generate_scene
+
+from test_lane_path_pin import pin_frames
+
+LANES_FILE_SHA256 = "7f98575a71884fafe26da183a0c1f4cda78c14292e4aa86a61a2de16f402b59f"
 
 
 class TestTensorFormat:
@@ -86,6 +91,21 @@ class TestTensorFormat:
         path = tmp_path_factory.mktemp("bldt") / "t.bldt"
         data_io.write_tensor(arr, path)
         assert np.array_equal(data_io.read_tensor(path), arr)
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4), (2, 1, 3, 2), (0,), (3, 0, 2)])
+    def test_roundtrip_by_rank_and_short_payload(self, tmp_path, rng, shape):
+        arr = rng.normal(size=shape).astype(np.float32)
+        path = tmp_path / "t.bldt"
+        data_io.write_tensor(arr, path)
+        blob = path.read_bytes()
+        assert blob == b"BLDT" + struct.pack(f"<HB{arr.ndim}I", 1, arr.ndim, *shape) + arr.astype("<f4").tobytes()
+        back = data_io.read_tensor(path)
+        assert back.dtype == np.float32 and back.shape == shape and back.flags.writeable
+        assert np.array_equal(back, arr)
+        if arr.size:
+            path.write_bytes(blob[:-4])
+            with pytest.raises(TruncatedPayload, match="expected"):
+                data_io.read_tensor(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bldt"
@@ -364,6 +384,58 @@ class TestLanesJson:
         path = tmp_path_factory.mktemp("lanes") / "lanes.json"
         data_io.save_lanes(lanes, path, fits)
         assert path.read_text() == json.dumps(data_io.lanes_to_dict(lanes, fits), indent=2) + "\n"
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_lanes=st.integers(1, 4),
+        scale=st.sampled_from([5e-324, 1e-300, 1e-05, 1e16, 1e300]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_file_text_is_json_dumps_at_extreme_magnitudes(self, seed, n_lanes, scale, tmp_path_factory):
+        r = np.random.default_rng(seed)
+        lanes, fits = [], []
+        for _ in range(n_lanes):
+            pts = r.normal(size=(int(r.integers(2, 20)), 3)) * scale
+            pts[r.random(pts.shape) < 0.2] = -0.0
+            pts[:, 0] = np.arange(1, len(pts) + 1) * scale
+            lanes.append(Lane3D(points=pts, id=int(r.integers(0, 301))))
+            # a user-built x_range may hold numpy floats
+            fits.append(FittedLane(r.normal(size=3) * scale, r.normal(size=3) * scale, (np.float64(-0.0), pts[-1, 0])))
+        path = tmp_path_factory.mktemp("lanes") / "lanes.json"
+        data_io.save_lanes(lanes, path, fits)
+        assert path.read_text() == json.dumps(data_io.lanes_to_dict(lanes, fits), indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_refused_and_nothing_is_written(self, tmp_path, bad):
+        x = np.linspace(3.0, 60.0, 5)
+        lanes = [Lane3D(points=np.column_stack([x, 0.05 * x + k, 0.01 * x]), id=k + 1) for k in range(3)]
+        lanes[1].points = lanes[1].points.copy()
+        lanes[1].points[2, 1] = bad
+        path = tmp_path / "lanes.json"
+        with pytest.raises(NonFiniteInput, match=re.escape("lanes[1].points")):
+            data_io.save_lanes(lanes, path)
+        assert not path.exists()
+
+    def test_points_that_are_not_n_by_3_are_refused(self, tmp_path):
+        lanes = [Lane3D(points=np.array([[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]]), id=1)]
+        lanes[0].points = lanes[0].points[:, :2]
+        path = tmp_path / "lanes.json"
+        with pytest.raises(ShapeMismatch, match=re.escape("lanes[0].points")):
+            data_io.save_lanes(lanes, path)
+        assert not path.exists()
+
+    def test_decoded_lanes_file_text_is_pinned(self, tmp_path):
+        # SHA-256 of the save_lanes text, fits included, of the oracle decode
+        # of every pinned frame's gts and preds (109 of the 188 decoded
+        # instances reach Lane3D out of x order)
+        digest = hashlib.sha256()
+        path = tmp_path / "lanes.json"
+        for preds, gts in pin_frames():
+            for lanes in (gts, preds):
+                decoded, fits = decode_lanes(ideal_prediction(encode_lanes(lanes), embed_dim=8))
+                data_io.save_lanes(decoded, path, fits)
+                digest.update(path.read_bytes())
+        assert digest.hexdigest() == LANES_FILE_SHA256
 
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)

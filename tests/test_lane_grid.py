@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanebev.errors import NonFiniteInput, TooManyInstances
@@ -81,6 +81,31 @@ class TestLane3D:
     def test_non_finite_points_rejected(self, bad):
         with pytest.raises(NonFiniteInput, match="points"):
             Lane3D(points=np.array([[3.0, 0.0, 0.0], bad, [5.0, 0.0, 0.0]]))
+
+    @given(
+        xs=st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]), min_size=1, max_size=12),
+        order=st.sampled_from(["sorted", "reversed", "shuffled"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(xs=[-1.0, 0.5, 3.0], order="sorted", seed=0)  # strictly increasing: every point is kept
+    @example(xs=[-0.0, 0.0, 1.0], order="sorted", seed=0)
+    def test_keeps_the_first_point_of_each_x_as_np_unique(self, xs, order, seed):
+        rng = np.random.default_rng(seed)
+        x = np.array(xs)
+        if order == "sorted":
+            x = np.sort(x, kind="stable")
+        elif order == "reversed":
+            x = np.sort(x, kind="stable")[::-1]
+        pts = np.column_stack([x, rng.normal(size=len(x)), rng.normal(size=len(x))])
+        want = pts[np.unique(pts[:, 0], return_index=True)[1]]
+        if len(want) < 2:
+            with pytest.raises(ValueError):
+                Lane3D(points=pts)
+            return
+        lane = Lane3D(points=pts)
+        assert lane.points.tobytes() == want.tobytes()  # -0.0 and 0.0 keep their sign
+        assert not np.shares_memory(lane.points, pts)
 
 
 class TestEncodeLanes:

@@ -128,6 +128,18 @@ class TestMatchLanes:
         assert m.pairs == []
         assert m.tp == 0
 
+    def test_lanes_whose_distance_overflows_stay_unmatched(self):
+        # (2e200)**2 is beyond the float range: the pair is infeasible, not an error
+        far_pred, far_gt = lane(1e200, lane_id=1), lane(-1e200, lane_id=1)
+        m = match_lanes([far_pred], [far_gt])
+        assert m.pairs == []
+        assert evaluate([far_pred], [far_gt]).tp == 0
+        near = lane(0.25, lane_id=2)
+        alone = match_lanes([near], [lane(0.0)])
+        both = match_lanes([far_pred, near], [lane(0.0), far_gt])
+        assert [(p.pred_index, p.gt_index, p.is_tp) for p in both.pairs] == [(1, 0, True)]
+        assert both.pairs[0].cost == alone.pairs[0].cost
+
 
 # Cost cells: random floats, small integers that tie often, and a mix of
 # finite costs with the 1e12 that marks a pair with no co-valid samples

@@ -380,6 +380,14 @@ class TestFitLanes:
         with pytest.raises(DegenerateAbscissae):
             fit_lanes([LaneInstance(cluster_id=0, points=pts)])
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_vandermonde_is_polyvander_bit_for_bit(self, degree):
+        rng = np.random.default_rng(degree)
+        for n in range(2, 301):
+            t = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, n - 2)])
+            want = np.polynomial.polynomial.polyvander(t, degree)
+            assert postproc._vander(t, degree).tobytes() == np.ascontiguousarray(want).tobytes(), n
+
 
 def reference_fit(inst, degree):
     """The earlier fit, kept as the reference: the first cell of each row in
