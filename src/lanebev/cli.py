@@ -95,7 +95,7 @@ def _load_config(cls, path: str | None):
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out_path:
-        Path(out_path).write_text(text)
+        data_io._write_file(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -262,7 +262,7 @@ def _svg_plot(lanes: list[Lane3D], spec: GridSpec) -> str:
 
 def _cmd_plot(args, parser) -> int:
     lanes = data_io.load_lanes(_resolve(args.lanes))
-    Path(args.out).write_text(_svg_plot(lanes, _load_config(GridSpec, args.spec)))
+    data_io._write_file(args.out, _svg_plot(lanes, _load_config(GridSpec, args.spec)))
     return 0
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
 import struct
 import sys
 from contextlib import contextmanager
@@ -55,44 +57,94 @@ MAGIC = b"BLDT"
 VERSION = 1
 
 
+# --- one writer ---
+
+def _write_file(path: str | Path, *chunks) -> None:
+    """Write `chunks` (str as UTF-8, or any bytes-like object) to `path`, as
+    open(path, "wb") would, but overwrite an existing file in place.
+
+    The file is opened without O_TRUNC and, once written, cut to the bytes
+    written.  Truncating to zero on open frees an existing file's blocks and
+    the write then allocates new ones; overwriting keeps them.  A new file
+    gets mode 0o666 & ~umask; an existing one keeps its inode and mode.  A
+    file that is not regular (/dev/null, /dev/stdout) is only written to.
+    When a write raises part-way, the file is cut to 0 bytes before the
+    error propagates, so old bytes never follow new ones.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        written = 0
+        try:
+            for chunk in chunks:
+                view = memoryview(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+                if view.nbytes:
+                    view = view.cast("B")
+                while view.nbytes:  # os.write may write less than asked
+                    n = os.write(fd, view)
+                    view = view[n:]
+                    written += n
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
+
+
 # --- binary tensors ---
 
 def write_tensor(array: np.ndarray, path: str | Path) -> None:
-    """Store `array` as little-endian float32.  Raises NonFiniteInput, and
-    writes nothing, when a finite value lies beyond the float32 range."""
+    """Store `array` as little-endian float32, overwriting `path` in place
+    (see _write_file).  Raises ShapeMismatch naming the file unless the rank
+    is 1..4, and NonFiniteInput when a finite value lies beyond the float32
+    range; either way it writes nothing."""
     src = np.asarray(array)
     with np.errstate(over="ignore"):
         arr = np.ascontiguousarray(src, dtype="<f4")
     if not 1 <= arr.ndim <= 4:
-        raise ValueError(f"tensor rank must be 1..4, got {arr.ndim}")
+        raise ShapeMismatch(f"{path}: tensor rank must be 1..4, got {arr.ndim}")
     overflowed = int(np.isfinite(src[np.isinf(arr)]).sum())
     if overflowed:
         raise NonFiniteInput(f"{path}: {overflowed} finite value(s) beyond the float32 range")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack(f"<HB{arr.ndim}I", VERSION, arr.ndim, *arr.shape))
-        fh.write(arr.data)
+    _write_file(path, MAGIC + struct.pack(f"<HB{arr.ndim}I", VERSION, arr.ndim, *arr.shape), arr.data)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: magic {blob[:4]!r} != {MAGIC!r}")
-    if len(blob) < 7:
-        raise TruncatedPayload(f"{path}: header cut short at {len(blob)} bytes")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
-    ndim = blob[6]
-    if not 1 <= ndim <= 4:
-        raise TruncatedPayload(f"{path}: invalid rank {ndim}")
-    header_end = 7 + 4 * ndim
-    if len(blob) < header_end:
-        raise TruncatedPayload(f"{path}: dims cut short")
-    dims = struct.unpack_from(f"<{ndim}I", blob, 7)
-    expected = 4 * math.prod(dims)
-    if len(blob) - header_end != expected:
-        raise TruncatedPayload(f"{path}: payload {len(blob) - header_end} bytes, expected {expected}")
-    return np.frombuffer(blob, dtype="<f4", offset=header_end).reshape(dims).copy()
+    """The float32 array stored at `path`, a regular file.
+
+    The header is checked against the file's size before anything is
+    allocated, and the payload is read straight into the returned array.
+    Raises BadMagic, UnsupportedVersion, and TruncatedPayload for a header,
+    rank or dims cut short or a payload of another size than the dims say.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(7)
+        if head[:4] != MAGIC:
+            raise BadMagic(f"{path}: magic {head[:4]!r} != {MAGIC!r}")
+        if len(head) < 7:
+            raise TruncatedPayload(f"{path}: header cut short at {len(head)} bytes")
+        (version,) = struct.unpack_from("<H", head, 4)
+        if version != VERSION:
+            raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
+        ndim = head[6]
+        if not 1 <= ndim <= 4:
+            raise TruncatedPayload(f"{path}: invalid rank {ndim}")
+        raw_dims = fh.read(4 * ndim)
+        if len(raw_dims) < 4 * ndim:
+            raise TruncatedPayload(f"{path}: dims cut short")
+        dims = struct.unpack(f"<{ndim}I", raw_dims)
+        expected = 4 * math.prod(dims)
+        payload = size - 7 - 4 * ndim
+        if payload != expected:
+            raise TruncatedPayload(f"{path}: payload {payload} bytes, expected {expected}")
+        out = np.empty(dims, dtype="<f4")
+        if fh.readinto(out) != expected:
+            raise TruncatedPayload(f"{path}: file changed size while read")
+    return out
 
 
 # --- JSON values: one reader, one number rule, one array reader ---
@@ -210,7 +262,7 @@ def load_rig(path: str | Path) -> CameraRig:
 
 
 def save_rig(rig: CameraRig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(rig_to_dict(rig), indent=2) + "\n")
+    _write_file(path, json.dumps(rig_to_dict(rig), indent=2) + "\n")
 
 
 def load_homography(path: str | Path) -> Homography:
@@ -345,7 +397,8 @@ _POINT_ROW = _layout(["%r"] * 3, 8)
 
 
 def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | None = None) -> None:
-    """Write the lanes JSON: byte-identical to json.dumps(lanes_to_dict(lanes, fits), indent=2) + "\n".
+    """Write the lanes JSON: byte-identical to json.dumps(lanes_to_dict(lanes, fits), indent=2) + "\n",
+    overwriting `path` in place (see _write_file).
 
     With `indent`, json.dumps runs CPython's pure-Python encoder; here each
     lane's points are written by one %-format of a row template, the fit
@@ -370,7 +423,7 @@ def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | N
             coeffs = {"y_coeffs": fit.y_coeffs.tolist(), "z_coeffs": fit.z_coeffs.tolist(), "x_range": list(fit.x_range)}
             fields.append('"fit": ' + _layout([f'"{key}": ' + _layout(_numbers(v), 8) for key, v in coeffs.items()], 6, "{}"))
         entries.append(_layout(fields, 4, "{}"))
-    Path(path).write_text('{\n  "lanes": ' + _layout(entries, 2) + "\n}\n")
+    _write_file(path, '{\n  "lanes": ' + _layout(entries, 2) + "\n}\n")
 
 
 # --- scene records ---
@@ -398,7 +451,7 @@ def load_scene(path: str | Path) -> SceneRecord:
 
 
 def save_scene(scene: SceneRecord, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scene_to_dict(scene), indent=2) + "\n")
+    _write_file(path, json.dumps(scene_to_dict(scene), indent=2) + "\n")
 
 
 # --- OpenLane-style frames ---
@@ -483,21 +536,18 @@ def export_openlane_frame(scene: SceneRecord, file_path: str = "") -> str:
 # --- PGM / PPM images ---
 
 def write_pnm(image: np.ndarray, path: str | Path) -> None:
-    """Write a [0, 1] float image as binary PGM (2-D) or PPM (3-D, 3 channels).
-    Raises NonFiniteInput naming the file, and writes nothing, on NaN or infinity."""
+    """Write a [0, 1] float image as binary PGM (2-D) or PPM (3-D, 3 channels),
+    overwriting `path` in place (see _write_file).  Raises ShapeMismatch for
+    any other shape and NonFiniteInput on NaN or infinity, naming the file;
+    either way it writes nothing."""
     img = np.asarray(image, dtype=float)
+    if not (img.ndim == 2 or (img.ndim == 3 and img.shape[2] == 3)):
+        raise ShapeMismatch(f"{path}: image must be HxW or HxWx3, got {img.shape}")
     if not np.isfinite(img).all():
         raise NonFiniteInput(f"{path}: image holds NaN or infinite values")
     data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
-    if data.ndim == 2:
-        header = f"P5\n{data.shape[1]} {data.shape[0]}\n255\n"
-    elif data.ndim == 3 and data.shape[2] == 3:
-        header = f"P6\n{data.shape[1]} {data.shape[0]}\n255\n"
-    else:
-        raise ValueError(f"image must be HxW or HxWx3, got {data.shape}")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(data.tobytes())
+    header = f"P{5 if data.ndim == 2 else 6}\n{data.shape[1]} {data.shape[0]}\n255\n"
+    _write_file(path, header, data.data)
 
 
 def read_pnm(path: str | Path) -> np.ndarray:

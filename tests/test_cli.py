@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -415,6 +416,59 @@ class TestPlot:
         run(capsys, "plot", "--lanes", str(lanes), "--out", str(s1))
         run(capsys, "plot", "--lanes", str(lanes), "--out", str(s2))
         assert s1.read_bytes() == s2.read_bytes()
+
+
+def out_commands(tmp_path):
+    """Each command that writes a file, as argv with the flag naming that file last."""
+    scene = generate_scene(SceneParams(n_lanes=3, seed=6))
+    lanes, cam_a, cam_b, h = (tmp_path / name for name in ("lanes.json", "a.json", "b.json", "h.json"))
+    data_io.save_lanes(scene.lanes, lanes)
+    data_io.save_rig(canonical_rig(), cam_a)
+    data_io.save_rig(jittered_rig(np.random.default_rng(2), 2.0, 0.2), cam_b)
+    h.write_text(json.dumps({"matrix": [[1.0, 0.1, 2.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]]}))
+    image = tmp_path / "in.pgm"
+    data_io.write_pnm(np.random.default_rng(3).random((24, 32)), image)
+    return {
+        "homography": ["homography", "--src", str(cam_a), "--dst", str(cam_b), "--out"],
+        "pipeline": ["pipeline", "--seed", "3", "--n-lanes", "2", "--out"],
+        "eval": ["eval", "--pred", str(lanes), "--gt", str(lanes), "--report"],
+        "synth": ["synth", "--seed", "4", "--out"],
+        "plot": ["plot", "--lanes", str(lanes), "--out"],
+        "warp": ["warp", "--image", str(image), "--h", str(h), "--out"],
+    }
+
+
+# SHA-256 of each command's output file, recorded before the CLI
+# overwrote files in place.
+OUT_FILE_SHA256 = {
+    "homography": "5910e25f28c0a88fe3c97322b359302ac29fc7db02648a23f225995e3899ce57",
+    "pipeline": "82ba2531bf832e8f265bb7f38a6d4daefdb6d797ff368d17fbbe356cec792d7b",
+    "eval": "c1cf95c14a1009092a0aaac5aed1354702b22dc77ce510ea4ffe4d9f4c9c585e",
+    "synth": "30f874184ce72da615e7b151b0cf3cbb2e501da58c3b1e8d5913ba542538d51d",
+    "plot": "310f570e02acec6e7d6aa1f00fa2fda9ec268b940e8e0bebc9cb864ff2ece621",
+    "warp": "30f46dbcbae07b1c5b78f7e528937a6bd49562f4b320fc2bac0eae58a0f4b239",
+}
+
+
+class TestOutFiles:
+    @pytest.mark.parametrize("command", list(OUT_FILE_SHA256))
+    def test_file_is_pinned_fresh_and_over_a_longer_file(self, capsys, tmp_path, command):
+        argv = out_commands(tmp_path)[command]
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        assert run(capsys, *argv, str(fresh))[0] == 0
+        blob = fresh.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == OUT_FILE_SHA256[command]
+        old.write_bytes(b"\xff" * (len(blob) + 4097))
+        assert run(capsys, *argv, str(old))[0] == 0
+        assert old.read_bytes() == blob
+
+    @pytest.mark.parametrize("command", ["homography", "pipeline", "eval"])
+    def test_file_is_what_the_command_prints_without_it(self, capsys, tmp_path, command):
+        argv = out_commands(tmp_path)[command]
+        code, out, _ = run(capsys, *argv[:-1])
+        assert code == 0
+        assert run(capsys, *argv, str(tmp_path / "out.json"))[0] == 0
+        assert (tmp_path / "out.json").read_text() == out
 
 
 class TestDataDirEnv:

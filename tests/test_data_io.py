@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import stat
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -131,8 +135,9 @@ class TestTensorFormat:
             data_io.read_tensor(path)
 
     def test_bad_rank_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch, match=re.escape(str(tmp_path / "x.bldt"))):
             data_io.write_tensor(np.zeros((2, 2, 2, 2, 2), dtype=np.float32), tmp_path / "x.bldt")
+        assert not (tmp_path / "x.bldt").exists()
         path = tmp_path / "y.bldt"
         path.write_bytes(b"BLDT" + struct.pack("<H", 1) + b"\x05")
         with pytest.raises(TruncatedPayload):
@@ -158,6 +163,134 @@ class TestTensorFormat:
         except LaneBevError:
             return
         assert arr.dtype == np.float32 and 1 <= arr.ndim <= 4
+
+
+class TestWriteFile:
+    @pytest.mark.parametrize("old_size, new_size", [(70000, 10), (10, 70000), (0, 7), (7, 0), (352000, 351999)])
+    def test_overwrite_leaves_exactly_the_new_bytes_in_the_same_inode(self, tmp_path, old_size, new_size):
+        path = tmp_path / "f"
+        path.write_bytes(b"\xaa" * old_size)
+        inode = path.stat().st_ino
+        new = np.random.default_rng(new_size).bytes(new_size)
+        data_io._write_file(path, new)
+        assert path.read_bytes() == new
+        assert path.stat().st_size == new_size and path.stat().st_ino == inode
+
+    def test_chunks_are_utf8_text_bytes_and_buffers(self, tmp_path):
+        path = tmp_path / "f"
+        arr = np.arange(6, dtype="<f4").reshape(2, 3)
+        data_io._write_file(path, "é\n", b"\x00", arr.data, np.zeros((3, 0, 2), "<f4").data, "")
+        assert path.read_bytes() == "é\n".encode("utf-8") + b"\x00" + arr.tobytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_new_file_mode_is_that_of_open_wb(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "ref", "wb"):
+                pass
+            data_io._write_file(tmp_path / "new", b"x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == stat.S_IMODE((tmp_path / "ref").stat().st_mode)
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"old bytes")
+        path.chmod(0o640)
+        data_io._write_file(path, b"new")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640 and path.read_bytes() == b"new"
+
+    def test_dev_null(self):
+        data_io._write_file("/dev/null", "text", b"bytes", np.zeros(3, "<f4").data)
+
+    def test_dev_stdout_of_a_pipe(self):
+        code = "from lanebev import data_io; data_io._write_file('/dev/stdout', 'one\\n', b'two\\n')"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"one\ntwo\n"
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(data_io.os, "write", lambda fd, data: write(fd, data[:7]))
+        path = tmp_path / "f"
+        arr = np.arange(30, dtype="<f4").reshape(3, 10)
+        data_io._write_file(path, "header\n", arr.data)
+        assert path.read_bytes() == b"header\n" + arr.tobytes()
+
+    def test_a_write_that_raises_leaves_an_empty_file(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"old" * 1000)
+        with pytest.raises(TypeError):
+            data_io._write_file(path, b"new bytes", object())
+        assert path.read_bytes() == b""
+
+    @given(writes=st.lists(st.tuples(st.integers(0, 70000), st.integers(0, 70000)), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_each_write_leaves_exactly_its_payload(self, writes, tmp_path_factory):
+        path = tmp_path_factory.mktemp("write") / "f"
+        for i, (size, cut) in enumerate(writes):
+            payload = np.random.default_rng(i).bytes(size)
+            data_io._write_file(path, payload[:cut], memoryview(payload)[cut:])
+            assert path.read_bytes() == payload
+
+
+def _pinned_scene():
+    return generate_scene(SceneParams(n_lanes=3, curvature=(-1e-4, 1e-4), hill_amplitude=1.0, camera_jitter=(1.0, 0.1), seed=4))
+
+
+def _write_decoded_lanes(path):
+    lanes, fits = decode_lanes(ideal_prediction(encode_lanes(_pinned_scene().lanes), embed_dim=8))
+    data_io.save_lanes(lanes, path, fits)
+
+
+# Every writer, on fixed inputs, and the SHA-256 of the file it writes;
+# recorded from the writers as they were before they overwrote in place.
+WRITERS = {
+    "write_tensor": lambda path: data_io.write_tensor(np.random.default_rng(1).normal(size=(5, 4, 3)), path),
+    "save_lanes": _write_decoded_lanes,
+    "save_rig": lambda path: data_io.save_rig(_pinned_scene().rig, path),
+    "save_scene": lambda path: data_io.save_scene(_pinned_scene(), path),
+    "write_pnm PGM": lambda path: data_io.write_pnm(np.random.default_rng(2).random((9, 13)), path),
+    "write_pnm PPM": lambda path: data_io.write_pnm(np.random.default_rng(3).random((9, 13, 3)), path),
+}
+WRITER_SHA256 = {
+    "write_tensor": "6962d9375c94b778067e7d7279eb2c2ec92dd537332d127f1bddf4d7c5beeb07",
+    "save_lanes": "1081265cefcaf8715e2d6ff85bf082a5e8f4c54bcc46838143123c5fd4f90af9",
+    "save_rig": "ffd94dc12482b5a5d62994509a09023c03f6fb047104173aeb6e77eea04d5417",
+    "save_scene": "9ace8e4d64d1bc3a67c4b422f6e62b3f47b3b54d4ddb314b1fa9ff55c705afc7",
+    "write_pnm PGM": "d3916fca02ec01d07dcc64657c1c00dd81095617c523d9663aa0a2c661a1ebdd",
+    "write_pnm PPM": "4ab637747591434f588bc6c1b44789d314ce0f87017c3da823b922e9489c6393",
+}
+
+
+class TestWritersOverwriteInPlace:
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_file_is_pinned_fresh_and_over_longer_and_shorter_files(self, tmp_path, writer):
+        fresh = tmp_path / "fresh"
+        WRITERS[writer](fresh)
+        blob = fresh.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == WRITER_SHA256[writer]
+        for old in (b"\xff" * (len(blob) + 4097), b"x"):
+            path = tmp_path / f"old{len(old)}"
+            path.write_bytes(old)
+            inode = path.stat().st_ino
+            WRITERS[writer](path)
+            assert path.read_bytes() == blob and path.stat().st_ino == inode
+
+    def test_json_files_are_json_dumps_indent_2(self, tmp_path):
+        scene = _pinned_scene()
+        data_io.save_rig(scene.rig, tmp_path / "rig.json")
+        data_io.save_scene(scene, tmp_path / "scene.json")
+        assert (tmp_path / "rig.json").read_text() == json.dumps(data_io.rig_to_dict(scene.rig), indent=2) + "\n"
+        assert (tmp_path / "scene.json").read_text() == json.dumps(data_io.scene_to_dict(scene), indent=2) + "\n"
+
+    @pytest.mark.parametrize("shape, magic", [((9, 13), b"P5"), ((9, 13, 3), b"P6")])
+    def test_pnm_file_is_header_and_rounded_samples(self, tmp_path, shape, magic):
+        img = np.random.default_rng(5).random(shape)
+        data_io.write_pnm(img, tmp_path / "img")
+        samples = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8).tobytes()
+        assert (tmp_path / "img").read_bytes() == magic + b"\n13 9\n255\n" + samples
 
 
 CONFIG_CLASSES = [GridSpec, DecodeParams, EvalConfig, SceneParams]
@@ -813,6 +946,13 @@ class TestPnm:
         path = tmp_path / "img.ppm"
         with pytest.raises(NonFiniteInput, match="img.ppm"):
             data_io.write_pnm(img, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 6, 2), (4, 6, 4), (2, 4, 6, 3)])
+    def test_image_that_is_not_hw_or_hw3_raises_and_writes_nothing(self, tmp_path, shape):
+        path = tmp_path / "img.pnm"
+        with pytest.raises(ShapeMismatch, match=re.escape(str(path))):
+            data_io.write_pnm(np.full(shape, 0.5), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("maxval", [b"0", b"65536"])
