@@ -24,6 +24,7 @@ camera-frame as 3xN arrays, matching the public per-frame layout.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -68,28 +69,26 @@ def _write_file(path: str | Path, *chunks) -> None:
     the write then allocates new ones; overwriting keeps them.  A new file
     gets mode 0o666 & ~umask; an existing one keeps its inode and mode.  A
     file that is not regular (/dev/null, /dev/stdout) is only written to.
+    Every chunk becomes a flat byte view before the open, so a chunk that is
+    not one (a non-C-contiguous array, say) raises with the file untouched.
     When a write raises part-way, the file is cut to 0 bytes before the
     error propagates, so old bytes never follow new ones.
     """
+    views = [memoryview(c.encode("utf-8") if isinstance(c, str) else c) for c in chunks]
+    views = [view.cast("B") if view.nbytes else view for view in views]  # cast refuses zeros in the shape
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        written = 0
         try:
-            for chunk in chunks:
-                view = memoryview(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-                if view.nbytes:
-                    view = view.cast("B")
+            for view in views:
                 while view.nbytes:  # os.write may write less than asked
-                    n = os.write(fd, view)
-                    view = view[n:]
-                    written += n
+                    view = view[os.write(fd, view):]
         except BaseException:
             if regular:
                 os.ftruncate(fd, 0)
             raise
         if regular:
-            os.ftruncate(fd, written)
+            os.ftruncate(fd, sum(view.nbytes for view in views))
     finally:
         os.close(fd)
 
@@ -113,15 +112,22 @@ def write_tensor(array: np.ndarray, path: str | Path) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """The float32 array stored at `path`, a regular file.
+    """The float32 array stored at `path`.
 
-    The header is checked against the file's size before anything is
-    allocated, and the payload is read straight into the returned array.
-    Raises BadMagic, UnsupportedVersion, and TruncatedPayload for a header,
-    rank or dims cut short or a payload of another size than the dims say.
+    For a regular file the header is checked against the file's size before
+    anything is allocated, and the payload is read straight into the
+    returned array; a pipe (such as /dev/stdin) is read whole first, since
+    its size is known only then.  Raises BadMagic, UnsupportedVersion, and
+    TruncatedPayload for a header, rank or dims cut short or a payload of
+    another size than the dims say.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            size = st.st_size
+        else:
+            data = fh.read()
+            size, fh = len(data), io.BytesIO(data)
         head = fh.read(7)
         if head[:4] != MAGIC:
             raise BadMagic(f"{path}: magic {head[:4]!r} != {MAGIC!r}")
@@ -545,7 +551,7 @@ def write_pnm(image: np.ndarray, path: str | Path) -> None:
         raise ShapeMismatch(f"{path}: image must be HxW or HxWx3, got {img.shape}")
     if not np.isfinite(img).all():
         raise NonFiniteInput(f"{path}: image holds NaN or infinite values")
-    data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
+    data = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8, order="C")
     header = f"P{5 if data.ndim == 2 else 6}\n{data.shape[1]} {data.shape[0]}\n255\n"
     _write_file(path, header, data.data)
 

@@ -471,6 +471,21 @@ class TestOutFiles:
         assert (tmp_path / "out.json").read_text() == out
 
 
+@pytest.mark.filterwarnings("ignore:lane_spacing")
+def test_decode_reads_the_prediction_from_stdin(capsys, tmp_path):
+    write_prediction(noisy_prediction(0), tmp_path / "pred.bldt")
+    assert run(capsys, "decode", "--pred", str(tmp_path / "pred.bldt"), "--out", str(tmp_path / "file.json"))[0] == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "lanebev.cli", "decode", "--pred", "/dev/stdin", "--out", str(tmp_path / "stdin.json")],
+        input=(tmp_path / "pred.bldt").read_bytes(),
+        capture_output=True,
+        env=package_env(),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "stdin.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+
 class TestDataDirEnv:
     def test_relative_paths_resolve_against_env(self, capsys, tmp_path, monkeypatch):
         data_io.save_rig(canonical_rig(), tmp_path / "cam.json")

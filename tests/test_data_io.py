@@ -7,6 +7,7 @@ import stat
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -111,6 +112,20 @@ class TestTensorFormat:
             with pytest.raises(TruncatedPayload, match="expected"):
                 data_io.read_tensor(path)
 
+    @pytest.mark.parametrize("shape", [(5,), (200, 40, 11), (3, 0, 2)])
+    def test_read_through_a_pipe(self, tmp_path, rng, shape):
+        arr = rng.normal(size=shape).astype(np.float32)
+        data_io.write_tensor(arr, tmp_path / "t.bldt")
+        blob = (tmp_path / "t.bldt").read_bytes()
+        assert np.array_equal(_read_tensor_from_pipe(blob), arr)
+        if arr.size:
+            with pytest.raises(TruncatedPayload, match=f"payload {len(blob) - 4 - 7 - 4 * arr.ndim} bytes, expected"):
+                _read_tensor_from_pipe(blob[:-4])
+        with pytest.raises(TruncatedPayload, match=f"payload {len(blob) + 1 - 7 - 4 * arr.ndim} bytes, expected"):
+            _read_tensor_from_pipe(blob + b"\x00")
+        with pytest.raises(BadMagic):
+            _read_tensor_from_pipe(b"")
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.bldt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
@@ -163,6 +178,26 @@ class TestTensorFormat:
         except LaneBevError:
             return
         assert arr.dtype == np.float32 and 1 <= arr.ndim <= 4
+
+
+def _read_tensor_from_pipe(blob):
+    """read_tensor of `blob` fed through a pipe by a writer thread."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with open(w, "wb") as fh:
+                fh.write(blob)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return data_io.read_tensor(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join()
 
 
 class TestWriteFile:
@@ -218,12 +253,32 @@ class TestWriteFile:
         data_io._write_file(path, "header\n", arr.data)
         assert path.read_bytes() == b"header\n" + arr.tobytes()
 
-    def test_a_write_that_raises_leaves_an_empty_file(self, tmp_path):
+    def test_a_write_that_raises_leaves_an_empty_file(self, tmp_path, monkeypatch):
+        write, calls = os.write, []
+
+        def fail_second_write(fd, data):
+            calls.append(len(data))
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return write(fd, data)
+
+        monkeypatch.setattr(data_io.os, "write", fail_second_write)
+        path = tmp_path / "f"
+        path.write_bytes(b"old" * 1000)
+        with pytest.raises(OSError, match="No space"):
+            data_io._write_file(path, b"new bytes", b"more new bytes")
+        assert calls == [9, 14] and path.read_bytes() == b""
+
+    @pytest.mark.parametrize("bad", [object(), np.zeros((4, 3), "<f4").T.data, np.zeros((4, 6), "<f4")[:, ::2].data])
+    def test_a_chunk_that_is_not_flat_bytes_leaves_the_file_untouched(self, tmp_path, bad):
         path = tmp_path / "f"
         path.write_bytes(b"old" * 1000)
         with pytest.raises(TypeError):
-            data_io._write_file(path, b"new bytes", object())
-        assert path.read_bytes() == b""
+            data_io._write_file(path, b"new bytes", bad)
+        assert path.read_bytes() == b"old" * 1000
+        with pytest.raises(TypeError):
+            data_io._write_file(tmp_path / "new", b"new bytes", bad)
+        assert not (tmp_path / "new").exists()
 
     @given(writes=st.lists(st.tuples(st.integers(0, 70000), st.integers(0, 70000)), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -291,6 +346,25 @@ class TestWritersOverwriteInPlace:
         data_io.write_pnm(img, tmp_path / "img")
         samples = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8).tobytes()
         assert (tmp_path / "img").read_bytes() == magic + b"\n13 9\n255\n" + samples
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda img: np.asfortranarray(img),
+            lambda img: np.ascontiguousarray(img.T).T,
+            lambda img: np.ascontiguousarray(np.moveaxis(img, -1, 0)).transpose(*range(1, img.ndim), 0),
+            lambda img: np.repeat(img, 2, axis=1)[:, ::2],
+        ],
+        ids=["fortran", "transposed", "last-axis-first", "strided"],
+    )
+    @pytest.mark.parametrize("shape", [(9, 13), (9, 13, 3)])
+    def test_pnm_bytes_do_not_depend_on_the_memory_layout(self, tmp_path, layout, shape):
+        img = np.random.default_rng(6).random(shape)
+        data_io.write_pnm(img, tmp_path / "c")
+        view = layout(img)
+        assert np.array_equal(view, img) and not view.flags.c_contiguous
+        data_io.write_pnm(view, tmp_path / "other")
+        assert (tmp_path / "other").read_bytes() == (tmp_path / "c").read_bytes()
 
 
 CONFIG_CLASSES = [GridSpec, DecodeParams, EvalConfig, SceneParams]
