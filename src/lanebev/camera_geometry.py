@@ -488,5 +488,5 @@ def _sample_rows(
                 tap *= w[:, None]
                 acc += tap
         if not inside.all():
-            acc[~inside] = 0.0
+            np.copyto(acc, 0.0, where=~inside[:, None])
     return out.reshape((out_h, out_w) + img.shape[2:])

@@ -469,9 +469,8 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     "lane_lines" (list of {"xyz": 3xN camera-frame points, optional
     "visibility", "category"}); optional "image_size" (two positive ints).
     Points keep their full extent; clipping to the grid is the encoder's
-    job.  Visibility flags are preserved on the parse result but not
-    interpreted here.  Every bad input raises a LaneBevError naming the
-    field; a lane needs 2 points with distinct x.
+    job.  Every bad input raises a LaneBevError naming the field; a lane
+    needs 2 points with distinct x.
     """
     data = _json_object(_parse_json(json_text, "frame"), "frame")
     intrinsic = _floats(data.get("intrinsic"), "intrinsic", (3, 3))

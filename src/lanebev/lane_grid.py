@@ -228,12 +228,11 @@ def ideal_prediction(
         raise ValueError("ideal_prediction needs ground truth with an instance tensor")
     if gt.shape != spec.shape:
         raise ValueError(f"gt shape {gt.shape} does not match grid {spec.shape}")
-    ids = np.unique(gt.instance)
-    ids = ids[ids > 0]
+    lane = gt.instance > 0
+    ids, which = np.unique(gt.instance[lane], return_inverse=True)
     verts = simplex_vertices(len(ids), embed_dim) * (margin_scale * 2.0 * delta_d)
     emb = np.zeros(gt.shape + (embed_dim,))
-    for vert, k in zip(verts, ids):
-        emb[gt.instance == k] = vert
+    emb[lane] = verts[which]
     return GridTensors(
         confidence=gt.confidence.copy(),
         offset=gt.offset.copy(),

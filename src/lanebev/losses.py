@@ -154,12 +154,12 @@ def _require_finite(tensors, names: tuple[str, ...]):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as float64, computed in x's dtype from exp(-|x|),
+    which never overflows: 1 / (1 + e) where x >= 0, else e / (1 + e)."""
+    x = np.asarray(x)
+    e = np.exp(-np.abs(x))
+    d = 1 + e
+    return np.where(x >= 0, 1 / d, e / d).astype(float, copy=False)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str):

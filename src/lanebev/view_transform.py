@@ -134,8 +134,17 @@ def apply_pyramid(
 ) -> FeatureTensor:
     """Per-scale apply_vrm, concatenated along channels in spec order.
 
-    Each scale's product is written into its channel slice of one
-    preallocated (s1, s2, sum of channels) output.
+    When every map is a CSR matrix and every scale has the same channel
+    count C (an IPM pyramid), the K = len(spec.scales) maps run as one
+    product: the features are stacked as (sum of HW_fv, C) and multiplied
+    by _interleaved_operator's (HW_bev * K, sum of HW_fv) operator, whose
+    (HW_bev * K, C) product already is the (s1, s2, K * C) channel layout.
+    Every row adds its entries in the map's stored order, so each channel
+    slice equals apply_vrm's bit for bit.  The operator is built on every
+    call.  Any other pyramid (a dense fitted map, a sparse map in another
+    format, or unequal channel counts) writes each scale's apply_vrm into
+    its channel slice of one preallocated (s1, s2, sum of channels) output.
+    Every shape is checked before any product is made.
     """
     for scale in spec.scales:
         if scale not in maps or scale not in features:
@@ -144,13 +153,44 @@ def apply_pyramid(
             raise ShapeMismatch(
                 f"map for scale {scale} outputs {maps[scale].bev_shape}, spec wants {spec.bev_shape}"
             )
-    out = np.empty(spec.bev_shape + (sum(features[scale].channels for scale in spec.scales),))
+        if features[scale].hw != maps[scale].fv_shape:
+            raise ShapeMismatch(
+                f"scale {scale}: feature shape {features[scale].hw} != map fv_shape {maps[scale].fv_shape}"
+            )
+    matrices = [maps[scale].matrix for scale in spec.scales]
+    planes = [features[scale].data for scale in spec.scales]
+    channels = [plane.shape[2] for plane in planes]
+    if all(getattr(m, "format", None) == "csr" for m in matrices) and len(set(channels)) == 1:
+        stacked = np.concatenate([plane.reshape(-1, channels[0]) for plane in planes])
+        out = (_interleaved_operator(matrices) @ stacked).reshape(spec.bev_shape + (sum(channels),))
+        return FeatureTensor(data=out, scale=min(spec.scales))
+    out = np.empty(spec.bev_shape + (sum(channels),))
     start = 0
     for scale in spec.scales:
         bev = apply_vrm(maps[scale], features[scale]).data
         out[..., start : start + bev.shape[2]] = bev
         start += bev.shape[2]
     return FeatureTensor(data=out, scale=min(spec.scales))
+
+
+def _interleaved_operator(matrices: list[sparse.csr_array]) -> sparse.csr_array:
+    """One CSR operator for K CSR matrices of N rows each: its row n * K + k
+    is row n of matrices[k], with the column indices shifted past the
+    columns of matrices[:k].  Each row's entries are gathered in their
+    stored order, which is the order the product adds them in; nothing is
+    sorted, summed or converted."""
+    from scipy import sparse
+
+    counts = np.stack([np.diff(m.indptr) for m in matrices], axis=1).ravel()
+    offsets = np.cumsum([0] + [m.data.size for m in matrices])
+    starts = np.stack([m.indptr[:-1] + offset for m, offset in zip(matrices, offsets)], axis=1).ravel()
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    cols = np.cumsum([0] + [m.shape[1] for m in matrices])
+    data = np.concatenate([m.data for m in matrices])[take]
+    indices = np.concatenate([m.indices + c for m, c in zip(matrices, cols)])[take]
+    shape = (matrices[0].shape[0] * len(matrices), int(cols[-1]))
+    return sparse.csr_array((data, indices, indptr), shape=shape)
 
 
 def fit_vrm_least_squares(

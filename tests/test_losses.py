@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,48 @@ class TestInvariants:
         assert sigmoid(np.array([-800.0]))[0] == 0.0
         assert sigmoid(np.array([800.0]))[0] == 1.0
         assert sigmoid(np.array([0.0]))[0] == 0.5
+
+
+def reference_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The two masked branches sigmoid used to scatter, kept as its reference."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize(
+    "dtype, edges",
+    [
+        (np.float64, [709.8, 745.0, 800.0, 1e308]),
+        (np.float32, [88.8, 104.0, 745.0, 3e38]),
+    ],
+)
+def test_sigmoid_has_the_bits_of_the_masked_formula(dtype, edges):
+    rng = np.random.default_rng([3])
+    values = np.concatenate(
+        [
+            rng.normal(0.0, 1.0, 2000),
+            rng.normal(0.0, 30.0, 2000),
+            rng.uniform(-1000.0, 1000.0, 2000),
+            [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300],
+            edges,
+            np.negative(edges),
+        ]
+    )
+    x = values.astype(dtype).reshape(2, -1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+    want = reference_sigmoid(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_sigmoid_of_nan_is_nan():
+    assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 @pytest.mark.parametrize("batches", [0, -1])

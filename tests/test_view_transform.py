@@ -1,10 +1,15 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from lanebev import view_transform
+from lanebev.camera_geometry import mean_virtual_camera
 from lanebev.errors import InsufficientRank, ShapeMismatch
 from lanebev.lane_grid import GridSpec
-from lanebev.synth import canonical_rig, render_ground_pattern
+from lanebev.synth import canonical_rig, jittered_rig, render_ground_pattern
 from lanebev.view_transform import (
     FeatureTensor,
     PyramidSpec,
@@ -174,6 +179,108 @@ class TestApplyPyramid:
         m32 = self._map(rng, 6, 12, (3, 4), (2, 3))
         with pytest.raises(ShapeMismatch):
             apply_pyramid({32: m32}, {32: FeatureTensor(rng.random((3, 4, 1)), scale=32)}, PyramidSpec(scales=(32, 64), bev_shape=(2, 3)))
+
+
+# The benchmark's IPM pyramid: scales 8, 16 and 32 of a 1024x576 view of the
+# seed-1 fleet's virtual camera, mapped to the 200x40 grid.
+IPM_SPEC = PyramidSpec(scales=(8, 16, 32), bev_shape=GridSpec().shape)
+# SHA-256 over apply_pyramid's output on that pyramid for C = 64, then C = 1,
+# with the features of ipm_features, as the per-scale products made it.
+IPM_PYRAMID_SHA256 = "3edcc13ee6d558b15103ee34d4a9890d2abb3f7bfc413ffbbc861656764c2343"
+
+
+@pytest.fixture(scope="module")
+def ipm_maps():
+    rng = np.random.default_rng([1])
+    virtual = mean_virtual_camera([jittered_rig(rng, 2.0, 0.2) for _ in range(4)])
+    return {
+        s: build_ipm_sampling_map(virtual, (576 // s, 1024 // s), s, GridSpec(), IPM_SPEC.bev_shape)
+        for s in IPM_SPEC.scales
+    }
+
+
+def ipm_features(channels: int) -> dict[int, FeatureTensor]:
+    rng = np.random.default_rng([channels])
+    return {s: FeatureTensor(rng.random((576 // s, 1024 // s, channels)), scale=s) for s in IPM_SPEC.scales}
+
+
+def channel_slices(out: np.ndarray, channels: list[int]) -> list[np.ndarray]:
+    return np.split(out, np.cumsum(channels)[:-1], axis=2)
+
+
+def descending_csr(rng, n_bev: int, fv_shape: tuple[int, int]) -> sparse.csr_array:
+    """A map whose rows store their columns in descending order, with
+    weights 1e16, 1 and -1e16 (times a random factor): their sum depends on
+    the order of the adds."""
+    n_fv = fv_shape[0] * fv_shape[1]
+    cols = np.stack([np.sort(rng.choice(n_fv, 3, replace=False))[::-1] for _ in range(n_bev)])
+    data = np.tile([1e16, 1.0, -1e16], (n_bev, 1)) * rng.uniform(0.5, 2.0, (n_bev, 1))
+    return sparse.csr_array((data.ravel(), cols.ravel(), np.arange(0, 3 * n_bev + 1, 3)), shape=(n_bev, n_fv))
+
+
+class TestInterleavedPyramid:
+    @pytest.mark.parametrize("channels", [64, 1])
+    def test_ipm_channel_slices_equal_apply_vrm(self, ipm_maps, channels):
+        features = ipm_features(channels)
+        with mock.patch.object(
+            view_transform, "_interleaved_operator", wraps=view_transform._interleaved_operator
+        ) as interleave:
+            out = apply_pyramid(ipm_maps, features, IPM_SPEC).data
+        assert interleave.call_count == 1
+        assert out.shape == IPM_SPEC.bev_shape + (3 * channels,) and out.flags.c_contiguous
+        for s, got in zip(IPM_SPEC.scales, channel_slices(out, [channels] * 3)):
+            assert np.array_equal(got, apply_vrm(ipm_maps[s], features[s]).data)
+
+    def test_ipm_pyramid_is_pinned(self, ipm_maps):
+        digest = hashlib.sha256()
+        for channels in (64, 1):
+            digest.update(apply_pyramid(ipm_maps, ipm_features(channels), IPM_SPEC).data.tobytes())
+        assert digest.hexdigest() == IPM_PYRAMID_SHA256
+
+    def test_rows_add_in_their_stored_order(self, rng):
+        shapes = {8: (6, 5), 16: (3, 4), 32: (2, 2)}
+        maps = {s: ViewRelationMap(descending_csr(rng, 12, hw), hw, (4, 3)) for s, hw in shapes.items()}
+        features = {s: FeatureTensor(rng.uniform(0.5, 2.0, hw + (3,)), scale=s) for s, hw in shapes.items()}
+        spec = PyramidSpec(scales=(8, 16, 32), bev_shape=(4, 3))
+        out = apply_pyramid(maps, features, spec).data
+        for s, got in zip(spec.scales, channel_slices(out, [3] * 3)):
+            assert not maps[s].matrix.has_sorted_indices
+            want = apply_vrm(maps[s], features[s]).data
+            assert np.array_equal(got, want)
+            ascending = ViewRelationMap(maps[s].matrix.sorted_indices(), shapes[s], (4, 3))
+            assert not np.array_equal(apply_vrm(ascending, features[s]).data, want)  # the order shows
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_wrong_feature_shape_raises_before_any_product(self, ipm_maps, dense):
+        maps = ipm_maps
+        if dense:
+            maps = {s: ViewRelationMap(m.matrix.toarray(), m.fv_shape, m.bev_shape) for s, m in ipm_maps.items()}
+        features = ipm_features(1)
+        features[32] = FeatureTensor(np.ones((18, 31, 1)), scale=32)
+        with (
+            mock.patch.object(view_transform, "_interleaved_operator", side_effect=AssertionError),
+            mock.patch.object(view_transform, "apply_vrm", side_effect=AssertionError),
+        ):
+            with pytest.raises(ShapeMismatch, match="scale 32"):
+                apply_pyramid(maps, features, IPM_SPEC)
+
+    def test_csc_map_takes_the_per_scale_path(self, ipm_maps):
+        maps = dict(ipm_maps)
+        maps[16] = ViewRelationMap(ipm_maps[16].matrix.tocsc(), ipm_maps[16].fv_shape, ipm_maps[16].bev_shape)
+        features = ipm_features(4)
+        with mock.patch.object(view_transform, "_interleaved_operator", side_effect=AssertionError):
+            out = apply_pyramid(maps, features, IPM_SPEC).data
+        for s, got in zip(IPM_SPEC.scales, channel_slices(out, [4] * 3)):
+            assert np.array_equal(got, apply_vrm(maps[s], features[s]).data)
+
+    def test_unequal_channel_counts_take_the_per_scale_path(self, ipm_maps):
+        features = ipm_features(3)
+        features[16] = FeatureTensor(np.random.default_rng([2]).random((36, 64, 5)), scale=16)
+        with mock.patch.object(view_transform, "_interleaved_operator", side_effect=AssertionError):
+            out = apply_pyramid(ipm_maps, features, IPM_SPEC).data
+        assert out.shape == IPM_SPEC.bev_shape + (11,)
+        for s, got in zip(IPM_SPEC.scales, channel_slices(out, [3, 5, 3])):
+            assert np.array_equal(got, apply_vrm(ipm_maps[s], features[s]).data)
 
 
 class TestFitVrm:
