@@ -1,4 +1,4 @@
-"""Pinhole cameras, ground-plane projection and homography estimation.
+"""Pinhole cameras, ground-plane projection and ground-plane homographies.
 
 Coordinate conventions used throughout the library:
 
@@ -44,8 +44,9 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy import sparse
 
-# Default ground anchor points (meters) for homography estimation: corners
-# of a 100 m x 10 m box centered on the forward axis, inside the BEV range.
+# The road region (meters) that both cameras of compute_homography must
+# see: corners of a 100 m x 10 m box centered on the forward axis, inside
+# the BEV range.
 DEFAULT_GROUND_POINTS = ((3.0, -5.0), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0))
 
 _MIN_DEPTH = 1e-9
@@ -236,64 +237,36 @@ def mean_virtual_camera(rigs: list[CameraRig]) -> CameraRig:
     )
 
 
-def _conditioning_transform(pts: np.ndarray) -> np.ndarray:
-    """Hartley normalization: centroid to origin, mean distance sqrt(2)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # pixels beyond the float range are refused next
-        centroid = pts.mean(axis=0)
-        dist = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
-    if not np.isfinite(dist):
-        raise DegenerateConfiguration("projected points lie too far apart for float arithmetic")
-    if dist < 1e-12:
-        raise DegenerateConfiguration("all projected points coincide")
-    s = np.sqrt(2.0) / dist
-    return np.array(
-        [
-            [s, 0.0, -s * centroid[0]],
-            [0.0, s, -s * centroid[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+def _ground_homography(rig: CameraRig) -> np.ndarray:
+    """G = K [r1 r2 t], which maps the ground point (x, y, 0), as (x, y, 1),
+    to its homogeneous pixel in the rig.  det G = -det K * (camera height),
+    so G is singular exactly when the camera centre lies on the ground."""
+    rot = rig.extrinsics.rotation
+    return rig.intrinsics.matrix @ np.column_stack([rot[:, 0], rot[:, 1], rig.extrinsics.translation])
 
 
-def _dlt(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Direct linear transform for src -> dst pixel correspondences."""
-    t_src = _conditioning_transform(src)
-    t_dst = _conditioning_transform(dst)
-    sh = np.column_stack([src, np.ones(len(src))]) @ t_src.T
-    dh = np.column_stack([dst, np.ones(len(dst))]) @ t_dst.T
-
-    rows = []
-    for (x, y, _), (xp, yp, _) in zip(sh, dh):
-        rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, yp * x, yp * y, yp])
-        rows.append([x, y, 1.0, 0.0, 0.0, 0.0, -xp * x, -xp * y, -xp])
-    a = np.asarray(rows)
-
-    _, sigma, vt = np.linalg.svd(a)
-    # A one-parameter solution family (three collinear points, repeated
-    # points) shows up as a second vanishing singular value.
-    if sigma[7] < 1e-10 * sigma[0]:
-        raise DegenerateConfiguration("points do not determine a unique homography")
-    h_norm = vt[-1].reshape(3, 3)
-    return np.linalg.inv(t_dst) @ h_norm @ t_src
-
-
-def compute_homography(
-    src: CameraRig,
-    dst: CameraRig,
-    ground_points: list[tuple[float, float]] | None = None,
-) -> Homography:
+def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
     """Ground-plane homography mapping src pixels to dst pixels.
 
-    The given road-frame (x, y) anchors (default DEFAULT_GROUND_POINTS) are
-    projected through both rigs and the 8-d.o.f. homography is solved by
-    normalized DLT least squares.
+    In closed form, H = G_dst G_src^-1 with G = K [r1 r2 t] (Hartley and
+    Zisserman, Multiple View Geometry, 13.1): exact on the z = 0 plane up
+    to rounding.  Both cameras must see the road region
+    DEFAULT_GROUND_POINTS ahead (DegenerateDepth, from
+    project_ground_points on src, then on dst).  A camera centre within
+    1e-9 m of the ground plane, a G that cannot be inverted, and an
+    h[2, 2] that is about 0 raise DegenerateConfiguration.
     """
-    pts = np.asarray(ground_points if ground_points is not None else DEFAULT_GROUND_POINTS, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 4:
-        raise DegenerateConfiguration(f"need at least 4 ground points, got {pts.shape}")
-    u_src = project_ground_points(src, pts)
-    u_dst = project_ground_points(dst, pts)
-    h = _dlt(u_src, u_dst)
+    for rig in (src, dst):
+        project_ground_points(rig, DEFAULT_GROUND_POINTS)
+    for name, rig in (("src", src), ("dst", dst)):
+        if abs(rig.extrinsics.camera_center[2]) <= _MIN_DEPTH:
+            raise DegenerateConfiguration(f"{name} camera centre lies within 1e-9 m of the ground plane")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is refused by Homography
+        try:
+            g_src_inv = np.linalg.inv(_ground_homography(src))
+        except np.linalg.LinAlgError as exc:  # an exact zero pivot, as from a subnormal focal length
+            raise DegenerateConfiguration("src ground map G cannot be inverted") from exc
+        h = _ground_homography(dst) @ g_src_inv
     if abs(h[2, 2]) < 1e-12:
         raise DegenerateConfiguration("homography normalization failed (h[2,2] ~ 0)")
     return Homography(h)
@@ -310,8 +283,6 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     rule are _homography_sample's, which synth.render_ground_pattern shares.
     """
     img = np.asarray(image, dtype=float)
-    if img.ndim not in (2, 3):
-        raise ShapeMismatch(f"image must be 2-D or 3-D, got shape {img.shape}")
     return _homography_sample(img, h.matrix, np.linalg.inv(h.matrix), out_size)  # Homography refuses |det| < 1e-12
 
 

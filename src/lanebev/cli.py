@@ -105,10 +105,7 @@ def _emit(payload: dict, out_path: str | None) -> None:
 def _cmd_homography(args, parser) -> int:
     src = data_io.load_rig(_resolve(args.src))
     dst = data_io.load_rig(_resolve(args.dst))
-    points = None
-    if args.points and args.points != "default":
-        points = data_io.load_ground_points(_resolve(args.points))
-    h = compute_homography(src, dst, points)
+    h = compute_homography(src, dst)
     _emit({"matrix": h.matrix.tolist()}, args.out)
     return 0
 
@@ -292,7 +289,6 @@ _COMMANDS = {
     "homography": _Command(_cmd_homography, (
         _Flag("--src", f"source {_CAMERA_JSON}", required=True),
         _Flag("--dst", f"destination {_CAMERA_JSON}", required=True),
-        _Flag("--points", "'default' or JSON file [[x,y],...] of ground anchors (meters)", default="default"),
         _Flag("--out", '{"matrix": [[3x3]]} mapping src pixels to dst pixels; stdout when absent', output=True),
     )),
     "warp": _Command(_cmd_warp, (

@@ -8,9 +8,9 @@ Binary tensor layout (extension .bldt), all multi-byte integers little-endian:
     next 4*ndim dims, uint32 each
     payload     float32 little-endian, row-major, 4 * prod(dims) bytes
 
-JSON schemas for cameras, lanes, scenes, homographies and ground anchors
-live here so every CLI subcommand shares one source of truth; the config
-files (grid, decode, eval and scene parameters) are read by `from_dict`,
+JSON schemas for cameras, lanes, scenes and homographies live here so
+every CLI subcommand shares one source of truth; the config files (grid,
+decode, eval and scene parameters) are read by `from_dict`,
 whose keys and defaults are the dataclass fields.  Every JSON file is read
 by one reader (`_read_json`): UTF-8 text holding one JSON value, or
 MalformedJson naming the file.  Every file follows one number rule
@@ -222,7 +222,7 @@ def _naming(name: str):
         raise MissingField(f"{name}: {exc}") from exc
 
 
-# --- camera / homography / ground anchor JSON ---
+# --- camera / homography JSON ---
 
 def rig_to_dict(rig: CameraRig) -> dict:
     return {
@@ -281,16 +281,6 @@ def load_homography(path: str | Path) -> Homography:
     return Homography(_floats(data.get("matrix"), "matrix", (3, 3)))
 
 
-def load_ground_points(path: str | Path) -> np.ndarray:
-    """The (N, 2) road-frame ground anchors (meters) of a JSON file [[x, y], ...].
-
-    Raises MissingField naming "ground points" when the file does not hold
-    a list of number pairs, and NonFiniteInput on NaN or infinite values;
-    compute_homography then needs at least 4 anchors.
-    """
-    return _floats(_read_json(path), "ground points", (None, 2))
-
-
 def _image_size(value, name: str) -> tuple[int, int]:
     if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int and v > 0 for v in value)):
         raise MissingField(f"{name} must be two positive integers, got {value!r}")
@@ -312,8 +302,9 @@ def from_dict(cls, data):
     or float, and where it is an int, an int within the float range (bool
     is refused for both); where it is a tuple, a list (or tuple) of finite
     numbers, which becomes a tuple.  Other values pass through.  The
-    class's own checks run in `cls(**kwargs)`.  Raises ConfigError naming
-    the class and the key.
+    class's own checks run in `cls(**kwargs)`; their ValueError, whose
+    message names the key, is raised as ConfigError too.  Raises
+    ConfigError naming the class and the key.
     """
     name = cls.__name__
     if not isinstance(data, dict):
@@ -333,7 +324,10 @@ def from_dict(cls, data):
         elif type(default) is int and isinstance(value, float):
             raise ConfigError(f"{name}.{key}: expected an integer, got {value!r}")
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 # --- lanes JSON ---

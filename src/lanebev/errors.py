@@ -24,7 +24,9 @@ class MixedImageSizes(LaneBevError):
 
 
 class DegenerateConfiguration(LaneBevError):
-    """Point configuration does not determine a unique homography."""
+    """Two rigs do not determine a ground-plane homography: a camera centre
+    lies on the ground plane, a camera's ground map G = K [r1 r2 t] cannot
+    be inverted, or G_dst G_src^-1 cannot be normalized."""
 
 
 class SingularHomography(LaneBevError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _homography_sample
+from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
 from .errors import ShapeMismatch
 from .lane_grid import GridSpec, Lane3D
 
@@ -147,9 +147,10 @@ def render_ground_pattern(
     columns along lateral y: pattern pixel (column c, row r) sits at the
     ground point (x_min + (r + 0.5) * dx, y_min + (c + 0.5) * dy).  Call
     that affine map P^-1.  The z = 0 plane reaches the image through
-    G = K [r1 r2 t], so H = G P^-1 maps pattern pixels to image pixels, and
-    every output pixel (u, v) samples the pattern bilinearly at
-    P G^-1 @ (u, v, 1) with warp_image's sampler and row rule
+    G = K [r1 r2 t] (camera_geometry._ground_homography), so H = G P^-1
+    maps pattern pixels to image pixels, and every output pixel (u, v)
+    samples the pattern bilinearly at P G^-1 @ (u, v, 1) with
+    warp_image's sampler and row rule
     (camera_geometry._homography_sample): only the rows that can reach the
     pattern's non-zero rows are cast, so the sky and the ground beyond the
     far edge cost nothing.  The w of that point is 1 / depth of the ground
@@ -168,8 +169,7 @@ def render_ground_pattern(
     dx = (spec.x_max - spec.x_min) / max(pat.shape[0], 1)
     dy = (spec.y_max - spec.y_min) / max(pat.shape[1], 1)
     to_ground = np.array([[0.0, dx, spec.x_min + 0.5 * dx], [dy, 0.0, spec.y_min + 0.5 * dy], [0.0, 0.0, 1.0]])
-    rot = rig.extrinsics.rotation
-    g = rig.intrinsics.matrix @ np.column_stack([rot[:, 0], rot[:, 1], rig.extrinsics.translation])
+    g = _ground_homography(rig)
     try:
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError:  # the camera centre lies on the ground plane

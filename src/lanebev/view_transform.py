@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
-from .errors import InsufficientRank, ShapeMismatch
+from .errors import InsufficientRank, NonFiniteInput, ShapeMismatch
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -205,8 +205,14 @@ def fit_vrm_least_squares(
     regularizing when there are fewer pairs than front-view pixels (or the
     design matrix is rank-deficient).  For ill-posed fits a ridge around
     1e-6 times the mean diagonal of X^T X is a reasonable starting point;
-    the value given here is used as-is, never rescaled.
+    the value given here is used as-is, never rescaled.  A NaN or infinite
+    ridge raises NonFiniteInput and a negative one ValueError, both naming
+    `ridge`.
     """
+    if not np.isfinite(ridge):
+        raise NonFiniteInput(f"ridge must be finite, got {ridge}")
+    if ridge < 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
     if not samples:
         raise InsufficientRank("no samples given")
     fv_shape = samples[0][0].hw

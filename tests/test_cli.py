@@ -66,6 +66,13 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_homography_takes_no_anchor_points(self, capsys):
+        # the two rigs determine the ground-plane homography
+        with pytest.raises(SystemExit) as exc:
+            main(["homography", "--src", "a.json", "--dst", "b.json", "--points", "points.json"])
+        assert exc.value.code == 2
+        assert "--points" in capsys.readouterr().err
+
     def test_domain_error_exits_1_with_json_stderr(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         code, _, err = run(capsys, "homography", "--src", str(missing), "--dst", str(missing))
@@ -90,6 +97,11 @@ class TestUsageErrors:
             ("synth", "--params", {"n_lanes": 2.5}, "n_lanes"),
             ("synth", "--params", {"seed": 1.5}, "seed"),
             ("decode", "--params", {"fit_degree": 2.5}, "fit_degree"),
+            ("decode", "--params", {"d_gap": -1}, "d_gap"),
+            ("decode", "--spec", {"cell": -1}, "cell"),
+            ("synth", "--params", {"n_lanes": -1}, "n_lanes"),
+            ("eval", "--config", {"match_ratio": 2}, "match_ratio"),
+            ("synth", "--params", {"curvature": [1, 2, 3]}, "curvature"),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, named):
@@ -167,22 +179,6 @@ class TestUsageErrors:
         assert payload["error"] == "MissingField"
         assert named in payload["message"]
 
-    @pytest.mark.parametrize(
-        "points",
-        [{"x": 1}, None, [["3", -5], [3, 5], [103, -5], [103, 5]]],
-        ids=["object", "null", "string"],
-    )
-    def test_bad_anchors_file_exits_1_naming_it(self, capsys, tmp_path, points):
-        cam, bad_path = tmp_path / "cam.json", tmp_path / "points.json"
-        data_io.save_rig(canonical_rig(), cam)
-        bad_path.write_text(json.dumps(points))
-        code, out, err = run(capsys, "homography", "--src", str(cam), "--dst", str(cam), "--points", str(bad_path))
-        assert code == 1
-        assert out == "" and len(err.splitlines()) == 1
-        payload = json.loads(err)
-        assert payload["error"] == "MissingField"
-        assert "ground points" in payload["message"]
-
     @pytest.mark.parametrize("command, error", [("warp", "NonFiniteInput"), ("homography", "MissingField")])
     def test_overflow_prints_one_json_line_on_stderr(self, tmp_path, command, error):
         # A fresh process, so that a RuntimeWarning would reach stderr
@@ -204,7 +200,7 @@ class TestUsageErrors:
         assert json.loads(done.stderr)["error"] == error
 
     @pytest.mark.parametrize("text", [b"{", b'{"lanes": []}\xff', b"[" * 100_000 + b"]" * 100_000], ids=["cut", "latin-1", "deep"])
-    @pytest.mark.parametrize("flag", ["eval --pred", "encode --scene", "homography --src", "homography --points", "synth --params"])
+    @pytest.mark.parametrize("flag", ["eval --pred", "encode --scene", "homography --src", "synth --params"])
     def test_malformed_json_file_exits_1_naming_it(self, capsys, tmp_path, flag, text):
         bad_path, cam, gt = tmp_path / "bad.json", tmp_path / "cam.json", tmp_path / "gt.json"
         bad_path.write_bytes(text)
@@ -215,7 +211,6 @@ class TestUsageErrors:
             "eval --pred": ["--pred", str(bad_path), "--gt", str(gt)],
             "encode --scene": ["--scene", str(bad_path), "--out-dir", str(tmp_path / "enc")],
             "homography --src": ["--src", str(bad_path), "--dst", str(cam)],
-            "homography --points": ["--src", str(cam), "--dst", str(cam), "--points", str(bad_path)],
             "synth --params": ["--params", str(bad_path), "--out", str(tmp_path / "scene.json")],
         }[flag]
         code, out, err = run(capsys, command, *inputs)
@@ -359,16 +354,6 @@ class TestFileWorkflow:
         assert code == 0
         assert data_io.read_pnm(out_img).shape == (576, 1024)
 
-    def test_custom_anchor_points_file(self, capsys, tmp_path):
-        cam = tmp_path / "cam.json"
-        data_io.save_rig(canonical_rig(), cam)
-        points = tmp_path / "pts.json"
-        points.write_text(json.dumps([[5.0, -3.0], [5.0, 3.0], [60.0, -3.0], [60.0, 3.0]]))
-        code, out, _ = run(capsys, "homography", "--src", str(cam), "--dst", str(cam), "--points", str(points))
-        assert code == 0
-        h = np.asarray(json.loads(out)["matrix"])
-        assert np.abs(h - np.eye(3)).max() < 1e-9
-
     def test_fit_vrm_from_sample_dir(self, capsys, tmp_path, rng):
         m0 = rng.normal(size=(6, 12))
         samples = tmp_path / "samples"
@@ -385,6 +370,20 @@ class TestFileWorkflow:
         assert np.abs(fitted - m0).max() < 1e-4  # float32 sample quantization limits this
         sidecar = json.loads((tmp_path / "map.json").read_text())
         assert sidecar == {"fv_shape": [3, 4], "bev_shape": [2, 3], "scale": 32}
+
+
+    @pytest.mark.parametrize("ridge, error", [("nan", "NonFiniteInput"), ("inf", "NonFiniteInput"), ("-1", "ValueError")])
+    def test_fit_vrm_refuses_a_bad_ridge(self, capsys, tmp_path, ridge, error):
+        samples = tmp_path / "samples"
+        samples.mkdir()
+        data_io.write_tensor(np.ones((3, 4, 2), dtype=np.float32), samples / "fv_000.bldt")
+        data_io.write_tensor(np.ones((2, 3, 2), dtype=np.float32), samples / "bev_000.bldt")
+        out = tmp_path / "map.bldt"
+        code, stdout, err = run(capsys, "fit-vrm", "--samples", str(samples), "--ridge", ridge, "--out", str(out))
+        assert code == 1 and stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == error and "ridge" in payload["message"]
+        assert not out.exists()
 
 
 class TestLosscheck:
@@ -439,9 +438,10 @@ def out_commands(tmp_path):
 
 
 # SHA-256 of each command's output file, recorded before the CLI
-# overwrote files in place.
+# overwrote files in place; the homography's since compute_homography is
+# the closed form G_dst G_src^-1.
 OUT_FILE_SHA256 = {
-    "homography": "5910e25f28c0a88fe3c97322b359302ac29fc7db02648a23f225995e3899ce57",
+    "homography": "d1001170393508239a0c26df27694b7df0edc4f79f569668e4bb2036d1933e8c",
     "pipeline": "82ba2531bf832e8f265bb7f38a6d4daefdb6d797ff368d17fbbe356cec792d7b",
     "eval": "c1cf95c14a1009092a0aaac5aed1354702b22dc77ce510ea4ffe4d9f4c9c585e",
     "synth": "30f874184ce72da615e7b151b0cf3cbb2e501da58c3b1e8d5913ba542538d51d",

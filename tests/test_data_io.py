@@ -32,7 +32,6 @@ from lanebev.errors import (
 )
 from lanebev.lane_grid import GridSpec, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import EvalConfig
-from lanebev.camera_geometry import compute_homography
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, decode_lanes, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, generate_scene
 
@@ -418,9 +417,9 @@ class TestConfigFromDict:
             data_io.from_dict(SceneParams, [1, 2])
 
     def test_dataclass_checks_still_run(self):
-        with pytest.raises(ValueError, match="camera_jitter"):
+        with pytest.raises(ConfigError, match="SceneParams: camera_jitter"):
             data_io.from_dict(SceneParams, {"camera_jitter": [1.0]})
-        with pytest.raises(ValueError, match="s_threshold"):
+        with pytest.raises(ConfigError, match="DecodeParams: s_threshold"):
             data_io.from_dict(DecodeParams, {"s_threshold": 1.5})
 
     @given(cls=st.sampled_from(CONFIG_CLASSES), data=st.data())
@@ -430,7 +429,7 @@ class TestConfigFromDict:
         value = data.draw(JSON_VALUES | st.dictionaries(keys, JSON_VALUES, max_size=4))
         try:
             cfg = data_io.from_dict(cls, value)
-        except (LaneBevError, ValueError):
+        except LaneBevError:
             return
         assert isinstance(cfg, cls)
 
@@ -760,7 +759,6 @@ def square(n):
 JSON_FILE_READERS = {
     "load_rig": data_io.load_rig,
     "load_homography": data_io.load_homography,
-    "load_ground_points": data_io.load_ground_points,
     "load_lanes": data_io.load_lanes,
     "load_scene": data_io.load_scene,
     "config": lambda path: cli._load_config(GridSpec, str(path)),
@@ -859,8 +857,6 @@ def load_json_file(load, value, tmp_path):
     return load(path)
 
 
-ANCHORS = [[3.0, -5.0], [3.0, 5.0], [103.0, -5.0], [103.0, 5.0]]
-
 # Each boundary: (name, load(value with the leaf put in), the field its
 # error names, the integral number the base value holds at the leaf)
 NUMBER_BOUNDARIES = [
@@ -904,12 +900,6 @@ NUMBER_BOUNDARIES = [
         "lane_lines[0].xyz",
         0,
     ),
-    (
-        "anchors file",
-        lambda v, tmp: load_json_file(data_io.load_ground_points, with_leaf(ANCHORS, (2, 1), v), tmp),
-        "ground points",
-        -5,
-    ),
 ]
 
 NOT_NUMBERS = ["1000", True, False, None, {}, [1000.0, 1000.0]]
@@ -928,24 +918,6 @@ class TestOneNumberRule:
     def test_ints_and_floats_are_both_numbers(self, boundary, load, named, number, tmp_path):
         load(number, tmp_path)
         load(float(number), tmp_path)
-
-    def test_anchors_file_loads_as_pairs(self, tmp_path):
-        points = load_json_file(data_io.load_ground_points, [[3, -5], [3.5, 5]], tmp_path)
-        assert points.dtype == float and points.tolist() == [[3.0, -5.0], [3.5, 5.0]]
-
-    @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_arbitrary_anchors_json_raises_only_domain_errors(self, data, tmp_path_factory):
-        # Any JSON value, or the default anchors with one entry replaced by one
-        anchors = with_leaf(ANCHORS, (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 1))), data.draw(JSON_VALUES))
-        value = data.draw(st.sampled_from([anchors, data.draw(JSON_VALUES)]))
-        path = tmp_path_factory.mktemp("anchors") / "points.json"
-        path.write_text(json.dumps(value))
-        try:
-            h = compute_homography(canonical_rig(), canonical_rig(), data_io.load_ground_points(path))
-        except LaneBevError:
-            return
-        assert np.isfinite(h.matrix).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

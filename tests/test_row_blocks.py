@@ -496,8 +496,9 @@ class TestWarpCull:
 # SHA-256 over the renders of the four seed-1 fleet rigs and their virtual
 # camera, then the warps of the four renders to the virtual camera, all at
 # 256x144 with the benchmark's checkerboard, as the whole-image code made them
-# (reference_render_ground_pattern and reference_warp_image).
-FLEET_SHA256 = "e3a7c85ad4cd0dfe00c97ff27cad503cb84794dbb64f9e612024edfb77ced91b"
+# (reference_render_ground_pattern and reference_warp_image).  The warps'
+# homographies are the closed form G_dst G_src^-1.
+FLEET_SHA256 = "bca6833a8c3a743b4ec2a7cd73b33784dc13fdfacb3d9180473e98c9235743bc"
 
 
 def test_fleet_front_view_is_pinned():

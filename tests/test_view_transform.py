@@ -7,7 +7,7 @@ from scipy import sparse
 
 from lanebev import view_transform
 from lanebev.camera_geometry import mean_virtual_camera
-from lanebev.errors import InsufficientRank, ShapeMismatch
+from lanebev.errors import InsufficientRank, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import canonical_rig, jittered_rig, render_ground_pattern
 from lanebev.view_transform import (
@@ -332,6 +332,14 @@ class TestFitVrm:
     def test_empty_samples(self):
         with pytest.raises(InsufficientRank):
             fit_vrm_least_squares([], ridge=0.0)
+
+    @pytest.mark.parametrize("ridge, error", [(np.nan, NonFiniteInput), (np.inf, NonFiniteInput), (-np.inf, NonFiniteInput),
+                                              (-1.0, ValueError), (-1e-300, ValueError)])
+    @pytest.mark.filterwarnings("error")
+    def test_bad_ridge_is_refused_naming_it(self, rng, ridge, error):
+        samples = [(FeatureTensor(rng.normal(size=(3, 4, 2)), scale=32), FeatureTensor(rng.normal(size=(2, 3, 2)), scale=32))]
+        with pytest.raises(error, match="ridge"):
+            fit_vrm_least_squares(samples, ridge=ridge)
 
 
 class TestTypes:
