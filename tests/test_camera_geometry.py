@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanebev.camera_geometry import (
+    DEFAULT_GROUND_POINTS,
     CameraRig,
     Extrinsics,
     Homography,
@@ -168,6 +169,38 @@ class TestComputeHomography:
             prod = compute_homography(src, dst).matrix @ compute_homography(dst, src).matrix
             prod /= prod[2, 2]
             assert np.abs(prod - np.eye(3)).max() < 1e-8
+
+    def test_matches_a_four_point_dlt_oracle(self):
+        # independent oracle: Hartley's normalized DLT through the projections
+        # of the road region's four corners, solved by SVD
+        def conditioning(p):
+            c = p.mean(axis=0)
+            s = np.sqrt(2.0) / np.linalg.norm(p - c, axis=1).mean()
+            return np.array([[s, 0.0, -s * c[0]], [0.0, s, -s * c[1]], [0.0, 0.0, 1.0]])
+
+        for seed in range(100):
+            src, dst = random_rig_pair(seed)
+            a = project_ground_points(src, DEFAULT_GROUND_POINTS)
+            b = project_ground_points(dst, DEFAULT_GROUND_POINTS)
+            ta, tb = conditioning(a), conditioning(b)
+            rows = []
+            for (x, y), (u, v) in zip(a @ ta[:2, :2].T + ta[:2, 2], b @ tb[:2, :2].T + tb[:2, 2]):
+                rows.append([-x, -y, -1.0, 0.0, 0.0, 0.0, u * x, u * y, u])
+                rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v])
+            oracle = np.linalg.inv(tb) @ np.linalg.svd(np.array(rows))[2][-1].reshape(3, 3) @ ta
+            oracle /= oracle[2, 2]
+            h = compute_homography(src, dst).matrix
+            assert np.abs(h - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
+    def test_homographies_chain_through_a_third_rig(self):
+        # H(a -> c) = H(b -> c) H(a -> b), up to scale, for any middle rig b
+        for seed in range(20):
+            a, b = random_rig_pair(seed)
+            c = random_rig_pair(seed + 100)[0]
+            chained = compute_homography(b, c).matrix @ compute_homography(a, b).matrix
+            chained /= chained[2, 2]
+            direct = compute_homography(a, c).matrix
+            assert np.abs(chained - direct).max() <= 1e-10 * np.abs(direct).max()
 
     @pytest.mark.parametrize("which", ["src", "dst"])
     def test_backward_facing_rig_raises_degenerate_depth(self, which):

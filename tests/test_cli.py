@@ -200,7 +200,7 @@ class TestUsageErrors:
         assert json.loads(done.stderr)["error"] == error
 
     @pytest.mark.parametrize("text", [b"{", b'{"lanes": []}\xff', b"[" * 100_000 + b"]" * 100_000], ids=["cut", "latin-1", "deep"])
-    @pytest.mark.parametrize("flag", ["eval --pred", "encode --scene", "homography --src", "synth --params"])
+    @pytest.mark.parametrize("flag", ["eval --pred", "encode --scene", "homography --src", "homography --dst", "synth --params"])
     def test_malformed_json_file_exits_1_naming_it(self, capsys, tmp_path, flag, text):
         bad_path, cam, gt = tmp_path / "bad.json", tmp_path / "cam.json", tmp_path / "gt.json"
         bad_path.write_bytes(text)
@@ -211,6 +211,7 @@ class TestUsageErrors:
             "eval --pred": ["--pred", str(bad_path), "--gt", str(gt)],
             "encode --scene": ["--scene", str(bad_path), "--out-dir", str(tmp_path / "enc")],
             "homography --src": ["--src", str(bad_path), "--dst", str(cam)],
+            "homography --dst": ["--src", str(cam), "--dst", str(bad_path)],
             "synth --params": ["--params", str(bad_path), "--out", str(tmp_path / "scene.json")],
         }[flag]
         code, out, err = run(capsys, command, *inputs)
