@@ -72,8 +72,10 @@ class Intrinsics:
         for name, v in self.__dict__.items():
             if not np.isfinite(v):
                 raise NonFiniteInput(f"{name} must be finite, got {v}")
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        tiny = np.finfo(float).tiny  # a subnormal focal length projects every ground point to (cx, cy)
+        for name in ("fx", "fy"):
+            if not getattr(self, name) >= tiny:
+                raise ValueError(f"{name} must be a positive normal float, at least {tiny}, got {getattr(self, name)}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -253,8 +255,9 @@ def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
     to rounding.  Both cameras must see the road region
     DEFAULT_GROUND_POINTS ahead (DegenerateDepth, from
     project_ground_points on src, then on dst).  A camera centre within
-    1e-9 m of the ground plane, a G that cannot be inverted, and an
-    h[2, 2] that is about 0 raise DegenerateConfiguration.
+    1e-9 m of the ground plane, a G_src that cannot be inverted, and an H
+    that Homography refuses (h[2, 2] about 0, an overflow, |det| < 1e-12)
+    raise DegenerateConfiguration.
     """
     for rig in (src, dst):
         project_ground_points(rig, DEFAULT_GROUND_POINTS)
@@ -264,12 +267,13 @@ def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is refused by Homography
         try:
             g_src_inv = np.linalg.inv(_ground_homography(src))
-        except np.linalg.LinAlgError as exc:  # an exact zero pivot, as from a subnormal focal length
+        except np.linalg.LinAlgError as exc:  # an exact zero pivot, as from a focal length near the float minimum
             raise DegenerateConfiguration("src ground map G cannot be inverted") from exc
         h = _ground_homography(dst) @ g_src_inv
-    if abs(h[2, 2]) < 1e-12:
-        raise DegenerateConfiguration("homography normalization failed (h[2,2] ~ 0)")
-    return Homography(h)
+    try:
+        return Homography(h)
+    except (SingularHomography, NonFiniteInput) as exc:
+        raise DegenerateConfiguration(str(exc)) from exc
 
 
 def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> np.ndarray:

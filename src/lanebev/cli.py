@@ -195,12 +195,14 @@ def _cmd_eval(args, parser) -> int:
     return 0
 
 
-def _cmd_synth(args, parser) -> int:
+def _scene_params(args) -> SceneParams:
+    """The --params scene file of synth and pipeline, with --seed, when given, in place of its seed."""
     params = _load_config(SceneParams, args.params)
-    if args.seed is not None:
-        params = dataclasses.replace(params, seed=args.seed)
-    scene = generate_scene(params)
-    data_io.save_scene(scene, args.out)
+    return params if args.seed is None else dataclasses.replace(params, seed=args.seed)
+
+
+def _cmd_synth(args, parser) -> int:
+    data_io.save_scene(generate_scene(_scene_params(args)), args.out)
     return 0
 
 
@@ -264,16 +266,7 @@ def _cmd_plot(args, parser) -> int:
 
 
 def _cmd_pipeline(args, parser) -> int:
-    params = SceneParams(
-        n_lanes=args.n_lanes,
-        lane_spacing=args.lane_spacing,
-        curvature=(-args.curvature, args.curvature),
-        hill_amplitude=args.hill,
-        hill_wavelength=args.hill_wavelength,
-        camera_jitter=(args.jitter_deg, args.jitter_m),
-        seed=args.seed,
-    )
-    scene = generate_scene(params)
+    scene = generate_scene(_scene_params(args))
     spec = _load_config(GridSpec, args.spec)
     gt = encode_lanes(scene.lanes, spec)
     ideal = ideal_prediction(gt, spec, embed_dim=args.embed_dim)
@@ -281,8 +274,6 @@ def _cmd_pipeline(args, parser) -> int:
     result = evaluate(preds, scene.lanes)
     _emit(result.to_dict(), args.out)
     return 0
-
-
 
 
 _COMMANDS = {
@@ -339,14 +330,8 @@ _COMMANDS = {
         _Flag("--out", "static SVG, one polyline per lane in BEV axes", output=True, required=True),
     )),
     "pipeline": _Command(_cmd_pipeline, (
-        _Flag("--seed", "scene seed", type=int, default=0),
-        _Flag("--n-lanes", "number of lanes", type=int, default=4),
-        _Flag("--lane-spacing", "lateral lane spacing (meters)", type=float, default=3.5),
-        _Flag("--curvature", "curvature drawn from [-c, c] (1/meters)", type=float, default=0.0),
-        _Flag("--hill", "hill amplitude (meters)", type=float, default=0.0),
-        _Flag("--hill-wavelength", "hill wavelength (meters)", type=float, default=60.0),
-        _Flag("--jitter-deg", "camera rotation jitter (degrees)", type=float, default=0.0),
-        _Flag("--jitter-m", "camera translation jitter (meters)", type=float, default=0.0),
+        _Flag("--params", _SCENE_PARAMS),
+        _Flag("--seed", "overrides the seed from --params", type=int),
         _Flag("--embed-dim", "embedding width D of the oracle prediction", type=int, default=8),
         _Flag("--spec", _GRID_JSON),
         _Flag("--out", f"{_REPORT} for the synth -> encode -> ideal -> decode -> eval roundtrip; stdout when absent",

@@ -14,13 +14,14 @@ homography and view-transform checks.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
-from .errors import ShapeMismatch
+from .errors import NonFiniteInput, ShapeMismatch
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -41,13 +42,20 @@ class SceneParams:
     def __post_init__(self):
         if self.n_lanes < 0:
             raise ValueError(f"n_lanes must be >= 0, got {self.n_lanes}")
+        pairs = ("curvature", "camera_jitter")
+        for name in pairs:
+            if np.shape(getattr(self, name)) != (2,):
+                raise ValueError(f"{name} must be a pair, got {getattr(self, name)!r}")
+        for name in ("lane_spacing", "hill_amplitude", "hill_wavelength", *pairs):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if name in pairs else (value,))):
+                raise NonFiniteInput(f"{name} must be finite, got {value!r}")
         if self.lane_spacing <= 0:
             raise ValueError(f"lane_spacing must be positive, got {self.lane_spacing}")
         if self.hill_wavelength <= 0:
             raise ValueError(f"hill_wavelength must be positive, got {self.hill_wavelength}")
-        for name in ("curvature", "camera_jitter"):
-            if np.shape(getattr(self, name)) != (2,):
-                raise ValueError(f"{name} must be a pair, got {getattr(self, name)!r}")
+        if self.curvature[0] > self.curvature[1]:
+            raise ValueError(f"curvature must be [lo, hi] with lo <= hi, got {self.curvature!r}")
 
 
 @dataclass
@@ -172,7 +180,7 @@ def render_ground_pattern(
     g = _ground_homography(rig)
     try:
         ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:  # the camera centre lies on the ground plane
+    except np.linalg.LinAlgError:  # the camera centre lies on the ground, or fx, fy are near the float minimum
         ginv = np.full((3, 3), np.nan)
     hinv = np.linalg.inv(to_ground) @ ginv
     size = out_size if out_size is not None else rig.image_size

@@ -226,11 +226,48 @@ class TestComputeHomography:
 
     @pytest.mark.filterwarnings("error")
     def test_uninvertible_src_ground_map_is_refused(self):
-        # a subnormal focal length leaves G_src with an exact zero pivot
+        # the least normal focal length still leaves G_src with an exact zero pivot
         rig = canonical_rig()
-        tiny = CameraRig(Intrinsics(5e-324, 5e-324, 512.0, 288.0), rig.extrinsics, rig.image_size)
-        with pytest.raises(DegenerateConfiguration, match="src"):
+        tiny = CameraRig(Intrinsics(TINY, TINY, 512.0, 288.0), rig.extrinsics, rig.image_size)
+        with pytest.raises(DegenerateConfiguration, match="src ground map G cannot be inverted"):
             compute_homography(tiny, rig)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rig, which, message",
+        [
+            ("huge focal", "src", "singular"),
+            ("far above", "src", "singular"),
+            ("tiny focal", "dst", "singular"),
+            ("tiny focal", "src", "cannot be inverted"),
+        ],
+    )
+    def test_extreme_rig_is_refused_as_degenerate(self, rig, which, message):
+        # whichever overflow or underflow comes first, the class is one
+        extreme = extreme_rigs()[rig]
+        pair = (extreme, canonical_rig()) if which == "src" else (canonical_rig(), extreme)
+        with pytest.raises(DegenerateConfiguration, match=message):
+            compute_homography(*pair)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rig", ["huge focal", "far above"])
+    def test_extreme_dst_rig_gives_a_finite_homography(self, rig):
+        h = compute_homography(canonical_rig(), extreme_rigs()[rig]).matrix
+        assert np.isfinite(h).all() and h[2, 2] == 1.0
+
+
+TINY = np.finfo(float).tiny
+
+
+def extreme_rigs():
+    """Finite rigs at the edges of the float range, by name."""
+    rig = canonical_rig()
+    rot = rig.extrinsics.rotation
+    return {
+        "huge focal": CameraRig(Intrinsics(1e308, 1e308, 0.0, 0.0), rig.extrinsics, rig.image_size),
+        "far above": CameraRig(rig.intrinsics, Extrinsics(rot, -rot @ np.array([0.0, 0.0, 1e300])), rig.image_size),
+        "tiny focal": CameraRig(Intrinsics(TINY, TINY, 512.0, 288.0), rig.extrinsics, rig.image_size),
+    }
 
 
 def checkerboard_image(h=128, w=160, square=16):
@@ -415,6 +452,14 @@ class TestTypes:
     def test_intrinsics_validation(self):
         with pytest.raises(ValueError):
             Intrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0)
+
+    @pytest.mark.parametrize("focal", [0.0, -0.0, 5e-324, TINY / 2, -TINY])
+    @pytest.mark.parametrize("field", ["fx", "fy"])
+    def test_subnormal_focal_length_is_refused_naming_the_field(self, field, focal):
+        # a subnormal focal length projects every ground point to (cx, cy)
+        with pytest.raises(ValueError, match=f"^{field} must be a positive normal float"):
+            Intrinsics(**{"fx": 1.0, "fy": 1.0, field: focal}, cx=512.0, cy=288.0)
+        assert getattr(Intrinsics(**{"fx": 1.0, "fy": 1.0, field: TINY}, cx=512.0, cy=288.0), field) == TINY
 
     def test_extrinsics_validation(self):
         with pytest.raises(ValueError):

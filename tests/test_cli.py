@@ -27,6 +27,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def scene_params(tmp_path, **fields):
+    """A synth or pipeline --params file holding the SceneParams `fields`."""
+    path = tmp_path / "scene_params.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
 def write_prediction(pred, path):
     """Store grid tensors `pred` in the stacked layout that `decode --pred` reads."""
     layers = [pred.confidence[:, :, None], pred.embedding, pred.offset[:, :, None], pred.height[:, :, None]]
@@ -34,8 +41,8 @@ def write_prediction(pred, path):
 
 
 class TestPipeline:
-    def test_full_oracle_roundtrip(self, capsys):
-        code, out, _ = run(capsys, "pipeline", "--seed", "7", "--n-lanes", "4")
+    def test_full_oracle_roundtrip(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "pipeline", "--params", scene_params(tmp_path, n_lanes=4), "--seed", "7")
         assert code == 0
         report = json.loads(out)
         assert report["f_score"] == 1.0
@@ -43,16 +50,35 @@ class TestPipeline:
 
     def test_report_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
-        code, out, _ = run(capsys, "pipeline", "--seed", "3", "--n-lanes", "2", "--hill", "1.0", "--out", str(path))
+        params = scene_params(tmp_path, n_lanes=2, hill_amplitude=1.0)
+        code, out, _ = run(capsys, "pipeline", "--params", params, "--seed", "3", "--out", str(path))
         assert code == 0
         report = json.loads(path.read_text())
         assert report["f_score"] == 1.0
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "pipeline", "--seed", "11", "--n-lanes", "3", "--jitter-deg", "2", "--jitter-m", "0.2", "--out", str(p1))
-        run(capsys, "pipeline", "--seed", "11", "--n-lanes", "3", "--jitter-deg", "2", "--jitter-m", "0.2", "--out", str(p2))
+        params = scene_params(tmp_path, n_lanes=3, camera_jitter=[2, 0.2])
+        run(capsys, "pipeline", "--params", params, "--seed", "11", "--out", str(p1))
+        run(capsys, "pipeline", "--params", params, "--seed", "11", "--out", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_seed_flag_replaces_the_file_seed(self, capsys, tmp_path):
+        # as in synth: --seed, when given, wins over the file; without
+        # --params the scene takes SceneParams' defaults
+        reports = [
+            run(capsys, "pipeline", "--seed", "7")[1],
+            run(capsys, "pipeline", "--params", scene_params(tmp_path, seed=7))[1],
+            run(capsys, "pipeline", "--params", scene_params(tmp_path, seed=1), "--seed", "7")[1],
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0])["n_gt"] == SceneParams().n_lanes
+
+    def test_asymmetric_curvature_range(self, capsys, tmp_path):
+        params = scene_params(tmp_path, n_lanes=3, curvature=[5e-5, 1e-4], seed=2)
+        code, out, _ = run(capsys, "pipeline", "--params", params)
+        assert code == 0
+        assert json.loads(out)["f_score"] == 1.0
 
 
 class TestUsageErrors:
@@ -72,6 +98,13 @@ class TestUsageErrors:
             main(["homography", "--src", "a.json", "--dst", "b.json", "--points", "points.json"])
         assert exc.value.code == 2
         assert "--points" in capsys.readouterr().err
+
+    def test_pipeline_takes_no_scene_flags(self, capsys):
+        # the scene comes from a --params file, as for synth
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--n-lanes", "4"])
+        assert exc.value.code == 2
+        assert "--n-lanes" in capsys.readouterr().err
 
     def test_domain_error_exits_1_with_json_stderr(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
@@ -102,6 +135,11 @@ class TestUsageErrors:
             ("synth", "--params", {"n_lanes": -1}, "n_lanes"),
             ("eval", "--config", {"match_ratio": 2}, "match_ratio"),
             ("synth", "--params", {"curvature": [1, 2, 3]}, "curvature"),
+            ("synth", "--params", {"curvature": [0.01, -0.01]}, "curvature"),
+            ("pipeline", "--params", {"curvature": [0.01, -0.01]}, "curvature"),
+            ("pipeline", "--params", {"curvature": [float("nan"), 0.001]}, "SceneParams.curvature"),
+            ("pipeline", "--params", {"n_lanes": 4.5}, "n_lanes"),
+            ("pipeline", "--params", {"hill": 1.0}, "hill"),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, named):
@@ -251,6 +289,7 @@ class TestSchemas:
             ("decode", "--params", DecodeParams),
             ("eval", "--config", EvalConfig),
             ("synth", "--params", SceneParams),
+            ("pipeline", "--params", SceneParams),
         ],
     )
     def test_config_schema_names_every_field(self, capsys, command, flag, cls):
@@ -430,7 +469,7 @@ def out_commands(tmp_path):
     data_io.write_pnm(np.random.default_rng(3).random((24, 32)), image)
     return {
         "homography": ["homography", "--src", str(cam_a), "--dst", str(cam_b), "--out"],
-        "pipeline": ["pipeline", "--seed", "3", "--n-lanes", "2", "--out"],
+        "pipeline": ["pipeline", "--params", scene_params(tmp_path, n_lanes=2), "--seed", "3", "--out"],
         "eval": ["eval", "--pred", str(lanes), "--gt", str(lanes), "--report"],
         "synth": ["synth", "--seed", "4", "--out"],
         "plot": ["plot", "--lanes", str(lanes), "--out"],
@@ -517,7 +556,7 @@ def test_lane_commands_leave_scipy_optimize_unloaded(tmp_path, command):
     gt = tmp_path / "gt.json"
     data_io.save_lanes([Lane3D(points=[[3.0, 0.0, 0.0], [50.0, 0.2, 0.0]], id=1)], gt)
     argv = {
-        "pipeline": ["pipeline", "--seed", "3", "--out", str(tmp_path / "report.json")],
+        "pipeline": ["pipeline", "--params", scene_params(tmp_path, n_lanes=2), "--seed", "3", "--out", str(tmp_path / "report.json")],
         "eval": ["eval", "--pred", str(gt), "--gt", str(gt), "--report", str(tmp_path / "report.json")],
     }[command]
     code = (
@@ -536,7 +575,7 @@ def test_cli_runs_clean_with_warnings_as_errors(tmp_path, command):
     # any warning there fail the command, and -X dev adds resource warnings
     write_prediction(noisy_prediction(5), tmp_path / "pred.bldt")
     argv = {
-        "pipeline": ["--seed", "7", "--n-lanes", "4", "--out", str(tmp_path / "report.json")],
+        "pipeline": ["--params", scene_params(tmp_path, n_lanes=4), "--seed", "7", "--out", str(tmp_path / "report.json")],
         "decode": ["--pred", str(tmp_path / "pred.bldt"), "--out", str(tmp_path / "lanes.json")],
     }[command]
     done = subprocess.run(

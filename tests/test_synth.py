@@ -5,6 +5,7 @@ import pytest
 
 from lanebev.camera_geometry import compute_homography, project_ground_point, warp_image
 from lanebev.data_io import scene_to_dict
+from lanebev.errors import NonFiniteInput
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import (
     SceneParams,
@@ -85,6 +86,27 @@ class TestGenerateScene:
                 SceneParams(curvature=not_a_pair)
             with pytest.raises(ValueError, match="camera_jitter"):
                 SceneParams(camera_jitter=not_a_pair)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field, make",
+        [
+            ("lane_spacing", lambda v: {"lane_spacing": v}),
+            ("hill_amplitude", lambda v: {"hill_amplitude": v}),
+            ("hill_wavelength", lambda v: {"hill_wavelength": v}),
+            ("curvature", lambda v: {"curvature": (v, 0.001)}),
+            ("curvature", lambda v: {"curvature": (-0.001, v)}),
+            ("camera_jitter", lambda v: {"camera_jitter": (v, 0.0)}),
+            ("camera_jitter", lambda v: {"camera_jitter": (0.0, v)}),
+        ],
+    )
+    def test_non_finite_param_is_refused_naming_the_field(self, field, make, value):
+        with pytest.raises(NonFiniteInput, match=field):
+            SceneParams(**make(value))
+
+    def test_reversed_curvature_range_is_refused(self):
+        with pytest.raises(ValueError, match="curvature"):
+            SceneParams(curvature=(0.01, -0.01))
 
 
 def downscaled(rig, factor):

@@ -1,13 +1,21 @@
-"""The test configuration itself: a failing test is reported, not lost; and
-the package writes files through one writer only."""
+"""The test configuration itself: a failing test is reported, not lost; the
+package writes files through one writer only; and no CLI flag re-spells a
+config file's field."""
 
 import ast
+import dataclasses
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+
+from lanebev.cli import _COMMANDS
+from lanebev.lane_grid import GridSpec
+from lanebev.metrics import EvalConfig
+from lanebev.postproc import DecodeParams
+from lanebev.synth import SceneParams
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -106,3 +114,17 @@ def test_the_write_scan_finds_each_kind_of_write():
         """
     )
     assert file_writes(source) == [f"line {n}: {kind}" for n, kind in [(3, "write_text"), (4, "write_bytes")] + [(n, "open") for n in range(5, 11)]]
+
+
+def test_no_cli_flag_respells_a_config_field():
+    # A value that a config file holds is set in that file only.  The one
+    # exception is --seed: the explicit override of the scene file's seed
+    # on synth and pipeline, and the gradient suite's seed on losscheck.
+    fields = {f.name for cls in (GridSpec, DecodeParams, EvalConfig, SceneParams) for f in dataclasses.fields(cls)}
+    respelled = {
+        (command, flag.name)
+        for command, spec in _COMMANDS.items()
+        for flag in spec.flags
+        if flag.name[2:].replace("-", "_") in fields
+    }
+    assert respelled == {("synth", "--seed"), ("pipeline", "--seed"), ("losscheck", "--seed")}
