@@ -25,6 +25,7 @@ one camera to the pixels of another camera observing the same ground point.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -35,6 +36,7 @@ from .errors import (
     DegenerateConfiguration,
     DegenerateDepth,
     EmptyInput,
+    InvalidValue,
     MixedImageSizes,
     NonFiniteInput,
     ShapeMismatch,
@@ -71,11 +73,11 @@ class Intrinsics:
     def __post_init__(self):
         for name, v in self.__dict__.items():
             if not np.isfinite(v):
-                raise NonFiniteInput(f"{name} must be finite, got {v}")
+                raise NonFiniteInput(f"Intrinsics.{name}: must be finite, got {v}")
         tiny = np.finfo(float).tiny  # a subnormal focal length projects every ground point to (cx, cy)
         for name in ("fx", "fy"):
             if not getattr(self, name) >= tiny:
-                raise ValueError(f"{name} must be a positive normal float, at least {tiny}, got {getattr(self, name)}")
+                raise InvalidValue(f"Intrinsics.{name}: must be a normal float >= {tiny}, got {getattr(self, name)}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -97,20 +99,22 @@ class Extrinsics:
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
+        t = np.asarray(self.translation, dtype=float)
         if r.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {r.shape}")
+            raise InvalidValue(f"Extrinsics.rotation: must be 3x3, got {r.shape}")
+        if t.size != 3:
+            raise InvalidValue(f"Extrinsics.translation: must hold 3 numbers, got shape {t.shape}")
         for name, v in (("rotation", r), ("translation", t)):
             if not np.isfinite(v).all():
-                raise NonFiniteInput(f"{name} holds NaN or infinite values")
+                raise NonFiniteInput(f"Extrinsics.{name}: holds NaN or infinite values")
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or NaN, refused next
             off = np.max(np.abs(r.T @ r - np.eye(3)))
         if not off <= 1e-9:
-            raise ValueError("rotation is not orthonormal within 1e-9")
+            raise InvalidValue("Extrinsics.rotation: not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant is not +1 within 1e-9")
+            raise InvalidValue("Extrinsics.rotation: determinant is not +1 within 1e-9")
         object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", t.reshape(3))
 
     @property
     def camera_center(self) -> np.ndarray:
@@ -127,10 +131,10 @@ class CameraRig:
     image_size: tuple[int, int]
 
     def __post_init__(self):
-        w, h = self.image_size
-        if w <= 0 or h <= 0:
-            raise ValueError(f"image_size components must be positive, got {self.image_size}")
-        object.__setattr__(self, "image_size", (int(w), int(h)))
+        size = tuple(self.image_size) if isinstance(self.image_size, (tuple, list)) else ()
+        if len(size) != 2 or not all(isinstance(v, numbers.Integral) and v > 0 for v in size):
+            raise InvalidValue(f"CameraRig.image_size: must be two positive integers, got {self.image_size!r}")
+        object.__setattr__(self, "image_size", tuple(map(int, size)))
 
 
 @dataclass(frozen=True)
@@ -142,15 +146,15 @@ class Homography:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
-            raise ValueError(f"homography must be 3x3, got {m.shape}")
+            raise InvalidValue(f"Homography.matrix: must be 3x3, got {m.shape}")
         if not np.isfinite(m).all():
-            raise NonFiniteInput("homography matrix holds NaN or infinite values")
+            raise NonFiniteInput("Homography.matrix: holds NaN or infinite values")
         if abs(m[2, 2]) < 1e-12:
             raise SingularHomography("matrix[2][2] is zero; cannot normalize")
         with np.errstate(over="ignore"):  # an overflow is refused on the next line
             m = m / m[2, 2]
         if not np.isfinite(m).all():
-            raise NonFiniteInput("homography matrix overflows when normalized by matrix[2][2]")
+            raise NonFiniteInput("Homography.matrix: overflows when normalized by matrix[2][2]")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # subnormal pivots; refused next
             det = np.linalg.det(m)
         if not abs(det) >= 1e-12:

@@ -31,7 +31,6 @@ import os
 import stat
 import struct
 import sys
-from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -212,16 +211,6 @@ def _json_object(value, name: str) -> dict:
     return value
 
 
-@contextmanager
-def _naming(name: str):
-    """Raise a constructor's own ValueError (a focal length <= 0, a
-    reflection, fewer than 2 distinct x) as MissingField naming `name`."""
-    try:
-        yield
-    except ValueError as exc:
-        raise MissingField(f"{name}: {exc}") from exc
-
-
 # --- camera / homography JSON ---
 
 def rig_to_dict(rig: CameraRig) -> dict:
@@ -245,7 +234,9 @@ def rig_from_dict(data: dict) -> CameraRig:
     """The rig of a parsed camera JSON object.
 
     Raises MissingField naming the field (such as intrinsics.fx) when it is
-    absent or unusable, and NonFiniteInput on NaN or infinite values.
+    absent or unusable, NonFiniteInput on NaN or infinite values, and
+    InvalidValue naming the class field (such as Intrinsics.fx) on a value
+    the rig refuses.
     """
     return _rig_at(data, "")
 
@@ -259,8 +250,7 @@ def _rig_at(data, at: str) -> CameraRig:
     rotation = _floats(extr.get("rotation"), f"{at}extrinsics.rotation", (3, 3))
     translation = _floats(extr.get("translation"), f"{at}extrinsics.translation", (3,))
     size = _image_size(data.get("image_size"), at + "image_size")
-    with _naming(f"{at}intrinsics or extrinsics"):
-        return CameraRig(Intrinsics(**k), Extrinsics(rotation=rotation, translation=translation), size)
+    return CameraRig(Intrinsics(**k), Extrinsics(rotation=rotation, translation=translation), size)
 
 
 def load_rig(path: str | Path) -> CameraRig:
@@ -301,10 +291,9 @@ def from_dict(cls, data):
     default.  Where the default is a float the value must be a finite int
     or float, and where it is an int, an int within the float range (bool
     is refused for both); where it is a tuple, a list (or tuple) of finite
-    numbers, which becomes a tuple.  Other values pass through.  The
-    class's own checks run in `cls(**kwargs)`; their ValueError, whose
-    message names the key, is raised as ConfigError too.  Raises
-    ConfigError naming the class and the key.
+    numbers, which becomes a tuple.  Other values pass through.  Raises
+    ConfigError naming the class and the key; a value the class's own
+    checks refuse raises their InvalidValue, naming `Class.key`.
     """
     name = cls.__name__
     if not isinstance(data, dict):
@@ -324,10 +313,7 @@ def from_dict(cls, data):
         elif type(default) is int and isinstance(value, float):
             raise ConfigError(f"{name}.{key}: expected an integer, got {value!r}")
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    return cls(**kwargs)
 
 
 # --- lanes JSON ---
@@ -357,8 +343,9 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
     """Lanes from a parsed lanes JSON object; a lane without an id takes its 1-based position.
 
     Raises MissingField naming the field (such as lanes[2].id) when the
-    layout or a value is unusable, and NonFiniteInput on NaN or infinite
-    points.
+    layout or a value is unusable, NonFiniteInput on NaN or infinite
+    points, and InvalidValue naming Lane3D.points and the lane id on a lane
+    without 2 distinct x.
     """
     _json_object(data, "lanes JSON")
     if not isinstance(data.get("lanes"), list):
@@ -370,8 +357,7 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
         if type(lane_id) is not int or not -(2**63) <= lane_id < 2**63:
             raise MissingField(f"lanes[{i}].id must be a 64-bit integer, got {lane_id!r}")
         points = _floats(entry.get("points"), f"lanes[{i}].points", (None, 3))
-        with _naming(f"lanes[{i}].points"):
-            lanes.append(Lane3D(points=points, id=lane_id))
+        lanes.append(Lane3D(points=points, id=lane_id))
     return lanes
 
 
@@ -490,18 +476,16 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     if np.linalg.det(rotation) > 0:
         rotation = _nearest_rotation(rotation)
     translation = -rotation @ extrinsic[:3, 3]
-    with _naming("intrinsic or extrinsic"):
-        intrinsics = Intrinsics(
-            fx=intrinsic[0, 0], fy=intrinsic[1, 1], cx=intrinsic[0, 2], cy=intrinsic[1, 2], skew=intrinsic[0, 1]
-        )
-        rig = CameraRig(intrinsics, Extrinsics(rotation=rotation, translation=translation), size)
+    intrinsics = Intrinsics(
+        fx=intrinsic[0, 0], fy=intrinsic[1, 1], cx=intrinsic[0, 2], cy=intrinsic[1, 2], skew=intrinsic[0, 1]
+    )
+    rig = CameraRig(intrinsics, Extrinsics(rotation=rotation, translation=translation), size)
 
     lanes = []
     for i, entry in enumerate(lane_lines):
         xyz = _floats(_json_object(entry, f"lane_lines[{i}]").get("xyz"), f"lane_lines[{i}].xyz", (3, None))
         p_road = (extrinsic[:3, :3] @ xyz + extrinsic[:3, 3:4]).T
-        with _naming(f"lane_lines[{i}]"):
-            lanes.append(Lane3D(points=p_road, id=i + 1))
+        lanes.append(Lane3D(points=p_road, id=i + 1))
     return SceneRecord(rig=rig, lanes=lanes, scene_tag=str(data.get("file_path", "")))
 
 

@@ -9,6 +9,11 @@ class LaneBevError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidValue(LaneBevError, ValueError):
+    """A value lies outside its allowed range.  The message starts with the
+    field, as `Class.field:` or, for a function argument, `function.arg:`."""
+
+
 # --- camera geometry ---
 
 class DegenerateDepth(LaneBevError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, TooManyInstances
+from .errors import InvalidValue, NonFiniteInput, TooManyInstances
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,14 @@ class GridSpec:
 
     def __post_init__(self):
         if self.cell <= 0:
-            raise ValueError(f"cell size must be positive, got {self.cell}")
+            raise InvalidValue(f"GridSpec.cell: must be positive, got {self.cell}")
         for lo, hi, name in ((self.x_min, self.x_max, "x"), (self.y_min, self.y_max, "y")):
             span = hi - lo
             if span <= 0:
-                raise ValueError(f"{name} extent is empty: [{lo}, {hi}]")
+                raise InvalidValue(f"GridSpec.{name}_max: must exceed {name}_min, got [{lo}, {hi}]")
             n = span / self.cell
             if not np.isfinite(n) or abs(n - round(n)) > 1e-9:
-                raise ValueError(f"{name} extent {span} is not an integer multiple of cell {self.cell}")
+                raise InvalidValue(f"GridSpec.cell: must divide the {name} extent {span}, got {self.cell}")
 
     @property
     def rows(self) -> int:
@@ -73,9 +73,9 @@ class Lane3D:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (N, 3), got {pts.shape}")
+            raise InvalidValue(f"Lane3D.points: must be (N, 3), got {pts.shape}")
         if not np.isfinite(pts).all():
-            raise NonFiniteInput("points hold NaN or infinite values")
+            raise NonFiniteInput(f"Lane3D.points: lane {self.id} holds NaN or infinite values")
         x = pts[:, 0]
         if (x[1:] > x[:-1]).all():
             pts = pts.copy()  # never alias the caller's array
@@ -85,7 +85,7 @@ class Lane3D:
             xs = x[order]
             pts = pts[order[np.concatenate(([True], xs[1:] != xs[:-1]))]]
         if len(pts) < 2:
-            raise ValueError("a lane needs at least 2 points with distinct x")
+            raise InvalidValue(f"Lane3D.points: lane {self.id} needs at least 2 points with distinct x")
         self.points = pts
 
     @property
@@ -122,25 +122,25 @@ class GridTensors:
         off = np.asarray(self.offset, dtype=float)
         hgt = np.asarray(self.height, dtype=float)
         if conf.ndim != 2:
-            raise ValueError(f"confidence must be 2-D, got {conf.shape}")
-        if off.shape != conf.shape or hgt.shape != conf.shape:
-            raise ValueError("confidence, offset and height must share one shape")
+            raise InvalidValue(f"GridTensors.confidence: must be 2-D, got {conf.shape}")
         for name, arr in (("confidence", conf), ("offset", off), ("height", hgt)):
+            if arr.shape != conf.shape:
+                raise InvalidValue(f"GridTensors.{name}: shape {arr.shape} differs from confidence {conf.shape}")
             if not np.isfinite(arr).all():
-                raise NonFiniteInput(f"{name} holds NaN or infinite values")
+                raise NonFiniteInput(f"GridTensors.{name}: holds NaN or infinite values")
         if conf.min() < 0.0 or conf.max() > 1.0:
-            raise ValueError("confidence values must lie in [0, 1]")
+            raise InvalidValue("GridTensors.confidence: values must lie in [0, 1]")
         if self.instance is not None:
             inst = np.asarray(self.instance)
             if inst.shape != conf.shape:
-                raise ValueError("instance tensor shape differs from confidence")
+                raise InvalidValue(f"GridTensors.instance: shape {inst.shape} differs from confidence {conf.shape}")
             if np.any(np.abs(off[inst > 0]) > 0.5):
-                raise ValueError("offsets on lane cells must lie in [-0.5, 0.5]")
+                raise InvalidValue("GridTensors.offset: values on lane cells must lie in [-0.5, 0.5]")
             self.instance = inst.astype(int)
         if self.embedding is not None:
             emb = np.asarray(self.embedding, dtype=float)
             if emb.ndim != 3 or emb.shape[:2] != conf.shape:
-                raise ValueError(f"embedding must be (s1, s2, D), got {emb.shape}")
+                raise InvalidValue(f"GridTensors.embedding: must be (s1, s2, D), got {emb.shape}")
             self.embedding = emb
         self.confidence = conf
         self.offset = off
@@ -164,7 +164,7 @@ def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensor
     """
     ids = np.array([lane.id for lane in lanes], dtype=int)
     if np.any(ids <= 0):
-        raise ValueError(f"lane ids must be positive to encode, got {ids[ids <= 0][0]}")
+        raise InvalidValue(f"encode_lanes.lanes: ids must be positive to encode, got {ids[ids <= 0][0]}")
     s1, s2 = spec.shape
     xs = spec.row_centers()
     # every lane at every row center; NaN off its x-span, so no cell takes it
@@ -212,7 +212,6 @@ def simplex_vertices(n: int, dim: int) -> np.ndarray:
 def ideal_prediction(
     gt: GridTensors,
     spec: GridSpec = GridSpec(),
-    margin_scale: float = 1.0,
     embed_dim: int = 4,
     delta_d: float = 3.0,
 ) -> GridTensors:
@@ -220,17 +219,17 @@ def ideal_prediction(
 
     Confidence, offset and height are copied.  Each lane instance gets a
     vertex of a regular simplex as its embedding, scaled so inter-class
-    distance equals margin_scale * 2 * delta_d; background cells get the
-    zero vector.  Raises TooManyInstances when the instances exceed the
-    simplex capacity embed_dim + 1.
+    distance equals 2 * delta_d; background cells get the zero vector.
+    Raises TooManyInstances when the instances exceed the simplex capacity
+    embed_dim + 1.
     """
     if gt.instance is None:
-        raise ValueError("ideal_prediction needs ground truth with an instance tensor")
+        raise InvalidValue("ideal_prediction.gt: needs an instance tensor")
     if gt.shape != spec.shape:
-        raise ValueError(f"gt shape {gt.shape} does not match grid {spec.shape}")
+        raise InvalidValue(f"ideal_prediction.gt: shape {gt.shape} does not match grid {spec.shape}")
     lane = gt.instance > 0
     ids, which = np.unique(gt.instance[lane], return_inverse=True)
-    verts = simplex_vertices(len(ids), embed_dim) * (margin_scale * 2.0 * delta_d)
+    verts = simplex_vertices(len(ids), embed_dim) * (2.0 * delta_d)
     emb = np.zeros(gt.shape + (embed_dim,))
     emb[lane] = verts[which]
     return GridTensors(

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NonFiniteInput, ShapeMismatch, TooManyInstances
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, TooManyInstances
 from .lane_grid import GridTensors
 
 _P_CLAMP = 1e-7
@@ -75,7 +75,7 @@ class PredictionBatch:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the six total-loss terms; all default to 1."""
+    """Weights of the six total-loss terms; each defaults to 1 and must be >= 0, so not NaN."""
 
     w_conf: float = 1.0
     w_embed: float = 1.0
@@ -86,8 +86,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if v < 0:
-                raise ValueError(f"{name} must be non-negative, got {v}")
+            if not v >= 0:
+                raise InvalidValue(f"LossWeights.{name}: must be non-negative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,10 @@ class EmbedMargins:
     delta_d: float = 3.0
 
     def __post_init__(self):
-        if not (self.delta_d > self.delta_v > 0):
-            raise ValueError(f"need delta_d > delta_v > 0, got {self.delta_v}, {self.delta_d}")
+        if not self.delta_v > 0:
+            raise InvalidValue(f"EmbedMargins.delta_v: must be positive, got {self.delta_v}")
+        if not self.delta_d > self.delta_v:
+            raise InvalidValue(f"EmbedMargins.delta_d: must exceed delta_v = {self.delta_v}, got {self.delta_d}")
 
 
 @dataclass
@@ -383,7 +385,7 @@ def run_gradient_suite(seed: int = 0, batches: int = 20, shape: tuple[int, int] 
     batch would check nothing and still pass.
     """
     if batches < 1:
-        raise ValueError(f"batches must be at least 1, got {batches}")
+        raise InvalidValue(f"run_gradient_suite.batches: must be at least 1, got {batches}")
     rng = np.random.default_rng(seed)
     margins = EmbedMargins()
     worst = {k: 0.0 for k in ("conf", "offset", "height", "embed", "seg2d")}

@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, InvalidValue
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -44,13 +44,13 @@ class EvalConfig:
     def __post_init__(self):
         xs = tuple(float(x) for x in self.sample_xs)
         if not xs or not all(a < b for a, b in zip(xs, xs[1:])):
-            raise ValueError(f"sample_xs must be non-empty and strictly ascending, got {xs}")
+            raise InvalidValue(f"EvalConfig.sample_xs: must be non-empty and strictly ascending, got {xs}")
         if not 0.0 < self.match_ratio <= 1.0:
-            raise ValueError(f"match_ratio must be in (0, 1], got {self.match_ratio}")
+            raise InvalidValue(f"EvalConfig.match_ratio: must be in (0, 1], got {self.match_ratio}")
         if not self.match_threshold > 0:
-            raise ValueError(f"match_threshold must be positive, got {self.match_threshold}")
+            raise InvalidValue(f"EvalConfig.match_threshold: must be positive, got {self.match_threshold}")
         if not np.isfinite(self.near_limit):
-            raise ValueError(f"near_limit must be finite, got {self.near_limit}")
+            raise InvalidValue(f"EvalConfig.near_limit: must be finite, got {self.near_limit}")
         object.__setattr__(self, "sample_xs", xs)
 
 

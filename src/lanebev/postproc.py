@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAbscissae, NonFiniteInput, ShapeMismatch
+from .errors import DegenerateAbscissae, InvalidValue, NonFiniteInput, ShapeMismatch
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -55,13 +55,13 @@ class DecodeParams:
 
     def __post_init__(self):
         if not 0.0 < self.s_threshold < 1.0:
-            raise ValueError(f"s_threshold must be in (0, 1), got {self.s_threshold}")
+            raise InvalidValue(f"DecodeParams.s_threshold: must be in (0, 1), got {self.s_threshold}")
         if not self.d_gap > 0:
-            raise ValueError(f"d_gap must be positive, got {self.d_gap}")
+            raise InvalidValue(f"DecodeParams.d_gap: must be positive, got {self.d_gap}")
         if self.min_points < 2:
-            raise ValueError(f"min_points must be >= 2, got {self.min_points}")
+            raise InvalidValue(f"DecodeParams.min_points: must be >= 2, got {self.min_points}")
         if self.fit_degree < 1:
-            raise ValueError(f"fit_degree must be >= 1, got {self.fit_degree}")
+            raise InvalidValue(f"DecodeParams.fit_degree: must be >= 1, got {self.fit_degree}")
 
 
 @dataclass
@@ -74,7 +74,7 @@ class LaneInstance:
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if len(self.points) == 0:
-            raise ValueError("a lane instance needs at least one point")
+            raise InvalidValue(f"LaneInstance.points: cluster {self.cluster_id} needs at least one point")
 
 
 @dataclass

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
-from .errors import NonFiniteInput, ShapeMismatch
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -41,21 +41,21 @@ class SceneParams:
 
     def __post_init__(self):
         if self.n_lanes < 0:
-            raise ValueError(f"n_lanes must be >= 0, got {self.n_lanes}")
+            raise InvalidValue(f"SceneParams.n_lanes: must be >= 0, got {self.n_lanes}")
         pairs = ("curvature", "camera_jitter")
         for name in pairs:
             if np.shape(getattr(self, name)) != (2,):
-                raise ValueError(f"{name} must be a pair, got {getattr(self, name)!r}")
+                raise InvalidValue(f"SceneParams.{name}: must be a pair, got {getattr(self, name)!r}")
         for name in ("lane_spacing", "hill_amplitude", "hill_wavelength", *pairs):
             value = getattr(self, name)
             if not all(map(math.isfinite, value if name in pairs else (value,))):
-                raise NonFiniteInput(f"{name} must be finite, got {value!r}")
+                raise NonFiniteInput(f"SceneParams.{name}: must be finite, got {value!r}")
         if self.lane_spacing <= 0:
-            raise ValueError(f"lane_spacing must be positive, got {self.lane_spacing}")
+            raise InvalidValue(f"SceneParams.lane_spacing: must be positive, got {self.lane_spacing}")
         if self.hill_wavelength <= 0:
-            raise ValueError(f"hill_wavelength must be positive, got {self.hill_wavelength}")
+            raise InvalidValue(f"SceneParams.hill_wavelength: must be positive, got {self.hill_wavelength}")
         if self.curvature[0] > self.curvature[1]:
-            raise ValueError(f"curvature must be [lo, hi] with lo <= hi, got {self.curvature!r}")
+            raise InvalidValue(f"SceneParams.curvature: must be [lo, hi] with lo <= hi, got {self.curvature!r}")
 
 
 @dataclass

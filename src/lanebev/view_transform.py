@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
-from .errors import InsufficientRank, NonFiniteInput, ShapeMismatch
+from .errors import InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -36,9 +36,9 @@ class FeatureTensor:
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
         if self.data.ndim != 3 or min(self.data.shape) < 1:
-            raise ValueError(f"feature data must be (H, W, C) with positive dims, got {self.data.shape}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+            raise InvalidValue(f"FeatureTensor.data: must be (H, W, C) with positive dims, got {self.data.shape}")
+        if not self.scale > 0:
+            raise InvalidValue(f"FeatureTensor.scale: must be positive, got {self.scale}")
 
     @property
     def hw(self) -> tuple[int, int]:
@@ -79,7 +79,7 @@ class PyramidSpec:
 
     def __post_init__(self):
         if len(self.scales) == 0 or len(set(self.scales)) != len(self.scales):
-            raise ValueError(f"scales must be non-empty and distinct, got {self.scales}")
+            raise InvalidValue(f"PyramidSpec.scales: must be non-empty and distinct, got {self.scales}")
 
 
 def build_ipm_sampling_map(
@@ -206,20 +206,22 @@ def fit_vrm_least_squares(
     design matrix is rank-deficient).  For ill-posed fits a ridge around
     1e-6 times the mean diagonal of X^T X is a reasonable starting point;
     the value given here is used as-is, never rescaled.  A NaN or infinite
-    ridge raises NonFiniteInput and a negative one ValueError, both naming
-    `ridge`.
+    ridge raises NonFiniteInput and a negative one InvalidValue, both naming
+    `ridge`; a sample holding NaN or infinity raises NonFiniteInput naming it.
     """
     if not np.isfinite(ridge):
-        raise NonFiniteInput(f"ridge must be finite, got {ridge}")
+        raise NonFiniteInput(f"fit_vrm_least_squares.ridge: must be finite, got {ridge}")
     if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+        raise InvalidValue(f"fit_vrm_least_squares.ridge: must be >= 0, got {ridge}")
     if not samples:
         raise InsufficientRank("no samples given")
     fv_shape = samples[0][0].hw
     bev_shape = samples[0][1].hw
     xs = []
     ys = []
-    for fv, bev in samples:
+    for i, (fv, bev) in enumerate(samples):
+        if not (np.isfinite(fv.data).all() and np.isfinite(bev.data).all()):
+            raise NonFiniteInput(f"fit_vrm_least_squares.samples[{i}]: holds NaN or infinite values")
         if fv.hw != fv_shape or bev.hw != bev_shape:
             raise ShapeMismatch("all samples must share front-view and BEV shapes")
         if fv.channels != bev.channels:

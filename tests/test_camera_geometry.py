@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from lanebev.errors import (
     DegenerateConfiguration,
     DegenerateDepth,
     EmptyInput,
+    InvalidValue,
     MixedImageSizes,
     NonFiniteInput,
     ShapeMismatch,
@@ -457,9 +460,35 @@ class TestTypes:
     @pytest.mark.parametrize("field", ["fx", "fy"])
     def test_subnormal_focal_length_is_refused_naming_the_field(self, field, focal):
         # a subnormal focal length projects every ground point to (cx, cy)
-        with pytest.raises(ValueError, match=f"^{field} must be a positive normal float"):
+        with pytest.raises(InvalidValue, match=rf"^Intrinsics\.{field}: must be a normal float"):
             Intrinsics(**{"fx": 1.0, "fy": 1.0, field: focal}, cx=512.0, cy=288.0)
         assert getattr(Intrinsics(**{"fx": 1.0, "fy": 1.0, field: TINY}, cx=512.0, cy=288.0), field) == TINY
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: Intrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0), "Intrinsics.fx"),
+            (lambda: Extrinsics(rotation=np.eye(3) * 1.001, translation=np.zeros(3)), "Extrinsics.rotation"),
+            (lambda: Extrinsics(rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3)), "Extrinsics.rotation"),
+            (lambda: Extrinsics(rotation=np.eye(2), translation=np.zeros(3)), "Extrinsics.rotation"),
+            (lambda: Extrinsics(rotation=np.eye(3), translation=[1.0, 2.0]), "Extrinsics.translation"),
+            (lambda: Extrinsics(rotation=np.eye(3), translation=np.zeros(4)), "Extrinsics.translation"),
+            (lambda: Homography(np.eye(2)), "Homography.matrix"),
+        ]
+        + [
+            (lambda size=size: CameraRig(canonical_rig().intrinsics, canonical_rig().extrinsics, size), "CameraRig.image_size")
+            for size in [(0.5, 576), (np.nan, 576), (np.inf, 576), (1024.0, 576), (0, 10), (1024, -1), (1024,),
+                         (1024, 576, 3), "ab", 1024, None]
+        ],
+    )
+    def test_value_out_of_range_raises_invalid_value_naming_the_field(self, build, field):
+        with pytest.raises(InvalidValue, match=f"^{re.escape(field)}: "):
+            build()
+
+    def test_rig_image_size_takes_numpy_integers(self):
+        rig = canonical_rig()
+        size = CameraRig(rig.intrinsics, rig.extrinsics, [np.int64(640), np.uint16(480)]).image_size
+        assert size == (640, 480) and all(type(v) is int for v in size)
 
     def test_extrinsics_validation(self):
         with pytest.raises(ValueError):

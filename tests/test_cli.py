@@ -115,34 +115,34 @@ class TestUsageErrors:
         assert "\n" not in err.strip()
 
     @pytest.mark.parametrize(
-        "command, flag, config, named",
+        "command, flag, config, error, named",
         [
-            ("decode", "--params", {"dgap": 0.1}, "dgap"),
-            ("pipeline", "--spec", {"cel": 1.0}, "cel"),
-            ("eval", "--config", {"match_treshold": 0.1}, "match_treshold"),
-            ("synth", "--params", {"nlanes": 6}, "nlanes"),
-            ("decode", "--params", {"min_points": "4"}, "min_points"),
-            ("decode", "--params", {"d_gap": None}, "d_gap"),
-            ("pipeline", "--spec", {"cell": "0.5"}, "cell"),
-            ("eval", "--config", {"sample_xs": 5}, "sample_xs"),
-            ("synth", "--params", {"curvature": 0.001}, "curvature"),
-            ("synth", "--params", [1, 2], "SceneParams"),
-            ("synth", "--params", {"n_lanes": 2.5}, "n_lanes"),
-            ("synth", "--params", {"seed": 1.5}, "seed"),
-            ("decode", "--params", {"fit_degree": 2.5}, "fit_degree"),
-            ("decode", "--params", {"d_gap": -1}, "d_gap"),
-            ("decode", "--spec", {"cell": -1}, "cell"),
-            ("synth", "--params", {"n_lanes": -1}, "n_lanes"),
-            ("eval", "--config", {"match_ratio": 2}, "match_ratio"),
-            ("synth", "--params", {"curvature": [1, 2, 3]}, "curvature"),
-            ("synth", "--params", {"curvature": [0.01, -0.01]}, "curvature"),
-            ("pipeline", "--params", {"curvature": [0.01, -0.01]}, "curvature"),
-            ("pipeline", "--params", {"curvature": [float("nan"), 0.001]}, "SceneParams.curvature"),
-            ("pipeline", "--params", {"n_lanes": 4.5}, "n_lanes"),
-            ("pipeline", "--params", {"hill": 1.0}, "hill"),
+            ("decode", "--params", {"dgap": 0.1}, "ConfigError", "dgap"),
+            ("pipeline", "--spec", {"cel": 1.0}, "ConfigError", "cel"),
+            ("eval", "--config", {"match_treshold": 0.1}, "ConfigError", "match_treshold"),
+            ("synth", "--params", {"nlanes": 6}, "ConfigError", "nlanes"),
+            ("decode", "--params", {"min_points": "4"}, "ConfigError", "min_points"),
+            ("decode", "--params", {"d_gap": None}, "ConfigError", "d_gap"),
+            ("pipeline", "--spec", {"cell": "0.5"}, "ConfigError", "cell"),
+            ("eval", "--config", {"sample_xs": 5}, "ConfigError", "sample_xs"),
+            ("synth", "--params", {"curvature": 0.001}, "ConfigError", "curvature"),
+            ("synth", "--params", [1, 2], "ConfigError", "SceneParams"),
+            ("synth", "--params", {"n_lanes": 2.5}, "ConfigError", "n_lanes"),
+            ("synth", "--params", {"seed": 1.5}, "ConfigError", "seed"),
+            ("decode", "--params", {"fit_degree": 2.5}, "ConfigError", "fit_degree"),
+            ("decode", "--params", {"d_gap": -1}, "InvalidValue", "DecodeParams.d_gap: "),
+            ("decode", "--spec", {"cell": -1}, "InvalidValue", "GridSpec.cell: "),
+            ("synth", "--params", {"n_lanes": -1}, "InvalidValue", "SceneParams.n_lanes: "),
+            ("eval", "--config", {"match_ratio": 2}, "InvalidValue", "EvalConfig.match_ratio: "),
+            ("synth", "--params", {"curvature": [1, 2, 3]}, "InvalidValue", "SceneParams.curvature: "),
+            ("synth", "--params", {"curvature": [0.01, -0.01]}, "InvalidValue", "SceneParams.curvature: "),
+            ("pipeline", "--params", {"curvature": [0.01, -0.01]}, "InvalidValue", "SceneParams.curvature: "),
+            ("pipeline", "--params", {"curvature": [float("nan"), 0.001]}, "ConfigError", "SceneParams.curvature"),
+            ("pipeline", "--params", {"n_lanes": 4.5}, "ConfigError", "n_lanes"),
+            ("pipeline", "--params", {"hill": 1.0}, "ConfigError", "hill"),
         ],
     )
-    def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, named):
+    def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, error, named):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         pred, gt = tmp_path / "pred.bldt", tmp_path / "gt.json"
@@ -159,7 +159,7 @@ class TestUsageErrors:
         assert out == "" and "Traceback" not in err
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
-        assert payload["error"] == "ConfigError"
+        assert payload["error"] == error
         assert named in payload["message"]
 
     @pytest.mark.parametrize(
@@ -217,7 +217,7 @@ class TestUsageErrors:
         assert payload["error"] == "MissingField"
         assert named in payload["message"]
 
-    @pytest.mark.parametrize("command, error", [("warp", "NonFiniteInput"), ("homography", "MissingField")])
+    @pytest.mark.parametrize("command, error", [("warp", "NonFiniteInput"), ("homography", "InvalidValue")])
     def test_overflow_prints_one_json_line_on_stderr(self, tmp_path, command, error):
         # A fresh process, so that a RuntimeWarning would reach stderr
         image, cam = tmp_path / "in.pgm", tmp_path / "cam.json"
@@ -412,7 +412,7 @@ class TestFileWorkflow:
         assert sidecar == {"fv_shape": [3, 4], "bev_shape": [2, 3], "scale": 32}
 
 
-    @pytest.mark.parametrize("ridge, error", [("nan", "NonFiniteInput"), ("inf", "NonFiniteInput"), ("-1", "ValueError")])
+    @pytest.mark.parametrize("ridge, error", [("nan", "NonFiniteInput"), ("inf", "NonFiniteInput"), ("-1", "InvalidValue")])
     def test_fit_vrm_refuses_a_bad_ridge(self, capsys, tmp_path, ridge, error):
         samples = tmp_path / "samples"
         samples.mkdir()
@@ -422,7 +422,25 @@ class TestFileWorkflow:
         code, stdout, err = run(capsys, "fit-vrm", "--samples", str(samples), "--ridge", ridge, "--out", str(out))
         assert code == 1 and stdout == ""
         payload = json.loads(err)
-        assert payload["error"] == error and "ridge" in payload["message"]
+        assert payload["error"] == error and payload["message"].startswith("fit_vrm_least_squares.ridge: ")
+        assert not out.exists()
+
+    def test_fit_vrm_refuses_a_non_finite_sample(self, capsys, tmp_path, rng):
+        # one NaN once gave a map with NaN entries and exit 0
+        samples = tmp_path / "samples"
+        samples.mkdir()
+        for k in range(3):
+            fv = rng.normal(size=(3, 4, 2)).astype(np.float32)
+            if k == 1:
+                fv[2, 3, 1] = np.nan
+            data_io.write_tensor(fv, samples / f"fv_{k:03d}.bldt")
+            data_io.write_tensor(rng.normal(size=(2, 3, 2)).astype(np.float32), samples / f"bev_{k:03d}.bldt")
+        out = tmp_path / "map.bldt"
+        code, stdout, err = run(capsys, "fit-vrm", "--samples", str(samples), "--ridge", "1", "--out", str(out))
+        assert code == 1 and stdout == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "NonFiniteInput"
+        assert payload["message"].startswith("fit_vrm_least_squares.samples[1]: ")
         assert not out.exists()
 
 
@@ -679,5 +697,5 @@ class TestNamedErrors:
     @pytest.mark.parametrize("batches", ["0", "-1"])
     def test_losscheck_without_batches(self, capsys, batches):
         payload = self.one_error(capsys, "losscheck", "--batches", batches)
-        assert payload["error"] == "ValueError"
-        assert "batches" in payload["message"]
+        assert payload["error"] == "InvalidValue"
+        assert payload["message"].startswith("run_gradient_suite.batches: ")

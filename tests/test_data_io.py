@@ -20,6 +20,7 @@ from lanebev.errors import (
     BadMagic,
     ConfigError,
     ImageFormatError,
+    InvalidValue,
     LaneBevError,
     MalformedJson,
     MissingField,
@@ -417,9 +418,9 @@ class TestConfigFromDict:
             data_io.from_dict(SceneParams, [1, 2])
 
     def test_dataclass_checks_still_run(self):
-        with pytest.raises(ConfigError, match="SceneParams: camera_jitter"):
+        with pytest.raises(InvalidValue, match=r"^SceneParams\.camera_jitter: "):
             data_io.from_dict(SceneParams, {"camera_jitter": [1.0]})
-        with pytest.raises(ConfigError, match="DecodeParams: s_threshold"):
+        with pytest.raises(InvalidValue, match=r"^DecodeParams\.s_threshold: "):
             data_io.from_dict(DecodeParams, {"s_threshold": 1.5})
 
     @given(cls=st.sampled_from(CONFIG_CLASSES), data=st.data())
@@ -469,10 +470,8 @@ class TestCameraJson:
             (("intrinsics", "fx"), DROP, "intrinsics.fx"),
             (("intrinsics", "fx"), "wide", "intrinsics.fx"),
             (("intrinsics", "cy"), [288.0], "intrinsics.cy"),
-            (("intrinsics", "fy"), -1.0, "intrinsics or extrinsics"),
             (("extrinsics", "rotation"), [[1.0, 0.0], [0.0, 1.0]], "extrinsics.rotation"),
             (("extrinsics", "rotation"), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "row"], "extrinsics.rotation"),
-            (("extrinsics", "rotation"), np.diag([1.0, 1.0, -1.0]).tolist(), "intrinsics or extrinsics"),
             (("extrinsics", "translation"), {"x": 0.0}, "extrinsics.translation"),
             (("image_size",), [1024], "image_size"),
             (("image_size",), [1024.0, 576.0], "image_size"),
@@ -492,6 +491,20 @@ class TestCameraJson:
             else:
                 parent[path[-1]] = value
         with pytest.raises(MissingField, match=re.escape(named)):
+            data_io.rig_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "leaf, value, named",
+        [
+            (("intrinsics", "fy"), -1.0, "Intrinsics.fy: "),
+            (("intrinsics", "fx"), -5, "Intrinsics.fx: "),
+            (("extrinsics", "rotation"), np.diag([1.0, 1.0, -1.0]).tolist(), "Extrinsics.rotation: "),
+        ],
+    )
+    def test_value_the_rig_refuses_raises_invalid_value_naming_the_class_field(self, leaf, value, named):
+        data = data_io.rig_to_dict(canonical_rig())
+        data[leaf[0]][leaf[1]] = value
+        with pytest.raises(InvalidValue, match=f"^{re.escape(named)}"):
             data_io.rig_from_dict(data)
 
     @pytest.mark.parametrize(
@@ -621,6 +634,11 @@ class TestLanesJson:
         with pytest.raises(NonFiniteInput, match=re.escape("lanes[1].points")):
             data_io.save_lanes(lanes, path)
         assert not path.exists()
+
+    def test_lane_without_two_distinct_x_names_the_lane_id(self):
+        data = {"lanes": [{"id": 4, "points": [[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]]}, {"id": 7, "points": [[3.0, 0.0, 0.0]] * 3}]}
+        with pytest.raises(InvalidValue, match=r"^Lane3D\.points: lane 7 needs at least 2 points with distinct x"):
+            data_io.lanes_from_dict(data)
 
     def test_points_that_are_not_n_by_3_are_refused(self, tmp_path):
         lanes = [Lane3D(points=np.array([[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]]), id=1)]
@@ -794,16 +812,25 @@ class TestOpenLaneFrameBoundary:
             (minimal_frame(extrinsic=[[1.0, 0.0], [0.0]]), "extrinsic"),
             (minimal_frame(extrinsic=[[10**400] * 4] * 4), "extrinsic"),
             (minimal_frame(lane_lines=[{"xyz": [["a", "b"], [0.0, 0.1], [0.0, 0.0]]}]), "lane_lines[0].xyz"),
-            (minimal_frame(lane_lines=[{"xyz": [[1.0, 1.0], [0.0, 0.1], [0.0, 0.0]]}]), "lane_lines[0]"),
-            (minimal_frame(lane_lines=[{"xyz": [[], [], []]}]), "lane_lines[0]"),
             (minimal_frame(image_size=5), "image_size"),
             (minimal_frame(image_size=[1024.5, 576]), "image_size"),
-            (minimal_frame(intrinsic=np.diag([-1000.0, 1000.0, 1.0]).tolist()), "intrinsic"),
-            (minimal_frame(extrinsic=np.diag([1.0, 1.0, -1.0, 1.0]).tolist()), "extrinsic"),
         ],
     )
     def test_bad_value_raises_missing_field_naming_it(self, frame, named):
         with pytest.raises(MissingField, match=re.escape(named)):
+            data_io.parse_openlane_frame(json.dumps(frame))
+
+    @pytest.mark.parametrize(
+        "frame, named",
+        [
+            (minimal_frame(lane_lines=[{"xyz": [[1.0, 1.0], [0.0, 0.1], [0.0, 0.0]]}]), "Lane3D.points: lane 1 "),
+            (minimal_frame(lane_lines=[{"xyz": [[], [], []]}]), "Lane3D.points: lane 1 "),
+            (minimal_frame(intrinsic=np.diag([-1000.0, 1000.0, 1.0]).tolist()), "Intrinsics.fx: "),
+            (minimal_frame(extrinsic=np.diag([1.0, 1.0, -1.0, 1.0]).tolist()), "Extrinsics.rotation: "),
+        ],
+    )
+    def test_value_the_rig_or_lane_refuses_raises_invalid_value_naming_the_class_field(self, frame, named):
+        with pytest.raises(InvalidValue, match=f"^{re.escape(named)}"):
             data_io.parse_openlane_frame(json.dumps(frame))
 
     def test_non_finite_value_names_the_field(self):
@@ -937,7 +964,7 @@ class TestOneNumberRule:
                 lambda tmp: data_io.rig_from_dict(
                     with_leaf(data_io.rig_to_dict(canonical_rig()), ("extrinsics", "rotation", 0, 0), 1e200)
                 ),
-                MissingField,
+                InvalidValue,
             ),
         ],
         ids=["homography", "OpenLane extrinsic", "camera rotation"],

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lanebev.errors import NonFiniteInput, ShapeMismatch, TooManyInstances
+from lanebev.errors import InvalidValue, NonFiniteInput, ShapeMismatch, TooManyInstances
 from lanebev.lane_grid import GridTensors
 from lanebev.losses import (
     EmbedMargins,
@@ -397,6 +397,13 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossWeights(w_conf=-0.5)
 
+    @pytest.mark.parametrize("value", [-0.5, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["w_conf", "w_embed", "w_offset", "w_height", "w_seg2d", "w_embed2d"])
+    def test_negative_or_nan_weight_is_refused_naming_it(self, name, value):
+        # a NaN weight once passed, and total_loss skipped its term through `if w > 0`
+        with pytest.raises(InvalidValue, match=rf"^LossWeights\.{name}: must be non-negative"):
+            LossWeights(**{name: value})
+
 
 class TestInvariants:
     def test_losses_nonnegative(self, rng):
@@ -411,6 +418,15 @@ class TestInvariants:
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             EmbedMargins(delta_v=2.0, delta_d=1.0)
+
+    @pytest.mark.parametrize(
+        "margins, field",
+        [({"delta_v": 2.0, "delta_d": 1.0}, "delta_d"), ({"delta_v": 3.0}, "delta_d"), ({"delta_v": 0.0}, "delta_v"),
+         ({"delta_v": np.nan}, "delta_v"), ({"delta_d": np.nan}, "delta_d")],
+    )
+    def test_bad_margin_is_refused_naming_it(self, margins, field):
+        with pytest.raises(InvalidValue, match=rf"^EmbedMargins\.{field}: "):
+            EmbedMargins(**margins)
 
     def test_sigmoid_is_stable(self):
         assert sigmoid(np.array([-800.0]))[0] == 0.0
@@ -462,5 +478,5 @@ def test_sigmoid_of_nan_is_nan():
 
 @pytest.mark.parametrize("batches", [0, -1])
 def test_gradient_suite_refuses_no_batches(batches):
-    with pytest.raises(ValueError, match="batches"):
+    with pytest.raises(InvalidValue, match=r"^run_gradient_suite\.batches: must be at least 1"):
         run_gradient_suite(batches=batches)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
-from lanebev.errors import EmptyInput
+from lanebev.errors import EmptyInput, InvalidValue
 from lanebev.lane_grid import Lane3D
 from lanebev.metrics import (
     EvalConfig,
@@ -314,6 +314,16 @@ class TestEvalConfig:
             EvalConfig(near_limit=float("nan"))
         with pytest.raises(ValueError):
             EvalConfig(near_limit=float("inf"))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"sample_xs": (5.0, 3.0)}, {"sample_xs": ()}, {"match_ratio": 0.0}, {"match_ratio": np.nan},
+         {"match_threshold": -1.0}, {"match_threshold": np.nan}, {"near_limit": -np.inf}],
+    )
+    def test_refused_value_raises_invalid_value_naming_the_field(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(InvalidValue, match=rf"^EvalConfig\.{field}: "):
+            EvalConfig(**kwargs)
 
 
 def assignments(n_rows, n_cols):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanebev import data_io, postproc
-from lanebev.errors import DegenerateAbscissae, LaneBevError, NonFiniteInput, ShapeMismatch
+from lanebev.errors import DegenerateAbscissae, InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import evaluate
 from lanebev.postproc import DecodeParams, LaneInstance, _cluster_scan, decode_grid, decode_lanes, fit_lanes
@@ -540,8 +540,13 @@ class TestDecodeParams:
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(InvalidValue, match=rf"^DecodeParams\.{field}: "):
             DecodeParams(**kwargs)
+
+    def test_empty_lane_instance_names_the_cluster(self):
+        with pytest.raises(InvalidValue, match=r"^LaneInstance\.points: cluster 7 needs at least one point"):
+            LaneInstance(cluster_id=7, points=np.zeros((0, 3)))
 
 
 class TestOracleRoundtrip:

@@ -5,7 +5,7 @@ import pytest
 
 from lanebev.camera_geometry import compute_homography, project_ground_point, warp_image
 from lanebev.data_io import scene_to_dict
-from lanebev.errors import NonFiniteInput
+from lanebev.errors import InvalidValue, NonFiniteInput
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import (
     SceneParams,
@@ -101,12 +101,22 @@ class TestGenerateScene:
         ],
     )
     def test_non_finite_param_is_refused_naming_the_field(self, field, make, value):
-        with pytest.raises(NonFiniteInput, match=field):
+        with pytest.raises(NonFiniteInput, match=rf"^SceneParams\.{field}: must be finite"):
             SceneParams(**make(value))
 
     def test_reversed_curvature_range_is_refused(self):
         with pytest.raises(ValueError, match="curvature"):
             SceneParams(curvature=(0.01, -0.01))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"n_lanes": -1}, {"lane_spacing": 0.0}, {"hill_wavelength": -60.0}, {"curvature": (0.01, -0.01)},
+         {"curvature": (0.0,)}, {"camera_jitter": 2.0}],
+    )
+    def test_refused_value_raises_invalid_value_naming_the_field(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(InvalidValue, match=rf"^SceneParams\.{field}: "):
+            SceneParams(**kwargs)
 
 
 def downscaled(rig, factor):

@@ -1,6 +1,7 @@
 """The test configuration itself: a failing test is reported, not lost; the
-package writes files through one writer only; and no CLI flag re-spells a
-config file's field."""
+package writes files through one writer only; it refuses a value with its
+own error classes, not a builtin one; and no CLI flag re-spells a config
+file's field."""
 
 import ast
 import dataclasses
@@ -114,6 +115,79 @@ def test_the_write_scan_finds_each_kind_of_write():
         """
     )
     assert file_writes(source) == [f"line {n}: {kind}" for n, kind in [(3, "write_text"), (4, "write_bytes")] + [(n, "open") for n in range(5, 11)]]
+
+
+GENERIC_ERRORS = ("ValueError", "TypeError", "RuntimeError")
+# metrics._assign mirrors scipy's linear_sum_assignment, which raises
+# ValueError on a cost matrix with no finite assignment.
+GENERIC_RAISE_ALLOWED = {"metrics.py": ("_assign",)}
+
+
+def generic_raises(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
+    """Each raise in `source` of a builtin ValueError, TypeError or
+    RuntimeError, outside the functions named in `allowed`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Raise) and where not in allowed:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in GENERIC_ERRORS:
+                found.append(f"line {node.lineno}: {exc.id} in {where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
+def test_every_refused_value_raises_a_library_error(module):
+    # A refusal is a LaneBevError naming the field (InvalidValue for a value
+    # out of range), so that the CLI and callers can tell it from a bug.
+    assert generic_raises(module.read_text(), GENERIC_RAISE_ALLOWED.get(module.name, ())) == []
+
+
+def test_the_raise_scan_finds_each_generic_error():
+    source = textwrap.dedent(
+        """
+        if sys.version_info < (3, 10):
+            raise RuntimeError("too old")
+
+        def check(value):
+            if value < 0:
+                raise ValueError(f"negative: {value}")
+            if value is None:
+                raise TypeError
+            try:
+                value.run()
+            except OSError as exc:
+                raise RuntimeError("failed") from exc
+
+            def inner():
+                raise ValueError()
+
+            raise InvalidValue("check.value: out of range")
+
+        def _assign(cost):
+            raise ValueError("cost matrix is infeasible")
+
+        def reraise():
+            try:
+                pass
+            except ValueError:
+                raise
+        """
+    )
+    assert generic_raises(source, ("_assign",)) == [
+        "line 3: RuntimeError in <module>",
+        "line 7: ValueError in check",
+        "line 9: TypeError in check",
+        "line 13: RuntimeError in check",
+        "line 16: ValueError in inner",
+    ]
+    assert generic_raises(source)[-1] == "line 21: ValueError in _assign"
 
 
 def test_no_cli_flag_respells_a_config_field():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy import sparse
 
 from lanebev import view_transform
 from lanebev.camera_geometry import mean_virtual_camera
-from lanebev.errors import InsufficientRank, NonFiniteInput, ShapeMismatch
+from lanebev.errors import InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import canonical_rig, jittered_rig, render_ground_pattern
 from lanebev.view_transform import (
@@ -334,11 +335,22 @@ class TestFitVrm:
             fit_vrm_least_squares([], ridge=0.0)
 
     @pytest.mark.parametrize("ridge, error", [(np.nan, NonFiniteInput), (np.inf, NonFiniteInput), (-np.inf, NonFiniteInput),
-                                              (-1.0, ValueError), (-1e-300, ValueError)])
+                                              (-1.0, InvalidValue), (-1e-300, InvalidValue)])
     @pytest.mark.filterwarnings("error")
     def test_bad_ridge_is_refused_naming_it(self, rng, ridge, error):
         samples = [(FeatureTensor(rng.normal(size=(3, 4, 2)), scale=32), FeatureTensor(rng.normal(size=(2, 3, 2)), scale=32))]
-        with pytest.raises(error, match="ridge"):
+        with pytest.raises(error, match=r"^fit_vrm_least_squares\.ridge: "):
+            fit_vrm_least_squares(samples, ridge=ridge)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    def test_non_finite_sample_is_refused_naming_it(self, rng, side, bad, ridge):
+        samples = [
+            (FeatureTensor(rng.normal(size=(3, 4, 2))), FeatureTensor(rng.normal(size=(2, 3, 2)))) for _ in range(8)
+        ]
+        samples[5][side].data[1, 2, 0] = bad
+        with pytest.raises(NonFiniteInput, match=r"^fit_vrm_least_squares\.samples\[5\]: "):
             fit_vrm_least_squares(samples, ridge=ridge)
 
 
@@ -350,6 +362,22 @@ class TestTypes:
     def test_map_shape_validation(self):
         with pytest.raises(ShapeMismatch):
             ViewRelationMap(matrix=np.zeros((5, 12)), fv_shape=(3, 4), bev_shape=(2, 3))
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: FeatureTensor(np.zeros((3, 4))), "FeatureTensor.data"),
+            (lambda: FeatureTensor(np.zeros((3, 0, 2))), "FeatureTensor.data"),
+            (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=0), "FeatureTensor.scale"),
+            (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=-32), "FeatureTensor.scale"),
+            (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=np.nan), "FeatureTensor.scale"),
+            (lambda: PyramidSpec(scales=()), "PyramidSpec.scales"),
+            (lambda: PyramidSpec(scales=(32, 32)), "PyramidSpec.scales"),
+        ],
+    )
+    def test_refused_value_raises_invalid_value_naming_the_field(self, build, field):
+        with pytest.raises(InvalidValue, match=rf"^{re.escape(field)}: "):
+            build()
 
     def test_pyramid_spec_validation(self):
         with pytest.raises(ValueError):
