@@ -41,6 +41,7 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     SingularHomography,
+    _array_field,
 )
 
 if TYPE_CHECKING:
@@ -92,21 +93,15 @@ class Intrinsics:
 
 @dataclass(frozen=True)
 class Extrinsics:
-    """Road-to-camera rigid transform: p_cam = rotation @ p_road + translation."""
+    """Road-to-camera rigid transform: p_cam = rotation @ p_road + translation,
+    a finite (3, 3) rotation with determinant +1 and a finite (3,) translation."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
-        if r.shape != (3, 3):
-            raise InvalidValue(f"Extrinsics.rotation: must be 3x3, got {r.shape}")
-        if t.size != 3:
-            raise InvalidValue(f"Extrinsics.translation: must hold 3 numbers, got shape {t.shape}")
-        for name, v in (("rotation", r), ("translation", t)):
-            if not np.isfinite(v).all():
-                raise NonFiniteInput(f"Extrinsics.{name}: holds NaN or infinite values")
+        r = _array_field("Extrinsics.rotation", self.rotation, (3, 3))
+        t = _array_field("Extrinsics.translation", self.translation, (3,))
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or NaN, refused next
             off = np.max(np.abs(r.T @ r - np.eye(3)))
         if not off <= 1e-9:
@@ -114,7 +109,7 @@ class Extrinsics:
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise InvalidValue("Extrinsics.rotation: determinant is not +1 within 1e-9")
         object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t.reshape(3))
+        object.__setattr__(self, "translation", t)
 
     @property
     def camera_center(self) -> np.ndarray:
@@ -132,7 +127,7 @@ class CameraRig:
 
     def __post_init__(self):
         size = tuple(self.image_size) if isinstance(self.image_size, (tuple, list)) else ()
-        if len(size) != 2 or not all(isinstance(v, numbers.Integral) and v > 0 for v in size):
+        if len(size) != 2 or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0 for v in size):
             raise InvalidValue(f"CameraRig.image_size: must be two positive integers, got {self.image_size!r}")
         object.__setattr__(self, "image_size", tuple(map(int, size)))
 
@@ -144,11 +139,7 @@ class Homography:
     matrix: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidValue(f"Homography.matrix: must be 3x3, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise NonFiniteInput("Homography.matrix: holds NaN or infinite values")
+        m = _array_field("Homography.matrix", self.matrix, (3, 3))
         if abs(m[2, 2]) < 1e-12:
             raise SingularHomography("matrix[2][2] is zero; cannot normalize")
         with np.errstate(over="ignore"):  # an overflow is refused on the next line
@@ -286,16 +277,18 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
     bilinear interpolation; samples outside the source are 0.  `out_size`
     is (width, height), two non-negative integers; any other raises
-    ShapeMismatch naming `out_size`.  Accepts (H, W) or (H, W, C) arrays;
-    any other raises ShapeMismatch naming `image`.  The sampler and its row
-    rule are _homography_sample's, which synth.render_ground_pattern shares.
+    ShapeMismatch naming `warp_image.out_size`.  Accepts (H, W) or
+    (H, W, C) arrays; any other raises ShapeMismatch naming
+    `warp_image.image`.  The sampler and its row rule are
+    _homography_sample's, which synth.render_ground_pattern shares.
     """
     img = np.asarray(image, dtype=float)
-    return _homography_sample(img, h.matrix, np.linalg.inv(h.matrix), out_size)  # Homography refuses |det| < 1e-12
+    # Homography refuses |det| < 1e-12, so the inverse exists
+    return _homography_sample(img, h.matrix, np.linalg.inv(h.matrix), out_size, "warp_image")
 
 
 def _homography_sample(
-    img: np.ndarray, h: np.ndarray, hinv: np.ndarray, out_size: tuple[int, int], max_w: float | None = None
+    img: np.ndarray, h: np.ndarray, hinv: np.ndarray, out_size: tuple[int, int], owner: str, max_w: float | None = None
 ) -> np.ndarray:
     """Sample an (H, W) or (H, W, C) image at hinv @ (u, v, 1) for each pixel
     (u, v) of an out_size (width, height) grid, where the 3x3 matrix h maps
@@ -306,7 +299,8 @@ def _homography_sample(
     range or at w = 0 is non-finite and samples +0.0.  If max_w is given,
     only the points whose w lies in (0, max_w) are sampled and any other,
     NaN included, is +0.0: for a ground-plane H, w is 1 / depth, so that is
-    a depth gate.
+    a depth gate.  `owner`, the public function, prefixes the refusals of
+    _sample_rows.
 
     One row rule: only the output rows that can reach the source's non-zero
     rows [r0, r1) are cast (see _sample_rows).  A point gathers from them
@@ -343,7 +337,7 @@ def _homography_sample(
             return None
         return int(np.floor(v.min())) - 1, int(np.ceil(v.max())) + 2
 
-    return _sample_rows(img, (out_h, out_w), coords, rows)
+    return _sample_rows(img, (out_h, out_w), coords, rows, owner)
 
 
 def _bilinear_weights(sx: np.ndarray, sy: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -387,6 +381,7 @@ def _sample_rows(
     out_hw: tuple[int, int],
     coords,
     rows: Callable[[int, int], tuple[int, int] | None] | None = None,
+    owner: str = "warp_image",
 ) -> np.ndarray:
     """Bilinearly sample an (H, W) or (H, W, C) image into an (out_h, out_w)
     grid of points, one block of whole output rows at a time.
@@ -420,15 +415,15 @@ def _sample_rows(
     outside it stay +0.0.
 
     An image that is not 2-D or 3-D, or an output size that is not two
-    non-negative integers, raises ShapeMismatch naming `image` or
-    `out_size`.
+    non-negative integers, raises ShapeMismatch naming `owner.image` or
+    `owner.out_size`.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim not in (2, 3):
-        raise ShapeMismatch(f"image must be 2-D or 3-D, got shape {img.shape}")
+        raise ShapeMismatch(f"{owner}.image: must be 2-D or 3-D, got shape {img.shape}")
     out_h, out_w = out_hw
     if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in out_hw):
-        raise ShapeMismatch(f"out_size must be non-negative integers (width, height), got ({out_w!r}, {out_h!r})")
+        raise ShapeMismatch(f"{owner}.out_size: must be non-negative integers (width, height), got ({out_w!r}, {out_h!r})")
     out = np.zeros((out_h * out_w, int(np.prod(img.shape[2:]))))
     nonzero = np.flatnonzero(img.any(axis=tuple(range(1, img.ndim))))
     if nonzero.size == 0:

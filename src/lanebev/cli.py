@@ -137,7 +137,7 @@ def _stack_prediction(pred: GridTensors) -> np.ndarray:
 
 def _unstack_prediction(stack: np.ndarray) -> GridTensors:
     if stack.ndim != 3 or stack.shape[2] < 4:
-        raise ShapeMismatch(f"stacked prediction must be (s1, s2, 3+D), got {stack.shape}")
+        raise ShapeMismatch(f"decode.pred: a stacked prediction must be (s1, s2, 3+D), got {stack.shape}")
     return GridTensors(
         confidence=np.clip(stack[:, :, 0], 0.0, 1.0),
         embedding=stack[:, :, 1:-2],
@@ -174,7 +174,7 @@ def _cmd_decode(args, parser) -> int:
 
 def _load_lane_frames(pred_path: Path, gt_path: Path):
     if pred_path.is_dir() != gt_path.is_dir():
-        raise ShapeMismatch("eval --pred and --gt must both be files or both directories")
+        raise ShapeMismatch("eval.pred: --pred and --gt must both be files or both directories")
     if not pred_path.is_dir():
         return [(data_io.load_lanes(pred_path), data_io.load_lanes(gt_path))]
     frames = []

@@ -48,6 +48,7 @@ from .errors import (
     ShapeMismatch,
     TruncatedPayload,
     UnsupportedVersion,
+    _array_field,
 )
 from .lane_grid import Lane3D
 from .postproc import FittedLane
@@ -201,17 +202,25 @@ def _floats(value, name: str, shape: tuple[int | None, ...] = ()) -> np.ndarray:
         want = ", ".join("N" if n is None else str(n) for n in shape)
         raise MissingField(f"{name} must have shape ({want}), got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name} holds NaN or infinite values")
+        raise NonFiniteInput(f"{name}: holds NaN or infinite values")
     return arr
 
 
-def _json_object(value, name: str) -> dict:
+def _json_object(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
+    """`value`, a JSON object whose keys, when `keys` is given, are among
+    them; else MissingField naming `name` and the first unknown key."""
     if not isinstance(value, dict):
         raise MissingField(f"{name} must be a JSON object, got {type(value).__name__}")
+    unknown = value.keys() - keys if keys is not None else ()
+    if unknown:
+        raise MissingField(f"{name}: unknown key {min(unknown)!r}, expected one of {', '.join(keys)}")
     return value
 
 
 # --- camera / homography JSON ---
+
+_INTRINSICS = ("fx", "fy", "cx", "cy", "skew")
+
 
 def rig_to_dict(rig: CameraRig) -> dict:
     return {
@@ -234,19 +243,19 @@ def rig_from_dict(data: dict) -> CameraRig:
     """The rig of a parsed camera JSON object.
 
     Raises MissingField naming the field (such as intrinsics.fx) when it is
-    absent or unusable, NonFiniteInput on NaN or infinite values, and
-    InvalidValue naming the class field (such as Intrinsics.fx) on a value
-    the rig refuses.
+    absent, unknown or unusable, NonFiniteInput on NaN or infinite values,
+    and InvalidValue naming the class field (such as Intrinsics.fx or
+    CameraRig.image_size) on a value the rig refuses.
     """
     return _rig_at(data, "")
 
 
 def _rig_at(data, at: str) -> CameraRig:
     """rig_from_dict, naming each field after the key path `at` (such as "camera.")."""
-    data = _json_object(data, at[:-1] or "camera JSON")
-    intr = {"skew": 0.0, **_json_object(data.get("intrinsics"), at + "intrinsics")}
-    k = {key: float(_floats(intr.get(key), f"{at}intrinsics.{key}")) for key in ("fx", "fy", "cx", "cy", "skew")}
-    extr = _json_object(data.get("extrinsics"), at + "extrinsics")
+    data = _json_object(data, at[:-1] or "camera JSON", ("intrinsics", "extrinsics", "image_size"))
+    intr = {"skew": 0.0, **_json_object(data.get("intrinsics"), at + "intrinsics", _INTRINSICS)}
+    k = {key: float(_floats(intr.get(key), f"{at}intrinsics.{key}")) for key in _INTRINSICS}
+    extr = _json_object(data.get("extrinsics"), at + "extrinsics", ("rotation", "translation"))
     rotation = _floats(extr.get("rotation"), f"{at}extrinsics.rotation", (3, 3))
     translation = _floats(extr.get("translation"), f"{at}extrinsics.translation", (3,))
     size = _image_size(data.get("image_size"), at + "image_size")
@@ -264,16 +273,18 @@ def save_rig(rig: CameraRig, path: str | Path) -> None:
 def load_homography(path: str | Path) -> Homography:
     """The homography of a JSON file {"matrix": 3x3 numbers}.
 
-    Raises MissingField naming the field when it is absent or unusable, and
-    NonFiniteInput or SingularHomography on a matrix that is not one.
+    Raises MissingField naming the field when it is absent, unknown or
+    unusable, and NonFiniteInput or SingularHomography on a matrix that is
+    not one.
     """
-    data = _json_object(_read_json(path), "homography JSON")
+    data = _json_object(_read_json(path), "homography JSON", ("matrix",))
     return Homography(_floats(data.get("matrix"), "matrix", (3, 3)))
 
 
 def _image_size(value, name: str) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int and v > 0 for v in value)):
-        raise MissingField(f"{name} must be two positive integers, got {value!r}")
+    """Two JSON integers, bool refused; CameraRig checks their range."""
+    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
+        raise MissingField(f"{name} must be two JSON integers, got {value!r}")
     return tuple(value)
 
 
@@ -318,14 +329,14 @@ def from_dict(cls, data):
 
 # --- lanes JSON ---
 
-def _check_fits(lanes: list[Lane3D], fits: list[FittedLane] | None) -> None:
+def _check_fits(lanes: list[Lane3D], fits: list[FittedLane] | None, owner: str) -> None:
     if fits is not None and len(fits) != len(lanes):
-        raise ShapeMismatch(f"{len(fits)} fit(s) for {len(lanes)} lane(s)")
+        raise ShapeMismatch(f"{owner}.fits: {len(fits)} fit(s) for {len(lanes)} lane(s)")
 
 
 def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> dict:
     """The lanes JSON object; `fits`, when given, holds one fit per lane (else ShapeMismatch)."""
-    _check_fits(lanes, fits)
+    _check_fits(lanes, fits, "lanes_to_dict")
     out = []
     for i, lane in enumerate(lanes):
         entry = {"id": int(lane.id), "points": lane.points.tolist()}
@@ -343,16 +354,16 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
     """Lanes from a parsed lanes JSON object; a lane without an id takes its 1-based position.
 
     Raises MissingField naming the field (such as lanes[2].id) when the
-    layout or a value is unusable, NonFiniteInput on NaN or infinite
+    layout, a key or a value is unusable, NonFiniteInput on NaN or infinite
     points, and InvalidValue naming Lane3D.points and the lane id on a lane
     without 2 distinct x.
     """
-    _json_object(data, "lanes JSON")
+    _json_object(data, "lanes JSON", ("lanes",))
     if not isinstance(data.get("lanes"), list):
         raise MissingField(f"lanes must be a list, got {type(data.get('lanes')).__name__}")
     lanes = []
     for i, entry in enumerate(data["lanes"]):
-        entry = _json_object(entry, f"lanes[{i}]")
+        entry = _json_object(entry, f"lanes[{i}]", ("id", "points", "fit"))
         lane_id = entry.get("id", i + 1)
         if type(lane_id) is not int or not -(2**63) <= lane_id < 2**63:
             raise MissingField(f"lanes[{i}].id must be a 64-bit integer, got {lane_id!r}")
@@ -393,15 +404,12 @@ def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | N
     `fits` is None or holds one fit per lane, or when a lane's points are
     not (N, 3); NonFiniteInput, naming the lane, on NaN or infinite points
     (json.dumps would write NaN or Infinity, which load_lanes refuses).
+    The points are checked again because Lane3D.points can be reassigned.
     """
-    _check_fits(lanes, fits)
+    _check_fits(lanes, fits, "save_lanes")
     entries = []
     for i, lane in enumerate(lanes):
-        pts = lane.points
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ShapeMismatch(f"lanes[{i}].points must be (N, 3), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise NonFiniteInput(f"lanes[{i}].points holds NaN or infinite values")
+        pts = _array_field(f"save_lanes.lanes[{i}].points", lane.points, (None, 3), dtype=None)
         points = _layout([_POINT_ROW] * len(pts), 6) % tuple(pts.ravel().tolist())
         fields = [f'"id": {int(lane.id)}', '"points": ' + points]
         if fits is not None:
@@ -424,7 +432,7 @@ def scene_to_dict(scene: SceneRecord) -> dict:
 
 def scene_from_dict(data: dict) -> SceneRecord:
     """The scene of a parsed scene JSON object; raises MissingField naming the field."""
-    _json_object(data, "scene JSON")
+    _json_object(data, "scene JSON", ("camera", "lanes", "scene_tag"))
     rig = _rig_at(data.get("camera"), "camera.")
     scene_tag = data.get("scene_tag", "")
     if not isinstance(scene_tag, str):
@@ -450,14 +458,15 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     "visibility", "category"}); optional "image_size" (two positive ints).
     Points keep their full extent; clipping to the grid is the encoder's
     job.  Every bad input raises a LaneBevError naming the field; a lane
-    needs 2 points with distinct x.
+    needs 2 points with distinct x, and the image size is CameraRig's to
+    refuse.
     """
     data = _json_object(_parse_json(json_text, "frame"), "frame")
     intrinsic = _floats(data.get("intrinsic"), "intrinsic", (3, 3))
     extrinsic = _floats(data.get("extrinsic"), "extrinsic", (4, 4))
     rot_c2r = extrinsic[:3, :3]
-    # Huge entries overflow to inf or NaN here, and both checks refuse those.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Huge or subnormal entries give inf, NaN or a zero pivot here, and both checks refuse those.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = np.linalg.det(intrinsic)
         off = np.max(np.abs(rot_c2r.T @ rot_c2r - np.eye(3)))
     if not abs(det) >= 1e-12:

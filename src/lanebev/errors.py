@@ -1,8 +1,13 @@
 """Exception types shared across the library.
 
 Every domain failure raises a subclass of LaneBevError so callers (and the
-CLI) can distinguish expected error conditions from bugs.
+CLI) can distinguish expected error conditions from bugs.  One rule
+sorts them: a wrong shape is ShapeMismatch, NaN or infinity is
+NonFiniteInput and a value out of range is InvalidValue, each message
+starting with `Class.field:` or, for a function argument, `function.arg:`.
 """
+
+import numpy as np
 
 
 class LaneBevError(Exception):
@@ -40,7 +45,7 @@ class SingularHomography(LaneBevError):
 
 # --- grids / losses / transforms ---
 
-class ShapeMismatch(LaneBevError):
+class ShapeMismatch(LaneBevError, ValueError):
     """Array shapes are inconsistent with each other or with the grid."""
 
 
@@ -55,10 +60,6 @@ class TooManyInstances(LaneBevError):
 
 class InsufficientRank(LaneBevError):
     """Unregularized least-squares system is underdetermined."""
-
-
-class DegenerateAbscissae(LaneBevError):
-    """Curve fit requested on points whose x values are all identical."""
 
 
 # --- tensor file format ---
@@ -96,7 +97,7 @@ class MalformedJson(FrameParseError):
 
 
 class MissingField(FrameParseError):
-    """A required field is absent or has an unusable value."""
+    """A required field is absent, an unknown one is present, or a field has an unusable value."""
 
 
 class NonOrthonormalRotation(FrameParseError):
@@ -107,3 +108,19 @@ class NonOrthonormalRotation(FrameParseError):
 
 class ConfigError(LaneBevError):
     """A config file is not a JSON object, or has an unknown key or a value of the wrong type."""
+
+
+def _array_field(owner: str, value, shape: tuple[int | None, ...], *, finite: bool = True, dtype=float) -> np.ndarray:
+    """`value` as an array of `dtype` (None keeps its own), without a copy
+    when it already is one, checked for one array field named `owner`.
+
+    Raises ShapeMismatch unless its shape is `shape`, where None matches any
+    length, and, when `finite`, NonFiniteInput on NaN or infinity; either
+    message starts with `owner`, such as `Lane3D.points`.
+    """
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim != len(shape) or any(n is not None and n != got for got, n in zip(arr.shape, shape)):
+        raise ShapeMismatch(f"{owner}: shape {arr.shape} differs from {str(shape).replace('None', '*')}")
+    if finite and not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{owner}: holds NaN or infinite values")
+    return arr

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, NonFiniteInput, TooManyInstances
+from .errors import InvalidValue, TooManyInstances, _array_field
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,16 @@ class Lane3D:
     Points that share an x keep the first in input order.  This is the one
     same-x rule: on a decoded lane, whose points are in scan order, it
     keeps the cell of each grid row with the lowest column.  Raises
-    NonFiniteInput on a NaN or infinite coordinate.
+    ShapeMismatch unless the points are (N, 3), NonFiniteInput on a NaN or
+    infinite coordinate, and InvalidValue, naming the lane id, on fewer
+    than 2 distinct x.
     """
 
     points: np.ndarray
     id: int = 0
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise InvalidValue(f"Lane3D.points: must be (N, 3), got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise NonFiniteInput(f"Lane3D.points: lane {self.id} holds NaN or infinite values")
+        pts = _array_field("Lane3D.points", self.points, (None, 3))
         x = pts[:, 0]
         if (x[1:] > x[:-1]).all():
             pts = pts.copy()  # never alias the caller's array
@@ -107,8 +105,9 @@ class GridTensors:
 
     `instance` (int, 0 = background) is present on the encoding side;
     `embedding` (s1 x s2 x D) on the prediction side.  Either may be None.
-    Raises NonFiniteInput, naming the tensor, when confidence, offset or
-    height holds NaN or infinity; decode_grid checks the embedding.
+    Raises ShapeMismatch, naming the tensor, when the shapes disagree, and
+    NonFiniteInput when confidence, offset, height or instance holds NaN or
+    infinity; decode_grid checks the embedding of the confident cells.
     """
 
     confidence: np.ndarray
@@ -118,30 +117,18 @@ class GridTensors:
     embedding: np.ndarray | None = None
 
     def __post_init__(self):
-        conf = np.asarray(self.confidence, dtype=float)
-        off = np.asarray(self.offset, dtype=float)
-        hgt = np.asarray(self.height, dtype=float)
-        if conf.ndim != 2:
-            raise InvalidValue(f"GridTensors.confidence: must be 2-D, got {conf.shape}")
-        for name, arr in (("confidence", conf), ("offset", off), ("height", hgt)):
-            if arr.shape != conf.shape:
-                raise InvalidValue(f"GridTensors.{name}: shape {arr.shape} differs from confidence {conf.shape}")
-            if not np.isfinite(arr).all():
-                raise NonFiniteInput(f"GridTensors.{name}: holds NaN or infinite values")
+        conf = _array_field("GridTensors.confidence", self.confidence, (None, None))
+        off = _array_field("GridTensors.offset", self.offset, conf.shape)
+        hgt = _array_field("GridTensors.height", self.height, conf.shape)
         if conf.min() < 0.0 or conf.max() > 1.0:
             raise InvalidValue("GridTensors.confidence: values must lie in [0, 1]")
         if self.instance is not None:
-            inst = np.asarray(self.instance)
-            if inst.shape != conf.shape:
-                raise InvalidValue(f"GridTensors.instance: shape {inst.shape} differs from confidence {conf.shape}")
+            inst = _array_field("GridTensors.instance", self.instance, conf.shape, dtype=None)
             if np.any(np.abs(off[inst > 0]) > 0.5):
                 raise InvalidValue("GridTensors.offset: values on lane cells must lie in [-0.5, 0.5]")
             self.instance = inst.astype(int)
         if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=float)
-            if emb.ndim != 3 or emb.shape[:2] != conf.shape:
-                raise InvalidValue(f"GridTensors.embedding: must be (s1, s2, D), got {emb.shape}")
-            self.embedding = emb
+            self.embedding = _array_field("GridTensors.embedding", self.embedding, conf.shape + (None,), finite=False)
         self.confidence = conf
         self.offset = off
         self.height = hgt

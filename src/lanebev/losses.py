@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, TooManyInstances
+from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field
 from .lane_grid import GridTensors
 
 _P_CLAMP = 1e-7
@@ -40,8 +40,8 @@ _MAX_INSTANCES = 256
 class PredictionBatch:
     """Raw (pre-activation) head outputs aligned with one grid.
 
-    Raises ShapeMismatch when the shapes disagree, and NonFiniteInput,
-    naming the field, when a tensor holds NaN or infinity.
+    Raises ShapeMismatch when the shapes disagree and NonFiniteInput when a
+    tensor holds NaN or infinity, each naming `Class.field`.
     """
 
     raw_confidence: np.ndarray
@@ -50,18 +50,11 @@ class PredictionBatch:
     height: np.ndarray
 
     def __post_init__(self):
-        self.raw_confidence = np.asarray(self.raw_confidence, dtype=float)
-        self.raw_offset = np.asarray(self.raw_offset, dtype=float)
-        self.embedding = np.asarray(self.embedding, dtype=float)
-        self.height = np.asarray(self.height, dtype=float)
+        self.raw_confidence = _array_field("PredictionBatch.raw_confidence", self.raw_confidence, (None, None))
         s = self.raw_confidence.shape
-        if self.raw_confidence.ndim != 2:
-            raise ShapeMismatch(f"raw_confidence must be 2-D, got {s}")
-        if self.raw_offset.shape != s or self.height.shape != s:
-            raise ShapeMismatch("raw_offset and height must match raw_confidence")
-        if self.embedding.ndim != 3 or self.embedding.shape[:2] != s:
-            raise ShapeMismatch(f"embedding must be (s1, s2, D), got {self.embedding.shape}")
-        _require_finite(self, ("raw_confidence", "raw_offset", "embedding", "height"))
+        self.raw_offset = _array_field("PredictionBatch.raw_offset", self.raw_offset, s)
+        self.embedding = _array_field("PredictionBatch.embedding", self.embedding, s + (None,))
+        self.height = _array_field("PredictionBatch.height", self.height, s)
 
     def activate(self) -> GridTensors:
         """Apply the head activations, yielding decodable grid tensors."""
@@ -75,7 +68,7 @@ class PredictionBatch:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights of the six total-loss terms; each defaults to 1 and must be >= 0, so not NaN."""
+    """Weights of the six total-loss terms; each defaults to 1 and must lie in [0, inf), so not NaN."""
 
     w_conf: float = 1.0
     w_embed: float = 1.0
@@ -86,8 +79,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if not v >= 0:
-                raise InvalidValue(f"LossWeights.{name}: must be non-negative, got {v}")
+            if not 0 <= v < np.inf:
+                raise InvalidValue(f"LossWeights.{name}: must be non-negative and finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -109,50 +102,32 @@ class FrontViewPrediction:
     """Front-view auxiliary head output: (H, W) segmentation logits and
     (H, W, D) embeddings.
 
-    Raises ShapeMismatch when the shapes disagree, and NonFiniteInput,
-    naming the field, when a tensor holds NaN or infinity.
+    Raises ShapeMismatch when the shapes disagree and NonFiniteInput when a
+    tensor holds NaN or infinity, each naming `Class.field`.
     """
 
     raw_seg: np.ndarray
     embedding: np.ndarray
 
     def __post_init__(self):
-        self.raw_seg = np.asarray(self.raw_seg, dtype=float)
-        self.embedding = np.asarray(self.embedding, dtype=float)
-        if self.raw_seg.ndim != 2:
-            raise ShapeMismatch(f"raw_seg must be 2-D, got {self.raw_seg.shape}")
-        if self.embedding.ndim != 3 or self.embedding.shape[:2] != self.raw_seg.shape:
-            raise ShapeMismatch(f"embedding must be (H, W, D) over raw_seg {self.raw_seg.shape}, got {self.embedding.shape}")
-        _require_finite(self, ("raw_seg", "embedding"))
+        self.raw_seg = _array_field("FrontViewPrediction.raw_seg", self.raw_seg, (None, None))
+        self.embedding = _array_field("FrontViewPrediction.embedding", self.embedding, self.raw_seg.shape + (None,))
 
 
 @dataclass
 class FrontViewTruth:
     """Front-view supervision: (H, W) {0,1} lane mask and instance labels.
 
-    Raises ShapeMismatch when the shapes disagree, and NonFiniteInput,
-    naming the field, when a tensor holds NaN or infinity.
+    Raises ShapeMismatch when the shapes disagree and NonFiniteInput when a
+    tensor holds NaN or infinity, each naming `Class.field`.
     """
 
     mask: np.ndarray
     instance: np.ndarray
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=float)
-        self.instance = np.asarray(self.instance)
-        if self.mask.ndim != 2:
-            raise ShapeMismatch(f"mask must be 2-D, got {self.mask.shape}")
-        if self.instance.shape != self.mask.shape:
-            raise ShapeMismatch(f"instance {self.instance.shape} vs mask {self.mask.shape}")
-        _require_finite(self, ("mask", "instance"))
-
-
-def _require_finite(tensors, names: tuple[str, ...]):
-    """Raise NonFiniteInput naming the first of the named fields of tensors
-    that holds NaN or infinity."""
-    for name in names:
-        if not np.isfinite(getattr(tensors, name)).all():
-            raise NonFiniteInput(f"{name} holds NaN or infinite values")
+        self.mask = _array_field("FrontViewTruth.mask", self.mask, (None, None))
+        self.instance = _array_field("FrontViewTruth.instance", self.instance, self.mask.shape, dtype=None)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -164,9 +139,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1 / d, e / d).astype(float, copy=False)
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str):
+def _check_same_shape(a: np.ndarray, b: np.ndarray, owner: str):
+    """Raise ShapeMismatch naming `owner`, the argument that holds b, unless b has a's shape."""
     if a.shape != b.shape:
-        raise ShapeMismatch(f"{what}: {a.shape} vs {b.shape}")
+        raise ShapeMismatch(f"{owner}: shape {b.shape} differs from {a.shape}")
 
 
 def _object_mask(gt: GridTensors) -> np.ndarray:
@@ -180,7 +156,7 @@ def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np
     [1e-7, 1 - 1e-7]; gradient is w.r.t. raw and is 0 where the clamp is active."""
     raw = np.asarray(raw, dtype=float)
     target = np.asarray(target, dtype=float)
-    _check_same_shape(raw, target, "logits vs targets")
+    _check_same_shape(raw, target, "binary_cross_entropy.target")
     p = sigmoid(raw)
     pc = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
     value = -(target * np.log(pc) + (1.0 - target) * np.log(1.0 - pc)).sum()
@@ -190,7 +166,7 @@ def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np
 
 def conf_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Confidence BCE over all cells; gradient w.r.t. raw_confidence."""
-    _check_same_shape(pred.raw_confidence, gt.confidence, "confidence")
+    _check_same_shape(pred.raw_confidence, gt.confidence, "conf_loss.gt")
     return binary_cross_entropy(pred.raw_confidence, gt.confidence)
 
 
@@ -199,7 +175,7 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
 
     Background cells contribute nothing to value or gradient.
     """
-    _check_same_shape(pred.raw_offset, gt.offset, "offset")
+    _check_same_shape(pred.raw_offset, gt.offset, "offset_loss.gt")
     mask = _object_mask(gt)
     s = sigmoid(pred.raw_offset)
     resid = (s - 0.5) - gt.offset
@@ -210,7 +186,7 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
 
 def height_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Masked squared height error in meters; gradient w.r.t. pred.height."""
-    _check_same_shape(pred.height, gt.height, "height")
+    _check_same_shape(pred.height, gt.height, "height_loss.gt")
     mask = _object_mask(gt)
     resid = pred.height - gt.height
     value = float((mask * resid**2).sum())
@@ -267,7 +243,7 @@ def embed_loss(
     emb = np.asarray(embedding, dtype=float)
     inst = np.asarray(instance)
     if emb.ndim != 3 or emb.shape[:2] != inst.shape:
-        raise ShapeMismatch(f"embedding {emb.shape} vs instance {inst.shape}")
+        raise ShapeMismatch(f"embed_loss.instance: shape {inst.shape} differs from embedding {emb.shape}")
 
     flat = emb.reshape(-1, emb.shape[2])
     cells, member, counts, offset, dist, delta, pair = _cluster_geometry(flat, inst.reshape(-1))
@@ -313,6 +289,8 @@ def total_loss(
 ) -> float:
     """Weighted sum of the six loss terms.  Terms with weight 0 are skipped
     (so a zero-weight front-view pair may be omitted entirely)."""
+    if (weights.w_seg2d > 0 or weights.w_embed2d > 0) and (pred2d is None or gt2d is None):
+        raise ShapeMismatch(f"total_loss.{'pred2d' if pred2d is None else 'gt2d'}: the 2D terms need a front-view pair")
     total = 0.0
     if weights.w_conf > 0:
         total += weights.w_conf * conf_loss(pred3d, gt3d)[0]
@@ -322,15 +300,11 @@ def total_loss(
         total += weights.w_height * height_loss(pred3d, gt3d)[0]
     if weights.w_embed > 0:
         if gt3d.instance is None:
-            raise ShapeMismatch("embedding loss needs ground truth instances")
+            raise ShapeMismatch("total_loss.gt3d: the embedding loss needs ground truth instances")
         total += weights.w_embed * embed_loss(pred3d.embedding, gt3d.instance, margins)[0]
     if weights.w_seg2d > 0:
-        if pred2d is None or gt2d is None:
-            raise ShapeMismatch("2D segmentation loss needs a front-view pair")
         total += weights.w_seg2d * seg_loss_2d(pred2d.raw_seg, gt2d.mask)[0]
     if weights.w_embed2d > 0:
-        if pred2d is None or gt2d is None:
-            raise ShapeMismatch("2D embedding loss needs a front-view pair")
         total += weights.w_embed2d * embed_loss(pred2d.embedding, gt2d.instance, margins)[0]
     return float(total)
 

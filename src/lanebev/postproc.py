@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAbscissae, InvalidValue, NonFiniteInput, ShapeMismatch
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -66,13 +66,13 @@ class DecodeParams:
 
 @dataclass
 class LaneInstance:
-    """One decoded lane: cluster id and road-frame (x, y, z) points."""
+    """One decoded lane: cluster id and at least one finite road-frame (x, y, z) point."""
 
     cluster_id: int
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        self.points = _array_field("LaneInstance.points", self.points, (None, 3))
         if len(self.points) == 0:
             raise InvalidValue(f"LaneInstance.points: cluster {self.cluster_id} needs at least one point")
 
@@ -293,10 +293,9 @@ def decode_grid(
     the confidence gate has a NaN or infinite embedding.
     """
     if pred.embedding is None:
-        raise ShapeMismatch("decode_grid needs prediction tensors with an embedding")
-    s1, s2 = spec.shape
-    if pred.shape != (s1, s2):
-        raise ShapeMismatch(f"prediction shape {pred.shape} != grid {spec.shape}")
+        raise ShapeMismatch("decode_grid.pred: needs an embedding")
+    if pred.shape != spec.shape:
+        raise ShapeMismatch(f"decode_grid.pred: shape {pred.shape} differs from the grid's {spec.shape}")
 
     # scan order: outer columns, inner rows
     keep = np.argwhere(pred.confidence.T >= params.s_threshold)
@@ -307,7 +306,7 @@ def decode_grid(
     vals = np.ascontiguousarray(pred.embedding[rows, cols], dtype=float)
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all():
-        raise NonFiniteInput(f"embedding is NaN or infinite in {int((~finite).sum())} confident cell(s)")
+        raise NonFiniteInput(f"decode_grid.pred: embedding is NaN or infinite in {int((~finite).sum())} confident cell(s)")
     assign, counts = _cluster_scan(vals, float(params.d_gap))
 
     off = np.clip(pred.offset[rows, cols], -0.5, 0.5)
@@ -345,17 +344,10 @@ def fit_lanes(instances: list[LaneInstance], params: DecodeParams = DecodeParams
     each distinct x, sorted on x, in one joint solve.  The degree is capped
     at the number of distinct x (grid rows) - 1.  The abscissa is affinely
     mapped to [-1, 1] for conditioning; see FittedLane for the recorded
-    transform.  Raises DegenerateAbscissae when an instance spans fewer
-    than 2 distinct x.
+    transform.  An instance that spans fewer than 2 distinct x is refused by
+    Lane3D(id=cluster_id + 1), as decode_lanes names it.
     """
-    fits = []
-    for inst in instances:
-        x = inst.points[:, 0]
-        lo = float(x.min())
-        if x.max() - lo < 1e-12:
-            raise DegenerateAbscissae(f"cluster {inst.cluster_id} has all x equal to {lo}")
-        fits.append(_fit_lane(Lane3D(points=inst.points), params.fit_degree))
-    return fits
+    return [_fit_lane(Lane3D(points=inst.points, id=inst.cluster_id + 1), params.fit_degree) for inst in instances]
 
 
 def decode_lanes(

@@ -167,12 +167,12 @@ def render_ground_pattern(
     and so does every pixel when the camera centre lies on the ground plane
     (G is singular).  `out_size` is (width, height), default the rig's; a
     size that is not two non-negative integers raises ShapeMismatch naming
-    `out_size`.  A pattern that is not 2-D or 3-D raises ShapeMismatch
-    naming `pattern`.
+    `render_ground_pattern.out_size`, and a pattern that is not 2-D or 3-D
+    one naming `render_ground_pattern.pattern`.
     """
     pat = np.asarray(pattern, dtype=float)
     if pat.ndim not in (2, 3):
-        raise ShapeMismatch(f"pattern must be 2-D or 3-D, got shape {pat.shape}")
+        raise ShapeMismatch(f"render_ground_pattern.pattern: must be 2-D or 3-D, got shape {pat.shape}")
     # An empty pattern samples nothing; max() keeps its steps finite.
     dx = (spec.x_max - spec.x_min) / max(pat.shape[0], 1)
     dy = (spec.y_max - spec.y_min) / max(pat.shape[1], 1)
@@ -184,7 +184,7 @@ def render_ground_pattern(
         ginv = np.full((3, 3), np.nan)
     hinv = np.linalg.inv(to_ground) @ ginv
     size = out_size if out_size is not None else rig.image_size
-    return _homography_sample(pat, g @ to_ground, hinv, size, 1.0 / _MIN_DEPTH)
+    return _homography_sample(pat, g @ to_ground, hinv, size, "render_ground_pattern", 1.0 / _MIN_DEPTH)
 
 
 def checkerboard(

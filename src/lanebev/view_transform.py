@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
-from .errors import InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
+from .errors import InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch, _array_field
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -28,15 +28,20 @@ if TYPE_CHECKING:
 
 @dataclass
 class FeatureTensor:
-    """(H, W, C) feature map tagged with its downsample factor."""
+    """(H, W, C) feature map, every dim positive, tagged with its downsample factor.
+
+    The data may hold NaN: apply_vrm carries it to its output, and
+    fit_vrm_least_squares, where it would spoil the fit, refuses it; a
+    check here would scan every frame's feature maps once more.
+    """
 
     data: np.ndarray
     scale: int = 32
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 3 or min(self.data.shape) < 1:
-            raise InvalidValue(f"FeatureTensor.data: must be (H, W, C) with positive dims, got {self.data.shape}")
+        self.data = _array_field("FeatureTensor.data", self.data, (None, None, None), finite=False)
+        if 0 in self.data.shape:
+            raise ShapeMismatch(f"FeatureTensor.data: every dim must be positive, got shape {self.data.shape}")
         if not self.scale > 0:
             raise InvalidValue(f"FeatureTensor.scale: must be positive, got {self.scale}")
 
@@ -67,7 +72,7 @@ class ViewRelationMap:
         self.bev_shape = tuple(int(v) for v in self.bev_shape)
         expect = (self.bev_shape[0] * self.bev_shape[1], self.fv_shape[0] * self.fv_shape[1])
         if self.matrix.shape != expect:
-            raise ShapeMismatch(f"matrix shape {self.matrix.shape} != {expect} from declared shapes")
+            raise ShapeMismatch(f"ViewRelationMap.matrix: shape {self.matrix.shape} differs from (HW_bev, HW_fv) = {expect}")
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,7 @@ def build_ipm_sampling_map(
 def apply_vrm(vrm: ViewRelationMap, fv: FeatureTensor) -> FeatureTensor:
     """Apply the operator channel-by-channel: flatten, multiply, reshape."""
     if fv.hw != vrm.fv_shape:
-        raise ShapeMismatch(f"feature shape {fv.hw} != map fv_shape {vrm.fv_shape}")
+        raise ShapeMismatch(f"apply_vrm.fv: shape {fv.hw} differs from the map's fv_shape {vrm.fv_shape}")
     flat = fv.data.reshape(-1, fv.channels)  # (HW_fv, C), row-major
     bev = vrm.matrix @ flat
     return FeatureTensor(data=bev.reshape(vrm.bev_shape + (fv.channels,)), scale=fv.scale)
@@ -148,14 +153,14 @@ def apply_pyramid(
     """
     for scale in spec.scales:
         if scale not in maps or scale not in features:
-            raise ShapeMismatch(f"missing map or features for scale {scale}")
+            raise ShapeMismatch(f"apply_pyramid.{'maps' if scale not in maps else 'features'}: nothing for scale {scale}")
         if maps[scale].bev_shape != spec.bev_shape:
             raise ShapeMismatch(
-                f"map for scale {scale} outputs {maps[scale].bev_shape}, spec wants {spec.bev_shape}"
+                f"apply_pyramid.maps: scale {scale} outputs {maps[scale].bev_shape}, the spec wants {spec.bev_shape}"
             )
         if features[scale].hw != maps[scale].fv_shape:
             raise ShapeMismatch(
-                f"scale {scale}: feature shape {features[scale].hw} != map fv_shape {maps[scale].fv_shape}"
+                f"apply_pyramid.features: scale {scale} has shape {features[scale].hw}, its map wants {maps[scale].fv_shape}"
             )
     matrices = [maps[scale].matrix for scale in spec.scales]
     planes = [features[scale].data for scale in spec.scales]
@@ -223,9 +228,9 @@ def fit_vrm_least_squares(
         if not (np.isfinite(fv.data).all() and np.isfinite(bev.data).all()):
             raise NonFiniteInput(f"fit_vrm_least_squares.samples[{i}]: holds NaN or infinite values")
         if fv.hw != fv_shape or bev.hw != bev_shape:
-            raise ShapeMismatch("all samples must share front-view and BEV shapes")
+            raise ShapeMismatch(f"fit_vrm_least_squares.samples[{i}]: front-view and BEV shapes differ from samples[0]'s")
         if fv.channels != bev.channels:
-            raise ShapeMismatch("paired tensors must have equal channel counts")
+            raise ShapeMismatch(f"fit_vrm_least_squares.samples[{i}]: front-view and BEV channel counts differ")
         xs.append(fv.data.reshape(-1, fv.channels).T)
         ys.append(bev.data.reshape(-1, bev.channels).T)
     x = np.concatenate(xs, axis=0)  # (pairs, HW_fv)

@@ -447,7 +447,7 @@ class TestBilinearSampler:
         assert out.tolist() == [1.75, 2.5, 0.0, 0.0, 4.0]
 
     def test_rejects_non_image(self):
-        with pytest.raises(ShapeMismatch, match="image must be 2-D or 3-D"):
+        with pytest.raises(ShapeMismatch, match=r"^warp_image\.image: must be 2-D or 3-D"):
             sample_points(np.zeros(4), np.zeros(2), np.zeros(2))
 
 
@@ -470,20 +470,31 @@ class TestTypes:
             (lambda: Intrinsics(fx=-1.0, fy=1.0, cx=0.0, cy=0.0), "Intrinsics.fx"),
             (lambda: Extrinsics(rotation=np.eye(3) * 1.001, translation=np.zeros(3)), "Extrinsics.rotation"),
             (lambda: Extrinsics(rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3)), "Extrinsics.rotation"),
-            (lambda: Extrinsics(rotation=np.eye(2), translation=np.zeros(3)), "Extrinsics.rotation"),
-            (lambda: Extrinsics(rotation=np.eye(3), translation=[1.0, 2.0]), "Extrinsics.translation"),
-            (lambda: Extrinsics(rotation=np.eye(3), translation=np.zeros(4)), "Extrinsics.translation"),
-            (lambda: Homography(np.eye(2)), "Homography.matrix"),
         ]
         + [
             (lambda size=size: CameraRig(canonical_rig().intrinsics, canonical_rig().extrinsics, size), "CameraRig.image_size")
             for size in [(0.5, 576), (np.nan, 576), (np.inf, 576), (1024.0, 576), (0, 10), (1024, -1), (1024,),
-                         (1024, 576, 3), "ab", 1024, None]
+                         (1024, 576, 3), "ab", 1024, None, (True, 576), (1024, False)]
         ],
     )
     def test_value_out_of_range_raises_invalid_value_naming_the_field(self, build, field):
         with pytest.raises(InvalidValue, match=f"^{re.escape(field)}: "):
             build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Extrinsics(rotation=np.eye(2), translation=np.zeros(3)), "Extrinsics.rotation: shape (2, 2) differs from"),
+            (lambda: Extrinsics(rotation=np.eye(3), translation=[1.0, 2.0]), "Extrinsics.translation: shape (2,) differs from"),
+            (lambda: Extrinsics(rotation=np.eye(3), translation=np.zeros(4)), "Extrinsics.translation: shape (4,)"),
+            (lambda: Extrinsics(rotation=np.eye(3), translation=np.zeros((3, 1))), "Extrinsics.translation: shape (3, 1)"),
+            (lambda: Homography(np.eye(2)), "Homography.matrix: shape (2, 2) differs from (3, 3)"),
+        ],
+    )
+    def test_wrong_shape_raises_shape_mismatch_naming_the_field(self, build, message):
+        with pytest.raises(ShapeMismatch) as err:
+            build()
+        assert str(err.value).startswith(message) and isinstance(err.value, ValueError)
 
     def test_rig_image_size_takes_numpy_integers(self):
         rig = canonical_rig()

@@ -499,13 +499,14 @@ class TestCameraJson:
             (("intrinsics", "fy"), -1.0, "Intrinsics.fy: "),
             (("intrinsics", "fx"), -5, "Intrinsics.fx: "),
             (("extrinsics", "rotation"), np.diag([1.0, 1.0, -1.0]).tolist(), "Extrinsics.rotation: "),
+            # the file keeps only the JSON type rule; the range is CameraRig's (once MissingField)
+            (("image_size",), [0, 576], "CameraRig.image_size: "),
+            (("image_size",), [1024, -1], "CameraRig.image_size: "),
         ],
     )
     def test_value_the_rig_refuses_raises_invalid_value_naming_the_class_field(self, leaf, value, named):
-        data = data_io.rig_to_dict(canonical_rig())
-        data[leaf[0]][leaf[1]] = value
         with pytest.raises(InvalidValue, match=f"^{re.escape(named)}"):
-            data_io.rig_from_dict(data)
+            data_io.rig_from_dict(with_leaf(data_io.rig_to_dict(canonical_rig()), leaf, value))
 
     @pytest.mark.parametrize(
         "value, error, named",
@@ -809,6 +810,8 @@ class TestOpenLaneFrameBoundary:
             (minimal_frame(lane_lines=["xyz"]), "lane_lines[0]"),
             (minimal_frame(intrinsic="K"), "intrinsic"),
             (minimal_frame(intrinsic={"fx": 1000.0}), "intrinsic"),
+            # a subnormal entry once made det warn "divide by zero" instead
+            (minimal_frame(intrinsic=[[0.0, 1.1125369292536007e-308, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), "intrinsic"),
             (minimal_frame(extrinsic=[[1.0, 0.0], [0.0]]), "extrinsic"),
             (minimal_frame(extrinsic=[[10**400] * 4] * 4), "extrinsic"),
             (minimal_frame(lane_lines=[{"xyz": [["a", "b"], [0.0, 0.1], [0.0, 0.0]]}]), "lane_lines[0].xyz"),
@@ -827,6 +830,7 @@ class TestOpenLaneFrameBoundary:
             (minimal_frame(lane_lines=[{"xyz": [[], [], []]}]), "Lane3D.points: lane 1 "),
             (minimal_frame(intrinsic=np.diag([-1000.0, 1000.0, 1.0]).tolist()), "Intrinsics.fx: "),
             (minimal_frame(extrinsic=np.diag([1.0, 1.0, -1.0, 1.0]).tolist()), "Extrinsics.rotation: "),
+            (minimal_frame(image_size=[0, 576]), "CameraRig.image_size: "),
         ],
     )
     def test_value_the_rig_or_lane_refuses_raises_invalid_value_naming_the_class_field(self, frame, named):
@@ -930,6 +934,53 @@ NUMBER_BOUNDARIES = [
 ]
 
 NOT_NUMBERS = ["1000", True, False, None, {}, [1000.0, 1000.0]]
+
+
+def from_file(load):
+    return lambda value, tmp: load_json_file(load, value, tmp)
+
+
+def from_dict(load):
+    return lambda value, tmp: load(value)
+
+
+_RIG = data_io.rig_to_dict(canonical_rig())
+_SCENE = data_io.scene_to_dict(generate_scene(SceneParams(n_lanes=2, seed=8)))
+_LANES = {"lanes": _SCENE["lanes"]}
+
+# Each JSON object with a fixed key set: (name, load(value), the base value,
+# the path to the object in it, the name its error gives)
+FIXED_KEY_OBJECTS = [
+    ("rig", from_file(data_io.load_rig), _RIG, (), "camera JSON"),
+    ("intrinsics", from_dict(data_io.rig_from_dict), _RIG, ("intrinsics",), "intrinsics"),
+    ("extrinsics", from_dict(data_io.rig_from_dict), _RIG, ("extrinsics",), "extrinsics"),
+    ("homography", from_file(data_io.load_homography), {"matrix": np.eye(3).tolist()}, (), "homography JSON"),
+    ("scene", from_dict(data_io.scene_from_dict), _SCENE, (), "scene JSON"),
+    ("scene camera", from_dict(data_io.scene_from_dict), _SCENE, ("camera",), "camera"),
+    ("scene intrinsics", from_dict(data_io.scene_from_dict), _SCENE, ("camera", "intrinsics"), "camera.intrinsics"),
+    ("scene lane", from_dict(data_io.scene_from_dict), _SCENE, ("lanes", 1), "lanes[1]"),
+    ("lanes", from_file(data_io.load_lanes), _LANES, (), "lanes JSON"),
+    ("lane", from_dict(data_io.lanes_from_dict), _LANES, ("lanes", 0), "lanes[0]"),
+]
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("name, load, base, path, named", FIXED_KEY_OBJECTS, ids=[o[0] for o in FIXED_KEY_OBJECTS])
+    def test_misspelled_key_is_refused_naming_it(self, name, load, base, path, named, tmp_path):
+        # a rig file with "skeww" once loaded with skew 0
+        load(base, tmp_path)
+        value = json.loads(json.dumps(base))
+        obj = value
+        for key in path:
+            obj = obj[key]
+        obj["skeww"] = 5
+        with pytest.raises(MissingField, match=rf"^{re.escape(named)}: unknown key 'skeww', expected one of "):
+            load(value, tmp_path)
+
+    def test_openlane_frame_keeps_its_other_keys(self):
+        # the OpenLane layout carries many more keys than the parser reads
+        scene = data_io.parse_openlane_frame(json.dumps(minimal_frame(pose=np.eye(4).tolist(), file_path="a.jpg")))
+        assert scene.scene_tag == "a.jpg"
 
 
 class TestOneNumberRule:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lanebev.errors import InvalidValue, NonFiniteInput, TooManyInstances
+from lanebev.errors import InvalidValue, NonFiniteInput, ShapeMismatch, TooManyInstances
 from lanebev.lane_grid import (
     GridSpec,
     GridTensors,
@@ -277,15 +277,9 @@ _Z = np.zeros((2, 2))
         (lambda: GridSpec(x_min=5.0, x_max=5.0), "GridSpec.x_max: must exceed x_min"),
         (lambda: GridSpec(y_min=1.0, y_max=-1.0), "GridSpec.y_max: must exceed y_min"),
         (lambda: GridSpec(x_min=0.0, x_max=10.3), "GridSpec.cell: must divide the x extent"),
-        (lambda: Lane3D(points=np.zeros((3, 2))), "Lane3D.points: must be (N, 3)"),
         (lambda: Lane3D(points=np.zeros((3, 3)), id=3), "Lane3D.points: lane 3 needs at least 2 points with distinct x"),
-        (lambda: GridTensors(np.zeros(4), np.zeros(4), np.zeros(4)), "GridTensors.confidence: must be 2-D"),
-        (lambda: GridTensors(_Z, np.zeros((2, 3)), _Z), "GridTensors.offset: shape (2, 3) differs"),
-        (lambda: GridTensors(_Z, _Z, np.zeros((3, 2))), "GridTensors.height: shape (3, 2) differs"),
         (lambda: GridTensors(_Z + 2.0, _Z, _Z), "GridTensors.confidence: values must lie in [0, 1]"),
-        (lambda: GridTensors(_Z, _Z, _Z, instance=np.zeros(4)), "GridTensors.instance: shape (4,) differs"),
         (lambda: GridTensors(_Z + 1.0, _Z + 0.7, _Z, instance=_Z + 1), "GridTensors.offset: values on lane cells"),
-        (lambda: GridTensors(_Z, _Z, _Z, embedding=np.zeros((2, 3, 4))), "GridTensors.embedding: must be (s1, s2, D)"),
         (lambda: encode_lanes([straight_lane(0.0, 0)]), "encode_lanes.lanes: ids must be positive"),
         (lambda: ideal_prediction(GridTensors(_Z, _Z, _Z)), "ideal_prediction.gt: needs an instance tensor"),
         (lambda: ideal_prediction(encode_lanes([]), SMALL_GRID), "ideal_prediction.gt: shape (200, 40) does not match"),
@@ -295,6 +289,23 @@ def test_refused_value_raises_invalid_value_naming_the_field(build, message):
     with pytest.raises(InvalidValue) as err:
         build()
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Lane3D(points=np.zeros((3, 2))), "Lane3D.points: shape (3, 2) differs from (*, 3)"),
+        (lambda: GridTensors(np.zeros(4), np.zeros(4), np.zeros(4)), "GridTensors.confidence: shape (4,) differs"),
+        (lambda: GridTensors(_Z, np.zeros((2, 3)), _Z), "GridTensors.offset: shape (2, 3) differs from (2, 2)"),
+        (lambda: GridTensors(_Z, _Z, np.zeros((3, 2))), "GridTensors.height: shape (3, 2) differs from (2, 2)"),
+        (lambda: GridTensors(_Z, _Z, _Z, instance=np.zeros(4)), "GridTensors.instance: shape (4,) differs from (2, 2)"),
+        (lambda: GridTensors(_Z, _Z, _Z, embedding=np.zeros((2, 3, 4))), "GridTensors.embedding: shape (2, 3, 4) differs"),
+    ],
+)
+def test_wrong_shape_raises_shape_mismatch_naming_the_field(build, message):
+    with pytest.raises(ShapeMismatch) as err:
+        build()
+    assert str(err.value).startswith(message) and isinstance(err.value, ValueError)
 
 
 class TestGridTensors:

@@ -397,10 +397,11 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossWeights(w_conf=-0.5)
 
-    @pytest.mark.parametrize("value", [-0.5, -np.inf, np.nan])
+    @pytest.mark.parametrize("value", [-0.5, -np.inf, np.nan, np.inf])
     @pytest.mark.parametrize("name", ["w_conf", "w_embed", "w_offset", "w_height", "w_seg2d", "w_embed2d"])
     def test_negative_or_nan_weight_is_refused_naming_it(self, name, value):
-        # a NaN weight once passed, and total_loss skipped its term through `if w > 0`
+        # a NaN weight once passed, and total_loss skipped its term through `if w > 0`;
+        # an infinite one once passed too, and total_loss returned inf
         with pytest.raises(InvalidValue, match=rf"^LossWeights\.{name}: must be non-negative"):
             LossWeights(**{name: value})
 

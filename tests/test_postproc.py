@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanebev import data_io, postproc
-from lanebev.errors import DegenerateAbscissae, InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
+from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import evaluate
 from lanebev.postproc import DecodeParams, LaneInstance, _cluster_scan, decode_grid, decode_lanes, fit_lanes
@@ -376,9 +376,10 @@ class TestFitLanes:
         assert len(fit.y_coeffs) == 3  # degree 2
 
     def test_identical_abscissae_raise(self):
+        # Lane3D refuses the cluster, naming it as decode_lanes's lane id
         pts = np.array([[2.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 2.0, 0.0], [2.0, 3.0, 0.0]])
-        with pytest.raises(DegenerateAbscissae):
-            fit_lanes([LaneInstance(cluster_id=0, points=pts)])
+        with pytest.raises(InvalidValue, match=r"^Lane3D\.points: lane 5 needs at least 2 points with distinct x"):
+            fit_lanes([LaneInstance(cluster_id=4, points=pts)])
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_vandermonde_is_polyvander_bit_for_bit(self, degree):

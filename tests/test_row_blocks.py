@@ -230,16 +230,16 @@ class TestRenderRowBlocks:
 
     @pytest.mark.parametrize("shape", [(5,), (), (2, 2, 2, 2)])
     def test_image_that_is_not_2d_or_3d_names_its_field(self, shape):
-        with pytest.raises(ShapeMismatch, match="pattern must be 2-D or 3-D"):
+        with pytest.raises(ShapeMismatch, match=r"^render_ground_pattern\.pattern: must be 2-D or 3-D"):
             render_ground_pattern(canonical_rig(), np.ones(shape))
-        with pytest.raises(ShapeMismatch, match="image must be 2-D or 3-D"):
+        with pytest.raises(ShapeMismatch, match=r"^warp_image\.image: must be 2-D or 3-D"):
             warp_image(np.ones(shape), Homography(), (4, 3))
 
     @pytest.mark.parametrize("out_size", [(-1, 5), (5, -1), (4.0, 3)])
     def test_bad_output_size_is_refused(self, out_size):
-        with pytest.raises(ShapeMismatch, match="out_size must be non-negative integers"):
+        with pytest.raises(ShapeMismatch, match=r"^render_ground_pattern\.out_size: must be non-negative integers"):
             render_ground_pattern(canonical_rig(), np.ones((5, 4)), GridSpec(), out_size)
-        with pytest.raises(ShapeMismatch, match="out_size must be non-negative integers"):
+        with pytest.raises(ShapeMismatch, match=r"^warp_image\.out_size: must be non-negative integers"):
             warp_image(np.ones((5, 4)), Homography(), out_size)
 
 

@@ -1,22 +1,29 @@
 """The test configuration itself: a failing test is reported, not lost; the
 package writes files through one writer only; it refuses a value with its
-own error classes, not a builtin one; and no CLI flag re-spells a config
-file's field."""
+own error classes, not a builtin one, each message naming the field; every
+array field refuses a wrong shape and NaN by one rule; and no CLI flag
+re-spells a config file's field."""
 
 import ast
 import dataclasses
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lanebev.camera_geometry import Extrinsics, Homography
 from lanebev.cli import _COMMANDS
-from lanebev.lane_grid import GridSpec
+from lanebev.errors import NonFiniteInput, ShapeMismatch
+from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
+from lanebev.losses import FrontViewPrediction, FrontViewTruth, PredictionBatch
 from lanebev.metrics import EvalConfig
-from lanebev.postproc import DecodeParams
+from lanebev.postproc import DecodeParams, LaneInstance
 from lanebev.synth import SceneParams
+from lanebev.view_transform import FeatureTensor, ViewRelationMap
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -188,6 +195,108 @@ def test_the_raise_scan_finds_each_generic_error():
         "line 16: ValueError in inner",
     ]
     assert generic_raises(source)[-1] == "line 21: ValueError in _assign"
+
+
+PREFIXED_ERRORS = ("ShapeMismatch", "NonFiniteInput", "InvalidValue")
+# `Class.field: ` or `function.arg: `, perhaps indexed or nested, or a
+# prefix held in a variable (a file path, a field's owner); {} stands for
+# each replacement field of an f-string
+_SEGMENT = r"(\.(\w|\{\})+|\[[^\]]*\])"
+MESSAGE_PREFIX = re.compile(rf"^(\{{\}}{_SEGMENT}*|[A-Za-z_]\w*{_SEGMENT}+): ")
+
+
+def unprefixed_messages(source: str) -> list[str]:
+    """Each raise in `source` of ShapeMismatch, NonFiniteInput or
+    InvalidValue whose literal message does not start with a field prefix."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) in PREFIXED_ERRORS and call.args):
+            continue
+        message = call.args[0]
+        if isinstance(message, ast.JoinedStr):
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in message.values)
+        elif isinstance(message, ast.Constant) and isinstance(message.value, str):
+            text = message.value
+        else:
+            continue
+        if not MESSAGE_PREFIX.match(text):
+            found.append(f"line {node.lineno}: {text}")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
+def test_every_refusal_message_starts_with_its_field(module):
+    assert unprefixed_messages(module.read_text()) == []
+
+
+def test_the_message_scan_finds_each_bare_message():
+    source = textwrap.dedent(
+        """
+        def check(value, name, path, owner, i, message):
+            raise ShapeMismatch("raw_confidence must be 2-D")
+            raise NonFiniteInput(f"{name} holds NaN or infinite values")
+            raise InvalidValue(f"must be positive, got {value}")
+            raise InvalidValue("mask: must be 2-D")
+            raise ShapeMismatch(f"lanes[{i}].points must be (N, 3)")
+            raise InvalidValue("Lane3D.points: needs 2 points")
+            raise ShapeMismatch(f"{path}: rank must be 1..4")
+            raise NonFiniteInput(f"fit_vrm_least_squares.samples[{i}]: holds NaN")
+            raise InvalidValue(f"GridSpec.{name}_max: must exceed {name}_min")
+            raise ShapeMismatch(f"{owner}.image: must be 2-D or 3-D")
+            raise ShapeMismatch(f"save_lanes.lanes[{i}].points: shape differs")
+            raise NonFiniteInput(message)
+            raise MissingField("layout problems are not scanned")
+        """
+    )
+    assert unprefixed_messages(source) == [
+        "line 3: raw_confidence must be 2-D",
+        "line 4: {} holds NaN or infinite values",
+        "line 5: must be positive, got {}",
+        "line 6: mask: must be 2-D",
+        "line 7: lanes[{}].points must be (N, 3)",
+    ]
+
+
+_Z2, _Z3 = np.zeros((2, 3)), np.zeros((2, 3, 4))
+_LINE = np.array([[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]])
+# A valid construction of every class with array fields
+VALID_ARGS = {
+    PredictionBatch: {"raw_confidence": _Z2, "raw_offset": _Z2, "embedding": _Z3, "height": _Z2},
+    FrontViewPrediction: {"raw_seg": _Z2, "embedding": _Z3},
+    FrontViewTruth: {"mask": _Z2, "instance": _Z2},
+    GridTensors: {"confidence": _Z2, "offset": _Z2, "height": _Z2, "instance": _Z2, "embedding": _Z3},
+    Lane3D: {"points": _LINE},
+    LaneInstance: {"cluster_id": 0, "points": _LINE},
+    FeatureTensor: {"data": _Z3},
+    Extrinsics: {"rotation": np.eye(3), "translation": np.zeros(3)},
+    Homography: {"matrix": np.eye(3)},
+    ViewRelationMap: {"matrix": np.zeros((4, 6)), "fv_shape": (2, 3), "bev_shape": (2, 2)},
+}
+# The fields that take NaN: decode_grid checks the embedding of the
+# confident cells only, fit_vrm_least_squares checks its features, and a
+# view map may be sparse
+TAKES_NAN = {(GridTensors, "embedding"), (FeatureTensor, "data"), (ViewRelationMap, "matrix")}
+ARRAY_FIELDS = [(cls, name) for cls, args in VALID_ARGS.items() for name, value in args.items() if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("cls, field", ARRAY_FIELDS, ids=[f"{cls.__name__}.{field}" for cls, field in ARRAY_FIELDS])
+def test_every_array_field_refuses_a_wrong_shape_and_nan_naming_it(cls, field):
+    # A wrong shape is ShapeMismatch, also a ValueError, and NaN is
+    # NonFiniteInput, each naming Class.field
+    args = VALID_ARGS[cls]
+    cls(**args)
+    named = rf"^{cls.__name__}\.{field}: "
+    with pytest.raises(ShapeMismatch, match=named) as err:
+        cls(**{**args, field: args[field][..., None]})
+    assert isinstance(err.value, ValueError)
+    nan = args[field].copy()
+    nan.flat[0] = np.nan
+    if (cls, field) in TAKES_NAN:
+        cls(**{**args, field: nan})
+        return
+    with pytest.raises(NonFiniteInput, match=named):
+        cls(**{**args, field: nan})
 
 
 def test_no_cli_flag_respells_a_config_field():

@@ -366,8 +366,6 @@ class TestTypes:
     @pytest.mark.parametrize(
         "build, field",
         [
-            (lambda: FeatureTensor(np.zeros((3, 4))), "FeatureTensor.data"),
-            (lambda: FeatureTensor(np.zeros((3, 0, 2))), "FeatureTensor.data"),
             (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=0), "FeatureTensor.scale"),
             (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=-32), "FeatureTensor.scale"),
             (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=np.nan), "FeatureTensor.scale"),
@@ -378,6 +376,11 @@ class TestTypes:
     def test_refused_value_raises_invalid_value_naming_the_field(self, build, field):
         with pytest.raises(InvalidValue, match=rf"^{re.escape(field)}: "):
             build()
+
+    @pytest.mark.parametrize("data", [np.zeros((3, 4)), np.zeros((3, 0, 2))], ids=["2-D", "empty"])
+    def test_bad_feature_shape_raises_shape_mismatch_naming_the_field(self, data):
+        with pytest.raises(ShapeMismatch, match=r"^FeatureTensor\.data: "):
+            FeatureTensor(data)
 
     def test_pyramid_spec_validation(self):
         with pytest.raises(ValueError):
