@@ -141,7 +141,7 @@ class Homography:
     def __post_init__(self):
         m = _array_field("Homography.matrix", self.matrix, (3, 3))
         if abs(m[2, 2]) < 1e-12:
-            raise SingularHomography("matrix[2][2] is zero; cannot normalize")
+            raise SingularHomography("Homography.matrix: matrix[2][2] is zero; cannot normalize")
         with np.errstate(over="ignore"):  # an overflow is refused on the next line
             m = m / m[2, 2]
         if not np.isfinite(m).all():
@@ -149,7 +149,7 @@ class Homography:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # subnormal pivots; refused next
             det = np.linalg.det(m)
         if not abs(det) >= 1e-12:
-            raise SingularHomography("homography matrix is singular")
+            raise SingularHomography("Homography.matrix: singular")
         object.__setattr__(self, "matrix", m)
 
     def inverse(self) -> "Homography":

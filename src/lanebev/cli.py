@@ -215,7 +215,7 @@ def _cmd_fit_vrm(args, parser) -> int:
     for fv_file in fv_files:
         bev_file = fv_file.with_name(fv_file.name.replace("fv_", "bev_", 1))
         if not bev_file.exists():
-            raise MissingField(f"missing BEV pair for {fv_file.name}")
+            raise MissingField(f"{bev_file}: missing, the BEV pair of {fv_file.name}")
         samples.append(
             (
                 FeatureTensor(data_io.read_tensor(fv_file).astype(float), scale=args.scale),

@@ -13,10 +13,14 @@ every CLI subcommand shares one source of truth; the config files (grid,
 decode, eval and scene parameters) are read by `from_dict`,
 whose keys and defaults are the dataclass fields.  Every JSON file is read
 by one reader (`_read_json`): UTF-8 text holding one JSON value, or
-MalformedJson naming the file.  Every file follows one number rule
-(`_json_number_type`): a number is a JSON int or float, and a string,
-boolean or null is refused.  OpenLane-style frame annotations are
-parsed into road-frame scene records; the frame's 4x4 extrinsic maps
+MalformedJson naming the file.  Every file, configs included, follows
+one object rule (`_json_object`: an object, whose unknown keys are refused
+everywhere but in an OpenLane frame) and one number rule
+(`_json_number_type`: a number is a JSON int or float, and a string,
+boolean or null is refused).  Its numbers are read by `_floats`, which
+leaves shape and finiteness to the constructors' rule: a wrong shape is
+ShapeMismatch and NaN or infinity NonFiniteInput, each naming the key
+path.  OpenLane-style frame annotations are parsed into road-frame scene records; the frame's 4x4 extrinsic maps
 camera coordinates to the road frame and lane points are stored
 camera-frame as 3xN arrays, matching the public per-frame layout.
 """
@@ -30,7 +34,6 @@ import math
 import os
 import stat
 import struct
-import sys
 from itertools import chain
 from pathlib import Path
 
@@ -39,7 +42,6 @@ import numpy as np
 from .camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, _nearest_rotation
 from .errors import (
     BadMagic,
-    ConfigError,
     ImageFormatError,
     MalformedJson,
     MissingField,
@@ -177,18 +179,20 @@ def _json_number_type(t: type) -> bool:
 
 
 def _floats(value, name: str, shape: tuple[int | None, ...] = ()) -> np.ndarray:
-    """A parsed JSON value as a finite float array of `shape` (None matches any length).
+    """A parsed JSON value as a float array, checked as the array field
+    `name` of `shape` (see errors._array_field: ShapeMismatch unless the
+    shape matches, where None matches any length, and NonFiniteInput on NaN
+    or infinity, each naming `name`).
 
     Raises MissingField naming `name` when the value is missing or null, is
-    not a rectangular nest of lists, holds a leaf that is not a JSON number
-    or has another shape; NonFiniteInput on NaN or infinite numbers.
+    not a rectangular nest of lists or holds a leaf that is not a JSON number.
     """
     if value is None:
-        raise MissingField(f"{name} is missing or null")
+        raise MissingField(f"{name}: missing or null")
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MissingField(f"{name} is not a rectangular array of numbers: {exc}") from exc
+        raise MissingField(f"{name}: not a rectangular array of numbers: {exc}") from exc
     # asarray reads "3" as 3.0, true as 1.0 and null as NaN, and a float
     # array does not tell a bool from a number; so check the leaves' types,
     # one C-level pass over the value nested arr.ndim deep.
@@ -197,20 +201,15 @@ def _floats(value, name: str, shape: tuple[int | None, ...] = ()) -> np.ndarray:
         leaves = chain.from_iterable(leaves)
     bad = [t.__name__ for t in set(map(type, leaves)) if not _json_number_type(t)]
     if bad:
-        raise MissingField(f"{name} must hold only JSON numbers, got {', '.join(sorted(bad))}")
-    if len(arr.shape) != len(shape) or any(n not in (None, got) for got, n in zip(arr.shape, shape)):
-        want = ", ".join("N" if n is None else str(n) for n in shape)
-        raise MissingField(f"{name} must have shape ({want}), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput(f"{name}: holds NaN or infinite values")
-    return arr
+        raise MissingField(f"{name}: must hold only JSON numbers, got {', '.join(sorted(bad))}")
+    return _array_field(name, arr, shape)
 
 
 def _json_object(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
     """`value`, a JSON object whose keys, when `keys` is given, are among
     them; else MissingField naming `name` and the first unknown key."""
     if not isinstance(value, dict):
-        raise MissingField(f"{name} must be a JSON object, got {type(value).__name__}")
+        raise MissingField(f"{name}: must be a JSON object, got {type(value).__name__}")
     unknown = value.keys() - keys if keys is not None else ()
     if unknown:
         raise MissingField(f"{name}: unknown key {min(unknown)!r}, expected one of {', '.join(keys)}")
@@ -243,9 +242,10 @@ def rig_from_dict(data: dict) -> CameraRig:
     """The rig of a parsed camera JSON object.
 
     Raises MissingField naming the field (such as intrinsics.fx) when it is
-    absent, unknown or unusable, NonFiniteInput on NaN or infinite values,
-    and InvalidValue naming the class field (such as Intrinsics.fx or
-    CameraRig.image_size) on a value the rig refuses.
+    absent, unknown or unusable, ShapeMismatch on a wrong shape,
+    NonFiniteInput on NaN or infinite values, and InvalidValue naming the
+    class field (such as Intrinsics.fx or CameraRig.image_size) on a value
+    the rig refuses.
     """
     return _rig_at(data, "")
 
@@ -274,8 +274,8 @@ def load_homography(path: str | Path) -> Homography:
     """The homography of a JSON file {"matrix": 3x3 numbers}.
 
     Raises MissingField naming the field when it is absent, unknown or
-    unusable, and NonFiniteInput or SingularHomography on a matrix that is
-    not one.
+    unusable, ShapeMismatch on a wrong shape, and NonFiniteInput or
+    SingularHomography on a matrix that is not one.
     """
     data = _json_object(_read_json(path), "homography JSON", ("matrix",))
     return Homography(_floats(data.get("matrix"), "matrix", (3, 3)))
@@ -284,46 +284,35 @@ def load_homography(path: str | Path) -> Homography:
 def _image_size(value, name: str) -> tuple[int, int]:
     """Two JSON integers, bool refused; CameraRig checks their range."""
     if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
-        raise MissingField(f"{name} must be two JSON integers, got {value!r}")
+        raise MissingField(f"{name}: must be two JSON integers, got {value!r}")
     return tuple(value)
 
 
 # --- config dataclasses (GridSpec, DecodeParams, EvalConfig, SceneParams) ---
 
-def _finite_number(value) -> bool:
-    """True for a JSON number (see _json_number_type) within the float range; NaN and inf fail."""
-    return _json_number_type(type(value)) and abs(value) <= sys.float_info.max
-
-
 def from_dict(cls, data):
-    """Build the config dataclass `cls` from a parsed JSON object, strictly.
+    """Build the config dataclass `cls` from a parsed JSON object, strictly,
+    by the rules of every other file lanebev reads.
 
-    The keys are the field names of `cls`; a missing key takes the field's
-    default.  Where the default is a float the value must be a finite int
-    or float, and where it is an int, an int within the float range (bool
-    is refused for both); where it is a tuple, a list (or tuple) of finite
-    numbers, which becomes a tuple.  Other values pass through.  Raises
-    ConfigError naming the class and the key; a value the class's own
-    checks refuse raises their InvalidValue, naming `Class.key`.
+    The keys are the field names of `cls`, and an unknown one is refused
+    (see _json_object); a missing key takes the field's default.  Each value
+    is read by _floats, named `Class.key`: a number where the default is
+    one, and where it is a tuple a flat list (or tuple) of numbers, which
+    becomes a tuple.  Where the default is an int the value must also be a
+    JSON integer.  Raises MissingField on a layout or type problem,
+    ShapeMismatch on a wrong shape and NonFiniteInput on NaN or infinity;
+    a value the class's own checks refuse raises their error, naming
+    `Class.key`.
     """
     name = cls.__name__
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name}: expected a JSON object, got {type(data).__name__}")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
-    for key, value in data.items():
-        if key not in defaults:
-            raise ConfigError(f"{name}: unknown key {key!r}")
+    for key, value in _json_object(data, name, tuple(defaults)).items():
         default = defaults[key]
-        if isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)) or not all(map(_finite_number, value)):
-                raise ConfigError(f"{name}.{key}: expected a list of finite numbers, got {value!r}")
-            value = tuple(value)
-        elif _finite_number(default) and not _finite_number(value):
-            raise ConfigError(f"{name}.{key}: expected a finite number, got {value!r}")
-        elif type(default) is int and isinstance(value, float):
-            raise ConfigError(f"{name}.{key}: expected an integer, got {value!r}")
-        kwargs[key] = value
+        _floats(value, f"{name}.{key}", (None,) if isinstance(default, tuple) else ())
+        if type(default) is int and type(value) is not int:
+            raise MissingField(f"{name}.{key}: must be a JSON integer, got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     return cls(**kwargs)
 
 
@@ -354,19 +343,19 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
     """Lanes from a parsed lanes JSON object; a lane without an id takes its 1-based position.
 
     Raises MissingField naming the field (such as lanes[2].id) when the
-    layout, a key or a value is unusable, NonFiniteInput on NaN or infinite
-    points, and InvalidValue naming Lane3D.points and the lane id on a lane
-    without 2 distinct x.
+    layout, a key or a value is unusable, ShapeMismatch on points that are
+    not (N, 3), NonFiniteInput on NaN or infinite points, and InvalidValue
+    naming Lane3D.points and the lane id on a lane without 2 distinct x.
     """
     _json_object(data, "lanes JSON", ("lanes",))
     if not isinstance(data.get("lanes"), list):
-        raise MissingField(f"lanes must be a list, got {type(data.get('lanes')).__name__}")
+        raise MissingField(f"lanes: must be a list, got {type(data.get('lanes')).__name__}")
     lanes = []
     for i, entry in enumerate(data["lanes"]):
         entry = _json_object(entry, f"lanes[{i}]", ("id", "points", "fit"))
         lane_id = entry.get("id", i + 1)
         if type(lane_id) is not int or not -(2**63) <= lane_id < 2**63:
-            raise MissingField(f"lanes[{i}].id must be a 64-bit integer, got {lane_id!r}")
+            raise MissingField(f"lanes[{i}].id: must be a 64-bit integer, got {lane_id!r}")
         points = _floats(entry.get("points"), f"lanes[{i}].points", (None, 3))
         lanes.append(Lane3D(points=points, id=lane_id))
     return lanes
@@ -431,12 +420,12 @@ def scene_to_dict(scene: SceneRecord) -> dict:
 
 
 def scene_from_dict(data: dict) -> SceneRecord:
-    """The scene of a parsed scene JSON object; raises MissingField naming the field."""
+    """The scene of a parsed scene JSON object; raises as rig_from_dict and lanes_from_dict do."""
     _json_object(data, "scene JSON", ("camera", "lanes", "scene_tag"))
     rig = _rig_at(data.get("camera"), "camera.")
     scene_tag = data.get("scene_tag", "")
     if not isinstance(scene_tag, str):
-        raise MissingField(f"scene_tag must be a string, got {type(scene_tag).__name__}")
+        raise MissingField(f"scene_tag: must be a string, got {type(scene_tag).__name__}")
     return SceneRecord(rig=rig, lanes=lanes_from_dict({"lanes": data.get("lanes")}), scene_tag=scene_tag)
 
 
@@ -470,13 +459,13 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
         det = np.linalg.det(intrinsic)
         off = np.max(np.abs(rot_c2r.T @ rot_c2r - np.eye(3)))
     if not abs(det) >= 1e-12:
-        raise MissingField("intrinsic matrix is not invertible")
+        raise MissingField("intrinsic: matrix is not invertible")
     if not off <= 1e-6:
-        raise NonOrthonormalRotation("extrinsic rotation fails orthonormality within 1e-6")
+        raise NonOrthonormalRotation("extrinsic: rotation fails orthonormality within 1e-6")
     size = _image_size(data.get("image_size", [1024, 576]), "image_size")
     lane_lines = data.get("lane_lines")
     if not isinstance(lane_lines, list):
-        raise MissingField(f"lane_lines must be a list, got {type(lane_lines).__name__}")
+        raise MissingField(f"lane_lines: must be a list, got {type(lane_lines).__name__}")
 
     # road->camera rig from the camera->road extrinsic.  A rotation written
     # to 7 digits is orthonormal only to about 1e-7, so the rig takes the

@@ -2,9 +2,11 @@
 
 Every domain failure raises a subclass of LaneBevError so callers (and the
 CLI) can distinguish expected error conditions from bugs.  One rule
-sorts them: a wrong shape is ShapeMismatch, NaN or infinity is
-NonFiniteInput and a value out of range is InvalidValue, each message
-starting with `Class.field:` or, for a function argument, `function.arg:`.
+sorts them, in constructors and files alike: a wrong shape is
+ShapeMismatch, NaN or infinity is NonFiniteInput and a value out of range
+is InvalidValue, each message starting with `Class.field:`, for a
+function argument `function.arg:`, or for a file's value its key path;
+a file's layout or type problem is MissingField.
 """
 
 import numpy as np
@@ -97,17 +99,15 @@ class MalformedJson(FrameParseError):
 
 
 class MissingField(FrameParseError):
-    """A required field is absent, an unknown one is present, or a field has an unusable value."""
+    """A JSON file's layout or type problem: a required field is absent or
+    null, an unknown one is present, or a value is not the JSON type its
+    field takes (a string or boolean for a number, a ragged list).  The one
+    class for it in every file, configs included; the message starts with
+    the key path, such as `lanes[2].id:` or `GridSpec.cell:`."""
 
 
 class NonOrthonormalRotation(FrameParseError):
     """Frame extrinsic rotation fails the orthonormality check."""
-
-
-# --- configuration files ---
-
-class ConfigError(LaneBevError):
-    """A config file is not a JSON object, or has an unknown key or a value of the wrong type."""
 
 
 def _array_field(owner: str, value, shape: tuple[int | None, ...], *, finite: bool = True, dtype=float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, TooManyInstances, _array_field
+from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,14 @@ def ideal_prediction(
     Confidence, offset and height are copied.  Each lane instance gets a
     vertex of a regular simplex as its embedding, scaled so inter-class
     distance equals 2 * delta_d; background cells get the zero vector.
-    Raises TooManyInstances when the instances exceed the simplex capacity
-    embed_dim + 1.
+    Raises ShapeMismatch when `gt` has no instance tensor or another shape
+    than the grid, and TooManyInstances when the instances exceed the
+    simplex capacity embed_dim + 1.
     """
     if gt.instance is None:
-        raise InvalidValue("ideal_prediction.gt: needs an instance tensor")
+        raise ShapeMismatch("ideal_prediction.gt: needs an instance tensor")
     if gt.shape != spec.shape:
-        raise InvalidValue(f"ideal_prediction.gt: shape {gt.shape} does not match grid {spec.shape}")
+        raise ShapeMismatch(f"ideal_prediction.gt: shape {gt.shape} differs from the grid's {spec.shape}")
     lane = gt.instance > 0
     ids, which = np.unique(gt.instance[lane], return_inverse=True)
     verts = simplex_vertices(len(ids), embed_dim) * (2.0 * delta_d)

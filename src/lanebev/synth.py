@@ -44,8 +44,9 @@ class SceneParams:
             raise InvalidValue(f"SceneParams.n_lanes: must be >= 0, got {self.n_lanes}")
         pairs = ("curvature", "camera_jitter")
         for name in pairs:
-            if np.shape(getattr(self, name)) != (2,):
-                raise InvalidValue(f"SceneParams.{name}: must be a pair, got {getattr(self, name)!r}")
+            shape = np.shape(getattr(self, name))
+            if shape != (2,):
+                raise ShapeMismatch(f"SceneParams.{name}: shape {shape} differs from (2,)")
         for name in ("lane_spacing", "hill_amplitude", "hill_wavelength", *pairs):
             value = getattr(self, name)
             if not all(map(math.isfinite, value if name in pairs else (value,))):

@@ -117,29 +117,29 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, flag, config, error, named",
         [
-            ("decode", "--params", {"dgap": 0.1}, "ConfigError", "dgap"),
-            ("pipeline", "--spec", {"cel": 1.0}, "ConfigError", "cel"),
-            ("eval", "--config", {"match_treshold": 0.1}, "ConfigError", "match_treshold"),
-            ("synth", "--params", {"nlanes": 6}, "ConfigError", "nlanes"),
-            ("decode", "--params", {"min_points": "4"}, "ConfigError", "min_points"),
-            ("decode", "--params", {"d_gap": None}, "ConfigError", "d_gap"),
-            ("pipeline", "--spec", {"cell": "0.5"}, "ConfigError", "cell"),
-            ("eval", "--config", {"sample_xs": 5}, "ConfigError", "sample_xs"),
-            ("synth", "--params", {"curvature": 0.001}, "ConfigError", "curvature"),
-            ("synth", "--params", [1, 2], "ConfigError", "SceneParams"),
-            ("synth", "--params", {"n_lanes": 2.5}, "ConfigError", "n_lanes"),
-            ("synth", "--params", {"seed": 1.5}, "ConfigError", "seed"),
-            ("decode", "--params", {"fit_degree": 2.5}, "ConfigError", "fit_degree"),
+            ("decode", "--params", {"dgap": 0.1}, "MissingField", "dgap"),
+            ("pipeline", "--spec", {"cel": 1.0}, "MissingField", "cel"),
+            ("eval", "--config", {"match_treshold": 0.1}, "MissingField", "match_treshold"),
+            ("synth", "--params", {"nlanes": 6}, "MissingField", "nlanes"),
+            ("decode", "--params", {"min_points": "4"}, "MissingField", "min_points"),
+            ("decode", "--params", {"d_gap": None}, "MissingField", "d_gap"),
+            ("pipeline", "--spec", {"cell": "0.5"}, "MissingField", "cell"),
+            ("eval", "--config", {"sample_xs": 5}, "ShapeMismatch", "sample_xs"),
+            ("synth", "--params", {"curvature": 0.001}, "ShapeMismatch", "curvature"),
+            ("synth", "--params", [1, 2], "MissingField", "SceneParams"),
+            ("synth", "--params", {"n_lanes": 2.5}, "MissingField", "n_lanes"),
+            ("synth", "--params", {"seed": 1.5}, "MissingField", "seed"),
+            ("decode", "--params", {"fit_degree": 2.5}, "MissingField", "fit_degree"),
             ("decode", "--params", {"d_gap": -1}, "InvalidValue", "DecodeParams.d_gap: "),
             ("decode", "--spec", {"cell": -1}, "InvalidValue", "GridSpec.cell: "),
             ("synth", "--params", {"n_lanes": -1}, "InvalidValue", "SceneParams.n_lanes: "),
             ("eval", "--config", {"match_ratio": 2}, "InvalidValue", "EvalConfig.match_ratio: "),
-            ("synth", "--params", {"curvature": [1, 2, 3]}, "InvalidValue", "SceneParams.curvature: "),
+            ("synth", "--params", {"curvature": [1, 2, 3]}, "ShapeMismatch", "SceneParams.curvature: "),
             ("synth", "--params", {"curvature": [0.01, -0.01]}, "InvalidValue", "SceneParams.curvature: "),
             ("pipeline", "--params", {"curvature": [0.01, -0.01]}, "InvalidValue", "SceneParams.curvature: "),
-            ("pipeline", "--params", {"curvature": [float("nan"), 0.001]}, "ConfigError", "SceneParams.curvature"),
-            ("pipeline", "--params", {"n_lanes": 4.5}, "ConfigError", "n_lanes"),
-            ("pipeline", "--params", {"hill": 1.0}, "ConfigError", "hill"),
+            ("pipeline", "--params", {"curvature": [float("nan"), 0.001]}, "NonFiniteInput", "SceneParams.curvature: "),
+            ("pipeline", "--params", {"n_lanes": 4.5}, "MissingField", "n_lanes"),
+            ("pipeline", "--params", {"hill": 1.0}, "MissingField", "hill"),
         ],
     )
     def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, error, named):
@@ -163,18 +163,18 @@ class TestUsageErrors:
         assert named in payload["message"]
 
     @pytest.mark.parametrize(
-        "command, bad, named",
+        "command, bad, error, named",
         [
-            ("eval", [1], "lanes JSON"),
-            ("eval", {"lanes": 5}, "lanes"),
-            ("eval", {"lanes": [{"id": None, "points": [[3.0, 0.0, 0.0], [9.0, 0.0, 0.0]]}]}, "lanes[0].id"),
-            ("eval", {"lanes": [{"id": 1.5, "points": [[3.0, 0.0, 0.0], [9.0, 0.0, 0.0]]}]}, "lanes[0].id"),
-            ("eval", {"lanes": [{"id": 1, "points": [[3.0, 0.0], [9.0, 0.0]]}]}, "lanes[0].points"),
-            ("encode", [], "scene JSON"),
-            ("encode", {"camera": {}, "lanes": []}, "camera"),
+            ("eval", [1], "MissingField", "lanes JSON"),
+            ("eval", {"lanes": 5}, "MissingField", "lanes"),
+            ("eval", {"lanes": [{"id": None, "points": [[3.0, 0.0, 0.0], [9.0, 0.0, 0.0]]}]}, "MissingField", "lanes[0].id"),
+            ("eval", {"lanes": [{"id": 1.5, "points": [[3.0, 0.0, 0.0], [9.0, 0.0, 0.0]]}]}, "MissingField", "lanes[0].id"),
+            ("eval", {"lanes": [{"id": 1, "points": [[3.0, 0.0], [9.0, 0.0]]}]}, "ShapeMismatch", "lanes[0].points"),
+            ("encode", [], "MissingField", "scene JSON"),
+            ("encode", {"camera": {}, "lanes": []}, "MissingField", "camera"),
         ],
     )
-    def test_bad_lanes_or_scene_exits_1_naming_the_field(self, capsys, tmp_path, command, bad, named):
+    def test_bad_lanes_or_scene_exits_1_naming_the_field(self, capsys, tmp_path, command, bad, error, named):
         bad_path, gt = tmp_path / "bad.json", tmp_path / "gt.json"
         bad_path.write_text(json.dumps(bad))
         data_io.save_lanes(generate_scene(SceneParams(n_lanes=2, seed=1)).lanes, gt)
@@ -186,7 +186,7 @@ class TestUsageErrors:
         assert code == 1
         assert out == "" and len(err.splitlines()) == 1
         payload = json.loads(err)
-        assert payload["error"] == "MissingField"
+        assert payload["error"] == error
         assert named in payload["message"]
 
     @pytest.mark.parametrize(

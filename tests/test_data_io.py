@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanebev import cli, data_io
+from lanebev.camera_geometry import Extrinsics
 from lanebev.errors import (
     BadMagic,
-    ConfigError,
     ImageFormatError,
     InvalidValue,
     LaneBevError,
@@ -389,36 +389,39 @@ class TestConfigFromDict:
         assert data_io.from_dict(SceneParams, {"curvature": [-1e-4, 1e-4]}).curvature == (-1e-4, 1e-4)
 
     @pytest.mark.parametrize(
-        "cls, data, key",
+        "cls, data, error, named",
         [
-            (DecodeParams, {"dgap": 0.1}, "dgap"),
-            (GridSpec, {"cel": 1.0}, "cel"),
-            (EvalConfig, {"match_treshold": 0.1}, "match_treshold"),
-            (SceneParams, {"nlanes": 6}, "nlanes"),
-            (DecodeParams, {"min_points": "4"}, "min_points"),
-            (DecodeParams, {"d_gap": None}, "d_gap"),
-            (DecodeParams, {"d_gap": float("nan")}, "d_gap"),
-            (GridSpec, {"cell": "0.5"}, "cell"),
-            (GridSpec, {"x_max": float("inf")}, "x_max"),
-            (EvalConfig, {"sample_xs": 5}, "sample_xs"),
-            (EvalConfig, {"sample_xs": [3.0, None]}, "sample_xs"),
-            (SceneParams, {"curvature": 0.001}, "curvature"),
-            (SceneParams, {"seed": True}, "seed"),
-            (SceneParams, {"seed": 10**400}, "seed"),
-            (SceneParams, {"n_lanes": 2.5}, "n_lanes"),
-            (DecodeParams, {"fit_degree": 2.0}, "fit_degree"),
+            (DecodeParams, {"dgap": 0.1}, MissingField, "DecodeParams: unknown key 'dgap'"),
+            (GridSpec, {"cel": 1.0}, MissingField, "GridSpec: unknown key 'cel'"),
+            (EvalConfig, {"match_treshold": 0.1}, MissingField, "EvalConfig: unknown key 'match_treshold'"),
+            (SceneParams, {"nlanes": 6}, MissingField, "SceneParams: unknown key 'nlanes'"),
+            (DecodeParams, {"min_points": "4"}, MissingField, "DecodeParams.min_points: "),
+            (DecodeParams, {"d_gap": None}, MissingField, "DecodeParams.d_gap: "),
+            (DecodeParams, {"d_gap": float("nan")}, NonFiniteInput, "DecodeParams.d_gap: "),
+            (GridSpec, {"cell": "0.5"}, MissingField, "GridSpec.cell: "),
+            (GridSpec, {"x_max": float("inf")}, NonFiniteInput, "GridSpec.x_max: "),
+            (EvalConfig, {"sample_xs": 5}, ShapeMismatch, "EvalConfig.sample_xs: "),
+            (EvalConfig, {"sample_xs": [3.0, None]}, MissingField, "EvalConfig.sample_xs: "),
+            (SceneParams, {"curvature": 0.001}, ShapeMismatch, "SceneParams.curvature: "),
+            (SceneParams, {"seed": True}, MissingField, "SceneParams.seed: "),
+            (SceneParams, {"seed": 10**400}, MissingField, "SceneParams.seed: "),
+            (SceneParams, {"n_lanes": 2.5}, MissingField, "SceneParams.n_lanes: "),
+            (DecodeParams, {"fit_degree": 2.0}, MissingField, "DecodeParams.fit_degree: "),
         ],
     )
-    def test_unknown_key_or_wrong_type_names_the_key(self, cls, data, key):
-        with pytest.raises(ConfigError, match=f"{cls.__name__}.*{key}"):
+    def test_unknown_key_or_wrong_type_names_the_key(self, cls, data, error, named):
+        # a config file follows the other files' rules: a layout or type
+        # problem is MissingField, NaN NonFiniteInput and a wrong shape
+        # ShapeMismatch
+        with pytest.raises(error, match=f"^{re.escape(named)}"):
             data_io.from_dict(cls, data)
 
     def test_top_level_must_be_an_object(self):
-        with pytest.raises(ConfigError, match="SceneParams"):
+        with pytest.raises(MissingField, match="^SceneParams: must be a JSON object"):
             data_io.from_dict(SceneParams, [1, 2])
 
     def test_dataclass_checks_still_run(self):
-        with pytest.raises(InvalidValue, match=r"^SceneParams\.camera_jitter: "):
+        with pytest.raises(ShapeMismatch, match=r"^SceneParams\.camera_jitter: "):
             data_io.from_dict(SceneParams, {"camera_jitter": [1.0]})
         with pytest.raises(InvalidValue, match=r"^DecodeParams\.s_threshold: "):
             data_io.from_dict(DecodeParams, {"s_threshold": 1.5})
@@ -469,8 +472,6 @@ class TestCameraJson:
             (("intrinsics",), [], "intrinsics"),
             (("intrinsics", "fx"), DROP, "intrinsics.fx"),
             (("intrinsics", "fx"), "wide", "intrinsics.fx"),
-            (("intrinsics", "cy"), [288.0], "intrinsics.cy"),
-            (("extrinsics", "rotation"), [[1.0, 0.0], [0.0, 1.0]], "extrinsics.rotation"),
             (("extrinsics", "rotation"), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "row"], "extrinsics.rotation"),
             (("extrinsics", "translation"), {"x": 0.0}, "extrinsics.translation"),
             (("image_size",), [1024], "image_size"),
@@ -496,6 +497,17 @@ class TestCameraJson:
     @pytest.mark.parametrize(
         "leaf, value, named",
         [
+            (("intrinsics", "cy"), [288.0], "intrinsics.cy: shape (1,) differs from ()"),
+            (("extrinsics", "rotation"), [[1.0, 0.0], [0.0, 1.0]], "extrinsics.rotation: shape (2, 2) differs from (3, 3)"),
+        ],
+    )
+    def test_wrong_shape_raises_shape_mismatch_naming_the_field(self, leaf, value, named):
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(named)}"):
+            data_io.rig_from_dict(with_leaf(data_io.rig_to_dict(canonical_rig()), leaf, value))
+
+    @pytest.mark.parametrize(
+        "leaf, value, named",
+        [
             (("intrinsics", "fy"), -1.0, "Intrinsics.fy: "),
             (("intrinsics", "fx"), -5, "Intrinsics.fx: "),
             (("extrinsics", "rotation"), np.diag([1.0, 1.0, -1.0]).tolist(), "Extrinsics.rotation: "),
@@ -515,7 +527,7 @@ class TestCameraJson:
             ({}, MissingField, "matrix"),
             ({"matrix": None}, MissingField, "matrix"),
             ({"matrix": "eye"}, MissingField, "matrix"),
-            ({"matrix": [[1.0, 0.0], [0.0, 1.0]]}, MissingField, "matrix"),
+            ({"matrix": [[1.0, 0.0], [0.0, 1.0]]}, ShapeMismatch, "^matrix: shape "),
             ({"matrix": [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]]}, NonFiniteInput, "overflows"),
             ({"matrix": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}, SingularHomography, "singular"),
         ],
@@ -756,7 +768,7 @@ class TestOpenLaneFrames:
             "extrinsic": np.eye(4).tolist(),
             "lane_lines": [{"xyz": [[1.0, 2.0], [0.0, 0.1]]}],
         }
-        with pytest.raises(MissingField):
+        with pytest.raises(ShapeMismatch, match=re.escape("lane_lines[0].xyz: shape (2, 2) differs from (3, *)")):
             data_io.parse_openlane_frame(json.dumps(frame))
 
 
@@ -987,9 +999,12 @@ class TestOneNumberRule:
     @pytest.mark.parametrize("leaf", NOT_NUMBERS, ids=["string", "true", "false", "null", "object", "ragged"])
     @pytest.mark.parametrize("boundary, load, named, number", NUMBER_BOUNDARIES, ids=[b[0] for b in NUMBER_BOUNDARIES])
     def test_non_number_leaf_is_refused_at_every_boundary(self, boundary, load, named, number, leaf, tmp_path):
-        with pytest.raises(MissingField, match=re.escape(named)):
+        # a list in place of an array's entry makes the array ragged, but in
+        # place of a lone number (intrinsics.fx, GridSpec.cell) it is a wrong shape
+        ragged = isinstance(leaf, list)
+        with pytest.raises(ShapeMismatch if ragged and named == "intrinsics.fx" else MissingField, match=re.escape(named)):
             load(leaf, tmp_path)
-        with pytest.raises(ConfigError, match="GridSpec.cell"):
+        with pytest.raises(ShapeMismatch if ragged else MissingField, match=r"^GridSpec\.cell: "):
             data_io.from_dict(GridSpec, {"cell": leaf})
 
     @pytest.mark.parametrize("boundary, load, named, number", NUMBER_BOUNDARIES, ids=[b[0] for b in NUMBER_BOUNDARIES])
@@ -1023,6 +1038,59 @@ class TestOneNumberRule:
     def test_overflow_is_refused_without_a_warning(self, load, error, tmp_path):
         with pytest.raises(error):
             load(tmp_path)
+
+
+_NAN_ROTATION = np.eye(3)
+_NAN_ROTATION[1, 2] = np.nan
+_LANE = {"id": 1, "points": [[3.0, 0.0, 0.0], [9.0, 1.0, 0.0]]}
+
+
+def config_file(value):
+    return lambda tmp: load_json_file(lambda path: cli._load_config(SceneParams, str(path)), value, tmp)
+
+
+def rig_file(path, leaf):
+    return lambda tmp: load_json_file(data_io.load_rig, with_leaf(_RIG, path, leaf), tmp)
+
+
+def lanes_file(path, leaf):
+    return lambda tmp: load_json_file(data_io.load_lanes, with_leaf({"lanes": [_LANE]}, path, leaf), tmp)
+
+
+def built(make):
+    return lambda tmp: make()
+
+
+# One class per fault, whichever file or constructor carries it
+FAULT_CLASSES = {"NaN": NonFiniteInput, "wrong shape": ShapeMismatch, "unknown key": MissingField, "true": MissingField}
+# Each fault in a config file, a rig file, a lanes file and the constructor
+# of the value each holds: (fault, carrier, load(tmp_path), message prefix)
+FAULTS = [
+    ("NaN", "config", config_file({"hill_amplitude": float("nan")}), "SceneParams.hill_amplitude: "),
+    ("NaN", "SceneParams", built(lambda: SceneParams(hill_amplitude=float("nan"))), "SceneParams.hill_amplitude: "),
+    ("NaN", "rig", rig_file(("extrinsics", "rotation", 1, 2), float("nan")), "extrinsics.rotation: "),
+    ("NaN", "Extrinsics", built(lambda: Extrinsics(rotation=_NAN_ROTATION, translation=np.zeros(3))), "Extrinsics.rotation: "),
+    ("NaN", "lanes", lanes_file(("lanes", 0, "points", 1, 1), float("nan")), "lanes[0].points: "),
+    ("NaN", "Lane3D", built(lambda: Lane3D(points=[[3.0, np.nan, 0.0], [9.0, 1.0, 0.0]])), "Lane3D.points: "),
+    ("wrong shape", "config", config_file({"curvature": [[0.0, 0.0]]}), "SceneParams.curvature: "),
+    ("wrong shape", "SceneParams", built(lambda: SceneParams(curvature=((0.0, 0.0),))), "SceneParams.curvature: "),
+    ("wrong shape", "rig", rig_file(("extrinsics", "rotation"), np.eye(2).tolist()), "extrinsics.rotation: "),
+    ("wrong shape", "Extrinsics", built(lambda: Extrinsics(rotation=np.eye(2), translation=np.zeros(3))), "Extrinsics.rotation: "),
+    ("wrong shape", "lanes", lanes_file(("lanes", 0, "points"), [[3.0, 0.0], [9.0, 1.0]]), "lanes[0].points: "),
+    ("wrong shape", "Lane3D", built(lambda: Lane3D(points=[[3.0, 0.0], [9.0, 1.0]])), "Lane3D.points: "),
+    ("unknown key", "config", config_file({"hill": 1.0}), "SceneParams: unknown key 'hill'"),
+    ("unknown key", "rig", rig_file(("intrinsics", "fxx"), 1000.0), "intrinsics: unknown key 'fxx'"),
+    ("unknown key", "lanes", lanes_file(("lanes", 0, "idd"), 2), "lanes[0]: unknown key 'idd'"),
+    ("true", "config", config_file({"hill_amplitude": True}), "SceneParams.hill_amplitude: "),
+    ("true", "rig", rig_file(("intrinsics", "fx"), True), "intrinsics.fx: "),
+    ("true", "lanes", lanes_file(("lanes", 0, "points", 1, 1), True), "lanes[0].points: "),
+]
+
+
+@pytest.mark.parametrize("fault, carrier, load, named", FAULTS, ids=[f"{f[0]}-{f[1]}" for f in FAULTS])
+def test_one_fault_raises_one_class_whatever_carries_it(fault, carrier, load, named, tmp_path):
+    with pytest.raises(FAULT_CLASSES[fault], match=f"^{re.escape(named)}"):
+        load(tmp_path)
 
 
 class TestPnm:

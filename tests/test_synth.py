@@ -5,7 +5,7 @@ import pytest
 
 from lanebev.camera_geometry import compute_homography, project_ground_point, warp_image
 from lanebev.data_io import scene_to_dict
-from lanebev.errors import InvalidValue, NonFiniteInput
+from lanebev.errors import InvalidValue, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import (
     SceneParams,
@@ -110,12 +110,17 @@ class TestGenerateScene:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n_lanes": -1}, {"lane_spacing": 0.0}, {"hill_wavelength": -60.0}, {"curvature": (0.01, -0.01)},
-         {"curvature": (0.0,)}, {"camera_jitter": 2.0}],
+        [{"n_lanes": -1}, {"lane_spacing": 0.0}, {"hill_wavelength": -60.0}, {"curvature": (0.01, -0.01)}],
     )
     def test_refused_value_raises_invalid_value_naming_the_field(self, kwargs):
         (field,) = kwargs
         with pytest.raises(InvalidValue, match=rf"^SceneParams\.{field}: "):
+            SceneParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"curvature": (0.0,)}, {"camera_jitter": 2.0}])
+    def test_pair_of_another_shape_raises_shape_mismatch_naming_the_field(self, kwargs):
+        (field,) = kwargs
+        with pytest.raises(ShapeMismatch, match=rf"^SceneParams\.{field}: shape "):
             SceneParams(**kwargs)
 
 

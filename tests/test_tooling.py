@@ -197,21 +197,27 @@ def test_the_raise_scan_finds_each_generic_error():
     assert generic_raises(source)[-1] == "line 21: ValueError in _assign"
 
 
-PREFIXED_ERRORS = ("ShapeMismatch", "NonFiniteInput", "InvalidValue")
+# A file's layout refusals name a key path, whose first key may stand alone
+# (`lanes: `, `intrinsic: `); the others name `Class.field` or `function.arg`
+KEY_PATH_ERRORS = ("MissingField", "NonOrthonormalRotation")
+PREFIXED_ERRORS = ("ShapeMismatch", "NonFiniteInput", "InvalidValue", "SingularHomography", *KEY_PATH_ERRORS)
 # `Class.field: ` or `function.arg: `, perhaps indexed or nested, or a
 # prefix held in a variable (a file path, a field's owner); {} stands for
 # each replacement field of an f-string
 _SEGMENT = r"(\.(\w|\{\})+|\[[^\]]*\])"
 MESSAGE_PREFIX = re.compile(rf"^(\{{\}}{_SEGMENT}*|[A-Za-z_]\w*{_SEGMENT}+): ")
+KEY_PATH_PREFIX = re.compile(rf"^(\{{\}}|[A-Za-z_]\w*){_SEGMENT}*: ")
 
 
 def unprefixed_messages(source: str) -> list[str]:
-    """Each raise in `source` of ShapeMismatch, NonFiniteInput or
-    InvalidValue whose literal message does not start with a field prefix."""
+    """Each raise in `source` of a class in PREFIXED_ERRORS whose literal
+    message does not start with a field prefix, or a key path for the
+    classes in KEY_PATH_ERRORS."""
     found = []
     for node in ast.walk(ast.parse(source)):
         call = node.exc if isinstance(node, ast.Raise) else None
-        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) in PREFIXED_ERRORS and call.args):
+        name = getattr(call.func, "id", None) if isinstance(call, ast.Call) else None
+        if name not in PREFIXED_ERRORS or not call.args:
             continue
         message = call.args[0]
         if isinstance(message, ast.JoinedStr):
@@ -220,7 +226,7 @@ def unprefixed_messages(source: str) -> list[str]:
             text = message.value
         else:
             continue
-        if not MESSAGE_PREFIX.match(text):
+        if not (KEY_PATH_PREFIX if name in KEY_PATH_ERRORS else MESSAGE_PREFIX).match(text):
             found.append(f"line {node.lineno}: {text}")
     return found
 
@@ -246,7 +252,16 @@ def test_the_message_scan_finds_each_bare_message():
             raise ShapeMismatch(f"{owner}.image: must be 2-D or 3-D")
             raise ShapeMismatch(f"save_lanes.lanes[{i}].points: shape differs")
             raise NonFiniteInput(message)
-            raise MissingField("layout problems are not scanned")
+            raise DegenerateDepth("depth problems are not scanned")
+            raise MissingField(f"lanes must be a list, got {value}")
+            raise NonOrthonormalRotation("extrinsic rotation fails orthonormality")
+            raise SingularHomography("homography matrix is singular")
+            raise SingularHomography("matrix: singular")
+            raise MissingField(f"lanes: must be a list, got {value}")
+            raise MissingField(f"lanes[{i}].id: must be a 64-bit integer")
+            raise NonOrthonormalRotation("extrinsic: rotation fails orthonormality")
+            raise MissingField(f"{name}: missing or null")
+            raise SingularHomography("Homography.matrix: singular")
         """
     )
     assert unprefixed_messages(source) == [
@@ -255,6 +270,10 @@ def test_the_message_scan_finds_each_bare_message():
         "line 5: must be positive, got {}",
         "line 6: mask: must be 2-D",
         "line 7: lanes[{}].points must be (N, 3)",
+        "line 16: lanes must be a list, got {}",
+        "line 17: extrinsic rotation fails orthonormality",
+        "line 18: homography matrix is singular",
+        "line 19: matrix: singular",
     ]
 
 
