@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from collections.abc import Callable
@@ -93,7 +92,7 @@ def _load_config(cls, path: str | None):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = data_io._json_text(payload)
     if out_path:
         data_io._write_file(out_path, text)
     else:
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     try:
         return command.handler(args, args.subparser)
     except (LaneBevError, OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        sys.stderr.write(data_io._json_text({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 
 

@@ -20,7 +20,10 @@ everywhere but in an OpenLane frame) and one number rule
 boolean or null is refused).  Its numbers are read by `_floats`, which
 leaves shape and finiteness to the constructors' rule: a wrong shape is
 ShapeMismatch and NaN or infinity NonFiniteInput, each naming the key
-path.  OpenLane-style frame annotations are parsed into road-frame scene records; the frame's 4x4 extrinsic maps
+path.  Every JSON text lanebev writes is one `json.dumps` line and a
+newline (`_json_text`); the reader takes any layout, so indented files
+written by earlier versions still load.  OpenLane-style frame annotations
+are parsed into road-frame scene records; the frame's 4x4 extrinsic maps
 camera coordinates to the road frame and lane points are stored
 camera-frame as 3xN arrays, matching the public per-frame layout.
 """
@@ -60,7 +63,16 @@ MAGIC = b"BLDT"
 VERSION = 1
 
 
-# --- one writer ---
+# --- one writer, one JSON text ---
+
+def _json_text(obj) -> str:
+    """`obj` as the text of every JSON file lanebev writes: one json.dumps
+    line (default separators, a finite float as its repr) and a newline.
+    Its values are built afresh from arrays and numbers, so they hold no
+    cycle; skipping the encoder's cycle check saves about a tenth of the
+    time of a lanes file, one check per point row."""
+    return json.dumps(obj, check_circular=False) + "\n"
+
 
 def _write_file(path: str | Path, *chunks) -> None:
     """Write `chunks` (str as UTF-8, or any bytes-like object) to `path`, as
@@ -267,7 +279,7 @@ def load_rig(path: str | Path) -> CameraRig:
 
 
 def save_rig(rig: CameraRig, path: str | Path) -> None:
-    _write_file(path, json.dumps(rig_to_dict(rig), indent=2) + "\n")
+    _write_file(path, _json_text(rig_to_dict(rig)))
 
 
 def load_homography(path: str | Path) -> Homography:
@@ -318,17 +330,20 @@ def from_dict(cls, data):
 
 # --- lanes JSON ---
 
-def _check_fits(lanes: list[Lane3D], fits: list[FittedLane] | None, owner: str) -> None:
-    if fits is not None and len(fits) != len(lanes):
-        raise ShapeMismatch(f"{owner}.fits: {len(fits)} fit(s) for {len(lanes)} lane(s)")
-
-
 def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> dict:
-    """The lanes JSON object; `fits`, when given, holds one fit per lane (else ShapeMismatch)."""
-    _check_fits(lanes, fits, "lanes_to_dict")
+    """The lanes JSON object, checked as load_lanes checks it.
+
+    Raises ShapeMismatch unless `fits` is None or holds one fit per lane,
+    or when a lane's points are not (N, 3), and NonFiniteInput on NaN or
+    infinite points, each naming the key path (such as lanes[1].points).
+    The points are checked again because Lane3D.points can be reassigned.
+    """
+    if fits is not None and len(fits) != len(lanes):
+        raise ShapeMismatch(f"lanes_to_dict.fits: {len(fits)} fit(s) for {len(lanes)} lane(s)")
     out = []
     for i, lane in enumerate(lanes):
-        entry = {"id": int(lane.id), "points": lane.points.tolist()}
+        points = _array_field(f"lanes[{i}].points", lane.points, (None, 3))
+        entry = {"id": int(lane.id), "points": points.tolist()}
         if fits is not None:
             entry["fit"] = {
                 "y_coeffs": fits[i].y_coeffs.tolist(),
@@ -365,48 +380,9 @@ def load_lanes(path: str | Path) -> list[Lane3D]:
     return lanes_from_dict(_read_json(path))
 
 
-def _layout(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """Encoded JSON `items` as json.dumps(..., indent=2) lays out a list (or object) `depth` spaces in."""
-    if not items:
-        return brackets
-    pad = "\n" + " " * (depth + 2)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
-
-
-def _numbers(values: list) -> list[str]:
-    """Each number as json.dumps writes it, from one call to the C encoder."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
-
-
-# One point row of the lanes file; json.dumps writes a finite float as its repr.
-_POINT_ROW = _layout(["%r"] * 3, 8)
-
-
 def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | None = None) -> None:
-    """Write the lanes JSON: byte-identical to json.dumps(lanes_to_dict(lanes, fits), indent=2) + "\n",
-    overwriting `path` in place (see _write_file).
-
-    With `indent`, json.dumps runs CPython's pure-Python encoder; here each
-    lane's points are written by one %-format of a row template, the fit
-    coefficients by the C encoder, and only the fixed schema's newlines and
-    indents in Python.  Raises ShapeMismatch, and writes nothing, unless
-    `fits` is None or holds one fit per lane, or when a lane's points are
-    not (N, 3); NonFiniteInput, naming the lane, on NaN or infinite points
-    (json.dumps would write NaN or Infinity, which load_lanes refuses).
-    The points are checked again because Lane3D.points can be reassigned.
-    """
-    _check_fits(lanes, fits, "save_lanes")
-    entries = []
-    for i, lane in enumerate(lanes):
-        pts = _array_field(f"save_lanes.lanes[{i}].points", lane.points, (None, 3), dtype=None)
-        points = _layout([_POINT_ROW] * len(pts), 6) % tuple(pts.ravel().tolist())
-        fields = [f'"id": {int(lane.id)}', '"points": ' + points]
-        if fits is not None:
-            fit = fits[i]
-            coeffs = {"y_coeffs": fit.y_coeffs.tolist(), "z_coeffs": fit.z_coeffs.tolist(), "x_range": list(fit.x_range)}
-            fields.append('"fit": ' + _layout([f'"{key}": ' + _layout(_numbers(v), 8) for key, v in coeffs.items()], 6, "{}"))
-        entries.append(_layout(fields, 4, "{}"))
-    _write_file(path, '{\n  "lanes": ' + _layout(entries, 2) + "\n}\n")
+    """Write the lanes JSON (see lanes_to_dict), overwriting `path` in place (see _write_file)."""
+    _write_file(path, _json_text(lanes_to_dict(lanes, fits)))
 
 
 # --- scene records ---
@@ -434,7 +410,7 @@ def load_scene(path: str | Path) -> SceneRecord:
 
 
 def save_scene(scene: SceneRecord, path: str | Path) -> None:
-    _write_file(path, json.dumps(scene_to_dict(scene), indent=2) + "\n")
+    _write_file(path, _json_text(scene_to_dict(scene)))
 
 
 # --- OpenLane-style frames ---
@@ -488,7 +464,7 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
 
 
 def export_openlane_frame(scene: SceneRecord, file_path: str = "") -> str:
-    """Serialize a scene in the OpenLane per-frame layout (inverse of parse)."""
+    """A scene as JSON text in the OpenLane per-frame layout (inverse of parse; see _json_text)."""
     rig = scene.rig
     rot = rig.extrinsics.rotation
     extrinsic = np.eye(4)
@@ -511,7 +487,7 @@ def export_openlane_frame(scene: SceneRecord, file_path: str = "") -> str:
         "image_size": list(rig.image_size),
         "file_path": file_path or scene.scene_tag,
     }
-    return json.dumps(frame)
+    return _json_text(frame)
 
 
 # --- PGM / PPM images ---

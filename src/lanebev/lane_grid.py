@@ -35,7 +35,11 @@ class GridSpec:
             if span <= 0:
                 raise InvalidValue(f"GridSpec.{name}_max: must exceed {name}_min, got [{lo}, {hi}]")
             n = span / self.cell
-            if not np.isfinite(n) or abs(n - round(n)) > 1e-9:
+            # From 2**23 cells up, floats near n lie over 1e-9 apart, so the
+            # divisibility test below could see no remainder
+            if not (np.isfinite(n) and 1 <= round(n) < 2**23):
+                raise InvalidValue(f"GridSpec.cell: must give 1 to 2**23 - 1 {name} cells, got {n:.6g} for {self.cell}")
+            if abs(n - round(n)) > 1e-9:
                 raise InvalidValue(f"GridSpec.cell: must divide the {name} extent {span}, got {self.cell}")
 
     @property

@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidValue
+from .errors import EmptyInput, InvalidValue, _array_field
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -42,7 +42,7 @@ class EvalConfig:
     near_limit: float = 40.0
 
     def __post_init__(self):
-        xs = tuple(float(x) for x in self.sample_xs)
+        xs = tuple(_array_field("EvalConfig.sample_xs", self.sample_xs, (None,)).tolist())
         if not xs or not all(a < b for a, b in zip(xs, xs[1:])):
             raise InvalidValue(f"EvalConfig.sample_xs: must be non-empty and strictly ascending, got {xs}")
         if not 0.0 < self.match_ratio <= 1.0:

@@ -132,6 +132,7 @@ class TestUsageErrors:
             ("decode", "--params", {"fit_degree": 2.5}, "MissingField", "fit_degree"),
             ("decode", "--params", {"d_gap": -1}, "InvalidValue", "DecodeParams.d_gap: "),
             ("decode", "--spec", {"cell": -1}, "InvalidValue", "GridSpec.cell: "),
+            ("decode", "--spec", {"cell": 1e308}, "InvalidValue", "GridSpec.cell: "),
             ("synth", "--params", {"n_lanes": -1}, "InvalidValue", "SceneParams.n_lanes: "),
             ("eval", "--config", {"match_ratio": 2}, "InvalidValue", "EvalConfig.match_ratio: "),
             ("synth", "--params", {"curvature": [1, 2, 3]}, "ShapeMismatch", "SceneParams.curvature: "),
@@ -496,13 +497,13 @@ def out_commands(tmp_path):
 
 
 # SHA-256 of each command's output file, recorded before the CLI
-# overwrote files in place; the homography's since compute_homography is
-# the closed form G_dst G_src^-1.
+# overwrote files in place; the JSON files' since each is one json.dumps
+# line.
 OUT_FILE_SHA256 = {
-    "homography": "d1001170393508239a0c26df27694b7df0edc4f79f569668e4bb2036d1933e8c",
-    "pipeline": "82ba2531bf832e8f265bb7f38a6d4daefdb6d797ff368d17fbbe356cec792d7b",
-    "eval": "c1cf95c14a1009092a0aaac5aed1354702b22dc77ce510ea4ffe4d9f4c9c585e",
-    "synth": "30f874184ce72da615e7b151b0cf3cbb2e501da58c3b1e8d5913ba542538d51d",
+    "homography": "8f90c54b7c73f1d7a034d77ba6db718488700a340f24f245ac138f7b72666abe",
+    "pipeline": "0260dfe5388f28ca3bab23979df4b170b843df05a5073b1222084ce9a7b7422b",
+    "eval": "46278cc008d22b5b4b4b2f9d4ac0705b401734d92b64dc1ec11d43a5a59f9697",
+    "synth": "a32bc993b44293bb6eb412372f29450fff93b91d0106d1d12a7469a58e139d7d",
     "plot": "310f570e02acec6e7d6aa1f00fa2fda9ec268b940e8e0bebc9cb864ff2ece621",
     "warp": "30f46dbcbae07b1c5b78f7e528937a6bd49562f4b320fc2bac0eae58a0f4b239",
 }

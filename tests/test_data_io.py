@@ -38,7 +38,7 @@ from lanebev.synth import SceneParams, canonical_rig, generate_scene
 
 from test_lane_path_pin import pin_frames
 
-LANES_FILE_SHA256 = "7f98575a71884fafe26da183a0c1f4cda78c14292e4aa86a61a2de16f402b59f"
+LANES_FILE_SHA256 = "934d322ed06356062d079f661bc71e088bf195b16bdeef556b56a6c6bdf3f14d"
 
 
 class TestTensorFormat:
@@ -300,7 +300,8 @@ def _write_decoded_lanes(path):
 
 
 # Every writer, on fixed inputs, and the SHA-256 of the file it writes;
-# recorded from the writers as they were before they overwrote in place.
+# recorded from the writers as they were before they overwrote in place,
+# and the JSON files' since each is one json.dumps line.
 WRITERS = {
     "write_tensor": lambda path: data_io.write_tensor(np.random.default_rng(1).normal(size=(5, 4, 3)), path),
     "save_lanes": _write_decoded_lanes,
@@ -311,9 +312,9 @@ WRITERS = {
 }
 WRITER_SHA256 = {
     "write_tensor": "6962d9375c94b778067e7d7279eb2c2ec92dd537332d127f1bddf4d7c5beeb07",
-    "save_lanes": "1081265cefcaf8715e2d6ff85bf082a5e8f4c54bcc46838143123c5fd4f90af9",
-    "save_rig": "ffd94dc12482b5a5d62994509a09023c03f6fb047104173aeb6e77eea04d5417",
-    "save_scene": "9ace8e4d64d1bc3a67c4b422f6e62b3f47b3b54d4ddb314b1fa9ff55c705afc7",
+    "save_lanes": "1b2d019a77bcf8def470c94a143e1c1803873cd080c3104fa254f12f861d1735",
+    "save_rig": "93d4f44f8292f99cbe36d16ef7188c86c4fffa1192776232984d39f71310ffbb",
+    "save_scene": "2eddaf81e6a47d6fa82ef472973040a92d2e9afaef8a61becbe89c874b3232a9",
     "write_pnm PGM": "d3916fca02ec01d07dcc64657c1c00dd81095617c523d9663aa0a2c661a1ebdd",
     "write_pnm PPM": "4ab637747591434f588bc6c1b44789d314ce0f87017c3da823b922e9489c6393",
 }
@@ -333,12 +334,14 @@ class TestWritersOverwriteInPlace:
             WRITERS[writer](path)
             assert path.read_bytes() == blob and path.stat().st_ino == inode
 
-    def test_json_files_are_json_dumps_indent_2(self, tmp_path):
+    def test_json_files_are_one_json_dumps_line(self, tmp_path):
         scene = _pinned_scene()
         data_io.save_rig(scene.rig, tmp_path / "rig.json")
         data_io.save_scene(scene, tmp_path / "scene.json")
-        assert (tmp_path / "rig.json").read_text() == json.dumps(data_io.rig_to_dict(scene.rig), indent=2) + "\n"
-        assert (tmp_path / "scene.json").read_text() == json.dumps(data_io.scene_to_dict(scene), indent=2) + "\n"
+        data_io.save_lanes(scene.lanes, tmp_path / "lanes.json")
+        assert (tmp_path / "rig.json").read_text() == json.dumps(data_io.rig_to_dict(scene.rig)) + "\n"
+        assert (tmp_path / "scene.json").read_text() == json.dumps(data_io.scene_to_dict(scene)) + "\n"
+        assert (tmp_path / "lanes.json").read_text() == json.dumps(data_io.lanes_to_dict(scene.lanes)) + "\n"
 
     @pytest.mark.parametrize("shape, magic", [((9, 13), b"P5"), ((9, 13, 3), b"P6")])
     def test_pnm_file_is_header_and_rounded_samples(self, tmp_path, shape, magic):
@@ -598,44 +601,25 @@ class TestLanesJson:
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_lanes=st.integers(0, 6),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        scale=st.sampled_from([5e-324, 1e-300, 1e-05, 1.0, 1e16, 1e300]),
         with_fits=st.booleans(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_file_text_is_json_dumps_indent_2(self, seed, n_lanes, scale, with_fits, tmp_path_factory):
+    def test_saved_lanes_load_back_bit_for_bit(self, seed, n_lanes, scale, with_fits, tmp_path_factory):
         r = np.random.default_rng(seed)
         lanes, fits = [], []
         for _ in range(n_lanes):
             pts = r.normal(size=(int(r.integers(2, 40)), 3)) * scale
-            pts[r.random(pts.shape) < 0.1] = -0.0
-            pts[:, 0] = np.arange(len(pts)) * scale
-            lanes.append(Lane3D(points=pts, id=int(r.integers(0, 301))))
-            degree = int(r.integers(0, 4))
-            fits.append(FittedLane(r.normal(size=degree + 1) * scale, r.normal(size=degree + 1), (0.0, float(pts[-1, 0]))))
-        fits = fits if with_fits else None
-        path = tmp_path_factory.mktemp("lanes") / "lanes.json"
-        data_io.save_lanes(lanes, path, fits)
-        assert path.read_text() == json.dumps(data_io.lanes_to_dict(lanes, fits), indent=2) + "\n"
-
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_lanes=st.integers(1, 4),
-        scale=st.sampled_from([5e-324, 1e-300, 1e-05, 1e16, 1e300]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_file_text_is_json_dumps_at_extreme_magnitudes(self, seed, n_lanes, scale, tmp_path_factory):
-        r = np.random.default_rng(seed)
-        lanes, fits = [], []
-        for _ in range(n_lanes):
-            pts = r.normal(size=(int(r.integers(2, 20)), 3)) * scale
             pts[r.random(pts.shape) < 0.2] = -0.0
             pts[:, 0] = np.arange(1, len(pts) + 1) * scale
             lanes.append(Lane3D(points=pts, id=int(r.integers(0, 301))))
             # a user-built x_range may hold numpy floats
             fits.append(FittedLane(r.normal(size=3) * scale, r.normal(size=3) * scale, (np.float64(-0.0), pts[-1, 0])))
         path = tmp_path_factory.mktemp("lanes") / "lanes.json"
-        data_io.save_lanes(lanes, path, fits)
-        assert path.read_text() == json.dumps(data_io.lanes_to_dict(lanes, fits), indent=2) + "\n"
+        data_io.save_lanes(lanes, path, fits if with_fits else None)
+        back = data_io.load_lanes(path)
+        assert [lane.id for lane in back] == [lane.id for lane in lanes]
+        assert all(a.points.tobytes() == b.points.tobytes() for a, b in zip(back, lanes))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_are_refused_and_nothing_is_written(self, tmp_path, bad):
@@ -697,6 +681,18 @@ class TestSceneJson:
         assert len(back.lanes) == 2
         assert np.allclose(back.lanes[1].points, scene.lanes[1].points)
         assert np.allclose(back.rig.extrinsics.rotation, scene.rig.extrinsics.rotation)
+
+    @pytest.mark.parametrize("bad, error", [("nan", NonFiniteInput), ("two columns", ShapeMismatch)])
+    def test_points_the_reader_refuses_are_not_written(self, tmp_path, bad, error):
+        # Lane3D.points can be reassigned; save_scene refuses what load_scene would
+        scene = generate_scene(SceneParams(n_lanes=2, seed=8))
+        points = scene.lanes[1].points.copy()
+        points[3, 1] = np.nan
+        scene.lanes[1].points = points if bad == "nan" else scene.lanes[1].points[:, :2]
+        path = tmp_path / "scene.json"
+        with pytest.raises(error, match=re.escape("lanes[1].points: ")):
+            data_io.save_scene(scene, path)
+        assert not path.exists()
 
 
 class TestOpenLaneFrames:

@@ -277,6 +277,9 @@ _Z = np.zeros((2, 2))
         (lambda: GridSpec(x_min=5.0, x_max=5.0), "GridSpec.x_max: must exceed x_min"),
         (lambda: GridSpec(y_min=1.0, y_max=-1.0), "GridSpec.y_max: must exceed y_min"),
         (lambda: GridSpec(x_min=0.0, x_max=10.3), "GridSpec.cell: must divide the x extent"),
+        (lambda: GridSpec(cell=1e308), "GridSpec.cell: must give 1 to 2**23 - 1 x cells"),
+        (lambda: GridSpec(cell=1e-300), "GridSpec.cell: must give 1 to 2**23 - 1 x cells"),
+        (lambda: GridSpec(cell=1e-6), "GridSpec.cell: must give 1 to 2**23 - 1 x cells"),
         (lambda: Lane3D(points=np.zeros((3, 3)), id=3), "Lane3D.points: lane 3 needs at least 2 points with distinct x"),
         (lambda: GridTensors(_Z + 2.0, _Z, _Z), "GridTensors.confidence: values must lie in [0, 1]"),
         (lambda: GridTensors(_Z + 1.0, _Z + 0.7, _Z, instance=_Z + 1), "GridTensors.offset: values on lane cells"),

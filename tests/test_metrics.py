@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
-from lanebev.errors import EmptyInput, InvalidValue
+from lanebev.errors import EmptyInput, InvalidValue, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import Lane3D
 from lanebev.metrics import (
     EvalConfig,
@@ -324,6 +324,11 @@ class TestEvalConfig:
         (field,) = kwargs
         with pytest.raises(InvalidValue, match=rf"^EvalConfig\.{field}: "):
             EvalConfig(**kwargs)
+
+    @pytest.mark.parametrize("sample_xs, error", [(5, ShapeMismatch), ([np.nan], NonFiniteInput)])
+    def test_sample_xs_is_one_finite_array_field(self, sample_xs, error):
+        with pytest.raises(error, match=r"^EvalConfig\.sample_xs: "):
+            EvalConfig(sample_xs=sample_xs)
 
 
 def assignments(n_rows, n_cols):

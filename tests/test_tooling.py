@@ -1,8 +1,8 @@
 """The test configuration itself: a failing test is reported, not lost; the
-package writes files through one writer only; it refuses a value with its
-own error classes, not a builtin one, each message naming the field; every
-array field refuses a wrong shape and NaN by one rule; and no CLI flag
-re-spells a config file's field."""
+package writes files through one writer only, and JSON text through one
+encoder call; it refuses a value with its own error classes, not a builtin
+one, each message naming the field; every array field refuses a wrong shape
+and NaN by one rule; and no CLI flag re-spells a config file's field."""
 
 import ast
 import dataclasses
@@ -122,6 +122,51 @@ def test_the_write_scan_finds_each_kind_of_write():
         """
     )
     assert file_writes(source) == [f"line {n}: {kind}" for n, kind in [(3, "write_text"), (4, "write_bytes")] + [(n, "open") for n in range(5, 11)]]
+
+
+def json_dumps_calls(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
+    """Each json.dumps or json.dump call in `source` (also when imported by
+    name) outside the functions named in `allowed`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if where not in allowed and isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("dumps", "dump"):
+                found.append(f"line {node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
+def test_every_json_text_comes_from_the_one_encoder_call(module):
+    # data_io._json_text is the layout of every JSON file and stream the package writes
+    assert json_dumps_calls(module.read_text(), ("_json_text",) if module.name == "data_io.py" else ()) == []
+
+
+def test_the_json_scan_finds_each_encoder_call():
+    source = textwrap.dedent(
+        """
+        def emit(payload, fh):
+            text = json.dumps(payload, indent=2) + "\\n"
+            sys.stderr.write(json.dumps({"error": "x"}))
+            json.dump(payload, fh)
+            dumps(payload)
+            json.loads(text)
+            data_io._json_text(payload)
+
+        def _json_text(obj):
+            return json.dumps(obj) + "\\n"
+        """
+    )
+    assert json_dumps_calls(source, ("_json_text",)) == ["line 3: dumps", "line 4: dumps", "line 5: dump", "line 6: dumps"]
+    assert json_dumps_calls(source)[-1] == "line 11: dumps"
 
 
 GENERIC_ERRORS = ("ValueError", "TypeError", "RuntimeError")
@@ -290,6 +335,7 @@ VALID_ARGS = {
     FeatureTensor: {"data": _Z3},
     Extrinsics: {"rotation": np.eye(3), "translation": np.zeros(3)},
     Homography: {"matrix": np.eye(3)},
+    EvalConfig: {"sample_xs": np.array([3.0, 8.0])},
     ViewRelationMap: {"matrix": np.zeros((4, 6)), "fv_shape": (2, 3), "bev_shape": (2, 2)},
 }
 # The fields that take NaN: decode_grid checks the embedding of the
