@@ -37,7 +37,6 @@ from .errors import (
     DegenerateDepth,
     EmptyInput,
     InvalidValue,
-    MixedImageSizes,
     NonFiniteInput,
     ShapeMismatch,
     SingularHomography,
@@ -213,13 +212,14 @@ def mean_virtual_camera(rigs: list[CameraRig]) -> CameraRig:
 
     Intrinsics and translation are averaged element-wise.  Rotations are
     averaged chordally: element-wise mean projected back onto the nearest
-    orthonormal matrix with determinant +1.
+    orthonormal matrix with determinant +1.  Raises EmptyInput on no rigs
+    and ShapeMismatch when their image sizes differ.
     """
     if not rigs:
         raise EmptyInput("mean_virtual_camera requires at least one rig")
     sizes = {rig.image_size for rig in rigs}
     if len(sizes) > 1:
-        raise MixedImageSizes(f"rigs have different image sizes: {sorted(sizes)}")
+        raise ShapeMismatch(f"mean_virtual_camera.rigs: image sizes differ: {sorted(sizes)}")
 
     k = np.mean(
         [[r.intrinsics.fx, r.intrinsics.fy, r.intrinsics.cx, r.intrinsics.cy, r.intrinsics.skew] for r in rigs],

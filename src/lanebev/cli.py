@@ -138,7 +138,7 @@ def _unstack_prediction(stack: np.ndarray) -> GridTensors:
     if stack.ndim != 3 or stack.shape[2] < 4:
         raise ShapeMismatch(f"decode.pred: a stacked prediction must be (s1, s2, 3+D), got {stack.shape}")
     return GridTensors(
-        confidence=np.clip(stack[:, :, 0], 0.0, 1.0),
+        confidence=stack[:, :, 0],
         embedding=stack[:, :, 1:-2],
         offset=stack[:, :, -2],
         height=stack[:, :, -1],

@@ -44,15 +44,13 @@ import numpy as np
 
 from .camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, _nearest_rotation
 from .errors import (
-    BadMagic,
     ImageFormatError,
+    InvalidValue,
     MalformedJson,
     MissingField,
     NonFiniteInput,
-    NonOrthonormalRotation,
     ShapeMismatch,
-    TruncatedPayload,
-    UnsupportedVersion,
+    TensorFormatError,
     _array_field,
 )
 from .lane_grid import Lane3D
@@ -131,9 +129,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
     For a regular file the header is checked against the file's size before
     anything is allocated, and the payload is read straight into the
     returned array; a pipe (such as /dev/stdin) is read whole first, since
-    its size is known only then.  Raises BadMagic, UnsupportedVersion, and
-    TruncatedPayload for a header, rank or dims cut short or a payload of
-    another size than the dims say.
+    its size is known only then.  Raises TensorFormatError naming the file
+    on a bad magic, version or rank, a header or dims cut short, a payload
+    of another size than the dims say, and a size change while it reads.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
@@ -144,26 +142,26 @@ def read_tensor(path: str | Path) -> np.ndarray:
             size, fh = len(data), io.BytesIO(data)
         head = fh.read(7)
         if head[:4] != MAGIC:
-            raise BadMagic(f"{path}: magic {head[:4]!r} != {MAGIC!r}")
+            raise TensorFormatError(f"{path}: magic {head[:4]!r} != {MAGIC!r}")
         if len(head) < 7:
-            raise TruncatedPayload(f"{path}: header cut short at {len(head)} bytes")
+            raise TensorFormatError(f"{path}: header cut short at {len(head)} bytes")
         (version,) = struct.unpack_from("<H", head, 4)
         if version != VERSION:
-            raise UnsupportedVersion(f"{path}: version {version}, expected {VERSION}")
+            raise TensorFormatError(f"{path}: version {version}, expected {VERSION}")
         ndim = head[6]
         if not 1 <= ndim <= 4:
-            raise TruncatedPayload(f"{path}: invalid rank {ndim}")
+            raise TensorFormatError(f"{path}: invalid rank {ndim}")
         raw_dims = fh.read(4 * ndim)
         if len(raw_dims) < 4 * ndim:
-            raise TruncatedPayload(f"{path}: dims cut short")
+            raise TensorFormatError(f"{path}: dims cut short")
         dims = struct.unpack(f"<{ndim}I", raw_dims)
         expected = 4 * math.prod(dims)
         payload = size - 7 - 4 * ndim
         if payload != expected:
-            raise TruncatedPayload(f"{path}: payload {payload} bytes, expected {expected}")
+            raise TensorFormatError(f"{path}: payload {payload} bytes, expected {expected}")
         out = np.empty(dims, dtype="<f4")
         if fh.readinto(out) != expected:
-            raise TruncatedPayload(f"{path}: file changed size while read")
+            raise TensorFormatError(f"{path}: file changed size while read")
     return out
 
 
@@ -335,8 +333,10 @@ def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> 
 
     Raises ShapeMismatch unless `fits` is None or holds one fit per lane,
     or when a lane's points are not (N, 3), and NonFiniteInput on NaN or
-    infinite points, each naming the key path (such as lanes[1].points).
-    The points are checked again because Lane3D.points can be reassigned.
+    infinite points or fit values, each naming the key path (such as
+    lanes[1].points or lanes[1].fit.y_coeffs), which JSON cannot hold.
+    The points are checked again because Lane3D.points can be reassigned;
+    FittedLane leaves its values unchecked, as the decoder makes one per lane.
     """
     if fits is not None and len(fits) != len(lanes):
         raise ShapeMismatch(f"lanes_to_dict.fits: {len(fits)} fit(s) for {len(lanes)} lane(s)")
@@ -345,11 +345,14 @@ def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> 
         points = _array_field(f"lanes[{i}].points", lane.points, (None, 3))
         entry = {"id": int(lane.id), "points": points.tolist()}
         if fits is not None:
-            entry["fit"] = {
+            entry["fit"] = fit = {
                 "y_coeffs": fits[i].y_coeffs.tolist(),
                 "z_coeffs": fits[i].z_coeffs.tolist(),
                 "x_range": list(fits[i].x_range),
             }
+            if not all(map(math.isfinite, chain(*fit.values()))):
+                key = next(key for key, values in fit.items() if not all(map(math.isfinite, values)))
+                raise NonFiniteInput(f"lanes[{i}].fit.{key}: holds NaN or infinite values")
         out.append(entry)
     return {"lanes": out}
 
@@ -418,26 +421,33 @@ def save_scene(scene: SceneRecord, path: str | Path) -> None:
 def parse_openlane_frame(json_text: str) -> SceneRecord:
     """Parse one OpenLane-layout frame annotation into a road-frame scene.
 
-    Required fields: "intrinsic" (3x3), "extrinsic" (4x4, camera to road),
+    Required fields: "intrinsic" (3x3, upper triangular with [2][2] = 1),
+    "extrinsic" (4x4, camera to road, bottom row [0, 0, 0, 1]),
     "lane_lines" (list of {"xyz": 3xN camera-frame points, optional
     "visibility", "category"}); optional "image_size" (two positive ints).
     Points keep their full extent; clipping to the grid is the encoder's
-    job.  Every bad input raises a LaneBevError naming the field; a lane
-    needs 2 points with distinct x, and the image size is CameraRig's to
-    refuse.
+    job.  Every bad input raises a LaneBevError naming the field: a matrix
+    entry the rig would drop, a singular intrinsic and a non-orthonormal
+    rotation raise InvalidValue naming `frame.intrinsic` or
+    `frame.extrinsic`; a lane needs 2 points with distinct x, and the image
+    size is CameraRig's to refuse.
     """
     data = _json_object(_parse_json(json_text, "frame"), "frame")
     intrinsic = _floats(data.get("intrinsic"), "intrinsic", (3, 3))
     extrinsic = _floats(data.get("extrinsic"), "extrinsic", (4, 4))
+    if intrinsic[1, 0] or intrinsic[2, 0] or intrinsic[2, 1] or intrinsic[2, 2] != 1:
+        raise InvalidValue(f"frame.intrinsic: must hold 0 below the diagonal and 1 at [2][2], got {intrinsic.tolist()}")
+    if extrinsic[3].tolist() != [0, 0, 0, 1]:
+        raise InvalidValue(f"frame.extrinsic: bottom row must be [0, 0, 0, 1], got {extrinsic[3].tolist()}")
     rot_c2r = extrinsic[:3, :3]
-    # Huge or subnormal entries give inf, NaN or a zero pivot here, and both checks refuse those.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det = np.linalg.det(intrinsic)
+    # Huge or subnormal entries give inf, NaN or 0 here, and both checks refuse those.
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = intrinsic[0, 0] * intrinsic[1, 1]
         off = np.max(np.abs(rot_c2r.T @ rot_c2r - np.eye(3)))
     if not abs(det) >= 1e-12:
-        raise MissingField("intrinsic: matrix is not invertible")
+        raise InvalidValue("frame.intrinsic: matrix is not invertible")
     if not off <= 1e-6:
-        raise NonOrthonormalRotation("extrinsic: rotation fails orthonormality within 1e-6")
+        raise InvalidValue("frame.extrinsic: rotation fails orthonormality within 1e-6")
     size = _image_size(data.get("image_size", [1024, 576]), "image_size")
     lane_lines = data.get("lane_lines")
     if not isinstance(lane_lines, list):

@@ -1,13 +1,31 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library: the base LaneBevError and 13
+subclasses, one class per kind of fault.
 
 Every domain failure raises a subclass of LaneBevError so callers (and the
-CLI) can distinguish expected error conditions from bugs.  One rule
-sorts them, in constructors and files alike: a wrong shape is
-ShapeMismatch, NaN or infinity is NonFiniteInput and a value out of range
-is InvalidValue, each message starting with `Class.field:`, for a
-function argument `function.arg:`, or for a file's value its key path;
-a file's layout or type problem is MissingField.
+CLI) can distinguish expected error conditions from bugs.  One rule sorts
+the faults of a value, in constructors and files alike, each message
+starting with `Class.field:`, for a function argument `function.arg:`, or
+for a file's value its key path:
+
+  ShapeMismatch            a wrong shape, or shapes that disagree
+  NonFiniteInput           NaN or infinity where finite values are needed
+  InvalidValue             a value outside its allowed range
+  MissingField             a JSON file's layout or type problem
+
+The other classes each name one fault that the rule above does not cover:
+
+  EmptyInput               an empty collection where one item is needed
+  TooManyInstances         more lane instances than can be separated
+  InsufficientRank         a least-squares system left underdetermined
+  DegenerateDepth          a point at non-positive depth before a camera
+  DegenerateConfiguration  two rigs that fix no ground-plane homography
+  SingularHomography       a homography matrix that cannot be inverted
+  TensorFormatError        a .bldt tensor file that cannot be read
+  ImageFormatError         a PGM/PPM file that cannot be read
+  MalformedJson            bytes that are not UTF-8 JSON text
 """
+
+import numbers
 
 import numpy as np
 
@@ -29,10 +47,6 @@ class DegenerateDepth(LaneBevError):
 
 class EmptyInput(LaneBevError):
     """An operation requiring a non-empty collection got an empty one."""
-
-
-class MixedImageSizes(LaneBevError):
-    """Rigs being averaged do not share a common image size."""
 
 
 class DegenerateConfiguration(LaneBevError):
@@ -61,53 +75,31 @@ class TooManyInstances(LaneBevError):
 
 
 class InsufficientRank(LaneBevError):
-    """Unregularized least-squares system is underdetermined."""
+    """Unregularized least-squares system is underdetermined: fewer pairs
+    than unknowns, or a rank-deficient design matrix."""
 
 
-# --- tensor file format ---
+# --- files ---
 
 class TensorFormatError(LaneBevError):
-    """Base class for binary tensor file errors."""
+    """A .bldt file has a bad magic, version or rank, a header, dims or
+    payload cut short, or changed size while it was read."""
 
-
-class BadMagic(TensorFormatError):
-    """File does not start with the expected magic bytes."""
-
-
-class UnsupportedVersion(TensorFormatError):
-    """File declares a format version this reader does not understand."""
-
-
-class TruncatedPayload(TensorFormatError):
-    """Payload length does not match the declared dimensions."""
-
-
-# --- images ---
 
 class ImageFormatError(LaneBevError, ValueError):
     """A PGM/PPM file has a bad magic number, header or pixel payload."""
 
 
-# --- dataset parsing ---
-
-class FrameParseError(LaneBevError):
-    """Base class for annotation-frame parsing errors."""
-
-
-class MalformedJson(FrameParseError):
+class MalformedJson(LaneBevError):
     """Input is not valid JSON."""
 
 
-class MissingField(FrameParseError):
+class MissingField(LaneBevError):
     """A JSON file's layout or type problem: a required field is absent or
     null, an unknown one is present, or a value is not the JSON type its
     field takes (a string or boolean for a number, a ragged list).  The one
     class for it in every file, configs included; the message starts with
     the key path, such as `lanes[2].id:` or `GridSpec.cell:`."""
-
-
-class NonOrthonormalRotation(FrameParseError):
-    """Frame extrinsic rotation fails the orthonormality check."""
 
 
 def _array_field(owner: str, value, shape: tuple[int | None, ...], *, finite: bool = True, dtype=float) -> np.ndarray:
@@ -124,3 +116,10 @@ def _array_field(owner: str, value, shape: tuple[int | None, ...], *, finite: bo
     if finite and not np.isfinite(arr).all():
         raise NonFiniteInput(f"{owner}: holds NaN or infinite values")
     return arr
+
+
+def _int_field(owner: str, value, low: int) -> None:
+    """Raise InvalidValue naming `owner` unless `value` is an integer (bool
+    refused, numpy integers taken) of at least `low`."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
+        raise InvalidValue(f"{owner}: must be an integer >= {low}, got {value!r}")

@@ -149,13 +149,18 @@ def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensor
     linear interpolation.  The hit cell gets confidence 1, the lane id,
     the lateral offset from the cell center in [-0.5, 0.5) cell units and
     the interpolated height.  Samples outside the grid are dropped.  When
-    lanes share a cell, one stable sort on the key (cell, |offset|, id)
-    picks the winner: the sample nearest the cell center, then the lower
-    lane id, then the lane earlier in the list.
+    lanes share a cell, one sort on the key (cell, |offset|, id) picks the
+    winner: the sample nearest the cell center, then the lower lane id.
+    Raises InvalidValue naming `encode_lanes.lanes` on an id that is not
+    positive or that two lanes share, since the instance map would merge them.
     """
     ids = np.array([lane.id for lane in lanes], dtype=int)
     if np.any(ids <= 0):
         raise InvalidValue(f"encode_lanes.lanes: ids must be positive to encode, got {ids[ids <= 0][0]}")
+    listed = ids.tolist()
+    if len(set(listed)) < len(listed):
+        repeated = min(i for i in listed if listed.count(i) > 1)
+        raise InvalidValue(f"encode_lanes.lanes: id {repeated} is shared by more than one lane")
     s1, s2 = spec.shape
     xs = spec.row_centers()
     # every lane at every row center; NaN off its x-span, so no cell takes it

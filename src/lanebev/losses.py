@@ -139,12 +139,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1 / d, e / d).astype(float, copy=False)
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray, owner: str):
-    """Raise ShapeMismatch naming `owner`, the argument that holds b, unless b has a's shape."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{owner}: shape {b.shape} differs from {a.shape}")
-
-
 def _object_mask(gt: GridTensors) -> np.ndarray:
     if gt.instance is not None:
         return gt.instance > 0
@@ -155,8 +149,7 @@ def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np
     """Summed BCE of sigmoid(raw) against targets, probabilities clamped to
     [1e-7, 1 - 1e-7]; gradient is w.r.t. raw and is 0 where the clamp is active."""
     raw = np.asarray(raw, dtype=float)
-    target = np.asarray(target, dtype=float)
-    _check_same_shape(raw, target, "binary_cross_entropy.target")
+    target = _array_field("binary_cross_entropy.target", target, raw.shape, finite=False)
     p = sigmoid(raw)
     pc = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
     value = -(target * np.log(pc) + (1.0 - target) * np.log(1.0 - pc)).sum()
@@ -166,7 +159,7 @@ def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np
 
 def conf_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Confidence BCE over all cells; gradient w.r.t. raw_confidence."""
-    _check_same_shape(pred.raw_confidence, gt.confidence, "conf_loss.gt")
+    _array_field("conf_loss.gt", gt.confidence, pred.raw_confidence.shape, finite=False)
     return binary_cross_entropy(pred.raw_confidence, gt.confidence)
 
 
@@ -175,7 +168,7 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
 
     Background cells contribute nothing to value or gradient.
     """
-    _check_same_shape(pred.raw_offset, gt.offset, "offset_loss.gt")
+    _array_field("offset_loss.gt", gt.offset, pred.raw_offset.shape, finite=False)
     mask = _object_mask(gt)
     s = sigmoid(pred.raw_offset)
     resid = (s - 0.5) - gt.offset
@@ -186,7 +179,7 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
 
 def height_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Masked squared height error in meters; gradient w.r.t. pred.height."""
-    _check_same_shape(pred.height, gt.height, "height_loss.gt")
+    _array_field("height_loss.gt", gt.height, pred.height.shape, finite=False)
     mask = _object_mask(gt)
     resid = pred.height - gt.height
     value = float((mask * resid**2).sum())
@@ -240,10 +233,8 @@ def embed_loss(
     TooManyInstances when C exceeds 256, which bounds the C x C x D pair
     temporaries (about 12 MB at D = 8).
     """
-    emb = np.asarray(embedding, dtype=float)
-    inst = np.asarray(instance)
-    if emb.ndim != 3 or emb.shape[:2] != inst.shape:
-        raise ShapeMismatch(f"embed_loss.instance: shape {inst.shape} differs from embedding {emb.shape}")
+    emb = _array_field("embed_loss.embedding", embedding, (None, None, None), finite=False)
+    inst = _array_field("embed_loss.instance", instance, emb.shape[:2], finite=False, dtype=None)
 
     flat = emb.reshape(-1, emb.shape[2])
     cells, member, counts, offset, dist, delta, pair = _cluster_geometry(flat, inst.reshape(-1))

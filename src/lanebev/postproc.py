@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _int_field
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -58,10 +58,8 @@ class DecodeParams:
             raise InvalidValue(f"DecodeParams.s_threshold: must be in (0, 1), got {self.s_threshold}")
         if not self.d_gap > 0:
             raise InvalidValue(f"DecodeParams.d_gap: must be positive, got {self.d_gap}")
-        if self.min_points < 2:
-            raise InvalidValue(f"DecodeParams.min_points: must be >= 2, got {self.min_points}")
-        if self.fit_degree < 1:
-            raise InvalidValue(f"DecodeParams.fit_degree: must be >= 1, got {self.fit_degree}")
+        _int_field("DecodeParams.min_points", self.min_points, 2)
+        _int_field("DecodeParams.fit_degree", self.fit_degree, 1)
 
 
 @dataclass

@@ -14,14 +14,13 @@ homography and view-transform checks.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
-from .errors import InvalidValue, NonFiniteInput, ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch, _array_field, _int_field
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -40,17 +39,12 @@ class SceneParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_lanes < 0:
-            raise InvalidValue(f"SceneParams.n_lanes: must be >= 0, got {self.n_lanes}")
-        pairs = ("curvature", "camera_jitter")
-        for name in pairs:
-            shape = np.shape(getattr(self, name))
-            if shape != (2,):
-                raise ShapeMismatch(f"SceneParams.{name}: shape {shape} differs from (2,)")
-        for name in ("lane_spacing", "hill_amplitude", "hill_wavelength", *pairs):
-            value = getattr(self, name)
-            if not all(map(math.isfinite, value if name in pairs else (value,))):
-                raise NonFiniteInput(f"SceneParams.{name}: must be finite, got {value!r}")
+        _int_field("SceneParams.n_lanes", self.n_lanes, 0)
+        _int_field("SceneParams.seed", self.seed, 0)
+        for name in ("curvature", "camera_jitter"):
+            _array_field(f"SceneParams.{name}", getattr(self, name), (2,))
+        for name in ("lane_spacing", "hill_amplitude", "hill_wavelength"):
+            _array_field(f"SceneParams.{name}", getattr(self, name), ())
         if self.lane_spacing <= 0:
             raise InvalidValue(f"SceneParams.lane_spacing: must be positive, got {self.lane_spacing}")
         if self.hill_wavelength <= 0:

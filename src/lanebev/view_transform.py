@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
-from .errors import InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch, _array_field
+from .errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch, _array_field
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -212,14 +212,15 @@ def fit_vrm_least_squares(
     1e-6 times the mean diagonal of X^T X is a reasonable starting point;
     the value given here is used as-is, never rescaled.  A NaN or infinite
     ridge raises NonFiniteInput and a negative one InvalidValue, both naming
-    `ridge`; a sample holding NaN or infinity raises NonFiniteInput naming it.
+    `ridge`; no samples raise EmptyInput, and a sample holding NaN or
+    infinity NonFiniteInput naming it.
     """
     if not np.isfinite(ridge):
         raise NonFiniteInput(f"fit_vrm_least_squares.ridge: must be finite, got {ridge}")
     if ridge < 0:
         raise InvalidValue(f"fit_vrm_least_squares.ridge: must be >= 0, got {ridge}")
     if not samples:
-        raise InsufficientRank("no samples given")
+        raise EmptyInput("fit_vrm_least_squares.samples: needs at least one sample")
     fv_shape = samples[0][0].hw
     bev_shape = samples[0][1].hw
     xs = []

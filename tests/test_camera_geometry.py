@@ -24,7 +24,6 @@ from lanebev.errors import (
     DegenerateDepth,
     EmptyInput,
     InvalidValue,
-    MixedImageSizes,
     NonFiniteInput,
     ShapeMismatch,
     SingularHomography,
@@ -126,7 +125,7 @@ class TestMeanVirtualCamera:
     def test_mixed_image_sizes(self):
         a = canonical_rig()
         b = CameraRig(a.intrinsics, a.extrinsics, (640, 480))
-        with pytest.raises(MixedImageSizes):
+        with pytest.raises(ShapeMismatch, match=r"^mean_virtual_camera\.rigs: image sizes differ"):
             mean_virtual_camera([a, b])
 
 

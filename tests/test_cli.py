@@ -134,6 +134,8 @@ class TestUsageErrors:
             ("decode", "--spec", {"cell": -1}, "InvalidValue", "GridSpec.cell: "),
             ("decode", "--spec", {"cell": 1e308}, "InvalidValue", "GridSpec.cell: "),
             ("synth", "--params", {"n_lanes": -1}, "InvalidValue", "SceneParams.n_lanes: "),
+            ("synth", "--params", {"seed": -5}, "InvalidValue", "SceneParams.seed: "),
+            ("pipeline", "--params", {"seed": -5}, "InvalidValue", "SceneParams.seed: "),
             ("eval", "--config", {"match_ratio": 2}, "InvalidValue", "EvalConfig.match_ratio: "),
             ("synth", "--params", {"curvature": [1, 2, 3]}, "ShapeMismatch", "SceneParams.curvature: "),
             ("synth", "--params", {"curvature": [0.01, -0.01]}, "InvalidValue", "SceneParams.curvature: "),
@@ -173,6 +175,16 @@ class TestUsageErrors:
             ("eval", {"lanes": [{"id": 1, "points": [[3.0, 0.0], [9.0, 0.0]]}]}, "ShapeMismatch", "lanes[0].points"),
             ("encode", [], "MissingField", "scene JSON"),
             ("encode", {"camera": {}, "lanes": []}, "MissingField", "camera"),
+            # the second lane's default id, its position, repeats the first lane's id
+            (
+                "encode",
+                {
+                    "camera": data_io.rig_to_dict(canonical_rig()),
+                    "lanes": [{"id": 2, "points": [[3.0, -2.0, 0.0], [9.0, -2.0, 0.0]]}, {"points": [[3.0, 2.0, 0.0], [9.0, 2.0, 0.0]]}],
+                },
+                "InvalidValue",
+                "encode_lanes.lanes: id 2 ",
+            ),
         ],
     )
     def test_bad_lanes_or_scene_exits_1_naming_the_field(self, capsys, tmp_path, command, bad, error, named):
@@ -694,6 +706,25 @@ class TestNamedErrors:
         payload = self.one_error(capsys, "fit-vrm", "--samples", str(tmp_path), "--out", str(tmp_path / "map.bldt"))
         assert payload["error"] == "MissingField"
         assert "fv_000.bldt" in payload["message"]
+
+    def test_decode_refuses_a_confidence_outside_0_1(self, capsys, tmp_path):
+        # a stack whose confidence channel holds a logit is refused, not clamped
+        stack = np.zeros((200, 40, 4), dtype=np.float32)
+        stack[10, 20, 0] = 1.5
+        pred = tmp_path / "pred.bldt"
+        data_io.write_tensor(stack, pred)
+        out = tmp_path / "lanes.json"
+        payload = self.one_error(capsys, "decode", "--pred", str(pred), "--out", str(out))
+        assert payload["error"] == "InvalidValue"
+        assert payload["message"].startswith("GridTensors.confidence: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_negative_seed_flag_names_the_seed(self, capsys, tmp_path, command):
+        extra = ["--out", str(tmp_path / "scene.json")] if command == "synth" else []
+        payload = self.one_error(capsys, command, "--seed", "-1", *extra)
+        assert payload["error"] == "InvalidValue"
+        assert payload["message"].startswith("SceneParams.seed: ")
 
     @pytest.mark.parametrize("batches", ["0", "-1"])
     def test_losscheck_without_batches(self, capsys, batches):

@@ -28,9 +28,11 @@ HEIGHT = st.floats(-1.0, 1.0)
 
 @st.composite
 def lane_sets(draw):
-    """0-6 lanes with ids 1-3, many straight, some reaching past the grid,
-    some repeating an earlier lane's x-y course at another height, as it is
-    or mirrored about its cells' centers (the same |offset|, other sign)."""
+    """0-6 lanes with distinct ids from a drawn order of 1-6 (encode_lanes
+    refuses a shared id), many straight, some reaching past the grid, some
+    repeating an earlier lane's x-y course at another height, as it is or
+    mirrored about its cells' centers (the same |offset|, other sign)."""
+    ids = draw(st.permutations(range(1, 7)))
     lanes = []
     for _ in range(draw(st.integers(0, 6))):
         if lanes and draw(st.booleans()):
@@ -45,7 +47,7 @@ def lane_sets(draw):
             y0 = draw(QUARTER_CELL_Y)
             y1 = y0 if draw(st.booleans()) else draw(QUARTER_CELL_Y)
             points = np.array([[x0, y0, draw(HEIGHT)], [x1, y1, draw(HEIGHT)]])
-        lanes.append(Lane3D(points=points, id=draw(st.integers(1, 3))))
+        lanes.append(Lane3D(points=points, id=ids[len(lanes)]))
     return lanes
 
 
@@ -284,6 +286,7 @@ _Z = np.zeros((2, 2))
         (lambda: GridTensors(_Z + 2.0, _Z, _Z), "GridTensors.confidence: values must lie in [0, 1]"),
         (lambda: GridTensors(_Z + 1.0, _Z + 0.7, _Z, instance=_Z + 1), "GridTensors.offset: values on lane cells"),
         (lambda: encode_lanes([straight_lane(0.0, 0)]), "encode_lanes.lanes: ids must be positive"),
+        (lambda: encode_lanes([straight_lane(-2.0, 1), straight_lane(2.0, 2), straight_lane(4.0, 1)]), "encode_lanes.lanes: id 1 is shared"),
     ],
 )
 def test_refused_value_raises_invalid_value_naming_the_field(build, message):

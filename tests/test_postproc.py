@@ -536,7 +536,11 @@ class TestDecodeParams:
             {"s_threshold": 1.0},
             {"d_gap": 0.0},
             {"min_points": 1},
+            {"min_points": 4.0},
+            {"min_points": True},
             {"fit_degree": 0},
+            {"fit_degree": 2.5},
+            {"fit_degree": True},
             {"d_gap": float("nan")},
         ],
     )

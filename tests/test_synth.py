@@ -101,7 +101,7 @@ class TestGenerateScene:
         ],
     )
     def test_non_finite_param_is_refused_naming_the_field(self, field, make, value):
-        with pytest.raises(NonFiniteInput, match=rf"^SceneParams\.{field}: must be finite"):
+        with pytest.raises(NonFiniteInput, match=rf"^SceneParams\.{field}: holds NaN or infinite values"):
             SceneParams(**make(value))
 
     def test_reversed_curvature_range_is_refused(self):
@@ -110,7 +110,17 @@ class TestGenerateScene:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n_lanes": -1}, {"lane_spacing": 0.0}, {"hill_wavelength": -60.0}, {"curvature": (0.01, -0.01)}],
+        [
+            {"n_lanes": -1},
+            {"n_lanes": 2.5},
+            {"n_lanes": True},
+            {"seed": -1},
+            {"seed": 1.5},
+            {"seed": True},
+            {"lane_spacing": 0.0},
+            {"hill_wavelength": -60.0},
+            {"curvature": (0.01, -0.01)},
+        ],
     )
     def test_refused_value_raises_invalid_value_naming_the_field(self, kwargs):
         (field,) = kwargs

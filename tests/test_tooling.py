@@ -244,7 +244,7 @@ def test_the_raise_scan_finds_each_generic_error():
 
 # A file's layout refusals name a key path, whose first key may stand alone
 # (`lanes: `, `intrinsic: `); the others name `Class.field` or `function.arg`
-KEY_PATH_ERRORS = ("MissingField", "NonOrthonormalRotation")
+KEY_PATH_ERRORS = ("MissingField",)
 PREFIXED_ERRORS = ("ShapeMismatch", "NonFiniteInput", "InvalidValue", "SingularHomography", *KEY_PATH_ERRORS)
 # `Class.field: ` or `function.arg: `, perhaps indexed or nested, or a
 # prefix held in a variable (a file path, a field's owner); {} stands for
@@ -299,12 +299,12 @@ def test_the_message_scan_finds_each_bare_message():
             raise NonFiniteInput(message)
             raise DegenerateDepth("depth problems are not scanned")
             raise MissingField(f"lanes must be a list, got {value}")
-            raise NonOrthonormalRotation("extrinsic rotation fails orthonormality")
+            raise InvalidValue("extrinsic: rotation fails orthonormality")
             raise SingularHomography("homography matrix is singular")
             raise SingularHomography("matrix: singular")
             raise MissingField(f"lanes: must be a list, got {value}")
             raise MissingField(f"lanes[{i}].id: must be a 64-bit integer")
-            raise NonOrthonormalRotation("extrinsic: rotation fails orthonormality")
+            raise InvalidValue("frame.extrinsic: rotation fails orthonormality")
             raise MissingField(f"{name}: missing or null")
             raise SingularHomography("Homography.matrix: singular")
         """
@@ -316,10 +316,78 @@ def test_the_message_scan_finds_each_bare_message():
         "line 6: mask: must be 2-D",
         "line 7: lanes[{}].points must be (N, 3)",
         "line 16: lanes must be a list, got {}",
-        "line 17: extrinsic rotation fails orthonormality",
+        "line 17: extrinsic: rotation fails orthonormality",
         "line 18: homography matrix is singular",
         "line 19: matrix: singular",
     ]
+
+
+ERRORS_MODULE = ROOT / "src" / "lanebev" / "errors.py"
+
+
+def unraised_error_classes(errors_source: str, sources: list[str]) -> list[str]:
+    """Each class defined in `errors_source`, but the base LaneBevError,
+    that no raise in `sources` names (as `Name` or `module.Name`)."""
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
+    defined = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    return [name for name in defined if name != "LaneBevError" and name not in raised]
+
+
+def test_every_error_class_is_raised():
+    # A class that nothing raises is a fault kind no caller can meet: each
+    # kind of fault has one class, and the package raises it by name
+    sources = [module.read_text() for module in sorted((ROOT / "src" / "lanebev").glob("*.py"))]
+    assert unraised_error_classes(ERRORS_MODULE.read_text(), sources) == []
+
+
+def test_the_class_scan_finds_each_class_nothing_raises():
+    errors = textwrap.dedent(
+        """
+        class LaneBevError(Exception):
+            pass
+
+        class ParseFault(LaneBevError):
+            pass
+
+        class MalformedJson(ParseFault):
+            pass
+
+        class TensorFormatError(LaneBevError):
+            pass
+
+        class BadHeader(TensorFormatError):
+            pass
+
+        class InvalidValue(LaneBevError, ValueError):
+            pass
+
+        def _array_field(owner, value):
+            raise TensorFormatError(owner)
+        """
+    )
+    user = textwrap.dedent(
+        """
+        def read(path):
+            if not path:
+                raise errors.BadHeader(f"{path}: magic")
+            raise MalformedJson
+
+        def check(value):
+            try:
+                value.run()
+            except TensorFormatError:
+                raise
+            except ParseFault as exc:
+                raise InvalidValue("check.value: out of range") from exc
+        """
+    )
+    assert unraised_error_classes(errors, [user]) == ["ParseFault", "TensorFormatError"]
+    assert unraised_error_classes(errors, [user, errors]) == ["ParseFault"]
 
 
 _Z2, _Z3 = np.zeros((2, 3)), np.zeros((2, 3, 4))

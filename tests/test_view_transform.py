@@ -8,7 +8,7 @@ from scipy import sparse
 
 from lanebev import view_transform
 from lanebev.camera_geometry import mean_virtual_camera
-from lanebev.errors import InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
+from lanebev.errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec
 from lanebev.synth import canonical_rig, jittered_rig, render_ground_pattern
 from lanebev.view_transform import (
@@ -331,7 +331,7 @@ class TestFitVrm:
         assert rel < 1e-6
 
     def test_empty_samples(self):
-        with pytest.raises(InsufficientRank):
+        with pytest.raises(EmptyInput, match=r"^fit_vrm_least_squares\.samples: "):
             fit_vrm_least_squares([], ridge=0.0)
 
     @pytest.mark.parametrize("ridge, error", [(np.nan, NonFiniteInput), (np.inf, NonFiniteInput), (-np.inf, NonFiniteInput),
