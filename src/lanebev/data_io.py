@@ -308,11 +308,10 @@ def from_dict(cls, data):
     (see _json_object); a missing key takes the field's default.  Each value
     is read by _floats, named `Class.key`: a number where the default is
     one, and where it is a tuple a flat list (or tuple) of numbers, which
-    becomes a tuple.  Where the default is an int the value must also be a
-    JSON integer.  Raises MissingField on a layout or type problem,
+    becomes a tuple.  Raises MissingField on a layout or type problem,
     ShapeMismatch on a wrong shape and NonFiniteInput on NaN or infinity;
-    a value the class's own checks refuse raises their error, naming
-    `Class.key`.
+    a value the class's own checks refuse, such as 2.5 for an integer,
+    raises their error, naming `Class.key`.
     """
     name = cls.__name__
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
@@ -320,8 +319,6 @@ def from_dict(cls, data):
     for key, value in _json_object(data, name, tuple(defaults)).items():
         default = defaults[key]
         _floats(value, f"{name}.{key}", (None,) if isinstance(default, tuple) else ())
-        if type(default) is int and type(value) is not int:
-            raise MissingField(f"{name}.{key}: must be a JSON integer, got {value!r}")
         kwargs[key] = tuple(value) if isinstance(default, tuple) else value
     return cls(**kwargs)
 

@@ -124,7 +124,7 @@ class GridTensors:
         conf = _array_field("GridTensors.confidence", self.confidence, (None, None))
         off = _array_field("GridTensors.offset", self.offset, conf.shape)
         hgt = _array_field("GridTensors.height", self.height, conf.shape)
-        if conf.min() < 0.0 or conf.max() > 1.0:
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():
             raise InvalidValue("GridTensors.confidence: values must lie in [0, 1]")
         if self.instance is not None:
             inst = _array_field("GridTensors.instance", self.instance, conf.shape, dtype=None)

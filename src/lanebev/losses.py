@@ -10,7 +10,7 @@ The 3D head losses over the s1 x s2 grid:
 
 plus the front-view auxiliaries: pixelwise segmentation BCE and the same
 discriminative loss on 2D embeddings.  Offset and height only count cells
-with a positive ground-truth confidence.  All reductions run in a fixed
+with a ground-truth confidence above 0.5.  All reductions run in a fixed
 order, so values are bit-stable across runs.
 
 Every loss returns (value, gradient-with-respect-to-its-raw-input); the
@@ -139,12 +139,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1 / d, e / d).astype(float, copy=False)
 
 
-def _object_mask(gt: GridTensors) -> np.ndarray:
-    if gt.instance is not None:
-        return gt.instance > 0
-    return gt.confidence > 0.5
-
-
 def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed BCE of sigmoid(raw) against targets, probabilities clamped to
     [1e-7, 1 - 1e-7]; gradient is w.r.t. raw and is 0 where the clamp is active."""
@@ -169,7 +163,7 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
     Background cells contribute nothing to value or gradient.
     """
     _array_field("offset_loss.gt", gt.offset, pred.raw_offset.shape, finite=False)
-    mask = _object_mask(gt)
+    mask = gt.confidence > 0.5
     s = sigmoid(pred.raw_offset)
     resid = (s - 0.5) - gt.offset
     value = float((mask * resid**2).sum())
@@ -180,7 +174,7 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
 def height_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Masked squared height error in meters; gradient w.r.t. pred.height."""
     _array_field("height_loss.gt", gt.height, pred.height.shape, finite=False)
-    mask = _object_mask(gt)
+    mask = gt.confidence > 0.5
     resid = pred.height - gt.height
     value = float((mask * resid**2).sum())
     grad = np.where(mask, 2.0 * resid, 0.0)

@@ -6,15 +6,15 @@ Scenes are fully determined by their seed.  Lane k of n follows
     z(x)   = hill_amplitude * sin(2 * pi * x / hill_wavelength)
 
 with the quadratic coefficient c2 drawn once per scene from the configured
-curvature range, sampled at 1 m over x in [3, 103].  The camera is the
-canonical forward-looking rig perturbed by seeded rotation/translation
-jitter.  A ground-pattern renderer provides the pixel-level oracle for
-homography and view-transform checks.
+curvature range, sampled at 1 m over x in [3, 103].  The lanes share c2,
+so adjacent lanes stay exactly `spacing` apart at every x and never meet.
+The camera is the canonical forward-looking rig perturbed by seeded
+rotation/translation jitter.  A ground-pattern renderer provides the
+pixel-level oracle for homography and view-transform checks.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,9 +90,9 @@ def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
 def jittered_rig(rng: np.random.Generator, rot_deg: float, trans_m: float) -> CameraRig:
     """Canonical rig with a random small pose perturbation.
 
-    Zero jitter returns the canonical rig exactly.  Two seeded draws are
-    consumed regardless of magnitude so scenes stay reproducible when only
-    the jitter amplitudes change.
+    Zero jitter returns the canonical rig exactly.  Three seeded draws (the
+    axis, the angle and the shift) are consumed regardless of magnitude so
+    scenes stay reproducible when only the jitter amplitudes change.
     """
     base = canonical_rig()
     axis = rng.normal(size=3)
@@ -117,13 +117,6 @@ def generate_scene(params: SceneParams) -> SceneRecord:
     rng = np.random.default_rng(params.seed)
     c2 = rng.uniform(params.curvature[0], params.curvature[1])
     rig = jittered_rig(rng, *params.camera_jitter)
-
-    max_c2 = max(abs(params.curvature[0]), abs(params.curvature[1]))
-    if params.n_lanes >= 2 and params.lane_spacing <= 2.0 * max_c2 * LANE_X_END**2:
-        warnings.warn(
-            "lane_spacing may not guarantee non-intersecting lanes at this curvature",
-            stacklevel=2,
-        )
 
     xs = np.arange(LANE_X_START, LANE_X_END + 0.5 * LANE_POINT_SPACING, LANE_POINT_SPACING)
     z = params.hill_amplitude * np.sin(2.0 * np.pi * xs / params.hill_wavelength)

@@ -111,7 +111,6 @@ def _acceptance_scenes():
     return scenes
 
 
-@pytest.mark.filterwarnings("ignore:lane_spacing")
 def test_criterion_3_full_pipeline_oracle():
     t0 = time.perf_counter()
     spec = GridSpec()
@@ -237,7 +236,6 @@ def test_criterion_7_metric_sanity():
            "identity F=1, 0.1 m shift errors exact, empty recall 0")
 
 
-@pytest.mark.filterwarnings("ignore:lane_spacing")
 def test_criterion_8_format_stability(tmp_path):
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)

@@ -127,9 +127,9 @@ class TestUsageErrors:
             ("eval", "--config", {"sample_xs": 5}, "ShapeMismatch", "sample_xs"),
             ("synth", "--params", {"curvature": 0.001}, "ShapeMismatch", "curvature"),
             ("synth", "--params", [1, 2], "MissingField", "SceneParams"),
-            ("synth", "--params", {"n_lanes": 2.5}, "MissingField", "n_lanes"),
-            ("synth", "--params", {"seed": 1.5}, "MissingField", "seed"),
-            ("decode", "--params", {"fit_degree": 2.5}, "MissingField", "fit_degree"),
+            ("synth", "--params", {"n_lanes": 2.5}, "InvalidValue", "SceneParams.n_lanes: "),
+            ("synth", "--params", {"seed": 1.5}, "InvalidValue", "SceneParams.seed: "),
+            ("decode", "--params", {"fit_degree": 2.5}, "InvalidValue", "DecodeParams.fit_degree: "),
             ("decode", "--params", {"d_gap": -1}, "InvalidValue", "DecodeParams.d_gap: "),
             ("decode", "--spec", {"cell": -1}, "InvalidValue", "GridSpec.cell: "),
             ("decode", "--spec", {"cell": 1e308}, "InvalidValue", "GridSpec.cell: "),
@@ -141,7 +141,7 @@ class TestUsageErrors:
             ("synth", "--params", {"curvature": [0.01, -0.01]}, "InvalidValue", "SceneParams.curvature: "),
             ("pipeline", "--params", {"curvature": [0.01, -0.01]}, "InvalidValue", "SceneParams.curvature: "),
             ("pipeline", "--params", {"curvature": [float("nan"), 0.001]}, "NonFiniteInput", "SceneParams.curvature: "),
-            ("pipeline", "--params", {"n_lanes": 4.5}, "MissingField", "n_lanes"),
+            ("pipeline", "--params", {"n_lanes": 4.5}, "InvalidValue", "SceneParams.n_lanes: "),
             ("pipeline", "--params", {"hill": 1.0}, "MissingField", "hill"),
         ],
     )
@@ -345,7 +345,6 @@ class TestFileWorkflow:
         assert code == 0
         assert json.loads(report.read_text())["f_score"] == 1.0
 
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_decode_of_noisy_tensors_matches_the_hand_assembly(self, capsys, tmp_path, seed):
         write_prediction(noisy_prediction(seed), tmp_path / "pred.bldt")
@@ -542,7 +541,6 @@ class TestOutFiles:
         assert (tmp_path / "out.json").read_text() == out
 
 
-@pytest.mark.filterwarnings("ignore:lane_spacing")
 def test_decode_reads_the_prediction_from_stdin(capsys, tmp_path):
     write_prediction(noisy_prediction(0), tmp_path / "pred.bldt")
     assert run(capsys, "decode", "--pred", str(tmp_path / "pred.bldt"), "--out", str(tmp_path / "file.json"))[0] == 0
@@ -599,14 +597,16 @@ def test_lane_commands_leave_scipy_optimize_unloaded(tmp_path, command):
     assert json.loads((tmp_path / "report.json").read_text())["f_score"] == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:lane_spacing")
-@pytest.mark.parametrize("command", ["pipeline", "decode"])
+@pytest.mark.parametrize("command", ["synth", "pipeline", "decode"])
 def test_cli_runs_clean_with_warnings_as_errors(tmp_path, command):
     # pytest's filterwarnings does not reach a child process; -W error makes
-    # any warning there fail the command, and -X dev adds resource warnings
+    # any warning there fail the command, and -X dev adds resource warnings.
+    # The synth and pipeline scenes are curved
     write_prediction(noisy_prediction(5), tmp_path / "pred.bldt")
+    curved = scene_params(tmp_path, n_lanes=4, curvature=[-3e-4, 3e-4])
     argv = {
-        "pipeline": ["--params", scene_params(tmp_path, n_lanes=4), "--seed", "7", "--out", str(tmp_path / "report.json")],
+        "synth": ["--params", curved, "--seed", "7", "--out", str(tmp_path / "scene.json")],
+        "pipeline": ["--params", curved, "--seed", "7", "--out", str(tmp_path / "report.json")],
         "decode": ["--pred", str(tmp_path / "pred.bldt"), "--out", str(tmp_path / "lanes.json")],
     }[command]
     done = subprocess.run(
@@ -717,6 +717,15 @@ class TestNamedErrors:
         payload = self.one_error(capsys, "decode", "--pred", str(pred), "--out", str(out))
         assert payload["error"] == "InvalidValue"
         assert payload["message"].startswith("GridTensors.confidence: ")
+        assert not out.exists()
+
+    def test_decode_refuses_a_zero_row_prediction(self, capsys, tmp_path):
+        pred = tmp_path / "pred.bldt"
+        data_io.write_tensor(np.zeros((0, 40, 4), dtype=np.float32), pred)
+        out = tmp_path / "lanes.json"
+        payload = self.one_error(capsys, "decode", "--pred", str(pred), "--out", str(out))
+        assert payload["error"] == "ShapeMismatch"
+        assert payload["message"].startswith("decode_grid.pred: shape (0, 40) differs")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "pipeline"])

@@ -405,8 +405,8 @@ class TestConfigFromDict:
             (SceneParams, {"curvature": 0.001}, ShapeMismatch, "SceneParams.curvature: "),
             (SceneParams, {"seed": True}, MissingField, "SceneParams.seed: "),
             (SceneParams, {"seed": 10**400}, MissingField, "SceneParams.seed: "),
-            (SceneParams, {"n_lanes": 2.5}, MissingField, "SceneParams.n_lanes: "),
-            (DecodeParams, {"fit_degree": 2.0}, MissingField, "DecodeParams.fit_degree: "),
+            (SceneParams, {"n_lanes": 2.5}, InvalidValue, "SceneParams.n_lanes: "),
+            (DecodeParams, {"fit_degree": 2.0}, InvalidValue, "DecodeParams.fit_degree: "),
         ],
     )
     def test_unknown_key_or_wrong_type_names_the_key(self, cls, data, error, named):
@@ -707,6 +707,11 @@ class TestSceneJson:
             data_io.save_scene(scene, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("tag", [5, None, ["curve"]])
+    def test_non_string_scene_tag_is_refused_naming_it(self, tag):
+        with pytest.raises(MissingField, match="^scene_tag: must be a string"):
+            data_io.scene_from_dict(with_leaf(_SCENE, ("scene_tag",), tag))
+
 
 class TestOpenLaneFrames:
     def make_frame_text(self, seed=5):
@@ -852,6 +857,7 @@ class TestOpenLaneFrameBoundary:
             (minimal_frame(image_size=[0, 576]), "CameraRig.image_size: "),
             # a subnormal entry once made det warn "divide by zero" instead
             (minimal_frame(intrinsic=[[0.0, 1.1125369292536007e-308, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), "frame.intrinsic: "),
+            (minimal_frame(intrinsic=[[0.0, 0.0, 512.0], [0.0, 1000.0, 288.0], [0.0, 0.0, 1.0]]), "frame.intrinsic: matrix is not"),
             # entries the rig has no field for
             (minimal_frame(intrinsic=[[1000.0, 0.0, 512.0], [0.0, 1000.0, 288.0], [0.0, 0.0, 2.0]]), "frame.intrinsic: "),
             (minimal_frame(intrinsic=[[1000.0, 0.0, 512.0], [50.0, 1000.0, 288.0], [0.0, 0.0, 1.0]]), "frame.intrinsic: "),

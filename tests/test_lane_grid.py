@@ -341,6 +341,12 @@ class TestGridTensors:
         with pytest.raises(ValueError):
             GridTensors(confidence=np.zeros((2, 2)), offset=np.zeros((2, 3)), height=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(0, 40), (200, 0)])
+    def test_empty_grid_is_built(self, shape):
+        # the [0, 1] test once used min() and max(), which raise a bare ValueError on no values
+        empty = np.zeros(shape)
+        assert GridTensors(confidence=empty, offset=empty, height=empty, instance=empty).shape == shape
+
 
 def reference_encode_lanes(lanes, spec):
     """The documented claim rule as a plain loop over every lane's hit cells:

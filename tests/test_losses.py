@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -335,6 +336,29 @@ class TestTotalLoss:
         arrays[field].flat[3] = bad
         with pytest.raises(NonFiniteInput, match=field):
             PredictionBatch(**arrays)
+
+    def test_activate_applies_the_head_activations_to_copies(self, rng):
+        pred = random_pred(rng)
+        grid = pred.activate()
+        assert np.array_equal(grid.confidence, sigmoid(pred.raw_confidence))
+        assert np.array_equal(grid.offset, sigmoid(pred.raw_offset) - 0.5)
+        assert np.array_equal(grid.height, pred.height) and not np.shares_memory(grid.height, pred.height)
+        assert np.array_equal(grid.embedding, pred.embedding) and not np.shares_memory(grid.embedding, pred.embedding)
+        assert grid.instance is None
+
+    @pytest.mark.parametrize(
+        "weights, with_instances, message",
+        [
+            (LossWeights(), True, "total_loss.pred2d: the 2D terms need a front-view pair"),
+            (LossWeights(w_seg2d=0.0, w_embed2d=0.0), False, "total_loss.gt3d: the embedding loss needs ground truth instances"),
+        ],
+    )
+    def test_missing_input_raises_shape_mismatch_naming_it(self, rng, weights, with_instances, message):
+        gt = random_gt(rng)
+        if not with_instances:
+            gt = GridTensors(confidence=gt.confidence, offset=gt.offset, height=gt.height)
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}"):
+            total_loss(random_pred(rng), gt, weights=weights)
 
     @pytest.mark.parametrize("field", ["raw_seg", "embedding", "mask", "instance"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

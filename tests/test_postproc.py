@@ -325,6 +325,13 @@ class TestDecodeGrid:
         with pytest.raises(ShapeMismatch):
             decode_grid(pred, spec)
 
+    def test_grid_of_another_shape_rejected(self):
+        spec = GridSpec(x_min=0.0, x_max=2.0, y_min=-1.0, y_max=1.0, cell=0.5)
+        z = np.zeros(spec.shape)
+        pred = GridTensors(confidence=z, offset=z, height=z, embedding=np.zeros(spec.shape + (2,)))
+        with pytest.raises(ShapeMismatch, match=r"^decode_grid\.pred: shape \(4, 4\) differs from the grid's \(200, 40\)"):
+            decode_grid(pred)
+
     def test_scan_matches_plain_python_replay(self, rng):
         # 300 random values at d_gap 2.0 open about a hundred centers
         vals = rng.normal(size=(300, 4)) * 2.0
@@ -432,14 +439,12 @@ class TestFitMatchesReference:
             assert np.allclose(fit.y_coeffs, y_coeffs, rtol=1e-9, atol=1e-9)
             assert np.allclose(fit.z_coeffs, z_coeffs, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     def test_acceptance_scenes(self):
         spec = GridSpec()
         for scene_params in _acceptance_scenes():
             pred = ideal_prediction(encode_lanes(generate_scene(scene_params).lanes, spec), spec, embed_dim=8)
             self.assert_fits_match(decode_grid(pred, spec), 3)
 
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     @pytest.mark.parametrize("degree", [1, 3, 5])
     def test_noisy_grids(self, degree):
         shared_rows = 0
@@ -484,7 +489,6 @@ class TestDecodeLanes:
         assert [lane.id for lane in lanes] == [1]
         assert len(fits) == 1 and len(lanes[0].points) == 200
 
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     def test_acceptance_scenes_match_the_hand_assembly(self, tmp_path):
         spec, params = GridSpec(), DecodeParams()
         for scene_params in _acceptance_scenes():
@@ -555,7 +559,6 @@ class TestDecodeParams:
 
 
 class TestOracleRoundtrip:
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     @given(
         n_lanes=st.integers(1, 6),
         bend=st.floats(0.0, 1.0),

@@ -28,7 +28,6 @@ class TestGenerateScene:
         for lane in scene.lanes:
             assert np.all(lane.z == 0.0)
 
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     def test_same_seed_bit_identical(self):
         params = SceneParams(
             n_lanes=4,
@@ -41,7 +40,6 @@ class TestGenerateScene:
         b = json.dumps(scene_to_dict(generate_scene(params)), sort_keys=True)
         assert a == b
 
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     def test_different_seeds_differ(self):
         p1 = SceneParams(n_lanes=2, curvature=(-2e-4, 2e-4), seed=1)
         p2 = SceneParams(n_lanes=2, curvature=(-2e-4, 2e-4), seed=2)
@@ -66,15 +64,10 @@ class TestGenerateScene:
         # spacing between adjacent lanes is constant
         assert np.allclose(scene.lanes[2].y - scene.lanes[1].y, 4.0)
 
-    @pytest.mark.filterwarnings("ignore:lane_spacing")
     def test_lanes_never_intersect_with_shared_curvature(self):
         scene = generate_scene(SceneParams(n_lanes=5, curvature=(3e-4, 3e-4), lane_spacing=2.5, seed=5))
         for a, b in zip(scene.lanes, scene.lanes[1:]):
             assert np.min(np.abs(a.y - b.y)) > 2.4
-
-    def test_spacing_warning(self):
-        with pytest.warns(UserWarning):
-            generate_scene(SceneParams(n_lanes=2, curvature=(-3e-4, 3e-4), lane_spacing=3.5, seed=6))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The test configuration itself: a failing test is reported, not lost; the
 package writes files through one writer only, and JSON text through one
-encoder call; it refuses a value with its own error classes, not a builtin
-one, each message naming the field; every array field refuses a wrong shape
+encoder call; it reports a problem only by raising, never by a warning; it
+refuses a value with its own error classes, not a builtin one, each message
+naming the field; every array field refuses a wrong shape
 and NaN by one rule; and no CLI flag re-spells a config file's field."""
 
 import ast
@@ -167,6 +168,55 @@ def test_the_json_scan_finds_each_encoder_call():
     )
     assert json_dumps_calls(source, ("_json_text",)) == ["line 3: dumps", "line 4: dumps", "line 5: dump", "line 6: dumps"]
     assert json_dumps_calls(source)[-1] == "line 11: dumps"
+
+
+def warning_uses(source: str) -> list[str]:
+    """Each import of the warnings module in `source`, and each call of a
+    function named warn or warn_explicit (also when imported by name)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import warnings") for a in node.names if a.name.split(".")[0] == "warnings"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+            found.append((node.lineno, "from warnings"))
+        elif isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name in ("warn", "warn_explicit"):
+                found.append((node.lineno, name))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_warns(module):
+    # A problem raises a LaneBevError or is not reported: a warning reaches
+    # stderr on a run that succeeds, and under -W error it ends the run
+    assert warning_uses(module.read_text()) == []
+
+
+def test_the_warning_scan_finds_each_warning():
+    source = textwrap.dedent(
+        """
+        import warnings
+        import os, warnings as w
+        from warnings import warn
+
+        def check(value):
+            warnings.warn("value may be wrong", stacklevel=2)
+            w.warn_explicit("late", UserWarning, "f.py", 1)
+            warn("plain")
+            logger.warning("not a warning call")
+            with np.errstate(over="ignore"):
+                pass
+        """
+    )
+    assert warning_uses(source) == [
+        "line 2: import warnings",
+        "line 3: import warnings",
+        "line 4: from warnings",
+        "line 7: warn",
+        "line 8: warn_explicit",
+        "line 9: warn",
+    ]
 
 
 GENERIC_ERRORS = ("ValueError", "TypeError", "RuntimeError")

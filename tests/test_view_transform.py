@@ -181,6 +181,11 @@ class TestApplyPyramid:
         with pytest.raises(ShapeMismatch):
             apply_pyramid({32: m32}, {32: FeatureTensor(rng.random((3, 4, 1)), scale=32)}, PyramidSpec(scales=(32, 64), bev_shape=(2, 3)))
 
+    def test_map_to_another_bev_shape(self, rng):
+        m32 = self._map(rng, 6, 12, (3, 4), (3, 2))
+        with pytest.raises(ShapeMismatch, match=re.escape("apply_pyramid.maps: scale 32 outputs (3, 2), the spec wants (2, 3)")):
+            apply_pyramid({32: m32}, {32: FeatureTensor(rng.random((3, 4, 1)), scale=32)}, PyramidSpec(scales=(32,), bev_shape=(2, 3)))
+
 
 # The benchmark's IPM pyramid: scales 8, 16 and 32 of a 1024x576 view of the
 # seed-1 fleet's virtual camera, mapped to the 200x40 grid.
@@ -341,6 +346,20 @@ class TestFitVrm:
         samples = [(FeatureTensor(rng.normal(size=(3, 4, 2)), scale=32), FeatureTensor(rng.normal(size=(2, 3, 2)), scale=32))]
         with pytest.raises(error, match=r"^fit_vrm_least_squares\.ridge: "):
             fit_vrm_least_squares(samples, ridge=ridge)
+
+    @pytest.mark.parametrize(
+        "fv_shape, bev_shape, message",
+        [
+            ((3, 5, 2), (2, 3, 2), "front-view and BEV shapes differ from samples[0]'s"),
+            ((3, 4, 2), (2, 4, 2), "front-view and BEV shapes differ from samples[0]'s"),
+            ((3, 4, 2), (2, 3, 1), "front-view and BEV channel counts differ"),
+        ],
+    )
+    def test_mismatched_sample_is_refused_naming_it(self, rng, fv_shape, bev_shape, message):
+        samples = [(FeatureTensor(rng.normal(size=(3, 4, 2))), FeatureTensor(rng.normal(size=(2, 3, 2)))) for _ in range(3)]
+        samples.append((FeatureTensor(rng.normal(size=fv_shape)), FeatureTensor(rng.normal(size=bev_shape))))
+        with pytest.raises(ShapeMismatch, match=re.escape(f"fit_vrm_least_squares.samples[3]: {message}")):
+            fit_vrm_least_squares(samples, ridge=0.0)
 
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
