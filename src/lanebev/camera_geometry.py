@@ -25,7 +25,6 @@ one camera to the pixels of another camera observing the same ground point.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -41,6 +40,8 @@ from .errors import (
     ShapeMismatch,
     SingularHomography,
     _array_field,
+    _ints_field,
+    _scalar_field,
 )
 
 if TYPE_CHECKING:
@@ -52,6 +53,9 @@ if TYPE_CHECKING:
 DEFAULT_GROUND_POINTS = ((3.0, -5.0), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0))
 
 _MIN_DEPTH = 1e-9
+
+# A subnormal focal length projects every ground point to (cx, cy)
+_FOCAL_RULE = f"a normal float, at least {np.finfo(float).tiny}"
 
 # Output points per block in the sampler kernel (_sample_rows), rounded
 # down to whole output rows and at least one row.  A block's coordinates
@@ -72,12 +76,7 @@ class Intrinsics:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if not np.isfinite(v):
-                raise NonFiniteInput(f"Intrinsics.{name}: must be finite, got {v}")
-        tiny = np.finfo(float).tiny  # a subnormal focal length projects every ground point to (cx, cy)
-        for name in ("fx", "fy"):
-            if not getattr(self, name) >= tiny:
-                raise InvalidValue(f"Intrinsics.{name}: must be a normal float >= {tiny}, got {getattr(self, name)}")
+            _scalar_field(f"Intrinsics.{name}", v, _FOCAL_RULE if name in ("fx", "fy") else "finite")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -125,10 +124,10 @@ class CameraRig:
     image_size: tuple[int, int]
 
     def __post_init__(self):
-        size = tuple(self.image_size) if isinstance(self.image_size, (tuple, list)) else ()
-        if len(size) != 2 or not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v > 0 for v in size):
-            raise InvalidValue(f"CameraRig.image_size: must be two positive integers, got {self.image_size!r}")
-        object.__setattr__(self, "image_size", tuple(map(int, size)))
+        for name, kind in (("intrinsics", Intrinsics), ("extrinsics", Extrinsics)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidValue(f"CameraRig.{name}: must be an {kind.__name__}, got {type(getattr(self, name)).__name__}")
+        object.__setattr__(self, "image_size", _ints_field("CameraRig.image_size", self.image_size, 2))
 
 
 @dataclass(frozen=True)

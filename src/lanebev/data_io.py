@@ -333,7 +333,7 @@ def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> 
     infinite points or fit values, each naming the key path (such as
     lanes[1].points or lanes[1].fit.y_coeffs), which JSON cannot hold.
     The points are checked again because Lane3D.points can be reassigned;
-    FittedLane leaves its values unchecked, as the decoder makes one per lane.
+    FittedLane leaves them unchecked for NaN, as the decoder makes one per lane.
     """
     if fits is not None and len(fits) != len(lanes):
         raise ShapeMismatch(f"lanes_to_dict.fits: {len(fits)} fit(s) for {len(lanes)} lane(s)")
@@ -360,7 +360,8 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
     Raises MissingField naming the field (such as lanes[2].id) when the
     layout, a key or a value is unusable, ShapeMismatch on points that are
     not (N, 3), NonFiniteInput on NaN or infinite points, and InvalidValue
-    naming Lane3D.points and the lane id on a lane without 2 distinct x.
+    naming Lane3D.id on an id beyond 64 bits, or Lane3D.points and the lane
+    id on a lane without 2 distinct x.
     """
     _json_object(data, "lanes JSON", ("lanes",))
     if not isinstance(data.get("lanes"), list):
@@ -369,8 +370,8 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
     for i, entry in enumerate(data["lanes"]):
         entry = _json_object(entry, f"lanes[{i}]", ("id", "points", "fit"))
         lane_id = entry.get("id", i + 1)
-        if type(lane_id) is not int or not -(2**63) <= lane_id < 2**63:
-            raise MissingField(f"lanes[{i}].id: must be a 64-bit integer, got {lane_id!r}")
+        if type(lane_id) is not int:
+            raise MissingField(f"lanes[{i}].id: must be a JSON integer, got {lane_id!r}")
         points = _floats(entry.get("points"), f"lanes[{i}].points", (None, 3))
         lanes.append(Lane3D(points=points, id=lane_id))
     return lanes

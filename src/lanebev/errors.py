@@ -9,8 +9,12 @@ for a file's value its key path:
 
   ShapeMismatch            a wrong shape, or shapes that disagree
   NonFiniteInput           NaN or infinity where finite values are needed
-  InvalidValue             a value outside its allowed range
+  InvalidValue             a value outside its range, or of the wrong type
   MissingField             a JSON file's layout or type problem
+
+Every array field is checked by `_array_field` and every number by
+`_scalar_field`, so a string, None, a bool or a list where a number is
+wanted is InvalidValue from any constructor, never a bare Python error.
 
 The other classes each name one fault that the rule above does not cover:
 
@@ -25,6 +29,8 @@ The other classes each name one fault that the rule above does not cover:
   MalformedJson            bytes that are not UTF-8 JSON text
 """
 
+import functools
+import math
 import numbers
 
 import numpy as np
@@ -35,8 +41,8 @@ class LaneBevError(Exception):
 
 
 class InvalidValue(LaneBevError, ValueError):
-    """A value lies outside its allowed range.  The message starts with the
-    field, as `Class.field:` or, for a function argument, `function.arg:`."""
+    """A value lies outside its allowed range or is of the wrong type.  The
+    message starts with `Class.field:` or, for an argument, `function.arg:`."""
 
 
 # --- camera geometry ---
@@ -106,11 +112,18 @@ def _array_field(owner: str, value, shape: tuple[int | None, ...], *, finite: bo
     """`value` as an array of `dtype` (None keeps its own), without a copy
     when it already is one, checked for one array field named `owner`.
 
-    Raises ShapeMismatch unless its shape is `shape`, where None matches any
-    length, and, when `finite`, NonFiniteInput on NaN or infinity; either
+    Raises InvalidValue unless it holds only bools, integers or floats,
+    ShapeMismatch unless its shape is `shape`, where None matches any
+    length, and, when `finite`, NonFiniteInput on NaN or infinity; each
     message starts with `owner`, such as `Lane3D.points`.
     """
-    arr = np.asarray(value, dtype=dtype)
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # such as a ragged nest
+        raise InvalidValue(f"{owner}: must be an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "biuf":
+        raise InvalidValue(f"{owner}: must be an array of numbers, got {arr.dtype} values")
+    arr = arr if dtype is None else arr.astype(dtype, copy=False)
     if arr.ndim != len(shape) or any(n is not None and n != got for got, n in zip(arr.shape, shape)):
         raise ShapeMismatch(f"{owner}: shape {arr.shape} differs from {str(shape).replace('None', '*')}")
     if finite and not np.isfinite(arr).all():
@@ -118,8 +131,43 @@ def _array_field(owner: str, value, shape: tuple[int | None, ...], *, finite: bo
     return arr
 
 
-def _int_field(owner: str, value, low: int) -> None:
-    """Raise InvalidValue naming `owner` unless `value` is an integer (bool
-    refused, numpy integers taken) of at least `low`."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low):
-        raise InvalidValue(f"{owner}: must be an integer >= {low}, got {value!r}")
+@functools.cache
+def _interval(rule: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low included, high included) of a `_scalar_field` rule."""
+    if "at least " in rule:
+        rule = f"in [{rule.split('at least ')[1]}, inf)"
+    rule = {"finite": "in (-inf, inf)", "positive": "in (0, inf)", "non-negative": "in [0, inf)"}.get(rule, rule)
+    low, high = rule[4:-1].split(", ")
+    return float(low), float(high), rule[3] == "[", rule[-1] == "]"
+
+
+def _scalar_field(owner: str, value, rule: str = "finite", *, integer: bool = False) -> int | float:
+    """`value`, one number named `owner`, as an int when `integer`, else a float.
+
+    Raises InvalidValue unless it is a real number, or an integer when
+    `integer` (bool refused, numpy scalars taken), NonFiniteInput on NaN or
+    infinity, and InvalidValue unless it lies in `rule`: "finite",
+    "positive", "non-negative", a text ending "at least 2", or an interval
+    such as "in (0, 1]".
+    """
+    kind, abc = type(value), numbers.Integral if integer else numbers.Real
+    if not (kind is int or kind is float and not integer or kind is not bool and isinstance(value, abc)):
+        raise InvalidValue(f"{owner}: must be {'an integer' if integer else 'a real number'}, got {value!r}")
+    try:
+        number = int(value) if integer else float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not (integer or math.isfinite(number)):
+        raise NonFiniteInput(f"{owner}: holds NaN or infinite values")
+    low, high, low_in, high_in = _interval(rule)
+    if not ((low <= number if low_in else low < number) and (number <= high if high_in else number < high)):
+        raise InvalidValue(f"{owner}: must be {rule}, got {value!r}")
+    return number
+
+
+def _ints_field(owner: str, value, length: int | None = None) -> tuple[int, ...]:
+    """`value`, a non-empty tuple or list of positive integers (`length` of
+    them when given), as a tuple of ints; else InvalidValue naming `owner`."""
+    if not (isinstance(value, (tuple, list)) and value and len(value) == (length or len(value))):
+        raise InvalidValue(f"{owner}: must be {length or 'one or more'} positive integers, got {value!r}")
+    return tuple(_scalar_field(owner, v, "positive", integer=True) for v in value)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field
+from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field, _scalar_field
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,8 @@ class GridSpec:
     cell: float = 0.5
 
     def __post_init__(self):
-        if self.cell <= 0:
-            raise InvalidValue(f"GridSpec.cell: must be positive, got {self.cell}")
+        for name, v in self.__dict__.items():
+            _scalar_field(f"GridSpec.{name}", v, "positive" if name == "cell" else "finite")
         for lo, hi, name in ((self.x_min, self.x_max, "x"), (self.y_min, self.y_max, "y")):
             span = hi - lo
             if span <= 0:
@@ -70,13 +70,14 @@ class Lane3D:
     keeps the cell of each grid row with the lowest column.  Raises
     ShapeMismatch unless the points are (N, 3), NonFiniteInput on a NaN or
     infinite coordinate, and InvalidValue, naming the lane id, on fewer
-    than 2 distinct x.
+    than 2 distinct x; the id is a 64-bit integer.
     """
 
     points: np.ndarray
     id: int = 0
 
     def __post_init__(self):
+        _scalar_field("Lane3D.id", self.id, f"in [{-(2**63)}, {2**63})", integer=True)
         pts = _array_field("Lane3D.points", self.points, (None, 3))
         x = pts[:, 0]
         if (x[1:] > x[:-1]).all():
@@ -217,9 +218,11 @@ def ideal_prediction(
     vertex of a regular simplex as its embedding, scaled so inter-class
     distance equals 2 * delta_d; background cells get the zero vector.
     Raises ShapeMismatch when `gt` has no instance tensor or another shape
-    than the grid, and TooManyInstances when the instances exceed the
-    simplex capacity embed_dim + 1.
+    than the grid, InvalidValue unless embed_dim is a non-negative integer,
+    and TooManyInstances when the instances exceed the simplex capacity
+    embed_dim + 1.
     """
+    _scalar_field("ideal_prediction.embed_dim", embed_dim, "non-negative", integer=True)
     if gt.instance is None:
         raise ShapeMismatch("ideal_prediction.gt: needs an instance tensor")
     if gt.shape != spec.shape:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field
+from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field, _scalar_field
 from .lane_grid import GridTensors
 
 _P_CLAMP = 1e-7
@@ -79,8 +79,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if not 0 <= v < np.inf:
-                raise InvalidValue(f"LossWeights.{name}: must be non-negative and finite, got {v}")
+            _scalar_field(f"LossWeights.{name}", v, "non-negative")
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,8 @@ class EmbedMargins:
     delta_d: float = 3.0
 
     def __post_init__(self):
-        if not self.delta_v > 0:
-            raise InvalidValue(f"EmbedMargins.delta_v: must be positive, got {self.delta_v}")
-        if not self.delta_d > self.delta_v:
+        _scalar_field("EmbedMargins.delta_v", self.delta_v, "positive")
+        if not _scalar_field("EmbedMargins.delta_d", self.delta_d) > self.delta_v:
             raise InvalidValue(f"EmbedMargins.delta_d: must exceed delta_v = {self.delta_v}, got {self.delta_d}")
 
 
@@ -343,8 +341,7 @@ def run_gradient_suite(seed: int = 0, batches: int = 20, shape: tuple[int, int] 
     is not differentiable there.  At least one batch is required, since no
     batch would check nothing and still pass.
     """
-    if batches < 1:
-        raise InvalidValue(f"run_gradient_suite.batches: must be at least 1, got {batches}")
+    _scalar_field("run_gradient_suite.batches", batches, "at least 1", integer=True)
     rng = np.random.default_rng(seed)
     margins = EmbedMargins()
     worst = {k: 0.0 for k in ("conf", "offset", "height", "embed", "seg2d")}

@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidValue, _array_field
+from .errors import EmptyInput, InvalidValue, _array_field, _scalar_field
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -45,12 +45,9 @@ class EvalConfig:
         xs = tuple(_array_field("EvalConfig.sample_xs", self.sample_xs, (None,)).tolist())
         if not xs or not all(a < b for a, b in zip(xs, xs[1:])):
             raise InvalidValue(f"EvalConfig.sample_xs: must be non-empty and strictly ascending, got {xs}")
-        if not 0.0 < self.match_ratio <= 1.0:
-            raise InvalidValue(f"EvalConfig.match_ratio: must be in (0, 1], got {self.match_ratio}")
-        if not self.match_threshold > 0:
-            raise InvalidValue(f"EvalConfig.match_threshold: must be positive, got {self.match_threshold}")
-        if not np.isfinite(self.near_limit):
-            raise InvalidValue(f"EvalConfig.near_limit: must be finite, got {self.near_limit}")
+        _scalar_field("EvalConfig.match_threshold", self.match_threshold, "positive")
+        _scalar_field("EvalConfig.match_ratio", self.match_ratio, "in (0, 1]")
+        _scalar_field("EvalConfig.near_limit", self.near_limit)
         object.__setattr__(self, "sample_xs", xs)
 
 
@@ -89,6 +86,13 @@ class EvalResult:
     tp: int = 0
     n_pred: int = 0
     n_gt: int = 0
+
+    def __post_init__(self):
+        for name, v in self.__dict__.items():
+            if name in ("f_score", "precision", "recall"):
+                _scalar_field(f"EvalResult.{name}", v, "in [0, 1]")
+            elif v is not None or name in ("tp", "n_pred", "n_gt"):  # an error is None with no sample to measure
+                _scalar_field(f"EvalResult.{name}", v, "non-negative", integer=name in ("tp", "n_pred", "n_gt"))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _int_field
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _scalar_field
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -54,12 +54,10 @@ class DecodeParams:
     fit_degree: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.s_threshold < 1.0:
-            raise InvalidValue(f"DecodeParams.s_threshold: must be in (0, 1), got {self.s_threshold}")
-        if not self.d_gap > 0:
-            raise InvalidValue(f"DecodeParams.d_gap: must be positive, got {self.d_gap}")
-        _int_field("DecodeParams.min_points", self.min_points, 2)
-        _int_field("DecodeParams.fit_degree", self.fit_degree, 1)
+        _scalar_field("DecodeParams.s_threshold", self.s_threshold, "in (0, 1)")
+        _scalar_field("DecodeParams.d_gap", self.d_gap, "positive")
+        _scalar_field("DecodeParams.min_points", self.min_points, "at least 2", integer=True)
+        _scalar_field("DecodeParams.fit_degree", self.fit_degree, "at least 1", integer=True)
 
 
 @dataclass
@@ -70,6 +68,7 @@ class LaneInstance:
     points: np.ndarray
 
     def __post_init__(self):
+        _scalar_field("LaneInstance.cluster_id", self.cluster_id, "non-negative", integer=True)
         self.points = _array_field("LaneInstance.points", self.points, (None, 3))
         if len(self.points) == 0:
             raise InvalidValue(f"LaneInstance.points: cluster {self.cluster_id} needs at least one point")
@@ -80,12 +79,18 @@ class FittedLane:
     """Polynomials for y(x) and z(x) on the rescaled abscissa t in [-1, 1].
 
     Coefficients are in increasing-power order of t = (2x - (a + b)) / (b - a)
-    where (a, b) = x_range, so x_range fully records the affine map.
+    where (a, b) = x_range, so x_range fully records the affine map.  The
+    values may be NaN or infinite: lanes_to_dict refuses them.
     """
 
     y_coeffs: np.ndarray
     z_coeffs: np.ndarray
     x_range: tuple[float, float]
+
+    def __post_init__(self):
+        self.y_coeffs = _array_field("FittedLane.y_coeffs", self.y_coeffs, (None,), finite=False)
+        self.z_coeffs = _array_field("FittedLane.z_coeffs", self.z_coeffs, (None,), finite=False)
+        _array_field("FittedLane.x_range", self.x_range, (2,), finite=False)
 
     def _t(self, x):
         a, b = self.x_range

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
-from .errors import InvalidValue, ShapeMismatch, _array_field, _int_field
+from .errors import InvalidValue, ShapeMismatch, _array_field, _scalar_field
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -39,16 +39,13 @@ class SceneParams:
     seed: int = 0
 
     def __post_init__(self):
-        _int_field("SceneParams.n_lanes", self.n_lanes, 0)
-        _int_field("SceneParams.seed", self.seed, 0)
+        _scalar_field("SceneParams.n_lanes", self.n_lanes, "non-negative", integer=True)
+        _scalar_field("SceneParams.lane_spacing", self.lane_spacing, "positive")
+        _scalar_field("SceneParams.hill_amplitude", self.hill_amplitude)
+        _scalar_field("SceneParams.hill_wavelength", self.hill_wavelength, "positive")
+        _scalar_field("SceneParams.seed", self.seed, "non-negative", integer=True)
         for name in ("curvature", "camera_jitter"):
             _array_field(f"SceneParams.{name}", getattr(self, name), (2,))
-        for name in ("lane_spacing", "hill_amplitude", "hill_wavelength"):
-            _array_field(f"SceneParams.{name}", getattr(self, name), ())
-        if self.lane_spacing <= 0:
-            raise InvalidValue(f"SceneParams.lane_spacing: must be positive, got {self.lane_spacing}")
-        if self.hill_wavelength <= 0:
-            raise InvalidValue(f"SceneParams.hill_wavelength: must be positive, got {self.hill_wavelength}")
         if self.curvature[0] > self.curvature[1]:
             raise InvalidValue(f"SceneParams.curvature: must be [lo, hi] with lo <= hi, got {self.curvature!r}")
 
@@ -58,6 +55,14 @@ class SceneRecord:
     rig: CameraRig
     lanes: list[Lane3D] = field(default_factory=list)
     scene_tag: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.rig, CameraRig):
+            raise InvalidValue(f"SceneRecord.rig: must be a CameraRig, got {type(self.rig).__name__}")
+        if not (isinstance(self.lanes, list) and all(isinstance(lane, Lane3D) for lane in self.lanes)):
+            raise InvalidValue("SceneRecord.lanes: must be a list of Lane3D")
+        if not isinstance(self.scene_tag, str):
+            raise InvalidValue(f"SceneRecord.scene_tag: must be a string, got {type(self.scene_tag).__name__}")
 
 
 def canonical_rig() -> CameraRig:

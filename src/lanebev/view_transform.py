@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
-from .errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch, _array_field
+from .errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
+from .errors import _array_field, _ints_field, _scalar_field
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -28,7 +29,8 @@ if TYPE_CHECKING:
 
 @dataclass
 class FeatureTensor:
-    """(H, W, C) feature map, every dim positive, tagged with its downsample factor.
+    """(H, W, C) feature map, every dim positive, tagged with its downsample
+    factor, a positive integer.
 
     The data may hold NaN: apply_vrm carries it to its output, and
     fit_vrm_least_squares, where it would spoil the fit, refuses it; a
@@ -42,8 +44,7 @@ class FeatureTensor:
         self.data = _array_field("FeatureTensor.data", self.data, (None, None, None), finite=False)
         if 0 in self.data.shape:
             raise ShapeMismatch(f"FeatureTensor.data: every dim must be positive, got shape {self.data.shape}")
-        if not self.scale > 0:
-            raise InvalidValue(f"FeatureTensor.scale: must be positive, got {self.scale}")
+        _scalar_field("FeatureTensor.scale", self.scale, "positive", integer=True)
 
     @property
     def hw(self) -> tuple[int, int]:
@@ -67,9 +68,9 @@ class ViewRelationMap:
         # A sparse matrix can only exist once scipy.sparse is imported.
         scipy_sparse = sys.modules.get("scipy.sparse")
         if scipy_sparse is None or not scipy_sparse.issparse(self.matrix):
-            self.matrix = np.asarray(self.matrix, dtype=float)
-        self.fv_shape = tuple(int(v) for v in self.fv_shape)
-        self.bev_shape = tuple(int(v) for v in self.bev_shape)
+            self.matrix = _array_field("ViewRelationMap.matrix", self.matrix, (None, None), finite=False)
+        self.fv_shape = _ints_field("ViewRelationMap.fv_shape", self.fv_shape, 2)
+        self.bev_shape = _ints_field("ViewRelationMap.bev_shape", self.bev_shape, 2)
         expect = (self.bev_shape[0] * self.bev_shape[1], self.fv_shape[0] * self.fv_shape[1])
         if self.matrix.shape != expect:
             raise ShapeMismatch(f"ViewRelationMap.matrix: shape {self.matrix.shape} differs from (HW_bev, HW_fv) = {expect}")
@@ -77,14 +78,17 @@ class ViewRelationMap:
 
 @dataclass(frozen=True)
 class PyramidSpec:
-    """Which scales feed the transform and the shared BEV output shape."""
+    """Which scales feed the transform, distinct positive integers, and the
+    shared BEV output shape, two positive integers."""
 
     scales: tuple[int, ...] = (32, 64)
     bev_shape: tuple[int, int] = (50, 10)
 
     def __post_init__(self):
-        if len(self.scales) == 0 or len(set(self.scales)) != len(self.scales):
-            raise InvalidValue(f"PyramidSpec.scales: must be non-empty and distinct, got {self.scales}")
+        object.__setattr__(self, "scales", _ints_field("PyramidSpec.scales", self.scales))
+        object.__setattr__(self, "bev_shape", _ints_field("PyramidSpec.bev_shape", self.bev_shape, 2))
+        if len(set(self.scales)) != len(self.scales):
+            raise InvalidValue(f"PyramidSpec.scales: must be distinct, got {self.scales}")
 
 
 def build_ipm_sampling_map(
@@ -211,14 +215,11 @@ def fit_vrm_least_squares(
     design matrix is rank-deficient).  For ill-posed fits a ridge around
     1e-6 times the mean diagonal of X^T X is a reasonable starting point;
     the value given here is used as-is, never rescaled.  A NaN or infinite
-    ridge raises NonFiniteInput and a negative one InvalidValue, both naming
-    `ridge`; no samples raise EmptyInput, and a sample holding NaN or
-    infinity NonFiniteInput naming it.
+    ridge raises NonFiniteInput, and one that is negative or not a real
+    number InvalidValue, both naming `ridge`; no samples raise EmptyInput,
+    and a sample holding NaN or infinity NonFiniteInput naming it.
     """
-    if not np.isfinite(ridge):
-        raise NonFiniteInput(f"fit_vrm_least_squares.ridge: must be finite, got {ridge}")
-    if ridge < 0:
-        raise InvalidValue(f"fit_vrm_least_squares.ridge: must be >= 0, got {ridge}")
+    _scalar_field("fit_vrm_least_squares.ridge", ridge, "non-negative")
     if not samples:
         raise EmptyInput("fit_vrm_least_squares.samples: needs at least one sample")
     fv_shape = samples[0][0].hw

@@ -80,6 +80,18 @@ class TestPipeline:
         assert code == 0
         assert json.loads(out)["f_score"] == 1.0
 
+    @pytest.mark.parametrize("n_lanes", [0, 2])
+    def test_negative_embed_dim_is_refused_naming_it(self, capsys, tmp_path, n_lanes):
+        # with no lanes numpy once refused the width as "negative dimensions",
+        # and with lanes the simplex as TooManyInstances; 0 stays valid
+        params = scene_params(tmp_path, n_lanes=n_lanes)
+        code, out, err = run(capsys, "pipeline", "--params", params, "--embed-dim", "-1")
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == "InvalidValue"
+        assert payload["message"].startswith("ideal_prediction.embed_dim: ")
+        assert run(capsys, "pipeline", "--params", scene_params(tmp_path, n_lanes=0), "--embed-dim", "0")[0] == 0
+
 
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self, capsys):

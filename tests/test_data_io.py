@@ -645,6 +645,29 @@ class TestLanesJson:
             data_io.save_lanes(lanes, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("lane_id", [-(2**63), 2**63 - 1])
+    def test_64_bit_ids_roundtrip(self, tmp_path, lane_id):
+        path = tmp_path / "lanes.json"
+        data_io.save_lanes([Lane3D(points=[[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]], id=lane_id)], path)
+        assert data_io.load_lanes(path)[0].id == lane_id
+
+    @pytest.mark.parametrize("lane_id", [2**63, -(2**63) - 1, 2**70])
+    def test_id_beyond_64_bits_is_refused_by_lane3d_from_code_and_file(self, lane_id):
+        # such an id once reached encode_lanes as a bare OverflowError, and
+        # save_lanes wrote a file that load_lanes refused
+        with pytest.raises(InvalidValue, match=r"^Lane3D\.id: "):
+            Lane3D(points=[[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]], id=lane_id)
+        with pytest.raises(InvalidValue, match=r"^Lane3D\.id: "):
+            data_io.lanes_from_dict({"lanes": [{"id": lane_id, "points": [[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]]}]})
+
+    @pytest.mark.parametrize("lane_id", [2.5, 2.0, "2"])
+    def test_non_integer_id_is_refused_not_truncated(self, lane_id):
+        # save_lanes once wrote id 2.5 as 2
+        with pytest.raises(InvalidValue, match=r"^Lane3D\.id: must be an integer"):
+            Lane3D(points=[[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]], id=lane_id)
+        with pytest.raises(MissingField, match=r"^lanes\[0\]\.id: must be a JSON integer"):
+            data_io.lanes_from_dict({"lanes": [{"id": lane_id, "points": [[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]]}]})
+
     def test_lane_without_two_distinct_x_names_the_lane_id(self):
         data = {"lanes": [{"id": 4, "points": [[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]]}, {"id": 7, "points": [[3.0, 0.0, 0.0]] * 3}]}
         with pytest.raises(InvalidValue, match=r"^Lane3D\.points: lane 7 needs at least 2 points with distinct x"):

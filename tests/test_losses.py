@@ -425,8 +425,10 @@ class TestTotalLoss:
     @pytest.mark.parametrize("name", ["w_conf", "w_embed", "w_offset", "w_height", "w_seg2d", "w_embed2d"])
     def test_negative_or_nan_weight_is_refused_naming_it(self, name, value):
         # a NaN weight once passed, and total_loss skipped its term through `if w > 0`;
-        # an infinite one once passed too, and total_loss returned inf
-        with pytest.raises(InvalidValue, match=rf"^LossWeights\.{name}: must be non-negative"):
+        # an infinite one once passed too, and total_loss returned inf.  NaN
+        # and infinity are NonFiniteInput, as in every scalar field
+        error, text = (InvalidValue, "must be non-negative") if np.isfinite(value) else (NonFiniteInput, "holds NaN")
+        with pytest.raises(error, match=rf"^LossWeights\.{name}: {text}"):
             LossWeights(**{name: value})
 
 
@@ -450,7 +452,8 @@ class TestInvariants:
          ({"delta_v": np.nan}, "delta_v"), ({"delta_d": np.nan}, "delta_d")],
     )
     def test_bad_margin_is_refused_naming_it(self, margins, field):
-        with pytest.raises(InvalidValue, match=rf"^EmbedMargins\.{field}: "):
+        error = NonFiniteInput if np.isnan(list(margins.values())).any() else InvalidValue
+        with pytest.raises(error, match=rf"^EmbedMargins\.{field}: "):
             EmbedMargins(**margins)
 
     def test_sigmoid_is_stable(self):

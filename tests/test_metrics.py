@@ -304,15 +304,15 @@ class TestEvalConfig:
             EvalConfig(match_ratio=0.0)
         with pytest.raises(ValueError):
             EvalConfig(match_threshold=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteInput):
             EvalConfig(match_threshold=float("nan"))
         with pytest.raises(ValueError):
             EvalConfig(sample_xs=())
         with pytest.raises(ValueError):
             EvalConfig(sample_xs=(3.0, 8.0, 8.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteInput):
             EvalConfig(near_limit=float("nan"))
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteInput):
             EvalConfig(near_limit=float("inf"))
 
     @pytest.mark.parametrize(
@@ -321,8 +321,10 @@ class TestEvalConfig:
          {"match_threshold": -1.0}, {"match_threshold": np.nan}, {"near_limit": -np.inf}],
     )
     def test_refused_value_raises_invalid_value_naming_the_field(self, kwargs):
-        (field,) = kwargs
-        with pytest.raises(InvalidValue, match=rf"^EvalConfig\.{field}: "):
+        # NaN and infinity are NonFiniteInput, as in every scalar field
+        ((field, value),) = kwargs.items()
+        error = NonFiniteInput if np.size(value) == 1 and not np.isfinite(value) else InvalidValue
+        with pytest.raises(error, match=rf"^EvalConfig\.{field}: "):
             EvalConfig(**kwargs)
 
     @pytest.mark.parametrize("sample_xs, error", [(5, ShapeMismatch), ([np.nan], NonFiniteInput)])

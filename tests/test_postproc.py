@@ -549,8 +549,10 @@ class TestDecodeParams:
         ],
     )
     def test_validation(self, kwargs):
-        (field,) = kwargs
-        with pytest.raises(InvalidValue, match=rf"^DecodeParams\.{field}: "):
+        # NaN is NonFiniteInput, as in every scalar field
+        ((field, value),) = kwargs.items()
+        error = NonFiniteInput if isinstance(value, float) and math.isnan(value) else InvalidValue
+        with pytest.raises(error, match=rf"^DecodeParams\.{field}: "):
             DecodeParams(**kwargs)
 
     def test_empty_lane_instance_names_the_cluster(self):

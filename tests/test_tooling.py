@@ -3,7 +3,8 @@ package writes files through one writer only, and JSON text through one
 encoder call; it reports a problem only by raising, never by a warning; it
 refuses a value with its own error classes, not a builtin one, each message
 naming the field; every array field refuses a wrong shape
-and NaN by one rule; and no CLI flag re-spells a config file's field."""
+and NaN by one rule; every field of every public dataclass refuses a value
+of the wrong type; and no CLI flag re-spells a config file's field."""
 
 import ast
 import dataclasses
@@ -16,15 +17,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanebev.camera_geometry import Extrinsics, Homography
+import lanebev
+from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics
 from lanebev.cli import _COMMANDS
-from lanebev.errors import NonFiniteInput, ShapeMismatch
+from lanebev.errors import LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
-from lanebev.losses import FrontViewPrediction, FrontViewTruth, PredictionBatch
-from lanebev.metrics import EvalConfig
-from lanebev.postproc import DecodeParams, LaneInstance
-from lanebev.synth import SceneParams
-from lanebev.view_transform import FeatureTensor, ViewRelationMap
+from lanebev.losses import EmbedMargins, FrontViewPrediction, FrontViewTruth, LossWeights, PredictionBatch
+from lanebev.metrics import EvalConfig, EvalResult
+from lanebev.postproc import DecodeParams, FittedLane, LaneInstance
+from lanebev.synth import SceneParams, SceneRecord, canonical_rig
+from lanebev.view_transform import FeatureTensor, PyramidSpec, ViewRelationMap
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -442,24 +444,50 @@ def test_the_class_scan_finds_each_class_nothing_raises():
 
 _Z2, _Z3 = np.zeros((2, 3)), np.zeros((2, 3, 4))
 _LINE = np.array([[3.0, 0.0, 0.0], [5.0, 1.0, 0.0]])
-# A valid construction of every class with array fields
+# Every public dataclass: those the package exports, and the front-view
+# loss inputs that total_loss takes
+PUBLIC_DATACLASSES = [
+    *(getattr(lanebev, name) for name in lanebev.__all__ if dataclasses.is_dataclass(getattr(lanebev, name))),
+    FrontViewPrediction,
+    FrontViewTruth,
+]
+# A valid construction of every public dataclass; a field left out takes its default
 VALID_ARGS = {
-    PredictionBatch: {"raw_confidence": _Z2, "raw_offset": _Z2, "embedding": _Z3, "height": _Z2},
-    FrontViewPrediction: {"raw_seg": _Z2, "embedding": _Z3},
-    FrontViewTruth: {"mask": _Z2, "instance": _Z2},
+    CameraRig: {
+        "intrinsics": Intrinsics(1000.0, 1000.0, 512.0, 288.0),
+        "extrinsics": Extrinsics(np.eye(3), np.ones(3)),
+        "image_size": (1024, 576),
+    },
+    DecodeParams: {},
+    EmbedMargins: {},
+    EvalConfig: {"sample_xs": np.array([3.0, 8.0])},
+    EvalResult: {
+        "f_score": 1.0, "precision": 1.0, "recall": 1.0, "x_err_near": 0.0, "x_err_far": None, "z_err_near": 0.0, "z_err_far": None
+    },
+    Extrinsics: {"rotation": np.eye(3), "translation": np.zeros(3)},
+    FeatureTensor: {"data": _Z3},
+    FittedLane: {"y_coeffs": np.zeros(4), "z_coeffs": np.zeros(4), "x_range": (3.0, 5.0)},
+    GridSpec: {},
     GridTensors: {"confidence": _Z2, "offset": _Z2, "height": _Z2, "instance": _Z2, "embedding": _Z3},
+    Homography: {"matrix": np.eye(3)},
+    Intrinsics: {"fx": 1000.0, "fy": 1000.0, "cx": 512.0, "cy": 288.0},
     Lane3D: {"points": _LINE},
     LaneInstance: {"cluster_id": 0, "points": _LINE},
-    FeatureTensor: {"data": _Z3},
-    Extrinsics: {"rotation": np.eye(3), "translation": np.zeros(3)},
-    Homography: {"matrix": np.eye(3)},
-    EvalConfig: {"sample_xs": np.array([3.0, 8.0])},
+    LossWeights: {},
+    PredictionBatch: {"raw_confidence": _Z2, "raw_offset": _Z2, "embedding": _Z3, "height": _Z2},
+    PyramidSpec: {},
+    SceneParams: {},
+    SceneRecord: {"rig": canonical_rig(), "lanes": [Lane3D(_LINE, id=1)], "scene_tag": "flat"},
     ViewRelationMap: {"matrix": np.zeros((4, 6)), "fv_shape": (2, 3), "bev_shape": (2, 2)},
+    FrontViewPrediction: {"raw_seg": _Z2, "embedding": _Z3},
+    FrontViewTruth: {"mask": _Z2, "instance": _Z2},
 }
 # The fields that take NaN: decode_grid checks the embedding of the
-# confident cells only, fit_vrm_least_squares checks its features, and a
-# view map may be sparse
-TAKES_NAN = {(GridTensors, "embedding"), (FeatureTensor, "data"), (ViewRelationMap, "matrix")}
+# confident cells only, fit_vrm_least_squares checks its features, a view
+# map may be sparse, and lanes_to_dict refuses a fit that is not finite
+TAKES_NAN = {
+    (GridTensors, "embedding"), (FeatureTensor, "data"), (ViewRelationMap, "matrix"), (FittedLane, "y_coeffs"), (FittedLane, "z_coeffs")
+}
 ARRAY_FIELDS = [(cls, name) for cls, args in VALID_ARGS.items() for name, value in args.items() if isinstance(value, np.ndarray)]
 
 
@@ -480,6 +508,48 @@ def test_every_array_field_refuses_a_wrong_shape_and_nan_naming_it(cls, field):
         return
     with pytest.raises(NonFiniteInput, match=named):
         cls(**{**args, field: nan})
+
+
+def test_every_public_dataclass_has_a_valid_construction():
+    assert [cls.__name__ for cls in PUBLIC_DATACLASSES if cls not in VALID_ARGS] == []
+    for cls, args in VALID_ARGS.items():
+        cls(**args)
+
+
+# Values of the wrong type for a number, an array or an object field: a
+# word, a number written as a string (numpy would parse it), None, a list
+# and a bool
+WRONG_TYPES = {"word": "a", "numeric string": "0.5", "None": None, "list": [1.0], "bool": True}
+# The 1-D fields of any length, which take [1.0]: one sample, one coefficient
+TAKES_ONE_NUMBER = {(EvalConfig, "sample_xs"), (FittedLane, "y_coeffs"), (FittedLane, "z_coeffs")}
+
+
+def takes(cls, field: dataclasses.Field, value) -> bool:
+    """Whether `value` is valid for `field` of `cls`: None where its type
+    allows None, a string where it is a string, and [1.0] for the fields in
+    TAKES_ONE_NUMBER."""
+    return (
+        (value is None and "None" in field.type)
+        or (isinstance(value, str) and field.type == "str")
+        or (value == [1.0] and (cls, field.name) in TAKES_ONE_NUMBER)
+    )
+
+
+TYPE_CASES = [
+    (cls, field.name, kind)
+    for cls in PUBLIC_DATACLASSES
+    for field in dataclasses.fields(cls)
+    for kind, value in WRONG_TYPES.items()
+    if not takes(cls, field, value)
+]
+
+
+@pytest.mark.parametrize("cls, field, kind", TYPE_CASES, ids=[f"{cls.__name__}.{field}-{kind}" for cls, field, kind in TYPE_CASES])
+def test_every_field_refuses_a_wrong_type_naming_it(cls, field, kind):
+    # Not a bare TypeError or ValueError, and never accepted: a LaneBevError
+    # (InvalidValue, or ShapeMismatch for a scalar where an array goes) naming Class.field
+    with pytest.raises(LaneBevError, match=rf"^{cls.__name__}\.{field}: "):
+        cls(**{**VALID_ARGS.get(cls, {}), field: WRONG_TYPES[kind]})
 
 
 def test_no_cli_flag_respells_a_config_field():

@@ -390,6 +390,13 @@ class TestTypes:
             (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=np.nan), "FeatureTensor.scale"),
             (lambda: PyramidSpec(scales=()), "PyramidSpec.scales"),
             (lambda: PyramidSpec(scales=(32, 32)), "PyramidSpec.scales"),
+            # one rule for positive integers: sizes are not truncated or parsed
+            (lambda: PyramidSpec(scales=(0, -3)), "PyramidSpec.scales"),
+            (lambda: PyramidSpec(scales=(32, 64.0)), "PyramidSpec.scales"),
+            (lambda: PyramidSpec(bev_shape=(50, 0)), "PyramidSpec.bev_shape"),
+            (lambda: ViewRelationMap(matrix=np.zeros((4, 6)), fv_shape=(2.5, 3), bev_shape=(2, 2)), "ViewRelationMap.fv_shape"),
+            (lambda: ViewRelationMap(matrix=np.zeros((4, 6)), fv_shape=(2, 3), bev_shape=("2", 2)), "ViewRelationMap.bev_shape"),
+            (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=32.0), "FeatureTensor.scale"),
         ],
     )
     def test_refused_value_raises_invalid_value_naming_the_field(self, build, field):
