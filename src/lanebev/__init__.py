@@ -25,7 +25,6 @@ from .camera_geometry import (
 )
 from .lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from .losses import (
-    EmbedMargins,
     LossWeights,
     PredictionBatch,
     conf_loss,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CameraRig",
     "DecodeParams",
-    "EmbedMargins",
     "EvalConfig",
     "EvalResult",
     "Extrinsics",

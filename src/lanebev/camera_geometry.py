@@ -276,7 +276,7 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
     bilinear interpolation; samples outside the source are 0.  `out_size`
     is (width, height), two non-negative integers; any other raises
-    ShapeMismatch naming `warp_image.out_size`.  Accepts (H, W) or
+    InvalidValue naming `warp_image.out_size`.  Accepts (H, W) or
     (H, W, C) arrays; any other raises ShapeMismatch naming
     `warp_image.image`.  The sampler and its row rule are
     _homography_sample's, which synth.render_ground_pattern shares.
@@ -313,8 +313,10 @@ def _homography_sample(
     because it is many orders of magnitude wider than the rounding that
     separates the mapped corners from the source coordinates that the cast
     rows compute.  The gate only zeroes points, so it keeps the rule exact.
+    An out_size that is not two non-negative integers raises InvalidValue
+    naming `owner.out_size`.
     """
-    out_w, out_h = out_size
+    out_w, out_h = _ints_field(f"{owner}.out_size", out_size, 2, "non-negative")
     uu = np.arange(out_w, dtype=float)
 
     def coords(v):
@@ -413,16 +415,13 @@ def _sample_rows(
     [0, out_h); coords is called only for the rows in it, and the rows
     outside it stay +0.0.
 
-    An image that is not 2-D or 3-D, or an output size that is not two
-    non-negative integers, raises ShapeMismatch naming `owner.image` or
-    `owner.out_size`.
+    An image that is not 2-D or 3-D raises ShapeMismatch naming
+    `owner.image`.
     """
     img = np.asarray(img, dtype=float)
     if img.ndim not in (2, 3):
         raise ShapeMismatch(f"{owner}.image: must be 2-D or 3-D, got shape {img.shape}")
     out_h, out_w = out_hw
-    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in out_hw):
-        raise ShapeMismatch(f"{owner}.out_size: must be non-negative integers (width, height), got ({out_w!r}, {out_h!r})")
     out = np.zeros((out_h * out_w, int(np.prod(img.shape[2:]))))
     nonzero = np.flatnonzero(img.any(axis=tuple(range(1, img.ndim))))
     if nonzero.size == 0:

@@ -268,8 +268,8 @@ def _rig_at(data, at: str) -> CameraRig:
     extr = _json_object(data.get("extrinsics"), at + "extrinsics", ("rotation", "translation"))
     rotation = _floats(extr.get("rotation"), f"{at}extrinsics.rotation", (3, 3))
     translation = _floats(extr.get("translation"), f"{at}extrinsics.translation", (3,))
-    size = _image_size(data.get("image_size"), at + "image_size")
-    return CameraRig(Intrinsics(**k), Extrinsics(rotation=rotation, translation=translation), size)
+    _floats(data.get("image_size"), at + "image_size", (2,))
+    return CameraRig(Intrinsics(**k), Extrinsics(rotation=rotation, translation=translation), data["image_size"])
 
 
 def load_rig(path: str | Path) -> CameraRig:
@@ -289,13 +289,6 @@ def load_homography(path: str | Path) -> Homography:
     """
     data = _json_object(_read_json(path), "homography JSON", ("matrix",))
     return Homography(_floats(data.get("matrix"), "matrix", (3, 3)))
-
-
-def _image_size(value, name: str) -> tuple[int, int]:
-    """Two JSON integers, bool refused; CameraRig checks their range."""
-    if not (isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value)):
-        raise MissingField(f"{name}: must be two JSON integers, got {value!r}")
-    return tuple(value)
 
 
 # --- config dataclasses (GridSpec, DecodeParams, EvalConfig, SceneParams) ---
@@ -446,7 +439,8 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
         raise InvalidValue("frame.intrinsic: matrix is not invertible")
     if not off <= 1e-6:
         raise InvalidValue("frame.extrinsic: rotation fails orthonormality within 1e-6")
-    size = _image_size(data.get("image_size", [1024, 576]), "image_size")
+    size = data.get("image_size", [1024, 576])
+    _floats(size, "image_size", (2,))
     lane_lines = data.get("lane_lines")
     if not isinstance(lane_lines, list):
         raise MissingField(f"lane_lines: must be a list, got {type(lane_lines).__name__}")

@@ -165,9 +165,10 @@ def _scalar_field(owner: str, value, rule: str = "finite", *, integer: bool = Fa
     return number
 
 
-def _ints_field(owner: str, value, length: int | None = None) -> tuple[int, ...]:
-    """`value`, a non-empty tuple or list of positive integers (`length` of
-    them when given), as a tuple of ints; else InvalidValue naming `owner`."""
+def _ints_field(owner: str, value, length: int | None = None, rule: str = "positive") -> tuple[int, ...]:
+    """`value`, a non-empty tuple or list of integers in `rule` (see
+    _scalar_field; `length` of them when given), as a tuple of ints; else
+    InvalidValue naming `owner`."""
     if not (isinstance(value, (tuple, list)) and value and len(value) == (length or len(value))):
-        raise InvalidValue(f"{owner}: must be {length or 'one or more'} positive integers, got {value!r}")
-    return tuple(_scalar_field(owner, v, "positive", integer=True) for v in value)
+        raise InvalidValue(f"{owner}: must be {length or 'one or more'} {rule} integers, got {value!r}")
+    return tuple(_scalar_field(owner, v, rule, integer=True) for v in value)

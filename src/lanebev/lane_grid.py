@@ -16,6 +16,12 @@ import numpy as np
 
 from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field, _scalar_field
 
+# Margins of the discriminative embedding loss: the pull loss lets a cell
+# lie DELTA_V from its lane's centre, the push loss drives centres
+# 2 * DELTA_D apart, and ideal_prediction places them exactly that far apart.
+DELTA_V = 0.5
+DELTA_D = 3.0
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -206,17 +212,12 @@ def simplex_vertices(n: int, dim: int) -> np.ndarray:
     return out
 
 
-def ideal_prediction(
-    gt: GridTensors,
-    spec: GridSpec = GridSpec(),
-    embed_dim: int = 4,
-    delta_d: float = 3.0,
-) -> GridTensors:
+def ideal_prediction(gt: GridTensors, spec: GridSpec = GridSpec(), embed_dim: int = 4) -> GridTensors:
     """Build the prediction a perfectly trained head would output for `gt`.
 
     Confidence, offset and height are copied.  Each lane instance gets a
     vertex of a regular simplex as its embedding, scaled so inter-class
-    distance equals 2 * delta_d; background cells get the zero vector.
+    distance equals 2 * DELTA_D; background cells get the zero vector.
     Raises ShapeMismatch when `gt` has no instance tensor or another shape
     than the grid, InvalidValue unless embed_dim is a non-negative integer,
     and TooManyInstances when the instances exceed the simplex capacity
@@ -229,7 +230,7 @@ def ideal_prediction(
         raise ShapeMismatch(f"ideal_prediction.gt: shape {gt.shape} differs from the grid's {spec.shape}")
     lane = gt.instance > 0
     ids, which = np.unique(gt.instance[lane], return_inverse=True)
-    verts = simplex_vertices(len(ids), embed_dim) * (2.0 * delta_d)
+    verts = simplex_vertices(len(ids), embed_dim) * (2.0 * DELTA_D)
     emb = np.zeros(gt.shape + (embed_dim,))
     emb[lane] = verts[which]
     return GridTensors(

@@ -5,7 +5,8 @@ The 3D head losses over the s1 x s2 grid:
   - confidence: binary cross-entropy on sigmoid(raw) against {0, 1} targets
   - offset: masked squared error of (sigmoid(raw) - 0.5) against the
     ground-truth lateral offset in [-0.5, 0.5)
-  - embedding: pull-push discriminative loss with squared hinges
+  - embedding: pull-push discriminative loss with squared hinges, at the
+    fixed margins lane_grid.DELTA_V = 0.5 (pull) and DELTA_D = 3.0 (push)
   - height: masked squared error in meters
 
 plus the front-view auxiliaries: pixelwise segmentation BCE and the same
@@ -26,11 +27,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field, _scalar_field
-from .lane_grid import GridTensors
+from .errors import ShapeMismatch, TooManyInstances, _array_field, _scalar_field
+from .lane_grid import DELTA_D, DELTA_V, GridTensors
 
 _P_CLAMP = 1e-7
-_EMBED_DIM = 4  # embedding width of the gradient self-check batches
+_CHECK_SHAPE = (10, 8)  # grid of the gradient self-check batches
+_EMBED_DIM = 4  # their embedding width
+_FD_STEP = 1e-5  # the step of its central differences
 # Most distinct instance ids embed_loss takes: its pair terms hold C x C x D
 # arrays, and a lane grid holds a handful of instances.
 _MAX_INSTANCES = 256
@@ -80,19 +83,6 @@ class LossWeights:
     def __post_init__(self):
         for name, v in self.__dict__.items():
             _scalar_field(f"LossWeights.{name}", v, "non-negative")
-
-
-@dataclass(frozen=True)
-class EmbedMargins:
-    """Hinge margins of the discriminative embedding loss."""
-
-    delta_v: float = 0.5
-    delta_d: float = 3.0
-
-    def __post_init__(self):
-        _scalar_field("EmbedMargins.delta_v", self.delta_v, "positive")
-        if not _scalar_field("EmbedMargins.delta_d", self.delta_d) > self.delta_v:
-            raise InvalidValue(f"EmbedMargins.delta_d: must exceed delta_v = {self.delta_v}, got {self.delta_d}")
 
 
 @dataclass
@@ -208,15 +198,11 @@ def _cluster_geometry(flat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     return cells, member, counts, offset, np.sqrt((offset**2).sum(axis=1)), delta, np.sqrt((delta**2).sum(axis=2))
 
 
-def embed_loss(
-    embedding: np.ndarray,
-    instance: np.ndarray,
-    margins: EmbedMargins = EmbedMargins(),
-) -> tuple[float, np.ndarray]:
+def embed_loss(embedding: np.ndarray, instance: np.ndarray) -> tuple[float, np.ndarray]:
     """Discriminative pull-push loss over instance clusters.
 
-    pull = (1/C) sum_c (1/N_c) sum_i max(0, |mu_c - e_i| - delta_v)^2
-    push = (1/(C(C-1))) sum_{a != b} max(0, 2 delta_d - |mu_a - mu_b|)^2
+    pull = (1/C) sum_c (1/N_c) sum_i max(0, |mu_c - e_i| - DELTA_V)^2
+    push = (1/(C(C-1))) sum_{a != b} max(0, 2 DELTA_D - |mu_a - mu_b|)^2
 
     C is the number of instances with label > 0; the gradient accounts for
     the dependence of each cluster mean on its members.  C <= 1 gives
@@ -232,7 +218,7 @@ def embed_loss(
     cells, member, counts, offset, dist, delta, pair = _cluster_geometry(flat, inst.reshape(-1))
     c_count = len(counts)
     n = counts[member]
-    h = np.maximum(0.0, dist - margins.delta_v)
+    h = np.maximum(0.0, dist - DELTA_V)
     value = float((np.bincount(member, weights=h**2, minlength=c_count) / counts).sum()) / max(c_count, 1)
     hg = np.zeros_like(offset)
     active = h > 0
@@ -242,7 +228,7 @@ def embed_loss(
 
     # C(C-1) ordered pairs; C <= 1 has none
     norm = 1.0 / max(c_count * (c_count - 1), 1)
-    m = 2.0 * margins.delta_d - pair
+    m = 2.0 * DELTA_D - pair
     hinged = (m > 0.0) & ~np.eye(c_count, dtype=bool)
     value += norm * float((m[hinged] ** 2).sum())
     moving = hinged & (pair > 0.0)
@@ -268,7 +254,6 @@ def total_loss(
     pred2d: FrontViewPrediction | None = None,
     gt2d: FrontViewTruth | None = None,
     weights: LossWeights = LossWeights(),
-    margins: EmbedMargins = EmbedMargins(),
 ) -> float:
     """Weighted sum of the six loss terms.  Terms with weight 0 are skipped
     (so a zero-weight front-view pair may be omitted entirely)."""
@@ -284,28 +269,28 @@ def total_loss(
     if weights.w_embed > 0:
         if gt3d.instance is None:
             raise ShapeMismatch("total_loss.gt3d: the embedding loss needs ground truth instances")
-        total += weights.w_embed * embed_loss(pred3d.embedding, gt3d.instance, margins)[0]
+        total += weights.w_embed * embed_loss(pred3d.embedding, gt3d.instance)[0]
     if weights.w_seg2d > 0:
         total += weights.w_seg2d * seg_loss_2d(pred2d.raw_seg, gt2d.mask)[0]
     if weights.w_embed2d > 0:
-        total += weights.w_embed2d * embed_loss(pred2d.embedding, gt2d.instance, margins)[0]
+        total += weights.w_embed2d * embed_loss(pred2d.embedding, gt2d.instance)[0]
     return float(total)
 
 
-def finite_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function of an array."""
+def finite_difference_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central finite differences, with step _FD_STEP, of a scalar function of an array."""
     x = np.array(x, dtype=float)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + _FD_STEP
         fp = f(x)
-        flat[i] = orig - step
+        flat[i] = orig - _FD_STEP
         fm = f(x)
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * step)
+        gflat[i] = (fp - fm) / (2.0 * _FD_STEP)
     return grad
 
 
@@ -324,17 +309,17 @@ def _random_gt(rng: np.random.Generator, shape: tuple[int, int], n_inst: int) ->
     )
 
 
-def _hinge_kink_near(emb, inst, margins, tol=1e-4) -> bool:
+def _hinge_kink_near(emb, inst) -> bool:
     _, _, _, _, dist, _, pair = _cluster_geometry(emb.reshape(-1, emb.shape[2]), inst.reshape(-1))
     return bool(
-        np.any(np.abs(dist - margins.delta_v) < tol)
-        or np.any(np.abs(2.0 * margins.delta_d - pair[~np.eye(len(pair), dtype=bool)]) < tol)
+        np.any(np.abs(dist - DELTA_V) < 1e-4)
+        or np.any(np.abs(2.0 * DELTA_D - pair[~np.eye(len(pair), dtype=bool)]) < 1e-4)
     )
 
 
-def run_gradient_suite(seed: int = 0, batches: int = 20, shape: tuple[int, int] = (10, 8)) -> dict[str, float]:
+def run_gradient_suite(seed: int = 0, batches: int = 20) -> dict[str, float]:
     """Compare every analytic gradient against central finite differences
-    on random batches; returns the max relative error per loss.
+    on random _CHECK_SHAPE batches; returns the max relative error per loss.
 
     Each batch checks one table row per loss.  Embedding batches whose
     hinge arguments sit within 1e-4 of a kink are resampled, since the loss
@@ -343,28 +328,27 @@ def run_gradient_suite(seed: int = 0, batches: int = 20, shape: tuple[int, int] 
     """
     _scalar_field("run_gradient_suite.batches", batches, "at least 1", integer=True)
     rng = np.random.default_rng(seed)
-    margins = EmbedMargins()
     worst = {k: 0.0 for k in ("conf", "offset", "height", "embed", "seg2d")}
 
     for _ in range(batches):
-        gt = _random_gt(rng, shape, n_inst=3)
+        gt = _random_gt(rng, _CHECK_SHAPE, n_inst=3)
         pred = PredictionBatch(
-            raw_confidence=rng.normal(size=shape),
-            raw_offset=rng.normal(size=shape),
-            embedding=rng.normal(size=shape + (_EMBED_DIM,)),
-            height=rng.normal(size=shape),
+            raw_confidence=rng.normal(size=_CHECK_SHAPE),
+            raw_offset=rng.normal(size=_CHECK_SHAPE),
+            embedding=rng.normal(size=_CHECK_SHAPE + (_EMBED_DIM,)),
+            height=rng.normal(size=_CHECK_SHAPE),
         )
         emb = pred.embedding
-        while _hinge_kink_near(emb, gt.instance, margins):
-            emb = rng.normal(size=shape + (_EMBED_DIM,))
-        seg_mask = (rng.random(size=shape) < 0.3).astype(float)
-        raw_seg = rng.normal(size=shape)
+        while _hinge_kink_near(emb, gt.instance):
+            emb = rng.normal(size=_CHECK_SHAPE + (_EMBED_DIM,))
+        seg_mask = (rng.random(size=_CHECK_SHAPE) < 0.3).astype(float)
+        raw_seg = rng.normal(size=_CHECK_SHAPE)
 
         table = (
             ("conf", lambda a: binary_cross_entropy(a, gt.confidence), pred.raw_confidence),
             ("offset", lambda a: offset_loss(replace(pred, raw_offset=a), gt), pred.raw_offset),
             ("height", lambda a: height_loss(replace(pred, height=a), gt), pred.height),
-            ("embed", lambda a: embed_loss(a, gt.instance, margins), emb),
+            ("embed", lambda a: embed_loss(a, gt.instance), emb),
             ("seg2d", lambda a: seg_loss_2d(a, seg_mask), raw_seg),
         )
         for name, loss, x in table:

@@ -159,9 +159,9 @@ def render_ground_pattern(
     on the ground ahead of the camera, are sampled; any other gives +0.0,
     and so does every pixel when the camera centre lies on the ground plane
     (G is singular).  `out_size` is (width, height), default the rig's; a
-    size that is not two non-negative integers raises ShapeMismatch naming
+    size that is not two non-negative integers raises InvalidValue naming
     `render_ground_pattern.out_size`, and a pattern that is not 2-D or 3-D
-    one naming `render_ground_pattern.pattern`.
+    ShapeMismatch naming `render_ground_pattern.pattern`.
     """
     pat = np.asarray(pattern, dtype=float)
     if pat.ndim not in (2, 3):
@@ -186,7 +186,15 @@ def checkerboard(
     square_y: float = 4.0,
     px_per_cell: int = 1,
 ) -> np.ndarray:
-    """BEV checkerboard pattern in [0, 1]; square sizes in meters."""
+    """BEV checkerboard pattern in [0, 1]; square sizes in meters.
+
+    Raises InvalidValue naming `checkerboard.<arg>` unless the square sizes
+    are positive and px_per_cell a positive integer, and NonFiniteInput on
+    a NaN or infinite square size.
+    """
+    square_x = _scalar_field("checkerboard.square_x", square_x, "positive")
+    square_y = _scalar_field("checkerboard.square_y", square_y, "positive")
+    px_per_cell = _scalar_field("checkerboard.px_per_cell", px_per_cell, "positive", integer=True)
     rows = spec.rows * px_per_cell
     cols = spec.cols * px_per_cell
     x = spec.x_min + (np.arange(rows) + 0.5) * (spec.x_max - spec.x_min) / rows

@@ -104,10 +104,13 @@ def build_ipm_sampling_map(
     coordinate is divided by `scale` and bilinear weights are deposited on
     the surrounding front-view feature pixels.  Cells that project behind
     the camera or outside the feature plane get an all-zero row, so every
-    row sums to exactly 1 or 0.
+    row sums to exactly 1 or 0.  Raises InvalidValue naming
+    `build_ipm_sampling_map.<arg>` unless `scale` is a positive integer and
+    each shape two positive integers.
     """
-    fv_h, fv_w = fv_shape
-    s1, s2 = bev_shape
+    fv_h, fv_w = _ints_field("build_ipm_sampling_map.fv_shape", fv_shape, 2)
+    scale = _scalar_field("build_ipm_sampling_map.scale", scale, "positive", integer=True)
+    s1, s2 = _ints_field("build_ipm_sampling_map.bev_shape", bev_shape, 2)
     cell_x = (bev_spec.x_max - bev_spec.x_min) / s1
     cell_y = (bev_spec.y_max - bev_spec.y_min) / s2
 
@@ -122,7 +125,7 @@ def build_ipm_sampling_map(
         vf = uvw[:, 1] / uvw[:, 2] / scale
 
     usable = front & (uf >= 0) & (uf <= fv_w - 1) & (vf >= 0) & (vf <= fv_h - 1)
-    matrix = bilinear_operator(np.where(usable, uf, np.nan), np.where(usable, vf, np.nan), fv_shape)
+    matrix = bilinear_operator(np.where(usable, uf, np.nan), np.where(usable, vf, np.nan), (fv_h, fv_w))
     matrix.eliminate_zeros()
     return ViewRelationMap(matrix=matrix, fv_shape=(fv_h, fv_w), bev_shape=(s1, s2))
 

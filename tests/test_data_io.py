@@ -474,8 +474,6 @@ class TestCameraJson:
             (("intrinsics", "fx"), "wide", "intrinsics.fx"),
             (("extrinsics", "rotation"), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "row"], "extrinsics.rotation"),
             (("extrinsics", "translation"), {"x": 0.0}, "extrinsics.translation"),
-            (("image_size",), [1024], "image_size"),
-            (("image_size",), [1024.0, 576.0], "image_size"),
             (("image_size",), [True, 576], "image_size"),
         ],
     )
@@ -499,6 +497,8 @@ class TestCameraJson:
         [
             (("intrinsics", "cy"), [288.0], "intrinsics.cy: shape (1,) differs from ()"),
             (("extrinsics", "rotation"), [[1.0, 0.0], [0.0, 1.0]], "extrinsics.rotation: shape (2, 2) differs from (3, 3)"),
+            # once MissingField, unlike every other wrong shape in a file
+            (("image_size",), [1024], "image_size: shape (1,) differs from (2,)"),
         ],
     )
     def test_wrong_shape_raises_shape_mismatch_naming_the_field(self, leaf, value, named):
@@ -511,9 +511,11 @@ class TestCameraJson:
             (("intrinsics", "fy"), -1.0, "Intrinsics.fy: "),
             (("intrinsics", "fx"), -5, "Intrinsics.fx: "),
             (("extrinsics", "rotation"), np.diag([1.0, 1.0, -1.0]).tolist(), "Extrinsics.rotation: "),
-            # the file keeps only the JSON type rule; the range is CameraRig's (once MissingField)
+            # the file keeps only the JSON type rule; the range and the integer
+            # rule are CameraRig's (each once MissingField), as in a config file
             (("image_size",), [0, 576], "CameraRig.image_size: "),
             (("image_size",), [1024, -1], "CameraRig.image_size: "),
+            (("image_size",), [1024.0, 576.0], "CameraRig.image_size: must be an integer"),
         ],
     )
     def test_value_the_rig_refuses_raises_invalid_value_naming_the_class_field(self, leaf, value, named):
@@ -862,13 +864,18 @@ class TestOpenLaneFrameBoundary:
             (minimal_frame(extrinsic=[[1.0, 0.0], [0.0]]), "extrinsic"),
             (minimal_frame(extrinsic=[[10**400] * 4] * 4), "extrinsic"),
             (minimal_frame(lane_lines=[{"xyz": [["a", "b"], [0.0, 0.1], [0.0, 0.0]]}]), "lane_lines[0].xyz"),
-            (minimal_frame(image_size=5), "image_size"),
-            (minimal_frame(image_size=[1024.5, 576]), "image_size"),
+            (minimal_frame(image_size=[True, 576]), "image_size"),
         ],
     )
     def test_bad_value_raises_missing_field_naming_it(self, frame, named):
         with pytest.raises(MissingField, match=re.escape(named)):
             data_io.parse_openlane_frame(json.dumps(frame))
+
+    @pytest.mark.parametrize("size", [5, [1024]])
+    def test_image_size_of_a_wrong_shape_raises_shape_mismatch(self, size):
+        # once MissingField, unlike every other wrong shape in a file
+        with pytest.raises(ShapeMismatch, match=r"^image_size: shape "):
+            data_io.parse_openlane_frame(json.dumps(minimal_frame(image_size=size)))
 
     @pytest.mark.parametrize(
         "frame, named",
@@ -878,6 +885,7 @@ class TestOpenLaneFrameBoundary:
             (minimal_frame(intrinsic=np.diag([-1000.0, 1000.0, 1.0]).tolist()), "Intrinsics.fx: "),
             (minimal_frame(extrinsic=np.diag([1.0, 1.0, -1.0, 1.0]).tolist()), "Extrinsics.rotation: "),
             (minimal_frame(image_size=[0, 576]), "CameraRig.image_size: "),
+            (minimal_frame(image_size=[1024.5, 576]), "CameraRig.image_size: must be an integer"),
             # a subnormal entry once made det warn "divide by zero" instead
             (minimal_frame(intrinsic=[[0.0, 1.1125369292536007e-308, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), "frame.intrinsic: "),
             (minimal_frame(intrinsic=[[0.0, 0.0, 512.0], [0.0, 1000.0, 288.0], [0.0, 0.0, 1.0]]), "frame.intrinsic: matrix is not"),

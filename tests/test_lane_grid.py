@@ -236,14 +236,10 @@ class TestSimplexVertices:
 class TestIdealPrediction:
     def test_two_lanes_center_distance(self):
         gt = encode_lanes([straight_lane(-2.0, 1), straight_lane(2.0, 2)])
-        pred = ideal_prediction(gt, embed_dim=4, delta_d=3.0)
+        pred = ideal_prediction(gt, embed_dim=4)
         e1 = pred.embedding[gt.instance == 1][0]
         e2 = pred.embedding[gt.instance == 2][0]
-        assert abs(np.linalg.norm(e1 - e2) - 6.0) < 1e-9
-        half = ideal_prediction(gt, delta_d=1.5)
-        h1 = half.embedding[gt.instance == 1][0]
-        h2 = half.embedding[gt.instance == 2][0]
-        assert abs(np.linalg.norm(h1 - h2) - 3.0) < 1e-9
+        assert abs(np.linalg.norm(e1 - e2) - 6.0) < 1e-9  # 2 * DELTA_D
 
     def test_background_embedding_is_zero(self):
         gt = encode_lanes([])

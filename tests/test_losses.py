@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lanebev.errors import InvalidValue, NonFiniteInput, ShapeMismatch, TooManyInstances
-from lanebev.lane_grid import GridTensors
+from lanebev.lane_grid import DELTA_D, DELTA_V, GridTensors
 from lanebev.losses import (
-    EmbedMargins,
     FrontViewPrediction,
     FrontViewTruth,
     LossWeights,
@@ -163,21 +162,19 @@ class TestHeightLoss:
 
 class TestEmbedLoss:
     def test_two_tight_separated_clusters_zero(self):
-        margins = EmbedMargins()
         inst = np.zeros(SHAPE, dtype=int)
         inst[:5] = 1
         inst[5:] = 2
         emb = np.zeros(SHAPE + (DIM,))
-        emb[inst == 2, 0] = 2.0 * margins.delta_d + 1.0
-        value, grad = embed_loss(emb, inst, margins)
+        emb[inst == 2, 0] = 2.0 * DELTA_D + 1.0
+        value, grad = embed_loss(emb, inst)
         assert value == 0.0
         assert np.all(grad == 0.0)
 
     def test_single_instance_within_delta_v_zero(self, rng):
-        margins = EmbedMargins()
         inst = np.ones(SHAPE, dtype=int)
         emb = np.full(SHAPE + (DIM,), 3.0) + rng.uniform(-0.1, 0.1, size=SHAPE + (DIM,))
-        value, _ = embed_loss(emb, inst, margins)
+        value, _ = embed_loss(emb, inst)
         assert value == 0.0
 
     def test_no_instances_zero(self, rng):
@@ -195,14 +192,13 @@ class TestEmbedLoss:
         assert abs(v1 - v2) < 1e-10
 
     def test_gradient_matches_finite_differences(self, rng):
-        margins = EmbedMargins()
         inst = rng.integers(0, 4, size=SHAPE)
         # keep away from hinge kinks (the loss is non-differentiable there)
         emb = rng.normal(size=SHAPE + (DIM,))
-        while _kink_near(emb, inst, margins):
+        while _kink_near(emb, inst):
             emb = rng.normal(size=SHAPE + (DIM,))
-        _, grad = embed_loss(emb, inst, margins)
-        fd = fd_gradient(lambda e: embed_loss(e, inst, margins)[0], emb)
+        _, grad = embed_loss(emb, inst)
+        fd = fd_gradient(lambda e: embed_loss(e, inst)[0], emb)
         assert rel_err(grad, fd) < 1e-5
 
     def test_shape_mismatch(self, rng):
@@ -211,37 +207,38 @@ class TestEmbedLoss:
 
     @pytest.mark.parametrize("labels", [(0, 1), (0, 1, 2, 3), (0, 2, 5, 9), (3, 4, 100)])
     def test_matches_plain_per_cluster_loop(self, rng, labels):
-        margins = EmbedMargins(delta_v=0.3, delta_d=1.2)
+        # scales of 0.2, 1 and 3 in units of DELTA_D / 1.2: some draws sit
+        # inside the margins and some outside, so both hinges are exercised
         for _ in range(10):
             inst = rng.choice(labels, size=(6, 5))
-            emb = rng.normal(scale=rng.choice([0.2, 1.0, 3.0]), size=(6, 5, int(rng.integers(1, 6))))
-            value, grad = embed_loss(emb, inst, margins)
-            ref_value, ref_grad = reference_embed_loss(emb, inst, margins)
+            scale = rng.choice([0.2, 1.0, 3.0]) * DELTA_D / 1.2
+            emb = rng.normal(scale=scale, size=(6, 5, int(rng.integers(1, 6))))
+            value, grad = embed_loss(emb, inst)
+            ref_value, ref_grad = reference_embed_loss(emb, inst)
             assert abs(value - ref_value) <= 1e-12 * max(ref_value, 1e-300)
             assert np.abs(grad - ref_grad).max() <= 1e-12 * max(np.abs(ref_grad).max(), 1e-300)
 
     def test_coincident_centers_count_in_value_without_gradient(self):
-        margins = EmbedMargins()
         inst = np.zeros(SHAPE, dtype=int)
         inst[:4], inst[4:8] = 1, 2
         emb = np.zeros(SHAPE + (DIM,))
         emb[:4] = emb[4:8] = np.linspace(-0.1, 0.1, SHAPE[1] * DIM).reshape(SHAPE[1], DIM)
-        value, grad = embed_loss(emb, inst, margins)
-        # pull is 0 (every member within delta_v); push: 1/(2*1) * two ordered pairs * (2 delta_d)^2
-        assert value == (2.0 * margins.delta_d) ** 2
+        value, grad = embed_loss(emb, inst)
+        # pull is 0 (every member within DELTA_V); push: 1/(2*1) * two ordered pairs * (2 DELTA_D)^2
+        assert value == (2.0 * DELTA_D) ** 2
         assert np.all(grad == 0.0)
-        assert reference_embed_loss(emb, inst, margins)[0] == value
+        assert reference_embed_loss(emb, inst)[0] == value
 
     def test_one_member_cluster_and_skipped_ids(self, rng):
-        margins = EmbedMargins(delta_v=0.2, delta_d=1.0)
         consecutive = rng.integers(0, 3, size=SHAPE)
         consecutive[0, 0] = 3  # the only member of cluster 3
         skipped = np.choose(consecutive, [0, 2, 5, 40])
-        emb = rng.normal(size=SHAPE + (DIM,))
-        value, grad = embed_loss(emb, skipped, margins)
-        same_value, same_grad = embed_loss(emb, consecutive, margins)
+        # drawn at the push margin's scale, so that both hinges are active
+        emb = rng.normal(scale=DELTA_D, size=SHAPE + (DIM,))
+        value, grad = embed_loss(emb, skipped)
+        same_value, same_grad = embed_loss(emb, consecutive)
         assert value == same_value and np.array_equal(grad, same_grad)
-        ref_value, ref_grad = reference_embed_loss(emb, skipped, margins)
+        ref_value, ref_grad = reference_embed_loss(emb, skipped)
         assert abs(value - ref_value) <= 1e-12 * ref_value
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
         assert np.any(grad[0, 0] != 0.0)
@@ -258,7 +255,7 @@ class TestEmbedLoss:
             embed_loss(emb, inst)
 
 
-def reference_embed_loss(emb, inst, margins):
+def reference_embed_loss(emb, inst):
     """The documented pull-push loss as a plain loop over clusters, members and
     ordered pairs; kept independent of the library's vectorised pass."""
     flat = emb.reshape(-1, emb.shape[2])
@@ -272,7 +269,7 @@ def reference_embed_loss(emb, inst, margins):
         n = len(idx)
         for i in idx:
             d = np.linalg.norm(mu - flat[i])
-            hinge = max(0.0, d - margins.delta_v)
+            hinge = max(0.0, d - DELTA_V)
             value += hinge**2 / (n * c)
             if hinge > 0.0:
                 g = 2.0 * hinge / (n * c) * (mu - flat[i]) / d  # d/d mu of the term
@@ -283,7 +280,7 @@ def reference_embed_loss(emb, inst, margins):
             if a == b:
                 continue
             dist = np.linalg.norm(mus[a] - mus[b])
-            hinge = max(0.0, 2.0 * margins.delta_d - dist)
+            hinge = max(0.0, 2.0 * DELTA_D - dist)
             value += hinge**2 / (c * (c - 1))
             if hinge > 0.0 and dist > 0.0:
                 g = -2.0 * hinge / (c * (c - 1)) * (mus[a] - mus[b]) / dist  # d/d mu_a of the term
@@ -292,7 +289,7 @@ def reference_embed_loss(emb, inst, margins):
     return value, grad.reshape(emb.shape)
 
 
-def _kink_near(emb, inst, margins, tol=1e-4):
+def _kink_near(emb, inst, tol=1e-4):
     flat = emb.reshape(-1, emb.shape[2])
     labels = inst.reshape(-1)
     mus = []
@@ -302,11 +299,11 @@ def _kink_near(emb, inst, margins, tol=1e-4):
         e = flat[labels == k]
         mu = e.mean(axis=0)
         mus.append(mu)
-        if np.any(np.abs(np.linalg.norm(e - mu, axis=1) - margins.delta_v) < tol):
+        if np.any(np.abs(np.linalg.norm(e - mu, axis=1) - DELTA_V) < tol):
             return True
     for i in range(len(mus)):
         for j in range(i + 1, len(mus)):
-            if abs(2.0 * margins.delta_d - np.linalg.norm(mus[i] - mus[j])) < tol:
+            if abs(2.0 * DELTA_D - np.linalg.norm(mus[i] - mus[j])) < tol:
                 return True
     return False
 
@@ -405,14 +402,13 @@ class TestTotalLoss:
         inst2d = np.where(mask2d > 0.5, rng.integers(1, 3, size=(6, 7)), 0)
         pred2d = FrontViewPrediction(raw_seg=rng.normal(size=(6, 7)), embedding=rng.normal(size=(6, 7, 3)))
         gt2d = FrontViewTruth(mask=mask2d, instance=inst2d)
-        margins = EmbedMargins()
         expected = (
             conf_loss(pred, gt)[0]
             + offset_loss(pred, gt)[0]
             + height_loss(pred, gt)[0]
-            + embed_loss(pred.embedding, gt.instance, margins)[0]
+            + embed_loss(pred.embedding, gt.instance)[0]
             + seg_loss_2d(pred2d.raw_seg, gt2d.mask)[0]
-            + embed_loss(pred2d.embedding, gt2d.instance, margins)[0]
+            + embed_loss(pred2d.embedding, gt2d.instance)[0]
         )
         got = total_loss(pred, gt, pred2d, gt2d)
         assert abs(got - expected) < 1e-12
@@ -441,20 +437,6 @@ class TestInvariants:
             assert offset_loss(pred, gt)[0] >= 0.0
             assert height_loss(pred, gt)[0] >= 0.0
             assert embed_loss(pred.embedding, gt.instance)[0] >= 0.0
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            EmbedMargins(delta_v=2.0, delta_d=1.0)
-
-    @pytest.mark.parametrize(
-        "margins, field",
-        [({"delta_v": 2.0, "delta_d": 1.0}, "delta_d"), ({"delta_v": 3.0}, "delta_d"), ({"delta_v": 0.0}, "delta_v"),
-         ({"delta_v": np.nan}, "delta_v"), ({"delta_d": np.nan}, "delta_d")],
-    )
-    def test_bad_margin_is_refused_naming_it(self, margins, field):
-        error = NonFiniteInput if np.isnan(list(margins.values())).any() else InvalidValue
-        with pytest.raises(error, match=rf"^EmbedMargins\.{field}: "):
-            EmbedMargins(**margins)
 
     def test_sigmoid_is_stable(self):
         assert sigmoid(np.array([-800.0]))[0] == 0.0

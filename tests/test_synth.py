@@ -202,6 +202,17 @@ class TestRenderGroundPattern:
 
 
 class TestCheckerboard:
+    @pytest.mark.parametrize(
+        "arg, value, error",
+        [("square_x", 0.0, InvalidValue), ("square_y", -4.0, InvalidValue), ("square_x", np.inf, NonFiniteInput),
+         ("px_per_cell", 0, InvalidValue), ("px_per_cell", 1.5, InvalidValue)],
+    )
+    def test_bad_argument_is_refused_naming_it(self, arg, value, error):
+        # a zero square once gave a garbage pattern with two RuntimeWarnings,
+        # and px_per_cell=0 a (0, 0) pattern
+        with pytest.raises(error, match=rf"^checkerboard\.{arg}: "):
+            checkerboard(**{arg: value})
+
     def test_alternates_with_square_size(self):
         spec = GridSpec()
         pat = checkerboard(spec, square_x=10.0, square_y=10.0)

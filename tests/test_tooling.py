@@ -4,7 +4,8 @@ encoder call; it reports a problem only by raising, never by a warning; it
 refuses a value with its own error classes, not a builtin one, each message
 naming the field; every array field refuses a wrong shape
 and NaN by one rule; every field of every public dataclass refuses a value
-of the wrong type; and no CLI flag re-spells a config file's field."""
+of the wrong type, and so does every checked size or scale argument; and no
+CLI flag re-spells a config file's field."""
 
 import ast
 import dataclasses
@@ -22,10 +23,10 @@ from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsic
 from lanebev.cli import _COMMANDS
 from lanebev.errors import LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
-from lanebev.losses import EmbedMargins, FrontViewPrediction, FrontViewTruth, LossWeights, PredictionBatch
+from lanebev.losses import FrontViewPrediction, FrontViewTruth, LossWeights, PredictionBatch
 from lanebev.metrics import EvalConfig, EvalResult
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance
-from lanebev.synth import SceneParams, SceneRecord, canonical_rig
+from lanebev.synth import SceneParams, SceneRecord, canonical_rig, checkerboard
 from lanebev.view_transform import FeatureTensor, PyramidSpec, ViewRelationMap
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -459,7 +460,6 @@ VALID_ARGS = {
         "image_size": (1024, 576),
     },
     DecodeParams: {},
-    EmbedMargins: {},
     EvalConfig: {"sample_xs": np.array([3.0, 8.0])},
     EvalResult: {
         "f_score": 1.0, "precision": 1.0, "recall": 1.0, "x_err_near": 0.0, "x_err_far": None, "z_err_near": 0.0, "z_err_far": None
@@ -550,6 +550,33 @@ def test_every_field_refuses_a_wrong_type_naming_it(cls, field, kind):
     # (InvalidValue, or ShapeMismatch for a scalar where an array goes) naming Class.field
     with pytest.raises(LaneBevError, match=rf"^{cls.__name__}\.{field}: "):
         cls(**{**VALID_ARGS.get(cls, {}), field: WRONG_TYPES[kind]})
+
+
+# A valid call of each function whose size or scale arguments are checked,
+# and those arguments; the wrong values are WRONG_TYPES and NaN
+CHECKED_ARGS = {
+    lanebev.build_ipm_sampling_map: ({"virtual_rig": canonical_rig(), "fv_shape": (36, 64), "scale": 16}, ("scale", "fv_shape", "bev_shape")),
+    lanebev.warp_image: ({"image": np.ones((3, 4)), "h": Homography(), "out_size": (4, 3)}, ("out_size",)),
+    lanebev.render_ground_pattern: ({"rig": canonical_rig(), "pattern": np.ones((5, 4)), "out_size": (4, 3)}, ("out_size",)),
+    checkerboard: ({}, ("square_x", "square_y", "px_per_cell")),
+}
+WRONG_ARGS = {**WRONG_TYPES, "NaN": float("nan")}
+ARG_CASES = [
+    (fn, arg, kind)
+    for fn, (_, args) in CHECKED_ARGS.items()
+    for arg in args
+    for kind in WRONG_ARGS
+    if (fn, arg, kind) != (lanebev.render_ground_pattern, "out_size", "None")  # the rig's size
+]
+
+
+@pytest.mark.parametrize("fn, arg, kind", ARG_CASES, ids=[f"{fn.__name__}.{arg}-{kind}" for fn, arg, kind in ARG_CASES])
+def test_every_checked_argument_refuses_a_wrong_type_naming_it(fn, arg, kind):
+    # each once escaped as a bare TypeError, ValueError or RuntimeWarning, or was accepted
+    valid = CHECKED_ARGS[fn][0]
+    fn(**valid)
+    with pytest.raises(LaneBevError, match=rf"^{fn.__name__}\.{arg}: "):
+        fn(**{**valid, arg: WRONG_ARGS[kind]})
 
 
 def test_no_cli_flag_respells_a_config_field():

@@ -55,6 +55,16 @@ class TestBuildIpmSamplingMap:
         assert np.diff(vrm.matrix.indptr).max() <= 4
         assert vrm.matrix.nnz > 0
 
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("scale", 0), ("scale", -32), ("scale", 2.5), ("fv_shape", (0, 32)), ("fv_shape", (18,)), ("bev_shape", (50, -10))],
+    )
+    def test_bad_argument_is_refused_naming_it(self, arg, value):
+        # a scale of 0 or -32 once built an all-zero map
+        args = {"virtual_rig": canonical_rig(), "fv_shape": (18, 32), "scale": 32, "bev_shape": (50, 10)}
+        with pytest.raises(InvalidValue, match=rf"^build_ipm_sampling_map\.{arg}: must be "):
+            build_ipm_sampling_map(**{**args, arg: value})
+
 
 class TestApplyVrm:
     def test_identity_map(self, rng):
