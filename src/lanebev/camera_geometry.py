@@ -41,6 +41,7 @@ from .errors import (
     SingularHomography,
     _array_field,
     _ints_field,
+    _object_field,
     _scalar_field,
 )
 
@@ -124,9 +125,8 @@ class CameraRig:
     image_size: tuple[int, int]
 
     def __post_init__(self):
-        for name, kind in (("intrinsics", Intrinsics), ("extrinsics", Extrinsics)):
-            if not isinstance(getattr(self, name), kind):
-                raise InvalidValue(f"CameraRig.{name}: must be an {kind.__name__}, got {type(getattr(self, name)).__name__}")
+        _object_field("CameraRig.intrinsics", self.intrinsics, Intrinsics)
+        _object_field("CameraRig.extrinsics", self.extrinsics, Extrinsics)
         object.__setattr__(self, "image_size", _ints_field("CameraRig.image_size", self.image_size, 2))
 
 
@@ -251,8 +251,11 @@ def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
     project_ground_points on src, then on dst).  A camera centre within
     1e-9 m of the ground plane, a G_src that cannot be inverted, and an H
     that Homography refuses (h[2, 2] about 0, an overflow, |det| < 1e-12)
-    raise DegenerateConfiguration.
+    raise DegenerateConfiguration; a src or dst that is not a CameraRig
+    InvalidValue naming `compute_homography.src` or `.dst`.
     """
+    _object_field("compute_homography.src", src, CameraRig)
+    _object_field("compute_homography.dst", dst, CameraRig)
     for rig in (src, dst):
         project_ground_points(rig, DEFAULT_GROUND_POINTS)
     for name, rig in (("src", src), ("dst", dst)):
@@ -276,11 +279,13 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
     bilinear interpolation; samples outside the source are 0.  `out_size`
     is (width, height), two non-negative integers; any other raises
-    InvalidValue naming `warp_image.out_size`.  Accepts (H, W) or
+    InvalidValue naming `warp_image.out_size`, and an `h` that is not a
+    Homography InvalidValue naming `warp_image.h`.  Accepts (H, W) or
     (H, W, C) arrays; any other raises ShapeMismatch naming
     `warp_image.image`.  The sampler and its row rule are
     _homography_sample's, which synth.render_ground_pattern shares.
     """
+    _object_field("warp_image.h", h, Homography)
     img = np.asarray(image, dtype=float)
     # Homography refuses |det| < 1e-12, so the inverse exists
     return _homography_sample(img, h.matrix, np.linalg.inv(h.matrix), out_size, "warp_image")

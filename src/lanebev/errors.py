@@ -172,3 +172,11 @@ def _ints_field(owner: str, value, length: int | None = None, rule: str = "posit
     if not (isinstance(value, (tuple, list)) and value and len(value) == (length or len(value))):
         raise InvalidValue(f"{owner}: must be {length or 'one or more'} {rule} integers, got {value!r}")
     return tuple(_scalar_field(owner, v, rule, integer=True) for v in value)
+
+
+def _object_field(owner: str, value, kind: type) -> None:
+    """InvalidValue naming `owner` unless `value` is an instance of `kind`,
+    so a wrong object never reaches attribute access."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise InvalidValue(f"{owner}: must be {article} {kind.__name__}, got {type(value).__name__}")

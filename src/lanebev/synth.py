@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
-from .errors import InvalidValue, ShapeMismatch, _array_field, _scalar_field
+from .errors import InvalidValue, ShapeMismatch, _array_field, _object_field, _scalar_field
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -57,8 +57,7 @@ class SceneRecord:
     scene_tag: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.rig, CameraRig):
-            raise InvalidValue(f"SceneRecord.rig: must be a CameraRig, got {type(self.rig).__name__}")
+        _object_field("SceneRecord.rig", self.rig, CameraRig)
         if not (isinstance(self.lanes, list) and all(isinstance(lane, Lane3D) for lane in self.lanes)):
             raise InvalidValue("SceneRecord.lanes: must be a list of Lane3D")
         if not isinstance(self.scene_tag, str):
@@ -160,9 +159,13 @@ def render_ground_pattern(
     and so does every pixel when the camera centre lies on the ground plane
     (G is singular).  `out_size` is (width, height), default the rig's; a
     size that is not two non-negative integers raises InvalidValue naming
-    `render_ground_pattern.out_size`, and a pattern that is not 2-D or 3-D
-    ShapeMismatch naming `render_ground_pattern.pattern`.
+    `render_ground_pattern.out_size`, a `rig` that is not a CameraRig or a
+    `spec` that is not a GridSpec InvalidValue naming it, and a pattern
+    that is not 2-D or 3-D ShapeMismatch naming
+    `render_ground_pattern.pattern`.
     """
+    _object_field("render_ground_pattern.rig", rig, CameraRig)
+    _object_field("render_ground_pattern.spec", spec, GridSpec)
     pat = np.asarray(pattern, dtype=float)
     if pat.ndim not in (2, 3):
         raise ShapeMismatch(f"render_ground_pattern.pattern: must be 2-D or 3-D, got shape {pat.shape}")
@@ -188,10 +191,11 @@ def checkerboard(
 ) -> np.ndarray:
     """BEV checkerboard pattern in [0, 1]; square sizes in meters.
 
-    Raises InvalidValue naming `checkerboard.<arg>` unless the square sizes
-    are positive and px_per_cell a positive integer, and NonFiniteInput on
-    a NaN or infinite square size.
+    Raises InvalidValue naming `checkerboard.<arg>` unless `spec` is a
+    GridSpec, the square sizes are positive and px_per_cell a positive
+    integer, and NonFiniteInput on a NaN or infinite square size.
     """
+    _object_field("checkerboard.spec", spec, GridSpec)
     square_x = _scalar_field("checkerboard.square_x", square_x, "positive")
     square_y = _scalar_field("checkerboard.square_y", square_y, "positive")
     px_per_cell = _scalar_field("checkerboard.px_per_cell", px_per_cell, "positive", integer=True)

@@ -21,7 +21,7 @@ import pytest
 import lanebev
 from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics
 from lanebev.cli import _COMMANDS
-from lanebev.errors import LaneBevError, NonFiniteInput, ShapeMismatch
+from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
 from lanebev.losses import FrontViewPrediction, FrontViewTruth, LossWeights, PredictionBatch
 from lanebev.metrics import EvalConfig, EvalResult
@@ -552,13 +552,25 @@ def test_every_field_refuses_a_wrong_type_naming_it(cls, field, kind):
         cls(**{**VALID_ARGS.get(cls, {}), field: WRONG_TYPES[kind]})
 
 
-# A valid call of each function whose size or scale arguments are checked,
-# and those arguments; the wrong values are WRONG_TYPES and NaN
+# A one-scale pyramid: a 1x2 front view mapped to a 1x2 BEV
+_PYRAMID = {
+    "maps": {8: ViewRelationMap(np.eye(2), (1, 2), (1, 2))},
+    "features": {8: FeatureTensor(np.ones((1, 2, 1)), scale=8)},
+    "spec": PyramidSpec(scales=(8,), bev_shape=(1, 2)),
+}
+# A valid call of each function whose size, scale or object arguments are
+# checked, and those arguments; the wrong values are WRONG_TYPES and NaN
 CHECKED_ARGS = {
-    lanebev.build_ipm_sampling_map: ({"virtual_rig": canonical_rig(), "fv_shape": (36, 64), "scale": 16}, ("scale", "fv_shape", "bev_shape")),
-    lanebev.warp_image: ({"image": np.ones((3, 4)), "h": Homography(), "out_size": (4, 3)}, ("out_size",)),
-    lanebev.render_ground_pattern: ({"rig": canonical_rig(), "pattern": np.ones((5, 4)), "out_size": (4, 3)}, ("out_size",)),
-    checkerboard: ({}, ("square_x", "square_y", "px_per_cell")),
+    lanebev.build_ipm_sampling_map: (
+        {"virtual_rig": canonical_rig(), "fv_shape": (36, 64), "scale": 16},
+        ("virtual_rig", "scale", "fv_shape", "bev_spec", "bev_shape"),
+    ),
+    lanebev.warp_image: ({"image": np.ones((3, 4)), "h": Homography(), "out_size": (4, 3)}, ("h", "out_size")),
+    lanebev.render_ground_pattern: ({"rig": canonical_rig(), "pattern": np.ones((5, 4)), "out_size": (4, 3)}, ("rig", "spec", "out_size")),
+    checkerboard: ({}, ("spec", "square_x", "square_y", "px_per_cell")),
+    lanebev.compute_homography: ({"src": canonical_rig(), "dst": canonical_rig()}, ("src", "dst")),
+    lanebev.apply_vrm: ({"vrm": _PYRAMID["maps"][8], "fv": _PYRAMID["features"][8]}, ("vrm", "fv")),
+    lanebev.apply_pyramid: (_PYRAMID, ("maps", "features", "spec")),
 }
 WRONG_ARGS = {**WRONG_TYPES, "NaN": float("nan")}
 ARG_CASES = [
@@ -577,6 +589,15 @@ def test_every_checked_argument_refuses_a_wrong_type_naming_it(fn, arg, kind):
     fn(**valid)
     with pytest.raises(LaneBevError, match=rf"^{fn.__name__}\.{arg}: "):
         fn(**{**valid, arg: WRONG_ARGS[kind]})
+
+
+@pytest.mark.parametrize("kind", [*WRONG_ARGS, "array"])
+@pytest.mark.parametrize("arg", ["maps", "features"])
+def test_every_pyramid_entry_refuses_a_wrong_type_naming_it(arg, kind):
+    # apply_pyramid's per-scale entries once escaped as bare AttributeErrors
+    wrong = {**WRONG_ARGS, "array": np.ones((1, 2, 1))}[kind]
+    with pytest.raises(InvalidValue, match=rf"^apply_pyramid\.{arg}\[8\]: "):
+        lanebev.apply_pyramid(**{**_PYRAMID, arg: {8: wrong}})
 
 
 def test_no_cli_flag_respells_a_config_field():

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from lanebev import view_transform
@@ -241,8 +244,14 @@ class TestInterleavedPyramid:
         with mock.patch.object(
             view_transform, "_interleaved_operator", wraps=view_transform._interleaved_operator
         ) as interleave:
+            first = apply_pyramid(ipm_maps, features, IPM_SPEC).data
             out = apply_pyramid(ipm_maps, features, IPM_SPEC).data
-        assert interleave.call_count == 1
+            assert interleave.call_count == 1  # the same maps build once
+            m = ipm_maps[16]
+            renewed = {**ipm_maps, 16: ViewRelationMap(m.matrix, m.fv_shape, m.bev_shape)}
+            again = apply_pyramid(renewed, features, IPM_SPEC).data
+            assert interleave.call_count == 2  # a new map object rebuilds
+        assert np.array_equal(first, out) and np.array_equal(again, out)
         assert out.shape == IPM_SPEC.bev_shape + (3 * channels,) and out.flags.c_contiguous
         for s, got in zip(IPM_SPEC.scales, channel_slices(out, [channels] * 3)):
             assert np.array_equal(got, apply_vrm(ipm_maps[s], features[s]).data)
@@ -265,6 +274,38 @@ class TestInterleavedPyramid:
             assert np.array_equal(got, want)
             ascending = ViewRelationMap(maps[s].matrix.sorted_indices(), shapes[s], (4, 3))
             assert not np.array_equal(apply_vrm(ascending, features[s]).data, want)  # the order shows
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 3),
+        channels=st.integers(1, 4),
+        replaced=st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_operator_matches_apply_vrm_across_calls(self, seed, k, channels, replaced):
+        view_transform._pyramid_operator.cache_clear()
+        rng = np.random.default_rng(seed)
+        spec = PyramidSpec(scales=tuple(2**i for i in range(k)), bev_shape=(3, 2))
+        shapes = {s: (int(rng.integers(1, 4)), int(rng.integers(3, 6))) for s in spec.scales}
+
+        def shuffled_map(hw):
+            # descending_csr's rows with each row's stored order shuffled
+            m = descending_csr(rng, 6, hw)
+            order = (m.indptr[:-1, None] + rng.permuted(np.tile(np.arange(3), (6, 1)), axis=1)).ravel()
+            return ViewRelationMap(sparse.csr_array((m.data[order], m.indices[order], m.indptr), shape=m.shape), hw, (3, 2))
+
+        maps = {s: shuffled_map(hw) for s, hw in shapes.items()}
+        for call in range(3):
+            if call == 2:
+                s = spec.scales[replaced % k]
+                maps = {**maps, s: shuffled_map(shapes[s])}
+            features = {s: FeatureTensor(rng.uniform(0.5, 2.0, hw + (channels,)), scale=s) for s, hw in shapes.items()}
+            out = apply_pyramid(maps, features, spec).data
+            for s, got in zip(spec.scales, channel_slices(out, [channels] * k)):
+                assert np.array_equal(got, apply_vrm(maps[s], features[s]).data)
+            operator = view_transform._pyramid_operator(tuple(maps[s] for s in spec.scales))
+            assert operator.indices.dtype == np.int32 and operator.indptr.dtype == np.int32
+        assert view_transform._pyramid_operator.cache_info().misses == 2
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_wrong_feature_shape_raises_before_any_product(self, ipm_maps, dense):
@@ -407,6 +448,10 @@ class TestTypes:
             (lambda: ViewRelationMap(matrix=np.zeros((4, 6)), fv_shape=(2.5, 3), bev_shape=(2, 2)), "ViewRelationMap.fv_shape"),
             (lambda: ViewRelationMap(matrix=np.zeros((4, 6)), fv_shape=(2, 3), bev_shape=("2", 2)), "ViewRelationMap.bev_shape"),
             (lambda: FeatureTensor(np.zeros((3, 4, 2)), scale=32.0), "FeatureTensor.scale"),
+            # complex weights, dense or sparse
+            (lambda: ViewRelationMap(matrix=np.eye(2, dtype=complex), fv_shape=(1, 2), bev_shape=(1, 2)), "ViewRelationMap.matrix"),
+            (lambda: ViewRelationMap(sparse.csr_array(np.eye(2, dtype=complex)), (1, 2), (1, 2)), "ViewRelationMap.matrix"),
+            (lambda: ViewRelationMap(sparse.coo_array(np.eye(2, dtype=complex)), (1, 2), (1, 2)), "ViewRelationMap.matrix"),
         ],
     )
     def test_refused_value_raises_invalid_value_naming_the_field(self, build, field):
@@ -417,6 +462,27 @@ class TestTypes:
     def test_bad_feature_shape_raises_shape_mismatch_naming_the_field(self, data):
         with pytest.raises(ShapeMismatch, match=r"^FeatureTensor\.data: "):
             FeatureTensor(data)
+
+    @pytest.mark.parametrize("part", ["data", "indices", "indptr"])
+    def test_csr_map_arrays_are_read_only(self, part):
+        vrm = ViewRelationMap(sparse.csr_array(np.eye(2)), (1, 2), (1, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(vrm.matrix, part)[0] = 1
+
+    def test_map_fields_cannot_be_reassigned(self):
+        vrm = ViewRelationMap(sparse.csr_array(np.eye(2)), (1, 2), (1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vrm.matrix = sparse.csr_array(np.zeros((2, 2)))
+
+    def test_callers_csr_matrix_stays_writable(self, rng):
+        matrix = descending_csr(rng, 4, (2, 3))
+        vrm = ViewRelationMap(matrix, (2, 3), (2, 2))
+        assert type(vrm.matrix) is type(matrix) and vrm.matrix is not matrix
+        assert np.array_equal(vrm.matrix.indices, matrix.indices)  # each row's stored order kept
+        for part in (matrix.data, matrix.indices, matrix.indptr):
+            assert part.flags.writeable
+        matrix.data[0] = 7.0
+        assert vrm.matrix.data[0] != 7.0
 
     def test_pyramid_spec_validation(self):
         with pytest.raises(ValueError):
