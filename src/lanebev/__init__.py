@@ -9,7 +9,7 @@ Submodules:
   postproc         confidence gating, embedding clustering, curve fitting
   metrics          lane-level F-Score and lateral/height error protocol
   synth            seeded synthetic scenes and ground-pattern rendering
-  data_io          binary tensors, JSON schemas, OpenLane frames, PGM/PPM
+  data_io          .npy tensors, JSON schemas, OpenLane frames, PGM/PPM
   cli              batch command-line front end
 """
 

@@ -42,6 +42,7 @@ from .errors import (
     _array_field,
     _ints_field,
     _object_field,
+    _object_list,
     _scalar_field,
 )
 
@@ -214,6 +215,7 @@ def mean_virtual_camera(rigs: list[CameraRig]) -> CameraRig:
     orthonormal matrix with determinant +1.  Raises EmptyInput on no rigs
     and ShapeMismatch when their image sizes differ.
     """
+    _object_list("mean_virtual_camera.rigs", rigs, CameraRig)
     if not rigs:
         raise EmptyInput("mean_virtual_camera requires at least one rig")
     sizes = {rig.image_size for rig in rigs}

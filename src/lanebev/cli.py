@@ -37,7 +37,7 @@ from .view_transform import FeatureTensor, fit_vrm_least_squares
 DATA_DIR_ENV = "LANEBEV_DATA_DIR"
 
 _GRID_JSON = "grid JSON: {x_min,x_max,y_min,y_max,cell}"
-_STACK = "stacked prediction tensor (s1, s2, 3+D): [confidence, embedding..., offset, height]"
+_STACK = "stacked prediction .npy (s1, s2, 3+D): [confidence, embedding..., offset, height]"
 _CAMERA_JSON = (
     "camera JSON: {intrinsics:{fx,fy,cx,cy,skew}, extrinsics:{rotation:3x3, translation:[3]}, image_size:[w,h]}"
 )
@@ -123,15 +123,7 @@ def _cmd_warp(args, parser) -> int:
 
 
 def _stack_prediction(pred: GridTensors) -> np.ndarray:
-    return np.concatenate(
-        [
-            pred.confidence[:, :, None],
-            pred.embedding,
-            pred.offset[:, :, None],
-            pred.height[:, :, None],
-        ],
-        axis=2,
-    )
+    return np.dstack([pred.confidence, pred.embedding, pred.offset, pred.height])
 
 
 def _unstack_prediction(stack: np.ndarray) -> GridTensors:
@@ -151,10 +143,8 @@ def _cmd_encode(args, parser) -> int:
     gt = encode_lanes(scene.lanes, spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data_io.write_tensor(gt.confidence, out / "confidence.bldt")
-    data_io.write_tensor(gt.offset, out / "offset.bldt")
-    data_io.write_tensor(gt.height, out / "height.bldt")
-    data_io.write_tensor(gt.instance.astype(float), out / "instance.bldt")
+    for name in ("confidence", "offset", "height", "instance"):
+        data_io.write_tensor(getattr(gt, name).astype(float), out / f"{name}.npy")
     if args.ideal_pred:
         ideal = ideal_prediction(gt, spec, embed_dim=args.embed_dim)
         data_io.write_tensor(_stack_prediction(ideal), args.ideal_pred)
@@ -207,20 +197,16 @@ def _cmd_synth(args, parser) -> int:
 
 def _cmd_fit_vrm(args, parser) -> int:
     root = _resolve(args.samples)
-    fv_files = sorted(Path(root).glob("fv_*.bldt"))
+    fv_files = sorted(Path(root).glob("fv_*.npy"))
     if not fv_files:
-        raise EmptyInput(f"no fv_*.bldt samples under {root}")
+        raise EmptyInput(f"no fv_*.npy samples under {root}")
     samples = []
     for fv_file in fv_files:
         bev_file = fv_file.with_name(fv_file.name.replace("fv_", "bev_", 1))
         if not bev_file.exists():
             raise MissingField(f"{bev_file}: missing, the BEV pair of {fv_file.name}")
-        samples.append(
-            (
-                FeatureTensor(data_io.read_tensor(fv_file).astype(float), scale=args.scale),
-                FeatureTensor(data_io.read_tensor(bev_file).astype(float), scale=args.scale),
-            )
-        )
+        pair = (FeatureTensor(data_io.read_tensor(f).astype(float), scale=args.scale) for f in (fv_file, bev_file))
+        samples.append(tuple(pair))
     vrm = fit_vrm_least_squares(samples, ridge=args.ridge)
     data_io.write_tensor(vrm.matrix, args.out)
     sidecar = {"fv_shape": list(vrm.fv_shape), "bev_shape": list(vrm.bev_shape), "scale": args.scale}
@@ -290,7 +276,7 @@ _COMMANDS = {
     "encode": _Command(_cmd_encode, (
         _Flag("--scene", "scene JSON: {camera:{...}, lanes:[{id,points:[[x,y,z],...]}], scene_tag}", required=True),
         _Flag("--spec", _GRID_JSON),
-        _Flag("--out-dir", "confidence, offset, height and instance .bldt (s1 x s2)", output=True, required=True),
+        _Flag("--out-dir", "confidence, offset, height and instance .npy, float32 (s1, s2)", output=True, required=True),
         _Flag("--ideal-pred", f"optional {_STACK}", output=True),
         _Flag("--embed-dim", "embedding width D of --ideal-pred", type=int, default=4),
     )),
@@ -313,10 +299,10 @@ _COMMANDS = {
         _Flag("--out", "scene JSON (see encode --scene)", output=True, required=True),
     )),
     "fit-vrm": _Command(_cmd_fit_vrm, (
-        _Flag("--samples", "directory of paired tensors fv_NNN.bldt / bev_NNN.bldt, each (H, W, C)", required=True),
+        _Flag("--samples", "directory of paired .npy tensors fv_NNN.npy / bev_NNN.npy, each (H, W, C)", required=True),
         _Flag("--ridge", "Tikhonov weight (0 requires a determined system)", type=float, default=0.0),
         _Flag("--scale", "downsample factor tag recorded in the sidecar", type=int, default=32),
-        _Flag("--out", "dense map tensor (HW_bev, HW_fv), and its shapes and scale in a .json sidecar", output=True,
+        _Flag("--out", "dense map .npy, float32 (HW_bev, HW_fv), and its shapes and scale in a .json sidecar", output=True,
               required=True),
     )),
     "losscheck": _Command(_cmd_losscheck, (

@@ -1,21 +1,14 @@
-"""File formats: binary tensors, JSON schemas, OpenLane frames, PGM/PPM.
+"""File formats: .npy tensors, JSON schemas, OpenLane frames, PGM/PPM.
 
-Binary tensor layout (extension .bldt), all multi-byte integers little-endian:
-
-    bytes 0-3   magic "BLDT"
-    bytes 4-5   version, uint16 (currently 1)
-    byte  6     ndim, uint8, 1..4
-    next 4*ndim dims, uint32 each
-    payload     float32 little-endian, row-major, 4 * prod(dims) bytes
-
-JSON schemas for cameras, lanes, scenes and homographies live here so
-every CLI subcommand shares one source of truth; the config files (grid,
-decode, eval and scene parameters) are read by `from_dict`,
-whose keys and defaults are the dataclass fields.  Every JSON file is read
-by one reader (`_read_json`): UTF-8 text holding one JSON value, or
-MalformedJson naming the file.  Every file, configs included, follows
-one object rule (`_json_object`: an object, whose unknown keys are refused
-everywhere but in an OpenLane frame) and one number rule
+Tensors are numpy's .npy files, so the network side reads and writes them
+with `np.load` and `np.save`.  JSON schemas for cameras, lanes, scenes and
+homographies live here so every CLI subcommand shares one source of truth;
+the config files (grid, decode, eval and scene parameters) are read by
+`from_dict`, whose keys and defaults are the dataclass fields.  Every JSON
+file is read by one reader (`_read_json`): UTF-8 text holding one JSON
+value, or MalformedJson naming the file.  Every file, configs included,
+follows one object rule (`_json_object`: an object, whose unknown keys are
+refused everywhere but in an OpenLane frame) and one number rule
 (`_json_number_type`: a number is a JSON int or float, and a string,
 boolean or null is refused).  Its numbers are read by `_floats`, which
 leaves shape and finiteness to the constructors' rule: a wrong shape is
@@ -36,11 +29,11 @@ import json
 import math
 import os
 import stat
-import struct
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import numpy.lib.format as npy
 
 from .camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, _nearest_rotation
 from .errors import (
@@ -52,13 +45,11 @@ from .errors import (
     ShapeMismatch,
     TensorFormatError,
     _array_field,
+    _object_list,
 )
 from .lane_grid import Lane3D
 from .postproc import FittedLane
 from .synth import SceneRecord
-
-MAGIC = b"BLDT"
-VERSION = 1
 
 
 # --- one writer, one JSON text ---
@@ -105,33 +96,39 @@ def _write_file(path: str | Path, *chunks) -> None:
         os.close(fd)
 
 
-# --- binary tensors ---
+# --- .npy tensors ---
 
 def write_tensor(array: np.ndarray, path: str | Path) -> None:
-    """Store `array` as little-endian float32, overwriting `path` in place
-    (see _write_file).  Raises ShapeMismatch naming the file unless the rank
-    is 1..4, and NonFiniteInput when a finite value lies beyond the float32
+    """Store `array` as an .npy file of little-endian float32 in C order,
+    its header byte-equal to np.save's, overwriting `path` in place (see
+    _write_file).  Raises ShapeMismatch naming the file unless the rank is
+    1..4, and NonFiniteInput when a finite value lies beyond the float32
     range; either way it writes nothing."""
     src = np.asarray(array)
     with np.errstate(over="ignore"):
         arr = np.ascontiguousarray(src, dtype="<f4")
-    if not 1 <= arr.ndim <= 4:
-        raise ShapeMismatch(f"{path}: tensor rank must be 1..4, got {arr.ndim}")
+    if not 1 <= src.ndim <= 4:  # ascontiguousarray makes a scalar 1-D
+        raise ShapeMismatch(f"{path}: tensor rank must be 1..4, got {src.ndim}")
     overflowed = int(np.isfinite(src[np.isinf(arr)]).sum())
     if overflowed:
         raise NonFiniteInput(f"{path}: {overflowed} finite value(s) beyond the float32 range")
-    _write_file(path, MAGIC + struct.pack(f"<HB{arr.ndim}I", VERSION, arr.ndim, *arr.shape), arr.data)
+    header = io.BytesIO()
+    npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(arr))
+    _write_file(path, header.getvalue(), arr.data)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """The float32 array stored at `path`.
+    """The array in the .npy file at `path`, of a real float dtype and rank
+    1..4, as stored: byte order kept, a Fortran-order file as a transpose.
 
-    For a regular file the header is checked against the file's size before
-    anything is allocated, and the payload is read straight into the
-    returned array; a pipe (such as /dev/stdin) is read whole first, since
-    its size is known only then.  Raises TensorFormatError naming the file
-    on a bad magic, version or rank, a header or dims cut short, a payload
-    of another size than the dims say, and a size change while it reads.
+    numpy's format 1.0 and 2.0 header readers parse the header, and for a
+    regular file the payload size it gives is checked against the file's
+    size before anything is allocated; the payload is read straight into
+    the returned array.  A pipe (such as /dev/stdin) is read whole first.
+    Raises TensorFormatError naming the file on another magic (an old .bldt
+    file, an .npz, a pickle), version, dtype or rank, a dim that is not a
+    non-negative int, a header numpy cannot parse, a payload of another
+    size, and a size change while it reads.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
@@ -140,29 +137,31 @@ def read_tensor(path: str | Path) -> np.ndarray:
         else:
             data = fh.read()
             size, fh = len(data), io.BytesIO(data)
-        head = fh.read(7)
-        if head[:4] != MAGIC:
-            raise TensorFormatError(f"{path}: magic {head[:4]!r} != {MAGIC!r}")
-        if len(head) < 7:
-            raise TensorFormatError(f"{path}: header cut short at {len(head)} bytes")
-        (version,) = struct.unpack_from("<H", head, 4)
-        if version != VERSION:
-            raise TensorFormatError(f"{path}: version {version}, expected {VERSION}")
-        ndim = head[6]
-        if not 1 <= ndim <= 4:
-            raise TensorFormatError(f"{path}: invalid rank {ndim}")
-        raw_dims = fh.read(4 * ndim)
-        if len(raw_dims) < 4 * ndim:
-            raise TensorFormatError(f"{path}: dims cut short")
-        dims = struct.unpack(f"<{ndim}I", raw_dims)
-        expected = 4 * math.prod(dims)
-        payload = size - 7 - 4 * ndim
+        # numpy refuses a header over 10,000 bytes, but asks for the length a
+        # header states in one read, which a file object allocates up front
+        head = io.BytesIO(fh.read(12 + 10_000))
+        try:
+            version = npy.read_magic(head)
+            if version in ((1, 0), (2, 0)):
+                header = (npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0)(head)
+        # numpy's ValueError, or a TypeError, SyntaxError, RecursionError or
+        # tokenize.TokenError from the Python literal parser it runs on the header
+        except Exception as exc:
+            raise TensorFormatError(f"{path}: {exc}") from exc
+        if version not in ((1, 0), (2, 0)):
+            raise TensorFormatError(f"{path}: .npy version {version[0]}.{version[1]}, expected 1.0 or 2.0")
+        shape, fortran, dtype = header
+        if dtype.kind != "f" or not 1 <= len(shape) <= 4 or not all(type(n) is int and n >= 0 for n in shape):
+            raise TensorFormatError(f"{path}: {dtype} of shape {shape}, expected a real float type of rank 1..4")
+        expected = math.prod(shape) * dtype.itemsize
+        payload = size - head.tell()
         if payload != expected:
             raise TensorFormatError(f"{path}: payload {payload} bytes, expected {expected}")
-        out = np.empty(dims, dtype="<f4")
+        fh.seek(head.tell())
+        out = np.empty(shape[::-1] if fortran else shape, dtype=dtype)
         if fh.readinto(out) != expected:
             raise TensorFormatError(f"{path}: file changed size while read")
-    return out
+    return out.T if fortran else out
 
 
 # --- JSON values: one reader, one number rule, one array reader ---
@@ -376,6 +375,9 @@ def load_lanes(path: str | Path) -> list[Lane3D]:
 
 def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | None = None) -> None:
     """Write the lanes JSON (see lanes_to_dict), overwriting `path` in place (see _write_file)."""
+    _object_list("save_lanes.lanes", lanes, Lane3D)
+    if fits is not None:
+        _object_list("save_lanes.fits", fits, FittedLane)
     _write_file(path, _json_text(lanes_to_dict(lanes, fits)))
 
 

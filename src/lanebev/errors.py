@@ -12,9 +12,10 @@ for a file's value its key path:
   InvalidValue             a value outside its range, or of the wrong type
   MissingField             a JSON file's layout or type problem
 
-Every array field is checked by `_array_field` and every number by
-`_scalar_field`, so a string, None, a bool or a list where a number is
-wanted is InvalidValue from any constructor, never a bare Python error.
+Every array field is checked by `_array_field`, every number by
+`_scalar_field` and every object argument by `_object_field` (a list of
+objects by `_object_list`), so a string, None, a bool or a list where a
+number or an object is wanted is InvalidValue, never a bare Python error.
 
 The other classes each name one fault that the rule above does not cover:
 
@@ -24,7 +25,7 @@ The other classes each name one fault that the rule above does not cover:
   DegenerateDepth          a point at non-positive depth before a camera
   DegenerateConfiguration  two rigs that fix no ground-plane homography
   SingularHomography       a homography matrix that cannot be inverted
-  TensorFormatError        a .bldt tensor file that cannot be read
+  TensorFormatError        an .npy tensor file that cannot be read
   ImageFormatError         a PGM/PPM file that cannot be read
   MalformedJson            bytes that are not UTF-8 JSON text
 """
@@ -88,8 +89,10 @@ class InsufficientRank(LaneBevError):
 # --- files ---
 
 class TensorFormatError(LaneBevError):
-    """A .bldt file has a bad magic, version or rank, a header, dims or
-    payload cut short, or changed size while it was read."""
+    """A tensor file is not an .npy file of a real float dtype and rank
+    1..4 (an old .bldt file, an .npz or a pickle is refused too), its
+    header cannot be parsed, its payload has another size than the header
+    says, or it changed size while it was read."""
 
 
 class ImageFormatError(LaneBevError, ValueError):
@@ -180,3 +183,13 @@ def _object_field(owner: str, value, kind: type) -> None:
     if not isinstance(value, kind):
         article = "an" if kind.__name__[0] in "AEIOU" else "a"
         raise InvalidValue(f"{owner}: must be {article} {kind.__name__}, got {type(value).__name__}")
+
+
+def _object_list(owner: str, value, kind: type) -> None:
+    """InvalidValue naming `owner` unless `value` is a list or tuple, or
+    naming `owner[i]` unless its entry i is an instance of `kind`."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidValue(f"{owner}: must be a list or tuple, got {type(value).__name__}")
+    for i, entry in enumerate(value):
+        if not isinstance(entry, kind):
+            _object_field(f"{owner}[{i}]", entry, kind)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field, _scalar_field
+from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field, _object_field, _object_list, _scalar_field
 
 # Margins of the discriminative embedding loss: the pull loss lets a cell
 # lie DELTA_V from its lane's centre, the push loss drives centres
@@ -161,6 +161,8 @@ def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensor
     Raises InvalidValue naming `encode_lanes.lanes` on an id that is not
     positive or that two lanes share, since the instance map would merge them.
     """
+    _object_list("encode_lanes.lanes", lanes, Lane3D)
+    _object_field("encode_lanes.spec", spec, GridSpec)
     ids = np.array([lane.id for lane in lanes], dtype=int)
     if np.any(ids <= 0):
         raise InvalidValue(f"encode_lanes.lanes: ids must be positive to encode, got {ids[ids <= 0][0]}")
@@ -223,6 +225,8 @@ def ideal_prediction(gt: GridTensors, spec: GridSpec = GridSpec(), embed_dim: in
     and TooManyInstances when the instances exceed the simplex capacity
     embed_dim + 1.
     """
+    _object_field("ideal_prediction.gt", gt, GridTensors)
+    _object_field("ideal_prediction.spec", spec, GridSpec)
     _scalar_field("ideal_prediction.embed_dim", embed_dim, "non-negative", integer=True)
     if gt.instance is None:
         raise ShapeMismatch("ideal_prediction.gt: needs an instance tensor")

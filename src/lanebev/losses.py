@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooManyInstances, _array_field, _scalar_field
+from .errors import ShapeMismatch, TooManyInstances, _array_field, _object_field, _scalar_field
 from .lane_grid import DELTA_D, DELTA_V, GridTensors
 
 _P_CLAMP = 1e-7
@@ -257,6 +257,13 @@ def total_loss(
 ) -> float:
     """Weighted sum of the six loss terms.  Terms with weight 0 are skipped
     (so a zero-weight front-view pair may be omitted entirely)."""
+    _object_field("total_loss.pred3d", pred3d, PredictionBatch)
+    _object_field("total_loss.gt3d", gt3d, GridTensors)
+    if pred2d is not None:
+        _object_field("total_loss.pred2d", pred2d, FrontViewPrediction)
+    if gt2d is not None:
+        _object_field("total_loss.gt2d", gt2d, FrontViewTruth)
+    _object_field("total_loss.weights", weights, LossWeights)
     if (weights.w_seg2d > 0 or weights.w_embed2d > 0) and (pred2d is None or gt2d is None):
         raise ShapeMismatch(f"total_loss.{'pred2d' if pred2d is None else 'gt2d'}: the 2D terms need a front-view pair")
     total = 0.0

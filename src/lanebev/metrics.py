@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidValue, _array_field, _scalar_field
+from .errors import EmptyInput, InvalidValue, _array_field, _object_field, _object_list, _scalar_field
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -105,6 +105,7 @@ def resample_lane(lane: Lane3D, xs) -> tuple[np.ndarray, np.ndarray]:
     are flagged invalid (their y, z values are extrapolation artifacts and
     must not be used).
     """
+    _object_field("resample_lane.lane", lane, Lane3D)
     xs = np.asarray(xs, dtype=float)
     valid = (xs >= lane.x[0]) & (xs <= lane.x[-1])
     y = np.interp(xs, lane.x, lane.y)
@@ -129,6 +130,9 @@ def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalCo
     and pairs so far apart that the cost overflows, are infeasible and
     never become true positives.
     """
+    _object_list("match_lanes.preds", preds, Lane3D)
+    _object_list("match_lanes.gts", gts, Lane3D)
+    _object_field("match_lanes.cfg", cfg, EvalConfig)
     xs = np.asarray(cfg.sample_xs)
     pred_pts, pred_valid = _resample_all(preds, xs)
     gt_pts, gt_valid = _resample_all(gts, xs)
@@ -230,6 +234,9 @@ def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Single-frame evaluation; see module docstring for the protocol."""
+    _object_list("evaluate.preds", preds, Lane3D)
+    _object_list("evaluate.gts", gts, Lane3D)
+    _object_field("evaluate.cfg", cfg, EvalConfig)
     return evaluate_frames([(preds, gts)], cfg)
 
 
@@ -241,8 +248,15 @@ def evaluate_frames(
     prediction and ground-truth counts and the error sums per distance
     bucket are summed before the ratios are formed.  Raises EmptyInput when
     there are no frames; one frame with no lanes on either side scores 1."""
+    _object_list("evaluate_frames.frames", frames, tuple)
+    _object_field("evaluate_frames.cfg", cfg, EvalConfig)
     if not frames:
         raise EmptyInput("evaluate_frames needs at least one frame")
+    for k, frame in enumerate(frames):
+        if len(frame) != 2:
+            raise InvalidValue(f"evaluate_frames.frames[{k}]: must be a (preds, gts) pair, got {len(frame)} entries")
+        _object_list(f"evaluate_frames.frames[{k}][0]", frame[0], Lane3D)
+        _object_list(f"evaluate_frames.frames[{k}][1]", frame[1], Lane3D)
     near = np.asarray(cfg.sample_xs) <= cfg.near_limit
     tp = n_pred = n_gt = 0
     sums = np.zeros(4)  # x near, x far, z near, z far

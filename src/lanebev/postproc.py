@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _scalar_field
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _object_field, _object_list, _scalar_field
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -295,6 +295,9 @@ def decode_grid(
     (ids are not renumbered).  Raises NonFiniteInput when a cell that passes
     the confidence gate has a NaN or infinite embedding.
     """
+    _object_field("decode_grid.pred", pred, GridTensors)
+    _object_field("decode_grid.spec", spec, GridSpec)
+    _object_field("decode_grid.params", params, DecodeParams)
     if pred.embedding is None:
         raise ShapeMismatch("decode_grid.pred: needs an embedding")
     if pred.shape != spec.shape:
@@ -350,6 +353,8 @@ def fit_lanes(instances: list[LaneInstance], params: DecodeParams = DecodeParams
     transform.  An instance that spans fewer than 2 distinct x is refused by
     Lane3D(id=cluster_id + 1), as decode_lanes names it.
     """
+    _object_list("fit_lanes.instances", instances, LaneInstance)
+    _object_field("fit_lanes.params", params, DecodeParams)
     return [_fit_lane(Lane3D(points=inst.points, id=inst.cluster_id + 1), params.fit_degree) for inst in instances]
 
 
@@ -365,6 +370,9 @@ def decode_lanes(
     cluster becomes Lane3D(id=cluster_id + 1), keeping the first cell in
     scan order of each row, and is fitted from it, bit for bit as fit_lanes.
     """
+    _object_field("decode_lanes.pred", pred, GridTensors)
+    _object_field("decode_lanes.spec", spec, GridSpec)
+    _object_field("decode_lanes.params", params, DecodeParams)
     instances = [inst for inst in decode_grid(pred, spec, params) if np.ptp(inst.points[:, 0]) > 0]
     lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
     return lanes, [_fit_lane(lane, params.fit_degree) for lane in lanes]

@@ -14,9 +14,9 @@ import pytest
 import lanebev
 from lanebev import data_io
 from lanebev.cli import build_parser, main
-from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
+from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import EvalConfig
-from lanebev.postproc import DecodeParams, decode_grid, fit_lanes
+from lanebev.postproc import DecodeParams, decode_grid, decode_lanes, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, checkerboard, generate_scene, jittered_rig, render_ground_pattern
 from test_postproc import noisy_prediction
 
@@ -160,7 +160,7 @@ class TestUsageErrors:
     def test_bad_config_exits_1_naming_the_key(self, capsys, tmp_path, command, flag, config, error, named):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
-        pred, gt = tmp_path / "pred.bldt", tmp_path / "gt.json"
+        pred, gt = tmp_path / "pred.npy", tmp_path / "gt.json"
         data_io.write_tensor(np.zeros((200, 40, 4), dtype=np.float32), pred)
         data_io.save_lanes(generate_scene(SceneParams(n_lanes=2, seed=1)).lanes, gt)
         inputs = {
@@ -333,14 +333,14 @@ class TestFileWorkflow:
         assert run(capsys, "synth", "--params", str(params), "--out", str(scene))[0] == 0
 
         enc = tmp_path / "enc"
-        pred = tmp_path / "pred.bldt"
+        pred = tmp_path / "pred.npy"
         code, _, _ = run(
             capsys, "encode", "--scene", str(scene), "--out-dir", str(enc),
             "--ideal-pred", str(pred), "--embed-dim", "8",
         )
         assert code == 0
-        assert (enc / "confidence.bldt").exists()
-        conf = data_io.read_tensor(enc / "confidence.bldt")
+        assert (enc / "confidence.npy").exists()
+        conf = data_io.read_tensor(enc / "confidence.npy")
         assert conf.shape == (200, 40)
         assert conf.sum() == 600.0
 
@@ -357,12 +357,50 @@ class TestFileWorkflow:
         assert code == 0
         assert json.loads(report.read_text())["f_score"] == 1.0
 
+    def test_np_load_reads_the_encoder_outputs(self, capsys, tmp_path):
+        scene = generate_scene(SceneParams(n_lanes=3, hill_amplitude=1.0, seed=4))
+        data_io.save_scene(scene, tmp_path / "scene.json")
+        enc, pred = tmp_path / "enc", tmp_path / "pred.npy"
+        argv = ["encode", "--scene", str(tmp_path / "scene.json"), "--out-dir", str(enc), "--ideal-pred", str(pred)]
+        assert run(capsys, *argv, "--embed-dim", "8") == (0, "", "")
+        gt = encode_lanes(scene.lanes)
+        ideal = ideal_prediction(gt, embed_dim=8)
+        want = {
+            enc / "confidence.npy": gt.confidence,
+            enc / "offset.npy": gt.offset,
+            enc / "height.npy": gt.height,
+            enc / "instance.npy": gt.instance,
+            pred: np.dstack([ideal.confidence, ideal.embedding, ideal.offset, ideal.height]),
+        }
+        for path, values in want.items():
+            got = np.load(path)
+            assert got.dtype == np.float32 and np.array_equal(got, values.astype(np.float32)), path.name
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_decode_reads_a_stack_that_np_save_wrote(self, capsys, tmp_path, seed):
+        pred = noisy_prediction(seed)
+        stack = np.dstack([pred.confidence, pred.embedding, pred.offset, pred.height])
+        np.save(tmp_path / "plain.npy", stack.astype(np.float32))
+        data_io.write_tensor(stack, tmp_path / "ours.npy")
+        np.save(tmp_path / "float64.npy", stack)
+        assert (tmp_path / "plain.npy").read_bytes() == (tmp_path / "ours.npy").read_bytes()
+        for name in ("plain", "ours", "float64"):
+            argv = ["decode", "--pred", str(tmp_path / f"{name}.npy"), "--out", str(tmp_path / f"{name}.json")]
+            assert run(capsys, *argv) == (0, "", "")
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "ours.json").read_bytes()
+        # a float64 stack is decoded as stored, as decode_lanes decodes it in process
+        lanes, fits = decode_lanes(
+            GridTensors(confidence=stack[:, :, 0], embedding=stack[:, :, 1:-2], offset=stack[:, :, -2], height=stack[:, :, -1])
+        )
+        data_io.save_lanes(lanes, tmp_path / "in_process.json", fits)
+        assert (tmp_path / "float64.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_decode_of_noisy_tensors_matches_the_hand_assembly(self, capsys, tmp_path, seed):
-        write_prediction(noisy_prediction(seed), tmp_path / "pred.bldt")
+        write_prediction(noisy_prediction(seed), tmp_path / "pred.npy")
         cli_lanes = tmp_path / "cli.json"
-        assert run(capsys, "decode", "--pred", str(tmp_path / "pred.bldt"), "--out", str(cli_lanes)) == (0, "", "")
-        stack = data_io.read_tensor(tmp_path / "pred.bldt").astype(float)
+        assert run(capsys, "decode", "--pred", str(tmp_path / "pred.npy"), "--out", str(cli_lanes)) == (0, "", "")
+        stack = data_io.read_tensor(tmp_path / "pred.npy").astype(float)
         stored = GridTensors(
             confidence=np.clip(stack[:, :, 0], 0.0, 1.0), embedding=stack[:, :, 1:-2], offset=stack[:, :, -2], height=stack[:, :, -1]
         )
@@ -377,7 +415,7 @@ class TestFileWorkflow:
         stack[:, 5, 0] = 1.0  # a lane down column 5
         stack[50, 30:34, 0] = 1.0  # four cells in one row, far from it in embedding
         stack[50, 30:34, 1] = 10.0
-        pred = tmp_path / "pred.bldt"
+        pred = tmp_path / "pred.npy"
         data_io.write_tensor(stack, pred)
         lanes = tmp_path / "lanes.json"
         assert run(capsys, "decode", "--pred", str(pred), "--out", str(lanes)) == (0, "", "")
@@ -425,9 +463,9 @@ class TestFileWorkflow:
         for k in range(4):  # 4 x 4 channels = 16 pairs >= 12
             x = rng.normal(size=(3, 4, 4)).astype(np.float32)
             y = (m0 @ x.reshape(-1, 4).astype(float)).reshape(2, 3, 4)
-            data_io.write_tensor(x, samples / f"fv_{k:03d}.bldt")
-            data_io.write_tensor(y, samples / f"bev_{k:03d}.bldt")
-        out = tmp_path / "map.bldt"
+            data_io.write_tensor(x, samples / f"fv_{k:03d}.npy")
+            data_io.write_tensor(y, samples / f"bev_{k:03d}.npy")
+        out = tmp_path / "map.npy"
         code, _, _ = run(capsys, "fit-vrm", "--samples", str(samples), "--ridge", "0", "--out", str(out))
         assert code == 0
         fitted = data_io.read_tensor(out).astype(float)
@@ -440,9 +478,9 @@ class TestFileWorkflow:
     def test_fit_vrm_refuses_a_bad_ridge(self, capsys, tmp_path, ridge, error):
         samples = tmp_path / "samples"
         samples.mkdir()
-        data_io.write_tensor(np.ones((3, 4, 2), dtype=np.float32), samples / "fv_000.bldt")
-        data_io.write_tensor(np.ones((2, 3, 2), dtype=np.float32), samples / "bev_000.bldt")
-        out = tmp_path / "map.bldt"
+        data_io.write_tensor(np.ones((3, 4, 2), dtype=np.float32), samples / "fv_000.npy")
+        data_io.write_tensor(np.ones((2, 3, 2), dtype=np.float32), samples / "bev_000.npy")
+        out = tmp_path / "map.npy"
         code, stdout, err = run(capsys, "fit-vrm", "--samples", str(samples), "--ridge", ridge, "--out", str(out))
         assert code == 1 and stdout == ""
         payload = json.loads(err)
@@ -457,9 +495,9 @@ class TestFileWorkflow:
             fv = rng.normal(size=(3, 4, 2)).astype(np.float32)
             if k == 1:
                 fv[2, 3, 1] = np.nan
-            data_io.write_tensor(fv, samples / f"fv_{k:03d}.bldt")
-            data_io.write_tensor(rng.normal(size=(2, 3, 2)).astype(np.float32), samples / f"bev_{k:03d}.bldt")
-        out = tmp_path / "map.bldt"
+            data_io.write_tensor(fv, samples / f"fv_{k:03d}.npy")
+            data_io.write_tensor(rng.normal(size=(2, 3, 2)).astype(np.float32), samples / f"bev_{k:03d}.npy")
+        out = tmp_path / "map.npy"
         code, stdout, err = run(capsys, "fit-vrm", "--samples", str(samples), "--ridge", "1", "--out", str(out))
         assert code == 1 and stdout == "" and len(err.splitlines()) == 1
         payload = json.loads(err)
@@ -554,11 +592,11 @@ class TestOutFiles:
 
 
 def test_decode_reads_the_prediction_from_stdin(capsys, tmp_path):
-    write_prediction(noisy_prediction(0), tmp_path / "pred.bldt")
-    assert run(capsys, "decode", "--pred", str(tmp_path / "pred.bldt"), "--out", str(tmp_path / "file.json"))[0] == 0
+    write_prediction(noisy_prediction(0), tmp_path / "pred.npy")
+    assert run(capsys, "decode", "--pred", str(tmp_path / "pred.npy"), "--out", str(tmp_path / "file.json"))[0] == 0
     done = subprocess.run(
         [sys.executable, "-m", "lanebev.cli", "decode", "--pred", "/dev/stdin", "--out", str(tmp_path / "stdin.json")],
-        input=(tmp_path / "pred.bldt").read_bytes(),
+        input=(tmp_path / "pred.npy").read_bytes(),
         capture_output=True,
         env=package_env(),
         timeout=120,
@@ -614,12 +652,12 @@ def test_cli_runs_clean_with_warnings_as_errors(tmp_path, command):
     # pytest's filterwarnings does not reach a child process; -W error makes
     # any warning there fail the command, and -X dev adds resource warnings.
     # The synth and pipeline scenes are curved
-    write_prediction(noisy_prediction(5), tmp_path / "pred.bldt")
+    write_prediction(noisy_prediction(5), tmp_path / "pred.npy")
     curved = scene_params(tmp_path, n_lanes=4, curvature=[-3e-4, 3e-4])
     argv = {
         "synth": ["--params", curved, "--seed", "7", "--out", str(tmp_path / "scene.json")],
         "pipeline": ["--params", curved, "--seed", "7", "--out", str(tmp_path / "report.json")],
-        "decode": ["--pred", str(tmp_path / "pred.bldt"), "--out", str(tmp_path / "lanes.json")],
+        "decode": ["--pred", str(tmp_path / "pred.npy"), "--out", str(tmp_path / "lanes.json")],
     }[command]
     done = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "lanebev.cli", command, *argv],
@@ -691,7 +729,7 @@ class TestNamedErrors:
         return json.loads(err)
 
     def test_prediction_that_is_not_a_stack(self, capsys, tmp_path):
-        pred = tmp_path / "pred.bldt"
+        pred = tmp_path / "pred.npy"
         data_io.write_tensor(np.zeros((200, 40), dtype=np.float32), pred)
         payload = self.one_error(capsys, "decode", "--pred", str(pred), "--out", str(tmp_path / "lanes.json"))
         assert payload["error"] == "ShapeMismatch"
@@ -709,21 +747,21 @@ class TestNamedErrors:
         assert str(tmp_path) in payload["message"]
 
     def test_fit_vrm_without_samples(self, capsys, tmp_path):
-        payload = self.one_error(capsys, "fit-vrm", "--samples", str(tmp_path), "--out", str(tmp_path / "map.bldt"))
+        payload = self.one_error(capsys, "fit-vrm", "--samples", str(tmp_path), "--out", str(tmp_path / "map.npy"))
         assert payload["error"] == "EmptyInput"
         assert str(tmp_path) in payload["message"]
 
     def test_fit_vrm_sample_without_bev_pair(self, capsys, tmp_path):
-        data_io.write_tensor(np.zeros((3, 4, 2), dtype=np.float32), tmp_path / "fv_000.bldt")
-        payload = self.one_error(capsys, "fit-vrm", "--samples", str(tmp_path), "--out", str(tmp_path / "map.bldt"))
+        data_io.write_tensor(np.zeros((3, 4, 2), dtype=np.float32), tmp_path / "fv_000.npy")
+        payload = self.one_error(capsys, "fit-vrm", "--samples", str(tmp_path), "--out", str(tmp_path / "map.npy"))
         assert payload["error"] == "MissingField"
-        assert "fv_000.bldt" in payload["message"]
+        assert "fv_000.npy" in payload["message"]
 
     def test_decode_refuses_a_confidence_outside_0_1(self, capsys, tmp_path):
         # a stack whose confidence channel holds a logit is refused, not clamped
         stack = np.zeros((200, 40, 4), dtype=np.float32)
         stack[10, 20, 0] = 1.5
-        pred = tmp_path / "pred.bldt"
+        pred = tmp_path / "pred.npy"
         data_io.write_tensor(stack, pred)
         out = tmp_path / "lanes.json"
         payload = self.one_error(capsys, "decode", "--pred", str(pred), "--out", str(out))
@@ -732,7 +770,7 @@ class TestNamedErrors:
         assert not out.exists()
 
     def test_decode_refuses_a_zero_row_prediction(self, capsys, tmp_path):
-        pred = tmp_path / "pred.bldt"
+        pred = tmp_path / "pred.npy"
         data_io.write_tensor(np.zeros((0, 40, 4), dtype=np.float32), pred)
         out = tmp_path / "lanes.json"
         payload = self.one_error(capsys, "decode", "--pred", str(pred), "--out", str(out))

@@ -1,16 +1,20 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import pickle
 import re
 import stat
 import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
+import numpy.lib.format as npy
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -38,22 +42,37 @@ from test_lane_path_pin import pin_frames
 LANES_FILE_SHA256 = "934d322ed06356062d079f661bc71e088bf195b16bdeef556b56a6c6bdf3f14d"
 
 
+def _npy_header(descr="<f4", shape=(1,), fortran_order=False, version=1):
+    """An .npy header as numpy writes it, for the dict keys given."""
+    buf = io.BytesIO()
+    write = npy.write_array_header_1_0 if version == 1 else npy.write_array_header_2_0
+    write(buf, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+    return buf.getvalue()
+
+
+def _np_save_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 class TestTensorFormat:
     def test_single_element_layout(self, tmp_path):
-        # 4 magic + 2 version + 1 ndim + 4 dim + 4 payload = 15 bytes
-        path = tmp_path / "one.bldt"
-        data_io.write_tensor(np.array([0.0], dtype=np.float32), path)
+        # numpy's format 1.0: magic, version, a header padded to 128 bytes, then the payload
+        path = tmp_path / "one.npy"
+        data_io.write_tensor(np.array([0.5], dtype=np.float32), path)
         blob = path.read_bytes()
-        assert len(blob) == 15
-        assert blob[:4] == b"BLDT"
-        assert struct.unpack("<H", blob[4:6])[0] == 1
-        assert blob[6] == 1
-        assert struct.unpack("<I", blob[7:11])[0] == 1
-        assert struct.unpack("<f", blob[11:15])[0] == 0.0
+        assert len(blob) == 128 + 4
+        assert blob[:8] == b"\x93NUMPY\x01\x00"
+        assert int.from_bytes(blob[8:10], "little") == 128 - 10
+        assert blob[10:128].rstrip(b" \n") == b"{'descr': '<f4', 'fortran_order': False, 'shape': (1,), }"
+        assert blob[128:] == np.array([0.5], dtype="<f4").tobytes()
+        back = np.load(path)
+        assert back.dtype == np.float32 and np.array_equal(back, [0.5])
 
     def test_grid_tensor_roundtrip_bit_exact(self, tmp_path, rng):
         arr = rng.random((200, 40)).astype(np.float32)
-        path = tmp_path / "grid.bldt"
+        path = tmp_path / "grid.npy"
         data_io.write_tensor(arr, path)
         back = data_io.read_tensor(path)
         assert back.dtype == np.float32
@@ -61,7 +80,7 @@ class TestTensorFormat:
 
     @pytest.mark.parametrize("big", [1e39, -1e39])
     def test_finite_value_beyond_float32_range_raises(self, tmp_path, big):
-        path = tmp_path / "big.bldt"
+        path = tmp_path / "big.npy"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteInput, match=re.escape(str(path))):
@@ -71,14 +90,14 @@ class TestTensorFormat:
     def test_float32_extremes_and_non_finite_values_keep_their_bytes(self, tmp_path):
         f32 = np.finfo(np.float32)
         arr = np.array([f32.max, -f32.max, f32.tiny, np.inf, -np.inf, np.nan], dtype=np.float32)
-        path = tmp_path / "edge.bldt"
+        path = tmp_path / "edge.npy"
         data_io.write_tensor(arr.astype(float), path)
-        assert path.read_bytes()[11:] == arr.astype("<f4").tobytes()
+        assert path.read_bytes()[128:] == arr.astype("<f4").tobytes()
 
     def test_write_read_write_is_byte_identical(self, tmp_path, rng):
         arr = rng.normal(size=(7, 3, 2)).astype(np.float32)
-        p1 = tmp_path / "a.bldt"
-        p2 = tmp_path / "b.bldt"
+        p1 = tmp_path / "a.npy"
+        p2 = tmp_path / "b.npy"
         data_io.write_tensor(arr, p1)
         data_io.write_tensor(data_io.read_tensor(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -90,20 +109,23 @@ class TestTensorFormat:
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_property(self, shape, seed, tmp_path_factory):
         arr = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
-        path = tmp_path_factory.mktemp("bldt") / "t.bldt"
+        path = tmp_path_factory.mktemp("npy") / "t.npy"
         data_io.write_tensor(arr, path)
         assert np.array_equal(data_io.read_tensor(path), arr)
 
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 4), (2, 1, 3, 2), (0,), (3, 0, 2)])
     def test_roundtrip_by_rank_and_short_payload(self, tmp_path, rng, shape):
         arr = rng.normal(size=shape).astype(np.float32)
-        path = tmp_path / "t.bldt"
+        path = tmp_path / "t.npy"
         data_io.write_tensor(arr, path)
         blob = path.read_bytes()
-        assert blob == b"BLDT" + struct.pack(f"<HB{arr.ndim}I", 1, arr.ndim, *shape) + arr.astype("<f4").tobytes()
+        assert blob == _np_save_bytes(arr.astype("<f4"))
+        assert len(blob) == 128 + 4 * arr.size
         back = data_io.read_tensor(path)
         assert back.dtype == np.float32 and back.shape == shape and back.flags.writeable
         assert np.array_equal(back, arr)
+        loaded = np.load(path)
+        assert loaded.dtype == np.float32 and np.array_equal(loaded, arr)
         if arr.size:
             path.write_bytes(blob[:-4])
             with pytest.raises(TensorFormatError, match="expected"):
@@ -112,31 +134,38 @@ class TestTensorFormat:
     @pytest.mark.parametrize("shape", [(5,), (200, 40, 11), (3, 0, 2)])
     def test_read_through_a_pipe(self, tmp_path, rng, shape):
         arr = rng.normal(size=shape).astype(np.float32)
-        data_io.write_tensor(arr, tmp_path / "t.bldt")
-        blob = (tmp_path / "t.bldt").read_bytes()
+        data_io.write_tensor(arr, tmp_path / "t.npy")
+        blob = (tmp_path / "t.npy").read_bytes()
         assert np.array_equal(_read_tensor_from_pipe(blob), arr)
         if arr.size:
-            with pytest.raises(TensorFormatError, match=f"payload {len(blob) - 4 - 7 - 4 * arr.ndim} bytes, expected"):
+            with pytest.raises(TensorFormatError, match=f"payload {len(blob) - 4 - 128} bytes, expected"):
                 _read_tensor_from_pipe(blob[:-4])
-        with pytest.raises(TensorFormatError, match=f"payload {len(blob) + 1 - 7 - 4 * arr.ndim} bytes, expected"):
+        with pytest.raises(TensorFormatError, match=f"payload {len(blob) + 1 - 128} bytes, expected"):
             _read_tensor_from_pipe(blob + b"\x00")
         with pytest.raises(TensorFormatError, match="magic"):
             _read_tensor_from_pipe(b"")
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "x.bldt"
+        path = tmp_path / "x.npy"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(TensorFormatError, match="magic"):
             data_io.read_tensor(path)
 
-    def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "x.bldt"
-        path.write_bytes(b"BLDT" + struct.pack("<H", 2) + b"\x01" + struct.pack("<I", 1) + b"\x00" * 4)
-        with pytest.raises(TensorFormatError, match="version 2, expected 1"):
+    @pytest.mark.parametrize("version", [b"\x03\x00", b"\x01\x01", b"\x00\x00"])
+    def test_unsupported_version(self, tmp_path, version):
+        path = tmp_path / "x.npy"
+        path.write_bytes(b"\x93NUMPY" + version + _npy_header()[8:] + b"\x00" * 4)
+        with pytest.raises(TensorFormatError, match=rf"version {version[0]}\.{version[1]}, expected 1\.0 or 2\.0"):
             data_io.read_tensor(path)
 
+    def test_format_2_0_header_is_read(self, tmp_path, rng):
+        arr = rng.normal(size=(3, 4)).astype(np.float32)
+        path = tmp_path / "v2.npy"
+        path.write_bytes(_npy_header(shape=(3, 4), version=2) + arr.tobytes())
+        assert np.array_equal(data_io.read_tensor(path), arr)
+
     def test_truncated_payload(self, tmp_path, rng):
-        path = tmp_path / "x.bldt"
+        path = tmp_path / "x.npy"
         data_io.write_tensor(rng.random((4, 4)).astype(np.float32), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])
@@ -145,36 +174,158 @@ class TestTensorFormat:
         path.write_bytes(blob + b"\x00")
         with pytest.raises(TensorFormatError, match="payload 65 bytes, expected 64"):
             data_io.read_tensor(path)
-
-    def test_bad_rank_rejected(self, tmp_path):
-        with pytest.raises(ShapeMismatch, match=re.escape(str(tmp_path / "x.bldt"))):
-            data_io.write_tensor(np.zeros((2, 2, 2, 2, 2), dtype=np.float32), tmp_path / "x.bldt")
-        assert not (tmp_path / "x.bldt").exists()
-        path = tmp_path / "y.bldt"
-        path.write_bytes(b"BLDT" + struct.pack("<H", 1) + b"\x05")
-        with pytest.raises(TensorFormatError, match="invalid rank 5"):
+        path.write_bytes(blob[:100])
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: EOF: reading array header")):
             data_io.read_tensor(path)
+
+    @pytest.mark.parametrize("shape", [(), (2, 1, 1, 1, 2)], ids=["rank 0", "rank 5"])
+    def test_bad_rank_rejected(self, tmp_path, shape):
+        with pytest.raises(ShapeMismatch, match=re.escape(str(tmp_path / "x.npy"))):
+            data_io.write_tensor(np.zeros(shape, dtype=np.float32), tmp_path / "x.npy")
+        assert not (tmp_path / "x.npy").exists()
+        path = tmp_path / "y.npy"
+        np.save(path, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: float32 of shape {shape}, expected") + ".* rank 1..4"):
+            data_io.read_tensor(path)
+
+    @pytest.mark.parametrize("shape", [(-1, -4), (True, 2)], ids=["negative", "bool"])
+    def test_dims_that_are_not_non_negative_ints_are_rejected(self, tmp_path, shape):
+        # each header's size matches its payload: (-1) * (-4) * 4 bytes, and True * 2 * 4
+        path = tmp_path / "x.npy"
+        path.write_bytes(_npy_header(shape=shape) + b"\x00" * 4 * abs(shape[0] * shape[1]))
+        with pytest.raises(TensorFormatError, match="rank 1..4"):
+            data_io.read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.arange(6, dtype=np.int32),
+            np.ones(3, dtype=bool),
+            np.ones(3, dtype=np.complex64),
+            np.array(["a", "bc"]),
+            np.zeros(2, dtype=[("x", "<f4"), ("y", "<f4")]),
+        ],
+        ids=["int32", "bool", "complex64", "string", "structured"],
+    )
+    def test_dtype_that_is_not_a_real_float_is_refused(self, tmp_path, values):
+        path = tmp_path / "x.npy"
+        np.save(path, values)
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: ") + ".*expected a real float type"):
+            data_io.read_tensor(path)
+
+    def test_object_dtype_is_refused_without_unpickling(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.npy"
+        np.save(path, np.array([1.0, "a"], dtype=object), allow_pickle=True)
+        monkeypatch.setattr("pickle.load", None)  # any unpickling would raise TypeError
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: object of shape (2,)")):
+            data_io.read_tensor(path)
+
+    @pytest.mark.parametrize("dtype", ["<f2", ">f4", "<f8", ">f8"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_any_real_float_dtype_and_order_is_returned_as_stored(self, tmp_path, rng, dtype, order):
+        arr = np.asarray(rng.normal(size=(3, 4, 2)), dtype=dtype, order=order)
+        path = tmp_path / "x.npy"
+        np.save(path, arr)
+        assert _npy_header(arr.dtype.str, (3, 4, 2), order == "F") == path.read_bytes()[:128]
+        back = data_io.read_tensor(path)
+        assert back.dtype == arr.dtype and back.shape == arr.shape and back.flags.writeable
+        assert np.array_equal(back, arr)
+        assert back.flags.f_contiguous == (order == "F")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_header_claiming_a_huge_payload_is_refused_before_allocating(self, tmp_path, version):
+        # np.lib.format.read_array asks for the header's 2**40 float32 (4 TiB) first
+        path = tmp_path / "x.npy"
+        path.write_bytes(_npy_header(shape=(2**40,), version=version) + b"\x00" * 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFormatError, match="payload 16 bytes, expected 4398046511104"):
+                data_io.read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_header_length_beyond_the_file_is_refused_before_allocating(self, tmp_path):
+        # a format 2.0 header states its length in 4 bytes: up to 4 GiB
+        path = tmp_path / "x.npy"
+        path.write_bytes(b"\x93NUMPY\x02\x00" + (2**32 - 1).to_bytes(4, "little") + b"{" * 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFormatError, match=re.escape(f"{path}: EOF: reading array header")):
+                data_io.read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "{(",
+            '"""',
+            "\t1\n 2",
+            "-" * 3000 + "1",
+            "{[]: 1}",
+            "{'descr': '<f4'}",
+            "[1, 2]",
+            "{'descr': '<f4', 'fortran_order': 1, 'shape': (1,)}",
+        ],
+        ids=["unclosed bracket", "unclosed string", "bad indent", "deep nesting", "unhashable key", "missing keys", "not a dict", "bad order"],
+    )
+    def test_header_numpy_cannot_parse_is_refused(self, tmp_path, header):
+        # numpy's parser raises ValueError, and tokenize.TokenError,
+        # IndentationError, RecursionError or TypeError on some of these
+        path = tmp_path / "x.npy"
+        raw = header.encode("latin1")
+        path.write_bytes(b"\x93NUMPY\x01\x00" + len(raw).to_bytes(2, "little") + raw + b"\x00" * 4)
+        with pytest.raises(TensorFormatError, match=re.escape(f"{path}: ")):
+            data_io.read_tensor(path)
+
+    def test_old_bldt_npz_and_pickle_files_are_refused_naming_them(self, tmp_path):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        bldt = tmp_path / "t.bldt"
+        bldt.write_bytes(b"BLDT" + struct.pack("<HB2I", 1, 2, 2, 3) + arr.tobytes())
+        npz = tmp_path / "t.npz"
+        np.savez(npz, arr=arr)
+        pkl = tmp_path / "t.pkl"
+        pkl.write_bytes(pickle.dumps(arr))
+        for path in (bldt, npz, pkl):
+            with pytest.raises(TensorFormatError, match=re.escape(f"{path}: the magic string is not correct")):
+                data_io.read_tensor(path)
 
     def test_dims_whose_product_wraps_int64(self, tmp_path):
         # 65536**4 = 2**64 wraps to 0 in int64 and would match an empty payload
-        path = tmp_path / "x.bldt"
-        path.write_bytes(b"BLDT" + struct.pack("<H", 1) + b"\x04" + struct.pack("<4I", *[65536] * 4))
+        path = tmp_path / "x.npy"
+        path.write_bytes(_npy_header(shape=(65536,) * 4))
         with pytest.raises(TensorFormatError, match="expected 73786976294838206464"):
             data_io.read_tensor(path)
 
     @given(
-        prefix=st.sampled_from([b"", b"BLDT", b"BLDT\x01\x00", b"BLDT\x01\x00\x01", b"BLDT\x01\x00\x02"]),
+        prefix=st.sampled_from([b"", b"\x93NUMPY", b"\x93NUMPY\x01\x00", b"\x93NUMPY\x02\x00", b"PK\x03\x04", b"BLDT"]),
         tail=st.binary(max_size=40),
     )
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_raise_only_domain_errors(self, prefix, tail, tmp_path_factory):
-        path = tmp_path_factory.mktemp("bldt") / "t.bldt"
+        path = tmp_path_factory.mktemp("npy") / "t.npy"
         path.write_bytes(prefix + tail)
         try:
             arr = data_io.read_tensor(path)
         except LaneBevError:
             return
-        assert arr.dtype == np.float32 and 1 <= arr.ndim <= 4
+        assert arr.dtype.kind == "f" and 1 <= arr.ndim <= 4
+
+    @given(header=st.text(max_size=60), payload=st.integers(0, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_header_text_raises_only_domain_errors(self, header, payload, tmp_path_factory):
+        path = tmp_path_factory.mktemp("npy") / "t.npy"
+        raw = header.encode("utf-8")
+        path.write_bytes(b"\x93NUMPY\x01\x00" + len(raw).to_bytes(2, "little") + raw + b"\x00" * payload)
+        try:
+            arr = data_io.read_tensor(path)
+        except LaneBevError:
+            return
+        assert arr.dtype.kind == "f" and 1 <= arr.ndim <= 4
 
 
 def _read_tensor_from_pipe(blob):
@@ -298,7 +449,8 @@ def _write_decoded_lanes(path):
 
 # Every writer, on fixed inputs, and the SHA-256 of the file it writes;
 # recorded from the writers as they were before they overwrote in place,
-# and the JSON files' since each is one json.dumps line.
+# the JSON files' since each is one json.dumps line, and the tensor's since
+# it is an .npy file, the bytes np.save writes for the float32 array.
 WRITERS = {
     "write_tensor": lambda path: data_io.write_tensor(np.random.default_rng(1).normal(size=(5, 4, 3)), path),
     "save_lanes": _write_decoded_lanes,
@@ -308,7 +460,7 @@ WRITERS = {
     "write_pnm PPM": lambda path: data_io.write_pnm(np.random.default_rng(3).random((9, 13, 3)), path),
 }
 WRITER_SHA256 = {
-    "write_tensor": "6962d9375c94b778067e7d7279eb2c2ec92dd537332d127f1bddf4d7c5beeb07",
+    "write_tensor": "c314f7fee3564becf085c1d5faea8172dec60da2cfc875617108bbeac19b20cc",
     "save_lanes": "1b2d019a77bcf8def470c94a143e1c1803873cd080c3104fa254f12f861d1735",
     "save_rig": "93d4f44f8292f99cbe36d16ef7188c86c4fffa1192776232984d39f71310ffbb",
     "save_scene": "2eddaf81e6a47d6fa82ef472973040a92d2e9afaef8a61becbe89c874b3232a9",

@@ -1,14 +1,16 @@
 """The test configuration itself: a failing test is reported, not lost; the
-package writes files through one writer only, and JSON text through one
-encoder call; it reports a problem only by raising, never by a warning; it
-refuses a value with its own error classes, not a builtin one, each message
-naming the field; every array field refuses a wrong shape
-and NaN by one rule; every field of every public dataclass refuses a value
-of the wrong type, and so does every checked size or scale argument; and no
-CLI flag re-spells a config file's field."""
+package writes files through one writer only, reads none through numpy's
+loaders or pickle, and writes JSON text through one encoder call; it
+reports a problem only by raising, never by a warning; it refuses a value
+with its own error classes, not a builtin one, each message naming the
+field; every array field refuses a wrong shape and NaN by one rule; every
+field of every public dataclass refuses a value of the wrong type, and so
+does every checked size, scale or object argument and every entry of a
+checked list; and no CLI flag re-spells a config file's field."""
 
 import ast
 import dataclasses
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import lanebev
+from lanebev import data_io
 from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics
 from lanebev.cli import _COMMANDS
 from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
@@ -67,9 +70,10 @@ def test_falsified_property_is_reported_and_the_session_goes_on(tmp_path):
 def file_writes(source: str) -> list[str]:
     """Each call in `source` that writes a file outside data_io._write_file.
 
-    That is a write_text or write_bytes call, and an open call whose mode
-    is not a literal without w, a, x or +; os.open, whose flags are not a
-    mode string, counts too.
+    That is a write_text or write_bytes call, numpy's save, savez,
+    savez_compressed or tofile, and an open call whose mode is not a
+    literal without w, a, x or +; os.open, whose flags are not a mode
+    string, counts too.
     """
     found = []
 
@@ -79,7 +83,7 @@ def file_writes(source: str) -> list[str]:
         if where != "_write_file" and isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("write_text", "write_bytes"):
+            if name in ("write_text", "write_bytes", "save", "savez", "savez_compressed", "tofile"):
                 found.append(f"line {node.lineno}: {name}")
             elif name == "open":
                 # builtin open(file, mode), Path.open(mode), os.open(path, flags)
@@ -114,6 +118,10 @@ def test_the_write_scan_finds_each_kind_of_write():
             path.open("r+")
             open(path, mode)
             os.open(path, os.O_WRONLY | os.O_TRUNC)
+            np.save(path, arr)
+            numpy.savez(path, a=arr)
+            np.savez_compressed(path, a=arr)
+            arr.tofile(path)
 
         def load(path):
             open(path)
@@ -125,7 +133,66 @@ def test_the_write_scan_finds_each_kind_of_write():
             os.open(path, os.O_WRONLY | os.O_CREAT)
         """
     )
-    assert file_writes(source) == [f"line {n}: {kind}" for n, kind in [(3, "write_text"), (4, "write_bytes")] + [(n, "open") for n in range(5, 11)]]
+    numpy_writes = [(11, "save"), (12, "savez"), (13, "savez_compressed"), (14, "tofile")]
+    expected = [(3, "write_text"), (4, "write_bytes")] + [(n, "open") for n in range(5, 11)] + numpy_writes
+    assert file_writes(source) == [f"line {n}: {kind}" for n, kind in expected]
+
+
+def unsafe_reads(source: str) -> list[str]:
+    """Each call in `source` of numpy's load (np.load, numpy.load) or of a
+    read_array, and each import or call of the pickle module: readers that
+    may unpickle a file or allocate what its header claims before reading."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import pickle") for a in node.names if a.name.split(".")[0] == "pickle"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pickle":
+            found.append((node.lineno, "from pickle"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else func.id
+            owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+            if name == "read_array" or (name == "load" and owner in ("np", "numpy")) or owner == "pickle":
+                found.append((node.lineno, f"{owner}.{name}" if owner else name))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_a_file_through_numpys_loaders_or_pickle(module):
+    # read_tensor parses the .npy header itself with numpy's header readers,
+    # and checks the payload size against the file before allocating
+    assert unsafe_reads(module.read_text()) == []
+
+
+def test_the_reader_scan_finds_each_unsafe_read():
+    source = textwrap.dedent(
+        """
+        import pickle
+        import os, pickle as p
+        from pickle import loads
+
+        def load(path, fh, blob):
+            np.load(path)
+            numpy.load(path, allow_pickle=False)
+            npy.read_array(fh)
+            read_array(fh)
+            pickle.loads(blob)
+            json.load(fh)
+            data_io.load_lanes(path)
+            npy.read_array_header_1_0(fh)
+            npy.read_magic(fh)
+        """
+    )
+    assert unsafe_reads(source) == [
+        "line 2: import pickle",
+        "line 3: import pickle",
+        "line 4: from pickle",
+        "line 7: np.load",
+        "line 8: numpy.load",
+        "line 9: npy.read_array",
+        "line 10: read_array",
+        "line 11: pickle.loads",
+    ]
 
 
 def json_dumps_calls(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
@@ -558,6 +625,19 @@ _PYRAMID = {
     "features": {8: FeatureTensor(np.ones((1, 2, 1)), scale=8)},
     "spec": PyramidSpec(scales=(8,), bev_shape=(1, 2)),
 }
+# An 8 x 4 grid, one lane down it, its truth and an ideal prediction
+_SPEC = GridSpec(x_min=3.0, x_max=7.0, y_min=-1.0, y_max=1.0, cell=0.5)
+_LANE = Lane3D(np.array([[3.0, 0.1, 0.0], [7.0, 0.1, 0.0]]), id=1)
+_GT = lanebev.encode_lanes([_LANE], _SPEC)
+_IDEAL = lanebev.ideal_prediction(_GT, _SPEC, embed_dim=2)
+_INSTANCE = LaneInstance(cluster_id=0, points=_LINE)
+_FIT = lanebev.fit_lanes([_INSTANCE])[0]
+_LOSS_ARGS = {
+    "pred3d": PredictionBatch(raw_confidence=_Z2, raw_offset=_Z2, embedding=_Z3, height=_Z2),
+    "gt3d": GridTensors(confidence=_Z2, offset=_Z2, height=_Z2, instance=_Z2),
+    "pred2d": FrontViewPrediction(raw_seg=_Z2, embedding=_Z3),
+    "gt2d": FrontViewTruth(mask=_Z2, instance=_Z2),
+}
 # A valid call of each function whose size, scale or object arguments are
 # checked, and those arguments; the wrong values are WRONG_TYPES and NaN
 CHECKED_ARGS = {
@@ -571,6 +651,17 @@ CHECKED_ARGS = {
     lanebev.compute_homography: ({"src": canonical_rig(), "dst": canonical_rig()}, ("src", "dst")),
     lanebev.apply_vrm: ({"vrm": _PYRAMID["maps"][8], "fv": _PYRAMID["features"][8]}, ("vrm", "fv")),
     lanebev.apply_pyramid: (_PYRAMID, ("maps", "features", "spec")),
+    lanebev.decode_grid: ({"pred": _IDEAL, "spec": _SPEC}, ("pred", "spec", "params")),
+    lanebev.decode_lanes: ({"pred": _IDEAL, "spec": _SPEC}, ("pred", "spec", "params")),
+    lanebev.fit_lanes: ({"instances": [_INSTANCE]}, ("params",)),
+    lanebev.encode_lanes: ({"lanes": [_LANE], "spec": _SPEC}, ("spec",)),
+    lanebev.ideal_prediction: ({"gt": _GT, "spec": _SPEC}, ("gt", "spec", "embed_dim")),
+    lanebev.evaluate: ({"preds": [_LANE], "gts": [_LANE]}, ("cfg",)),
+    lanebev.evaluate_frames: ({"frames": [([_LANE], [_LANE])]}, ("cfg",)),
+    lanebev.match_lanes: ({"preds": [_LANE], "gts": [_LANE]}, ("cfg",)),
+    lanebev.resample_lane: ({"lane": _LANE, "xs": [3.0, 5.0]}, ("lane",)),
+    # None for a front-view argument is the ShapeMismatch of a missing pair
+    lanebev.total_loss: (_LOSS_ARGS, ("pred3d", "gt3d", "pred2d", "gt2d", "weights")),
 }
 WRONG_ARGS = {**WRONG_TYPES, "NaN": float("nan")}
 ARG_CASES = [
@@ -589,6 +680,52 @@ def test_every_checked_argument_refuses_a_wrong_type_naming_it(fn, arg, kind):
     fn(**valid)
     with pytest.raises(LaneBevError, match=rf"^{fn.__name__}\.{arg}: "):
         fn(**{**valid, arg: WRONG_ARGS[kind]})
+
+
+# A valid call of each function that takes a list of objects, and those
+# lists: a wrong list names `function.arg`, a wrong entry `function.arg[i]`
+CHECKED_LISTS = {
+    lanebev.fit_lanes: ({"instances": [_INSTANCE]}, ("instances",)),
+    lanebev.encode_lanes: ({"lanes": [_LANE], "spec": _SPEC}, ("lanes",)),
+    lanebev.evaluate: ({"preds": [_LANE], "gts": [_LANE]}, ("preds", "gts")),
+    lanebev.match_lanes: ({"preds": [_LANE], "gts": [_LANE]}, ("preds", "gts")),
+    lanebev.mean_virtual_camera: ({"rigs": [canonical_rig()]}, ("rigs",)),
+    data_io.save_lanes: ({"lanes": [_LANE], "path": os.devnull, "fits": [_FIT]}, ("lanes", "fits")),
+}
+LIST_CASES = [(fn, arg, kind) for fn, (_, args) in CHECKED_LISTS.items() for arg in args for kind in WRONG_ARGS]
+
+
+@pytest.mark.parametrize("fn, arg, kind", LIST_CASES, ids=[f"{fn.__name__}.{arg}-{kind}" for fn, arg, kind in LIST_CASES])
+def test_every_checked_list_and_entry_refuses_a_wrong_type_naming_it(fn, arg, kind):
+    # each once escaped as a bare AttributeError or TypeError, or a misleading error
+    valid = CHECKED_LISTS[fn][0]
+    fn(**valid)
+    wrong = WRONG_ARGS[kind]
+    index = r"\[0\]" if kind == "list" else ""  # [1.0] is a list whose entry is wrong
+    if (fn, arg, kind) != (data_io.save_lanes, "fits", "None"):  # no fits
+        with pytest.raises(InvalidValue, match=rf"^{fn.__name__}\.{arg}{index}: "):
+            fn(**{**valid, arg: wrong})
+    with pytest.raises(InvalidValue, match=rf"^{fn.__name__}\.{arg}\[1\]: "):
+        fn(**{**valid, arg: [*valid[arg], wrong]})
+
+
+@pytest.mark.parametrize(
+    "frames, named",
+    [
+        ("x", "frames"),
+        ({"a": 1}, "frames"),
+        ([("x", "y")], "frames[0][0]"),
+        ([([_LANE], "y")], "frames[0][1]"),
+        ([([_LANE], [_LANE]), [[_LANE], [_LANE]]], "frames[1]"),
+        ([([_LANE],)], "frames[0]"),
+        ([([_LANE], [_LANE], [])], "frames[0]"),
+        ([([_LANE], [_LANE, "x"])], "frames[0][1][1]"),
+    ],
+    ids=["word", "dict", "word lanes", "word truth", "list frame", "one side", "three sides", "word lane"],
+)
+def test_evaluate_frames_names_a_wrong_frame_or_lane(frames, named):
+    with pytest.raises(InvalidValue, match=f"^evaluate_frames\\.{re.escape(named)}: "):
+        lanebev.evaluate_frames(frames)
 
 
 @pytest.mark.parametrize("kind", [*WRONG_ARGS, "array"])
