@@ -26,7 +26,7 @@ one camera to the pixels of another camera observing the same ground point.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,6 +41,7 @@ from .errors import (
     SingularHomography,
     _array_field,
     _ints_field,
+    _numbers,
     _object_field,
     _object_list,
     _scalar_field,
@@ -160,7 +161,7 @@ class Homography:
         A point mapped to infinity (w = 0) gives inf or NaN, without a
         warning, as do points too far away for a float pixel.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_numbers("Homography.apply.points", points).astype(float, copy=False))
         ph = np.column_stack([pts, np.ones(len(pts))])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             q = ph @ self.matrix.T
@@ -181,6 +182,7 @@ def project_ground_point(rig: CameraRig, x: float, y: float) -> tuple[float, flo
     Raises DegenerateDepth if the point's camera-frame depth is <= 1e-9.
     The result may lie outside the image bounds; callers decide what to do.
     """
+    _object_field("project_ground_point.rig", rig, CameraRig)
     return tuple(project_ground_points(rig, [(x, y)])[0])
 
 
@@ -191,7 +193,8 @@ def project_ground_points(rig: CameraRig, points_xy: np.ndarray) -> np.ndarray:
     A point too far away for a float pixel projects to inf or NaN, without
     a warning.
     """
-    pts = np.atleast_2d(np.asarray(points_xy, dtype=float))
+    _object_field("project_ground_points.rig", rig, CameraRig)
+    pts = np.atleast_2d(_numbers("project_ground_points.points_xy", points_xy).astype(float, copy=False))
     with np.errstate(over="ignore", invalid="ignore"):
         uvw, depths = _ground_to_image(rig, pts[:, 0], pts[:, 1])
         if np.any(depths <= _MIN_DEPTH):
@@ -222,14 +225,10 @@ def mean_virtual_camera(rigs: list[CameraRig]) -> CameraRig:
     if len(sizes) > 1:
         raise ShapeMismatch(f"mean_virtual_camera.rigs: image sizes differ: {sorted(sizes)}")
 
-    k = np.mean(
-        [[r.intrinsics.fx, r.intrinsics.fy, r.intrinsics.cx, r.intrinsics.cy, r.intrinsics.skew] for r in rigs],
-        axis=0,
-    )
     rot = _nearest_rotation(np.mean([r.extrinsics.rotation for r in rigs], axis=0))
     trans = np.mean([r.extrinsics.translation for r in rigs], axis=0)
     return CameraRig(
-        intrinsics=Intrinsics(fx=k[0], fy=k[1], cx=k[2], cy=k[3], skew=k[4]),
+        intrinsics=Intrinsics(*np.mean([astuple(r.intrinsics) for r in rigs], axis=0)),
         extrinsics=Extrinsics(rotation=rot, translation=trans),
         image_size=rigs[0].image_size,
     )
@@ -288,7 +287,7 @@ def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> n
     _homography_sample's, which synth.render_ground_pattern shares.
     """
     _object_field("warp_image.h", h, Homography)
-    img = np.asarray(image, dtype=float)
+    img = _numbers("warp_image.image", image).astype(float, copy=False)
     # Homography refuses |det| < 1e-12, so the inverse exists
     return _homography_sample(img, h.matrix, np.linalg.inv(h.matrix), out_size, "warp_image")
 

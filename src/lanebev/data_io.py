@@ -8,12 +8,11 @@ the config files (grid, decode, eval and scene parameters) are read by
 file is read by one reader (`_read_json`): UTF-8 text holding one JSON
 value, or MalformedJson naming the file.  Every file, configs included,
 follows one object rule (`_json_object`: an object, whose unknown keys are
-refused everywhere but in an OpenLane frame) and one number rule
-(`_json_number_type`: a number is a JSON int or float, and a string,
-boolean or null is refused).  Its numbers are read by `_floats`, which
-leaves shape and finiteness to the constructors' rule: a wrong shape is
-ShapeMismatch and NaN or infinity NonFiniteInput, each naming the key
-path.  Every JSON text lanebev writes is one `json.dumps` line and a
+refused everywhere but in an OpenLane frame), and its numbers are read by
+`_floats` by the constructors' rule (errors._array_field): a number is a
+JSON int or float, and a string, boolean or null is MissingField, a wrong
+shape ShapeMismatch and NaN or infinity NonFiniteInput, each naming the
+key path.  Every JSON text lanebev writes is one `json.dumps` line and a
 newline (`_json_text`); the reader takes any layout, so indented files
 written by earlier versions still load.  OpenLane-style frame annotations
 are parsed into road-frame scene records; the frame's 4x4 extrinsic maps
@@ -28,6 +27,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 from itertools import chain
 from pathlib import Path
@@ -45,6 +45,9 @@ from .errors import (
     ShapeMismatch,
     TensorFormatError,
     _array_field,
+    _number_type,
+    _numbers,
+    _object_field,
     _object_list,
 )
 from .lane_grid import Lane3D
@@ -104,7 +107,7 @@ def write_tensor(array: np.ndarray, path: str | Path) -> None:
     _write_file).  Raises ShapeMismatch naming the file unless the rank is
     1..4, and NonFiniteInput when a finite value lies beyond the float32
     range; either way it writes nothing."""
-    src = np.asarray(array)
+    src = _numbers("write_tensor.array", array)
     with np.errstate(over="ignore"):
         arr = np.ascontiguousarray(src, dtype="<f4")
     if not 1 <= src.ndim <= 4:  # ascontiguousarray makes a scalar 1-D
@@ -127,8 +130,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
     the returned array.  A pipe (such as /dev/stdin) is read whole first.
     Raises TensorFormatError naming the file on another magic (an old .bldt
     file, an .npz, a pickle), version, dtype or rank, a dim that is not a
-    non-negative int, a header numpy cannot parse, a payload of another
-    size, and a size change while it reads.
+    non-negative int, a header numpy cannot parse or one written by Python
+    2 (which numpy would reread with a warning), a payload of another size,
+    and a size change while it reads.
     """
     with open(path, "rb") as fh:
         st = os.fstat(fh.fileno())
@@ -139,10 +143,15 @@ def read_tensor(path: str | Path) -> np.ndarray:
             size, fh = len(data), io.BytesIO(data)
         # numpy refuses a header over 10,000 bytes, but asks for the length a
         # header states in one read, which a file object allocates up front
-        head = io.BytesIO(fh.read(12 + 10_000))
+        blob = fh.read(12 + 10_000)
+        head = io.BytesIO(blob)
         try:
             version = npy.read_magic(head)
             if version in ((1, 0), (2, 0)):
+                start = head.tell() + 2 * version[0]  # the header's length takes 2 bytes in 1.0, 4 in 2.0
+                # numpy rereads a Python 2 header, such as (2L,), without each L after a number, and warns
+                if re.search(rb"[\w.]\s*L\b", blob[start : start + int.from_bytes(blob[head.tell() : start], "little")]):
+                    raise TensorFormatError("header written by Python 2, an integer with an L suffix")
                 header = (npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0)(head)
         # numpy's ValueError, or a TypeError, SyntaxError, RecursionError or
         # tokenize.TokenError from the Python literal parser it runs on the header
@@ -164,7 +173,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return out.T if fortran else out
 
 
-# --- JSON values: one reader, one number rule, one array reader ---
+# --- JSON values: one reader, one array reader ---
 
 def _parse_json(text: str | bytes, name: str):
     """The JSON value of `text`, or of UTF-8 bytes.  Raises MalformedJson naming
@@ -181,37 +190,17 @@ def _read_json(path: str | Path):
     return _parse_json(Path(path).read_bytes(), str(path))
 
 
-def _json_number_type(t: type) -> bool:
-    """The one rule for a number in any file lanebev reads: an int or a
-    float.  bool is refused although it is an int; so are str and None."""
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
-
-
 def _floats(value, name: str, shape: tuple[int | None, ...] = ()) -> np.ndarray:
-    """A parsed JSON value as a float array, checked as the array field
-    `name` of `shape` (see errors._array_field: ShapeMismatch unless the
-    shape matches, where None matches any length, and NonFiniteInput on NaN
-    or infinity, each naming `name`).
-
-    Raises MissingField naming `name` when the value is missing or null, is
-    not a rectangular nest of lists or holds a leaf that is not a JSON number.
-    """
+    """A parsed JSON value as a float array: the array field `name` of
+    `shape` (see errors._array_field), except that a value that is missing,
+    null or not numbers (a string or boolean leaf, a ragged nest) raises
+    MissingField naming `name`."""
     if value is None:
         raise MissingField(f"{name}: missing or null")
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MissingField(f"{name}: not a rectangular array of numbers: {exc}") from exc
-    # asarray reads "3" as 3.0, true as 1.0 and null as NaN, and a float
-    # array does not tell a bool from a number; so check the leaves' types,
-    # one C-level pass over the value nested arr.ndim deep.
-    leaves = [value]
-    for _ in range(arr.ndim):
-        leaves = chain.from_iterable(leaves)
-    bad = [t.__name__ for t in set(map(type, leaves)) if not _json_number_type(t)]
-    if bad:
-        raise MissingField(f"{name}: must hold only JSON numbers, got {', '.join(sorted(bad))}")
-    return _array_field(name, arr, shape)
+        return _array_field(name, value, shape)
+    except InvalidValue as exc:
+        raise MissingField(str(exc)) from exc
 
 
 def _json_object(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
@@ -227,22 +216,14 @@ def _json_object(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
 
 # --- camera / homography JSON ---
 
-_INTRINSICS = ("fx", "fy", "cx", "cy", "skew")
+_INTRINSICS = tuple(f.name for f in dataclasses.fields(Intrinsics))
 
 
 def rig_to_dict(rig: CameraRig) -> dict:
+    _object_field("rig_to_dict.rig", rig, CameraRig)
     return {
-        "intrinsics": {
-            "fx": rig.intrinsics.fx,
-            "fy": rig.intrinsics.fy,
-            "cx": rig.intrinsics.cx,
-            "cy": rig.intrinsics.cy,
-            "skew": rig.intrinsics.skew,
-        },
-        "extrinsics": {
-            "rotation": rig.extrinsics.rotation.tolist(),
-            "translation": rig.extrinsics.translation.tolist(),
-        },
+        "intrinsics": dataclasses.asdict(rig.intrinsics),
+        "extrinsics": {k: v.tolist() for k, v in vars(rig.extrinsics).items()},
         "image_size": list(rig.image_size),
     }
 
@@ -276,6 +257,7 @@ def load_rig(path: str | Path) -> CameraRig:
 
 
 def save_rig(rig: CameraRig, path: str | Path) -> None:
+    _object_field("save_rig.rig", rig, CameraRig)
     _write_file(path, _json_text(rig_to_dict(rig)))
 
 
@@ -327,6 +309,9 @@ def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> 
     The points are checked again because Lane3D.points can be reassigned;
     FittedLane leaves them unchecked for NaN, as the decoder makes one per lane.
     """
+    _object_list("lanes_to_dict.lanes", lanes, Lane3D)
+    if fits is not None:
+        _object_list("lanes_to_dict.fits", fits, FittedLane)
     if fits is not None and len(fits) != len(lanes):
         raise ShapeMismatch(f"lanes_to_dict.fits: {len(fits)} fit(s) for {len(lanes)} lane(s)")
     out = []
@@ -362,7 +347,7 @@ def lanes_from_dict(data: dict) -> list[Lane3D]:
     for i, entry in enumerate(data["lanes"]):
         entry = _json_object(entry, f"lanes[{i}]", ("id", "points", "fit"))
         lane_id = entry.get("id", i + 1)
-        if type(lane_id) is not int:
+        if not _number_type(type(lane_id), integer=True):
             raise MissingField(f"lanes[{i}].id: must be a JSON integer, got {lane_id!r}")
         points = _floats(entry.get("points"), f"lanes[{i}].points", (None, 3))
         lanes.append(Lane3D(points=points, id=lane_id))
@@ -384,6 +369,7 @@ def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | N
 # --- scene records ---
 
 def scene_to_dict(scene: SceneRecord) -> dict:
+    _object_field("scene_to_dict.scene", scene, SceneRecord)
     return {
         "camera": rig_to_dict(scene.rig),
         "lanes": lanes_to_dict(scene.lanes)["lanes"],
@@ -406,6 +392,7 @@ def load_scene(path: str | Path) -> SceneRecord:
 
 
 def save_scene(scene: SceneRecord, path: str | Path) -> None:
+    _object_field("save_scene.scene", scene, SceneRecord)
     _write_file(path, _json_text(scene_to_dict(scene)))
 
 
@@ -469,6 +456,7 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
 
 def export_openlane_frame(scene: SceneRecord, file_path: str = "") -> str:
     """A scene as JSON text in the OpenLane per-frame layout (inverse of parse; see _json_text)."""
+    _object_field("export_openlane_frame.scene", scene, SceneRecord)
     rig = scene.rig
     rot = rig.extrinsics.rotation
     extrinsic = np.eye(4)
@@ -501,7 +489,7 @@ def write_pnm(image: np.ndarray, path: str | Path) -> None:
     overwriting `path` in place (see _write_file).  Raises ShapeMismatch for
     any other shape and NonFiniteInput on NaN or infinity, naming the file;
     either way it writes nothing."""
-    img = np.asarray(image, dtype=float)
+    img = _numbers("write_pnm.image", image).astype(float, copy=False)
     if not (img.ndim == 2 or (img.ndim == 3 and img.shape[2] == 3)):
         raise ShapeMismatch(f"{path}: image must be HxW or HxWx3, got {img.shape}")
     if not np.isfinite(img).all():
@@ -521,27 +509,16 @@ def read_pnm(path: str | Path) -> np.ndarray:
     blob = Path(path).read_bytes()
     if blob[:2] not in (b"P5", b"P6"):
         raise ImageFormatError(f"{path}: only binary PGM (P5) / PPM (P6) supported")
-    fields = []
-    pos = 2
-    for name in ("width", "height", "maxval"):
-        while True:
-            while pos < len(blob) and blob[pos : pos + 1].isspace():
-                pos += 1
-            if blob[pos : pos + 1] != b"#":
-                break
-            while pos < len(blob) and blob[pos] != 0x0A:
-                pos += 1
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        token = blob[start:pos]
+    # Each of width, height and maxval follows whitespace and "#" comments to
+    # the end of their line, and runs to the next whitespace.
+    header = re.match(rb"P[56]" + rb"(?:\s|#[^\n]*)*(\S*)" * 3, blob)
+    for name, token in zip(("width", "height", "maxval"), header.groups()):
         if not (token.isdigit() and len(token) <= 20):
             raise ImageFormatError(f"{path}: header {name} {token[:20]!r} is not an integer of 1 to 20 digits")
-        fields.append(int(token))
-    if pos == len(blob):
+    if header.end() == len(blob):
         raise ImageFormatError(f"{path}: header truncated, no whitespace after maxval")
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = fields
+    pos = header.end() + 1  # single whitespace after maxval
+    width, height, maxval = map(int, header.groups())
     if not 1 <= maxval <= 65535:
         raise ImageFormatError(f"{path}: maxval {maxval} outside 1..65535")
     channels = 3 if blob[:2] == b"P6" else 1

@@ -12,10 +12,11 @@ for a file's value its key path:
   InvalidValue             a value outside its range, or of the wrong type
   MissingField             a JSON file's layout or type problem
 
-Every array field is checked by `_array_field`, every number by
-`_scalar_field` and every object argument by `_object_field` (a list of
-objects by `_object_list`), so a string, None, a bool or a list where a
-number or an object is wanted is InvalidValue, never a bare Python error.
+Every number is checked by one predicate, `_number_type` (never a bool, a
+string or None), through `_scalar_field`, `_array_field` or `_numbers`, and
+every object argument by `_object_field` (a list of objects by
+`_object_list`), so a value of the wrong type is InvalidValue, never a bare
+Python error.
 
 The other classes each name one fault that the rule above does not cover:
 
@@ -33,6 +34,7 @@ The other classes each name one fault that the rule above does not cover:
 import functools
 import math
 import numbers
+from itertools import chain
 
 import numpy as np
 
@@ -111,21 +113,44 @@ class MissingField(LaneBevError):
     the key path, such as `lanes[2].id:` or `GridSpec.cell:`."""
 
 
+@functools.cache  # the abstract-class checks take longer than a lookup
+def _number_type(t: type, integer: bool = False) -> bool:
+    """Whether `t`, a value's type or a dtype's, is real (integral when `integer`), not bool or a time."""
+    return issubclass(t, numbers.Integral if integer else numbers.Real) and not issubclass(t, (bool, np.timedelta64))
+
+
+def _numbers(owner: str, value) -> np.ndarray:
+    """`value`, an ndarray of integers or floats (not copied) or a number or nest of lists and tuples
+    of them, as an array, integers beyond 64 bits as floats; else InvalidValue naming `owner`."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":  # _number_type(value.dtype.type), faster
+            return np.asarray(value)
+        raise InvalidValue(f"{owner}: must be an array of numbers, got {value.dtype} values")
+    try:
+        arr = np.asarray(value)
+        leaves = [value]
+        for _ in range(arr.ndim):  # one C-level pass over the nest, arr.ndim deep
+            leaves = chain.from_iterable(leaves)
+        bad = [t for t in set(map(type, leaves)) if not _number_type(t)]
+        if not bad and arr.dtype.kind == "O":  # integers beyond 64 bits
+            arr = arr.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:  # a ragged nest, an integer beyond the float range
+        raise InvalidValue(f"{owner}: must be an array of numbers: {exc}") from exc
+    if bad:
+        raise InvalidValue(f"{owner}: must hold only numbers, got {', '.join(sorted(t.__name__ for t in bad))}")
+    return arr
+
+
 def _array_field(owner: str, value, shape: tuple[int | None, ...], *, finite: bool = True, dtype=float) -> np.ndarray:
     """`value` as an array of `dtype` (None keeps its own), without a copy
     when it already is one, checked for one array field named `owner`.
 
-    Raises InvalidValue unless it holds only bools, integers or floats,
-    ShapeMismatch unless its shape is `shape`, where None matches any
-    length, and, when `finite`, NonFiniteInput on NaN or infinity; each
-    message starts with `owner`, such as `Lane3D.points`.
+    Raises InvalidValue unless it is numbers (see _numbers), ShapeMismatch
+    unless its shape is `shape`, where None matches any length, and, when
+    `finite`, NonFiniteInput on NaN or infinity; each message starts with
+    `owner`, such as `Lane3D.points`.
     """
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError) as exc:  # such as a ragged nest
-        raise InvalidValue(f"{owner}: must be an array of numbers: {exc}") from exc
-    if arr.dtype.kind not in "biuf":
-        raise InvalidValue(f"{owner}: must be an array of numbers, got {arr.dtype} values")
+    arr = _numbers(owner, value)
     arr = arr if dtype is None else arr.astype(dtype, copy=False)
     if arr.ndim != len(shape) or any(n is not None and n != got for got, n in zip(arr.shape, shape)):
         raise ShapeMismatch(f"{owner}: shape {arr.shape} differs from {str(shape).replace('None', '*')}")
@@ -147,14 +172,14 @@ def _interval(rule: str) -> tuple[float, float, bool, bool]:
 def _scalar_field(owner: str, value, rule: str = "finite", *, integer: bool = False) -> int | float:
     """`value`, one number named `owner`, as an int when `integer`, else a float.
 
-    Raises InvalidValue unless it is a real number, or an integer when
-    `integer` (bool refused, numpy scalars taken), NonFiniteInput on NaN or
+    Raises InvalidValue unless it is a number by the rule of _number_type,
+    an integer when `integer` (numpy scalars taken), NonFiniteInput on NaN or
     infinity, and InvalidValue unless it lies in `rule`: "finite",
     "positive", "non-negative", a text ending "at least 2", or an interval
     such as "in (0, 1]".
     """
-    kind, abc = type(value), numbers.Integral if integer else numbers.Real
-    if not (kind is int or kind is float and not integer or kind is not bool and isinstance(value, abc)):
+    kind = type(value)
+    if not (kind is int or kind is float and not integer or _number_type(kind, integer)):
         raise InvalidValue(f"{owner}: must be {'an integer' if integer else 'a real number'}, got {value!r}")
     try:
         number = int(value) if integer else float(value)

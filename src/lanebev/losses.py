@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooManyInstances, _array_field, _object_field, _scalar_field
+from .errors import ShapeMismatch, TooManyInstances, _array_field, _numbers, _object_field, _scalar_field
 from .lane_grid import DELTA_D, DELTA_V, GridTensors
 
 _P_CLAMP = 1e-7
@@ -130,7 +130,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed BCE of sigmoid(raw) against targets, probabilities clamped to
     [1e-7, 1 - 1e-7]; gradient is w.r.t. raw and is 0 where the clamp is active."""
-    raw = np.asarray(raw, dtype=float)
+    raw = _numbers("binary_cross_entropy.raw", raw).astype(float, copy=False)
     target = _array_field("binary_cross_entropy.target", target, raw.shape, finite=False)
     p = sigmoid(raw)
     pc = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
@@ -141,6 +141,8 @@ def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np
 
 def conf_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Confidence BCE over all cells; gradient w.r.t. raw_confidence."""
+    _object_field("conf_loss.pred", pred, PredictionBatch)
+    _object_field("conf_loss.gt", gt, GridTensors)
     _array_field("conf_loss.gt", gt.confidence, pred.raw_confidence.shape, finite=False)
     return binary_cross_entropy(pred.raw_confidence, gt.confidence)
 
@@ -150,6 +152,8 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
 
     Background cells contribute nothing to value or gradient.
     """
+    _object_field("offset_loss.pred", pred, PredictionBatch)
+    _object_field("offset_loss.gt", gt, GridTensors)
     _array_field("offset_loss.gt", gt.offset, pred.raw_offset.shape, finite=False)
     mask = gt.confidence > 0.5
     s = sigmoid(pred.raw_offset)
@@ -161,6 +165,8 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
 
 def height_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Masked squared height error in meters; gradient w.r.t. pred.height."""
+    _object_field("height_loss.pred", pred, PredictionBatch)
+    _object_field("height_loss.gt", gt, GridTensors)
     _array_field("height_loss.gt", gt.height, pred.height.shape, finite=False)
     mask = gt.confidence > 0.5
     resid = pred.height - gt.height
@@ -245,7 +251,7 @@ def embed_loss(embedding: np.ndarray, instance: np.ndarray) -> tuple[float, np.n
 
 def seg_loss_2d(raw_seg: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Front-view lane segmentation as pixelwise BCE; same contract as conf_loss."""
-    return binary_cross_entropy(raw_seg, mask)
+    return binary_cross_entropy(_numbers("seg_loss_2d.raw_seg", raw_seg), mask)
 
 
 def total_loss(
@@ -286,7 +292,7 @@ def total_loss(
 
 def finite_difference_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central finite differences, with step _FD_STEP, of a scalar function of an array."""
-    x = np.array(x, dtype=float)
+    x = np.array(_numbers("finite_difference_gradient.x", x), dtype=float)  # a C-order copy, perturbed in place
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)

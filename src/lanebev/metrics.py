@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidValue, _array_field, _object_field, _object_list, _scalar_field
+from .errors import EmptyInput, InvalidValue, _array_field, _numbers, _object_field, _object_list, _scalar_field
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -106,7 +106,7 @@ def resample_lane(lane: Lane3D, xs) -> tuple[np.ndarray, np.ndarray]:
     must not be used).
     """
     _object_field("resample_lane.lane", lane, Lane3D)
-    xs = np.asarray(xs, dtype=float)
+    xs = _numbers("resample_lane.xs", xs).astype(float, copy=False)
     valid = (xs >= lane.x[0]) & (xs <= lane.x[-1])
     y = np.interp(xs, lane.x, lane.y)
     z = np.interp(xs, lane.x, lane.z)

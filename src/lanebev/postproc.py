@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _object_field, _object_list, _scalar_field
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _numbers, _object_field, _object_list, _scalar_field
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -92,15 +92,15 @@ class FittedLane:
         self.z_coeffs = _array_field("FittedLane.z_coeffs", self.z_coeffs, (None,), finite=False)
         _array_field("FittedLane.x_range", self.x_range, (2,), finite=False)
 
-    def _t(self, x):
+    def _t(self, x, owner: str):
         a, b = self.x_range
-        return (2.0 * np.asarray(x, dtype=float) - (a + b)) / (b - a)
+        return (2.0 * _numbers(owner, x).astype(float, copy=False) - (a + b)) / (b - a)
 
     def y(self, x):
-        return np.polynomial.polynomial.polyval(self._t(x), self.y_coeffs)
+        return np.polynomial.polynomial.polyval(self._t(x, "FittedLane.y.x"), self.y_coeffs)
 
     def z(self, x):
-        return np.polynomial.polynomial.polyval(self._t(x), self.z_coeffs)
+        return np.polynomial.polynomial.polyval(self._t(x, "FittedLane.z.x"), self.z_coeffs)
 
 
 def _rounding_bound(vals: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
-from .errors import InvalidValue, ShapeMismatch, _array_field, _object_field, _scalar_field
+from .errors import InvalidValue, ShapeMismatch, _array_field, _numbers, _object_field, _scalar_field
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -98,6 +98,7 @@ def jittered_rig(rng: np.random.Generator, rot_deg: float, trans_m: float) -> Ca
     axis, the angle and the shift) are consumed regardless of magnitude so
     scenes stay reproducible when only the jitter amplitudes change.
     """
+    _object_field("jittered_rig.rng", rng, np.random.Generator)
     base = canonical_rig()
     axis = rng.normal(size=3)
     angle = rng.uniform(-1.0, 1.0) * np.deg2rad(rot_deg)
@@ -118,6 +119,7 @@ def jittered_rig(rng: np.random.Generator, rot_deg: float, trans_m: float) -> Ca
 
 def generate_scene(params: SceneParams) -> SceneRecord:
     """Deterministically build lanes and a jittered rig from the seed."""
+    _object_field("generate_scene.params", params, SceneParams)
     rng = np.random.default_rng(params.seed)
     c2 = rng.uniform(params.curvature[0], params.curvature[1])
     rig = jittered_rig(rng, *params.camera_jitter)
@@ -166,7 +168,7 @@ def render_ground_pattern(
     """
     _object_field("render_ground_pattern.rig", rig, CameraRig)
     _object_field("render_ground_pattern.spec", spec, GridSpec)
-    pat = np.asarray(pattern, dtype=float)
+    pat = _numbers("render_ground_pattern.pattern", pattern).astype(float, copy=False)
     if pat.ndim not in (2, 3):
         raise ShapeMismatch(f"render_ground_pattern.pattern: must be 2-D or 3-D, got shape {pat.shape}")
     # An empty pattern samples nothing; max() keeps its steps finite.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
 from .errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
-from .errors import _array_field, _ints_field, _object_field, _scalar_field
+from .errors import _array_field, _ints_field, _number_type, _object_field, _object_list, _scalar_field
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -78,7 +78,7 @@ class ViewRelationMap:
         scipy_sparse = sys.modules.get("scipy.sparse")
         if scipy_sparse is None or not scipy_sparse.issparse(matrix):
             matrix = _array_field("ViewRelationMap.matrix", matrix, (None, None), finite=False)
-        elif matrix.dtype.kind not in "biuf":
+        elif not _number_type(matrix.dtype.type):
             raise InvalidValue(f"ViewRelationMap.matrix: must be an array of numbers, got {matrix.dtype} values")
         elif matrix.format == "csr":
             matrix = matrix.copy()
@@ -270,8 +270,13 @@ def fit_vrm_least_squares(
     and a sample holding NaN or infinity NonFiniteInput naming it.
     """
     _scalar_field("fit_vrm_least_squares.ridge", ridge, "non-negative")
+    _object_list("fit_vrm_least_squares.samples", samples, tuple)
     if not samples:
         raise EmptyInput("fit_vrm_least_squares.samples: needs at least one sample")
+    for i, pair in enumerate(samples):
+        _object_list(f"fit_vrm_least_squares.samples[{i}]", pair, FeatureTensor)
+        if len(pair) != 2:
+            raise InvalidValue(f"fit_vrm_least_squares.samples[{i}]: must be a (front-view, BEV) pair, got {len(pair)} entries")
     fv_shape = samples[0][0].hw
     bev_shape = samples[0][1].hw
     xs = []

@@ -213,6 +213,23 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError, match=re.escape(f"{path}: ") + ".*expected a real float type"):
             data_io.read_tensor(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("shape", ["(2L,)", "(2L, 1L)", "(2 L,)", "(0x2L,)"])
+    def test_a_python_2_header_is_refused_without_a_warning(self, tmp_path, shape, version):
+        # numpy rereads a header written by Python 2 without its L suffixes,
+        # warns that it did and returns the array; lanebev only raises
+        text = f"{{'descr': '<f4', 'fortran_order': False, 'shape': {shape}, }}".encode()
+        prefix = b"\x93NUMPY" + bytes([version, 0])
+        size = 2 * version
+        text += b" " * (-(len(prefix) + size + len(text) + 1) % 64) + b"\n"
+        path = tmp_path / "x.npy"
+        path.write_bytes(prefix + len(text).to_bytes(size, "little") + text + b"\x00" * 8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TensorFormatError, match=re.escape(f"{path}: header written by Python 2")):
+                data_io.read_tensor(path)
+        assert caught == []
+
     def test_object_dtype_is_refused_without_unpickling(self, tmp_path, monkeypatch):
         path = tmp_path / "x.npy"
         np.save(path, np.array([1.0, "a"], dtype=object), allow_pickle=True)

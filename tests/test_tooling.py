@@ -6,10 +6,13 @@ with its own error classes, not a builtin one, each message naming the
 field; every array field refuses a wrong shape and NaN by one rule; every
 field of every public dataclass refuses a value of the wrong type, and so
 does every checked size, scale or object argument and every entry of a
-checked list; and no CLI flag re-spells a config file's field."""
+checked list; every array field and array argument refuses a bool or a
+numeric string, as a scalar does; no public function leaves an object
+argument unchecked; and no CLI flag re-spells a config file's field."""
 
 import ast
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -22,14 +25,14 @@ import pytest
 
 import lanebev
 from lanebev import data_io
-from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics
+from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, project_ground_points
 from lanebev.cli import _COMMANDS
 from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
-from lanebev.losses import FrontViewPrediction, FrontViewTruth, LossWeights, PredictionBatch
+from lanebev.losses import FrontViewPrediction, FrontViewTruth, LossWeights, PredictionBatch, binary_cross_entropy
 from lanebev.metrics import EvalConfig, EvalResult
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance
-from lanebev.synth import SceneParams, SceneRecord, canonical_rig, checkerboard
+from lanebev.synth import SceneParams, SceneRecord, canonical_rig, checkerboard, jittered_rig
 from lanebev.view_transform import FeatureTensor, PyramidSpec, ViewRelationMap
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -577,6 +580,34 @@ def test_every_array_field_refuses_a_wrong_shape_and_nan_naming_it(cls, field):
         cls(**{**args, field: nan})
 
 
+def with_first_leaf(array: np.ndarray, leaf) -> list:
+    """`array` as a nested list whose first leaf is `leaf`."""
+    nest = array.tolist()
+    inner = nest
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = leaf
+    return nest
+
+
+# Values that are not numbers although numpy reads them as numbers: a bool
+# array, and a nest of numbers with one leaf a bool or a numeric string
+NOT_NUMBERS = {
+    "bool array": lambda array: array.astype(bool),
+    "bool leaf": lambda array: with_first_leaf(array, True),
+    "numeric string leaf": lambda array: with_first_leaf(array, "0.5"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_NUMBERS)
+@pytest.mark.parametrize("cls, field", ARRAY_FIELDS, ids=[f"{cls.__name__}.{field}" for cls, field in ARRAY_FIELDS])
+def test_every_array_field_refuses_bools_and_numeric_strings_naming_it(cls, field, kind):
+    # each was once read as 1.0 or 0.5, where a scalar field or a file refuses it
+    args = VALID_ARGS[cls]
+    with pytest.raises(InvalidValue, match=rf"^{cls.__name__}\.{field}: "):
+        cls(**{**args, field: NOT_NUMBERS[kind](args[field])})
+
+
 def test_every_public_dataclass_has_a_valid_construction():
     assert [cls.__name__ for cls in PUBLIC_DATACLASSES if cls not in VALID_ARGS] == []
     for cls, args in VALID_ARGS.items():
@@ -632,6 +663,8 @@ _GT = lanebev.encode_lanes([_LANE], _SPEC)
 _IDEAL = lanebev.ideal_prediction(_GT, _SPEC, embed_dim=2)
 _INSTANCE = LaneInstance(cluster_id=0, points=_LINE)
 _FIT = lanebev.fit_lanes([_INSTANCE])[0]
+_SCENE = SceneRecord(**VALID_ARGS[SceneRecord])
+_FEATURES = FeatureTensor(np.ones((1, 2, 1)))
 _LOSS_ARGS = {
     "pred3d": PredictionBatch(raw_confidence=_Z2, raw_offset=_Z2, embedding=_Z3, height=_Z2),
     "gt3d": GridTensors(confidence=_Z2, offset=_Z2, height=_Z2, instance=_Z2),
@@ -662,6 +695,17 @@ CHECKED_ARGS = {
     lanebev.resample_lane: ({"lane": _LANE, "xs": [3.0, 5.0]}, ("lane",)),
     # None for a front-view argument is the ShapeMismatch of a missing pair
     lanebev.total_loss: (_LOSS_ARGS, ("pred3d", "gt3d", "pred2d", "gt2d", "weights")),
+    lanebev.conf_loss: ({"pred": _LOSS_ARGS["pred3d"], "gt": _LOSS_ARGS["gt3d"]}, ("pred", "gt")),
+    lanebev.offset_loss: ({"pred": _LOSS_ARGS["pred3d"], "gt": _LOSS_ARGS["gt3d"]}, ("pred", "gt")),
+    lanebev.height_loss: ({"pred": _LOSS_ARGS["pred3d"], "gt": _LOSS_ARGS["gt3d"]}, ("pred", "gt")),
+    lanebev.project_ground_point: ({"rig": canonical_rig(), "x": 10.0, "y": 0.0}, ("rig",)),
+    lanebev.generate_scene: ({"params": SceneParams()}, ("params",)),
+    jittered_rig: ({"rng": np.random.default_rng(0), "rot_deg": 1.0, "trans_m": 1.0}, ("rng",)),
+    data_io.rig_to_dict: ({"rig": canonical_rig()}, ("rig",)),
+    data_io.save_rig: ({"rig": canonical_rig(), "path": os.devnull}, ("rig",)),
+    data_io.scene_to_dict: ({"scene": _SCENE}, ("scene",)),
+    data_io.save_scene: ({"scene": _SCENE, "path": os.devnull}, ("scene",)),
+    data_io.export_openlane_frame: ({"scene": _SCENE}, ("scene",)),
 }
 WRONG_ARGS = {**WRONG_TYPES, "NaN": float("nan")}
 ARG_CASES = [
@@ -691,6 +735,10 @@ CHECKED_LISTS = {
     lanebev.match_lanes: ({"preds": [_LANE], "gts": [_LANE]}, ("preds", "gts")),
     lanebev.mean_virtual_camera: ({"rigs": [canonical_rig()]}, ("rigs",)),
     data_io.save_lanes: ({"lanes": [_LANE], "path": os.devnull, "fits": [_FIT]}, ("lanes", "fits")),
+    data_io.lanes_to_dict: ({"lanes": [_LANE], "fits": [_FIT]}, ("lanes", "fits")),
+    # frames and samples are lists of tuples; their entries are checked below
+    lanebev.evaluate_frames: ({"frames": [([_LANE], [_LANE])]}, ("frames",)),
+    lanebev.fit_vrm_least_squares: ({"samples": [(_FEATURES, _FEATURES)], "ridge": 1.0}, ("samples",)),
 }
 LIST_CASES = [(fn, arg, kind) for fn, (_, args) in CHECKED_LISTS.items() for arg in args for kind in WRONG_ARGS]
 
@@ -702,7 +750,7 @@ def test_every_checked_list_and_entry_refuses_a_wrong_type_naming_it(fn, arg, ki
     fn(**valid)
     wrong = WRONG_ARGS[kind]
     index = r"\[0\]" if kind == "list" else ""  # [1.0] is a list whose entry is wrong
-    if (fn, arg, kind) != (data_io.save_lanes, "fits", "None"):  # no fits
+    if wrong is not None or inspect.signature(fn).parameters[arg].default is not None:  # None may mean none
         with pytest.raises(InvalidValue, match=rf"^{fn.__name__}\.{arg}{index}: "):
             fn(**{**valid, arg: wrong})
     with pytest.raises(InvalidValue, match=rf"^{fn.__name__}\.{arg}\[1\]: "):
@@ -726,6 +774,68 @@ def test_every_checked_list_and_entry_refuses_a_wrong_type_naming_it(fn, arg, ki
 def test_evaluate_frames_names_a_wrong_frame_or_lane(frames, named):
     with pytest.raises(InvalidValue, match=f"^evaluate_frames\\.{re.escape(named)}: "):
         lanebev.evaluate_frames(frames)
+
+
+@pytest.mark.parametrize(
+    "samples, named",
+    [
+        ([("x", "y")], "samples[0][0]"),
+        ([(_FEATURES, "y")], "samples[0][1]"),
+        ([(_FEATURES,)], "samples[0]"),
+        ([(_FEATURES, _FEATURES, _FEATURES)], "samples[0]"),
+    ],
+    ids=["word features", "word BEV", "one side", "three sides"],
+)
+def test_fit_vrm_least_squares_names_a_wrong_sample(samples, named):
+    with pytest.raises(InvalidValue, match=f"^fit_vrm_least_squares\\.{re.escape(named)}: "):
+        lanebev.fit_vrm_least_squares(samples, ridge=1.0)
+
+
+# Every public function: the package's exports and data_io's own functions
+PUBLIC_FUNCTIONS = [getattr(lanebev, name) for name in lanebev.__all__ if inspect.isfunction(getattr(lanebev, name))] + [
+    fn for name, fn in vars(data_io).items() if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == data_io.__name__
+]
+# An annotation that names a public dataclass, alone or in a container
+LANEBEV_CLASS = re.compile(rf"\b({'|'.join(cls.__name__ for cls in PUBLIC_DATACLASSES)})\b")
+
+
+def test_every_object_argument_of_a_public_function_is_checked():
+    # an unchecked one ends in a bare AttributeError on a wrong object
+    checked = {(fn, arg) for table in (CHECKED_ARGS, CHECKED_LISTS) for fn, (_, args) in table.items() for arg in args}
+    unchecked = [
+        f"{fn.__name__}.{param.name}"
+        for fn in PUBLIC_FUNCTIONS
+        for param in inspect.signature(fn).parameters.values()
+        if LANEBEV_CLASS.search(str(param.annotation)) and (fn, param.name) not in checked
+    ]
+    assert unchecked == []
+
+
+# A valid call of each array argument, by the name its refusals start with;
+# the wrong values are NOT_NUMBERS of the valid array
+ARRAY_ARGS = {
+    "Homography.apply.points": (Homography().apply, np.zeros((2, 2))),
+    "project_ground_points.points_xy": (lambda v: project_ground_points(canonical_rig(), v), np.array([[10.0, 0.0]])),
+    "warp_image.image": (lambda v: lanebev.warp_image(v, Homography(), (4, 3)), np.ones((3, 4))),
+    "render_ground_pattern.pattern": (lambda v: lanebev.render_ground_pattern(canonical_rig(), v, out_size=(4, 3)), np.ones((5, 4))),
+    "write_tensor.array": (lambda v: data_io.write_tensor(v, os.devnull), np.ones((2, 2))),
+    "write_pnm.image": (lambda v: data_io.write_pnm(v, os.devnull), np.ones((2, 2))),
+    "binary_cross_entropy.raw": (lambda v: binary_cross_entropy(v, np.ones((2, 2))), np.zeros((2, 2))),
+    "seg_loss_2d.raw_seg": (lambda v: lanebev.seg_loss_2d(v, np.ones((2, 2))), np.zeros((2, 2))),
+    "resample_lane.xs": (lambda v: lanebev.resample_lane(_LANE, v), np.array([3.0, 5.0])),
+    "FittedLane.y.x": (_FIT.y, np.array([3.0, 5.0])),
+    "FittedLane.z.x": (_FIT.z, np.array([3.0, 5.0])),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_NUMBERS)
+@pytest.mark.parametrize("named", ARRAY_ARGS)
+def test_every_array_argument_refuses_bools_and_numeric_strings_naming_it(named, kind):
+    # numpy's float conversion once read each as 1.0 or 0.5
+    fn, valid = ARRAY_ARGS[named]
+    fn(valid)
+    with pytest.raises(InvalidValue, match=f"^{re.escape(named)}: "):
+        fn(NOT_NUMBERS[kind](valid))
 
 
 @pytest.mark.parametrize("kind", [*WRONG_ARGS, "array"])
