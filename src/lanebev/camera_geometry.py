@@ -26,7 +26,7 @@ one camera to the pixels of another camera observing the same ground point.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,12 +39,15 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     SingularHomography,
-    _array_field,
+    _array,
+    _Declared,
+    _instance,
+    _ints,
     _ints_field,
     _numbers,
     _object_field,
     _object_list,
-    _scalar_field,
+    _scalar,
 )
 
 if TYPE_CHECKING:
@@ -57,9 +60,6 @@ DEFAULT_GROUND_POINTS = ((3.0, -5.0), (3.0, 5.0), (103.0, -5.0), (103.0, 5.0))
 
 _MIN_DEPTH = 1e-9
 
-# A subnormal focal length projects every ground point to (cx, cy)
-_FOCAL_RULE = f"a normal float, at least {np.finfo(float).tiny}"
-
 # Output points per block in the sampler kernel (_sample_rows), rounded
 # down to whole output rows and at least one row.  A block's coordinates
 # and taps fit in cache and the allocator reuses them, where image-sized
@@ -68,18 +68,16 @@ _SAMPLE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
-class Intrinsics:
-    """Pinhole intrinsic parameters in pixels."""
+class Intrinsics(_Declared):
+    """Pinhole intrinsic parameters in pixels.  The focal lengths fx and fy,
+    pixels per unit tangent, are at least 1: below 1, the whole +-45 degree
+    field (tangents up to 1) lands within one pixel of the principal point."""
 
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    skew: float = 0.0
-
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            _scalar_field(f"Intrinsics.{name}", v, _FOCAL_RULE if name in ("fx", "fy") else "finite")
+    fx: float = _scalar(bounds="at least 1")
+    fy: float = _scalar(bounds="at least 1")
+    cx: float = _scalar()
+    cy: float = _scalar()
+    skew: float = _scalar(0.0)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -93,24 +91,22 @@ class Intrinsics:
 
 
 @dataclass(frozen=True)
-class Extrinsics:
+class Extrinsics(_Declared):
     """Road-to-camera rigid transform: p_cam = rotation @ p_road + translation,
     a finite (3, 3) rotation with determinant +1 and a finite (3,) translation."""
 
-    rotation: np.ndarray
-    translation: np.ndarray
+    rotation: np.ndarray = _array(shape=(3, 3))
+    translation: np.ndarray = _array(shape=(3,))
 
     def __post_init__(self):
-        r = _array_field("Extrinsics.rotation", self.rotation, (3, 3))
-        t = _array_field("Extrinsics.translation", self.translation, (3,))
+        super().__post_init__()
+        r = self.rotation
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or NaN, refused next
             off = np.max(np.abs(r.T @ r - np.eye(3)))
         if not off <= 1e-9:
             raise InvalidValue("Extrinsics.rotation: not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise InvalidValue("Extrinsics.rotation: determinant is not +1 within 1e-9")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
 
     @property
     def camera_center(self) -> np.ndarray:
@@ -119,27 +115,23 @@ class Extrinsics:
 
 
 @dataclass(frozen=True)
-class CameraRig:
+class CameraRig(_Declared):
     """One camera: intrinsics, extrinsics and image size (width, height)."""
 
-    intrinsics: Intrinsics
-    extrinsics: Extrinsics
-    image_size: tuple[int, int]
-
-    def __post_init__(self):
-        _object_field("CameraRig.intrinsics", self.intrinsics, Intrinsics)
-        _object_field("CameraRig.extrinsics", self.extrinsics, Extrinsics)
-        object.__setattr__(self, "image_size", _ints_field("CameraRig.image_size", self.image_size, 2))
+    intrinsics: Intrinsics = _instance(cls=Intrinsics)
+    extrinsics: Extrinsics = _instance(cls=Extrinsics)
+    image_size: tuple[int, int] = _ints(shape=(2,), items="w,h")
 
 
 @dataclass(frozen=True)
-class Homography:
+class Homography(_Declared):
     """3x3 ground-plane mapping between two camera images, normalized so matrix[2][2] = 1."""
 
-    matrix: np.ndarray = field(default_factory=lambda: np.eye(3))
+    matrix: np.ndarray = _array(shape=(3, 3), factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        m = _array_field("Homography.matrix", self.matrix, (3, 3))
+        super().__post_init__()
+        m = self.matrix
         if abs(m[2, 2]) < 1e-12:
             raise SingularHomography("Homography.matrix: matrix[2][2] is zero; cannot normalize")
         with np.errstate(over="ignore"):  # an overflow is refused on the next line
@@ -265,7 +257,7 @@ def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H is refused by Homography
         try:
             g_src_inv = np.linalg.inv(_ground_homography(src))
-        except np.linalg.LinAlgError as exc:  # an exact zero pivot, as from a focal length near the float minimum
+        except np.linalg.LinAlgError as exc:  # an exact zero pivot: rounding cancels the height of a far camera
             raise DegenerateConfiguration("src ground map G cannot be inverted") from exc
         h = _ground_homography(dst) @ g_src_inv
     try:

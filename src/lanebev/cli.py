@@ -25,27 +25,25 @@ from pathlib import Path
 import numpy as np
 
 from . import data_io
-from .camera_geometry import compute_homography, warp_image
+from .camera_geometry import CameraRig, compute_homography, warp_image
 from .errors import EmptyInput, LaneBevError, MissingField, ShapeMismatch
 from .lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from .losses import run_gradient_suite
-from .metrics import EvalConfig, evaluate, evaluate_frames
-from .postproc import DecodeParams, decode_lanes
+from .metrics import EvalConfig, EvalResult, evaluate, evaluate_frames
+from .postproc import DecodeParams, FittedLane, decode_lanes
 from .synth import SceneParams, generate_scene
 from .view_transform import FeatureTensor, fit_vrm_least_squares
 
 DATA_DIR_ENV = "LANEBEV_DATA_DIR"
 
-_GRID_JSON = "grid JSON: {x_min,x_max,y_min,y_max,cell}"
+# The layouts of the JSON files, from the dataclasses' field declarations
+_GRID_JSON = f"grid JSON: {data_io._layout(GridSpec)}"
 _STACK = "stacked prediction .npy (s1, s2, 3+D): [confidence, embedding..., offset, height]"
-_CAMERA_JSON = (
-    "camera JSON: {intrinsics:{fx,fy,cx,cy,skew}, extrinsics:{rotation:3x3, translation:[3]}, image_size:[w,h]}"
-)
-_SCENE_PARAMS = (
-    "scene params JSON: "
-    "{n_lanes,lane_spacing,curvature:[lo,hi],hill_amplitude,hill_wavelength,camera_jitter:[deg,m],seed}"
-)
-_REPORT = "eval report JSON: {f_score,precision,recall,x_err_near,x_err_far,z_err_near,z_err_far,tp,n_pred,n_gt}"
+_CAMERA_JSON = f"camera JSON: {data_io._layout(CameraRig)}"
+_SCENE_PARAMS = f"scene params JSON: {data_io._layout(SceneParams)}"
+_REPORT = f"eval report JSON: {data_io._layout(EvalResult)}"
+_SCENE_JSON = f"scene JSON: {{camera:{data_io._layout(CameraRig)},lanes:[{data_io._layout(Lane3D)}],scene_tag}}"
+_LANES_JSON = f"lanes JSON: {{lanes:[{data_io._layout(Lane3D, fit=data_io._layout(FittedLane))}]}}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,7 +272,7 @@ _COMMANDS = {
         _Flag("--size", "output WxH such as 1024x576; the input size when absent"),
     )),
     "encode": _Command(_cmd_encode, (
-        _Flag("--scene", "scene JSON: {camera:{...}, lanes:[{id,points:[[x,y,z],...]}], scene_tag}", required=True),
+        _Flag("--scene", _SCENE_JSON, required=True),
         _Flag("--spec", _GRID_JSON),
         _Flag("--out-dir", "confidence, offset, height and instance .npy, float32 (s1, s2)", output=True, required=True),
         _Flag("--ideal-pred", f"optional {_STACK}", output=True),
@@ -283,14 +281,13 @@ _COMMANDS = {
     "decode": _Command(_cmd_decode, (
         _Flag("--pred", _STACK, required=True),
         _Flag("--spec", _GRID_JSON),
-        _Flag("--params", "decode JSON: {s_threshold,d_gap,min_points,fit_degree}"),
-        _Flag("--out", "lanes JSON: {lanes:[{id,points:[[x,y,z],...],fit:{y_coeffs,z_coeffs,x_range}}]}", output=True,
-              required=True),
+        _Flag("--params", f"decode JSON: {data_io._layout(DecodeParams)}"),
+        _Flag("--out", _LANES_JSON, output=True, required=True),
     )),
     "eval": _Command(_cmd_eval, (
         _Flag("--pred", "predicted lanes JSON, or a directory of them named as in --gt", required=True),
         _Flag("--gt", "ground-truth lanes JSON, or a directory of *.json frames", required=True),
-        _Flag("--config", "eval JSON: {sample_xs,match_threshold,match_ratio,near_limit}"),
+        _Flag("--config", f"eval JSON: {data_io._layout(EvalConfig)}"),
         _Flag("--report", f"{_REPORT}; stdout when absent", output=True),
     )),
     "synth": _Command(_cmd_synth, (

@@ -45,6 +45,7 @@ from .errors import (
     ShapeMismatch,
     TensorFormatError,
     _array_field,
+    _declarations,
     _number_type,
     _numbers,
     _object_field,
@@ -214,10 +215,44 @@ def _json_object(value, name: str, keys: tuple[str, ...] | None = None) -> dict:
     return value
 
 
+# --- dataclass JSON objects, read by their field declarations ---
+
+def _from_json(cls, data, name: str, at: str):
+    """The dataclass `cls` from the parsed JSON object `data`, named `name`,
+    by its field declarations (errors._Rule): the keys are the fields, an
+    unknown one is refused (see _json_object) and one left out takes its
+    default, if any.  An object field is read from a nested object, any
+    other by _floats, named `at` and the key, and a number for a float field
+    becomes a float.  A value the class refuses, such as 2.5 for an integer,
+    raises its error."""
+    fields = dataclasses.fields(cls)
+    data = _json_object(data, name, tuple(f.name for f in fields))
+    kwargs = {}
+    for f in fields:
+        rule, path, value = f.metadata["rule"], at + f.name, data.get(f.name)
+        if f.name not in data and (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING):
+            continue
+        if rule.kind == "object":
+            kwargs[f.name] = _from_json(rule.cls, value, path, path + ".")
+        else:
+            number = _floats(value, path, () if rule.kind == "scalar" else rule.shape)
+            kwargs[f.name] = float(number) if rule.kind == "scalar" and not rule.integer else value
+    return cls(**kwargs)
+
+
+def _layout(cls, **extra: str) -> str:
+    """`{field,...}` of the dataclass `cls` for --schema, by its field
+    declarations: numbers as `name:[dims]` (or their items), an object as
+    its own layout; `extra` adds keys with their layouts."""
+    layouts = {
+        name: _layout(rule.cls) if rule.kind == "object" else None if rule.kind == "scalar"
+        else f"[{rule.items or 'x'.join('n' if n is None else str(n) for n in rule.shape)}]"
+        for name, _, rule in _declarations(cls)
+    }
+    return "{" + ",".join(k if v is None else f"{k}:{v}" for k, v in {**layouts, **extra}.items()) + "}"
+
+
 # --- camera / homography JSON ---
-
-_INTRINSICS = tuple(f.name for f in dataclasses.fields(Intrinsics))
-
 
 def rig_to_dict(rig: CameraRig) -> dict:
     _object_field("rig_to_dict.rig", rig, CameraRig)
@@ -237,19 +272,7 @@ def rig_from_dict(data: dict) -> CameraRig:
     class field (such as Intrinsics.fx or CameraRig.image_size) on a value
     the rig refuses.
     """
-    return _rig_at(data, "")
-
-
-def _rig_at(data, at: str) -> CameraRig:
-    """rig_from_dict, naming each field after the key path `at` (such as "camera.")."""
-    data = _json_object(data, at[:-1] or "camera JSON", ("intrinsics", "extrinsics", "image_size"))
-    intr = {"skew": 0.0, **_json_object(data.get("intrinsics"), at + "intrinsics", _INTRINSICS)}
-    k = {key: float(_floats(intr.get(key), f"{at}intrinsics.{key}")) for key in _INTRINSICS}
-    extr = _json_object(data.get("extrinsics"), at + "extrinsics", ("rotation", "translation"))
-    rotation = _floats(extr.get("rotation"), f"{at}extrinsics.rotation", (3, 3))
-    translation = _floats(extr.get("translation"), f"{at}extrinsics.translation", (3,))
-    _floats(data.get("image_size"), at + "image_size", (2,))
-    return CameraRig(Intrinsics(**k), Extrinsics(rotation=rotation, translation=translation), data["image_size"])
+    return _from_json(CameraRig, data, "camera JSON", "")
 
 
 def load_rig(path: str | Path) -> CameraRig:
@@ -276,25 +299,9 @@ def load_homography(path: str | Path) -> Homography:
 
 def from_dict(cls, data):
     """Build the config dataclass `cls` from a parsed JSON object, strictly,
-    by the rules of every other file lanebev reads.
-
-    The keys are the field names of `cls`, and an unknown one is refused
-    (see _json_object); a missing key takes the field's default.  Each value
-    is read by _floats, named `Class.key`: a number where the default is
-    one, and where it is a tuple a flat list (or tuple) of numbers, which
-    becomes a tuple.  Raises MissingField on a layout or type problem,
-    ShapeMismatch on a wrong shape and NonFiniteInput on NaN or infinity;
-    a value the class's own checks refuse, such as 2.5 for an integer,
-    raises their error, naming `Class.key`.
-    """
-    name = cls.__name__
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in _json_object(data, name, tuple(defaults)).items():
-        default = defaults[key]
-        _floats(value, f"{name}.{key}", (None,) if isinstance(default, tuple) else ())
-        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
-    return cls(**kwargs)
+    by the rules of every other file lanebev reads (see _from_json), each
+    value named `Class.key`."""
+    return _from_json(cls, data, cls.__name__, cls.__name__ + ".")
 
 
 # --- lanes JSON ---
@@ -380,7 +387,7 @@ def scene_to_dict(scene: SceneRecord) -> dict:
 def scene_from_dict(data: dict) -> SceneRecord:
     """The scene of a parsed scene JSON object; raises as rig_from_dict and lanes_from_dict do."""
     _json_object(data, "scene JSON", ("camera", "lanes", "scene_tag"))
-    rig = _rig_at(data.get("camera"), "camera.")
+    rig = _from_json(CameraRig, data.get("camera"), "camera", "camera.")
     scene_tag = data.get("scene_tag", "")
     if not isinstance(scene_tag, str):
         raise MissingField(f"scene_tag: must be a string, got {type(scene_tag).__name__}")

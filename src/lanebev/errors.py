@@ -16,7 +16,9 @@ Every number is checked by one predicate, `_number_type` (never a bool, a
 string or None), through `_scalar_field`, `_array_field` or `_numbers`, and
 every object argument by `_object_field` (a list of objects by
 `_object_list`), so a value of the wrong type is InvalidValue, never a bare
-Python error.
+Python error.  Each public dataclass field declares its rule once (`_Rule`),
+which `_Declared.__post_init__` applies in field order and the file readers
+and the CLI's --schema read.
 
 The other classes each name one fault that the rule above does not cover:
 
@@ -31,9 +33,11 @@ The other classes each name one fault that the rule above does not cover:
   MalformedJson            bytes that are not UTF-8 JSON text
 """
 
+import dataclasses
 import functools
 import math
 import numbers
+from dataclasses import MISSING
 from itertools import chain
 
 import numpy as np
@@ -218,3 +222,78 @@ def _object_list(owner: str, value, kind: type) -> None:
     for i, entry in enumerate(value):
         if not isinstance(entry, kind):
             _object_field(f"{owner}[{i}]", entry, kind)
+
+
+# --- field declarations ---
+
+@dataclasses.dataclass(frozen=True)
+class _Rule:
+    """The rule of one dataclass field, declared in its metadata["rule"] by
+    _scalar, _ints, _array, _tuple, _instance or _instances: `kind` is
+    "scalar" (a number in `bounds`, an integer when `integer`), "ints"
+    (`shape[0]` integers in `bounds`, any number for None), "array" (of
+    `shape`, `dtype` and, when `finite`, finite values; a first dim naming
+    an earlier field stands for its shape), "tuple" (such an array of
+    floats, stored as a tuple), "object" (an instance of `cls`) or "list"
+    (a list or tuple of them), each checked by its helper above.  `none`
+    lets the field be None; `items` names a short list's entries for --schema."""
+
+    kind: str
+    bounds: str = "finite"
+    integer: bool = False
+    shape: tuple = ()
+    finite: bool = True
+    dtype: type | None = float
+    cls: type | None = None
+    none: bool = False
+    items: str | None = None
+
+    def check(self, owner: str, value, obj):
+        """`value`, the field `owner` of `obj`, as the field stores it, or the rule's error."""
+        kind = self.kind
+        if value is None and self.none:
+            return value
+        if kind == "array" or kind == "tuple":
+            shape = getattr(obj, self.shape[0]).shape + self.shape[1:] if type(self.shape[0]) is str else self.shape
+            arr = _array_field(owner, value, shape, finite=self.finite, dtype=self.dtype)
+            return arr if kind == "array" else tuple(arr.tolist())
+        if kind == "scalar":
+            _scalar_field(owner, value, self.bounds, integer=self.integer)
+        elif kind == "object":
+            _object_field(owner, value, self.cls)
+        elif kind == "list":
+            _object_list(owner, value, self.cls)
+        else:
+            return _ints_field(owner, value, self.shape[0], self.bounds)
+        return value
+
+
+def _declare(default=MISSING, bounds: str = "finite", *, factory=MISSING, **rule) -> dataclasses.Field:
+    """A dataclass field of `default` (or `factory`) whose _Rule is declared in its metadata."""
+    return dataclasses.field(default=default, default_factory=factory, metadata={"rule": _Rule(bounds=bounds, **rule)})
+
+
+_scalar = functools.partial(_declare, kind="scalar")
+_ints = functools.partial(_declare, kind="ints", bounds="positive", shape=(None,))
+_array = functools.partial(_declare, kind="array")
+_tuple = functools.partial(_declare, kind="tuple", shape=(None,))
+_instance = functools.partial(_declare, kind="object")
+_instances = functools.partial(_declare, kind="list", factory=list)
+
+
+@functools.cache
+def _declarations(cls: type) -> tuple[tuple[str, str, _Rule], ...]:
+    """(name, `Class.name`, rule) of each field of the dataclass `cls`, in order."""
+    return tuple((f.name, f"{cls.__name__}.{f.name}", f.metadata["rule"]) for f in dataclasses.fields(cls))
+
+
+class _Declared:
+    """Base of the public dataclasses: __post_init__ applies the declared
+    rule of each field but `skip` in field order, storing the value each
+    gives.  A class with rules across fields calls it, then checks those."""
+
+    def __post_init__(self, skip: str | None = None):
+        for name, owner, rule in _declarations(type(self)):
+            value = getattr(self, name)
+            if name != skip and (checked := rule.check(owner, value, self)) is not value:
+                object.__setattr__(self, name, checked)

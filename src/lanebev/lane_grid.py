@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, ShapeMismatch, TooManyInstances, _array_field, _object_field, _object_list, _scalar_field
+from .errors import InvalidValue, ShapeMismatch, TooManyInstances
+from .errors import _array, _Declared, _object_field, _object_list, _scalar, _scalar_field
 
 # Margins of the discriminative embedding loss: the pull loss lets a cell
 # lie DELTA_V from its lane's centre, the push loss drives centres
@@ -24,18 +25,17 @@ DELTA_D = 3.0
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Declared):
     """Metric extent and resolution of the BEV grid."""
 
-    x_min: float = 3.0
-    x_max: float = 103.0
-    y_min: float = -10.0
-    y_max: float = 10.0
-    cell: float = 0.5
+    x_min: float = _scalar(3.0)
+    x_max: float = _scalar(103.0)
+    y_min: float = _scalar(-10.0)
+    y_max: float = _scalar(10.0)
+    cell: float = _scalar(0.5, "positive")
 
     def __post_init__(self):
-        for name, v in self.__dict__.items():
-            _scalar_field(f"GridSpec.{name}", v, "positive" if name == "cell" else "finite")
+        super().__post_init__()
         for lo, hi, name in ((self.x_min, self.x_max, "x"), (self.y_min, self.y_max, "y")):
             span = hi - lo
             if span <= 0:
@@ -68,23 +68,21 @@ class GridSpec:
 
 
 @dataclass
-class Lane3D:
+class Lane3D(_Declared):
     """Polyline of finite (x, y, z) road-frame points, sorted on x.
 
     Points that share an x keep the first in input order.  This is the one
     same-x rule: on a decoded lane, whose points are in scan order, it
     keeps the cell of each grid row with the lowest column.  Raises
-    ShapeMismatch unless the points are (N, 3), NonFiniteInput on a NaN or
-    infinite coordinate, and InvalidValue, naming the lane id, on fewer
-    than 2 distinct x; the id is a 64-bit integer.
+    InvalidValue, naming the lane id, on fewer than 2 distinct x.
     """
 
-    points: np.ndarray
-    id: int = 0
+    points: np.ndarray = _array(shape=(None, 3))
+    id: int = _scalar(0, f"in [{-(2**63)}, {2**63})", integer=True)
 
     def __post_init__(self):
-        _scalar_field("Lane3D.id", self.id, f"in [{-(2**63)}, {2**63})", integer=True)
-        pts = _array_field("Lane3D.points", self.points, (None, 3))
+        super().__post_init__()
+        pts = self.points
         x = pts[:, 0]
         if (x[1:] > x[:-1]).all():
             pts = pts.copy()  # never alias the caller's array
@@ -111,38 +109,28 @@ class Lane3D:
 
 
 @dataclass
-class GridTensors:
+class GridTensors(_Declared):
     """The aligned per-cell tensors of the key-points representation.
 
     `instance` (int, 0 = background) is present on the encoding side;
     `embedding` (s1 x s2 x D) on the prediction side.  Either may be None.
-    Raises ShapeMismatch, naming the tensor, when the shapes disagree, and
-    NonFiniteInput when confidence, offset, height or instance holds NaN or
-    infinity; decode_grid checks the embedding of the confident cells.
+    The embedding may hold NaN: decode_grid checks its confident cells.
     """
 
-    confidence: np.ndarray
-    offset: np.ndarray
-    height: np.ndarray
-    instance: np.ndarray | None = None
-    embedding: np.ndarray | None = None
+    confidence: np.ndarray = _array(shape=(None, None))
+    offset: np.ndarray = _array(shape=("confidence",))
+    height: np.ndarray = _array(shape=("confidence",))
+    instance: np.ndarray | None = _array(None, shape=("confidence",), dtype=None, none=True)
+    embedding: np.ndarray | None = _array(None, shape=("confidence", None), finite=False, none=True)
 
     def __post_init__(self):
-        conf = _array_field("GridTensors.confidence", self.confidence, (None, None))
-        off = _array_field("GridTensors.offset", self.offset, conf.shape)
-        hgt = _array_field("GridTensors.height", self.height, conf.shape)
-        if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        super().__post_init__()
+        if not ((self.confidence >= 0.0) & (self.confidence <= 1.0)).all():
             raise InvalidValue("GridTensors.confidence: values must lie in [0, 1]")
         if self.instance is not None:
-            inst = _array_field("GridTensors.instance", self.instance, conf.shape, dtype=None)
-            if np.any(np.abs(off[inst > 0]) > 0.5):
+            if np.any(np.abs(self.offset[self.instance > 0]) > 0.5):
                 raise InvalidValue("GridTensors.offset: values on lane cells must lie in [-0.5, 0.5]")
-            self.instance = inst.astype(int)
-        if self.embedding is not None:
-            self.embedding = _array_field("GridTensors.embedding", self.embedding, conf.shape + (None,), finite=False)
-        self.confidence = conf
-        self.offset = off
-        self.height = hgt
+            self.instance = self.instance.astype(int)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooManyInstances, _array_field, _numbers, _object_field, _scalar_field
+from .errors import ShapeMismatch, TooManyInstances
+from .errors import _array, _array_field, _Declared, _numbers, _object_field, _scalar, _scalar_field
 from .lane_grid import DELTA_D, DELTA_V, GridTensors
 
 _P_CLAMP = 1e-7
@@ -40,24 +41,13 @@ _MAX_INSTANCES = 256
 
 
 @dataclass
-class PredictionBatch:
-    """Raw (pre-activation) head outputs aligned with one grid.
+class PredictionBatch(_Declared):
+    """Raw (pre-activation) head outputs aligned with one grid."""
 
-    Raises ShapeMismatch when the shapes disagree and NonFiniteInput when a
-    tensor holds NaN or infinity, each naming `Class.field`.
-    """
-
-    raw_confidence: np.ndarray
-    raw_offset: np.ndarray
-    embedding: np.ndarray
-    height: np.ndarray
-
-    def __post_init__(self):
-        self.raw_confidence = _array_field("PredictionBatch.raw_confidence", self.raw_confidence, (None, None))
-        s = self.raw_confidence.shape
-        self.raw_offset = _array_field("PredictionBatch.raw_offset", self.raw_offset, s)
-        self.embedding = _array_field("PredictionBatch.embedding", self.embedding, s + (None,))
-        self.height = _array_field("PredictionBatch.height", self.height, s)
+    raw_confidence: np.ndarray = _array(shape=(None, None))
+    raw_offset: np.ndarray = _array(shape=("raw_confidence",))
+    embedding: np.ndarray = _array(shape=("raw_confidence", None))
+    height: np.ndarray = _array(shape=("raw_confidence",))
 
     def activate(self) -> GridTensors:
         """Apply the head activations, yielding decodable grid tensors."""
@@ -70,58 +60,40 @@ class PredictionBatch:
 
 
 @dataclass(frozen=True)
-class LossWeights:
+class LossWeights(_Declared):
     """Weights of the six total-loss terms; each defaults to 1 and must lie in [0, inf), so not NaN."""
 
-    w_conf: float = 1.0
-    w_embed: float = 1.0
-    w_offset: float = 1.0
-    w_height: float = 1.0
-    w_seg2d: float = 1.0
-    w_embed2d: float = 1.0
-
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            _scalar_field(f"LossWeights.{name}", v, "non-negative")
+    w_conf: float = _scalar(1.0, "non-negative")
+    w_embed: float = _scalar(1.0, "non-negative")
+    w_offset: float = _scalar(1.0, "non-negative")
+    w_height: float = _scalar(1.0, "non-negative")
+    w_seg2d: float = _scalar(1.0, "non-negative")
+    w_embed2d: float = _scalar(1.0, "non-negative")
 
 
 @dataclass
-class FrontViewPrediction:
+class FrontViewPrediction(_Declared):
     """Front-view auxiliary head output: (H, W) segmentation logits and
-    (H, W, D) embeddings.
+    (H, W, D) embeddings."""
 
-    Raises ShapeMismatch when the shapes disagree and NonFiniteInput when a
-    tensor holds NaN or infinity, each naming `Class.field`.
-    """
-
-    raw_seg: np.ndarray
-    embedding: np.ndarray
-
-    def __post_init__(self):
-        self.raw_seg = _array_field("FrontViewPrediction.raw_seg", self.raw_seg, (None, None))
-        self.embedding = _array_field("FrontViewPrediction.embedding", self.embedding, self.raw_seg.shape + (None,))
+    raw_seg: np.ndarray = _array(shape=(None, None))
+    embedding: np.ndarray = _array(shape=("raw_seg", None))
 
 
 @dataclass
-class FrontViewTruth:
-    """Front-view supervision: (H, W) {0,1} lane mask and instance labels.
+class FrontViewTruth(_Declared):
+    """Front-view supervision: (H, W) {0,1} lane mask and instance labels."""
 
-    Raises ShapeMismatch when the shapes disagree and NonFiniteInput when a
-    tensor holds NaN or infinity, each naming `Class.field`.
-    """
-
-    mask: np.ndarray
-    instance: np.ndarray
-
-    def __post_init__(self):
-        self.mask = _array_field("FrontViewTruth.mask", self.mask, (None, None))
-        self.instance = _array_field("FrontViewTruth.instance", self.instance, self.mask.shape, dtype=None)
+    mask: np.ndarray = _array(shape=(None, None))
+    instance: np.ndarray = _array(shape=("mask",), dtype=None)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function as float64, computed in x's dtype from exp(-|x|),
-    which never overflows: 1 / (1 + e) where x >= 0, else e / (1 + e)."""
-    x = np.asarray(x)
+    which never overflows: 1 / (1 + e) where x >= 0, else e / (1 + e).
+    Raises InvalidValue naming `sigmoid.x` unless x is numbers (see
+    errors._numbers); an ndarray is not copied."""
+    x = _numbers("sigmoid.x", x)
     e = np.exp(-np.abs(x))
     d = 1 + e
     return np.where(x >= 0, 1 / d, e / d).astype(float, copy=False)

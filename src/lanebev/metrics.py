@@ -28,27 +28,24 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidValue, _array_field, _numbers, _object_field, _object_list, _scalar_field
+from .errors import EmptyInput, InvalidValue, _Declared, _numbers, _object_field, _object_list, _scalar, _tuple
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    sample_xs: tuple[float, ...] = tuple(float(x) for x in range(3, 103, 5))
-    match_threshold: float = 1.5
-    match_ratio: float = 0.75
-    near_limit: float = 40.0
+class EvalConfig(_Declared):
+    sample_xs: tuple[float, ...] = _tuple(tuple(float(x) for x in range(3, 103, 5)))
+    match_threshold: float = _scalar(1.5, "positive")
+    match_ratio: float = _scalar(0.75, "in (0, 1]")
+    near_limit: float = _scalar(40.0)
 
     def __post_init__(self):
-        xs = tuple(_array_field("EvalConfig.sample_xs", self.sample_xs, (None,)).tolist())
+        super().__post_init__()
+        xs = self.sample_xs
         if not xs or not all(a < b for a, b in zip(xs, xs[1:])):
             raise InvalidValue(f"EvalConfig.sample_xs: must be non-empty and strictly ascending, got {xs}")
-        _scalar_field("EvalConfig.match_threshold", self.match_threshold, "positive")
-        _scalar_field("EvalConfig.match_ratio", self.match_ratio, "in (0, 1]")
-        _scalar_field("EvalConfig.near_limit", self.near_limit)
-        object.__setattr__(self, "sample_xs", xs)
 
 
 @dataclass
@@ -75,24 +72,18 @@ class Matching:
 
 
 @dataclass
-class EvalResult:
-    f_score: float
-    precision: float
-    recall: float
-    x_err_near: float | None
-    x_err_far: float | None
-    z_err_near: float | None
-    z_err_far: float | None
-    tp: int = 0
-    n_pred: int = 0
-    n_gt: int = 0
-
-    def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if name in ("f_score", "precision", "recall"):
-                _scalar_field(f"EvalResult.{name}", v, "in [0, 1]")
-            elif v is not None or name in ("tp", "n_pred", "n_gt"):  # an error is None with no sample to measure
-                _scalar_field(f"EvalResult.{name}", v, "non-negative", integer=name in ("tp", "n_pred", "n_gt"))
+class EvalResult(_Declared):
+    f_score: float = _scalar(bounds="in [0, 1]")
+    precision: float = _scalar(bounds="in [0, 1]")
+    recall: float = _scalar(bounds="in [0, 1]")
+    # an error is None with no sample to measure
+    x_err_near: float | None = _scalar(bounds="non-negative", none=True)
+    x_err_far: float | None = _scalar(bounds="non-negative", none=True)
+    z_err_near: float | None = _scalar(bounds="non-negative", none=True)
+    z_err_far: float | None = _scalar(bounds="non-negative", none=True)
+    tp: int = _scalar(0, "non-negative", integer=True)
+    n_pred: int = _scalar(0, "non-negative", integer=True)
+    n_gt: int = _scalar(0, "non-negative", integer=True)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, NonFiniteInput, ShapeMismatch, _array_field, _numbers, _object_field, _object_list, _scalar_field
+from .errors import InvalidValue, NonFiniteInput, ShapeMismatch
+from .errors import _array, _Declared, _numbers, _object_field, _object_list, _scalar, _tuple
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -47,35 +48,28 @@ _MAX_BLOCK_FLOATS = 2**18  # cap on block cells * centers (or columns) * dim, i.
 
 
 @dataclass(frozen=True)
-class DecodeParams:
-    s_threshold: float = 0.5
-    d_gap: float = 1.5
-    min_points: int = 4
-    fit_degree: int = 3
-
-    def __post_init__(self):
-        _scalar_field("DecodeParams.s_threshold", self.s_threshold, "in (0, 1)")
-        _scalar_field("DecodeParams.d_gap", self.d_gap, "positive")
-        _scalar_field("DecodeParams.min_points", self.min_points, "at least 2", integer=True)
-        _scalar_field("DecodeParams.fit_degree", self.fit_degree, "at least 1", integer=True)
+class DecodeParams(_Declared):
+    s_threshold: float = _scalar(0.5, "in (0, 1)")
+    d_gap: float = _scalar(1.5, "positive")
+    min_points: int = _scalar(4, "at least 2", integer=True)
+    fit_degree: int = _scalar(3, "at least 1", integer=True)
 
 
 @dataclass
-class LaneInstance:
+class LaneInstance(_Declared):
     """One decoded lane: cluster id and at least one finite road-frame (x, y, z) point."""
 
-    cluster_id: int
-    points: np.ndarray
+    cluster_id: int = _scalar(bounds="non-negative", integer=True)
+    points: np.ndarray = _array(shape=(None, 3))
 
     def __post_init__(self):
-        _scalar_field("LaneInstance.cluster_id", self.cluster_id, "non-negative", integer=True)
-        self.points = _array_field("LaneInstance.points", self.points, (None, 3))
+        super().__post_init__()
         if len(self.points) == 0:
             raise InvalidValue(f"LaneInstance.points: cluster {self.cluster_id} needs at least one point")
 
 
 @dataclass
-class FittedLane:
+class FittedLane(_Declared):
     """Polynomials for y(x) and z(x) on the rescaled abscissa t in [-1, 1].
 
     Coefficients are in increasing-power order of t = (2x - (a + b)) / (b - a)
@@ -83,14 +77,9 @@ class FittedLane:
     values may be NaN or infinite: lanes_to_dict refuses them.
     """
 
-    y_coeffs: np.ndarray
-    z_coeffs: np.ndarray
-    x_range: tuple[float, float]
-
-    def __post_init__(self):
-        self.y_coeffs = _array_field("FittedLane.y_coeffs", self.y_coeffs, (None,), finite=False)
-        self.z_coeffs = _array_field("FittedLane.z_coeffs", self.z_coeffs, (None,), finite=False)
-        _array_field("FittedLane.x_range", self.x_range, (2,), finite=False)
+    y_coeffs: np.ndarray = _array(shape=(None,), finite=False)
+    z_coeffs: np.ndarray = _array(shape=(None,), finite=False)
+    x_range: tuple[float, float] = _tuple(shape=(2,), finite=False)
 
     def _t(self, x, owner: str):
         a, b = self.x_range

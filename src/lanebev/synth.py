@@ -15,12 +15,13 @@ pixel-level oracle for homography and view-transform checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
-from .errors import InvalidValue, ShapeMismatch, _array_field, _numbers, _object_field, _scalar_field
+from .errors import InvalidValue, ShapeMismatch
+from .errors import _Declared, _instance, _instances, _numbers, _object_field, _scalar, _scalar_field, _tuple
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -29,39 +30,26 @@ LANE_POINT_SPACING = 1.0
 
 
 @dataclass(frozen=True)
-class SceneParams:
-    n_lanes: int = 4
-    lane_spacing: float = 3.5
-    curvature: tuple[float, float] = (0.0, 0.0)
-    hill_amplitude: float = 0.0
-    hill_wavelength: float = 60.0
-    camera_jitter: tuple[float, float] = (0.0, 0.0)  # (degrees, meters)
-    seed: int = 0
+class SceneParams(_Declared):
+    n_lanes: int = _scalar(4, "non-negative", integer=True)
+    lane_spacing: float = _scalar(3.5, "positive")
+    curvature: tuple[float, float] = _tuple((0.0, 0.0), shape=(2,), items="lo,hi")
+    hill_amplitude: float = _scalar(0.0)
+    hill_wavelength: float = _scalar(60.0, "positive")
+    camera_jitter: tuple[float, float] = _tuple((0.0, 0.0), shape=(2,), items="deg,m")
+    seed: int = _scalar(0, "non-negative", integer=True)
 
     def __post_init__(self):
-        _scalar_field("SceneParams.n_lanes", self.n_lanes, "non-negative", integer=True)
-        _scalar_field("SceneParams.lane_spacing", self.lane_spacing, "positive")
-        _scalar_field("SceneParams.hill_amplitude", self.hill_amplitude)
-        _scalar_field("SceneParams.hill_wavelength", self.hill_wavelength, "positive")
-        _scalar_field("SceneParams.seed", self.seed, "non-negative", integer=True)
-        for name in ("curvature", "camera_jitter"):
-            _array_field(f"SceneParams.{name}", getattr(self, name), (2,))
+        super().__post_init__()
         if self.curvature[0] > self.curvature[1]:
             raise InvalidValue(f"SceneParams.curvature: must be [lo, hi] with lo <= hi, got {self.curvature!r}")
 
 
 @dataclass
-class SceneRecord:
-    rig: CameraRig
-    lanes: list[Lane3D] = field(default_factory=list)
-    scene_tag: str = ""
-
-    def __post_init__(self):
-        _object_field("SceneRecord.rig", self.rig, CameraRig)
-        if not (isinstance(self.lanes, list) and all(isinstance(lane, Lane3D) for lane in self.lanes)):
-            raise InvalidValue("SceneRecord.lanes: must be a list of Lane3D")
-        if not isinstance(self.scene_tag, str):
-            raise InvalidValue(f"SceneRecord.scene_tag: must be a string, got {type(self.scene_tag).__name__}")
+class SceneRecord(_Declared):
+    rig: CameraRig = _instance(cls=CameraRig)
+    lanes: list[Lane3D] = _instances(cls=Lane3D)
+    scene_tag: str = _instance("", cls=str)
 
 
 def canonical_rig() -> CameraRig:
@@ -178,7 +166,7 @@ def render_ground_pattern(
     g = _ground_homography(rig)
     try:
         ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError:  # the camera centre lies on the ground, or fx, fy are near the float minimum
+    except np.linalg.LinAlgError:  # the camera centre lies on the ground, or so far off that rounding cancels its height
         ginv = np.full((3, 3), np.nan)
     hinv = np.linalg.inv(to_ground) @ ginv
     size = out_size if out_size is not None else rig.image_size

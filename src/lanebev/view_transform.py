@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
 from .errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
-from .errors import _array_field, _ints_field, _number_type, _object_field, _object_list, _scalar_field
+from .errors import _array, _Declared, _ints, _ints_field, _number_type, _object_field, _object_list, _scalar, _scalar_field
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class FeatureTensor:
+class FeatureTensor(_Declared):
     """(H, W, C) feature map, every dim positive, tagged with its downsample
     factor, a positive integer.
 
@@ -38,14 +38,13 @@ class FeatureTensor:
     check here would scan every frame's feature maps once more.
     """
 
-    data: np.ndarray
-    scale: int = 32
+    data: np.ndarray = _array(shape=(None, None, None), finite=False)
+    scale: int = _scalar(32, "positive", integer=True)
 
     def __post_init__(self):
-        self.data = _array_field("FeatureTensor.data", self.data, (None, None, None), finite=False)
+        super().__post_init__()
         if 0 in self.data.shape:
             raise ShapeMismatch(f"FeatureTensor.data: every dim must be positive, got shape {self.data.shape}")
-        _scalar_field("FeatureTensor.scale", self.scale, "positive", integer=True)
 
     @property
     def hw(self) -> tuple[int, int]:
@@ -57,7 +56,7 @@ class FeatureTensor:
 
 
 @dataclass(frozen=True, eq=False)
-class ViewRelationMap:
+class ViewRelationMap(_Declared):
     """(HW_bev, HW_fv) operator between flattened feature planes: a dense
     ndarray (fitted maps) or a scipy.sparse matrix (IPM sampling maps).
 
@@ -68,41 +67,38 @@ class ViewRelationMap:
     values that are not real numbers raises InvalidValue.
     """
 
-    matrix: np.ndarray | sparse.sparray
-    fv_shape: tuple[int, int]
-    bev_shape: tuple[int, int]
+    matrix: np.ndarray | sparse.sparray = _array(shape=(None, None), finite=False)
+    fv_shape: tuple[int, int] = _ints(shape=(2,))
+    bev_shape: tuple[int, int] = _ints(shape=(2,))
 
     def __post_init__(self):
         matrix = self.matrix
         # A sparse matrix can only exist once scipy.sparse is imported.
         scipy_sparse = sys.modules.get("scipy.sparse")
-        if scipy_sparse is None or not scipy_sparse.issparse(matrix):
-            matrix = _array_field("ViewRelationMap.matrix", matrix, (None, None), finite=False)
-        elif not _number_type(matrix.dtype.type):
+        is_sparse = scipy_sparse is not None and scipy_sparse.issparse(matrix)
+        if is_sparse and not _number_type(matrix.dtype.type):
             raise InvalidValue(f"ViewRelationMap.matrix: must be an array of numbers, got {matrix.dtype} values")
-        elif matrix.format == "csr":
+        if is_sparse and matrix.format == "csr":
             matrix = matrix.copy()
             for part in (matrix.data, matrix.indices, matrix.indptr):
                 part.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "fv_shape", _ints_field("ViewRelationMap.fv_shape", self.fv_shape, 2))
-        object.__setattr__(self, "bev_shape", _ints_field("ViewRelationMap.bev_shape", self.bev_shape, 2))
+            object.__setattr__(self, "matrix", matrix)
+        super().__post_init__(skip="matrix" if is_sparse else None)
         expect = (self.bev_shape[0] * self.bev_shape[1], self.fv_shape[0] * self.fv_shape[1])
-        if matrix.shape != expect:
-            raise ShapeMismatch(f"ViewRelationMap.matrix: shape {matrix.shape} differs from (HW_bev, HW_fv) = {expect}")
+        if self.matrix.shape != expect:
+            raise ShapeMismatch(f"ViewRelationMap.matrix: shape {self.matrix.shape} differs from (HW_bev, HW_fv) = {expect}")
 
 
 @dataclass(frozen=True)
-class PyramidSpec:
+class PyramidSpec(_Declared):
     """Which scales feed the transform, distinct positive integers, and the
     shared BEV output shape, two positive integers."""
 
-    scales: tuple[int, ...] = (32, 64)
-    bev_shape: tuple[int, int] = (50, 10)
+    scales: tuple[int, ...] = _ints((32, 64))
+    bev_shape: tuple[int, int] = _ints((50, 10), shape=(2,))
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", _ints_field("PyramidSpec.scales", self.scales))
-        object.__setattr__(self, "bev_shape", _ints_field("PyramidSpec.bev_shape", self.bev_shape, 2))
+        super().__post_init__()
         if len(set(self.scales)) != len(self.scales):
             raise InvalidValue(f"PyramidSpec.scales: must be distinct, got {self.scales}")
 

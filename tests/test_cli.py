@@ -13,6 +13,7 @@ import pytest
 
 import lanebev
 from lanebev import data_io
+from lanebev.camera_geometry import CameraRig, Extrinsics, Intrinsics
 from lanebev.cli import build_parser, main
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import EvalConfig
@@ -315,7 +316,8 @@ class TestSchemas:
             ("eval", "--config", EvalConfig),
             ("synth", "--params", SceneParams),
             ("pipeline", "--params", SceneParams),
-        ],
+        ]
+        + [("homography", flag, cls) for flag in ("--src", "--dst") for cls in (Intrinsics, Extrinsics, CameraRig)],
     )
     def test_config_schema_names_every_field(self, capsys, command, flag, cls):
         code, out, _ = run(capsys, command, "--schema")

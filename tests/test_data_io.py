@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lanebev import cli, data_io
-from lanebev.camera_geometry import Extrinsics
+from lanebev.camera_geometry import CameraRig, Extrinsics, Intrinsics
 from lanebev.errors import (
     ImageFormatError,
     InvalidValue,
@@ -35,7 +35,7 @@ from lanebev.errors import (
 from lanebev.lane_grid import GridSpec, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import EvalConfig
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, decode_lanes, fit_lanes
-from lanebev.synth import SceneParams, canonical_rig, generate_scene
+from lanebev.synth import SceneParams, canonical_rig, generate_scene, jittered_rig
 
 from test_lane_path_pin import pin_frames
 
@@ -544,6 +544,47 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_PAIR = st.lists(_FINITE, min_size=2, max_size=2).map(sorted).map(tuple)
+
+
+@st.composite
+def _grid_specs(draw):
+    cell = draw(st.sampled_from([0.125, 0.5, 1.0, 4.0]))
+    x_min, y_min = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    return GridSpec(x_min, x_min + cell * draw(st.integers(1, 500)), y_min, y_min + cell * draw(st.integers(1, 500)), cell)
+
+
+# A valid instance of each config class, every field drawn
+VALID_CONFIGS = st.one_of(
+    _grid_specs(),
+    st.builds(
+        DecodeParams,
+        s_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        d_gap=_POSITIVE,
+        min_points=st.integers(2, 2**62),
+        fit_degree=st.integers(1, 2**62),
+    ),
+    st.builds(
+        EvalConfig,
+        sample_xs=st.lists(_FINITE, min_size=1, max_size=25, unique=True).map(sorted).map(tuple),
+        match_threshold=_POSITIVE,
+        match_ratio=st.floats(0.0, 1.0, exclude_min=True),
+        near_limit=_FINITE,
+    ),
+    st.builds(
+        SceneParams,
+        n_lanes=st.integers(0, 2**62),
+        lane_spacing=_POSITIVE,
+        curvature=_PAIR,
+        hill_amplitude=_FINITE,
+        hill_wavelength=_POSITIVE,
+        camera_jitter=st.tuples(_FINITE, _FINITE),
+        seed=st.integers(0, 2**62),
+    ),
+)
+
 
 class TestConfigFromDict:
     @pytest.mark.parametrize("cls", CONFIG_CLASSES)
@@ -595,6 +636,12 @@ class TestConfigFromDict:
         with pytest.raises(InvalidValue, match=r"^DecodeParams\.s_threshold: "):
             data_io.from_dict(DecodeParams, {"s_threshold": 1.5})
 
+    @given(cfg=VALID_CONFIGS)
+    @settings(max_examples=300, deadline=None)
+    def test_json_of_a_valid_config_reads_back_equal(self, cfg):
+        # from_dict reads every field by its declaration, as the class checks it
+        assert data_io.from_dict(type(cfg), json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
+
     @given(cls=st.sampled_from(CONFIG_CLASSES), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_json_raises_only_domain_errors(self, cls, data):
@@ -620,6 +667,18 @@ class TestCameraJson:
         assert np.array_equal(back.extrinsics.rotation, rig.extrinsics.rotation)
         assert np.array_equal(back.extrinsics.translation, rig.extrinsics.translation)
         assert back.image_size == rig.image_size
+
+    @given(seed=st.integers(0, 2**32 - 1), fx=st.floats(1.0, 1e6), fy=st.floats(1.0, 1e6), skew=_FINITE)
+    @settings(max_examples=100, deadline=None)
+    def test_save_and_load_return_an_equal_rig(self, tmp_path_factory, seed, fx, fy, skew):
+        base = jittered_rig(np.random.default_rng(seed), 10.0, 2.0)
+        rig = CameraRig(Intrinsics(fx, fy, 511.7, 288.3, skew), base.extrinsics, base.image_size)
+        path = tmp_path_factory.mktemp("rig") / "cam.json"
+        data_io.save_rig(rig, path)
+        back = data_io.load_rig(path)
+        assert back.intrinsics == rig.intrinsics and back.image_size == rig.image_size
+        for name in ("rotation", "translation"):
+            assert getattr(back.extrinsics, name).tobytes() == getattr(rig.extrinsics, name).tobytes()
 
     def test_schema_fields(self, tmp_path):
         path = tmp_path / "cam.json"

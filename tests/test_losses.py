@@ -486,6 +486,13 @@ def test_sigmoid_of_nan_is_nan():
     assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
+@pytest.mark.parametrize("x", ["a", [True, False], np.array([1, 0], dtype=bool), None])
+def test_sigmoid_refuses_what_is_not_numbers_naming_its_argument(x):
+    # once numpy's UFuncTypeError or a bare TypeError from its boolean negative
+    with pytest.raises(InvalidValue, match=r"^sigmoid\.x: "):
+        sigmoid(x)
+
+
 @pytest.mark.parametrize("batches", [0, -1])
 def test_gradient_suite_refuses_no_batches(batches):
     with pytest.raises(InvalidValue, match=r"^run_gradient_suite\.batches: must be at least 1"):

@@ -124,12 +124,13 @@ def assert_same_bytes(got, want):
 
 def scaled_rig(rig, out_size, cy=None):
     """The rig's view on an out_size sensor; cy, if given, moves the horizon
-    of a level rig to that image row."""
+    of a level rig to that image row.  A focal length is at least 1 pixel
+    (Intrinsics), so a sensor 1 pixel wide keeps fx = 1."""
     sx, sy = out_size[0] / rig.image_size[0], out_size[1] / rig.image_size[1]
     i = rig.intrinsics
     return CameraRig(
         intrinsics=Intrinsics(
-            fx=i.fx * sx, fy=i.fy * sy, cx=i.cx * sx, cy=i.cy * sy if cy is None else cy, skew=i.skew
+            fx=max(i.fx * sx, 1.0), fy=i.fy * sy, cx=i.cx * sx, cy=i.cy * sy if cy is None else cy, skew=i.skew
         ),
         extrinsics=rig.extrinsics,
         image_size=(max(out_size[0], 1), max(out_size[1], 1)),

@@ -6,9 +6,10 @@ import pytest
 from lanebev.camera_geometry import compute_homography, project_ground_point, warp_image
 from lanebev.data_io import scene_to_dict
 from lanebev.errors import InvalidValue, NonFiniteInput, ShapeMismatch
-from lanebev.lane_grid import GridSpec
+from lanebev.lane_grid import GridSpec, Lane3D
 from lanebev.synth import (
     SceneParams,
+    SceneRecord,
     canonical_rig,
     checkerboard,
     generate_scene,
@@ -125,6 +126,18 @@ class TestGenerateScene:
         (field,) = kwargs
         with pytest.raises(ShapeMismatch, match=rf"^SceneParams\.{field}: shape "):
             SceneParams(**kwargs)
+
+
+class TestSceneRecord:
+    @pytest.mark.parametrize("lanes", [[], ()])
+    def test_lanes_may_be_a_list_or_a_tuple(self, lanes):
+        assert SceneRecord(canonical_rig(), lanes).lanes == lanes
+
+    def test_a_wrong_lane_is_named_with_its_index(self):
+        # once "SceneRecord.lanes: must be a list of Lane3D", naming no entry
+        lane = Lane3D(np.array([[3.0, 0.0, 0.0], [5.0, 0.0, 0.0]]), id=1)
+        with pytest.raises(InvalidValue, match=r"^SceneRecord\.lanes\[1\]: must be a Lane3D, got str"):
+            SceneRecord(canonical_rig(), [lane, "x"])
 
 
 def downscaled(rig, factor):

@@ -1,14 +1,14 @@
 """The test configuration itself: a failing test is reported, not lost; the
 package writes files through one writer only, reads none through numpy's
-loaders or pickle, and writes JSON text through one encoder call; it
-reports a problem only by raising, never by a warning; it refuses a value
-with its own error classes, not a builtin one, each message naming the
-field; every array field refuses a wrong shape and NaN by one rule; every
-field of every public dataclass refuses a value of the wrong type, and so
-does every checked size, scale or object argument and every entry of a
-checked list; every array field and array argument refuses a bool or a
-numeric string, as a scalar does; no public function leaves an object
-argument unchecked; and no CLI flag re-spells a config file's field."""
+loaders or pickle, writes JSON text through one encoder call, raises and
+never warns, refuses a value with its own error classes, each message
+naming the field, and converts no argument of a public function with
+numpy; every field of every public dataclass declares its rule, and the
+tables below read the declarations; every field refuses a value of the
+wrong type, an array field a wrong shape, NaN, a bool or a numeric string,
+and so does every checked argument and every entry of a checked list; no
+public function leaves an object argument unchecked; and no CLI flag
+re-spells a config file's field."""
 
 import ast
 import dataclasses
@@ -29,7 +29,7 @@ from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsic
 from lanebev.cli import _COMMANDS
 from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
-from lanebev.losses import FrontViewPrediction, FrontViewTruth, LossWeights, PredictionBatch, binary_cross_entropy
+from lanebev.losses import FrontViewPrediction, FrontViewTruth, PredictionBatch, binary_cross_entropy, sigmoid
 from lanebev.metrics import EvalConfig, EvalResult
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance
 from lanebev.synth import SceneParams, SceneRecord, canonical_rig, checkerboard, jittered_rig
@@ -70,6 +70,19 @@ def test_falsified_property_is_reported_and_the_session_goes_on(tmp_path):
     assert "Falsifying example" in done.stdout
 
 
+def in_functions(source: str):
+    """Each node of `source` and the innermost function definition that
+    holds it (None at module level); a definition holds itself."""
+
+    def visit(node, fn):
+        fn = node if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        yield node, fn
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn)
+
+    return visit(ast.parse(source), None)
+
+
 def file_writes(source: str) -> list[str]:
     """Each call in `source` that writes a file outside data_io._write_file.
 
@@ -79,11 +92,8 @@ def file_writes(source: str) -> list[str]:
     string, counts too.
     """
     found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if where != "_write_file" and isinstance(node, ast.Call):
+    for node, fn in in_functions(source):
+        if getattr(fn, "name", None) != "_write_file" and isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name in ("write_text", "write_bytes", "save", "savez", "savez_compressed", "tofile"):
@@ -97,16 +107,7 @@ def file_writes(source: str) -> list[str]:
                 readonly = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set("wax+") & set(mode.value)
                 if os_open or not (mode is None or readonly):
                     found.append(f"line {node.lineno}: open")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), None)
     return found
-
-
-@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
-def test_every_file_write_goes_through_the_one_writer(module):
-    assert file_writes(module.read_text()) == []
 
 
 def test_the_write_scan_finds_each_kind_of_write():
@@ -141,30 +142,32 @@ def test_the_write_scan_finds_each_kind_of_write():
     assert file_writes(source) == [f"line {n}: {kind}" for n, kind in expected]
 
 
-def unsafe_reads(source: str) -> list[str]:
-    """Each call in `source` of numpy's load (np.load, numpy.load) or of a
-    read_array, and each import or call of the pickle module: readers that
-    may unpickle a file or allocate what its header claims before reading."""
+def module_uses(source: str, module: str | None, picks, allowed: tuple[str, ...] = ()) -> list[str]:
+    """Each import of `module` in `source`, and each call for which
+    picks(owner, name) holds outside the functions named in `allowed`,
+    owner being the name before the dot (None for a bare name), by line."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node, fn in in_functions(source):
         if isinstance(node, ast.Import):
-            found += [(node.lineno, "import pickle") for a in node.names if a.name.split(".")[0] == "pickle"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pickle":
-            found.append((node.lineno, "from pickle"))
-        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            found += [(node.lineno, f"import {module}") for a in node.names if a.name.split(".")[0] == module]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module:
+            found.append((node.lineno, f"from {module}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)) and getattr(fn, "name", None) not in allowed:
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else func.id
             owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
-            if name == "read_array" or (name == "load" and owner in ("np", "numpy")) or owner == "pickle":
+            if picks(owner, name):
                 found.append((node.lineno, f"{owner}.{name}" if owner else name))
     return [f"line {line}: {what}" for line, what in sorted(found)]
 
 
-@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
-def test_no_module_reads_a_file_through_numpys_loaders_or_pickle(module):
-    # read_tensor parses the .npy header itself with numpy's header readers,
-    # and checks the payload size against the file before allocating
-    assert unsafe_reads(module.read_text()) == []
+def unsafe_reads(source: str) -> list[str]:
+    """Each call in `source` of numpy's load (np.load, numpy.load) or of a
+    read_array, and each import or call of the pickle module: readers that
+    may unpickle a file or allocate what its header claims before reading."""
+    return module_uses(
+        source, "pickle", lambda owner, name: name == "read_array" or (name == "load" and owner in ("np", "numpy")) or owner == "pickle"
+    )
 
 
 def test_the_reader_scan_finds_each_unsafe_read():
@@ -201,27 +204,7 @@ def test_the_reader_scan_finds_each_unsafe_read():
 def json_dumps_calls(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
     """Each json.dumps or json.dump call in `source` (also when imported by
     name) outside the functions named in `allowed`."""
-    found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if where not in allowed and isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in ("dumps", "dump"):
-                found.append(f"line {node.lineno}: {name}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
-def test_every_json_text_comes_from_the_one_encoder_call(module):
-    # data_io._json_text is the layout of every JSON file and stream the package writes
-    assert json_dumps_calls(module.read_text(), ("_json_text",) if module.name == "data_io.py" else ()) == []
+    return module_uses(source, None, lambda owner, name: name in ("dumps", "dump"), allowed)
 
 
 def test_the_json_scan_finds_each_encoder_call():
@@ -239,31 +222,14 @@ def test_the_json_scan_finds_each_encoder_call():
             return json.dumps(obj) + "\\n"
         """
     )
-    assert json_dumps_calls(source, ("_json_text",)) == ["line 3: dumps", "line 4: dumps", "line 5: dump", "line 6: dumps"]
-    assert json_dumps_calls(source)[-1] == "line 11: dumps"
+    assert json_dumps_calls(source, ("_json_text",)) == ["line 3: json.dumps", "line 4: json.dumps", "line 5: json.dump", "line 6: dumps"]
+    assert json_dumps_calls(source)[-1] == "line 11: json.dumps"
 
 
 def warning_uses(source: str) -> list[str]:
     """Each import of the warnings module in `source`, and each call of a
     function named warn or warn_explicit (also when imported by name)."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, "import warnings") for a in node.names if a.name.split(".")[0] == "warnings"]
-        elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
-            found.append((node.lineno, "from warnings"))
-        elif isinstance(node, ast.Call):
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-            if name in ("warn", "warn_explicit"):
-                found.append((node.lineno, name))
-    return [f"line {line}: {what}" for line, what in sorted(found)]
-
-
-@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
-def test_no_module_warns(module):
-    # A problem raises a LaneBevError or is not reported: a warning reaches
-    # stderr on a run that succeeds, and under -W error it ends the run
-    assert warning_uses(module.read_text()) == []
+    return module_uses(source, "warnings", lambda owner, name: name in ("warn", "warn_explicit"))
 
 
 def test_the_warning_scan_finds_each_warning():
@@ -286,42 +252,57 @@ def test_the_warning_scan_finds_each_warning():
         "line 2: import warnings",
         "line 3: import warnings",
         "line 4: from warnings",
-        "line 7: warn",
-        "line 8: warn_explicit",
+        "line 7: warnings.warn",
+        "line 8: w.warn_explicit",
         "line 9: warn",
     ]
 
 
+def argument_conversions(source: str) -> list[str]:
+    """Each call in `source` of numpy's asarray, array or asanyarray on a
+    parameter of the public function (name without a leading _) holding it."""
+    found = []
+    for node, fn in in_functions(source):
+        func = node.func if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name) else None
+        if fn and not fn.name.startswith("_") and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("np", "numpy"):
+            params = {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+            if func.attr in ("asarray", "array", "asanyarray") and node.args[0].id in params:
+                found.append(f"line {node.lineno}: {fn.name}")
+    return found
+
+
+def test_the_conversion_scan_finds_each_converted_argument():
+    source = textwrap.dedent(
+        """
+        def sigmoid(x: np.ndarray) -> np.ndarray:
+            \"\"\"Logistic function as float64, computed in x's dtype from exp(-|x|),
+            which never overflows: 1 / (1 + e) where x >= 0, else e / (1 + e).\"\"\"
+            x = np.asarray(x)
+
+        def apply(self, points, *, scale=1.0):
+            np.array(points, dtype=float), numpy.asanyarray(scale), np.asarray(self.matrix), np.stack(points)
+
+        def _sample(img):
+            np.asarray(img)
+        """
+    )
+    assert argument_conversions(source) == ["line 5: sigmoid", "line 8: apply", "line 8: apply"]
+
+
 GENERIC_ERRORS = ("ValueError", "TypeError", "RuntimeError")
-# metrics._assign mirrors scipy's linear_sum_assignment, which raises
-# ValueError on a cost matrix with no finite assignment.
-GENERIC_RAISE_ALLOWED = {"metrics.py": ("_assign",)}
 
 
 def generic_raises(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
     """Each raise in `source` of a builtin ValueError, TypeError or
     RuntimeError, outside the functions named in `allowed`."""
     found = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
+    for node, fn in in_functions(source):
+        where = fn.name if fn else "<module>"
         if isinstance(node, ast.Raise) and where not in allowed:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name) and exc.id in GENERIC_ERRORS:
                 found.append(f"line {node.lineno}: {exc.id} in {where}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
     return found
-
-
-@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
-def test_every_refused_value_raises_a_library_error(module):
-    # A refusal is a LaneBevError naming the field (InvalidValue for a value
-    # out of range), so that the CLI and callers can tell it from a bug.
-    assert generic_raises(module.read_text(), GENERIC_RAISE_ALLOWED.get(module.name, ())) == []
 
 
 def test_the_raise_scan_finds_each_generic_error():
@@ -399,11 +380,6 @@ def unprefixed_messages(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
-def test_every_refusal_message_starts_with_its_field(module):
-    assert unprefixed_messages(module.read_text()) == []
-
-
 def test_the_message_scan_finds_each_bare_message():
     source = textwrap.dedent(
         """
@@ -445,19 +421,48 @@ def test_the_message_scan_finds_each_bare_message():
     ]
 
 
+# What every module of the package is scanned for, each scan given a
+# module's source and file name
+MODULE_SCANS = {
+    # data_io._write_file is the one writer of every file
+    "file write": lambda source, name: file_writes(source),
+    # read_tensor parses the .npy header itself with numpy's header readers,
+    # and checks the payload size against the file before allocating
+    "unsafe read": lambda source, name: unsafe_reads(source),
+    # data_io._json_text is the layout of every JSON file and stream the package writes
+    "JSON encoder call": lambda source, name: json_dumps_calls(source, ("_json_text",) if name == "data_io.py" else ()),
+    # A problem raises a LaneBevError or is not reported: a warning reaches
+    # stderr on a run that succeeds, and under -W error it ends the run
+    "warning": lambda source, name: warning_uses(source),
+    # np.asarray reads a bool as 1, a numeric string as a number and a word
+    # as a string; errors._numbers refuses each, naming `function.arg`
+    "argument conversion": lambda source, name: [] if name == "errors.py" else argument_conversions(source),
+    # A refusal is a LaneBevError, which callers tell from a bug; metrics._assign
+    # raises ValueError on no finite assignment, as scipy's linear_sum_assignment
+    "generic raise": lambda source, name: generic_raises(source, ("_assign",) if name == "metrics.py" else ()),
+    "unprefixed message": lambda source, name: unprefixed_messages(source),
+}
+
+
+@pytest.mark.parametrize("scan", MODULE_SCANS)
+@pytest.mark.parametrize("module", sorted((ROOT / "src" / "lanebev").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_holds_what_a_scan_finds(module, scan):
+    assert MODULE_SCANS[scan](module.read_text(), module.name) == []
+
+
 ERRORS_MODULE = ROOT / "src" / "lanebev" / "errors.py"
 
 
 def unraised_error_classes(errors_source: str, sources: list[str]) -> list[str]:
-    """Each class defined in `errors_source`, but the base LaneBevError,
-    that no raise in `sources` names (as `Name` or `module.Name`)."""
+    """Each class with a base (an exception) defined in `errors_source`, but
+    LaneBevError, that no raise in `sources` names (as `Name` or `module.Name`)."""
     raised = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
-    defined = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)]
+    defined = [node.name for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef) and node.bases]
     return [name for name in defined if name != "LaneBevError" and name not in raised]
 
 
@@ -489,8 +494,9 @@ def test_the_class_scan_finds_each_class_nothing_raises():
         class InvalidValue(LaneBevError, ValueError):
             pass
 
-        def _array_field(owner, value):
-            raise TensorFormatError(owner)
+        class _Rule:
+            def check(owner, value):
+                raise TensorFormatError(owner)
         """
     )
     user = textwrap.dedent(
@@ -522,14 +528,14 @@ PUBLIC_DATACLASSES = [
     FrontViewPrediction,
     FrontViewTruth,
 ]
-# A valid construction of every public dataclass; a field left out takes its default
+# A valid construction of every public dataclass; a field left out takes its
+# default, and a class whose every field has one needs no entry
 VALID_ARGS = {
     CameraRig: {
         "intrinsics": Intrinsics(1000.0, 1000.0, 512.0, 288.0),
         "extrinsics": Extrinsics(np.eye(3), np.ones(3)),
         "image_size": (1024, 576),
     },
-    DecodeParams: {},
     EvalConfig: {"sample_xs": np.array([3.0, 8.0])},
     EvalResult: {
         "f_score": 1.0, "precision": 1.0, "recall": 1.0, "x_err_near": 0.0, "x_err_far": None, "z_err_near": 0.0, "z_err_far": None
@@ -537,27 +543,21 @@ VALID_ARGS = {
     Extrinsics: {"rotation": np.eye(3), "translation": np.zeros(3)},
     FeatureTensor: {"data": _Z3},
     FittedLane: {"y_coeffs": np.zeros(4), "z_coeffs": np.zeros(4), "x_range": (3.0, 5.0)},
-    GridSpec: {},
     GridTensors: {"confidence": _Z2, "offset": _Z2, "height": _Z2, "instance": _Z2, "embedding": _Z3},
     Homography: {"matrix": np.eye(3)},
     Intrinsics: {"fx": 1000.0, "fy": 1000.0, "cx": 512.0, "cy": 288.0},
     Lane3D: {"points": _LINE},
     LaneInstance: {"cluster_id": 0, "points": _LINE},
-    LossWeights: {},
     PredictionBatch: {"raw_confidence": _Z2, "raw_offset": _Z2, "embedding": _Z3, "height": _Z2},
-    PyramidSpec: {},
-    SceneParams: {},
     SceneRecord: {"rig": canonical_rig(), "lanes": [Lane3D(_LINE, id=1)], "scene_tag": "flat"},
     ViewRelationMap: {"matrix": np.zeros((4, 6)), "fv_shape": (2, 3), "bev_shape": (2, 2)},
     FrontViewPrediction: {"raw_seg": _Z2, "embedding": _Z3},
     FrontViewTruth: {"mask": _Z2, "instance": _Z2},
 }
-# The fields that take NaN: decode_grid checks the embedding of the
-# confident cells only, fit_vrm_least_squares checks its features, a view
-# map may be sparse, and lanes_to_dict refuses a fit that is not finite
-TAKES_NAN = {
-    (GridTensors, "embedding"), (FeatureTensor, "data"), (ViewRelationMap, "matrix"), (FittedLane, "y_coeffs"), (FittedLane, "z_coeffs")
-}
+# The declared rule of every public field (errors._Rule), None where none is declared
+RULES = {(cls, f.name): f.metadata.get("rule") for cls in PUBLIC_DATACLASSES for f in dataclasses.fields(cls)}
+# The array fields declared to take NaN, such as GridTensors.embedding
+TAKES_NAN = {key for key, rule in RULES.items() if rule and rule.kind == "array" and not rule.finite}
 ARRAY_FIELDS = [(cls, name) for cls, args in VALID_ARGS.items() for name, value in args.items() if isinstance(value, np.ndarray)]
 
 
@@ -608,45 +608,43 @@ def test_every_array_field_refuses_bools_and_numeric_strings_naming_it(cls, fiel
         cls(**{**args, field: NOT_NUMBERS[kind](args[field])})
 
 
+def test_every_public_field_declares_its_rule():
+    # the one declaration that the check, the file readers and --schema read
+    assert [f"{cls.__name__}.{name}" for (cls, name), rule in RULES.items() if rule is None] == []
+
+
 def test_every_public_dataclass_has_a_valid_construction():
-    assert [cls.__name__ for cls in PUBLIC_DATACLASSES if cls not in VALID_ARGS] == []
-    for cls, args in VALID_ARGS.items():
-        cls(**args)
+    for cls in PUBLIC_DATACLASSES:
+        cls(**VALID_ARGS.get(cls, {}))
 
 
 # Values of the wrong type for a number, an array or an object field: a
 # word, a number written as a string (numpy would parse it), None, a list
 # and a bool
 WRONG_TYPES = {"word": "a", "numeric string": "0.5", "None": None, "list": [1.0], "bool": True}
-# The 1-D fields of any length, which take [1.0]: one sample, one coefficient
-TAKES_ONE_NUMBER = {(EvalConfig, "sample_xs"), (FittedLane, "y_coeffs"), (FittedLane, "z_coeffs")}
 
 
-def takes(cls, field: dataclasses.Field, value) -> bool:
-    """Whether `value` is valid for `field` of `cls`: None where its type
-    allows None, a string where it is a string, and [1.0] for the fields in
-    TAKES_ONE_NUMBER."""
-    return (
-        (value is None and "None" in field.type)
-        or (isinstance(value, str) and field.type == "str")
-        or (value == [1.0] and (cls, field.name) in TAKES_ONE_NUMBER)
+def takes(cls, field: str, value) -> bool:
+    """Whether `value` is valid for `field` of `cls` by its declared rule:
+    None where it may be None, a string where it is one, and [1.0] where it
+    holds floats of any length, such as EvalConfig.sample_xs."""
+    rule = RULES[cls, field]
+    return rule is not None and (
+        (value is None and rule.none)
+        or (isinstance(value, str) and rule.cls is str)
+        or (value == [1.0] and rule.kind in ("array", "tuple") and rule.shape == (None,))
     )
 
 
-TYPE_CASES = [
-    (cls, field.name, kind)
-    for cls in PUBLIC_DATACLASSES
-    for field in dataclasses.fields(cls)
-    for kind, value in WRONG_TYPES.items()
-    if not takes(cls, field, value)
-]
+TYPE_CASES = [(cls, field, kind) for cls, field in RULES for kind, value in WRONG_TYPES.items() if not takes(cls, field, value)]
 
 
 @pytest.mark.parametrize("cls, field, kind", TYPE_CASES, ids=[f"{cls.__name__}.{field}-{kind}" for cls, field, kind in TYPE_CASES])
 def test_every_field_refuses_a_wrong_type_naming_it(cls, field, kind):
     # Not a bare TypeError or ValueError, and never accepted: a LaneBevError
-    # (InvalidValue, or ShapeMismatch for a scalar where an array goes) naming Class.field
-    with pytest.raises(LaneBevError, match=rf"^{cls.__name__}\.{field}: "):
+    # (InvalidValue, or ShapeMismatch for a scalar where an array goes) naming
+    # Class.field, and the index of a wrong entry in a list of objects
+    with pytest.raises(LaneBevError, match=rf"^{cls.__name__}\.{field}(\[\d+\])?: "):
         cls(**{**VALID_ARGS.get(cls, {}), field: WRONG_TYPES[kind]})
 
 
@@ -821,6 +819,7 @@ ARRAY_ARGS = {
     "write_tensor.array": (lambda v: data_io.write_tensor(v, os.devnull), np.ones((2, 2))),
     "write_pnm.image": (lambda v: data_io.write_pnm(v, os.devnull), np.ones((2, 2))),
     "binary_cross_entropy.raw": (lambda v: binary_cross_entropy(v, np.ones((2, 2))), np.zeros((2, 2))),
+    "sigmoid.x": (sigmoid, np.zeros((2, 2))),
     "seg_loss_2d.raw_seg": (lambda v: lanebev.seg_loss_2d(v, np.ones((2, 2))), np.zeros((2, 2))),
     "resample_lane.xs": (lambda v: lanebev.resample_lane(_LANE, v), np.array([3.0, 5.0])),
     "FittedLane.y.x": (_FIT.y, np.array([3.0, 5.0])),
