@@ -40,13 +40,10 @@ from .errors import (
     ShapeMismatch,
     SingularHomography,
     _array,
+    _checked,
     _Declared,
     _instance,
     _ints,
-    _ints_field,
-    _numbers,
-    _object_field,
-    _object_list,
     _scalar,
 )
 
@@ -147,13 +144,14 @@ class Homography(_Declared):
     def inverse(self) -> "Homography":
         return Homography(np.linalg.inv(self.matrix))
 
+    @_checked
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map (N, 2) pixel points through the homography.
 
         A point mapped to infinity (w = 0) gives inf or NaN, without a
         warning, as do points too far away for a float pixel.
         """
-        pts = np.atleast_2d(_numbers("Homography.apply.points", points).astype(float, copy=False))
+        pts = np.atleast_2d(points.astype(float, copy=False))
         ph = np.column_stack([pts, np.ones(len(pts))])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             q = ph @ self.matrix.T
@@ -168,16 +166,17 @@ def _ground_to_image(rig: CameraRig, x: np.ndarray, y: np.ndarray) -> tuple[np.n
     return p_cam @ rig.intrinsics.matrix.T, p_cam[:, 2]
 
 
+@_checked
 def project_ground_point(rig: CameraRig, x: float, y: float) -> tuple[float, float]:
     """Project road-frame ground point (x, y, 0) to pixel coordinates.
 
     Raises DegenerateDepth if the point's camera-frame depth is <= 1e-9.
     The result may lie outside the image bounds; callers decide what to do.
     """
-    _object_field("project_ground_point.rig", rig, CameraRig)
     return tuple(project_ground_points(rig, [(x, y)])[0])
 
 
+@_checked
 def project_ground_points(rig: CameraRig, points_xy: np.ndarray) -> np.ndarray:
     """Vectorized projection of (N, 2) ground points; returns (N, 2) pixels.
 
@@ -185,8 +184,7 @@ def project_ground_points(rig: CameraRig, points_xy: np.ndarray) -> np.ndarray:
     A point too far away for a float pixel projects to inf or NaN, without
     a warning.
     """
-    _object_field("project_ground_points.rig", rig, CameraRig)
-    pts = np.atleast_2d(_numbers("project_ground_points.points_xy", points_xy).astype(float, copy=False))
+    pts = np.atleast_2d(points_xy.astype(float, copy=False))
     with np.errstate(over="ignore", invalid="ignore"):
         uvw, depths = _ground_to_image(rig, pts[:, 0], pts[:, 1])
         if np.any(depths <= _MIN_DEPTH):
@@ -202,6 +200,7 @@ def _nearest_rotation(m: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
+@_checked
 def mean_virtual_camera(rigs: list[CameraRig]) -> CameraRig:
     """Average a fleet of rigs into one canonical (virtual) rig.
 
@@ -210,7 +209,6 @@ def mean_virtual_camera(rigs: list[CameraRig]) -> CameraRig:
     orthonormal matrix with determinant +1.  Raises EmptyInput on no rigs
     and ShapeMismatch when their image sizes differ.
     """
-    _object_list("mean_virtual_camera.rigs", rigs, CameraRig)
     if not rigs:
         raise EmptyInput("mean_virtual_camera requires at least one rig")
     sizes = {rig.image_size for rig in rigs}
@@ -234,6 +232,7 @@ def _ground_homography(rig: CameraRig) -> np.ndarray:
     return rig.intrinsics.matrix @ np.column_stack([rot[:, 0], rot[:, 1], rig.extrinsics.translation])
 
 
+@_checked
 def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
     """Ground-plane homography mapping src pixels to dst pixels.
 
@@ -244,11 +243,8 @@ def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
     project_ground_points on src, then on dst).  A camera centre within
     1e-9 m of the ground plane, a G_src that cannot be inverted, and an H
     that Homography refuses (h[2, 2] about 0, an overflow, |det| < 1e-12)
-    raise DegenerateConfiguration; a src or dst that is not a CameraRig
-    InvalidValue naming `compute_homography.src` or `.dst`.
+    raise DegenerateConfiguration.
     """
-    _object_field("compute_homography.src", src, CameraRig)
-    _object_field("compute_homography.dst", dst, CameraRig)
     for rig in (src, dst):
         project_ground_points(rig, DEFAULT_GROUND_POINTS)
     for name, rig in (("src", src), ("dst", dst)):
@@ -266,26 +262,25 @@ def compute_homography(src: CameraRig, dst: CameraRig) -> Homography:
         raise DegenerateConfiguration(str(exc)) from exc
 
 
+@_checked(out_size="non-negative")
 def warp_image(image: np.ndarray, h: Homography, out_size: tuple[int, int]) -> np.ndarray:
     """Inverse-warp an image by a homography, like cv2.warpPerspective.
 
     Each output pixel (u, v) samples the input at H^-1 @ (u, v, 1) with
     bilinear interpolation; samples outside the source are 0.  `out_size`
-    is (width, height), two non-negative integers; any other raises
-    InvalidValue naming `warp_image.out_size`, and an `h` that is not a
-    Homography InvalidValue naming `warp_image.h`.  Accepts (H, W) or
-    (H, W, C) arrays; any other raises ShapeMismatch naming
-    `warp_image.image`.  The sampler and its row rule are
-    _homography_sample's, which synth.render_ground_pattern shares.
+    is (width, height).  Accepts (H, W) or (H, W, C) arrays; any other
+    raises ShapeMismatch naming `warp_image.image`.  The sampler and its
+    row rule are _homography_sample's, which synth.render_ground_pattern
+    shares.
     """
-    _object_field("warp_image.h", h, Homography)
-    img = _numbers("warp_image.image", image).astype(float, copy=False)
+    if image.ndim not in (2, 3):
+        raise ShapeMismatch(f"warp_image.image: must be 2-D or 3-D, got shape {image.shape}")
     # Homography refuses |det| < 1e-12, so the inverse exists
-    return _homography_sample(img, h.matrix, np.linalg.inv(h.matrix), out_size, "warp_image")
+    return _homography_sample(image.astype(float, copy=False), h.matrix, np.linalg.inv(h.matrix), out_size)
 
 
 def _homography_sample(
-    img: np.ndarray, h: np.ndarray, hinv: np.ndarray, out_size: tuple[int, int], owner: str, max_w: float | None = None
+    img: np.ndarray, h: np.ndarray, hinv: np.ndarray, out_size: tuple[int, int], max_w: float | None = None
 ) -> np.ndarray:
     """Sample an (H, W) or (H, W, C) image at hinv @ (u, v, 1) for each pixel
     (u, v) of an out_size (width, height) grid, where the 3x3 matrix h maps
@@ -296,8 +291,7 @@ def _homography_sample(
     range or at w = 0 is non-finite and samples +0.0.  If max_w is given,
     only the points whose w lies in (0, max_w) are sampled and any other,
     NaN included, is +0.0: for a ground-plane H, w is 1 / depth, so that is
-    a depth gate.  `owner`, the public function, prefixes the refusals of
-    _sample_rows.
+    a depth gate.
 
     One row rule: only the output rows that can reach the source's non-zero
     rows [r0, r1) are cast (see _sample_rows).  A point gathers from them
@@ -311,10 +305,8 @@ def _homography_sample(
     because it is many orders of magnitude wider than the rounding that
     separates the mapped corners from the source coordinates that the cast
     rows compute.  The gate only zeroes points, so it keeps the rule exact.
-    An out_size that is not two non-negative integers raises InvalidValue
-    naming `owner.out_size`.
     """
-    out_w, out_h = _ints_field(f"{owner}.out_size", out_size, 2, "non-negative")
+    out_w, out_h = out_size
     uu = np.arange(out_w, dtype=float)
 
     def coords(v):
@@ -336,7 +328,7 @@ def _homography_sample(
             return None
         return int(np.floor(v.min())) - 1, int(np.ceil(v.max())) + 2
 
-    return _sample_rows(img, (out_h, out_w), coords, rows, owner)
+    return _sample_rows(img, (out_h, out_w), coords, rows)
 
 
 def _bilinear_weights(sx: np.ndarray, sy: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -350,6 +342,7 @@ def _bilinear_weights(sx: np.ndarray, sy: np.ndarray, x0: np.ndarray, y0: np.nda
         return gx * gy, fx * gy, gx * fy, fx * fy
 
 
+@_checked(src_shape="non-negative")
 def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]) -> sparse.csr_array:
     """Sparse bilinear sampling operator over a row-major flattened source.
 
@@ -380,7 +373,6 @@ def _sample_rows(
     out_hw: tuple[int, int],
     coords,
     rows: Callable[[int, int], tuple[int, int] | None] | None = None,
-    owner: str = "warp_image",
 ) -> np.ndarray:
     """Bilinearly sample an (H, W) or (H, W, C) image into an (out_h, out_w)
     grid of points, one block of whole output rows at a time.
@@ -412,13 +404,8 @@ def _sample_rows(
     in the ranges above, or None for every row.  The range is clamped to
     [0, out_h); coords is called only for the rows in it, and the rows
     outside it stay +0.0.
-
-    An image that is not 2-D or 3-D raises ShapeMismatch naming
-    `owner.image`.
     """
     img = np.asarray(img, dtype=float)
-    if img.ndim not in (2, 3):
-        raise ShapeMismatch(f"{owner}.image: must be 2-D or 3-D, got shape {img.shape}")
     out_h, out_w = out_hw
     out = np.zeros((out_h * out_w, int(np.prod(img.shape[2:]))))
     nonzero = np.flatnonzero(img.any(axis=tuple(range(1, img.ndim))))

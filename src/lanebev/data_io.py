@@ -45,11 +45,9 @@ from .errors import (
     ShapeMismatch,
     TensorFormatError,
     _array_field,
+    _checked,
     _declarations,
     _number_type,
-    _numbers,
-    _object_field,
-    _object_list,
 )
 from .lane_grid import Lane3D
 from .postproc import FittedLane
@@ -102,18 +100,18 @@ def _write_file(path: str | Path, *chunks) -> None:
 
 # --- .npy tensors ---
 
+@_checked
 def write_tensor(array: np.ndarray, path: str | Path) -> None:
     """Store `array` as an .npy file of little-endian float32 in C order,
     its header byte-equal to np.save's, overwriting `path` in place (see
     _write_file).  Raises ShapeMismatch naming the file unless the rank is
     1..4, and NonFiniteInput when a finite value lies beyond the float32
     range; either way it writes nothing."""
-    src = _numbers("write_tensor.array", array)
     with np.errstate(over="ignore"):
-        arr = np.ascontiguousarray(src, dtype="<f4")
-    if not 1 <= src.ndim <= 4:  # ascontiguousarray makes a scalar 1-D
-        raise ShapeMismatch(f"{path}: tensor rank must be 1..4, got {src.ndim}")
-    overflowed = int(np.isfinite(src[np.isinf(arr)]).sum())
+        arr = np.ascontiguousarray(array, dtype="<f4")
+    if not 1 <= array.ndim <= 4:  # ascontiguousarray makes a scalar 1-D
+        raise ShapeMismatch(f"{path}: tensor rank must be 1..4, got {array.ndim}")
+    overflowed = int(np.isfinite(array[np.isinf(arr)]).sum())
     if overflowed:
         raise NonFiniteInput(f"{path}: {overflowed} finite value(s) beyond the float32 range")
     header = io.BytesIO()
@@ -254,8 +252,8 @@ def _layout(cls, **extra: str) -> str:
 
 # --- camera / homography JSON ---
 
+@_checked
 def rig_to_dict(rig: CameraRig) -> dict:
-    _object_field("rig_to_dict.rig", rig, CameraRig)
     return {
         "intrinsics": dataclasses.asdict(rig.intrinsics),
         "extrinsics": {k: v.tolist() for k, v in vars(rig.extrinsics).items()},
@@ -279,8 +277,8 @@ def load_rig(path: str | Path) -> CameraRig:
     return rig_from_dict(_read_json(path))
 
 
+@_checked
 def save_rig(rig: CameraRig, path: str | Path) -> None:
-    _object_field("save_rig.rig", rig, CameraRig)
     _write_file(path, _json_text(rig_to_dict(rig)))
 
 
@@ -306,6 +304,7 @@ def from_dict(cls, data):
 
 # --- lanes JSON ---
 
+@_checked
 def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> dict:
     """The lanes JSON object, checked as load_lanes checks it.
 
@@ -316,9 +315,6 @@ def lanes_to_dict(lanes: list[Lane3D], fits: list[FittedLane] | None = None) -> 
     The points are checked again because Lane3D.points can be reassigned;
     FittedLane leaves them unchecked for NaN, as the decoder makes one per lane.
     """
-    _object_list("lanes_to_dict.lanes", lanes, Lane3D)
-    if fits is not None:
-        _object_list("lanes_to_dict.fits", fits, FittedLane)
     if fits is not None and len(fits) != len(lanes):
         raise ShapeMismatch(f"lanes_to_dict.fits: {len(fits)} fit(s) for {len(lanes)} lane(s)")
     out = []
@@ -365,18 +361,16 @@ def load_lanes(path: str | Path) -> list[Lane3D]:
     return lanes_from_dict(_read_json(path))
 
 
+@_checked
 def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | None = None) -> None:
     """Write the lanes JSON (see lanes_to_dict), overwriting `path` in place (see _write_file)."""
-    _object_list("save_lanes.lanes", lanes, Lane3D)
-    if fits is not None:
-        _object_list("save_lanes.fits", fits, FittedLane)
     _write_file(path, _json_text(lanes_to_dict(lanes, fits)))
 
 
 # --- scene records ---
 
+@_checked
 def scene_to_dict(scene: SceneRecord) -> dict:
-    _object_field("scene_to_dict.scene", scene, SceneRecord)
     return {
         "camera": rig_to_dict(scene.rig),
         "lanes": lanes_to_dict(scene.lanes)["lanes"],
@@ -398,8 +392,8 @@ def load_scene(path: str | Path) -> SceneRecord:
     return scene_from_dict(_read_json(path))
 
 
+@_checked
 def save_scene(scene: SceneRecord, path: str | Path) -> None:
-    _object_field("save_scene.scene", scene, SceneRecord)
     _write_file(path, _json_text(scene_to_dict(scene)))
 
 
@@ -461,9 +455,9 @@ def parse_openlane_frame(json_text: str) -> SceneRecord:
     return SceneRecord(rig=rig, lanes=lanes, scene_tag=str(data.get("file_path", "")))
 
 
+@_checked
 def export_openlane_frame(scene: SceneRecord, file_path: str = "") -> str:
     """A scene as JSON text in the OpenLane per-frame layout (inverse of parse; see _json_text)."""
-    _object_field("export_openlane_frame.scene", scene, SceneRecord)
     rig = scene.rig
     rot = rig.extrinsics.rotation
     extrinsic = np.eye(4)
@@ -491,12 +485,13 @@ def export_openlane_frame(scene: SceneRecord, file_path: str = "") -> str:
 
 # --- PGM / PPM images ---
 
+@_checked
 def write_pnm(image: np.ndarray, path: str | Path) -> None:
     """Write a [0, 1] float image as binary PGM (2-D) or PPM (3-D, 3 channels),
     overwriting `path` in place (see _write_file).  Raises ShapeMismatch for
     any other shape and NonFiniteInput on NaN or infinity, naming the file;
     either way it writes nothing."""
-    img = _numbers("write_pnm.image", image).astype(float, copy=False)
+    img = image.astype(float, copy=False)
     if not (img.ndim == 2 or (img.ndim == 3 and img.shape[2] == 3)):
         raise ShapeMismatch(f"{path}: image must be HxW or HxWx3, got {img.shape}")
     if not np.isfinite(img).all():

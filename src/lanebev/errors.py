@@ -14,11 +14,11 @@ for a file's value its key path:
 
 Every number is checked by one predicate, `_number_type` (never a bool, a
 string or None), through `_scalar_field`, `_array_field` or `_numbers`, and
-every object argument by `_object_field` (a list of objects by
-`_object_list`), so a value of the wrong type is InvalidValue, never a bare
-Python error.  Each public dataclass field declares its rule once (`_Rule`),
-which `_Declared.__post_init__` applies in field order and the file readers
-and the CLI's --schema read.
+every object by `_object_field` (a list of objects by `_object_list`), so a
+value of the wrong type is InvalidValue, never a bare Python error.  Each
+public dataclass field declares its rule once (`_Rule`), which
+`_Declared.__post_init__` applies and the file readers and --schema read,
+and each function argument in its annotation and `_checked`'s bound.
 
 The other classes each name one fault that the rule above does not cover:
 
@@ -37,6 +37,8 @@ import dataclasses
 import functools
 import math
 import numbers
+import types
+import typing
 from dataclasses import MISSING
 from itertools import chain
 
@@ -174,7 +176,7 @@ def _interval(rule: str) -> tuple[float, float, bool, bool]:
 
 
 def _scalar_field(owner: str, value, rule: str = "finite", *, integer: bool = False) -> int | float:
-    """`value`, one number named `owner`, as an int when `integer`, else a float.
+    """`value`, one number named `owner`, a numpy scalar as an int when `integer`, else a float.
 
     Raises InvalidValue unless it is a number by the rule of _number_type,
     an integer when `integer` (numpy scalars taken), NonFiniteInput on NaN or
@@ -194,7 +196,7 @@ def _scalar_field(owner: str, value, rule: str = "finite", *, integer: bool = Fa
     low, high, low_in, high_in = _interval(rule)
     if not ((low <= number if low_in else low < number) and (number <= high if high_in else number < high)):
         raise InvalidValue(f"{owner}: must be {rule}, got {value!r}")
-    return number
+    return value if kind is int or kind is float else number
 
 
 def _ints_field(owner: str, value, length: int | None = None, rule: str = "positive") -> tuple[int, ...]:
@@ -224,19 +226,22 @@ def _object_list(owner: str, value, kind: type) -> None:
             _object_field(f"{owner}[{i}]", entry, kind)
 
 
-# --- field declarations ---
+# --- field and argument declarations ---
 
 @dataclasses.dataclass(frozen=True)
 class _Rule:
     """The rule of one dataclass field, declared in its metadata["rule"] by
-    _scalar, _ints, _array, _tuple, _instance or _instances: `kind` is
-    "scalar" (a number in `bounds`, an integer when `integer`), "ints"
-    (`shape[0]` integers in `bounds`, any number for None), "array" (of
-    `shape`, `dtype` and, when `finite`, finite values; a first dim naming
-    an earlier field stands for its shape), "tuple" (such an array of
-    floats, stored as a tuple), "object" (an instance of `cls`) or "list"
-    (a list or tuple of them), each checked by its helper above.  `none`
-    lets the field be None; `items` names a short list's entries for --schema."""
+    _scalar, _ints, _array, _tuple, _instance or _instances, or of one
+    argument, by its annotation (_argument_rule): `kind` is "scalar" (a
+    number in `bounds`, an integer when `integer`), "ints" (`shape[0]`
+    integers in `bounds`, any number for None), "array" (of `shape`,
+    `dtype` and, when `finite`, finite values; a first dim naming an
+    earlier field stands for its shape), "tuple" (such an array of floats,
+    stored as a tuple), "numbers" (an array), "object" (an instance of
+    `cls`), "list" (a list or tuple of them), "fixed" or "dict" (a tuple or
+    dict whose entries `entries` checks, as a list's when given), each by
+    its helper above.  `none` lets the value be None; `items` names a short
+    list's entries for --schema."""
 
     kind: str
     bounds: str = "finite"
@@ -247,24 +252,32 @@ class _Rule:
     cls: type | None = None
     none: bool = False
     items: str | None = None
+    entries: tuple = ()
 
-    def check(self, owner: str, value, obj):
-        """`value`, the field `owner` of `obj`, as the field stores it, or the rule's error."""
+    def check(self, owner: str, value, obj=None):
+        """`value`, the field or argument `owner` (of `obj`), as it is stored or
+        passed on (a number as a Python int or float), or the rule's error."""
         kind = self.kind
-        if value is None and self.none:
+        if value is None and self.none or kind == "object" and isinstance(value, self.cls):
             return value
         if kind == "array" or kind == "tuple":
             shape = getattr(obj, self.shape[0]).shape + self.shape[1:] if type(self.shape[0]) is str else self.shape
             arr = _array_field(owner, value, shape, finite=self.finite, dtype=self.dtype)
             return arr if kind == "array" else tuple(arr.tolist())
         if kind == "scalar":
-            _scalar_field(owner, value, self.bounds, integer=self.integer)
-        elif kind == "object":
-            _object_field(owner, value, self.cls)
-        elif kind == "list":
-            _object_list(owner, value, self.cls)
-        else:
+            return _scalar_field(owner, value, self.bounds, integer=self.integer)
+        if kind == "numbers":
+            return _numbers(owner, value)
+        if kind == "ints":
             return _ints_field(owner, value, self.shape[0], self.bounds)
+        if kind == "list":
+            _object_list(owner, value, self.cls)
+        else:  # "object", "fixed" or "dict"
+            _object_field(owner, value, self.cls)
+        if kind == "fixed" and len(value) != len(self.entries):
+            raise InvalidValue(f"{owner}: must hold {len(self.entries)} entries, got {len(value)}")
+        for key, entry in value.items() if kind == "dict" else enumerate(value) if self.entries else ():
+            self.entries[key if kind == "fixed" else 0].check(f"{owner}[{key!r}]", entry)
         return value
 
 
@@ -297,3 +310,63 @@ class _Declared:
             value = getattr(self, name)
             if name != skip and (checked := rule.check(owner, value, self)) is not value:
                 object.__setattr__(self, name, checked)
+
+
+def _argument_rule(annotation) -> _Rule | None:
+    """The rule an argument's annotation declares: a lanebev or numpy.random
+    class an "object", np.ndarray "numbers", float or int a "scalar",
+    `tuple[int, int]` "ints", `list[X]` a "list", `tuple[X, Y]` "fixed",
+    `dict[K, X]` a "dict" and `X | None` X's rule with `none`; else None."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is types.UnionType:  # X | None; the body checks any other union
+        rule = _argument_rule(args[0]) if args[1:] == (type(None),) else None
+        return rule and dataclasses.replace(rule, none=True)
+    if annotation is float or annotation is int:
+        return _Rule("scalar", integer=annotation is int)
+    if annotation is np.ndarray:
+        return _Rule("numbers")
+    if origin is tuple:
+        if args == (int, int):
+            return _Rule("ints", shape=(2,))
+        return _Rule("fixed", cls=tuple, entries=tuple(map(_argument_rule, args)))
+    if origin is list:
+        entry = _argument_rule(args[0])
+        return _Rule("list", cls=entry.cls, entries=() if entry.kind == "object" else (entry,))
+    if origin is dict:
+        return _Rule("dict", cls=dict, entries=(_argument_rule(args[1]),))
+    if getattr(annotation, "__module__", "").startswith(("lanebev.", "numpy.random")):  # not np.random, which imports it
+        return _Rule("object", cls=annotation)
+    return None
+
+
+def _checked(fn=None, /, **bounds):
+    """Decorator: each argument of `fn` whose annotation declares a rule
+    (_argument_rule) is checked by it, named `function.arg` or
+    `Class.method.arg`, unless left to its default, and `fn` gets the value
+    the check returns, as _Declared stores a field's.  A keyword gives a
+    bound stricter than "finite", in _Rule.bounds' words, such as
+    `@_checked(scale="positive")`.  The string annotations are resolved
+    once, by the first call or read of the wrapper's `_checks()`, which the
+    tooling reads: at import, np.random.Generator would import numpy.random."""
+    if fn is None:
+        return functools.partial(_checked, **bounds)
+
+    @functools.cache
+    def checks() -> list[tuple[int, str, str, _Rule]]:  # (position, name, owner, rule); *args would shift positions
+        rules = {name: r for name, text in fn.__annotations__.items() if name != "return" and (r := _argument_rule(eval(text, fn.__globals__)))}
+        for name, bound in bounds.items():  # a KeyError names a bound for no checked argument
+            rules[name] = dataclasses.replace(rules[name], bounds=bound)
+        return [(fn.__code__.co_varnames.index(name), name, f"{fn.__qualname__}.{name}", rule) for name, rule in rules.items()]
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        args = list(args)
+        for i, name, owner, rule in checks():
+            if i < len(args):
+                args[i] = rule.check(owner, args[i])
+            elif name in kwargs:
+                kwargs[name] = rule.check(owner, kwargs[name])
+        return fn(*args, **kwargs)
+
+    checked._checks = checks
+    return checked

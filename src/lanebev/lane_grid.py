@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue, ShapeMismatch, TooManyInstances
-from .errors import _array, _Declared, _object_field, _object_list, _scalar, _scalar_field
+from .errors import _array, _checked, _Declared, _scalar
 
 # Margins of the discriminative embedding loss: the pull loss lets a cell
 # lie DELTA_V from its lane's centre, the push loss drives centres
@@ -137,6 +137,7 @@ class GridTensors(_Declared):
         return self.confidence.shape
 
 
+@_checked
 def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensors:
     """Encode ground-truth lanes into the four supervision tensors.
 
@@ -149,8 +150,6 @@ def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensor
     Raises InvalidValue naming `encode_lanes.lanes` on an id that is not
     positive or that two lanes share, since the instance map would merge them.
     """
-    _object_list("encode_lanes.lanes", lanes, Lane3D)
-    _object_field("encode_lanes.spec", spec, GridSpec)
     ids = np.array([lane.id for lane in lanes], dtype=int)
     if np.any(ids <= 0):
         raise InvalidValue(f"encode_lanes.lanes: ids must be positive to encode, got {ids[ids <= 0][0]}")
@@ -185,6 +184,7 @@ def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensor
     return GridTensors(confidence=conf, offset=off, height=hgt, instance=inst)
 
 
+@_checked(n="non-negative", dim="non-negative")
 def simplex_vertices(n: int, dim: int) -> np.ndarray:
     """n points in R^dim with unit pairwise distance, centered at the origin.
 
@@ -202,6 +202,7 @@ def simplex_vertices(n: int, dim: int) -> np.ndarray:
     return out
 
 
+@_checked(embed_dim="non-negative")
 def ideal_prediction(gt: GridTensors, spec: GridSpec = GridSpec(), embed_dim: int = 4) -> GridTensors:
     """Build the prediction a perfectly trained head would output for `gt`.
 
@@ -209,13 +210,9 @@ def ideal_prediction(gt: GridTensors, spec: GridSpec = GridSpec(), embed_dim: in
     vertex of a regular simplex as its embedding, scaled so inter-class
     distance equals 2 * DELTA_D; background cells get the zero vector.
     Raises ShapeMismatch when `gt` has no instance tensor or another shape
-    than the grid, InvalidValue unless embed_dim is a non-negative integer,
-    and TooManyInstances when the instances exceed the simplex capacity
-    embed_dim + 1.
+    than the grid, and TooManyInstances when the instances exceed the
+    simplex capacity embed_dim + 1.
     """
-    _object_field("ideal_prediction.gt", gt, GridTensors)
-    _object_field("ideal_prediction.spec", spec, GridSpec)
-    _scalar_field("ideal_prediction.embed_dim", embed_dim, "non-negative", integer=True)
     if gt.instance is None:
         raise ShapeMismatch("ideal_prediction.gt: needs an instance tensor")
     if gt.shape != spec.shape:

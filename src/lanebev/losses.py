@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeMismatch, TooManyInstances
-from .errors import _array, _array_field, _Declared, _numbers, _object_field, _scalar, _scalar_field
+from .errors import _array, _array_field, _checked, _Declared, _scalar
 from .lane_grid import DELTA_D, DELTA_V, GridTensors
 
 _P_CLAMP = 1e-7
@@ -88,21 +88,21 @@ class FrontViewTruth(_Declared):
     instance: np.ndarray = _array(shape=("mask",), dtype=None)
 
 
+@_checked
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function as float64, computed in x's dtype from exp(-|x|),
     which never overflows: 1 / (1 + e) where x >= 0, else e / (1 + e).
-    Raises InvalidValue naming `sigmoid.x` unless x is numbers (see
-    errors._numbers); an ndarray is not copied."""
-    x = _numbers("sigmoid.x", x)
+    An ndarray is not copied."""
     e = np.exp(-np.abs(x))
     d = 1 + e
     return np.where(x >= 0, 1 / d, e / d).astype(float, copy=False)
 
 
+@_checked
 def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Summed BCE of sigmoid(raw) against targets, probabilities clamped to
     [1e-7, 1 - 1e-7]; gradient is w.r.t. raw and is 0 where the clamp is active."""
-    raw = _numbers("binary_cross_entropy.raw", raw).astype(float, copy=False)
+    raw = raw.astype(float, copy=False)
     target = _array_field("binary_cross_entropy.target", target, raw.shape, finite=False)
     p = sigmoid(raw)
     pc = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
@@ -111,21 +111,19 @@ def binary_cross_entropy(raw: np.ndarray, target: np.ndarray) -> tuple[float, np
     return float(value), grad
 
 
+@_checked
 def conf_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Confidence BCE over all cells; gradient w.r.t. raw_confidence."""
-    _object_field("conf_loss.pred", pred, PredictionBatch)
-    _object_field("conf_loss.gt", gt, GridTensors)
     _array_field("conf_loss.gt", gt.confidence, pred.raw_confidence.shape, finite=False)
     return binary_cross_entropy(pred.raw_confidence, gt.confidence)
 
 
+@_checked
 def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Masked squared error of sigmoid(raw_offset) - 0.5 against the GT offset.
 
     Background cells contribute nothing to value or gradient.
     """
-    _object_field("offset_loss.pred", pred, PredictionBatch)
-    _object_field("offset_loss.gt", gt, GridTensors)
     _array_field("offset_loss.gt", gt.offset, pred.raw_offset.shape, finite=False)
     mask = gt.confidence > 0.5
     s = sigmoid(pred.raw_offset)
@@ -135,10 +133,9 @@ def offset_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarr
     return value, grad
 
 
+@_checked
 def height_loss(pred: PredictionBatch, gt: GridTensors) -> tuple[float, np.ndarray]:
     """Masked squared height error in meters; gradient w.r.t. pred.height."""
-    _object_field("height_loss.pred", pred, PredictionBatch)
-    _object_field("height_loss.gt", gt, GridTensors)
     _array_field("height_loss.gt", gt.height, pred.height.shape, finite=False)
     mask = gt.confidence > 0.5
     resid = pred.height - gt.height
@@ -176,6 +173,7 @@ def _cluster_geometry(flat: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     return cells, member, counts, offset, np.sqrt((offset**2).sum(axis=1)), delta, np.sqrt((delta**2).sum(axis=2))
 
 
+@_checked
 def embed_loss(embedding: np.ndarray, instance: np.ndarray) -> tuple[float, np.ndarray]:
     """Discriminative pull-push loss over instance clusters.
 
@@ -221,11 +219,13 @@ def embed_loss(embedding: np.ndarray, instance: np.ndarray) -> tuple[float, np.n
     return value, grad.reshape(emb.shape)
 
 
+@_checked
 def seg_loss_2d(raw_seg: np.ndarray, mask: np.ndarray) -> tuple[float, np.ndarray]:
     """Front-view lane segmentation as pixelwise BCE; same contract as conf_loss."""
-    return binary_cross_entropy(_numbers("seg_loss_2d.raw_seg", raw_seg), mask)
+    return binary_cross_entropy(raw_seg, _array_field("seg_loss_2d.mask", mask, raw_seg.shape, finite=False))
 
 
+@_checked
 def total_loss(
     pred3d: PredictionBatch,
     gt3d: GridTensors,
@@ -235,13 +235,6 @@ def total_loss(
 ) -> float:
     """Weighted sum of the six loss terms.  Terms with weight 0 are skipped
     (so a zero-weight front-view pair may be omitted entirely)."""
-    _object_field("total_loss.pred3d", pred3d, PredictionBatch)
-    _object_field("total_loss.gt3d", gt3d, GridTensors)
-    if pred2d is not None:
-        _object_field("total_loss.pred2d", pred2d, FrontViewPrediction)
-    if gt2d is not None:
-        _object_field("total_loss.gt2d", gt2d, FrontViewTruth)
-    _object_field("total_loss.weights", weights, LossWeights)
     if (weights.w_seg2d > 0 or weights.w_embed2d > 0) and (pred2d is None or gt2d is None):
         raise ShapeMismatch(f"total_loss.{'pred2d' if pred2d is None else 'gt2d'}: the 2D terms need a front-view pair")
     total = 0.0
@@ -262,9 +255,10 @@ def total_loss(
     return float(total)
 
 
+@_checked
 def finite_difference_gradient(f, x: np.ndarray) -> np.ndarray:
     """Central finite differences, with step _FD_STEP, of a scalar function of an array."""
-    x = np.array(_numbers("finite_difference_gradient.x", x), dtype=float)  # a C-order copy, perturbed in place
+    x = x.astype(float, order="C")  # a copy, perturbed in place through its flat view
     grad = np.zeros_like(x)
     flat = x.reshape(-1)
     gflat = grad.reshape(-1)
@@ -302,6 +296,7 @@ def _hinge_kink_near(emb, inst) -> bool:
     )
 
 
+@_checked(seed="non-negative", batches="at least 1")
 def run_gradient_suite(seed: int = 0, batches: int = 20) -> dict[str, float]:
     """Compare every analytic gradient against central finite differences
     on random _CHECK_SHAPE batches; returns the max relative error per loss.
@@ -311,7 +306,6 @@ def run_gradient_suite(seed: int = 0, batches: int = 20) -> dict[str, float]:
     is not differentiable there.  At least one batch is required, since no
     batch would check nothing and still pass.
     """
-    _scalar_field("run_gradient_suite.batches", batches, "at least 1", integer=True)
     rng = np.random.default_rng(seed)
     worst = {k: 0.0 for k in ("conf", "offset", "height", "embed", "seg2d")}
 

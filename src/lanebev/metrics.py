@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidValue, _Declared, _numbers, _object_field, _object_list, _scalar, _tuple
+from .errors import EmptyInput, InvalidValue, _checked, _Declared, _scalar, _tuple
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -89,15 +89,14 @@ class EvalResult(_Declared):
         return asdict(self)
 
 
-def resample_lane(lane: Lane3D, xs) -> tuple[np.ndarray, np.ndarray]:
+@_checked
+def resample_lane(lane: Lane3D, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear interpolation of (x, y, z) at the given abscissae.
 
     Returns (points (N, 3), valid (N,)); samples outside the lane's x-span
     are flagged invalid (their y, z values are extrapolation artifacts and
     must not be used).
     """
-    _object_field("resample_lane.lane", lane, Lane3D)
-    xs = _numbers("resample_lane.xs", xs).astype(float, copy=False)
     valid = (xs >= lane.x[0]) & (xs <= lane.x[-1])
     y = np.interp(xs, lane.x, lane.y)
     z = np.interp(xs, lane.x, lane.z)
@@ -113,6 +112,7 @@ def _resample_all(lanes: list[Lane3D], xs: np.ndarray) -> tuple[np.ndarray, np.n
     return points, valid
 
 
+@_checked
 def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> Matching:
     """Optimal one-to-one assignment of predictions to ground truth.
 
@@ -121,9 +121,6 @@ def match_lanes(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalCo
     and pairs so far apart that the cost overflows, are infeasible and
     never become true positives.
     """
-    _object_list("match_lanes.preds", preds, Lane3D)
-    _object_list("match_lanes.gts", gts, Lane3D)
-    _object_field("match_lanes.cfg", cfg, EvalConfig)
     xs = np.asarray(cfg.sample_xs)
     pred_pts, pred_valid = _resample_all(preds, xs)
     gt_pts, gt_valid = _resample_all(gts, xs)
@@ -223,14 +220,13 @@ def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
+@_checked
 def evaluate(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Single-frame evaluation; see module docstring for the protocol."""
-    _object_list("evaluate.preds", preds, Lane3D)
-    _object_list("evaluate.gts", gts, Lane3D)
-    _object_field("evaluate.cfg", cfg, EvalConfig)
     return evaluate_frames([(preds, gts)], cfg)
 
 
+@_checked
 def evaluate_frames(
     frames: list[tuple[list[Lane3D], list[Lane3D]]],
     cfg: EvalConfig = EvalConfig(),
@@ -239,15 +235,8 @@ def evaluate_frames(
     prediction and ground-truth counts and the error sums per distance
     bucket are summed before the ratios are formed.  Raises EmptyInput when
     there are no frames; one frame with no lanes on either side scores 1."""
-    _object_list("evaluate_frames.frames", frames, tuple)
-    _object_field("evaluate_frames.cfg", cfg, EvalConfig)
     if not frames:
         raise EmptyInput("evaluate_frames needs at least one frame")
-    for k, frame in enumerate(frames):
-        if len(frame) != 2:
-            raise InvalidValue(f"evaluate_frames.frames[{k}]: must be a (preds, gts) pair, got {len(frame)} entries")
-        _object_list(f"evaluate_frames.frames[{k}][0]", frame[0], Lane3D)
-        _object_list(f"evaluate_frames.frames[{k}][1]", frame[1], Lane3D)
     near = np.asarray(cfg.sample_xs) <= cfg.near_limit
     tp = n_pred = n_gt = 0
     sums = np.zeros(4)  # x near, x far, z near, z far

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue, NonFiniteInput, ShapeMismatch
-from .errors import _array, _Declared, _numbers, _object_field, _object_list, _scalar, _tuple
+from .errors import _array, _checked, _Declared, _scalar, _tuple
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -81,15 +81,17 @@ class FittedLane(_Declared):
     z_coeffs: np.ndarray = _array(shape=(None,), finite=False)
     x_range: tuple[float, float] = _tuple(shape=(2,), finite=False)
 
-    def _t(self, x, owner: str):
+    def _t(self, x: np.ndarray) -> np.ndarray:
         a, b = self.x_range
-        return (2.0 * _numbers(owner, x).astype(float, copy=False) - (a + b)) / (b - a)
+        return (2.0 * x.astype(float, copy=False) - (a + b)) / (b - a)
 
-    def y(self, x):
-        return np.polynomial.polynomial.polyval(self._t(x, "FittedLane.y.x"), self.y_coeffs)
+    @_checked
+    def y(self, x: np.ndarray) -> np.ndarray:
+        return np.polynomial.polynomial.polyval(self._t(x), self.y_coeffs)
 
-    def z(self, x):
-        return np.polynomial.polynomial.polyval(self._t(x, "FittedLane.z.x"), self.z_coeffs)
+    @_checked
+    def z(self, x: np.ndarray) -> np.ndarray:
+        return np.polynomial.polynomial.polyval(self._t(x), self.z_coeffs)
 
 
 def _rounding_bound(vals: np.ndarray) -> float:
@@ -271,6 +273,7 @@ def _cluster_scan(vals: np.ndarray, d_gap: float) -> tuple[np.ndarray, np.ndarra
     return assign, sums[:k, dim].astype(np.int64)
 
 
+@_checked
 def decode_grid(
     pred: GridTensors,
     spec: GridSpec = GridSpec(),
@@ -284,9 +287,6 @@ def decode_grid(
     (ids are not renumbered).  Raises NonFiniteInput when a cell that passes
     the confidence gate has a NaN or infinite embedding.
     """
-    _object_field("decode_grid.pred", pred, GridTensors)
-    _object_field("decode_grid.spec", spec, GridSpec)
-    _object_field("decode_grid.params", params, DecodeParams)
     if pred.embedding is None:
         raise ShapeMismatch("decode_grid.pred: needs an embedding")
     if pred.shape != spec.shape:
@@ -332,6 +332,7 @@ def _fit_lane(lane: Lane3D, degree: int) -> FittedLane:
     return FittedLane(y_coeffs=coeffs[:, 0], z_coeffs=coeffs[:, 1], x_range=(lo, hi))
 
 
+@_checked
 def fit_lanes(instances: list[LaneInstance], params: DecodeParams = DecodeParams()) -> list[FittedLane]:
     """Fit y(x) and z(x) per instance on one point per grid row.
 
@@ -342,11 +343,10 @@ def fit_lanes(instances: list[LaneInstance], params: DecodeParams = DecodeParams
     transform.  An instance that spans fewer than 2 distinct x is refused by
     Lane3D(id=cluster_id + 1), as decode_lanes names it.
     """
-    _object_list("fit_lanes.instances", instances, LaneInstance)
-    _object_field("fit_lanes.params", params, DecodeParams)
     return [_fit_lane(Lane3D(points=inst.points, id=inst.cluster_id + 1), params.fit_degree) for inst in instances]
 
 
+@_checked
 def decode_lanes(
     pred: GridTensors,
     spec: GridSpec = GridSpec(),
@@ -359,9 +359,6 @@ def decode_lanes(
     cluster becomes Lane3D(id=cluster_id + 1), keeping the first cell in
     scan order of each row, and is fitted from it, bit for bit as fit_lanes.
     """
-    _object_field("decode_lanes.pred", pred, GridTensors)
-    _object_field("decode_lanes.spec", spec, GridSpec)
-    _object_field("decode_lanes.params", params, DecodeParams)
     instances = [inst for inst in decode_grid(pred, spec, params) if np.ptp(inst.points[:, 0]) > 0]
     lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
     return lanes, [_fit_lane(lane, params.fit_degree) for lane in lanes]

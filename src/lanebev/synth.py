@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
 from .errors import InvalidValue, ShapeMismatch
-from .errors import _Declared, _instance, _instances, _numbers, _object_field, _scalar, _scalar_field, _tuple
+from .errors import _checked, _Declared, _instance, _instances, _scalar, _tuple
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -79,6 +79,7 @@ def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
+@_checked
 def jittered_rig(rng: np.random.Generator, rot_deg: float, trans_m: float) -> CameraRig:
     """Canonical rig with a random small pose perturbation.
 
@@ -86,7 +87,6 @@ def jittered_rig(rng: np.random.Generator, rot_deg: float, trans_m: float) -> Ca
     axis, the angle and the shift) are consumed regardless of magnitude so
     scenes stay reproducible when only the jitter amplitudes change.
     """
-    _object_field("jittered_rig.rng", rng, np.random.Generator)
     base = canonical_rig()
     axis = rng.normal(size=3)
     angle = rng.uniform(-1.0, 1.0) * np.deg2rad(rot_deg)
@@ -105,9 +105,9 @@ def jittered_rig(rng: np.random.Generator, rot_deg: float, trans_m: float) -> Ca
     )
 
 
+@_checked
 def generate_scene(params: SceneParams) -> SceneRecord:
     """Deterministically build lanes and a jittered rig from the seed."""
-    _object_field("generate_scene.params", params, SceneParams)
     rng = np.random.default_rng(params.seed)
     c2 = rng.uniform(params.curvature[0], params.curvature[1])
     rig = jittered_rig(rng, *params.camera_jitter)
@@ -125,6 +125,7 @@ def generate_scene(params: SceneParams) -> SceneRecord:
     return SceneRecord(rig=rig, lanes=lanes, scene_tag=tag)
 
 
+@_checked(out_size="non-negative")
 def render_ground_pattern(
     rig: CameraRig,
     pattern: np.ndarray,
@@ -148,20 +149,14 @@ def render_ground_pattern(
     on the ground ahead of the camera, are sampled; any other gives +0.0,
     and so does every pixel when the camera centre lies on the ground plane
     (G is singular).  `out_size` is (width, height), default the rig's; a
-    size that is not two non-negative integers raises InvalidValue naming
-    `render_ground_pattern.out_size`, a `rig` that is not a CameraRig or a
-    `spec` that is not a GridSpec InvalidValue naming it, and a pattern
-    that is not 2-D or 3-D ShapeMismatch naming
+    pattern that is not 2-D or 3-D raises ShapeMismatch naming
     `render_ground_pattern.pattern`.
     """
-    _object_field("render_ground_pattern.rig", rig, CameraRig)
-    _object_field("render_ground_pattern.spec", spec, GridSpec)
-    pat = _numbers("render_ground_pattern.pattern", pattern).astype(float, copy=False)
-    if pat.ndim not in (2, 3):
-        raise ShapeMismatch(f"render_ground_pattern.pattern: must be 2-D or 3-D, got shape {pat.shape}")
+    if pattern.ndim not in (2, 3):
+        raise ShapeMismatch(f"render_ground_pattern.pattern: must be 2-D or 3-D, got shape {pattern.shape}")
     # An empty pattern samples nothing; max() keeps its steps finite.
-    dx = (spec.x_max - spec.x_min) / max(pat.shape[0], 1)
-    dy = (spec.y_max - spec.y_min) / max(pat.shape[1], 1)
+    dx = (spec.x_max - spec.x_min) / max(pattern.shape[0], 1)
+    dy = (spec.y_max - spec.y_min) / max(pattern.shape[1], 1)
     to_ground = np.array([[0.0, dx, spec.x_min + 0.5 * dx], [dy, 0.0, spec.y_min + 0.5 * dy], [0.0, 0.0, 1.0]])
     g = _ground_homography(rig)
     try:
@@ -170,25 +165,17 @@ def render_ground_pattern(
         ginv = np.full((3, 3), np.nan)
     hinv = np.linalg.inv(to_ground) @ ginv
     size = out_size if out_size is not None else rig.image_size
-    return _homography_sample(pat, g @ to_ground, hinv, size, "render_ground_pattern", 1.0 / _MIN_DEPTH)
+    return _homography_sample(pattern, g @ to_ground, hinv, size, 1.0 / _MIN_DEPTH)
 
 
+@_checked(square_x="positive", square_y="positive", px_per_cell="positive")
 def checkerboard(
     spec: GridSpec = GridSpec(),
     square_x: float = 20.0,
     square_y: float = 4.0,
     px_per_cell: int = 1,
 ) -> np.ndarray:
-    """BEV checkerboard pattern in [0, 1]; square sizes in meters.
-
-    Raises InvalidValue naming `checkerboard.<arg>` unless `spec` is a
-    GridSpec, the square sizes are positive and px_per_cell a positive
-    integer, and NonFiniteInput on a NaN or infinite square size.
-    """
-    _object_field("checkerboard.spec", spec, GridSpec)
-    square_x = _scalar_field("checkerboard.square_x", square_x, "positive")
-    square_y = _scalar_field("checkerboard.square_y", square_y, "positive")
-    px_per_cell = _scalar_field("checkerboard.px_per_cell", px_per_cell, "positive", integer=True)
+    """BEV checkerboard pattern in [0, 1]; square sizes in meters."""
     rows = spec.rows * px_per_cell
     cols = spec.cols * px_per_cell
     x = spec.x_min + (np.arange(rows) + 0.5) * (spec.x_max - spec.x_min) / rows

@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
 from .errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
-from .errors import _array, _Declared, _ints, _ints_field, _number_type, _object_field, _object_list, _scalar, _scalar_field
+from .errors import _array, _checked, _Declared, _ints, _number_type, _scalar
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -103,6 +103,7 @@ class PyramidSpec(_Declared):
             raise InvalidValue(f"PyramidSpec.scales: must be distinct, got {self.scales}")
 
 
+@_checked(fv_shape="positive", scale="positive", bev_shape="positive")
 def build_ipm_sampling_map(
     virtual_rig: CameraRig,
     fv_shape: tuple[int, int],
@@ -116,16 +117,10 @@ def build_ipm_sampling_map(
     coordinate is divided by `scale` and bilinear weights are deposited on
     the surrounding front-view feature pixels.  Cells that project behind
     the camera or outside the feature plane get an all-zero row, so every
-    row sums to exactly 1 or 0.  Raises InvalidValue naming
-    `build_ipm_sampling_map.<arg>` unless `virtual_rig` is a CameraRig,
-    `bev_spec` a GridSpec, `scale` a positive integer and each shape two
-    positive integers.
+    row sums to exactly 1 or 0.
     """
-    _object_field("build_ipm_sampling_map.virtual_rig", virtual_rig, CameraRig)
-    _object_field("build_ipm_sampling_map.bev_spec", bev_spec, GridSpec)
-    fv_h, fv_w = _ints_field("build_ipm_sampling_map.fv_shape", fv_shape, 2)
-    scale = _scalar_field("build_ipm_sampling_map.scale", scale, "positive", integer=True)
-    s1, s2 = _ints_field("build_ipm_sampling_map.bev_shape", bev_shape, 2)
+    fv_h, fv_w = fv_shape
+    s1, s2 = bev_shape
     cell_x = (bev_spec.x_max - bev_spec.x_min) / s1
     cell_y = (bev_spec.y_max - bev_spec.y_min) / s2
 
@@ -145,14 +140,9 @@ def build_ipm_sampling_map(
     return ViewRelationMap(matrix=matrix, fv_shape=(fv_h, fv_w), bev_shape=(s1, s2))
 
 
+@_checked
 def apply_vrm(vrm: ViewRelationMap, fv: FeatureTensor) -> FeatureTensor:
-    """Apply the operator channel-by-channel: flatten, multiply, reshape.
-
-    Raises InvalidValue naming `apply_vrm.vrm` or `apply_vrm.fv` unless they
-    are a ViewRelationMap and a FeatureTensor.
-    """
-    _object_field("apply_vrm.vrm", vrm, ViewRelationMap)
-    _object_field("apply_vrm.fv", fv, FeatureTensor)
+    """Apply the operator channel-by-channel: flatten, multiply, reshape."""
     if fv.hw != vrm.fv_shape:
         raise ShapeMismatch(f"apply_vrm.fv: shape {fv.hw} differs from the map's fv_shape {vrm.fv_shape}")
     flat = fv.data.reshape(-1, fv.channels)  # (HW_fv, C), row-major
@@ -160,6 +150,7 @@ def apply_vrm(vrm: ViewRelationMap, fv: FeatureTensor) -> FeatureTensor:
     return FeatureTensor(data=bev.reshape(vrm.bev_shape + (fv.channels,)), scale=fv.scale)
 
 
+@_checked
 def apply_pyramid(
     maps: dict[int, ViewRelationMap],
     features: dict[int, FeatureTensor],
@@ -180,19 +171,13 @@ def apply_pyramid(
     alive until another pyramid is applied.  Any other pyramid (a dense
     fitted map, a sparse map in another format, or unequal channel counts)
     writes each scale's apply_vrm into its channel slice of one
-    preallocated (s1, s2, sum of channels) output.  Every argument and
-    shape is checked on every call, before any product is made; an
-    argument or entry of the wrong type, such as `apply_pyramid.maps[8]`,
-    raises InvalidValue naming it.
+    preallocated (s1, s2, sum of channels) output.  Every entry of `maps`
+    and `features`, also under a scale the spec does not name, and every
+    shape are checked on every call, before any product is made.
     """
-    _object_field("apply_pyramid.spec", spec, PyramidSpec)
-    _object_field("apply_pyramid.maps", maps, dict)
-    _object_field("apply_pyramid.features", features, dict)
     for scale in spec.scales:
         if scale not in maps or scale not in features:
             raise ShapeMismatch(f"apply_pyramid.{'maps' if scale not in maps else 'features'}: nothing for scale {scale}")
-        _object_field(f"apply_pyramid.maps[{scale}]", maps[scale], ViewRelationMap)
-        _object_field(f"apply_pyramid.features[{scale}]", features[scale], FeatureTensor)
         if maps[scale].bev_shape != spec.bev_shape:
             raise ShapeMismatch(
                 f"apply_pyramid.maps: scale {scale} outputs {maps[scale].bev_shape}, the spec wants {spec.bev_shape}"
@@ -248,6 +233,7 @@ def _interleaved_operator(matrices: list[sparse.csr_array]) -> sparse.csr_array:
     return sparse.csr_array((data, indices, indptr), shape=shape)
 
 
+@_checked(ridge="non-negative")
 def fit_vrm_least_squares(
     samples: list[tuple[FeatureTensor, FeatureTensor]],
     ridge: float = 0.0,
@@ -260,19 +246,11 @@ def fit_vrm_least_squares(
     regularizing when there are fewer pairs than front-view pixels (or the
     design matrix is rank-deficient).  For ill-posed fits a ridge around
     1e-6 times the mean diagonal of X^T X is a reasonable starting point;
-    the value given here is used as-is, never rescaled.  A NaN or infinite
-    ridge raises NonFiniteInput, and one that is negative or not a real
-    number InvalidValue, both naming `ridge`; no samples raise EmptyInput,
-    and a sample holding NaN or infinity NonFiniteInput naming it.
+    the value given here is used as-is, never rescaled.  No samples raise
+    EmptyInput, and a sample holding NaN or infinity NonFiniteInput naming it.
     """
-    _scalar_field("fit_vrm_least_squares.ridge", ridge, "non-negative")
-    _object_list("fit_vrm_least_squares.samples", samples, tuple)
     if not samples:
         raise EmptyInput("fit_vrm_least_squares.samples: needs at least one sample")
-    for i, pair in enumerate(samples):
-        _object_list(f"fit_vrm_least_squares.samples[{i}]", pair, FeatureTensor)
-        if len(pair) != 2:
-            raise InvalidValue(f"fit_vrm_least_squares.samples[{i}]: must be a (front-view, BEV) pair, got {len(pair)} entries")
     fv_shape = samples[0][0].hw
     bev_shape = samples[0][1].hw
     xs = []

@@ -445,8 +445,9 @@ class TestBilinearSampler:
         assert out.tolist() == [1.75, 2.5, 0.0, 0.0, 4.0]
 
     def test_rejects_non_image(self):
+        # the rank rule is warp_image's own, as render_ground_pattern's is; the kernel takes what they pass
         with pytest.raises(ShapeMismatch, match=r"^warp_image\.image: must be 2-D or 3-D"):
-            sample_points(np.zeros(4), np.zeros(2), np.zeros(2))
+            warp_image(np.zeros(4), Homography(), (2, 1))
 
 
 class TestTypes:

@@ -33,7 +33,7 @@ from lanebev.errors import (
     TensorFormatError,
 )
 from lanebev.lane_grid import GridSpec, Lane3D, encode_lanes, ideal_prediction
-from lanebev.metrics import EvalConfig
+from lanebev.metrics import EvalConfig, EvalResult
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, decode_lanes, fit_lanes
 from lanebev.synth import SceneParams, canonical_rig, generate_scene, jittered_rig
 
@@ -679,6 +679,23 @@ class TestCameraJson:
         assert back.intrinsics == rig.intrinsics and back.image_size == rig.image_size
         for name in ("rotation", "translation"):
             assert getattr(back.extrinsics, name).tobytes() == getattr(rig.extrinsics, name).tobytes()
+
+    @pytest.mark.parametrize("number", [np.float32(1000.0), np.float64(1000.0), np.int64(1000), 1000.0, 1000])
+    def test_a_numpy_scalar_is_written_as_the_python_number_of_its_value(self, tmp_path, number):
+        # a numpy scalar once reached json.dumps as given and raised a bare
+        # TypeError; a Python number keeps its own text, 1000 as `1000`
+        base = canonical_rig()
+        rig = CameraRig(Intrinsics(number, number, 512.0, 288.0), base.extrinsics, base.image_size)
+        assert type(rig.intrinsics.fx) is (type(number) if type(number) in (int, float) else float)
+        data_io.save_rig(rig, tmp_path / "cam.json")
+        text = (tmp_path / "cam.json").read_text()
+        assert f'"fx": {1000 if type(number) is int else 1000.0}, ' in text
+        assert data_io.load_rig(tmp_path / "cam.json").intrinsics == rig.intrinsics
+
+    def test_a_numpy_scalar_in_a_result_is_written_as_its_python_number(self):
+        result = EvalResult(np.float32(0.5), np.float64(0.5), 0.5, None, None, None, None, np.int64(2), 4, 4)
+        assert data_io._json_text(result.to_dict()) == data_io._json_text(EvalResult(0.5, 0.5, 0.5, None, None, None, None, 2, 4, 4).to_dict())
+        assert type(result.tp) is int and type(result.f_score) is float
 
     def test_schema_fields(self, tmp_path):
         path = tmp_path / "cam.json"

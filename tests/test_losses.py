@@ -13,6 +13,7 @@ from lanebev.losses import (
     PredictionBatch,
     conf_loss,
     embed_loss,
+    finite_difference_gradient,
     height_loss,
     offset_loss,
     run_gradient_suite,
@@ -497,3 +498,26 @@ def test_sigmoid_refuses_what_is_not_numbers_naming_its_argument(x):
 def test_gradient_suite_refuses_no_batches(batches):
     with pytest.raises(InvalidValue, match=r"^run_gradient_suite\.batches: must be at least 1"):
         run_gradient_suite(batches=batches)
+
+
+@pytest.mark.parametrize("seed", ["a", 1.5, -1, True])
+def test_gradient_suite_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # once a bare TypeError or ValueError from numpy's default_rng
+    with pytest.raises(InvalidValue, match=r"^run_gradient_suite\.seed: "):
+        run_gradient_suite(seed=seed, batches=1)
+
+
+@pytest.mark.parametrize("mask", ["a", np.ones((2, 2), dtype=bool), np.ones((3, 3))], ids=["word", "bool", "shape"])
+def test_seg_loss_2d_names_its_own_mask(mask):
+    # once refused as binary_cross_entropy.target, an argument the caller never passed
+    with pytest.raises((InvalidValue, ShapeMismatch), match=r"^seg_loss_2d\.mask: "):
+        seg_loss_2d(np.zeros((2, 2)), mask)
+
+
+def test_finite_differences_of_a_fortran_order_array_perturb_it():
+    # np.array kept the input's Fortran order, so the flat view that the
+    # differences perturb was a copy and every derivative read 0
+    weights = np.arange(6.0).reshape(2, 3)
+    x = np.asfortranarray(np.ones((2, 3)))
+    grad = finite_difference_gradient(lambda a: float((a * weights).sum()), x)
+    assert np.allclose(grad, weights, atol=1e-6)

@@ -2,16 +2,18 @@
 package writes files through one writer only, reads none through numpy's
 loaders or pickle, writes JSON text through one encoder call, raises and
 never warns, refuses a value with its own error classes, each message
-naming the field, and converts no argument of a public function with
-numpy; every field of every public dataclass declares its rule, and the
-tables below read the declarations; every field refuses a value of the
-wrong type, an array field a wrong shape, NaN, a bool or a numeric string,
-and so does every checked argument and every entry of a checked list; no
-public function leaves an object argument unchecked; and no CLI flag
-re-spells a config file's field."""
+naming the field, and neither converts nor checks an argument of a function
+by hand; every field of every public dataclass and every argument whose
+annotation declares a rule goes through its declaration, which the tables
+below read; every field refuses a value of the wrong type, an array field a
+wrong shape, NaN, a bool or a numeric string, and so does every declared
+argument and every entry of a declared list or dict; every public function
+keeps its name and signature; and no CLI flag re-spells a config file's
+field."""
 
 import ast
 import dataclasses
+import importlib
 import inspect
 import os
 import re
@@ -25,11 +27,19 @@ import pytest
 
 import lanebev
 from lanebev import data_io
-from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, project_ground_points
+from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, bilinear_operator, project_ground_points
 from lanebev.cli import _COMMANDS
-from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
-from lanebev.lane_grid import GridSpec, GridTensors, Lane3D
-from lanebev.losses import FrontViewPrediction, FrontViewTruth, PredictionBatch, binary_cross_entropy, sigmoid
+from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch, _interval
+from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, simplex_vertices
+from lanebev.losses import (
+    FrontViewPrediction,
+    FrontViewTruth,
+    PredictionBatch,
+    binary_cross_entropy,
+    finite_difference_gradient,
+    run_gradient_suite,
+    sigmoid,
+)
 from lanebev.metrics import EvalConfig, EvalResult
 from lanebev.postproc import DecodeParams, FittedLane, LaneInstance
 from lanebev.synth import SceneParams, SceneRecord, canonical_rig, checkerboard, jittered_rig
@@ -37,6 +47,11 @@ from lanebev.view_transform import FeatureTensor, PyramidSpec, ViewRelationMap
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+# Every module of the package, and every class they define
+MODULES = [importlib.import_module(f"lanebev.{path.stem}") for path in sorted((ROOT / "src" / "lanebev").glob("[!_]*.py"))]
+LANEBEV_CLASSES = {
+    name for module in MODULES for name, obj in vars(module).items() if inspect.isclass(obj) and obj.__module__ == module.__name__
+}
 
 
 def test_falsified_property_is_reported_and_the_session_goes_on(tmp_path):
@@ -289,6 +304,61 @@ def test_the_conversion_scan_finds_each_converted_argument():
     assert argument_conversions(source) == ["line 5: sigmoid", "line 8: apply", "line 8: apply"]
 
 
+ARGUMENT_CHECKERS = ("_object_field", "_object_list", "_scalar_field", "_ints_field", "_numbers")
+
+
+def argument_checks(source: str) -> list[str]:
+    """Each call in `source` of an argument checker (ARGUMENT_CHECKERS) whose
+    value, its second argument, is a parameter of the function holding the
+    call, or an entry of one (`maps[scale]`)."""
+    found = []
+    for node, fn in in_functions(source):
+        func = node.func if fn and isinstance(node, ast.Call) and len(node.args) > 1 else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ARGUMENT_CHECKERS:
+            value = node.args[1]
+            while isinstance(value, ast.Subscript):
+                value = value.value
+            params = {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+            if isinstance(value, ast.Name) and value.id in params:
+                found.append(f"line {node.lineno}: {name} in {fn.name}")
+    return found
+
+
+def test_the_argument_check_scan_finds_each_hand_written_check():
+    # the head of decode_grid before its arguments were declared, and calls
+    # on an entry of an argument, on a local and on an attribute
+    source = textwrap.dedent(
+        """
+        def decode_grid(
+            pred: GridTensors,
+            spec: GridSpec = GridSpec(),
+            params: DecodeParams = DecodeParams(),
+        ) -> list[LaneInstance]:
+            \"\"\"Turn prediction-side grid tensors into instance-level 3D lanes.\"\"\"
+            _object_field("decode_grid.pred", pred, GridTensors)
+            _object_field("decode_grid.spec", spec, GridSpec)
+            _object_field("decode_grid.params", params, DecodeParams)
+            if pred.embedding is None:
+                raise ShapeMismatch("decode_grid.pred: needs an embedding")
+
+        def apply_pyramid(maps, features, spec):
+            for scale in spec.scales:
+                errors._object_field(f"apply_pyramid.maps[{scale}]", maps[scale], ViewRelationMap)
+                frame = features[scale]
+                _object_list("apply_pyramid.features", frame, FeatureTensor)
+                _numbers("apply_pyramid.spec", spec.scales)
+                _array_field("apply_pyramid.features", features, (None,))
+        """
+    )
+    assert argument_checks(source) == [
+        "line 8: _object_field in decode_grid",
+        "line 9: _object_field in decode_grid",
+        "line 10: _object_field in decode_grid",
+        "line 16: _object_field in apply_pyramid",
+    ]
+
+
 GENERIC_ERRORS = ("ValueError", "TypeError", "RuntimeError")
 
 
@@ -437,6 +507,9 @@ MODULE_SCANS = {
     # np.asarray reads a bool as 1, a numeric string as a number and a word
     # as a string; errors._numbers refuses each, naming `function.arg`
     "argument conversion": lambda source, name: [] if name == "errors.py" else argument_conversions(source),
+    # An argument's rule is its annotation and errors._checked's bound, applied
+    # by the decorator; a body checks only the rules across arguments
+    "argument check": lambda source, name: [] if name == "errors.py" else argument_checks(source),
     # A refusal is a LaneBevError, which callers tell from a bug; metrics._assign
     # raises ValueError on no finite assignment, as scipy's linear_sum_assignment
     "generic raise": lambda source, name: generic_raises(source, ("_assign",) if name == "metrics.py" else ()),
@@ -669,90 +742,123 @@ _LOSS_ARGS = {
     "pred2d": FrontViewPrediction(raw_seg=_Z2, embedding=_Z3),
     "gt2d": FrontViewTruth(mask=_Z2, instance=_Z2),
 }
-# A valid call of each function whose size, scale or object arguments are
-# checked, and those arguments; the wrong values are WRONG_TYPES and NaN
-CHECKED_ARGS = {
-    lanebev.build_ipm_sampling_map: (
-        {"virtual_rig": canonical_rig(), "fv_shape": (36, 64), "scale": 16},
-        ("virtual_rig", "scale", "fv_shape", "bev_spec", "bev_shape"),
-    ),
-    lanebev.warp_image: ({"image": np.ones((3, 4)), "h": Homography(), "out_size": (4, 3)}, ("h", "out_size")),
-    lanebev.render_ground_pattern: ({"rig": canonical_rig(), "pattern": np.ones((5, 4)), "out_size": (4, 3)}, ("rig", "spec", "out_size")),
-    checkerboard: ({}, ("spec", "square_x", "square_y", "px_per_cell")),
-    lanebev.compute_homography: ({"src": canonical_rig(), "dst": canonical_rig()}, ("src", "dst")),
-    lanebev.apply_vrm: ({"vrm": _PYRAMID["maps"][8], "fv": _PYRAMID["features"][8]}, ("vrm", "fv")),
-    lanebev.apply_pyramid: (_PYRAMID, ("maps", "features", "spec")),
-    lanebev.decode_grid: ({"pred": _IDEAL, "spec": _SPEC}, ("pred", "spec", "params")),
-    lanebev.decode_lanes: ({"pred": _IDEAL, "spec": _SPEC}, ("pred", "spec", "params")),
-    lanebev.fit_lanes: ({"instances": [_INSTANCE]}, ("params",)),
-    lanebev.encode_lanes: ({"lanes": [_LANE], "spec": _SPEC}, ("spec",)),
-    lanebev.ideal_prediction: ({"gt": _GT, "spec": _SPEC}, ("gt", "spec", "embed_dim")),
-    lanebev.evaluate: ({"preds": [_LANE], "gts": [_LANE]}, ("cfg",)),
-    lanebev.evaluate_frames: ({"frames": [([_LANE], [_LANE])]}, ("cfg",)),
-    lanebev.match_lanes: ({"preds": [_LANE], "gts": [_LANE]}, ("cfg",)),
-    lanebev.resample_lane: ({"lane": _LANE, "xs": [3.0, 5.0]}, ("lane",)),
-    # None for a front-view argument is the ShapeMismatch of a missing pair
-    lanebev.total_loss: (_LOSS_ARGS, ("pred3d", "gt3d", "pred2d", "gt2d", "weights")),
-    lanebev.conf_loss: ({"pred": _LOSS_ARGS["pred3d"], "gt": _LOSS_ARGS["gt3d"]}, ("pred", "gt")),
-    lanebev.offset_loss: ({"pred": _LOSS_ARGS["pred3d"], "gt": _LOSS_ARGS["gt3d"]}, ("pred", "gt")),
-    lanebev.height_loss: ({"pred": _LOSS_ARGS["pred3d"], "gt": _LOSS_ARGS["gt3d"]}, ("pred", "gt")),
-    lanebev.project_ground_point: ({"rig": canonical_rig(), "x": 10.0, "y": 0.0}, ("rig",)),
-    lanebev.generate_scene: ({"params": SceneParams()}, ("params",)),
-    jittered_rig: ({"rng": np.random.default_rng(0), "rot_deg": 1.0, "trans_m": 1.0}, ("rng",)),
-    data_io.rig_to_dict: ({"rig": canonical_rig()}, ("rig",)),
-    data_io.save_rig: ({"rig": canonical_rig(), "path": os.devnull}, ("rig",)),
-    data_io.scene_to_dict: ({"scene": _SCENE}, ("scene",)),
-    data_io.save_scene: ({"scene": _SCENE, "path": os.devnull}, ("scene",)),
-    data_io.export_openlane_frame: ({"scene": _SCENE}, ("scene",)),
+_PAIR = {"pred": _LOSS_ARGS["pred3d"], "gt": _LOSS_ARGS["gt3d"]}
+
+
+def declared(fn) -> dict:
+    """The rule of each argument that errors._checked checks for `fn`, by name; none for an unchecked function."""
+    return {name: rule for _, name, _, rule in fn._checks()} if hasattr(fn, "_checks") else {}
+
+
+# A valid call of every function whose arguments are declared (errors._checked).
+# Which arguments it checks, by which rule, is read from its declarations
+# (`declared()`), as RULES reads the fields'
+VALID_CALLS = {
+    Homography().apply: {"points": np.zeros((2, 2))},
+    lanebev.project_ground_point: {"rig": canonical_rig(), "x": 10.0, "y": 0.0},
+    project_ground_points: {"rig": canonical_rig(), "points_xy": np.array([[10.0, 0.0]])},
+    lanebev.mean_virtual_camera: {"rigs": [canonical_rig()]},
+    lanebev.compute_homography: {"src": canonical_rig(), "dst": canonical_rig()},
+    lanebev.warp_image: {"image": np.ones((3, 4)), "h": Homography(), "out_size": (4, 3)},
+    bilinear_operator: {"sx": np.zeros(2), "sy": np.zeros(2), "src_shape": (2, 2)},
+    data_io.write_tensor: {"array": np.ones((2, 2)), "path": os.devnull},
+    data_io.rig_to_dict: {"rig": canonical_rig()},
+    data_io.save_rig: {"rig": canonical_rig(), "path": os.devnull},
+    data_io.lanes_to_dict: {"lanes": [_LANE], "fits": [_FIT]},
+    data_io.save_lanes: {"lanes": [_LANE], "path": os.devnull, "fits": [_FIT]},
+    data_io.scene_to_dict: {"scene": _SCENE},
+    data_io.save_scene: {"scene": _SCENE, "path": os.devnull},
+    data_io.export_openlane_frame: {"scene": _SCENE},
+    data_io.write_pnm: {"image": np.ones((2, 2)), "path": os.devnull},
+    lanebev.encode_lanes: {"lanes": [_LANE], "spec": _SPEC},
+    simplex_vertices: {"n": 2, "dim": 2},
+    lanebev.ideal_prediction: {"gt": _GT, "spec": _SPEC},
+    sigmoid: {"x": np.zeros((2, 2))},
+    binary_cross_entropy: {"raw": np.zeros((2, 2)), "target": np.ones((2, 2))},
+    lanebev.conf_loss: _PAIR,
+    lanebev.offset_loss: _PAIR,
+    lanebev.height_loss: _PAIR,
+    lanebev.embed_loss: {"embedding": _Z3, "instance": _Z2},
+    lanebev.seg_loss_2d: {"raw_seg": np.zeros((2, 2)), "mask": np.ones((2, 2))},
+    lanebev.total_loss: _LOSS_ARGS,
+    finite_difference_gradient: {"f": np.sum, "x": np.zeros(2)},
+    run_gradient_suite: {"seed": 0, "batches": 1},
+    lanebev.resample_lane: {"lane": _LANE, "xs": np.array([3.0, 5.0])},
+    lanebev.match_lanes: {"preds": [_LANE], "gts": [_LANE]},
+    lanebev.evaluate: {"preds": [_LANE], "gts": [_LANE]},
+    lanebev.evaluate_frames: {"frames": [([_LANE], [_LANE])]},
+    _FIT.y: {"x": np.array([3.0, 5.0])},
+    _FIT.z: {"x": np.array([3.0, 5.0])},
+    lanebev.decode_grid: {"pred": _IDEAL, "spec": _SPEC},
+    lanebev.fit_lanes: {"instances": [_INSTANCE]},
+    lanebev.decode_lanes: {"pred": _IDEAL, "spec": _SPEC},
+    jittered_rig: {"rng": np.random.default_rng(0), "rot_deg": 1.0, "trans_m": 1.0},
+    lanebev.generate_scene: {"params": SceneParams()},
+    lanebev.render_ground_pattern: {"rig": canonical_rig(), "pattern": np.ones((5, 4)), "out_size": (4, 3)},
+    checkerboard: {},
+    lanebev.build_ipm_sampling_map: {"virtual_rig": canonical_rig(), "fv_shape": (36, 64), "scale": 16},
+    lanebev.apply_vrm: {"vrm": _PYRAMID["maps"][8], "fv": _PYRAMID["features"][8]},
+    lanebev.apply_pyramid: _PYRAMID,
+    lanebev.fit_vrm_least_squares: {"samples": [(_FEATURES, _FEATURES)], "ridge": 1.0},
 }
 WRONG_ARGS = {**WRONG_TYPES, "NaN": float("nan")}
+
+
+def wrong_values(rule, valid) -> dict:
+    """The values of the wrong type or range for an argument of `rule` whose
+    valid value is `valid`: NOT_NUMBERS of it and a word, None and a bool
+    for an array; WRONG_ARGS for any other, with a fraction for an integer
+    and a value below the bound for a bounded number; None only where the
+    argument may not be None."""
+    if rule.kind == "numbers":
+        wrong = {**{kind: spoil(valid) for kind, spoil in NOT_NUMBERS.items()}, "word": "a", "None": None, "bool": True}
+    else:
+        wrong = dict(WRONG_ARGS)
+    if rule.integer:
+        wrong["fraction"] = 1.5
+    if rule.kind in ("scalar", "ints") and rule.bounds != "finite":
+        low, _, low_in, _ = _interval(rule.bounds)
+        below = low - 1 if low_in else low
+        wrong["below bound"] = below if rule.kind == "scalar" else (below,) * rule.shape[0]
+    if rule.none:
+        del wrong["None"]
+    return wrong
+
+
+# (function, argument, kind) for every declared argument of every function
+# in VALID_CALLS and each of its wrong_values
 ARG_CASES = [
-    (fn, arg, kind)
-    for fn, (_, args) in CHECKED_ARGS.items()
-    for arg in args
-    for kind in WRONG_ARGS
-    if (fn, arg, kind) != (lanebev.render_ground_pattern, "out_size", "None")  # the rig's size
+    (fn, arg, kind) for fn in VALID_CALLS for arg, rule in declared(fn).items() for kind in wrong_values(rule, VALID_CALLS[fn].get(arg))
 ]
 
 
-@pytest.mark.parametrize("fn, arg, kind", ARG_CASES, ids=[f"{fn.__name__}.{arg}-{kind}" for fn, arg, kind in ARG_CASES])
-def test_every_checked_argument_refuses_a_wrong_type_naming_it(fn, arg, kind):
-    # each once escaped as a bare TypeError, ValueError or RuntimeWarning, or was accepted
-    valid = CHECKED_ARGS[fn][0]
+@pytest.mark.parametrize("fn, arg, kind", ARG_CASES, ids=[f"{fn.__qualname__}.{arg}-{kind}" for fn, arg, kind in ARG_CASES])
+def test_every_checked_argument_refuses_a_wrong_value_naming_it(fn, arg, kind):
+    # each once escaped as a bare TypeError, ValueError, AttributeError or
+    # RuntimeWarning, named another argument, or was accepted: a LaneBevError
+    # naming `function.arg`, and the index of a wrong entry in a list
+    valid = VALID_CALLS[fn]
     fn(**valid)
-    with pytest.raises(LaneBevError, match=rf"^{fn.__name__}\.{arg}: "):
-        fn(**{**valid, arg: WRONG_ARGS[kind]})
+    wrong = wrong_values(declared(fn)[arg], valid.get(arg))[kind]
+    with pytest.raises(LaneBevError, match=rf"^{re.escape(fn.__qualname__)}\.{arg}(\[0\])?: "):
+        fn(**{**valid, arg: wrong})
 
 
-# A valid call of each function that takes a list of objects, and those
-# lists: a wrong list names `function.arg`, a wrong entry `function.arg[i]`
-CHECKED_LISTS = {
-    lanebev.fit_lanes: ({"instances": [_INSTANCE]}, ("instances",)),
-    lanebev.encode_lanes: ({"lanes": [_LANE], "spec": _SPEC}, ("lanes",)),
-    lanebev.evaluate: ({"preds": [_LANE], "gts": [_LANE]}, ("preds", "gts")),
-    lanebev.match_lanes: ({"preds": [_LANE], "gts": [_LANE]}, ("preds", "gts")),
-    lanebev.mean_virtual_camera: ({"rigs": [canonical_rig()]}, ("rigs",)),
-    data_io.save_lanes: ({"lanes": [_LANE], "path": os.devnull, "fits": [_FIT]}, ("lanes", "fits")),
-    data_io.lanes_to_dict: ({"lanes": [_LANE], "fits": [_FIT]}, ("lanes", "fits")),
-    # frames and samples are lists of tuples; their entries are checked below
-    lanebev.evaluate_frames: ({"frames": [([_LANE], [_LANE])]}, ("frames",)),
-    lanebev.fit_vrm_least_squares: ({"samples": [(_FEATURES, _FEATURES)], "ridge": 1.0}, ("samples",)),
-}
-LIST_CASES = [(fn, arg, kind) for fn, (_, args) in CHECKED_LISTS.items() for arg in args for kind in WRONG_ARGS]
+ENTRY_CASES = [
+    (fn, arg, kind) for fn in VALID_CALLS for arg, rule in declared(fn).items() if rule.kind in ("list", "dict") for kind in WRONG_ARGS
+]
 
 
-@pytest.mark.parametrize("fn, arg, kind", LIST_CASES, ids=[f"{fn.__name__}.{arg}-{kind}" for fn, arg, kind in LIST_CASES])
-def test_every_checked_list_and_entry_refuses_a_wrong_type_naming_it(fn, arg, kind):
-    # each once escaped as a bare AttributeError or TypeError, or a misleading error
-    valid = CHECKED_LISTS[fn][0]
-    fn(**valid)
-    wrong = WRONG_ARGS[kind]
-    index = r"\[0\]" if kind == "list" else ""  # [1.0] is a list whose entry is wrong
-    if wrong is not None or inspect.signature(fn).parameters[arg].default is not None:  # None may mean none
-        with pytest.raises(InvalidValue, match=rf"^{fn.__name__}\.{arg}{index}: "):
-            fn(**{**valid, arg: wrong})
-    with pytest.raises(InvalidValue, match=rf"^{fn.__name__}\.{arg}\[1\]: "):
-        fn(**{**valid, arg: [*valid[arg], wrong]})
+@pytest.mark.parametrize("fn, arg, kind", ENTRY_CASES, ids=[f"{fn.__qualname__}.{arg}-{kind}" for fn, arg, kind in ENTRY_CASES])
+def test_every_entry_of_a_checked_list_or_dict_refuses_a_wrong_type_naming_it(fn, arg, kind):
+    # a wrong entry names `function.arg[i]` or `function.arg[key]`; a dict's
+    # every entry is checked, also under a key nothing reads
+    valid = VALID_CALLS[fn]
+    entries = valid[arg]
+    wrong = [*entries, WRONG_ARGS[kind]] if isinstance(entries, list) else {**entries, -1: WRONG_ARGS[kind]}
+    index = 1 if isinstance(entries, list) else -1
+    with pytest.raises(InvalidValue, match=rf"^{re.escape(fn.__qualname__)}\.{arg}\[{index}\]: "):
+        fn(**{**valid, arg: wrong})
 
 
 @pytest.mark.parametrize(
@@ -789,52 +895,54 @@ def test_fit_vrm_least_squares_names_a_wrong_sample(samples, named):
         lanebev.fit_vrm_least_squares(samples, ridge=1.0)
 
 
-# Every public function: the package's exports and data_io's own functions
-PUBLIC_FUNCTIONS = [getattr(lanebev, name) for name in lanebev.__all__ if inspect.isfunction(getattr(lanebev, name))] + [
-    fn for name, fn in vars(data_io).items() if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == data_io.__name__
-]
-# An annotation that names a public dataclass, alone or in a container
-LANEBEV_CLASS = re.compile(rf"\b({'|'.join(cls.__name__ for cls in PUBLIC_DATACLASSES)})\b")
+def public_functions() -> dict:
+    """Every public function and method of the package, by `module.qualname`:
+    each module's own functions and its own classes' methods, their names
+    without a leading _."""
+    found = {}
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(inspect.unwrap(obj), "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{module.__name__}.{name}"] = obj
+            elif inspect.isclass(obj):
+                methods = {m: fn for m, fn in vars(obj).items() if inspect.isfunction(fn) and not m.startswith("_")}
+                found.update({f"{module.__name__}.{name}.{m}": fn for m, fn in methods.items()})
+    return found
 
 
-def test_every_object_argument_of_a_public_function_is_checked():
-    # an unchecked one ends in a bare AttributeError on a wrong object
-    checked = {(fn, arg) for table in (CHECKED_ARGS, CHECKED_LISTS) for fn, (_, args) in table.items() for arg in args}
+PUBLIC_FUNCTIONS = public_functions()
+# An annotation that declares a rule: a number, an array, a size or a lanebev class, alone or in a container
+DECLARING = re.compile(rf"\b(int|float|np\.ndarray|np\.random\.Generator|{'|'.join(sorted(LANEBEV_CLASSES))})\b")
+
+
+def test_every_declared_argument_of_a_public_function_is_checked():
+    # an argument whose annotation declares a rule goes through
+    # errors._checked; one that does not ends in a bare error on a wrong value
     unchecked = [
-        f"{fn.__name__}.{param.name}"
-        for fn in PUBLIC_FUNCTIONS
+        f"{qualname}.{param.name}"
+        for qualname, fn in PUBLIC_FUNCTIONS.items()
         for param in inspect.signature(fn).parameters.values()
-        if LANEBEV_CLASS.search(str(param.annotation)) and (fn, param.name) not in checked
+        if DECLARING.search(str(param.annotation)) and param.name not in declared(fn)
     ]
     assert unchecked == []
 
 
-# A valid call of each array argument, by the name its refusals start with;
-# the wrong values are NOT_NUMBERS of the valid array
-ARRAY_ARGS = {
-    "Homography.apply.points": (Homography().apply, np.zeros((2, 2))),
-    "project_ground_points.points_xy": (lambda v: project_ground_points(canonical_rig(), v), np.array([[10.0, 0.0]])),
-    "warp_image.image": (lambda v: lanebev.warp_image(v, Homography(), (4, 3)), np.ones((3, 4))),
-    "render_ground_pattern.pattern": (lambda v: lanebev.render_ground_pattern(canonical_rig(), v, out_size=(4, 3)), np.ones((5, 4))),
-    "write_tensor.array": (lambda v: data_io.write_tensor(v, os.devnull), np.ones((2, 2))),
-    "write_pnm.image": (lambda v: data_io.write_pnm(v, os.devnull), np.ones((2, 2))),
-    "binary_cross_entropy.raw": (lambda v: binary_cross_entropy(v, np.ones((2, 2))), np.zeros((2, 2))),
-    "sigmoid.x": (sigmoid, np.zeros((2, 2))),
-    "seg_loss_2d.raw_seg": (lambda v: lanebev.seg_loss_2d(v, np.ones((2, 2))), np.zeros((2, 2))),
-    "resample_lane.xs": (lambda v: lanebev.resample_lane(_LANE, v), np.array([3.0, 5.0])),
-    "FittedLane.y.x": (_FIT.y, np.array([3.0, 5.0])),
-    "FittedLane.z.x": (_FIT.z, np.array([3.0, 5.0])),
-}
+def test_every_checked_function_has_a_valid_call():
+    # so every declared argument is given each wrong value above
+    checked = sorted(qualname for qualname, fn in PUBLIC_FUNCTIONS.items() if hasattr(fn, "_checks"))
+    assert checked == sorted(f"{fn.__module__}.{fn.__qualname__}" for fn in VALID_CALLS)
 
 
-@pytest.mark.parametrize("kind", NOT_NUMBERS)
-@pytest.mark.parametrize("named", ARRAY_ARGS)
-def test_every_array_argument_refuses_bools_and_numeric_strings_naming_it(named, kind):
-    # numpy's float conversion once read each as 1.0 or 0.5
-    fn, valid = ARRAY_ARGS[named]
-    fn(valid)
-    with pytest.raises(InvalidValue, match=f"^{re.escape(named)}: "):
-        fn(NOT_NUMBERS[kind](valid))
+def test_every_public_function_keeps_its_signature_module_and_qualname():
+    # the benchmark names its spans `module.__qualname__`, and callers and
+    # these tests read inspect.signature: a wrapper shows its function's
+    # parameters, those its code was compiled with, not (*args, **kwargs)
+    for qualname, fn in PUBLIC_FUNCTIONS.items():
+        assert f"{fn.__module__}.{fn.__qualname__}" == qualname
+        code = inspect.unwrap(fn).__code__
+        assert list(inspect.signature(fn).parameters) == list(code.co_varnames[: code.co_argcount + code.co_kwonlyargcount])
 
 
 @pytest.mark.parametrize("kind", [*WRONG_ARGS, "array"])
