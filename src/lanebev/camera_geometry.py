@@ -418,6 +418,7 @@ def _sample_rows(
     padded = np.zeros((r1 - r0 + 2, pad_w) + img.shape[2:])
     padded[1:-1, 1:-1] = img[r0:r1]
     flat = padded.reshape(len(padded) * pad_w, -1)
+    nan = bool(np.isnan(flat.max()))  # an image's NaN may differ from the one 0 * inf and inf - inf make
 
     span = None if rows is None else rows(r0, r1)
     first, end = (0, out_h) if span is None else (min(max(r, 0), out_h) for r in span)
@@ -443,7 +444,10 @@ def _sample_rows(
             for w, offset in zip(_bilinear_weights(sx, sy, x0, y0), (0, 1, pad_w, pad_w + 1)):
                 tap = np.take(flat[offset:], base, axis=0, mode="clip")
                 tap *= w[:, None]
+                kept = (acc.copy() if flat.shape[1] == 1 else tap) if nan else None
                 acc += tap
+                if nan:  # numpy's add keeps either NaN, the CSR product the first of one channel, the last of several
+                    np.copyto(acc, kept, where=np.isnan(kept))
         if not inside.all():
             np.copyto(acc, 0.0, where=~inside[:, None])
     return out.reshape((out_h, out_w) + img.shape[2:])

@@ -279,7 +279,7 @@ def load_rig(path: str | Path) -> CameraRig:
 
 @_checked
 def save_rig(rig: CameraRig, path: str | Path) -> None:
-    _write_file(path, _json_text(rig_to_dict(rig)))
+    _write_file(path, _json_text(rig_to_dict.__wrapped__(rig)))
 
 
 def load_homography(path: str | Path) -> Homography:
@@ -364,7 +364,7 @@ def load_lanes(path: str | Path) -> list[Lane3D]:
 @_checked
 def save_lanes(lanes: list[Lane3D], path: str | Path, fits: list[FittedLane] | None = None) -> None:
     """Write the lanes JSON (see lanes_to_dict), overwriting `path` in place (see _write_file)."""
-    _write_file(path, _json_text(lanes_to_dict(lanes, fits)))
+    _write_file(path, _json_text(lanes_to_dict.__wrapped__(lanes, fits)))
 
 
 # --- scene records ---
@@ -394,7 +394,7 @@ def load_scene(path: str | Path) -> SceneRecord:
 
 @_checked
 def save_scene(scene: SceneRecord, path: str | Path) -> None:
-    _write_file(path, _json_text(scene_to_dict(scene)))
+    _write_file(path, _json_text(scene_to_dict.__wrapped__(scene)))
 
 
 # --- OpenLane-style frames ---

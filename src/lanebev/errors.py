@@ -315,8 +315,8 @@ class _Declared:
 def _argument_rule(annotation) -> _Rule | None:
     """The rule an argument's annotation declares: a lanebev or numpy.random
     class an "object", np.ndarray "numbers", float or int a "scalar",
-    `tuple[int, int]` "ints", `list[X]` a "list", `tuple[X, Y]` "fixed",
-    `dict[K, X]` a "dict" and `X | None` X's rule with `none`; else None."""
+    `tuple[int, int]` positive "ints", `list[X]` a "list", `tuple[X, Y]`
+    "fixed", `dict[K, X]` a "dict", `X | None` X's rule with `none`."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin is types.UnionType:  # X | None; the body checks any other union
         rule = _argument_rule(args[0]) if args[1:] == (type(None),) else None
@@ -327,7 +327,7 @@ def _argument_rule(annotation) -> _Rule | None:
         return _Rule("numbers")
     if origin is tuple:
         if args == (int, int):
-            return _Rule("ints", shape=(2,))
+            return _Rule("ints", bounds="positive", shape=(2,))
         return _Rule("fixed", cls=tuple, entries=tuple(map(_argument_rule, args)))
     if origin is list:
         entry = _argument_rule(args[0])
@@ -343,11 +343,11 @@ def _checked(fn=None, /, **bounds):
     """Decorator: each argument of `fn` whose annotation declares a rule
     (_argument_rule) is checked by it, named `function.arg` or
     `Class.method.arg`, unless left to its default, and `fn` gets the value
-    the check returns, as _Declared stores a field's.  A keyword gives a
-    bound stricter than "finite", in _Rule.bounds' words, such as
-    `@_checked(scale="positive")`.  The string annotations are resolved
-    once, by the first call or read of the wrapper's `_checks()`, which the
-    tooling reads: at import, np.random.Generator would import numpy.random."""
+    the check returns, as _Declared stores a field's.  A keyword gives
+    another bound, in _Rule.bounds' words (`@_checked(scale="positive")`);
+    a caller passing on arguments it checked calls `fn.__wrapped__`.  The
+    annotations are resolved once, on the first call or `_checks()` read
+    (the tooling's): at import, np.random.Generator imports numpy.random."""
     if fn is None:
         return functools.partial(_checked, **bounds)
 

@@ -219,7 +219,7 @@ def ideal_prediction(gt: GridTensors, spec: GridSpec = GridSpec(), embed_dim: in
         raise ShapeMismatch(f"ideal_prediction.gt: shape {gt.shape} differs from the grid's {spec.shape}")
     lane = gt.instance > 0
     ids, which = np.unique(gt.instance[lane], return_inverse=True)
-    verts = simplex_vertices(len(ids), embed_dim) * (2.0 * DELTA_D)
+    verts = simplex_vertices.__wrapped__(len(ids), embed_dim) * (2.0 * DELTA_D)
     emb = np.zeros(gt.shape + (embed_dim,))
     emb[lane] = verts[which]
     return GridTensors(

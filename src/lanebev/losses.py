@@ -239,11 +239,11 @@ def total_loss(
         raise ShapeMismatch(f"total_loss.{'pred2d' if pred2d is None else 'gt2d'}: the 2D terms need a front-view pair")
     total = 0.0
     if weights.w_conf > 0:
-        total += weights.w_conf * conf_loss(pred3d, gt3d)[0]
+        total += weights.w_conf * conf_loss.__wrapped__(pred3d, gt3d)[0]
     if weights.w_offset > 0:
-        total += weights.w_offset * offset_loss(pred3d, gt3d)[0]
+        total += weights.w_offset * offset_loss.__wrapped__(pred3d, gt3d)[0]
     if weights.w_height > 0:
-        total += weights.w_height * height_loss(pred3d, gt3d)[0]
+        total += weights.w_height * height_loss.__wrapped__(pred3d, gt3d)[0]
     if weights.w_embed > 0:
         if gt3d.instance is None:
             raise ShapeMismatch("total_loss.gt3d: the embedding loss needs ground truth instances")

@@ -108,7 +108,7 @@ def _resample_all(lanes: list[Lane3D], xs: np.ndarray) -> tuple[np.ndarray, np.n
     points = np.zeros((len(lanes), len(xs), 3))
     valid = np.zeros((len(lanes), len(xs)), dtype=bool)
     for k, lane in enumerate(lanes):
-        points[k], valid[k] = resample_lane(lane, xs)
+        points[k], valid[k] = resample_lane.__wrapped__(lane, xs)
     return points, valid
 
 
@@ -223,7 +223,7 @@ def _assign(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @_checked
 def evaluate(preds: list[Lane3D], gts: list[Lane3D], cfg: EvalConfig = EvalConfig()) -> EvalResult:
     """Single-frame evaluation; see module docstring for the protocol."""
-    return evaluate_frames([(preds, gts)], cfg)
+    return evaluate_frames.__wrapped__([(preds, gts)], cfg)
 
 
 @_checked
@@ -242,7 +242,7 @@ def evaluate_frames(
     sums = np.zeros(4)  # x near, x far, z near, z far
     counts = np.zeros(4, dtype=int)
     for preds, gts in frames:
-        matching = match_lanes(preds, gts, cfg)
+        matching = match_lanes.__wrapped__(preds, gts, cfg)
         tp += matching.tp
         n_pred += matching.n_pred
         n_gt += matching.n_gt

@@ -359,6 +359,6 @@ def decode_lanes(
     cluster becomes Lane3D(id=cluster_id + 1), keeping the first cell in
     scan order of each row, and is fitted from it, bit for bit as fit_lanes.
     """
-    instances = [inst for inst in decode_grid(pred, spec, params) if np.ptp(inst.points[:, 0]) > 0]
+    instances = [inst for inst in decode_grid.__wrapped__(pred, spec, params) if np.ptp(inst.points[:, 0]) > 0]
     lanes = [Lane3D(points=inst.points, id=inst.cluster_id + 1) for inst in instances]
     return lanes, [_fit_lane(lane, params.fit_degree) for lane in lanes]

@@ -110,7 +110,7 @@ def generate_scene(params: SceneParams) -> SceneRecord:
     """Deterministically build lanes and a jittered rig from the seed."""
     rng = np.random.default_rng(params.seed)
     c2 = rng.uniform(params.curvature[0], params.curvature[1])
-    rig = jittered_rig(rng, *params.camera_jitter)
+    rig = jittered_rig.__wrapped__(rng, *params.camera_jitter)
 
     xs = np.arange(LANE_X_START, LANE_X_END + 0.5 * LANE_POINT_SPACING, LANE_POINT_SPACING)
     z = params.hill_amplitude * np.sin(2.0 * np.pi * xs / params.hill_wavelength)

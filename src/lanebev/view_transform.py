@@ -103,7 +103,7 @@ class PyramidSpec(_Declared):
             raise InvalidValue(f"PyramidSpec.scales: must be distinct, got {self.scales}")
 
 
-@_checked(fv_shape="positive", scale="positive", bev_shape="positive")
+@_checked(scale="positive")
 def build_ipm_sampling_map(
     virtual_rig: CameraRig,
     fv_shape: tuple[int, int],
@@ -196,7 +196,7 @@ def apply_pyramid(
     out = np.empty(spec.bev_shape + (sum(channels),))
     start = 0
     for scale in spec.scales:
-        bev = apply_vrm(maps[scale], features[scale]).data
+        bev = apply_vrm.__wrapped__(maps[scale], features[scale]).data
         out[..., start : start + bev.shape[2]] = bev
         start += bev.shape[2]
     return FeatureTensor(data=out, scale=min(spec.scales))

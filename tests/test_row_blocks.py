@@ -476,6 +476,15 @@ class TestWarpCull:
             got = warp_image(image, h, out_size)
         assert_same_bytes(got, reference_warp_image(image, h, out_size))
 
+    @pytest.mark.parametrize("channels", [(), (1,), (3,)])
+    def test_one_point_keeps_the_nan_of_the_operator_product(self, channels):
+        # A NaN above +inf, sampled at one point: the weight 0 on the +inf
+        # tap adds 0 * inf, a NaN of the other sign.  Which of the two a sum
+        # keeps is left open; the CSR product keeps the first for one
+        # channel and the last for several, and numpy's add either
+        image = np.tile(np.array([np.nan, np.inf]).reshape((2, 1) + (1,) * len(channels)), (1, 1) + channels)
+        assert_same_bytes(warp_image(image, Homography(), (1, 1)), reference_warp_image(image, Homography(), (1, 1)))
+
     def test_fleet_warp_casts_only_the_footprint_rows(self):
         size = (1024, 576)
         rng = np.random.default_rng([1])

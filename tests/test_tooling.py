@@ -835,12 +835,17 @@ ARG_CASES = [
 @pytest.mark.parametrize("fn, arg, kind", ARG_CASES, ids=[f"{fn.__qualname__}.{arg}-{kind}" for fn, arg, kind in ARG_CASES])
 def test_every_checked_argument_refuses_a_wrong_value_naming_it(fn, arg, kind):
     # each once escaped as a bare TypeError, ValueError, AttributeError or
-    # RuntimeWarning, named another argument, or was accepted: a LaneBevError
-    # naming `function.arg`, and the index of a wrong entry in a list
+    # RuntimeWarning, named another argument, or was accepted: NonFiniteInput
+    # for NaN where a real number goes, else InvalidValue, naming
+    # `function.arg`, or `function.arg[0]` for the number in the list [1.0]
+    # given where a list goes
     valid = VALID_CALLS[fn]
     fn(**valid)
-    wrong = wrong_values(declared(fn)[arg], valid.get(arg))[kind]
-    with pytest.raises(LaneBevError, match=rf"^{re.escape(fn.__qualname__)}\.{arg}(\[0\])?: "):
+    rule = declared(fn)[arg]
+    wrong = wrong_values(rule, valid.get(arg))[kind]
+    error = NonFiniteInput if kind == "NaN" and rule.kind == "scalar" and not rule.integer else InvalidValue
+    index = r"\[0\]" if kind == "list" and rule.kind == "list" else ""
+    with pytest.raises(error, match=rf"^{re.escape(fn.__qualname__)}\.{arg}{index}: "):
         fn(**{**valid, arg: wrong})
 
 
