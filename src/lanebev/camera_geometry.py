@@ -39,12 +39,9 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
     SingularHomography,
-    _array,
     _checked,
     _Declared,
-    _instance,
-    _ints,
-    _scalar,
+    _field,
 )
 
 if TYPE_CHECKING:
@@ -70,11 +67,11 @@ class Intrinsics(_Declared):
     pixels per unit tangent, are at least 1: below 1, the whole +-45 degree
     field (tangents up to 1) lands within one pixel of the principal point."""
 
-    fx: float = _scalar(bounds="at least 1")
-    fy: float = _scalar(bounds="at least 1")
-    cx: float = _scalar()
-    cy: float = _scalar()
-    skew: float = _scalar(0.0)
+    fx: float = _field(bounds="at least 1")
+    fy: float = _field(bounds="at least 1")
+    cx: float = _field()
+    cy: float = _field()
+    skew: float = _field(0.0)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -92,8 +89,8 @@ class Extrinsics(_Declared):
     """Road-to-camera rigid transform: p_cam = rotation @ p_road + translation,
     a finite (3, 3) rotation with determinant +1 and a finite (3,) translation."""
 
-    rotation: np.ndarray = _array(shape=(3, 3))
-    translation: np.ndarray = _array(shape=(3,))
+    rotation: np.ndarray = _field(shape=(3, 3))
+    translation: np.ndarray = _field(shape=(3,))
 
     def __post_init__(self):
         super().__post_init__()
@@ -115,16 +112,16 @@ class Extrinsics(_Declared):
 class CameraRig(_Declared):
     """One camera: intrinsics, extrinsics and image size (width, height)."""
 
-    intrinsics: Intrinsics = _instance(cls=Intrinsics)
-    extrinsics: Extrinsics = _instance(cls=Extrinsics)
-    image_size: tuple[int, int] = _ints(shape=(2,), items="w,h")
+    intrinsics: Intrinsics = _field()
+    extrinsics: Extrinsics = _field()
+    image_size: tuple[int, int] = _field(items="w,h")
 
 
 @dataclass(frozen=True)
 class Homography(_Declared):
     """3x3 ground-plane mapping between two camera images, normalized so matrix[2][2] = 1."""
 
-    matrix: np.ndarray = _array(shape=(3, 3), factory=lambda: np.eye(3))
+    matrix: np.ndarray = _field(shape=(3, 3), factory=lambda: np.eye(3))
 
     def __post_init__(self):
         super().__post_init__()

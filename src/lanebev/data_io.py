@@ -226,8 +226,8 @@ def _from_json(cls, data, name: str, at: str):
     fields = dataclasses.fields(cls)
     data = _json_object(data, name, tuple(f.name for f in fields))
     kwargs = {}
-    for f in fields:
-        rule, path, value = f.metadata["rule"], at + f.name, data.get(f.name)
+    for f, (_, _, rule) in zip(fields, _declarations(cls), strict=True):
+        path, value = at + f.name, data.get(f.name)
         if f.name not in data and (f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING):
             continue
         if rule.kind == "object":
@@ -399,7 +399,8 @@ def save_scene(scene: SceneRecord, path: str | Path) -> None:
 
 # --- OpenLane-style frames ---
 
-def parse_openlane_frame(json_text: str) -> SceneRecord:
+@_checked
+def parse_openlane_frame(json_text: str | bytes | bytearray) -> SceneRecord:
     """Parse one OpenLane-layout frame annotation into a road-frame scene.
 
     Required fields: "intrinsic" (3x3, upper triangular with [2][2] = 1),

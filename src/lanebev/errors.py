@@ -14,11 +14,11 @@ for a file's value its key path:
 
 Every number is checked by one predicate, `_number_type` (never a bool, a
 string or None), through `_scalar_field`, `_array_field` or `_numbers`, and
-every object by `_object_field` (a list of objects by `_object_list`), so a
-value of the wrong type is InvalidValue, never a bare Python error.  Each
-public dataclass field declares its rule once (`_Rule`), which
-`_Declared.__post_init__` applies and the file readers and --schema read,
-and each function argument in its annotation and `_checked`'s bound.
+every object, or list of them, by `_object_field`, so a value of the wrong
+type is InvalidValue, never a bare Python error.  The rule (`_Rule`) of each
+public dataclass field, which the file readers and --schema read, and of
+each function argument is derived from its annotation by `_rule_of`;
+`_field` or `_checked` adds only the bound and an array's shape.
 
 The other classes each name one fault that the rule above does not cover:
 
@@ -37,6 +37,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 import types
 import typing
 from dataclasses import MISSING
@@ -199,41 +200,21 @@ def _scalar_field(owner: str, value, rule: str = "finite", *, integer: bool = Fa
     return value if kind is int or kind is float else number
 
 
-def _ints_field(owner: str, value, length: int | None = None, rule: str = "positive") -> tuple[int, ...]:
-    """`value`, a non-empty tuple or list of integers in `rule` (see
-    _scalar_field; `length` of them when given), as a tuple of ints; else
-    InvalidValue naming `owner`."""
-    if not (isinstance(value, (tuple, list)) and value and len(value) == (length or len(value))):
-        raise InvalidValue(f"{owner}: must be {length or 'one or more'} {rule} integers, got {value!r}")
-    return tuple(_scalar_field(owner, v, rule, integer=True) for v in value)
-
-
 def _object_field(owner: str, value, kind: type) -> None:
-    """InvalidValue naming `owner` unless `value` is an instance of `kind`,
-    so a wrong object never reaches attribute access."""
+    """InvalidValue naming `owner` unless `value` is an instance of `kind` (a
+    class or a union), so a wrong object never reaches attribute access."""
     if not isinstance(value, kind):
-        article = "an" if kind.__name__[0] in "AEIOU" else "a"
-        raise InvalidValue(f"{owner}: must be {article} {kind.__name__}, got {type(value).__name__}")
+        name = " or ".join(t.__name__ for t in typing.get_args(kind)) or kind.__name__
+        article = "an" if name[0] in "AEIOU" else "a"
+        raise InvalidValue(f"{owner}: must be {article} {name}, got {type(value).__name__}")
 
 
-def _object_list(owner: str, value, kind: type) -> None:
-    """InvalidValue naming `owner` unless `value` is a list or tuple, or
-    naming `owner[i]` unless its entry i is an instance of `kind`."""
-    if not isinstance(value, (list, tuple)):
-        raise InvalidValue(f"{owner}: must be a list or tuple, got {type(value).__name__}")
-    for i, entry in enumerate(value):
-        if not isinstance(entry, kind):
-            _object_field(f"{owner}[{i}]", entry, kind)
-
-
-# --- field and argument declarations ---
+# --- field and argument rules ---
 
 @dataclasses.dataclass(frozen=True)
 class _Rule:
-    """The rule of one dataclass field, declared in its metadata["rule"] by
-    _scalar, _ints, _array, _tuple, _instance or _instances, or of one
-    argument, by its annotation (_argument_rule): `kind` is "scalar" (a
-    number in `bounds`, an integer when `integer`), "ints" (`shape[0]`
+    """The rule of one field or argument (see _rule_of): `kind` is "scalar"
+    (a number in `bounds`, an integer when `integer`), "ints" (`shape[0]`
     integers in `bounds`, any number for None), "array" (of `shape`,
     `dtype` and, when `finite`, finite values; a first dim naming an
     earlier field stands for its shape), "tuple" (such an array of floats,
@@ -268,10 +249,15 @@ class _Rule:
             return _scalar_field(owner, value, self.bounds, integer=self.integer)
         if kind == "numbers":
             return _numbers(owner, value)
-        if kind == "ints":
-            return _ints_field(owner, value, self.shape[0], self.bounds)
+        if kind == "ints":  # a non-empty tuple or list, of shape[0] entries when given
+            if not (isinstance(value, (tuple, list)) and value and len(value) == (self.shape[0] or len(value))):
+                raise InvalidValue(f"{owner}: must be {self.shape[0] or 'one or more'} {self.bounds} integers, got {value!r}")
+            return tuple(_scalar_field(owner, v, self.bounds, integer=True) for v in value)
         if kind == "list":
-            _object_list(owner, value, self.cls)
+            _object_field(owner, value, list | tuple)
+            for i, entry in enumerate(value):
+                if not isinstance(entry, self.cls):
+                    _object_field(f"{owner}[{i}]", entry, self.cls)
         else:  # "object", "fixed" or "dict"
             _object_field(owner, value, self.cls)
         if kind == "fixed" and len(value) != len(self.entries):
@@ -281,79 +267,84 @@ class _Rule:
         return value
 
 
-def _declare(default=MISSING, bounds: str = "finite", *, factory=MISSING, **rule) -> dataclasses.Field:
-    """A dataclass field of `default` (or `factory`) whose _Rule is declared in its metadata."""
-    return dataclasses.field(default=default, default_factory=factory, metadata={"rule": _Rule(bounds=bounds, **rule)})
+def _rule_of(annotation, bounds: str | None = None, **extra) -> _Rule | None:
+    """The rule of a field or argument annotated `annotation`, in `bounds`
+    (else its own) and with `extra`: float or int a "scalar"; np.ndarray an
+    "array" when `extra` gives its shape, else "numbers"; `tuple[int, ...]`
+    or `tuple[int, int]` positive "ints", of floats a "tuple", any other
+    tuple "fixed"; `list[X]` a "list"; `dict[K, X]` a "dict"; str, bytes,
+    bytearray, a lanebev or numpy.random class, or a union of them, an
+    "object"; `X | None` X's rule with `none`; else None, the body's to check."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is types.UnionType and args[1:] == (type(None),):
+        return _rule_of(args[0], bounds, **extra, none=True)
+    if origin is types.UnionType:  # of classes; the body checks any other union
+        objects = all(getattr(_rule_of(arg), "kind", None) == "object" for arg in args)
+        return _Rule("object", cls=annotation) if objects else None
+    if annotation is float or annotation is int:
+        rule = _Rule("scalar", integer=annotation is int)
+    elif annotation is np.ndarray:
+        rule = _Rule("array" if "shape" in extra else "numbers")
+    elif origin is tuple and args[0] in (int, float) and set(args[1:]) <= {args[0], ...}:
+        shape = (None,) if args[-1] is ... else (len(args),)
+        rule = _Rule("ints", bounds="positive", shape=shape) if args[0] is int else _Rule("tuple", shape=shape)
+    elif origin is tuple:
+        rule = _Rule("fixed", cls=tuple, entries=tuple(map(_rule_of, args)))
+    elif origin is list:
+        entry = _rule_of(args[0])
+        rule = _Rule("list", cls=entry.cls, entries=() if entry.kind == "object" else (entry,))
+    elif origin is dict:
+        rule = _Rule("dict", cls=dict, entries=(_rule_of(args[1]),))
+    elif annotation in (str, bytes, bytearray) or getattr(annotation, "__module__", "").startswith(("lanebev.", "numpy.random")):
+        rule = _Rule("object", cls=annotation)  # not np.random, which imports numpy.random
+    else:
+        return None
+    return dataclasses.replace(rule, bounds=bounds or rule.bounds, **extra)
 
 
-_scalar = functools.partial(_declare, kind="scalar")
-_ints = functools.partial(_declare, kind="ints", bounds="positive", shape=(None,))
-_array = functools.partial(_declare, kind="array")
-_tuple = functools.partial(_declare, kind="tuple", shape=(None,))
-_instance = functools.partial(_declare, kind="object")
-_instances = functools.partial(_declare, kind="list", factory=list)
+def _field(default=MISSING, bounds: str | None = None, *, factory=MISSING, **extra) -> dataclasses.Field:
+    """A dataclass field of `default` (or `factory`) whose rule is its annotation's
+    in `bounds`, with `extra`: an array's `shape`, `finite` and `dtype`, and `items`."""
+    return dataclasses.field(default=default, default_factory=factory, metadata={"bounds": bounds, **extra})
 
 
 @functools.cache
 def _declarations(cls: type) -> tuple[tuple[str, str, _Rule], ...]:
-    """(name, `Class.name`, rule) of each field of the dataclass `cls`, in order."""
-    return tuple((f.name, f"{cls.__name__}.{f.name}", f.metadata["rule"]) for f in dataclasses.fields(cls))
+    """(name, `Class.name`, rule) of each field of the dataclass `cls` made by _field, in order."""
+    namespace = vars(sys.modules[cls.__module__])
+    return tuple(
+        (f.name, f"{cls.__name__}.{f.name}", _rule_of(eval(f.type, namespace), **f.metadata))
+        for f in dataclasses.fields(cls)
+        if f.metadata
+    )
 
 
 class _Declared:
-    """Base of the public dataclasses: __post_init__ applies the declared
-    rule of each field but `skip` in field order, storing the value each
-    gives.  A class with rules across fields calls it, then checks those."""
+    """Base of the public dataclasses: __post_init__ applies the rule of
+    each field made by _field in field order, storing the value each gives;
+    a class then checks its rules across fields and its other fields."""
 
-    def __post_init__(self, skip: str | None = None):
+    def __post_init__(self):
         for name, owner, rule in _declarations(type(self)):
             value = getattr(self, name)
-            if name != skip and (checked := rule.check(owner, value, self)) is not value:
+            if (checked := rule.check(owner, value, self)) is not value:
                 object.__setattr__(self, name, checked)
 
 
-def _argument_rule(annotation) -> _Rule | None:
-    """The rule an argument's annotation declares: a lanebev or numpy.random
-    class an "object", np.ndarray "numbers", float or int a "scalar",
-    `tuple[int, int]` positive "ints", `list[X]` a "list", `tuple[X, Y]`
-    "fixed", `dict[K, X]` a "dict", `X | None` X's rule with `none`."""
-    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
-    if origin is types.UnionType:  # X | None; the body checks any other union
-        rule = _argument_rule(args[0]) if args[1:] == (type(None),) else None
-        return rule and dataclasses.replace(rule, none=True)
-    if annotation is float or annotation is int:
-        return _Rule("scalar", integer=annotation is int)
-    if annotation is np.ndarray:
-        return _Rule("numbers")
-    if origin is tuple:
-        if args == (int, int):
-            return _Rule("ints", bounds="positive", shape=(2,))
-        return _Rule("fixed", cls=tuple, entries=tuple(map(_argument_rule, args)))
-    if origin is list:
-        entry = _argument_rule(args[0])
-        return _Rule("list", cls=entry.cls, entries=() if entry.kind == "object" else (entry,))
-    if origin is dict:
-        return _Rule("dict", cls=dict, entries=(_argument_rule(args[1]),))
-    if getattr(annotation, "__module__", "").startswith(("lanebev.", "numpy.random")):  # not np.random, which imports it
-        return _Rule("object", cls=annotation)
-    return None
-
-
 def _checked(fn=None, /, **bounds):
-    """Decorator: each argument of `fn` whose annotation declares a rule
-    (_argument_rule) is checked by it, named `function.arg` or
-    `Class.method.arg`, unless left to its default, and `fn` gets the value
-    the check returns, as _Declared stores a field's.  A keyword gives
-    another bound, in _Rule.bounds' words (`@_checked(scale="positive")`);
-    a caller passing on arguments it checked calls `fn.__wrapped__`.  The
-    annotations are resolved once, on the first call or `_checks()` read
-    (the tooling's): at import, np.random.Generator imports numpy.random."""
+    """Decorator: each argument of `fn` whose annotation declares a rule is
+    checked by it, named `function.arg` or `Class.method.arg`, unless left
+    to its default, and `fn` gets the value the check returns.  A keyword
+    gives another bound (`@_checked(scale="positive")`); a caller passing on
+    arguments it checked calls `fn.__wrapped__`.  The annotations are
+    resolved on the first call or `_checks()` read, not at import, where
+    np.random.Generator would import numpy.random."""
     if fn is None:
         return functools.partial(_checked, **bounds)
 
     @functools.cache
     def checks() -> list[tuple[int, str, str, _Rule]]:  # (position, name, owner, rule); *args would shift positions
-        rules = {name: r for name, text in fn.__annotations__.items() if name != "return" and (r := _argument_rule(eval(text, fn.__globals__)))}
+        rules = {name: r for name, text in fn.__annotations__.items() if name != "return" and (r := _rule_of(eval(text, fn.__globals__)))}
         for name, bound in bounds.items():  # a KeyError names a bound for no checked argument
             rules[name] = dataclasses.replace(rules[name], bounds=bound)
         return [(fn.__code__.co_varnames.index(name), name, f"{fn.__qualname__}.{name}", rule) for name, rule in rules.items()]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue, ShapeMismatch, TooManyInstances
-from .errors import _array, _checked, _Declared, _scalar
+from .errors import _checked, _Declared, _field
 
 # Margins of the discriminative embedding loss: the pull loss lets a cell
 # lie DELTA_V from its lane's centre, the push loss drives centres
@@ -28,11 +28,11 @@ DELTA_D = 3.0
 class GridSpec(_Declared):
     """Metric extent and resolution of the BEV grid."""
 
-    x_min: float = _scalar(3.0)
-    x_max: float = _scalar(103.0)
-    y_min: float = _scalar(-10.0)
-    y_max: float = _scalar(10.0)
-    cell: float = _scalar(0.5, "positive")
+    x_min: float = _field(3.0)
+    x_max: float = _field(103.0)
+    y_min: float = _field(-10.0)
+    y_max: float = _field(10.0)
+    cell: float = _field(0.5, "positive")
 
     def __post_init__(self):
         super().__post_init__()
@@ -77,8 +77,8 @@ class Lane3D(_Declared):
     InvalidValue, naming the lane id, on fewer than 2 distinct x.
     """
 
-    points: np.ndarray = _array(shape=(None, 3))
-    id: int = _scalar(0, f"in [{-(2**63)}, {2**63})", integer=True)
+    points: np.ndarray = _field(shape=(None, 3))
+    id: int = _field(0, f"in [{-(2**63)}, {2**63})")
 
     def __post_init__(self):
         super().__post_init__()
@@ -117,11 +117,11 @@ class GridTensors(_Declared):
     The embedding may hold NaN: decode_grid checks its confident cells.
     """
 
-    confidence: np.ndarray = _array(shape=(None, None))
-    offset: np.ndarray = _array(shape=("confidence",))
-    height: np.ndarray = _array(shape=("confidence",))
-    instance: np.ndarray | None = _array(None, shape=("confidence",), dtype=None, none=True)
-    embedding: np.ndarray | None = _array(None, shape=("confidence", None), finite=False, none=True)
+    confidence: np.ndarray = _field(shape=(None, None))
+    offset: np.ndarray = _field(shape=("confidence",))
+    height: np.ndarray = _field(shape=("confidence",))
+    instance: np.ndarray | None = _field(None, shape=("confidence",), dtype=None)
+    embedding: np.ndarray | None = _field(None, shape=("confidence", None), finite=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -162,7 +162,8 @@ def encode_lanes(lanes: list[Lane3D], spec: GridSpec = GridSpec()) -> GridTensor
     # every lane at every row center; NaN off its x-span, so no cell takes it
     y = np.array([np.interp(xs, lane.x, lane.y, left=np.nan, right=np.nan) for lane in lanes]).reshape(-1, s1)
     z = np.array([np.interp(xs, lane.x, lane.z) for lane in lanes]).reshape(-1, s1)
-    frac = (y - spec.y_min) / spec.cell
+    with np.errstate(over="ignore"):  # a sample far off the grid gives +-inf, dropped next
+        frac = (y - spec.y_min) / spec.cell
     k, rows = np.nonzero((frac >= 0) & (frac < s2))  # lane-major: the samples in list order
     frac = frac[k, rows]
     cols = np.floor(frac).astype(int)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeMismatch, TooManyInstances
-from .errors import _array, _array_field, _checked, _Declared, _scalar
+from .errors import _array_field, _checked, _Declared, _field
 from .lane_grid import DELTA_D, DELTA_V, GridTensors
 
 _P_CLAMP = 1e-7
@@ -44,10 +44,10 @@ _MAX_INSTANCES = 256
 class PredictionBatch(_Declared):
     """Raw (pre-activation) head outputs aligned with one grid."""
 
-    raw_confidence: np.ndarray = _array(shape=(None, None))
-    raw_offset: np.ndarray = _array(shape=("raw_confidence",))
-    embedding: np.ndarray = _array(shape=("raw_confidence", None))
-    height: np.ndarray = _array(shape=("raw_confidence",))
+    raw_confidence: np.ndarray = _field(shape=(None, None))
+    raw_offset: np.ndarray = _field(shape=("raw_confidence",))
+    embedding: np.ndarray = _field(shape=("raw_confidence", None))
+    height: np.ndarray = _field(shape=("raw_confidence",))
 
     def activate(self) -> GridTensors:
         """Apply the head activations, yielding decodable grid tensors."""
@@ -63,12 +63,12 @@ class PredictionBatch(_Declared):
 class LossWeights(_Declared):
     """Weights of the six total-loss terms; each defaults to 1 and must lie in [0, inf), so not NaN."""
 
-    w_conf: float = _scalar(1.0, "non-negative")
-    w_embed: float = _scalar(1.0, "non-negative")
-    w_offset: float = _scalar(1.0, "non-negative")
-    w_height: float = _scalar(1.0, "non-negative")
-    w_seg2d: float = _scalar(1.0, "non-negative")
-    w_embed2d: float = _scalar(1.0, "non-negative")
+    w_conf: float = _field(1.0, "non-negative")
+    w_embed: float = _field(1.0, "non-negative")
+    w_offset: float = _field(1.0, "non-negative")
+    w_height: float = _field(1.0, "non-negative")
+    w_seg2d: float = _field(1.0, "non-negative")
+    w_embed2d: float = _field(1.0, "non-negative")
 
 
 @dataclass
@@ -76,16 +76,16 @@ class FrontViewPrediction(_Declared):
     """Front-view auxiliary head output: (H, W) segmentation logits and
     (H, W, D) embeddings."""
 
-    raw_seg: np.ndarray = _array(shape=(None, None))
-    embedding: np.ndarray = _array(shape=("raw_seg", None))
+    raw_seg: np.ndarray = _field(shape=(None, None))
+    embedding: np.ndarray = _field(shape=("raw_seg", None))
 
 
 @dataclass
 class FrontViewTruth(_Declared):
     """Front-view supervision: (H, W) {0,1} lane mask and instance labels."""
 
-    mask: np.ndarray = _array(shape=(None, None))
-    instance: np.ndarray = _array(shape=("mask",), dtype=None)
+    mask: np.ndarray = _field(shape=(None, None))
+    instance: np.ndarray = _field(shape=("mask",), dtype=None)
 
 
 @_checked

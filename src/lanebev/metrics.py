@@ -28,7 +28,7 @@ from math import inf
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidValue, _checked, _Declared, _scalar, _tuple
+from .errors import EmptyInput, InvalidValue, _checked, _Declared, _field
 from .lane_grid import Lane3D
 
 _INFEASIBLE = 1e12
@@ -36,10 +36,10 @@ _INFEASIBLE = 1e12
 
 @dataclass(frozen=True)
 class EvalConfig(_Declared):
-    sample_xs: tuple[float, ...] = _tuple(tuple(float(x) for x in range(3, 103, 5)))
-    match_threshold: float = _scalar(1.5, "positive")
-    match_ratio: float = _scalar(0.75, "in (0, 1]")
-    near_limit: float = _scalar(40.0)
+    sample_xs: tuple[float, ...] = _field(tuple(float(x) for x in range(3, 103, 5)))
+    match_threshold: float = _field(1.5, "positive")
+    match_ratio: float = _field(0.75, "in (0, 1]")
+    near_limit: float = _field(40.0)
 
     def __post_init__(self):
         super().__post_init__()
@@ -73,17 +73,17 @@ class Matching:
 
 @dataclass
 class EvalResult(_Declared):
-    f_score: float = _scalar(bounds="in [0, 1]")
-    precision: float = _scalar(bounds="in [0, 1]")
-    recall: float = _scalar(bounds="in [0, 1]")
+    f_score: float = _field(bounds="in [0, 1]")
+    precision: float = _field(bounds="in [0, 1]")
+    recall: float = _field(bounds="in [0, 1]")
     # an error is None with no sample to measure
-    x_err_near: float | None = _scalar(bounds="non-negative", none=True)
-    x_err_far: float | None = _scalar(bounds="non-negative", none=True)
-    z_err_near: float | None = _scalar(bounds="non-negative", none=True)
-    z_err_far: float | None = _scalar(bounds="non-negative", none=True)
-    tp: int = _scalar(0, "non-negative", integer=True)
-    n_pred: int = _scalar(0, "non-negative", integer=True)
-    n_gt: int = _scalar(0, "non-negative", integer=True)
+    x_err_near: float | None = _field(bounds="non-negative")
+    x_err_far: float | None = _field(bounds="non-negative")
+    z_err_near: float | None = _field(bounds="non-negative")
+    z_err_far: float | None = _field(bounds="non-negative")
+    tp: int = _field(0, "non-negative")
+    n_pred: int = _field(0, "non-negative")
+    n_gt: int = _field(0, "non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidValue, NonFiniteInput, ShapeMismatch
-from .errors import _array, _checked, _Declared, _scalar, _tuple
+from .errors import _checked, _Declared, _field
 from .lane_grid import GridSpec, GridTensors, Lane3D
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -49,18 +49,18 @@ _MAX_BLOCK_FLOATS = 2**18  # cap on block cells * centers (or columns) * dim, i.
 
 @dataclass(frozen=True)
 class DecodeParams(_Declared):
-    s_threshold: float = _scalar(0.5, "in (0, 1)")
-    d_gap: float = _scalar(1.5, "positive")
-    min_points: int = _scalar(4, "at least 2", integer=True)
-    fit_degree: int = _scalar(3, "at least 1", integer=True)
+    s_threshold: float = _field(0.5, "in (0, 1)")
+    d_gap: float = _field(1.5, "positive")
+    min_points: int = _field(4, "at least 2")
+    fit_degree: int = _field(3, "at least 1")
 
 
 @dataclass
 class LaneInstance(_Declared):
     """One decoded lane: cluster id and at least one finite road-frame (x, y, z) point."""
 
-    cluster_id: int = _scalar(bounds="non-negative", integer=True)
-    points: np.ndarray = _array(shape=(None, 3))
+    cluster_id: int = _field(bounds="non-negative")
+    points: np.ndarray = _field(shape=(None, 3))
 
     def __post_init__(self):
         super().__post_init__()
@@ -73,25 +73,31 @@ class FittedLane(_Declared):
     """Polynomials for y(x) and z(x) on the rescaled abscissa t in [-1, 1].
 
     Coefficients are in increasing-power order of t = (2x - (a + b)) / (b - a)
-    where (a, b) = x_range, so x_range fully records the affine map.  The
-    values may be NaN or infinite: lanes_to_dict refuses them.
+    where (a, b) = x_range, two distinct ends.  The values may be NaN or
+    infinite, as y and z then are: lanes_to_dict refuses them.
     """
 
-    y_coeffs: np.ndarray = _array(shape=(None,), finite=False)
-    z_coeffs: np.ndarray = _array(shape=(None,), finite=False)
-    x_range: tuple[float, float] = _tuple(shape=(2,), finite=False)
+    y_coeffs: np.ndarray = _field(shape=(None,), finite=False)
+    z_coeffs: np.ndarray = _field(shape=(None,), finite=False)
+    x_range: tuple[float, float] = _field(finite=False)
 
-    def _t(self, x: np.ndarray) -> np.ndarray:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.x_range[0] == self.x_range[1]:
+            raise InvalidValue(f"FittedLane.x_range: ends must differ, got {self.x_range}")
+
+    def _at(self, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         a, b = self.x_range
-        return (2.0 * x.astype(float, copy=False) - (a + b)) / (b - a)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.polynomial.polynomial.polyval((2.0 * x.astype(float, copy=False) - (a + b)) / (b - a), coeffs)
 
     @_checked
     def y(self, x: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(self._t(x), self.y_coeffs)
+        return self._at(x, self.y_coeffs)
 
     @_checked
     def z(self, x: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(self._t(x), self.z_coeffs)
+        return self._at(x, self.z_coeffs)
 
 
 def _rounding_bound(vals: np.ndarray) -> float:

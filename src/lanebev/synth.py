@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, Extrinsics, Intrinsics, _ground_homography, _homography_sample
 from .errors import InvalidValue, ShapeMismatch
-from .errors import _checked, _Declared, _instance, _instances, _scalar, _tuple
+from .errors import _checked, _Declared, _field
 from .lane_grid import GridSpec, Lane3D
 
 LANE_X_START = 3.0
@@ -31,13 +31,13 @@ LANE_POINT_SPACING = 1.0
 
 @dataclass(frozen=True)
 class SceneParams(_Declared):
-    n_lanes: int = _scalar(4, "non-negative", integer=True)
-    lane_spacing: float = _scalar(3.5, "positive")
-    curvature: tuple[float, float] = _tuple((0.0, 0.0), shape=(2,), items="lo,hi")
-    hill_amplitude: float = _scalar(0.0)
-    hill_wavelength: float = _scalar(60.0, "positive")
-    camera_jitter: tuple[float, float] = _tuple((0.0, 0.0), shape=(2,), items="deg,m")
-    seed: int = _scalar(0, "non-negative", integer=True)
+    n_lanes: int = _field(4, "non-negative")
+    lane_spacing: float = _field(3.5, "positive")
+    curvature: tuple[float, float] = _field((0.0, 0.0), items="lo,hi")
+    hill_amplitude: float = _field(0.0)
+    hill_wavelength: float = _field(60.0, "positive")
+    camera_jitter: tuple[float, float] = _field((0.0, 0.0), items="deg,m")
+    seed: int = _field(0, "non-negative")
 
     def __post_init__(self):
         super().__post_init__()
@@ -47,9 +47,9 @@ class SceneParams(_Declared):
 
 @dataclass
 class SceneRecord(_Declared):
-    rig: CameraRig = _instance(cls=CameraRig)
-    lanes: list[Lane3D] = _instances(cls=Lane3D)
-    scene_tag: str = _instance("", cls=str)
+    rig: CameraRig = _field()
+    lanes: list[Lane3D] = _field(factory=list)
+    scene_tag: str = _field("")
 
 
 def canonical_rig() -> CameraRig:
@@ -175,11 +175,14 @@ def checkerboard(
     square_y: float = 4.0,
     px_per_cell: int = 1,
 ) -> np.ndarray:
-    """BEV checkerboard pattern in [0, 1]; square sizes in meters."""
+    """BEV checkerboard pattern in [0, 1]; square sizes in meters, refused where a cell index reaches 2**63."""
     rows = spec.rows * px_per_cell
     cols = spec.cols * px_per_cell
     x = spec.x_min + (np.arange(rows) + 0.5) * (spec.x_max - spec.x_min) / rows
     y = spec.y_min + (np.arange(cols) + 0.5) * (spec.y_max - spec.y_min) / cols
+    for name, centers, square in (("x", x, square_x), ("y", y, square_y)):
+        if float(np.abs(centers).max()) / square >= 2**63:  # a Python division overflows to inf silently
+            raise InvalidValue(f"checkerboard.square_{name}: must give cell indices below 2**63, got {square!r}")
     xi = np.floor(x / square_x).astype(int)
     yi = np.floor(y / square_y).astype(int)
     return ((xi[:, None] + yi[None, :]) % 2).astype(float)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .camera_geometry import _MIN_DEPTH, CameraRig, _ground_to_image, bilinear_operator
 from .errors import EmptyInput, InsufficientRank, InvalidValue, NonFiniteInput, ShapeMismatch
-from .errors import _array, _checked, _Declared, _ints, _number_type, _scalar
+from .errors import _array_field, _checked, _Declared, _field, _number_type
 from .lane_grid import GridSpec
 
 if TYPE_CHECKING:
@@ -38,8 +38,8 @@ class FeatureTensor(_Declared):
     check here would scan every frame's feature maps once more.
     """
 
-    data: np.ndarray = _array(shape=(None, None, None), finite=False)
-    scale: int = _scalar(32, "positive", integer=True)
+    data: np.ndarray = _field(shape=(None, None, None), finite=False)
+    scale: int = _field(32, "positive")
 
     def __post_init__(self):
         super().__post_init__()
@@ -67,23 +67,24 @@ class ViewRelationMap(_Declared):
     values that are not real numbers raises InvalidValue.
     """
 
-    matrix: np.ndarray | sparse.sparray = _array(shape=(None, None), finite=False)
-    fv_shape: tuple[int, int] = _ints(shape=(2,))
-    bev_shape: tuple[int, int] = _ints(shape=(2,))
+    matrix: np.ndarray | sparse.sparray
+    fv_shape: tuple[int, int] = _field()
+    bev_shape: tuple[int, int] = _field()
 
     def __post_init__(self):
         matrix = self.matrix
         # A sparse matrix can only exist once scipy.sparse is imported.
         scipy_sparse = sys.modules.get("scipy.sparse")
-        is_sparse = scipy_sparse is not None and scipy_sparse.issparse(matrix)
-        if is_sparse and not _number_type(matrix.dtype.type):
+        if scipy_sparse is None or not scipy_sparse.issparse(matrix):
+            matrix = _array_field("ViewRelationMap.matrix", matrix, (None, None), finite=False)
+        elif not _number_type(matrix.dtype.type):
             raise InvalidValue(f"ViewRelationMap.matrix: must be an array of numbers, got {matrix.dtype} values")
-        if is_sparse and matrix.format == "csr":
+        elif matrix.format == "csr":
             matrix = matrix.copy()
             for part in (matrix.data, matrix.indices, matrix.indptr):
                 part.flags.writeable = False
-            object.__setattr__(self, "matrix", matrix)
-        super().__post_init__(skip="matrix" if is_sparse else None)
+        object.__setattr__(self, "matrix", matrix)
+        super().__post_init__()
         expect = (self.bev_shape[0] * self.bev_shape[1], self.fv_shape[0] * self.fv_shape[1])
         if self.matrix.shape != expect:
             raise ShapeMismatch(f"ViewRelationMap.matrix: shape {self.matrix.shape} differs from (HW_bev, HW_fv) = {expect}")
@@ -94,8 +95,8 @@ class PyramidSpec(_Declared):
     """Which scales feed the transform, distinct positive integers, and the
     shared BEV output shape, two positive integers."""
 
-    scales: tuple[int, ...] = _ints((32, 64))
-    bev_shape: tuple[int, int] = _ints((50, 10), shape=(2,))
+    scales: tuple[int, ...] = _field((32, 64))
+    bev_shape: tuple[int, int] = _field((50, 10))
 
     def __post_init__(self):
         super().__post_init__()

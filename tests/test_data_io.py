@@ -1022,6 +1022,23 @@ class TestOpenLaneFrames:
         with pytest.raises(MalformedJson):
             data_io.parse_openlane_frame("{not json")
 
+    def test_frame_text_may_be_bytes(self):
+        scene, text = self.make_frame_text()
+        for raw in (text.encode(), bytearray(text.encode())):
+            assert data_io.parse_openlane_frame(raw).scene_tag == "frames/000.json"
+
+    @pytest.mark.parametrize("value", [5, None, ["{}"]])
+    def test_frame_text_of_another_type_is_refused_naming_it(self, value):
+        # once a bare TypeError from json.loads
+        with pytest.raises(InvalidValue, match=r"^parse_openlane_frame\.json_text: must be a str or bytes or bytearray"):
+            data_io.parse_openlane_frame(value)
+
+    @pytest.mark.parametrize("value", [5, ["x"], None])
+    def test_file_path_that_is_not_a_string_is_refused_naming_it(self, value):
+        # 5 and ["x"] were once written as the frame's file_path
+        with pytest.raises(InvalidValue, match=r"^export_openlane_frame\.file_path: must be a str"):
+            data_io.export_openlane_frame(self.make_frame_text()[0], value)
+
     def test_missing_field(self):
         with pytest.raises(MissingField):
             data_io.parse_openlane_frame(json.dumps({"intrinsic": np.eye(3).tolist()}))

@@ -126,6 +126,13 @@ class TestEncodeLanes:
         assert np.all(cols == 20)
         assert np.all(gt.offset[rows, cols] == 0.0)
 
+    @pytest.mark.parametrize("y", [1e308, -1e308, np.finfo(float).max])
+    def test_lane_far_off_the_grid_is_dropped(self, y):
+        # once a RuntimeWarning from the overflowing cell fraction
+        gt = encode_lanes([straight_lane(y)])
+        assert gt.confidence.sum() == 0
+        assert gt.instance.sum() == 0
+
     def test_empty_lane_list(self):
         gt = encode_lanes([])
         assert gt.confidence.sum() == 0

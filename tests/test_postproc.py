@@ -10,7 +10,7 @@ from lanebev import data_io, postproc
 from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, encode_lanes, ideal_prediction
 from lanebev.metrics import evaluate
-from lanebev.postproc import DecodeParams, LaneInstance, _cluster_scan, decode_grid, decode_lanes, fit_lanes
+from lanebev.postproc import DecodeParams, FittedLane, LaneInstance, _cluster_scan, decode_grid, decode_lanes, fit_lanes
 from lanebev.synth import SceneParams, generate_scene
 
 from test_acceptance import _acceptance_scenes
@@ -356,6 +356,26 @@ class TestDecodeGrid:
         with pytest.raises(NonFiniteInput, match="embedding") as err:
             decode_grid(pred, spec, DecodeParams(min_points=2))
         assert isinstance(err.value, LaneBevError)
+
+
+class TestFittedLane:
+    @pytest.mark.parametrize("x_range", [(1.0, 1.0), (1.0, 1.0 + 1e-300), (np.inf, np.inf)])
+    def test_equal_ends_are_refused_naming_the_field(self, x_range):
+        # once a divide-by-zero RuntimeWarning and NaN or inf from y and z
+        with pytest.raises(InvalidValue, match=r"^FittedLane\.x_range: ends must differ"):
+            FittedLane(np.zeros(2), np.zeros(2), x_range)
+
+    def test_nan_ends_are_taken(self):
+        # lanes_to_dict refuses them
+        fit = FittedLane(np.zeros(2), np.zeros(2), (np.nan, np.nan))
+        assert np.isnan(fit.y(np.array([1.0]))).all()
+
+    def test_far_abscissa_gives_inf_or_nan_without_a_warning(self):
+        fit = FittedLane(np.array([0.0, 1.0]), np.array([1.0, 1.0, -1.0]), (0.0, 1e-300))
+        x = np.array([1e300, -1e300, 0.5e-300])
+        # numpy's polyval starts from inf * 0, so an infinite t gives NaN
+        assert np.isnan(fit.y(x[:2])).all() and np.isnan(fit.z(x[:2])).all()
+        assert fit.y(x[2:]).tolist() == [0.0] and fit.z(x[2:]).tolist() == [1.0]
 
 
 class TestFitLanes:

@@ -226,6 +226,17 @@ class TestCheckerboard:
         with pytest.raises(error, match=rf"^checkerboard\.{arg}: "):
             checkerboard(**{arg: value})
 
+    @pytest.mark.parametrize("arg, value", [("square_x", 1e-320), ("square_y", 1e-300), ("square_x", 102.75 / 2**63)])
+    def test_square_whose_cell_index_overflows_is_refused_naming_it(self, arg, value):
+        # once a RuntimeWarning from the divide (1e-320) or the int cast (1e-300)
+        with pytest.raises(InvalidValue, match=rf"^checkerboard\.{arg}: must give cell indices below 2\*\*63"):
+            checkerboard(**{arg: value})
+
+    def test_least_square_below_the_overflow_is_taken(self):
+        # the farthest row center of the default grid lies at x = 102.75
+        square = np.nextafter(102.75 / 2**63, np.inf)
+        assert set(np.unique(checkerboard(square_x=square))) <= {0.0, 1.0}
+
     def test_alternates_with_square_size(self):
         spec = GridSpec()
         pat = checkerboard(spec, square_x=10.0, square_y=10.0)

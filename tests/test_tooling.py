@@ -4,9 +4,10 @@ loaders or pickle, writes JSON text through one encoder call, raises and
 never warns, refuses a value with its own error classes, each message
 naming the field, and neither converts nor checks an argument of a function
 by hand; every field of every public dataclass and every argument whose
-annotation declares a rule goes through its declaration, which the tables
-below read; every field refuses a value of the wrong type, an array field a
-wrong shape, NaN, a bool or a numeric string, and so does every declared
+annotation declares a rule goes through that rule, which the tables below
+read, and no module but errors restates a rule; every field refuses a
+value of the wrong type, an array field a wrong shape, NaN, a bool or a
+numeric string, and so does every declared
 argument and every entry of a declared list or dict; every public function
 keeps its name and signature; and no CLI flag re-spells a config file's
 field."""
@@ -29,7 +30,7 @@ import lanebev
 from lanebev import data_io
 from lanebev.camera_geometry import CameraRig, Extrinsics, Homography, Intrinsics, bilinear_operator, project_ground_points
 from lanebev.cli import _COMMANDS
-from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch, _interval
+from lanebev.errors import InvalidValue, LaneBevError, NonFiniteInput, ShapeMismatch, _declarations, _interval
 from lanebev.lane_grid import GridSpec, GridTensors, Lane3D, simplex_vertices
 from lanebev.losses import (
     FrontViewPrediction,
@@ -304,7 +305,7 @@ def test_the_conversion_scan_finds_each_converted_argument():
     assert argument_conversions(source) == ["line 5: sigmoid", "line 8: apply", "line 8: apply"]
 
 
-ARGUMENT_CHECKERS = ("_object_field", "_object_list", "_scalar_field", "_ints_field", "_numbers")
+ARGUMENT_CHECKERS = ("_object_field", "_scalar_field", "_numbers")
 
 
 def argument_checks(source: str) -> list[str]:
@@ -346,7 +347,7 @@ def test_the_argument_check_scan_finds_each_hand_written_check():
             for scale in spec.scales:
                 errors._object_field(f"apply_pyramid.maps[{scale}]", maps[scale], ViewRelationMap)
                 frame = features[scale]
-                _object_list("apply_pyramid.features", frame, FeatureTensor)
+                _object_field("apply_pyramid.features", frame, FeatureTensor)
                 _numbers("apply_pyramid.spec", spec.scales)
                 _array_field("apply_pyramid.features", features, (None,))
         """
@@ -356,6 +357,47 @@ def test_the_argument_check_scan_finds_each_hand_written_check():
         "line 9: _object_field in decode_grid",
         "line 10: _object_field in decode_grid",
         "line 16: _object_field in apply_pyramid",
+    ]
+
+
+# The _Rule fields that an annotation gives, and _field takes no keyword for
+ANNOTATED = ("kind", "cls", "integer", "none")
+
+
+def restated_rules(source: str) -> list[str]:
+    """Each call in `source` that constructs an errors._Rule, and each
+    errors._field call given a rule field its annotation gives (ANNOTATED)."""
+    found = []
+    for node, _ in in_functions(source):
+        func = node.func if isinstance(node, ast.Call) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "_Rule":
+            found.append(f"line {node.lineno}: _Rule")
+        elif name == "_field":
+            found.extend(f"line {node.lineno}: _field {kw.arg}" for kw in node.keywords if kw.arg in ANNOTATED)
+    return found
+
+
+def test_the_rule_scan_finds_each_restated_rule():
+    source = textwrap.dedent(
+        """
+        @dataclass
+        class Lane(_Declared):
+            points: np.ndarray = _field(shape=(None, 3), finite=False)
+            id: int = _field(0, "positive", integer=True)
+            tag: str | None = errors._field(None, cls=str, none=True)
+            rig: CameraRig = dataclasses.field(metadata={"rule": errors._Rule("object", cls=CameraRig)})
+
+        def rule():
+            return _Rule(kind="scalar")
+        """
+    )
+    assert restated_rules(source) == [
+        "line 5: _field integer",
+        "line 6: _field cls",
+        "line 6: _field none",
+        "line 7: _Rule",
+        "line 10: _Rule",
     ]
 
 
@@ -510,6 +552,9 @@ MODULE_SCANS = {
     # An argument's rule is its annotation and errors._checked's bound, applied
     # by the decorator; a body checks only the rules across arguments
     "argument check": lambda source, name: [] if name == "errors.py" else argument_checks(source),
+    # A field's rule is its annotation and _field's bound and shape: errors
+    # derives every rule, so no other module builds one or restates a type
+    "restated rule": lambda source, name: [] if name == "errors.py" else restated_rules(source),
     # A refusal is a LaneBevError, which callers tell from a bug; metrics._assign
     # raises ValueError on no finite assignment, as scipy's linear_sum_assignment
     "generic raise": lambda source, name: generic_raises(source, ("_assign",) if name == "metrics.py" else ()),
@@ -627,10 +672,19 @@ VALID_ARGS = {
     FrontViewPrediction: {"raw_seg": _Z2, "embedding": _Z3},
     FrontViewTruth: {"mask": _Z2, "instance": _Z2},
 }
-# The declared rule of every public field (errors._Rule), None where none is declared
-RULES = {(cls, f.name): f.metadata.get("rule") for cls in PUBLIC_DATACLASSES for f in dataclasses.fields(cls)}
+# The rule of every public field (errors._Rule), as errors._declarations
+# derives it from the field's annotation; None where the class checks it
+RULES = {
+    (cls, f.name): {name: rule for name, _, rule in _declarations(cls)}.get(f.name)
+    for cls in PUBLIC_DATACLASSES
+    for f in dataclasses.fields(cls)
+}
+# The one field without a derived rule: its annotation names scipy.sparse,
+# imported only when a sparse map is built, and its class checks a dense
+# matrix as an array field that takes NaN and a sparse one as numbers
+SELF_CHECKED = {(ViewRelationMap, "matrix")}
 # The array fields declared to take NaN, such as GridTensors.embedding
-TAKES_NAN = {key for key, rule in RULES.items() if rule and rule.kind == "array" and not rule.finite}
+TAKES_NAN = {key for key, rule in RULES.items() if rule and rule.kind == "array" and not rule.finite} | SELF_CHECKED
 ARRAY_FIELDS = [(cls, name) for cls, args in VALID_ARGS.items() for name, value in args.items() if isinstance(value, np.ndarray)]
 
 
@@ -682,8 +736,9 @@ def test_every_array_field_refuses_bools_and_numeric_strings_naming_it(cls, fiel
 
 
 def test_every_public_field_declares_its_rule():
-    # the one declaration that the check, the file readers and --schema read
-    assert [f"{cls.__name__}.{name}" for (cls, name), rule in RULES.items() if rule is None] == []
+    # the one rule that the check, the file readers and --schema read; the
+    # field its class checks still gets every wrong-shape, NaN and type row
+    assert [f"{cls.__name__}.{name}" for (cls, name), rule in RULES.items() if rule is None] == ["ViewRelationMap.matrix"]
 
 
 def test_every_public_dataclass_has_a_valid_construction():
@@ -768,7 +823,8 @@ VALID_CALLS = {
     data_io.save_lanes: {"lanes": [_LANE], "path": os.devnull, "fits": [_FIT]},
     data_io.scene_to_dict: {"scene": _SCENE},
     data_io.save_scene: {"scene": _SCENE, "path": os.devnull},
-    data_io.export_openlane_frame: {"scene": _SCENE},
+    data_io.parse_openlane_frame: {"json_text": data_io.export_openlane_frame(_SCENE)},
+    data_io.export_openlane_frame: {"scene": _SCENE, "file_path": "frame.jpg"},
     data_io.write_pnm: {"image": np.ones((2, 2)), "path": os.devnull},
     lanebev.encode_lanes: {"lanes": [_LANE], "spec": _SPEC},
     simplex_vertices: {"n": 2, "dim": 2},
@@ -809,7 +865,8 @@ def wrong_values(rule, valid) -> dict:
     valid value is `valid`: NOT_NUMBERS of it and a word, None and a bool
     for an array; WRONG_ARGS for any other, with a fraction for an integer
     and a value below the bound for a bounded number; None only where the
-    argument may not be None."""
+    argument may not be None, and no value of an object rule's class (a
+    word and a numeric string are a str)."""
     if rule.kind == "numbers":
         wrong = {**{kind: spoil(valid) for kind, spoil in NOT_NUMBERS.items()}, "word": "a", "None": None, "bool": True}
     else:
@@ -822,7 +879,7 @@ def wrong_values(rule, valid) -> dict:
         wrong["below bound"] = below if rule.kind == "scalar" else (below,) * rule.shape[0]
     if rule.none:
         del wrong["None"]
-    return wrong
+    return {kind: value for kind, value in wrong.items() if not (rule.kind == "object" and isinstance(value, rule.cls))}
 
 
 # (function, argument, kind) for every declared argument of every function
@@ -918,8 +975,20 @@ def public_functions() -> dict:
 
 
 PUBLIC_FUNCTIONS = public_functions()
-# An annotation that declares a rule: a number, an array, a size or a lanebev class, alone or in a container
-DECLARING = re.compile(rf"\b(int|float|np\.ndarray|np\.random\.Generator|{'|'.join(sorted(LANEBEV_CLASSES))})\b")
+# An annotation that declares a rule: a number, an array, a size, a string or
+# a lanebev class, alone, in a container, or in a union whose every other
+# alternative does too or is None (`str | Path` declares none)
+DECLARING = re.compile(rf"\b(int|float|str|bytes|bytearray|np\.ndarray|np\.random\.Generator|{'|'.join(sorted(LANEBEV_CLASSES))})\b")
+
+
+def declares(annotation: str) -> bool:
+    """Whether `annotation` declares a rule: each alternative of its
+    outermost union but None names what DECLARING matches."""
+
+    def alternatives(node):
+        return alternatives(node.left) + alternatives(node.right) if isinstance(node, ast.BinOp) else [ast.unparse(node)]
+
+    return all(DECLARING.search(text) for text in alternatives(ast.parse(annotation, mode="eval").body) if text != "None")
 
 
 def test_every_declared_argument_of_a_public_function_is_checked():
@@ -929,7 +998,7 @@ def test_every_declared_argument_of_a_public_function_is_checked():
         f"{qualname}.{param.name}"
         for qualname, fn in PUBLIC_FUNCTIONS.items()
         for param in inspect.signature(fn).parameters.values()
-        if DECLARING.search(str(param.annotation)) and param.name not in declared(fn)
+        if param.annotation is not inspect.Parameter.empty and declares(param.annotation) and param.name not in declared(fn)
     ]
     assert unchecked == []
 
