@@ -25,7 +25,7 @@ one camera to the pixels of another camera observing the same ground point.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import astuple, dataclass
 from typing import TYPE_CHECKING
 
@@ -284,11 +284,13 @@ def _homography_sample(
     source pixels to output pixels and hinv is its inverse (NaN for none).
 
     The source coordinates are made one row block at a time by _sample_rows,
-    so no image-sized coordinate array is built; a point beyond the float
-    range or at w = 0 is non-finite and samples +0.0.  If max_w is given,
-    only the points whose w lies in (0, max_w) are sampled and any other,
-    NaN included, is +0.0: for a ground-plane H, w is 1 / depth, so that is
-    a depth gate.
+    into its per-call buffers, so no image-sized coordinate array is built.
+    The three rows hinv[i, 0] * u are formed once per call, and each block's
+    w goes into one more buffer of the call; a point beyond the float range
+    or at w = 0 is non-finite and samples +0.0.  If max_w is given, only the
+    points whose w lies in (0, max_w) are sampled and any other, NaN
+    included, is +0.0: for a ground-plane H, w is 1 / depth, so that is a
+    depth gate.
 
     One row rule: only the output rows that can reach the source's non-zero
     rows [r0, r1) are cast (see _sample_rows).  A point gathers from them
@@ -302,19 +304,36 @@ def _homography_sample(
     because it is many orders of magnitude wider than the rounding that
     separates the mapped corners from the source coordinates that the cast
     rows compute.  The gate only zeroes points, so it keeps the rule exact.
+
+    The gate is skipped for a block whose every w already lies in
+    (0, max_w), where it would keep every point.  A block's w is
+    (hinv[2, 0] * u + hinv[2, 1] * v) + hinv[2, 2], rounded at each step,
+    and rounding is monotone, so its least and greatest w are those of the
+    least and greatest terms, summed in the same order: an exact bound, with
+    no margin.  A NaN or infinite term keeps the gate on, and a gated block
+    makes its gated w afresh.  The row rule's corners cannot decide the
+    gate: for a camera within about 1e-200 m of the ground, hinv is too far
+    from the exact inverse of h for a margin on the corners' depths to hold.
     """
     out_w, out_h = out_size
-    uu = np.arange(out_w, dtype=float)
+    hu = hinv[:, :1] * np.arange(out_w, dtype=float)  # row i is hinv[i, 0] * u
+    u_terms = hu[2].min(initial=np.inf), hu[2].max(initial=-np.inf)  # w's least and greatest u term
+    w_buffer = np.empty(min(_block_rows(out_w), out_h) * out_w)
 
-    def coords(v):
-        vv = v[:, None]
+    def coords(v, sx, sy):
+        w = w_buffer[: sx.size].reshape(sx.shape)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
+            for row, out in ((2, w), (0, sx), (1, sy)):
+                np.add(hu[row], (hinv[row, 1] * v)[:, None], out=out)
+                out += hinv[row, 2]
             if max_w is not None:
-                w = np.where((w > 0) & (w < max_w), w, np.nan)
-            sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / w
-            sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / w
-        return sx, sy
+                v_terms = hinv[2, 1] * v[[0, -1]]  # v ascends, so these are its least and greatest
+                least = u_terms[0] + v_terms.min() + hinv[2, 2]
+                most = u_terms[1] + v_terms.max() + hinv[2, 2]
+                if not (least > 0 and most < max_w):
+                    w = np.where((w > 0) & (w < max_w), w, np.nan)
+            sx /= w
+            sy /= w
 
     def rows(r0, r1):
         corners = np.array([(x, y, 1.0) for x in (-1.0, img.shape[1]) for y in (r0 - 1.0, r1)])
@@ -328,15 +347,26 @@ def _homography_sample(
     return _sample_rows(img, (out_h, out_w), coords, rows)
 
 
-def _bilinear_weights(sx: np.ndarray, sy: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, ...]:
+def _bilinear_weights(
+    sx: np.ndarray, sy: np.ndarray, x0: np.ndarray, y0: np.ndarray, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
     """The four bilinear weights of the points (sx, sy) whose floors are x0,
-    y0, in the order (x0, y0), (x0+1, y0), (x0, y0+1), (x0+1, y0+1)."""
+    y0, one at a time, in the order (x0, y0), (x0+1, y0), (x0, y0+1),
+    (x0+1, y0+1).
+
+    With out given, nothing is allocated: fx = sx - x0 and fy = sy - y0
+    overwrite sx and sy, gx = 1 - fx and gy = 1 - fy overwrite x0 and y0,
+    and each weight is written to out, where it holds until the next one is
+    asked for.  The fractions lie in [0, 1] or are NaN (inf - inf), so only
+    their subtraction can raise a floating-point error."""
+    into = (None,) * 4 if out is None else (sx, sy, x0, y0)
     with np.errstate(invalid="ignore"):
-        fx = sx - x0
-        fy = sy - y0
-        gx = 1 - fx
-        gy = 1 - fy
-        return gx * gy, fx * gy, gx * fy, fx * fy
+        fx = np.subtract(sx, x0, out=into[0])
+        fy = np.subtract(sy, y0, out=into[1])
+    gx = np.subtract(1, fx, out=into[2])
+    gy = np.subtract(1, fy, out=into[3])
+    for p, q in ((gx, gy), (fx, gy), (gx, fy), (fx, fy)):
+        yield np.multiply(p, q, out=out)
 
 
 @_checked(src_shape="non-negative")
@@ -354,7 +384,7 @@ def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]
     src_h, src_w = src_shape
     sx, sy = np.ravel(sx), np.ravel(sy)
     x0, y0 = np.floor(sx), np.floor(sy)
-    weights = _bilinear_weights(sx, sy, x0, y0)
+    weights = tuple(_bilinear_weights(sx, sy, x0, y0))
     xi = x0[:, None] + [0, 1, 0, 1]
     yi = y0[:, None] + [0, 0, 1, 1]
     # NaN fails every comparison and +-inf one of them, so non-finite
@@ -365,24 +395,42 @@ def bilinear_operator(sx: np.ndarray, sy: np.ndarray, src_shape: tuple[int, int]
     return sparse.csr_array((np.column_stack(weights)[keep], cols, indptr), shape=(len(sx), src_h * src_w))
 
 
+def _block_rows(out_w: int) -> int:
+    """Output rows per block of _sample_rows: whole rows of at most
+    _SAMPLE_BLOCK points, and at least one row."""
+    return max(1, _SAMPLE_BLOCK // max(out_w, 1))
+
+
 def _sample_rows(
     img: np.ndarray,
     out_hw: tuple[int, int],
-    coords,
+    coords: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     rows: Callable[[int, int], tuple[int, int] | None] | None = None,
 ) -> np.ndarray:
     """Bilinearly sample an (H, W) or (H, W, C) image into an (out_h, out_w)
     grid of points, one block of whole output rows at a time.
 
-    coords(v) gets the block's row indices v as floats and returns the
-    source coordinates (sx, sy) of its points, each of shape
-    (len(v), out_w).  The four neighbours are gathered from a zero-padded
-    copy of the image and their weighted values are added from 0.0 in
+    coords(v, sx, sy) gets the block's row indices v as floats and fills
+    the (len(v), out_w) arrays sx and sy with the source coordinates of its
+    points; they are the kernel's own buffers, which it overwrites after
+    the call.  The four neighbours are gathered from a zero-padded copy of
+    the image and their weighted values are added from 0.0 in
     bilinear_operator's storage order, as scipy's CSR product adds them, so
     the result equals the operator product bit for bit.  Every tap is
     gathered at one flat index per point from a view of the padded image
     shifted by the tap's offset, with indices clipped, so no index array is
     built per tap.
+
+    Each call allocates its block scratch once: five float buffers of one
+    block's points (sx, sy, their floors and the weight, which first holds
+    the flat index as a float), one index buffer, two masks and one tap
+    buffer of the block's points by channels.  Every step of a block
+    writes into them, with out= or in place, so no block-sized array is
+    made per block: the bilinear weights' fractions overwrite the
+    coordinates and their complements the floors (_bilinear_weights), and
+    each tap's weight is written to the weight buffer just before the tap
+    is gathered.  The buffers belong to the call, never to the module, so
+    calls on two threads share nothing.
 
     Only the band [r0, r1) of source rows is gathered: the rows that hold
     any value other than +-0.0 (NaN and +-inf count as non-zero).  It is
@@ -396,11 +444,11 @@ def _sample_rows(
     range, which is tested before the taps are formed; its rows stay +0.0.
     An all-zero source gathers nothing and calls neither coords nor rows.
 
-    rows, if given, is called once as rows(r0, r1) and returns a half-open
-    range [lo, hi) of output rows that holds every point whose floors lie
-    in the ranges above, or None for every row.  The range is clamped to
-    [0, out_h); coords is called only for the rows in it, and the rows
-    outside it stay +0.0.
+    rows, if given, is called once as rows(r0, r1), before coords, and
+    returns a half-open range [lo, hi) of output rows that holds every
+    point whose floors lie in the ranges above, or None for every row.  The
+    range is clamped to [0, out_h); coords is called only for the rows in
+    it, and the rows outside it stay +0.0.
     """
     img = np.asarray(img, dtype=float)
     out_h, out_w = out_hw
@@ -419,32 +467,45 @@ def _sample_rows(
 
     span = None if rows is None else rows(r0, r1)
     first, end = (0, out_h) if span is None else (min(max(r, 0), out_h) for r in span)
-    step = max(1, _SAMPLE_BLOCK // max(out_w, 1))
+    step = _block_rows(out_w)
+    size = min(step, end - first) * out_w
+    sx_b, sy_b, x0_b, y0_b, weight_b = np.empty((5, size))
+    index_b = np.empty(size, dtype=np.intp)
+    inside_b, test_b = np.empty((2, size), dtype=bool)
+    tap_b = np.empty((size, flat.shape[1]))
     for lo in range(first, end, step):
-        v = np.arange(lo, min(lo + step, end), dtype=float)
-        sx, sy = (np.ravel(a) for a in coords(v))
+        n_rows = min(step, end - lo)
+        n = n_rows * out_w
+        sx, sy, x0, y0, weight = (b[:n] for b in (sx_b, sy_b, x0_b, y0_b, weight_b))
+        index, inside, test, tap = index_b[:n], inside_b[:n], test_b[:n], tap_b[:n]
+        coords(np.arange(lo, lo + n_rows, dtype=float), sx.reshape(n_rows, out_w), sy.reshape(n_rows, out_w))
         # NaN fails every comparison and +-inf one of them, so such a point
         # is never inside.
-        y0 = np.floor(sy)
-        inside = (y0 >= r0 - 1) & (y0 <= r1 - 1)
+        np.floor(sy, out=y0)
+        np.greater_equal(y0, r0 - 1, out=inside)
+        inside &= np.less_equal(y0, r1 - 1, out=test)
         if not inside.any():
             continue
-        x0 = np.floor(sx)
-        inside &= (x0 >= -1) & (x0 <= src_w - 1)
+        np.floor(sx, out=x0)
+        inside &= np.greater_equal(x0, -1, out=test)
+        inside &= np.less_equal(x0, src_w - 1, out=test)
         if not inside.any():
             continue
-        acc = out[lo * out_w : (lo + len(v)) * out_w]
+        acc = out[lo * out_w : lo * out_w + n]
         # An outside point's index (perhaps cast from inf - inf) is clipped,
         # and whatever it gathers is zeroed below.
         with np.errstate(invalid="ignore", over="ignore"):
-            base = ((y0 - (r0 - 1)) * pad_w + (x0 + 1)).astype(np.intp)
-            for w, offset in zip(_bilinear_weights(sx, sy, x0, y0), (0, 1, pad_w, pad_w + 1)):
-                tap = np.take(flat[offset:], base, axis=0, mode="clip")
+            # (y0 - (r0 - 1)) * pad_w + x0 + 1, exact for an inside point
+            np.multiply(y0, pad_w, out=weight)
+            weight += x0
+            np.add(weight, 1 - (r0 - 1) * pad_w, out=index, casting="unsafe")
+            for w, offset in zip(_bilinear_weights(sx, sy, x0, y0, weight), (0, 1, pad_w, pad_w + 1)):
+                np.take(flat[offset:], index, axis=0, mode="clip", out=tap)
                 tap *= w[:, None]
                 kept = (acc.copy() if flat.shape[1] == 1 else tap) if nan else None
                 acc += tap
                 if nan:  # numpy's add keeps either NaN, the CSR product the first of one channel, the last of several
                     np.copyto(acc, kept, where=np.isnan(kept))
         if not inside.all():
-            np.copyto(acc, 0.0, where=~inside[:, None])
+            np.copyto(acc, 0.0, where=np.logical_not(inside, out=test)[:, None])
     return out.reshape((out_h, out_w) + img.shape[2:])

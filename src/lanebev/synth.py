@@ -148,8 +148,10 @@ def render_ground_pattern(
     point on the pixel's ray, so only points with 0 < w < 1 / _MIN_DEPTH,
     on the ground ahead of the camera, are sampled; any other gives +0.0,
     and so does every pixel when the camera centre lies on the ground plane
-    (G is singular).  `out_size` is (width, height), default the rig's; a
-    pattern that is not 2-D or 3-D raises ShapeMismatch naming
+    (G is singular).  The test is skipped for a row block only where the
+    block's own least and greatest w prove that every point passes it
+    (_homography_sample).  `out_size` is (width, height), default the
+    rig's; a pattern that is not 2-D or 3-D raises ShapeMismatch naming
     `render_ground_pattern.pattern`.
     """
     if pattern.ndim not in (2, 3):

@@ -357,9 +357,10 @@ def sample_points(img, sx, sy):
     channel axis, if any."""
     px, py = np.ravel(sx), np.ravel(sy)
 
-    def coords(v):
+    def coords(v, sx_out, sy_out):
         points = slice(int(v[0]), int(v[0]) + len(v))
-        return px[points], py[points]
+        sx_out[:, 0] = px[points]
+        sy_out[:, 0] = py[points]
 
     out = _sample_rows(img, (px.size, 1), coords)
     return out.reshape(np.shape(sx) + out.shape[2:])

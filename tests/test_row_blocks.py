@@ -12,6 +12,8 @@ the render must agree with it to within the rounding of the two paths.
 """
 
 import hashlib
+import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -252,9 +254,9 @@ def cast_rows(module, sampler, *args):
     sample_rows = module._sample_rows
 
     def spy(img, out_hw, coords, *rest):
-        def spied_coords(v):
+        def spied_coords(v, sx, sy):
             cast.extend(int(r) for r in v)
-            return coords(v)
+            coords(v, sx, sy)
 
         return sample_rows(img, out_hw, spied_coords, *rest)
 
@@ -337,6 +339,102 @@ class TestRenderFootprintRows:
         with mock.patch.object(camera_geometry, "_SAMPLE_BLOCK", block):
             got = render_ground_pattern(rig, pattern, GridSpec(), out_size)
         assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, GridSpec(), out_size))
+
+
+class TestRenderDepthGate:
+    # The canonical rig sees the ground point (x, y, 0) at depth x.  The
+    # pattern runs 2000 m out, so its widened far edge maps to row 288.75,
+    # below the horizon (row 288), and row 287 above the horizon is cast.
+    # There w < 0, so the gate makes the first block's sky coordinates NaN;
+    # the later blocks lie wholly below the horizon, where every w passes,
+    # and are not gated.  x_min puts the widened near edge, pattern row -1
+    # at x = x_min - dx / 2, at near_depth, between 1e-9 and 2e-9 m or just
+    # beyond.
+    @pytest.mark.parametrize("near_depth", [1.5e-9, 2.5e-9])
+    def test_near_edge_at_the_least_depth_renders_as_the_reference(self, near_depth):
+        rig = canonical_rig()
+        spec = GridSpec(x_min=0.25 + near_depth, x_max=2000.25 + near_depth)
+        pattern = np.random.default_rng(7).random((4000, 20))
+        dx = (spec.x_max - spec.x_min) / pattern.shape[0]
+        ext = rig.extrinsics
+        depths = [(ext.rotation @ (spec.x_min - 0.5 * dx, y, 0.0) + ext.translation)[2] for y in (-10.0, 10.0)]
+        assert all(1e-9 < d < 2e-9 for d in depths) == (near_depth < 2e-9)
+        cast = {}
+        sample_rows = camera_geometry._sample_rows
+
+        def spy(img, out_hw, coords, *rest):
+            def spied_coords(v, sx, sy):
+                coords(v, sx, sy)
+                cast.update(zip((int(r) for r in v), sx.copy()))
+
+            return sample_rows(img, out_hw, spied_coords, *rest)
+
+        with mock.patch.object(camera_geometry, "_sample_rows", spy):
+            got = render_ground_pattern(rig, pattern, spec)
+        first_block = 287 + camera_geometry._SAMPLE_BLOCK // rig.image_size[0]
+        assert min(cast) == 287 and np.isnan(cast[287]).all()
+        assert all(np.isfinite(cast[r]).all() for r in cast if r >= first_block)
+        assert got[288:].any() and not got[:288].any()
+        assert_same_bytes(got, reference_render_ground_pattern(rig, pattern, spec))
+
+    @pytest.mark.parametrize("height", [1e-307, 1e-300, 1e-200, -1e-300])
+    def test_camera_a_hair_off_the_ground_renders_as_the_reference(self, height):
+        # The pattern lies wholly ahead, so its corners are metres deep, but
+        # hinv is far from the exact inverse of h: only the w that the cast
+        # rows compute can decide the gate.
+        spec = GridSpec()
+        rig = rig_centred_at((0.0, 0.0, height))
+        pattern = checkerboard(spec, square_x=20.0, square_y=4.0, px_per_cell=2) + 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = render_ground_pattern(rig, pattern, spec)
+            want = reference_render_ground_pattern(rig, pattern, spec)
+        assert_same_bytes(got, want)
+
+
+def test_render_and_warp_on_two_threads_match_single_calls():
+    # Each call owns its block buffers, so two threads sampling different
+    # frames at once each get the bytes of the same call made alone.
+    size = (1024, 576)
+    rng = np.random.default_rng([1])
+    rigs = [jittered_rig(rng, 2.0, 0.2) for _ in range(2)]
+    virtual = mean_virtual_camera(rigs)
+    patterns = [checkerboard(GridSpec(), square_x=20.0, square_y=4.0, px_per_cell=2), rng.random((400, 80))]
+    images = [render_ground_pattern(rig, p, GridSpec(), size) for rig, p in zip(rigs, patterns)]
+    homographies = [compute_homography(rig, virtual) for rig in rigs]
+
+    def calls(i):
+        return (
+            render_ground_pattern(rigs[i], patterns[1 - i], GridSpec(), size),
+            warp_image(images[i], homographies[i], size),
+            warp_image(images[1 - i], homographies[i], size),
+        )
+
+    alone = [calls(i) for i in range(2)]
+    together = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        for _ in range(3):
+            together[i].append(calls(i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(2):
+        assert len(together[i]) == 3
+        for results in together[i]:
+            for got, want in zip(results, alone[i]):
+                assert got.tobytes() == want.tobytes()
 
 
 def rig_centred_at(center, size=(256, 144)):
